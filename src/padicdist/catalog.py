@@ -7,6 +7,7 @@ import re
 from .errors import ConfigError
 from .groups import LGroupSpec, LieLattice
 from .padics import FieldSpec
+from .radii import kappa
 
 
 def abelian(d, p=3, precision=40):
@@ -15,9 +16,8 @@ def abelian(d, p=3, precision=40):
 
 def heisenberg(p=3, precision=40):
     """d = 3 with [X_1, X_2] = p^kappa X_3, the rest central."""
-    kappa = 1 if p != 2 else 2
     return LieLattice(
-        p, 3, {(0, 1): (0, 0, p**kappa)}, precision=precision,
+        p, 3, {(0, 1): (0, 0, p**kappa(p))}, precision=precision,
         name="heisenberg" if p == 3 else f"heisenberg(p={p})",
     )
 

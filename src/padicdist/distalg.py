@@ -24,7 +24,7 @@ from .errors import DegreeOverflow, ParseError, ZeroDistribution
 from .grading import Symbol, SymbolContext
 from .indices import grlex_key, iter_multi_indices, unit_index
 from .mahler import StructureConstants, binom_rational
-from .radii import NormValue, dominant_log_index, log_tail_exponent
+from .radii import NormValue, log_tail_exponent
 
 INF = math.inf
 
@@ -375,13 +375,3 @@ def _generator_index(algebra, token, pos):
     except ValueError:
         raise ParseError(f"unknown generator {token!r}", position=pos) from None
 
-
-def radius_for(algebra, text):
-    from .radii import parse_radius
-
-    _, r = parse_radius(text, p=algebra.field.p)
-    return r
-
-
-def dominant_index(algebra, r):
-    return dominant_log_index(r, algebra.kappa, algebra.lattice.p)

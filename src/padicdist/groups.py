@@ -23,7 +23,7 @@ from math import factorial
 
 from .errors import CounterexampleFound, NotPowerful, PrecisionExhausted
 from .padics import FieldSpec, rational_mod_prime_power
-from .radii import vp_rational
+from .radii import kappa, vp_rational
 
 INF = math.inf
 
@@ -92,7 +92,7 @@ class LieLattice:
 
     @property
     def kappa(self):
-        return 1 if self.p != 2 else 2
+        return kappa(self.p)
 
     def _validate(self):
         nu = INF
@@ -445,15 +445,6 @@ class FiniteQuotient:
 
     def element(self, coords):
         return self.lattice.element_second(self.reduce(coords))
-
-    def step_members(self, i):
-        """All elements of P_i(G)/P_{level+1}(G), as coordinate tuples."""
-        if i > self.level + 1:
-            raise ValueError("step deeper than the quotient")
-        p = self.lattice.p
-        stride = p ** (i - 1)
-        width = p ** (self.level - i + 1)
-        return self._boxes(stride, width)
 
     def window_members(self, i, window):
         """Representatives of P_i modulo P_{i+window} inside the quotient."""

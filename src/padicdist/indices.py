@@ -18,16 +18,6 @@ def iter_exact_degree(d, total):
             yield (first,) + rest
 
 
-def iter_box(alpha):
-    """All beta <= alpha componentwise."""
-    if not alpha:
-        yield ()
-        return
-    for head in range(alpha[0] + 1):
-        for rest in iter_box(alpha[1:]):
-            yield (head,) + rest
-
-
 def grlex_key(alpha):
     return (sum(alpha), tuple(-a for a in alpha))
 

@@ -4,8 +4,11 @@ The product law of the generator monomials b^alpha is recovered from the
 group itself: writing F(x, y) for the second-kind coordinates of
 h^x * h^y, the coefficients c of b^alpha b^beta = sum_gamma c * b^gamma
 are the joint finite differences of (x, y) -> binom(F(x, y), gamma) over
-integer grid points.  Everything is computed in exact rational
-arithmetic; rows are built on demand and memoized, and the whole table
+integer grid points.  One routine, ``mahler_coefficients``, takes finite
+differences: Mahler coefficients on a product grid factor into one 1-D
+binomial transform per axis, run in place.  A non-abelian table is built
+whole on its first missing row, in exact integer arithmetic over one
+common denominator; abelian rows have a closed form.  The table
 serializes to a versioned cache file keyed by (group digest, N, M).
 """
 
@@ -13,17 +16,12 @@ from __future__ import annotations
 
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import factorial, lcm, prod
+from operator import sub
 from pathlib import Path
 
 from .errors import CounterexampleFound, DegreeOverflow
-from .indices import (
-    add_index,
-    iter_box,
-    iter_multi_indices,
-    le_componentwise,
-    multi_binom,
-)
+from .indices import add_index, iter_multi_indices, le_componentwise, multi_binom
 from .radii import vp_rational
 
 CACHE_FORMAT_VERSION = 1
@@ -39,22 +37,29 @@ def binom_rational(t, k):
 
 
 def mahler_coefficients(values, N, d):
-    """Mahler table of a grid function: c_alpha for |alpha| <= N.
+    """Mahler table of a grid function, by separable finite differences.
 
-    ``values`` maps integer points of the simplex {|x| <= N} to ring
-    elements (anything supporting +, - and integer scaling); c_alpha =
-    sum_{beta <= alpha} (-1)^{|alpha - beta|} binom(alpha, beta) f(beta).
+    ``values`` maps every point of a downward-closed set in {0..N}^d (the
+    simplex {|x| <= N}, or simplex x simplex for the structure constants)
+    to ring elements supporting subtraction.  It is overwritten in place
+    with c_alpha = sum_{beta <= alpha} (-1)^{|alpha - beta|}
+    binom(alpha, beta) f(beta): forward differences along one axis at a
+    time, the k-th pass turning each line of the grid into its 1-D
+    binomial transform.
     """
-    get = values.__getitem__ if hasattr(values, "__getitem__") else values
-    coeffs = {}
-    for alpha in iter_multi_indices(d, N):
-        acc = None
-        for beta in iter_box(alpha):
-            sign = (-1) ** (sum(alpha) - sum(beta))
-            term = get(beta) * (sign * multi_binom(alpha, beta))
-            acc = term if acc is None else acc + term
-        coeffs[alpha] = acc
-    return MahlerTable(coeffs, N, d)
+    for k in range(d):
+        # (x_k, x, x - e_k), highest x_k first, so a difference at one
+        # level reads its lower neighbour before that is overwritten
+        steps = sorted(
+            ((x[k], x, x[:k] + (x[k] - 1,) + x[k + 1:]) for x in values if x[k]),
+            reverse=True,
+        )
+        for level in range(1, N + 1):
+            for t, x, below in steps:
+                if t < level:
+                    break
+                values[x] = values[x] - values[below]
+    return MahlerTable(values, N, d)
 
 
 class MahlerTable:
@@ -69,7 +74,7 @@ class MahlerTable:
         return self.coeffs[alpha]
 
     def reconstruct(self, x):
-        """sum_alpha c_alpha binom(x, alpha) at an integer point of the simplex."""
+        """sum_alpha c_alpha binom(x, alpha) at an integer point of the grid."""
         acc = None
         for alpha, c in self.coeffs.items():
             if not le_componentwise(alpha, x):
@@ -79,8 +84,17 @@ class MahlerTable:
         return acc
 
 
+class _IntVector(list):
+    """An integer vector under componentwise subtraction: a table grid value."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return _IntVector(map(sub, self, other))
+
+
 class StructureConstants:
-    """Lazy table of the product-law coefficients c^gamma_{alpha beta}.
+    """Table of the product-law coefficients c^gamma_{alpha beta}.
 
     Rows are exact: the value at every stored gamma (|gamma| <= N) is the
     true coefficient, obtained from finite differences of the group law,
@@ -92,8 +106,6 @@ class StructureConstants:
         self.lattice = lattice
         self.N = N
         self._first_kind = {}   # grid point -> first-kind coords
-        self._law = {}          # (x, y) -> second-kind coords of h^x h^y
-        self._expansion = {}    # (x, y) -> {gamma: binom(F(x,y), gamma)}
         self._rows = {}         # (alpha, beta) -> {gamma: Fraction}
         self._gammas = list(iter_multi_indices(lattice.d, N))
         self._cache_path = None
@@ -114,51 +126,30 @@ class StructureConstants:
 
     def group_law(self, x, y):
         """Second-kind coordinates of h^x h^y at integer points."""
-        key = (x, y)
-        out = self._law.get(key)
-        if out is None:
-            z = self.lattice.bch(self._point(x), self._point(y))
-            out = self.lattice.element_first(z).second()
-            for c in out:
-                if vp_rational(c, self.lattice.p) < 0:
-                    raise CounterexampleFound(
-                        "group law left Z_p; the lattice is not powerful enough",
-                        witness=(x, y, out),
-                    )
-            self._law[key] = out
+        z = self.lattice.bch(self._point(x), self._point(y))
+        out = self.lattice.element_first(z).second()
+        for c in out:
+            if vp_rational(c, self.lattice.p) < 0:
+                raise CounterexampleFound(
+                    "group law left Z_p; the lattice is not powerful enough",
+                    witness=(x, y, out),
+                )
         return out
 
-    def expansion(self, x, y):
-        """binom(F(x, y), gamma) for all |gamma| <= N.
+    def expansion(self, F, denom):
+        """denom^|gamma| gamma! binom(F, gamma) for all |gamma| <= N.
 
-        Stored integer-scaled as (ints, D) with value = ints[gamma] / D;
-        D is prime to p, so valuations are unaffected.
+        ``denom`` is a common denominator of the coordinates F, so every
+        entry is the integer prod_k prod_{j < gamma_k} (denom F_k - j denom).
         """
-        key = (x, y)
-        out = self._expansion.get(key)
-        if out is None:
-            F = self.group_law(x, y)
-            d = self.lattice.d
-            # one-dimensional binomial ladders per coordinate
-            ladders = []
-            for k in range(d):
-                row = [Fraction(1)]
-                for j in range(self.N):
-                    row.append(row[-1] * (F[k] - j) / (j + 1))
-                ladders.append(row)
-            vals = {}
-            denom = 1
-            for gamma in self._gammas:
-                val = Fraction(1)
-                for k in range(d):
-                    if gamma[k]:
-                        val *= ladders[k][gamma[k]]
-                if val:
-                    vals[gamma] = val
-                    denom = denom * val.denominator // gcd(denom, val.denominator)
-            out = ({g: int(v * denom) for g, v in vals.items()}, denom)
-            self._expansion[key] = out
-        return out
+        ladders = []
+        for c in F:
+            top = c.numerator * (denom // c.denominator)
+            ladder = [1]
+            for j in range(self.N):
+                ladder.append(ladder[-1] * (top - j * denom))
+            ladders.append(ladder)
+        return _IntVector(prod(map(list.__getitem__, ladders, gamma)) for gamma in self._gammas)
 
     # -- rows ---------------------------------------------------------------------
 
@@ -176,26 +167,31 @@ class StructureConstants:
             out = {gamma: Fraction(1)} if sum(gamma) <= self.N else {}
             self._rows[key] = out
         if out is None:
-            ta, tb = sum(alpha), sum(beta)
-            box_a = list(iter_box(alpha))
-            box_b = list(iter_box(beta))
-            pieces = []
-            denom = 1
-            for x in box_a:
-                wa = multi_binom(alpha, x) * (-1) ** (ta - sum(x))
-                for y in box_b:
-                    w = wa * multi_binom(beta, y) * (-1) ** (tb - sum(y))
-                    ints, dd = self.expansion(x, y)
-                    pieces.append((w, ints, dd))
-                    denom = denom * dd // gcd(denom, dd)
-            acc = {}
-            for w, ints, dd in pieces:
-                scale = w * (denom // dd)
-                for gamma, val in ints.items():
-                    acc[gamma] = acc.get(gamma, 0) + scale * val
-            out = {g: Fraction(v, denom) for g, v in acc.items() if v}
-            self._rows[key] = out
+            self._build()
+            out = self._rows[key]
         return out
+
+    def _build(self):
+        """Every row at once: the Mahler transform of binom(F(x, y), gamma).
+
+        The group law is evaluated on {|x| <= N} x {|y| <= N}; each point
+        contributes the integer vector ``expansion(F, denom)`` over one
+        common denominator, and after the transform entry gamma of every
+        row is divided by denom^|gamma| gamma!.
+        """
+        grid = [(x, y) for x in self._gammas for y in self._gammas]
+        laws = [self.group_law(x, y) for x, y in grid]
+        denom = lcm(*(c.denominator for F in laws for c in F))
+        values = {x + y: self.expansion(F, denom) for (x, y), F in zip(grid, laws)}
+        del laws
+        mahler_coefficients(values, self.N, 2 * self.lattice.d)
+        scales = [denom ** sum(g) * prod(map(factorial, g)) for g in self._gammas]
+        # the transform keeps the grid order, and the row keys share the
+        # index tuples of _gammas (a smaller cache file)
+        for key, vec in zip(grid, values.values()):
+            self._rows[key] = {
+                g: Fraction(v, s) for g, v, s in zip(self._gammas, vec, scales) if v
+            }
 
     def has_tail(self, alpha, beta):
         """Whether the (alpha, beta) product may have terms beyond degree N."""
@@ -203,23 +199,12 @@ class StructureConstants:
             return sum(alpha) + sum(beta) > self.N
         return True
 
-    def materialize(self):
-        """Build every row with |alpha|, |beta| <= N; returns the row count."""
-        count = 0
-        for alpha in self._gammas:
-            for beta in self._gammas:
-                self.row(alpha, beta)
-                count += 1
-        if self._cache_path is not None:
-            self.save()
-        return count
-
     # -- verification ----------------------------------------------------------
 
     def check_filtration_bound(self):
         """v_p(c) >= kappa (|alpha| + |beta| - |gamma|) over the whole table.
 
-        Materializes the table; raises CounterexampleFound on violation and
+        Reads every row; raises CounterexampleFound on violation and
         returns the number of entries checked.
         """
         kappa = self.lattice.kappa

@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 
 from .errors import DivisionByZero, NonUnit, ParseError
-from .radii import vp_rational
+from .radii import kappa, vp_rational
 
 INF = math.inf
 
@@ -383,7 +383,7 @@ class FieldSpec:
 
     @property
     def kappa(self):
-        return 1 if self.p != 2 else 2
+        return kappa(self.p)
 
     def key(self):
         return (self.p, self.e, self.f, self.unram_poly, self.eisenstein, self.precision)

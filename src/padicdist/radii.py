@@ -18,6 +18,11 @@ from .errors import CounterexampleFound, InvalidDelta, ParseError
 INF = math.inf
 
 
+def kappa(p):
+    """The filtration constant: 1 for odd p, 2 for p = 2."""
+    return 1 if p != 2 else 2
+
+
 @dataclass(frozen=True)
 class Radius:
     """A norm parameter r = p^(-a/b) with 0 < a/b < 1, stored exactly."""
@@ -41,10 +46,6 @@ class Radius:
     def exponent(self):
         """q with r = p^(-q)."""
         return Fraction(self.a, self.b)
-
-    def root(self, k):
-        """The k-th root r^(1/k), again a valid radius."""
-        return Radius.from_fraction(self.exponent / k)
 
     def __str__(self):
         return f"p^-{self.a}/{self.b}"
@@ -82,10 +83,6 @@ class NormValue:
         if self.is_zero or other.is_zero:
             return NormValue(INF)
         return NormValue(self.exponent + other.exponent)
-
-    def __le__(self, other):
-        # smaller norm == larger exponent
-        return self.exponent >= other.exponent
 
     def __str__(self):
         if self.is_zero:

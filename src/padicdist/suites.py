@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 from . import towers
@@ -87,14 +88,14 @@ class SuiteEnv:
 
 
 def _record(env, suite, name, fn, expected=""):
-    """Run one check; exceptions become failing records."""
+    """Run one check and time it; any exception becomes a failing record."""
+    start = time.perf_counter()
     try:
-        computed = fn()
-        return CheckRecord(suite, name, True, expected, str(computed),
-                           repro=env.repro(suite))
-    except PadicError as exc:
-        return CheckRecord(suite, name, False, expected, f"{type(exc).__name__}: {exc}",
-                           repro=env.repro(suite))
+        passed, computed = True, str(fn())
+    except Exception as exc:
+        passed, computed = False, f"{type(exc).__name__}: {exc}"
+    return CheckRecord(suite, name, passed, expected, computed, repro=env.repro(suite),
+                       elapsed_ms=(time.perf_counter() - start) * 1000)
 
 
 def random_element(lattice, rng, window=None):

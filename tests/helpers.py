@@ -2,14 +2,17 @@
 
 The matrix oracle realizes the Heisenberg-type lattice inside 3x3
 unitriangular matrices, where exp and log are exact quadratic polynomials;
-it shares no code with the series evaluation it checks.  The lattice
-oracle computes ultrametric least distances to a finitely generated
+it shares no code with the series evaluation it checks.  The box-sum
+oracle rebuilds structure-constant rows from their defining signed sum
+over the group law, independently of the table's finite-difference
+transform.  The lattice oracle computes ultrametric least distances to a finitely generated
 right-ideal lattice by weighted elimination, independently of the
 symbol-rewriting canonicalizer.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
 INF = math.inf
 
@@ -53,6 +56,75 @@ def heisenberg_second_kind_oracle(coords, c):
     b = E[1][2]
     e = E[0][2] - c * a * b
     return (a, b, e)
+
+
+# ---------------------------------------------------------------------------
+# structure-constant oracle: the signed box sum that defines a row
+
+def simplex(d, N):
+    """All points of N_0^d with |x| <= N."""
+    return [x for x in product(range(N + 1), repeat=d) if sum(x) <= N]
+
+
+def box(alpha):
+    """All x <= alpha componentwise."""
+    return product(*(range(a + 1) for a in alpha))
+
+
+def signed_binom(alpha, x):
+    """(-1)^{|alpha - x|} binom(alpha, x), the weight of f(x) in c_alpha."""
+    w = (-1) ** (sum(alpha) - sum(x))
+    for a, b in zip(alpha, x):
+        w *= math.comb(a, b)
+    return w
+
+
+class BoxSumRows:
+    """Rows c^gamma_{alpha beta} of a structure-constant table by definition:
+
+        sum_{x <= alpha, y <= beta} (-1)^{|alpha - x| + |beta - y|}
+            binom(alpha, x) binom(beta, y) binom(F(x, y), gamma),
+
+    with F the table's group law, the only thing taken from the table.
+    Sums over y are shared between rows with the same (x, beta).
+    """
+
+    def __init__(self, table):
+        self.table = table
+        self.gammas = simplex(table.lattice.d, table.N)
+        self._points = {}   # (x, y) -> [binom(F(x, y), gamma)]
+        self._inner = {}    # (x, beta) -> sum over y <= beta
+
+    def _point(self, x, y):
+        out = self._points.get((x, y))
+        if out is None:
+            ladders = []  # binom(F_k, j) for j <= N, one list per coordinate
+            for t in self.table.group_law(x, y):
+                ladder = [Fraction(1)]
+                for j in range(self.table.N):
+                    ladder.append(ladder[-1] * (t - j) / (j + 1))
+                ladders.append([v.numerator if v.denominator == 1 else v for v in ladder])
+            out = [math.prod(ladder[k] for ladder, k in zip(ladders, gamma))
+                   for gamma in self.gammas]
+            self._points[(x, y)] = out
+        return out
+
+    def _inner_sum(self, x, beta):
+        out = self._inner.get((x, beta))
+        if out is None:
+            out = [0] * len(self.gammas)
+            for y in box(beta):
+                w = signed_binom(beta, y)
+                out = [a + w * b for a, b in zip(out, self._point(x, y))]
+            self._inner[(x, beta)] = out
+        return out
+
+    def row(self, alpha, beta):
+        acc = [0] * len(self.gammas)
+        for x in box(alpha):
+            w = signed_binom(alpha, x)
+            acc = [a + w * b for a, b in zip(acc, self._inner_sum(x, beta))]
+        return {g: Fraction(v) for g, v in zip(self.gammas, acc) if v}
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,31 @@ def test_structured_output(base_config, tmp_path, capsys):
     assert (tmp_path / "report.json.txt").read_text().startswith("# config:")
 
 
+def test_timing_fills_elapsed_ms(base_config, capsys):
+    assert main(["run", "--config", str(base_config), "--format", "structured",
+                 "--suite", "pvaluation", "--timing"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["records"]
+    assert all(rec["elapsed_ms"] > 0 for rec in payload["records"])
+
+
+def test_unexpected_exception_becomes_failing_record(base_config, capsys, monkeypatch):
+    from padicdist import suites
+
+    def boom():
+        raise ValueError("not a library error")
+
+    def crashing(env):
+        return [suites._record(env, "pvaluation", "crashing check", boom)]
+
+    monkeypatch.setitem(suites.SUITES, "pvaluation", crashing)
+    assert main(["run", "--config", str(base_config), "--suite", "pvaluation"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] pvaluation: crashing check" in out
+    assert "computed=ValueError: not a library error" in out
+    assert "# summary: 0 passed, 1 failed" in out
+
+
 def test_norm_command(capsys):
     assert main(["dist", "norm", "-r", "3^-1/4", "p*b1^2", "--p", "3"]) == 0
     assert capsys.readouterr().out.strip() == "exponent 3/2"

@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import heisenberg_second_kind_oracle, heisenberg_bch_oracle
-from padicdist import StructureConstants, abelian, mahler_coefficients
+from helpers import BoxSumRows, heisenberg_second_kind_oracle, heisenberg_bch_oracle
+from padicdist import (
+    StructureConstants,
+    abelian,
+    heisenberg,
+    heisenberg2,
+    mahler_coefficients,
+    o_additive,
+)
 from padicdist.errors import DegreeOverflow
 from padicdist.indices import iter_multi_indices, unit_index
 from padicdist.mahler import chu_vandermonde_identity
@@ -49,6 +56,24 @@ def test_abelian_rows_are_vandermonde():
     for i in range(7):
         for j in range(7):
             assert chu_vandermonde_identity(table, (i,), (j,))
+
+
+@pytest.mark.parametrize("group", [
+    "abelian(2)", "heisenberg", "heisenberg2", "o-additive(1)", "o-additive(2)",
+])
+def test_rows_match_box_sum_oracle(group, k3u2):
+    lattice = {
+        "abelian(2)": lambda: abelian(2, p=3, precision=24),
+        "heisenberg": lambda: heisenberg(3, precision=24),
+        "heisenberg2": lambda: heisenberg2(precision=24),
+        "o-additive(1)": lambda: o_additive(k3u2, 1).restrict(),
+        "o-additive(2)": lambda: o_additive(k3u2, 2).restrict(),
+    }[group]()
+    table = StructureConstants(lattice, 4)
+    oracle = BoxSumRows(table)
+    for alpha in oracle.gammas:
+        for beta in oracle.gammas:
+            assert table.row(alpha, beta) == oracle.row(alpha, beta), (alpha, beta)
 
 
 def test_unit_row(heis_alg):
@@ -123,3 +148,18 @@ def test_cache_roundtrip(tmp_path, q3):
     # key mismatch is ignored, not an error
     t3 = StructureConstants(lat, 2, cache_dir=tmp_path)
     assert ((1, 0), (0, 2)) not in t3._rows
+
+
+def test_cache_roundtrip_nonabelian(tmp_path):
+    lat = heisenberg(3, precision=24)
+    gammas = list(iter_multi_indices(3, 3))
+    t1 = StructureConstants(lat, 3, cache_dir=tmp_path)
+    rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
+    t1.save()
+    t2 = StructureConstants(lat, 3, cache_dir=tmp_path)
+
+    def no_group_law(x, y):
+        raise AssertionError("group law evaluated although the cache holds every row")
+
+    t2.group_law = no_group_law
+    assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
