@@ -139,19 +139,7 @@ def cmd_towers(args):
         print(f"{len(recs)} samples, exact agreement")
     elif args.action == "orth":
         _, r = parse_radius(args.radius, p=config.field.p)
-        p = config.field.p
-        from .indices import iter_multi_indices
-        system = []
-        for alpha in iter_multi_indices(algebra.d, algebra.N // p**args.m):
-            base = towers.step_monomial(algebra, alpha, args.m)
-            for beta in iter_multi_indices(algebra.d, algebra.N):
-                if any(b >= p**args.m for b in beta):
-                    continue
-                if p**args.m * sum(alpha) + sum(beta) > algebra.N:
-                    continue
-                t = algebra.mul(base, algebra.monomial(beta, 1))
-                if not t.is_zero:
-                    system.append(t)
+        system = towers.orthogonal_system(algebra, args.m)
         out = towers.orthogonal_system_check(system, r, args.samples, rng)
         print(f"orthogonal system of {len(system)} elements; basis = {out['basis']}")
     elif args.action == "cosets":

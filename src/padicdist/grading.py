@@ -186,43 +186,44 @@ class Subspace:
         return len(self.pivots)
 
 
-def _kernel(columns, dim, kfield):
-    """Kernel combinations of a list of dim-vectors over k."""
-    n = len(columns)
-    zero, one = kfield.zero(), kfield.one()
-    pivots = {}
-    kernel = []
-    for j, col in enumerate(columns):
-        vec = list(col)
-        combo = [one if t == j else zero for t in range(n)]
-        for row in range(dim):
-            c = vec[row]
-            if c.is_zero:
-                continue
-            entry = pivots.get(row)
-            if entry is None:
-                continue
-            pv, pc = entry
-            vec = [a - c * b for a, b in zip(vec, pv)]
-            combo = [a - c * b for a, b in zip(combo, pc)]
-        lead = next((r for r in range(dim) if not vec[r].is_zero), None)
-        if lead is None:
-            kernel.append(combo)
-        else:
-            inv = vec[lead].inv()
-            pivots[lead] = ([c * inv for c in vec], [c * inv for c in combo])
-    return kernel
+def _component_basis(nvars, degree):
+    """The X-monomials of one total degree, each mapped to its coordinate."""
+    return {a: i for i, a in enumerate(iter_exact_degree(nvars, degree))}
 
 
-def _poly_times_monomial(poly, mu):
-    return {add_index(alpha, mu): c for alpha, c in poly.items()}
-
-
-def _poly_vector(poly, index_of, dim, kfield):
-    vec = [kfield.zero()] * dim
+def _poly_vector(poly, basis, kfield, shift=None):
+    """Coordinates of poly * X^shift in a component basis."""
+    vec = [kfield.zero()] * len(basis)
     for alpha, c in poly.items():
-        vec[index_of[alpha]] = c
+        vec[basis[alpha if shift is None else add_index(alpha, shift)]] = c
     return vec
+
+
+def _ideal_component(gens, degree, basis, kfield):
+    """The degree part of the ideal of X-homogeneous (poly, degree) generators.
+
+    Spanned by every generator times every monomial of the complementary
+    degree, written in ``basis`` (a ``_component_basis``).
+    """
+    nvars = len(next(iter(basis)))
+    span = Subspace(len(basis))
+    for gpoly, gdeg in gens:
+        if degree >= gdeg:
+            for mu in iter_exact_degree(nvars, degree - gdeg):
+                span.add(_poly_vector(gpoly, basis, kfield, mu))
+    return span
+
+
+def _relations(n, d, vbars, k, kfield):
+    """The generators X_ij^k - vbar_i X_1j^k (i > 1) as (poly, k) pairs."""
+    nvars = n * d
+    out = []
+    for j in range(d):
+        for i in range(1, n):
+            hi = tuple(k if t == j * n + i else 0 for t in range(nvars))
+            lo = tuple(k if t == j * n else 0 for t in range(nvars))
+            out.append(({hi: kfield.one(), lo: -vbars[i]}, k))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +233,8 @@ def check_regular_sequence(family, D):
     """Certify that the symbol family is a regular sequence up to X-degree D.
 
     For every ordering and every prefix, the next element must not divide
-    zero modulo the ideal of the previous ones, verified by exact linear
-    algebra on each graded component of total X-degree <= D.  The
+    zero modulo the ideal of the previous ones, verified by rank counts
+    over k on each graded component of total X-degree <= D.  The
     certificate is bounded by D, not a full proof.  Raises
     CounterexampleFound with a witness polynomial on failure.
     """
@@ -268,48 +269,38 @@ def check_regular_sequence(family, D):
 
 
 def _check_not_zero_divisor(cand, gens, D, nvars, kfield):
+    """Multiplication by cand is injective on (R/I)_m for every m <= D - deg.
+
+    With I the ideal of gens, cand * I_m lies in I_t (t = m + deg), so the
+    image of (R/I)_m in (R/I)_t has the dimension the products cand * mu
+    add to the rank of I_t; injectivity is image + rank(I_m) = dim R_m.
+    """
     cpoly, cdeg = cand
     for m in range(0, max(0, D - cdeg) + 1):
-        basis_m = list(iter_exact_degree(nvars, m))
-        basis_t = list(iter_exact_degree(nvars, m + cdeg))
-        index_t = {a: i for i, a in enumerate(basis_t)}
-        dim_t = len(basis_t)
-
-        ideal_t = Subspace(dim_t)
-        for gpoly, gdeg in gens:
-            if m + cdeg - gdeg < 0:
-                continue
-            for mu in iter_exact_degree(nvars, m + cdeg - gdeg):
-                ideal_t.add(
-                    _poly_vector(_poly_times_monomial(gpoly, mu), index_t, dim_t, kfield)
-                )
-
-        columns = []
+        basis_m = _component_basis(nvars, m)
+        basis_t = _component_basis(nvars, m + cdeg)
+        ideal_t = _ideal_component(gens, m + cdeg, basis_t, kfield)
+        rank_t = ideal_t.rank
         for mu in basis_m:
-            vec = _poly_vector(_poly_times_monomial(cpoly, mu), index_t, dim_t, kfield)
-            columns.append(ideal_t.reduce(vec))
-        kernel = _kernel(columns, dim_t, kfield)
-        if not kernel:
+            ideal_t.add(_poly_vector(cpoly, basis_t, kfield, mu))
+        ideal_m = _ideal_component(gens, m, basis_m, kfield)
+        if ideal_t.rank - rank_t + ideal_m.rank == len(basis_m):
             continue
-
-        index_m = {a: i for i, a in enumerate(basis_m)}
-        dim_m = len(basis_m)
-        ideal_m = Subspace(dim_m)
-        for gpoly, gdeg in gens:
-            if m - gdeg < 0:
-                continue
-            for mu in iter_exact_degree(nvars, m - gdeg):
-                ideal_m.add(
-                    _poly_vector(_poly_times_monomial(gpoly, mu), index_m, dim_m, kfield)
-                )
-        for combo in kernel:
-            if not ideal_m.contains(combo):
-                witness = {
-                    basis_m[i]: c for i, c in enumerate(combo) if not c.is_zero
-                }
-                raise CounterexampleFound(
-                    "zero divisor in the graded quotient", witness=witness
-                )
+        # the witness: echelonize [cand * mu reduced by I_t | e_mu]; pivots
+        # leading in the unit block span the kernel, and one is not in I_m
+        ideal_t = _ideal_component(gens, m + cdeg, basis_t, kfield)
+        dim_t, dim_m = len(basis_t), len(basis_m)
+        pairs = Subspace(dim_t + dim_m)
+        for mu, j in basis_m.items():
+            unit = [kfield.zero()] * dim_m
+            unit[j] = kfield.one()
+            pairs.add(ideal_t.reduce(_poly_vector(cpoly, basis_t, kfield, mu)) + unit)
+        kernel = (v[dim_t:] for lead, v in sorted(pairs.pivots.items()) if lead >= dim_t)
+        combo = next(c for c in kernel if not ideal_m.contains(c))
+        raise CounterexampleFound(
+            "zero divisor in the graded quotient",
+            witness={mu: combo[j] for mu, j in basis_m.items() if not combo[j].is_zero},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +312,10 @@ def quotient_iso_check(n, d, vbars, kfield, cap=5):
     ``vbars`` lists the residue classes of v_1 = 1, ..., v_n.  Checks every
     X-degree up to the cap; raises DimensionMismatch on failure.
     """
-    nvars = n * d
+    rels = _relations(n, d, vbars, 1, kfield)
     for m in range(0, cap + 1):
-        basis = list(iter_exact_degree(nvars, m))
-        index = {a: i for i, a in enumerate(basis)}
-        dim = len(basis)
-        rel = Subspace(dim)
-        if m >= 1:
-            for j in range(d):
-                for i in range(1, n):
-                    flat = j * n + i
-                    flat1 = j * n
-                    poly = {}
-                    for mu in iter_exact_degree(nvars, m - 1):
-                        e_ij = tuple(
-                            mu[t] + (1 if t == flat else 0) for t in range(nvars)
-                        )
-                        e_1j = tuple(
-                            mu[t] + (1 if t == flat1 else 0) for t in range(nvars)
-                        )
-                        vec = [kfield.zero()] * dim
-                        vec[index[e_ij]] = kfield.one()
-                        vec[index[e_1j]] = vec[index[e_1j]] - vbars[i]
-                        rel.add(vec)
-        got = dim - rel.rank
+        basis = _component_basis(n * d, m)
+        got = len(basis) - _ideal_component(rels, m, basis, kfield).rank
         expected = comb(m + d - 1, d - 1)
         if got != expected:
             raise DimensionMismatch(
@@ -366,33 +337,17 @@ def symbol_class_nonzero(sym, h, vbars, n, d):
         return False
     ctx = sym.context
     kfield = ctx.field.residue_field
-    p = ctx.field.p
-    step = p**h
-    nvars = n * d
+    step = ctx.field.p**h
+    rels = _relations(n, d, vbars, step, kfield)
     pieces = {}
     for (w, alpha), c in sym.terms.items():
         pieces.setdefault(sum(alpha), {})[alpha] = c
     for deg, poly in pieces.items():
         if deg < step:
             return True  # no generator multiples exist at this degree
-        basis = list(iter_exact_degree(nvars, deg))
-        index = {a: i for i, a in enumerate(basis)}
-        dim = len(basis)
-        span = Subspace(dim)
-        for j in range(d):
-            for i in range(1, n):
-                flat, flat1 = j * n + i, j * n
-                for mu in iter_exact_degree(nvars, deg - step):
-                    vec = [kfield.zero()] * dim
-                    hi = tuple(mu[t] + (step if t == flat else 0) for t in range(nvars))
-                    lo = tuple(mu[t] + (step if t == flat1 else 0) for t in range(nvars))
-                    vec[index[hi]] = kfield.one()
-                    vec[index[lo]] = vec[index[lo]] - vbars[i]
-                    span.add(vec)
-        vec = [kfield.zero()] * dim
-        for alpha, c in poly.items():
-            vec[index[alpha]] = c
-        if not span.contains(vec):
+        basis = _component_basis(n * d, deg)
+        span = _ideal_component(rels, deg, basis, kfield)
+        if not span.contains(_poly_vector(poly, basis, kfield)):
             return True
     return False
 

@@ -178,7 +178,8 @@ class LieLattice:
             span = nxt
             depth += 1
         delta = self.nu - Fraction(1, self.p - 1)
-        assert delta > 0  # guaranteed by powerfulness
+        if delta <= 0:
+            raise NotPowerful(f"nu = {self.nu} leaves no valuation gain over 1/(p - 1)")
         t = 2
         while True:
             digits = len(self._base_p_digits(t))

@@ -14,13 +14,14 @@ serializes to a versioned cache file keyed by (group digest, N, M).
 
 from __future__ import annotations
 
+import os
 import pickle
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import sub
 from pathlib import Path
 
-from .errors import CounterexampleFound, DegreeOverflow
+from .errors import CounterexampleFound, DegreeOverflow, PadicError
 from .indices import add_index, iter_multi_indices, le_componentwise, multi_binom
 from .radii import vp_rational
 
@@ -162,14 +163,20 @@ class StructureConstants:
             )
         key = (alpha, beta)
         out = self._rows.get(key)
-        if out is None and self.lattice.abelian:
+        if out is not None:
+            return out
+        for index in key:
+            if len(index) != self.lattice.d or min(index) < 0:
+                raise PadicError(
+                    f"row index {index} is not a multi-index in N_0^{self.lattice.d}"
+                )
+        if self.lattice.abelian:
             gamma = add_index(alpha, beta)
             out = {gamma: Fraction(1)} if sum(gamma) <= self.N else {}
             self._rows[key] = out
-        if out is None:
-            self._build()
-            out = self._rows[key]
-        return out
+            return out
+        self._build()
+        return self._rows[key]
 
     def _build(self):
         """Every row at once: the Mahler transform of binom(F(x, y), gamma).
@@ -268,8 +275,15 @@ class StructureConstants:
                 for key, row in self._rows.items()
             },
         }
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=4)
+        # a temp file in the same directory, then an atomic rename: a
+        # failed write leaves the previous cache file intact
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                pickle.dump(payload, fh, protocol=4)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # only left after a failed write
 
     def _load_cache(self):
         path = self._cache_path

@@ -337,7 +337,10 @@ def canonicalize(fam, lam, r, mprime):
         if s != last_level:
             # the working residue's filtration degree is the termination
             # measure: it must move strictly upward through the levels
-            assert last_level is None or s > last_level
+            if last_level is not None and s <= last_level:
+                raise CounterexampleFound(
+                    "canonicalization level did not rise", witness=(last_level, s)
+                )
             levels += 1
             last_level = s
         lead = min(work.leading_support(r), key=grlex_key)

@@ -176,12 +176,10 @@ def radius_root(delta, m, p, kappa):
     """The family member delta^(1/p^m) of the p-power-root radius family.
 
     Requires delta^kappa < p^(-1/(p-1)); the result again lies in
-    (p^-1, 1).
+    (p^-1, 1), which ``Radius`` itself enforces with InvalidDelta.
     """
     if not kappa * delta.exponent > Fraction(1, p - 1):
         raise InvalidDelta(
             f"delta exponent {delta.exponent} needs kappa*exponent > 1/(p-1) = 1/{p - 1}"
         )
-    out = Radius.from_fraction(delta.exponent / p**m)
-    assert 0 < out.exponent < 1
-    return out
+    return Radius.from_fraction(delta.exponent / p**m)

@@ -374,18 +374,7 @@ def suite_towers(env):
                   if towers.restriction_hypothesis(x, m, kappa, p)), None)
         if r is None or p**m > alg.N:
             return "skipped (no admissible radius)"
-        system = []
-        from .indices import iter_multi_indices
-        for alpha in iter_multi_indices(alg.d, alg.N // p**m):
-            base = towers.step_monomial(alg, alpha, m)
-            for beta in iter_multi_indices(alg.d, min(alg.d * (p**m - 1), alg.N)):
-                if any(b >= p**m for b in beta):
-                    continue
-                if p**m * sum(alpha) + sum(beta) > alg.N:
-                    continue
-                t = alg.mul(base, alg.monomial(beta, 1))
-                if not t.is_zero:
-                    system.append(t)
+        system = towers.orthogonal_system(alg, m)
         out = towers.orthogonal_system_check(system, r, env.config.options["trials"], rng)
         return f"{len(system)} elements, basis = {out['basis']}"
     records.append(_record(env, suite, "orthogonal basis b'^a b^b", orthogonal_basis))

@@ -130,6 +130,25 @@ def restriction_check(algebra, m, r, samples, rng, max_alpha_degree=None):
     return records
 
 
+def orthogonal_system(algebra, m):
+    """The nonzero products b'^alpha b^beta, every beta_k < p^m, of degree <= N.
+
+    The degree is p^m |alpha| + |beta|.  ``iter_multi_indices`` is graded,
+    so bounding |beta| by N - p^m |alpha| lists the same beta in the same
+    order as a larger bound (N, or min(d (p^m - 1), N)) with that filter.
+    """
+    q = algebra.lattice.p**m
+    system = []
+    for alpha in iter_multi_indices(algebra.d, algebra.N // q):
+        base = step_monomial(algebra, alpha, m)
+        for beta in iter_multi_indices(algebra.d, algebra.N - q * sum(alpha)):
+            if max(beta) < q:
+                t = algebra.mul(base, algebra.monomial(beta, 1))
+                if not t.is_zero:
+                    system.append(t)
+    return system
+
+
 def orthogonal_system_check(system, r, trials, rng, valuation_window=2):
     """Orthogonality certificate for a finite system of distributions.
 
@@ -286,7 +305,8 @@ def norm_transfer_check(lgspec, delta, m, samples, rng, max_alpha_degree=1,
     else:
         level = m + 1  # kappa = 2: r^(p^(m+1)) = delta
     r = radius_root(delta, level, p, kappa)
-    assert (p**level) * r.exponent == delta.exponent
+    if (p**level) * r.exponent != delta.exponent:
+        raise CounterexampleFound("root-family radius misses delta", witness=(r, delta))
     if not restriction_hypothesis(r, m, kappa, p):
         raise HypothesisFailed(
             "the root-family radius violates the restriction hypothesis",

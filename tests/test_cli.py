@@ -167,3 +167,24 @@ def test_sc_cache_flag(tmp_path, base_config):
         "--sc-cache", str(cache), "--out", str(tmp_path / "r.txt"),
     ]) == 0
     assert list(cache.glob("sc-*.bin"))
+
+
+def test_towers_orth_matches_suite_record(tmp_path, capsys):
+    data = {
+        "field": {"p": 3, "precision": 20},
+        "group": "heisenberg",
+        "truncation": 4,
+        "radii": ["3^-1/4"],
+        "suites": ["towers"],
+        "seed": 5,
+        "options": {"trials": 4},
+    }
+    path = tmp_path / "orth.json"
+    path.write_text(json.dumps(data))
+    rec = next(r for r in run_suite(JobConfig.from_dict(data)).records
+               if r.name == "orthogonal basis b'^a b^b")
+    size = int(rec.computed.split()[0])
+    assert main(["towers", "orth", "-r", "3^-1/4", "--samples", "4",
+                 "--config", str(path)]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out == f"orthogonal system of {size} elements; basis = True"

@@ -175,3 +175,24 @@ def test_finite_rank_refuses_nonunit_leading(kfield):
         finite_rank_quotient([bad], kfield)
     with pytest.raises(ValueError):
         finite_rank_quotient([[LaurentScalar(kfield, {0: one})]], kfield)
+
+
+@pytest.mark.parametrize("gens, cand", [
+    (((1, 0),), (1, 1)),        # x1 x2 is zero modulo (x1): w has degree 0
+    (((1, 1),), (2, 0)),        # x2 * x1^2 lies in (x1 x2): w has degree 1
+    (((1, 0), (0, 2)), (0, 1)),  # x1 and x2 both kill x2; only x2 is outside I
+])
+def test_zero_divisor_witness_is_genuine(ctx2, kfield, gens, cand):
+    one = kfield.one()
+    family = [Symbol(ctx2, {(0, alpha): one}) for alpha in gens + (cand,)]
+    with pytest.raises(CounterexampleFound) as info:
+        check_regular_sequence(family, 4)
+    w = Symbol(ctx2, {(0, alpha): c for alpha, c in info.value.witness.items()})
+    assert not w.is_zero
+
+    def in_ideal(sym):  # a monomial ideal: some generator divides every term
+        return all(any(all(a >= b for a, b in zip(alpha, g)) for g in gens)
+                   for (_w, alpha) in sym.terms)
+
+    assert in_ideal(w * family[-1])
+    assert not in_ideal(w)

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import heisenberg_bch_oracle, heisenberg_second_kind_oracle
 from padicdist import (
+    FieldSpec,
     FiniteQuotient,
     LGroupSpec,
     LieLattice,
@@ -221,3 +222,16 @@ def test_o_multiplication_table(k3u2):
     # w * w = -1 mod the defining polynomial w^2 + 1
     prod = lg.o_mul((0, 1), (0, 1))
     assert prod == (Fraction(-1), Fraction(0))
+
+
+def test_lgroup_refuses_v_basis_without_ring_closure():
+    # 1, w span a rank-2 submodule of the cubic unramified ring; w^2 leaves it
+    k3u3 = FieldSpec.unramified(3, 3, precision=24)
+    with pytest.raises(ValueError, match="products leave the span"):
+        LGroupSpec(k3u3, [k3u3.one(), k3u3.unram_gen()], 1)
+
+
+def test_lgroup_refuses_non_integral_products(k3u2):
+    # (w/3)^2 = -1/9 has a non-integral coordinate on the basis 1, w/3
+    with pytest.raises(ValueError, match="non-integral"):
+        LGroupSpec(k3u2, [k3u2.one(), k3u2.unram_gen() / 3], 1)

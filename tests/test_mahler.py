@@ -1,4 +1,6 @@
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from padicdist import (
     mahler_coefficients,
     o_additive,
 )
-from padicdist.errors import DegreeOverflow
+from padicdist.errors import DegreeOverflow, PadicError
 from padicdist.indices import iter_multi_indices, unit_index
 from padicdist.mahler import chu_vandermonde_identity
 from padicdist.radii import vp_rational
@@ -163,3 +165,37 @@ def test_cache_roundtrip_nonabelian(tmp_path):
 
     t2.group_law = no_group_law
     assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
+
+
+@pytest.mark.parametrize("lattice", [abelian(3, p=3, precision=24),
+                                     heisenberg(3, precision=24)],
+                         ids=["abelian3", "heisenberg"])
+@pytest.mark.parametrize("alpha, beta, bad", [
+    ((1, 0), (0, 0, 0), (1, 0)),
+    ((-1, 0, 0), (1, 0, 0), (-1, 0, 0)),
+    ((0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1)),
+])
+def test_row_refuses_bad_indices(lattice, alpha, beta, bad):
+    table = StructureConstants(lattice, 3)
+    with pytest.raises(PadicError, match=re.escape(str(bad))):
+        table.row(alpha, beta)
+
+
+def test_cache_save_is_atomic(tmp_path, monkeypatch):
+    lat = abelian(2, p=3, precision=24)
+    t1 = StructureConstants(lat, 3, cache_dir=tmp_path)
+    r = t1.row((1, 0), (0, 2))
+    t1.save()
+    t1.row((0, 1), (1, 0))
+
+    def failing_dump(obj, fh, protocol=None):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pickle, "dump", failing_dump)
+    with pytest.raises(OSError):
+        t1.save()
+    monkeypatch.undo()
+    assert [f.name for f in tmp_path.iterdir()] == [t1._cache_path.name]
+    t2 = StructureConstants(lat, 3, cache_dir=tmp_path)
+    assert t2._rows == {((1, 0), (0, 2)): r}

@@ -1,0 +1,14 @@
+import ast
+from pathlib import Path
+
+import padicdist
+
+
+def test_library_has_no_assert_statements():
+    # asserts vanish under python -O; library checks raise typed errors
+    found = []
+    for path in sorted(Path(padicdist.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert statements in the library: {found}"
