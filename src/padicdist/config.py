@@ -47,14 +47,12 @@ DEFAULT_OPTIONS = {
     "pro2_level": 5,
     "regseq_cap": 6,
     "transfer_m": 2,
-    "sc_bound": True,
 }
 
 
 @dataclass
 class JobConfig:
     field: FieldSpec
-    group_name: str
     group: object
     truncation: int
     residual_precision: int
@@ -121,7 +119,6 @@ class JobConfig:
         }
         return cls(
             field=fld,
-            group_name=name,
             group=group,
             truncation=N,
             residual_precision=mprime,

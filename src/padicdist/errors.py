@@ -2,9 +2,9 @@
 
 Errors fall into three groups: arithmetic contract violations
 (PrecisionExhausted, DivisionByZero, NonUnit, DegreeOverflow), input
-validation (NotPowerful, InvalidDelta, ConfigError, ParseError) and check
-failures that carry a witness (CounterexampleFound, ConditionFailed,
-HypothesisFailed).  A CounterexampleFound from one of the verification
+validation (NotPowerful, InvalidBracket, InvalidBasis, InvalidDelta,
+ConfigError, ParseError) and check failures that carry a witness
+(CounterexampleFound, ConditionFailed, HypothesisFailed).  A CounterexampleFound from one of the verification
 routines means an implementation bug, never a tolerated outcome.
 """
 
@@ -31,6 +31,15 @@ class ZeroDistribution(PadicError):
 
 class NotPowerful(PadicError):
     """Bracket constants violate the powerfulness valuation bound."""
+
+
+class InvalidBracket(PadicError, ValueError):
+    """A bracket table has the wrong shape or violates the Jacobi identity."""
+
+
+class InvalidBasis(PadicError, ValueError):
+    """A v-basis is not a Z_p-basis of a ring: v_1 != 1, or its products
+    leave its span or have non-integral coordinates."""
 
 
 class DegreeOverflow(PadicError):

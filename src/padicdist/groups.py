@@ -19,10 +19,17 @@ import hashlib
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 
-from .errors import CounterexampleFound, NotPowerful, PrecisionExhausted
-from .padics import FieldSpec, rational_mod_prime_power
+from .errors import (
+    CounterexampleFound,
+    InvalidBasis,
+    InvalidBracket,
+    NotPowerful,
+    PrecisionExhausted,
+)
+from .padics import FieldSpec, solve_columns
 from .radii import kappa, vp_rational
 
 INF = math.inf
@@ -79,10 +86,10 @@ class LieLattice:
         table = [[(Fraction(0),) * d for _ in range(d)] for _ in range(d)]
         for (i, j), vec in (brackets or {}).items():
             if i == j:
-                raise ValueError("bracket of a generator with itself must be omitted")
+                raise InvalidBracket("bracket of a generator with itself must be omitted")
             row = tuple(Fraction(c) for c in vec)
             if len(row) != d:
-                raise ValueError("bracket vectors must have length d")
+                raise InvalidBracket("bracket vectors must have length d")
             table[i][j] = row
             table[j][i] = tuple(-c for c in row)
         self.brackets = tuple(tuple(r) for r in table)
@@ -120,7 +127,7 @@ class LieLattice:
                         e = [a + b for a, b in zip(e, inner)]
                     defect = min((vp_rational(c, self.p) for c in e if c != 0), default=INF)
                     if defect < self.precision:
-                        raise ValueError(
+                        raise InvalidBracket(
                             f"Jacobi identity fails at ({i},{j},{k}) with defect valuation {defect}"
                         )
 
@@ -330,10 +337,6 @@ class GroupElement:
             y = [a + b for a, b in zip(y, defect)]
         raise PrecisionExhausted("chart conversion did not terminate within precision")
 
-    def in_chart(self, mode):
-        coords = self.first() if mode == "first" else self.second()
-        return GroupElement(self.lattice, mode, coords)
-
     @property
     def is_identity(self):
         return not any(self.coords)
@@ -441,32 +444,12 @@ class FiniteQuotient:
         self.level = level
         self.modulus = lattice.p**level
 
-    def reduce(self, coords):
-        return tuple(rational_mod_prime_power(c, self.lattice.p, self.level) for c in coords)
-
-    def element(self, coords):
-        return self.lattice.element_second(self.reduce(coords))
-
     def window_members(self, i, window):
         """Representatives of P_i modulo P_{i+window} inside the quotient."""
         p = self.lattice.p
         stride = p ** (i - 1)
-        width = p**window
-        return self._boxes(stride, width)
-
-    def _boxes(self, stride, width):
-        d = self.lattice.d
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == d:
-                out.append(tuple(prefix))
-                return
-            for u in range(width):
-                rec(prefix + [stride * u])
-
-        rec([])
-        return out
+        steps = range(0, stride * p**window, stride)
+        return list(product(steps, repeat=self.lattice.d))
 
     def member_level(self, g):
         """Lower-p-series level inside the quotient (level+1 for the class of 1)."""
@@ -510,37 +493,6 @@ def check_powerful_commutator(quotient, i, j):
 # ---------------------------------------------------------------------------
 # scalar restriction of groups over a finite extension L
 
-def _solve_columns(cols, target):
-    """Solve sum_k c_k * cols[k] = target over Q; None when inconsistent."""
-    rows = len(target)
-    n = len(cols)
-    aug = [[Fraction(cols[k][r]) for k in range(n)] + [Fraction(target[r])] for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    sol = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][n]
-    for i in range(rows):
-        if sum(cols[k][i] * sol[k] for k in range(n)) != target[i]:
-            return None
-    return sol
-
-
 class LGroupSpec:
     """A group over L presented through its scalar-restriction data.
 
@@ -558,15 +510,15 @@ class LGroupSpec:
         self.d = d
         self.name = name
         if not self.v_basis or self.v_basis[0] != field.one():
-            raise ValueError("v_1 must be 1")
+            raise InvalidBasis("v_1 must be 1")
         self.n = len(self.v_basis)
         self.brackets = {}
         for (j, l), vecs in (brackets or {}).items():
             if j == l:
-                raise ValueError("bracket of x_j with itself must be omitted")
+                raise InvalidBracket("bracket of x_j with itself must be omitted")
             entry = tuple(tuple(Fraction(c) for c in o_elem) for o_elem in vecs)
             if len(entry) != d or any(len(o) != self.n for o in entry):
-                raise ValueError("bracket entries must be d o-elements over the v-basis")
+                raise InvalidBracket("bracket entries must be d o-elements over the v-basis")
             self.brackets[(j, l)] = entry
             self.brackets[(l, j)] = tuple(
                 tuple(-c for c in o_elem) for o_elem in entry
@@ -579,12 +531,12 @@ class LGroupSpec:
         for i in range(self.n):
             for j in range(i, self.n):
                 prod = self.v_basis[i] * self.v_basis[j]
-                sol = _solve_columns(cols, prod.coords)
+                sol = solve_columns(cols, prod.coords)
                 if sol is None:
-                    raise ValueError("v-basis does not span a ring: products leave the span")
+                    raise InvalidBasis("v-basis does not span a ring: products leave the span")
                 for c in sol:
                     if vp_rational(c, self.field.p) < 0:
-                        raise ValueError("v-basis products have non-integral coordinates")
+                        raise InvalidBasis("v-basis products have non-integral coordinates")
                 table[(i, j)] = tuple(sol)
                 table[(j, i)] = tuple(sol)
         return table
@@ -608,9 +560,6 @@ class LGroupSpec:
     def flat_index(self, i, j):
         """Position of the generator h_ij in the order (1,1),(2,1),...,(n,d)."""
         return (j - 1) * self.n + (i - 1)
-
-    def generator_pairs(self):
-        return [(i, j) for j in range(1, self.d + 1) for i in range(1, self.n + 1)]
 
     def restrict(self, precision=None, max_series_depth=10):
         """The nd-dimensional Q_p-lattice of the scalar restriction.

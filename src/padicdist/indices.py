@@ -26,10 +26,6 @@ def add_index(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def sub_index(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def le_componentwise(b, a):
     return all(x <= y for x, y in zip(b, a))
 

@@ -50,6 +50,37 @@ def rational_mod_prime_power(x, p, k):
     return num * pow(den, -1, mod) % mod
 
 
+def solve_columns(cols, target):
+    """Solve sum_k c_k * cols[k] = target over Q; None when inconsistent."""
+    rows = len(target)
+    n = len(cols)
+    aug = [[Fraction(cols[k][r]) for k in range(n)] + [Fraction(target[r])] for r in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    sol = [Fraction(0)] * n
+    for row_idx, c in enumerate(pivots):
+        sol[c] = aug[row_idx][n]
+    for i in range(rows):
+        if sum(cols[k][i] * sol[k] for k in range(n)) != target[i]:
+            return None
+    return sol
+
+
 # ---------------------------------------------------------------------------
 # polynomial utilities over F_p, used for validating the unramified layer
 
@@ -136,63 +167,6 @@ def _default_unram_poly(p, f):
         if _fp_irreducible(list(g), p):
             return g
     raise ValueError(f"no irreducible polynomial of degree {f} over F_{p}")  # unreachable
-
-
-# ---------------------------------------------------------------------------
-# generic polynomial inversion over a field given by an ops table
-
-def _poly_trim(a, is_zero):
-    while a and is_zero(a[-1]):
-        a = a[:-1]
-    return a
-
-
-def _poly_invmod(a, m, ops):
-    """Inverse of a modulo the monic polynomial m over the field `ops`."""
-    zero, one = ops["zero"], ops["one"]
-    add, sub, mul, inv, is_zero = ops["add"], ops["sub"], ops["mul"], ops["inv"], ops["is_zero"]
-
-    def divmod_(num, den):
-        num = list(num)
-        dd = len(den) - 1
-        lead_inv = inv(den[-1])
-        quo = [zero] * max(0, len(num) - dd)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = mul(num[i], lead_inv)
-            if is_zero(c):
-                continue
-            quo[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] = sub(num[i - dd + j], mul(c, den[j]))
-        return quo, _poly_trim(num[:dd] if dd else [], is_zero)
-
-    r0, r1 = list(m), _poly_trim(list(a), is_zero)
-    s0, s1 = [], [one]
-    while r1:
-        q, r = divmod_(r0, r1)
-        s = list(s0)
-        for i, qc in enumerate(q):
-            for j, sc in enumerate(s1):
-                while len(s) <= i + j:
-                    s.append(zero)
-                s[i + j] = sub(s[i + j], mul(qc, sc))
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim(s, is_zero)
-    if len(r0) != 1:
-        raise ValueError("modulus not irreducible over the coefficient field")
-    c = inv(r0[0])
-    return [mul(c, x) for x in s0]
-
-
-_FRACTION_OPS = {
-    "zero": Fraction(0),
-    "one": Fraction(1),
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "inv": lambda a: 1 / a,
-    "is_zero": lambda a: a == 0,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -411,156 +385,89 @@ class FieldSpec:
     def _uelem_vp(self, c):
         return min((vp_rational(x, self.p) for x in c), default=INF)
 
-    def _umul(self, c1, c2):
-        f = self.f
-        if f == 1:
-            return (c1[0] * c2[0],)
-        prod = [Fraction(0)] * (2 * f - 1)
-        for i, a in enumerate(c1):
-            if a:
-                for j, b in enumerate(c2):
-                    if b:
-                        prod[i + j] += a * b
-        out = list(prod[:f])
-        for deg in range(f, 2 * f - 1):
-            c = prod[deg]
-            if c:
-                red = self._wred[deg - f]
-                for a in range(f):
-                    out[a] += c * red[a]
-        return tuple(out)
-
     def _build_tables(self):
-        f, e = self.f, self.e
-        # w^deg mod g for deg = f .. 2f-2
-        wred = []
+        """The basis-product table, and the vectors of 1, pi and 1/pi.
+
+        ``_products[i][j]`` lists the nonzero coordinates (k, c) of the
+        product of basis elements i and j (index b*f + a for w^a pi^b),
+        with w^f reduced by g and pi^e by E.
+        """
+        f, n = self.f, self.degree
         g = self.unram_poly
-        cur = [Fraction(-g[a]) for a in range(f)]  # w^f
-        wred.append(tuple(cur))
-        for _ in range(f - 2 if f >= 2 else 0):
-            nxt = [Fraction(0)] * f
-            for a in range(f - 1):
-                nxt[a + 1] += cur[a]
-            top = cur[f - 1]
-            if top:
-                for a in range(f):
-                    nxt[a] += top * Fraction(-g[a])
-            wred.append(tuple(nxt))
-            cur = nxt
-        self._wred = wred
 
-        # pi^deg for deg = e .. 2e-2, as full coordinate vectors
-        zero_u = (Fraction(0),) * f
-        pi_e = []
-        for b in range(e):
-            pi_e.append(tuple(-c for c in self.eisenstein[b]))
-        self._pired = [tuple(x for u in pi_e for x in u)]
-        for _ in range(e - 2 if e >= 2 else 0):
-            self._pired.append(self._shift_pi(self._pired[-1]))
+        def times_w(vec):
+            out = list(vec)
+            for b in range(0, n, f):
+                top = vec[b + f - 1]
+                out[b] = Fraction(0)
+                out[b + 1 : b + f] = vec[b : b + f - 1]
+                if top:
+                    for a in range(f):
+                        out[b + a] -= top * g[a]
+            return out
 
-        one = self._int_vec(1)
-        pi = self._basis_vec(0, 1) if e > 1 else self._pired[0]
-        self._pi_vec = pi
-        self._pi_inv_vec = self._inv_vec(pi)
-        self._one_vec = one
+        w_pi_e = [[-c for u in self.eisenstein for c in u]]  # w^a pi^e
+        for _ in range(f - 1):
+            w_pi_e.append(times_w(w_pi_e[-1]))
 
-    def _int_vec(self, n):
+        def times_pi(vec):
+            out = [Fraction(0)] * f + list(vec[: n - f])
+            for a, c in enumerate(vec[n - f :]):
+                if c:
+                    for k, x in enumerate(w_pi_e[a]):
+                        out[k] += c * x
+            return out
+
+        def times_basis(vec, i):
+            b, a = divmod(i, f)
+            for _ in range(b):
+                vec = times_pi(vec)
+            for _ in range(a):
+                vec = times_w(vec)
+            return vec
+
+        self._products = [
+            [
+                [(k, c) for k, c in enumerate(times_basis(self._basis_vec(j), i)) if c]
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        self._one_vec = self._int_vec(1)
+        self._pi_vec = tuple(times_pi(self._one_vec))
+        self._pi_inv_vec = self._inv_vec(self._pi_vec)
+
+    def _int_vec(self, x):
         vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(n)
+        vec[0] = Fraction(x)
         return tuple(vec)
 
-    def _basis_vec(self, a, b):
+    def _basis_vec(self, k):
         vec = [Fraction(0)] * self.degree
-        vec[b * self.f + a] = Fraction(1)
+        vec[k] = Fraction(1)
         return tuple(vec)
-
-    def _shift_pi(self, vec):
-        """Multiply a coordinate vector by pi."""
-        f, e = self.f, self.e
-        out = [Fraction(0)] * self.degree
-        top = vec[(e - 1) * f : e * f]
-        for b in range(e - 1):
-            out[(b + 1) * f : (b + 2) * f] = vec[b * f : (b + 1) * f]
-        if any(top):
-            pe = self._pired[0]
-            for b in range(e):
-                seg = self._umul(tuple(top), tuple(pe[b * f : (b + 1) * f]))
-                for a in range(f):
-                    out[b * f + a] += seg[a]
-        return tuple(out)
 
     def _mul_vec(self, u, v):
         if self.degree == 1:
             return (u[0] * v[0],)
-        f, e = self.f, self.e
-        big = [[Fraction(0)] * (2 * f - 1) for _ in range(2 * e - 1)]
-        for b1 in range(e):
-            for a1 in range(f):
-                c1 = u[b1 * f + a1]
-                if not c1:
-                    continue
-                for b2 in range(e):
-                    row = big[b1 + b2]
-                    for a2 in range(f):
-                        c2 = v[b2 * f + a2]
-                        if c2:
-                            row[a1 + a2] += c1 * c2
-        slices = []
-        for B in range(2 * e - 1):
-            row = big[B]
-            out = list(row[:f])
-            for deg in range(f, 2 * f - 1):
-                c = row[deg]
-                if c:
-                    red = self._wred[deg - f]
-                    for a in range(f):
-                        out[a] += c * red[a]
-            slices.append(tuple(out))
-        res = [Fraction(0)] * self.degree
-        for b in range(e):
-            for a in range(f):
-                res[b * f + a] = slices[b][a]
-        for B in range(e, 2 * e - 1):
-            c = slices[B]
-            if any(c):
-                pired = self._pired[B - e]
-                for b in range(e):
-                    seg = self._umul(c, tuple(pired[b * f : (b + 1) * f]))
-                    for a in range(f):
-                        res[b * f + a] += seg[a]
-        return tuple(res)
-
-    def _uinv(self, c):
-        if self.f == 1:
-            if c[0] == 0:
-                raise DivisionByZero("inverse of zero")
-            return (1 / c[0],)
-        inv = _poly_invmod(list(c), [Fraction(x) for x in self.unram_poly], _FRACTION_OPS)
-        inv = list(inv) + [Fraction(0)] * (self.f - len(inv))
-        return tuple(inv[: self.f])
+        out = [Fraction(0)] * self.degree
+        for x, row in zip(u, self._products):
+            if x:
+                for y, entry in zip(v, row):
+                    if y:
+                        xy = x * y
+                        for k, c in entry:
+                            out[k] += xy * c
+        return tuple(out)
 
     def _inv_vec(self, u):
+        """Solve u * z = 1 on the columns u * (w^a pi^b)."""
         if all(x == 0 for x in u):
             raise DivisionByZero("inverse of zero")
         if self.degree == 1:
             return (1 / u[0],)
-        f, e = self.f, self.e
-        if e == 1:
-            return self._uinv(u)
-        uops = {
-            "zero": (Fraction(0),) * f,
-            "one": (Fraction(1),) + (Fraction(0),) * (f - 1),
-            "add": lambda a, b: tuple(x + y for x, y in zip(a, b)),
-            "sub": lambda a, b: tuple(x - y for x, y in zip(a, b)),
-            "mul": self._umul,
-            "inv": self._uinv,
-            "is_zero": lambda a: all(x == 0 for x in a),
-        }
-        a_poly = [tuple(u[b * f : (b + 1) * f]) for b in range(e)]
-        modulus = [self.eisenstein[b] for b in range(e)] + [uops["one"]]
-        inv = _poly_invmod(a_poly, modulus, uops)
-        inv = list(inv) + [uops["zero"]] * (e - len(inv))
-        return tuple(x for c in inv[:e] for x in c)
+        cols = [self._mul_vec(u, self._basis_vec(k)) for k in range(self.degree)]
+        return tuple(solve_columns(cols, self._one_vec))
 
     def _vpi_vec(self, vec):
         best = INF
@@ -577,12 +484,7 @@ class FieldSpec:
             if x.field != self:
                 raise ValueError("scalar from a different field")
             return x
-        return Scalar(self, self._from_rational(x))
-
-    def _from_rational(self, x):
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(x)
-        return tuple(vec)
+        return Scalar(self, self._int_vec(x))
 
     def zero(self):
         return Scalar(self, self._int_vec(0))
@@ -596,7 +498,7 @@ class FieldSpec:
     def unram_gen(self):
         if self.f == 1:
             raise ValueError("no unramified generator for f = 1")
-        return Scalar(self, self._basis_vec(1, 0))
+        return Scalar(self, self._basis_vec(1))
 
     def from_coords(self, coords):
         coords = tuple(Fraction(c) for c in coords)
@@ -691,7 +593,7 @@ class Scalar:
                 raise ValueError("scalars from different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar(self.field, self.field._from_rational(other))
+            return Scalar(self.field, self.field._int_vec(other))
         return NotImplemented
 
     def __add__(self, other):

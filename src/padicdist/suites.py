@@ -174,12 +174,11 @@ def suite_norms(env):
     rng = env.rng(suite)
     alg = env.algebra
     records = []
-    if env.config.options.get("sc_bound", True):
-        records.append(_record(
-            env, suite, f"structure-constant valuation bound at N = {alg.N}",
-            alg.table.check_filtration_bound,
-            expected=f"v_p(c) >= {alg.kappa}(|a|+|b|-|g|)",
-        ))
+    records.append(_record(
+        env, suite, f"structure-constant valuation bound at N = {alg.N}",
+        alg.table.check_filtration_bound,
+        expected=f"v_p(c) >= {alg.kappa}(|a|+|b|-|g|)",
+    ))
     pairs = []
     for _ in range(env.config.options["pairs"]):
         lam = random_distribution(alg, rng, max_degree=alg.N // 2)

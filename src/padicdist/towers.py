@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .distalg import DistAlgebra
 from .errors import (
@@ -207,17 +208,10 @@ class CosetSystem:
 
 def lower_p_transversal(lattice, m):
     """The canonical transversal {h^beta : beta < p^m componentwise}."""
-    p, d = lattice.p, lattice.d
-    reps = []
-
-    def rec(prefix):
-        if len(prefix) == d:
-            reps.append(lattice.element_second(tuple(prefix)))
-            return
-        for u in range(p**m):
-            rec(prefix + [u])
-
-    rec([])
+    reps = [
+        lattice.element_second(beta)
+        for beta in product(range(lattice.p**m), repeat=lattice.d)
+    ]
     return CosetSystem(lattice, m, reps)
 
 
@@ -314,7 +308,7 @@ def norm_transfer_check(lgspec, delta, m, samples, rng, max_alpha_degree=1,
         )
 
     q = p**level
-    N = q * max(1, max_alpha_degree)
+    N = q * lgspec.d * max(1, max_alpha_degree)
     lattice = lgspec.restrict()
     algebra = DistAlgebra(lattice, field, N, cache_dir=cache_dir)
     vbars = [lgspec.residue_of_v(i) for i in range(1, lgspec.n + 1)]
@@ -345,12 +339,10 @@ def norm_transfer_check(lgspec, delta, m, samples, rng, max_alpha_degree=1,
         big = algebra.zero()
         intrinsic = INF
         for alpha, c in support.items():
-            mono = algebra.one()
-            for j, a in enumerate(alpha):
-                gen = step_generator(algebra, first_row[j], level) if a else None
-                for _ in range(a):
-                    mono = algebra.mul(mono, gen)
-            big = big + mono.scale(c)
+            nd_alpha = [0] * algebra.d
+            for j, a in zip(first_row, alpha):
+                nd_alpha[j] = a
+            big = big + step_monomial(algebra, tuple(nd_alpha), level).scale(c)
             intrinsic = min(
                 intrinsic, c.abs_exponent() + kappa * sum(alpha) * delta.exponent
             )

@@ -7,7 +7,9 @@ oracle rebuilds structure-constant rows from their defining signed sum
 over the group law, independently of the table's finite-difference
 transform.  The lattice oracle computes ultrametric least distances to a finitely generated
 right-ideal lattice by weighted elimination, independently of the
-symbol-rewriting canonicalizer.
+symbol-rewriting canonicalizer.  The field-product oracle multiplies
+scalars of K as polynomials in Q[w, pi] and reduces by long division,
+independently of the basis-product table.
 """
 
 import math
@@ -186,6 +188,56 @@ class LatticeOracle:
             a, pv = hit
             v = v - pv.scale(v.coeffs[a] * pv.coeffs[a].inv())
         raise RuntimeError("distance reduction did not stabilize")
+
+
+# ---------------------------------------------------------------------------
+# products in K = Q[w, pi]/(g, E) by polynomial long division
+
+def _wmul(u, v):
+    out = [Fraction(0)] * max(0, len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def _wadd(u, v, scale=1):
+    """u + scale * v."""
+    n = max(len(u), len(v))
+    u = list(u) + [Fraction(0)] * (n - len(u))
+    v = list(v) + [Fraction(0)] * (n - len(v))
+    return [a + scale * b for a, b in zip(u, v)]
+
+
+def _wmod(u, g):
+    """Remainder of u modulo the monic polynomial g, by long division."""
+    u = list(u)
+    dg = len(g) - 1
+    for top in range(len(u) - 1, dg - 1, -1):
+        c = u[top]
+        for k, gk in enumerate(g):
+            u[top - dg + k] -= c * gk
+    return u[:dg] + [Fraction(0)] * (dg - len(u))
+
+
+def field_product_oracle(field, x, y):
+    """Coordinates of x * y: multiply in Q[w, pi], divide by E, reduce by g.
+
+    The pi-coefficients stay unreduced polynomials in w while pi^B, B >= e,
+    is rewritten as -pi^(B - e) (a_0 + ... + a_(e-1) pi^(e-1)); only then is
+    every coefficient reduced modulo g.
+    """
+    f, e = field.f, field.e
+    px = [list(x.coords[b * f:(b + 1) * f]) for b in range(e)]
+    py = [list(y.coords[b * f:(b + 1) * f]) for b in range(e)]
+    prod = [[] for _ in range(2 * e - 1)]
+    for b1, u in enumerate(px):
+        for b2, v in enumerate(py):
+            prod[b1 + b2] = _wadd(prod[b1 + b2], _wmul(u, v))
+    for top in range(2 * e - 2, e - 1, -1):
+        for i, a_i in enumerate(field.eisenstein):
+            prod[top - e + i] = _wadd(prod[top - e + i], _wmul(prod[top], a_i), -1)
+    return tuple(c for b in range(e) for c in _wmod(prod[b], field.unram_poly))
 
 
 def random_scalar(field, rng, valuation_window=2, allow_negative=False):

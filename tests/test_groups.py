@@ -15,7 +15,13 @@ from padicdist import (
     check_powerful_commutator,
     o_additive,
 )
-from padicdist.errors import NotPowerful, PrecisionExhausted
+from padicdist.errors import (
+    InvalidBasis,
+    InvalidBracket,
+    NotPowerful,
+    PadicError,
+    PrecisionExhausted,
+)
 
 INF = math.inf
 
@@ -235,3 +241,25 @@ def test_lgroup_refuses_non_integral_products(k3u2):
     # (w/3)^2 = -1/9 has a non-integral coordinate on the basis 1, w/3
     with pytest.raises(ValueError, match="non-integral"):
         LGroupSpec(k3u2, [k3u2.one(), k3u2.unram_gen() / 3], 1)
+
+
+def _k3u3():
+    return FieldSpec.unramified(3, 3, precision=24)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda K: LGroupSpec(K, [K.unram_gen(), K.one()], 1), InvalidBasis, "v_1 must be 1"),
+    (lambda K: LGroupSpec(K, [K.one(), K.unram_gen()], 2, {(1, 2): ((0, 0),)}),
+     InvalidBracket, "d o-elements"),
+    (lambda K: LGroupSpec(K, [K.one(), K.unram_gen()], 2, {(1, 1): ((0, 0), (0, 0))}),
+     InvalidBracket, "with itself"),
+    (lambda K: LGroupSpec(_k3u3(), [_k3u3().one(), _k3u3().unram_gen()], 1),
+     InvalidBasis, "products leave the span"),
+    (lambda K: LGroupSpec(K, [K.one(), K.unram_gen() / 3], 1), InvalidBasis, "non-integral"),
+    (lambda K: LieLattice(3, 3, {(0, 1): (0, 3, 0), (1, 2): (-3, 0, 0)}),
+     InvalidBracket, "Jacobi"),
+], ids=["v1", "bracket-shape", "self-bracket", "span", "integrality", "jacobi"])
+def test_structure_refusals_are_typed(k3u2, build, error, match):
+    with pytest.raises(PadicError, match=match) as info:
+        build(k3u2)
+    assert isinstance(info.value, error)

@@ -201,3 +201,20 @@ def test_norm_transfer_p2(k2u2):
         for rec in recs:
             if rec["monomial"]:
                 assert rec["offset"] == 0 and rec["certified_equal"]
+
+
+class _TopRng:
+    """Draws the top of every range, so every sampled alpha is (1, ..., 1)."""
+
+    def randrange(self, lo, hi):
+        return hi - 1
+
+
+def test_norm_transfer_mixed_monomial_o_additive2(k3u2):
+    # alpha = (1, 1) has degree 2 * p^level; an algebra sized for degree
+    # p^level alone truncated the monomial and reported a false mismatch
+    lg = o_additive(k3u2, 2)
+    recs = norm_transfer_check(lg, Radius(2, 3), 1, 2, _TopRng())
+    assert [r["monomial"] for r in recs] == [True, True]
+    for rec in recs:
+        assert rec["offset"] == 0 and rec["certified_equal"]
