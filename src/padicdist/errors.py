@@ -2,9 +2,10 @@
 
 Errors fall into three groups: arithmetic contract violations
 (PrecisionExhausted, DivisionByZero, NonUnit, DegreeOverflow), input
-validation (NotPowerful, InvalidBracket, InvalidBasis, InvalidDelta,
-ConfigError, ParseError) and check failures that carry a witness
-(CounterexampleFound, ConditionFailed, HypothesisFailed).  A CounterexampleFound from one of the verification
+validation (NotPowerful, NotPIntegral, InvalidBracket, InvalidBasis,
+InvalidDelta, SweepLimit, ConfigError, ParseError) and check failures
+that carry a witness (CounterexampleFound, ConditionFailed,
+HypothesisFailed).  A CounterexampleFound from one of the verification
 routines means an implementation bug, never a tolerated outcome.
 """
 
@@ -40,6 +41,14 @@ class InvalidBracket(PadicError, ValueError):
 class InvalidBasis(PadicError, ValueError):
     """A v-basis is not a Z_p-basis of a ring: v_1 != 1, or its products
     leave its span or have non-integral coordinates."""
+
+
+class NotPIntegral(PadicError, ValueError):
+    """A coordinate or exponent that must lie in Z_p has negative p-valuation."""
+
+
+class SweepLimit(PadicError, ValueError):
+    """An exhaustive sweep was asked for more cases than it is bounded to."""
 
 
 class DegreeOverflow(PadicError):

@@ -23,6 +23,7 @@ from .errors import (
     DegreeMismatch,
     DimensionMismatch,
     NonUnitLeading,
+    SweepLimit,
 )
 from .indices import add_index, grlex_key, iter_exact_degree
 
@@ -241,7 +242,7 @@ def check_regular_sequence(family, D):
     if not family:
         return True
     if len(family) > 6:
-        raise ValueError("ordering sweep limited to families of size <= 6")
+        raise SweepLimit("ordering sweep limited to families of size <= 6")
     ctx = family[0].context
     kfield = ctx.field.residue_field
     nvars = len(ctx.xlabels)

@@ -6,7 +6,9 @@ exponential one ("first kind") and the ordered-generator one
 x -> h_1^{x_1} ... h_d^{x_d} ("second kind").  Coordinates are exact
 p-integral rationals; the series is evaluated with a certified truncation
 depth, which is the exact nilpotency degree when the lattice is nilpotent
-and a valuation bound otherwise.
+and a valuation bound otherwise.  On a nilpotent lattice the second-kind
+law F(x, y) of h^x h^y is also compiled once, by running the same series
+and chart conversion over polynomials, and then evaluated in integers.
 
 The module also provides the lower p-series level, the induced
 p-valuation, finite powerful quotients for the pro-2 commutator check and
@@ -18,14 +20,15 @@ from __future__ import annotations
 import hashlib
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (
     CounterexampleFound,
     InvalidBasis,
     InvalidBracket,
+    NotPIntegral,
     NotPowerful,
     PrecisionExhausted,
 )
@@ -209,7 +212,13 @@ class LieLattice:
         """First-kind coordinates of exp(x)exp(y); exact on nilpotent lattices."""
         for c in (*x, *y):
             if vp_rational(c, self.p) < 0:
-                raise ValueError("Hausdorff series needs p-integral coordinates")
+                raise NotPIntegral("Hausdorff series needs p-integral coordinates")
+        return self._bch(x, y)
+
+    def _bch(self, x, y):
+        """``bch`` without the input check, over any coordinates that add,
+        multiply and test as zero: Fractions, or the law polynomials of
+        ``second_kind_law``."""
         exact, depth = self._series_depth()
         if depth > self.max_series_depth:
             raise PrecisionExhausted(
@@ -233,6 +242,13 @@ class LieLattice:
                     if acc[k]:
                         out[k] += coeff * acc[k]
         return tuple(out)
+
+    @cached_property
+    def second_kind_law(self):
+        """The compiled ``SecondKindLaw``, or None when the lattice is not
+        nilpotent (its law is then only evaluated numerically)."""
+        exact, depth = self._series_depth()
+        return _compile_law(self, depth) if exact else None
 
     # -- elements ----------------------------------------------------------------
 
@@ -274,15 +290,130 @@ class LieLattice:
         return f"{tag}(p={self.p}, d={self.d})"
 
 
-def _eval_second_kind(lattice, coords):
-    """First-kind coordinates of h_1^{x_1} ... h_d^{x_d}."""
+def _eval_second_kind(lattice, coords, bch=None):
+    """First-kind coordinates of h_1^{x_1} ... h_d^{x_d}.
+
+    ``bch`` defaults to the checked ``lattice.bch``; the law compiler
+    passes the unchecked core, since its coordinates are polynomials.
+    """
+    bch = bch or lattice.bch
     acc = None
     for i, c in enumerate(coords):
         if c == 0:
             continue
         vec = tuple(c if k == i else Fraction(0) for k in range(lattice.d))
-        acc = vec if acc is None else lattice.bch(acc, vec)
+        acc = vec if acc is None else bch(acc, vec)
     return acc if acc is not None else (Fraction(0),) * lattice.d
+
+
+class _LawPoly:
+    """A sparse polynomial over Q in the 2d variables (x, y) of the law.
+
+    ``terms`` maps a monomial, a sorted tuple of (variable, exponent)
+    pairs, to a nonzero Fraction.  Only what ``bracket``, the Hausdorff
+    word loop and the chart fixed point use is defined: sums, products
+    with Fractions and with each other, and zero tests.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    @staticmethod
+    def _terms(c):
+        if isinstance(c, _LawPoly):
+            return c.terms
+        return {(): Fraction(c)} if c else {}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return self.terms == _LawPoly._terms(other)
+
+    __hash__ = None
+
+    def _combine(self, other, sign):
+        out = dict(self.terms)
+        for m, c in _LawPoly._terms(other).items():
+            out[m] = out.get(m, 0) + sign * c
+        return _LawPoly({m: c for m, c in out.items() if c})
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in _LawPoly._terms(other).items():
+                exps = dict(m1)
+                for v, e in m2:
+                    exps[v] = exps.get(v, 0) + e
+                m = tuple(sorted(exps.items()))
+                out[m] = out.get(m, 0) + c1 * c2
+        return _LawPoly({m: c for m, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+
+class SecondKindLaw:
+    """F(x, y), the second-kind coordinates of h^x h^y, compiled to integers.
+
+    Per coordinate it keeps integer terms (c, monomial) and one positive
+    denominator; a monomial lists (variable, exponent) pairs, variables
+    0..d-1 being x and d..2d-1 being y.  Calling it at an integer point
+    x + y evaluates in ints and returns the Fraction coordinates.
+    """
+
+    __slots__ = ("coords",)
+
+    def __init__(self, polys):
+        self.coords = []
+        for poly in polys:
+            terms = _LawPoly._terms(poly)
+            denom = lcm(*(c.denominator for c in terms.values()))
+            self.coords.append((
+                tuple((c.numerator * (denom // c.denominator), m) for m, c in terms.items()),
+                denom,
+            ))
+
+    def __call__(self, point):
+        out = []
+        for terms, denom in self.coords:
+            s = 0
+            for c, mono in terms:
+                for v, e in mono:
+                    c *= point[v] ** e
+                s += c
+            out.append(Fraction(s, denom))
+        return tuple(out)
+
+
+def _compile_law(lattice, depth):
+    """Run the Hausdorff law and the chart fixed point over polynomials.
+
+    On a lattice nilpotent of class ``depth`` the defect of the fixed
+    point sinks one step of the lower central series per round, so it is
+    exactly zero within ``depth`` rounds.
+    """
+    d = lattice.d
+    variables = [_LawPoly({((k, 1),): Fraction(1)}) for k in range(2 * d)]
+    xs, ys = tuple(variables[:d]), tuple(variables[d:])
+    bch = lattice._bch
+    target = bch(_eval_second_kind(lattice, xs, bch), _eval_second_kind(lattice, ys, bch))
+    y = list(target)
+    for _ in range(depth):
+        defect = [a - b for a, b in zip(target, _eval_second_kind(lattice, tuple(y), bch))]
+        if not any(defect):
+            return SecondKindLaw(y)
+        y = [a + b for a, b in zip(y, defect)]
+    raise PrecisionExhausted(f"law polynomial chart conversion did not close in {depth} rounds")
 
 
 class GroupElement:
@@ -354,7 +485,7 @@ class GroupElement:
         """g^lambda = exp(lambda log g) for p-integral lambda."""
         lam = Fraction(exponent)
         if vp_rational(lam, self.lattice.p) < 0:
-            raise ValueError("exponent must be p-integral")
+            raise NotPIntegral("exponent must be p-integral")
         return GroupElement(
             self.lattice, "first", tuple(lam * c for c in self.first())
         )
@@ -619,8 +750,9 @@ class LGroupSpec:
         )
 
     def residue_of_v(self, i):
-        """The residue class of v_i (i is 1-based)."""
-        return self.v_basis[i - 1].leading_residue()
+        """The residue class of v_i (i is 1-based): zero when v(v_i) > 0."""
+        v = self.v_basis[i - 1]
+        return v.residue() if v.valuation == 0 else self.field.residue_field.zero()
 
     def __repr__(self):
         return f"LGroup({self.name or 'anon'}, n={self.n}, d={self.d})"

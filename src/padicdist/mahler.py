@@ -126,9 +126,18 @@ class StructureConstants:
         return coords
 
     def group_law(self, x, y):
-        """Second-kind coordinates of h^x h^y at integer points."""
-        z = self.lattice.bch(self._point(x), self._point(y))
-        out = self.lattice.element_first(z).second()
+        """Second-kind coordinates of h^x h^y at integer points.
+
+        On a nilpotent lattice this evaluates the lattice's compiled law
+        polynomial; otherwise it runs the Hausdorff series and the chart
+        conversion numerically.
+        """
+        law = self.lattice.second_kind_law
+        if law is not None:
+            out = law((*x, *y))
+        else:
+            z = self.lattice.bch(self._point(x), self._point(y))
+            out = self.lattice.element_first(z).second()
         for c in out:
             if vp_rational(c, self.lattice.p) < 0:
                 raise CounterexampleFound(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padicdist
 from padicdist.cli import main
 from padicdist.config import JobConfig
 from padicdist.errors import ConfigError
@@ -160,6 +165,20 @@ def test_all_suites_on_lgroup(tmp_path):
     assert report.passed, report.to_text()
 
 
+def test_grading_suite_on_ramified_lgroup():
+    """v_2 = pi over e = 2: the relations and the elimination image drop
+    the vbar_2 = 0 terms, and every grading record passes."""
+    cfg = JobConfig.from_dict({
+        "field": {"p": 3, "e": 2, "precision": 24},
+        "group": "o-additive(1)",
+        "radii": ["3^-2/3"],
+        "suites": ["grading"],
+        "options": {"trials": 6},
+    })
+    report = run_suite(cfg)
+    assert report.passed, report.to_text()
+
+
 def test_sc_cache_flag(tmp_path, base_config):
     cache = tmp_path / "cache"
     assert main([
@@ -188,3 +207,16 @@ def test_towers_orth_matches_suite_record(tmp_path, capsys):
                  "--config", str(path)]) == 0
     out = capsys.readouterr().out.strip()
     assert out == f"orthogonal system of {size} elements; basis = True"
+
+
+def test_python_m_padicdist(base_config):
+    src = Path(padicdist.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicdist", "run", "--config", str(base_config),
+         "--suite", "pvaluation"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "# summary:" in proc.stdout

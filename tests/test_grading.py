@@ -17,6 +17,7 @@ from padicdist.errors import (
     CounterexampleFound,
     DegreeMismatch,
     NonUnitLeading,
+    PadicError,
 )
 
 
@@ -85,6 +86,12 @@ def test_repeated_element_fails(ctx2, kfield):
     s = fshape(ctx2, kfield, 1, 0, 0, kfield.gen())
     with pytest.raises(CounterexampleFound):
         check_regular_sequence([s, s], 4)
+
+
+def test_ordering_sweep_refuses_seven_members(ctx2, kfield):
+    s = fshape(ctx2, kfield, 1, 0, 0, kfield.gen())
+    with pytest.raises(PadicError, match="size <= 6"):
+        check_regular_sequence([s] * 7, 4)
 
 
 def test_family_all_orderings(k3u2, kfield):

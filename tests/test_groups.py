@@ -116,6 +116,16 @@ def test_omega(heis, heis2):
     assert (lat.generator(0) ** 2).p_valuation() == 3
 
 
+def test_bch_refuses_non_p_integral(heis):
+    with pytest.raises(PadicError, match="p-integral"):
+        heis.bch((Fraction(1, 3), 0, 0), (0, 1, 0))
+
+
+def test_pow_refuses_non_p_integral_exponent(heis):
+    with pytest.raises(PadicError, match="p-integral"):
+        heis.generator(0) ** Fraction(2, 3)
+
+
 def test_level_rejects_identity(heis):
     with pytest.raises(ValueError):
         heis.identity().level()

@@ -6,10 +6,12 @@ import pytest
 
 from helpers import LatticeOracle, random_scalar
 from padicdist import (
+    build_kernel_family,
     canonicalize,
     domain_smoke_test,
     kernel_symbol,
     kernel_symbol_closed_form,
+    o_additive,
     orthogonality_check,
     quotient_norm,
 )
@@ -44,6 +46,16 @@ def test_symbol_h0(fam31):
         (0, (1, 0)): -fam31.lgspec.residue_of_v(2),
     }
     assert sym.degree == fam31.gen(2, 1).norm(R23).exponent
+
+
+def test_symbol_h0_ramified_nonunit_v(k3r2):
+    """Over e = 2, v_2 = pi has residue class 0, so the symbol of G_21 is
+    X_21 alone, with no -vbar_2 X_11 term."""
+    fam = build_kernel_family(o_additive(k3r2, 1), 4)
+    lg = fam.lgspec
+    assert lg.residue_of_v(2).is_zero
+    sym = kernel_symbol(fam, 2, 1, R23)
+    assert sym.terms == {(0, (0, 1)): lg.field.residue_field.one()}
 
 
 def test_symbol_h2_at_p2(fam21):
