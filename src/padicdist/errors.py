@@ -2,11 +2,12 @@
 
 Errors fall into three groups: arithmetic contract violations
 (PrecisionExhausted, DivisionByZero, NonUnit, DegreeOverflow), input
-validation (NotPowerful, NotPIntegral, InvalidBracket, InvalidBasis,
-InvalidDelta, SweepLimit, ConfigError, ParseError) and check failures
-that carry a witness (CounterexampleFound, ConditionFailed,
-HypothesisFailed).  A CounterexampleFound from one of the verification
-routines means an implementation bug, never a tolerated outcome.
+validation (NotPowerful, NotNilpotent, NotPIntegral, InvalidBracket,
+InvalidBasis, InvalidArgument, InvalidDelta, SweepLimit, ConfigError,
+ParseError) and check failures that carry a witness
+(CounterexampleFound, ConditionFailed, HypothesisFailed).  A
+CounterexampleFound from one of the verification routines means an
+implementation bug, never a tolerated outcome.
 """
 
 
@@ -34,6 +35,11 @@ class NotPowerful(PadicError):
     """Bracket constants violate the powerfulness valuation bound."""
 
 
+class NotNilpotent(PadicError, ValueError):
+    """A lattice's lower central series does not reach zero, so its group
+    law has no exact polynomial form; raised on first group-law use."""
+
+
 class InvalidBracket(PadicError, ValueError):
     """A bracket table has the wrong shape or violates the Jacobi identity."""
 
@@ -41,6 +47,10 @@ class InvalidBracket(PadicError, ValueError):
 class InvalidBasis(PadicError, ValueError):
     """A v-basis is not a Z_p-basis of a ring: v_1 != 1, or its products
     leave its span or have non-integral coordinates."""
+
+
+class InvalidArgument(PadicError, ValueError):
+    """An argument outside a routine's hypothesis; the message names it."""
 
 
 class NotPIntegral(PadicError, ValueError):

@@ -1,14 +1,16 @@
-"""Uniform pro-p groups presented by powerful Z_p-Lie lattices.
+"""Uniform pro-p groups presented by powerful nilpotent Z_p-Lie lattices.
 
 A lattice with bracket constants of p-valuation >= kappa carries a group
 law through the Hausdorff series; elements live in two charts, the
 exponential one ("first kind") and the ordered-generator one
 x -> h_1^{x_1} ... h_d^{x_d} ("second kind").  Coordinates are exact
-p-integral rationals; the series is evaluated with a certified truncation
-depth, which is the exact nilpotency degree when the lattice is nilpotent
-and a valuation bound otherwise.  On a nilpotent lattice the second-kind
-law F(x, y) of h^x h^y is also compiled once, by running the same series
-and chart conversion over polynomials, and then evaluated in integers.
+p-integral rationals.  The lattice must be nilpotent: the series then
+stops at the nilpotency class, and a lattice whose lower central series
+does not reach zero is refused with NotNilpotent on its first group-law
+use.  The law is exact.  One chart fixed point converts to the second
+kind, both for elements and for the law F(x, y) of h^x h^y, which is
+compiled once into polynomials over (x, y) and then evaluated in
+integers.
 
 The module also provides the lower p-series level, the induced
 p-valuation, finite powerful quotients for the pro-2 commutator check and
@@ -26,8 +28,10 @@ from math import factorial, lcm
 
 from .errors import (
     CounterexampleFound,
+    InvalidArgument,
     InvalidBasis,
     InvalidBracket,
+    NotNilpotent,
     NotPIntegral,
     NotPowerful,
     PrecisionExhausted,
@@ -75,16 +79,14 @@ def _hausdorff_words(depth):
 class LieLattice:
     """A powerful Z_p-Lie lattice with its induced uniform group."""
 
-    def __init__(self, p, d, brackets=None, precision=40, max_series_depth=10,
-                 labels=None, name=""):
+    def __init__(self, p, d, brackets=None, precision=40, labels=None, name=""):
         self.p = p
         self.d = d
         self.precision = precision
-        self.max_series_depth = max_series_depth
         self.name = name
         self.labels = tuple(labels) if labels else tuple(f"b{i + 1}" for i in range(d))
         if len(self.labels) != d:
-            raise ValueError("need one label per generator")
+            raise InvalidArgument(f"need one label per generator: {len(self.labels)} for d = {d}")
 
         table = [[(Fraction(0),) * d for _ in range(d)] for _ in range(d)]
         for (i, j), vec in (brackets or {}).items():
@@ -98,7 +100,6 @@ class LieLattice:
         self.brackets = tuple(tuple(r) for r in table)
 
         self._validate()
-        self._depth_info = None
 
     @property
     def kappa(self):
@@ -156,60 +157,33 @@ class LieLattice:
     def abelian(self):
         return self.nu is INF
 
-    # -- series depth certification ------------------------------------------
+    @cached_property
+    def depth(self):
+        """The nilpotency class: Hausdorff words longer than it vanish.
 
-    def _series_depth(self):
-        """(exact, depth): exact nilpotency degree, or a valuation bound.
-
-        When not nilpotent, depth T certifies that every Hausdorff term of
-        word length > T has coordinate valuation >= precision on
-        p-integral inputs: a length-t term gains (t-1)*nu from brackets
-        and loses at most (t-1)/(p-1) + 2*digits_p(t) to denominators.
-        The scan margin 130 covers the finitely many digit jumps before
-        the linear term dominates outright.
+        Each term of the lower central series keeps only independent
+        vectors, so every round brackets at most d^2 pairs; a nilpotent
+        lattice of dimension d reaches zero within d rounds.
         """
-        if self._depth_info is not None:
-            return self._depth_info
-        if self.abelian:
-            self._depth_info = (True, 1)
-            return self._depth_info
-        span = [self._unit(i) for i in range(self.d)]
-        depth = 1
-        while depth <= self.max_series_depth + 1:
+        term = [self._unit(i) for i in range(self.d)]
+        for depth in range(1, self.d + 1):
             nxt = []
             for i in range(self.d):
-                for v in span:
+                for v in term:
                     b = self.bracket(self._unit(i), v)
-                    if any(b):
+                    if solve_columns(nxt, b) is None:  # b is not in the span
                         nxt.append(b)
             if not nxt:
-                self._depth_info = (True, depth)
-                return self._depth_info
-            span = nxt
-            depth += 1
-        delta = self.nu - Fraction(1, self.p - 1)
-        if delta <= 0:
-            raise NotPowerful(f"nu = {self.nu} leaves no valuation gain over 1/(p - 1)")
-        t = 2
-        while True:
-            digits = len(self._base_p_digits(t))
-            if (t - 1) * delta - 2 * digits >= self.precision + 130:
-                break
-            t += 1
-        self._depth_info = (False, t)
-        return self._depth_info
-
-    def _base_p_digits(self, n):
-        out = []
-        while n:
-            out.append(n % self.p)
-            n //= self.p
-        return out
+                return depth
+            term = nxt
+        raise NotNilpotent(
+            f"the lower central series of {self!r} does not reach zero in d = {self.d} rounds"
+        )
 
     # -- group law --------------------------------------------------------------
 
     def bch(self, x, y):
-        """First-kind coordinates of exp(x)exp(y); exact on nilpotent lattices."""
+        """First-kind coordinates of exp(x)exp(y), exactly."""
         for c in (*x, *y):
             if vp_rational(c, self.p) < 0:
                 raise NotPIntegral("Hausdorff series needs p-integral coordinates")
@@ -219,15 +193,9 @@ class LieLattice:
         """``bch`` without the input check, over any coordinates that add,
         multiply and test as zero: Fractions, or the law polynomials of
         ``second_kind_law``."""
-        exact, depth = self._series_depth()
-        if depth > self.max_series_depth:
-            raise PrecisionExhausted(
-                f"certified series depth {depth} exceeds the configured maximum "
-                f"{self.max_series_depth}"
-            )
         out = [a + b for a, b in zip(x, y)]
         args = (x, y)
-        for word, coeff in _hausdorff_words(depth).items():
+        for word, coeff in _hausdorff_words(self.depth).items():
             if len(word) < 2:
                 continue
             if word[-1] == word[-2]:
@@ -245,10 +213,8 @@ class LieLattice:
 
     @cached_property
     def second_kind_law(self):
-        """The compiled ``SecondKindLaw``, or None when the lattice is not
-        nilpotent (its law is then only evaluated numerically)."""
-        exact, depth = self._series_depth()
-        return _compile_law(self, depth) if exact else None
+        """The compiled ``SecondKindLaw``."""
+        return _compile_law(self)
 
     # -- elements ----------------------------------------------------------------
 
@@ -275,8 +241,7 @@ class LieLattice:
                 if any(row):
                     br[(i, j)] = row
         return LieLattice(
-            self.p, self.d, br, precision=self.precision,
-            max_series_depth=self.max_series_depth, labels=self.labels,
+            self.p, self.d, br, precision=self.precision, labels=self.labels,
             name=f"{self.name}^({m})" if self.name else "",
         )
 
@@ -395,41 +360,49 @@ class SecondKindLaw:
         return tuple(out)
 
 
-def _compile_law(lattice, depth):
-    """Run the Hausdorff law and the chart fixed point over polynomials.
+def _chart_fixed_point(lattice, target, bch):
+    """Second-kind coordinates of the element with first-kind ``target``.
 
-    On a lattice nilpotent of class ``depth`` the defect of the fixed
-    point sinks one step of the lower central series per round, so it is
-    exactly zero within ``depth`` rounds.
+    Iterates y <- y + (target - first(y)), over Fractions or over law
+    polynomials (``bch`` as in ``_eval_second_kind``).  On a basis
+    adapted to the lower central series the defect sinks one term of it
+    per round, so it is exactly zero within ``lattice.depth`` rounds;
+    otherwise PrecisionExhausted is raised.
     """
+    y = list(target)
+    for _ in range(lattice.depth):
+        defect = [a - b for a, b in zip(target, _eval_second_kind(lattice, tuple(y), bch))]
+        if not any(defect):
+            return tuple(y)
+        y = [a + b for a, b in zip(y, defect)]
+    raise PrecisionExhausted(
+        f"chart conversion did not close in {lattice.depth} rounds; "
+        "is the basis adapted to the lower central series?"
+    )
+
+
+def _compile_law(lattice):
+    """Run the Hausdorff law and the chart fixed point over polynomials."""
     d = lattice.d
     variables = [_LawPoly({((k, 1),): Fraction(1)}) for k in range(2 * d)]
     xs, ys = tuple(variables[:d]), tuple(variables[d:])
     bch = lattice._bch
     target = bch(_eval_second_kind(lattice, xs, bch), _eval_second_kind(lattice, ys, bch))
-    y = list(target)
-    for _ in range(depth):
-        defect = [a - b for a, b in zip(target, _eval_second_kind(lattice, tuple(y), bch))]
-        if not any(defect):
-            return SecondKindLaw(y)
-        y = [a + b for a, b in zip(y, defect)]
-    raise PrecisionExhausted(f"law polynomial chart conversion did not close in {depth} rounds")
+    return SecondKindLaw(_chart_fixed_point(lattice, target, bch))
 
 
 class GroupElement:
-    """A group element in a fixed chart; conversions are cached.
+    """A group element in a fixed chart; conversions are exact and cached.
 
     Conversion from the exponential chart to the ordered-generator chart
-    runs a fixed-point iteration whose defect gains at least nu in
-    valuation per round; it terminates exactly on nilpotent lattices and
-    at the working precision otherwise.
+    runs the chart fixed point, which closes within the nilpotency class.
     """
 
     __slots__ = ("lattice", "mode", "coords", "_other")
 
     def __init__(self, lattice, mode, coords):
         if mode not in ("first", "second"):
-            raise ValueError("mode must be 'first' or 'second'")
+            raise InvalidArgument(f"chart mode must be 'first' or 'second', not {mode!r}")
         self.lattice = lattice
         self.mode = mode
         self.coords = coords
@@ -446,27 +419,8 @@ class GroupElement:
         if self.mode == "second":
             return self.coords
         if self._other is None:
-            self._other = self._to_second()
+            self._other = _chart_fixed_point(self.lattice, self.coords, self.lattice.bch)
         return self._other
-
-    def _to_second(self):
-        lat = self.lattice
-        target = self.coords
-        y = list(target)
-        prev_gain = -1
-        for _ in range(lat.precision + 8):
-            w = _eval_second_kind(lat, tuple(y))
-            defect = [a - b for a, b in zip(target, w)]
-            if not any(defect):
-                return tuple(y)
-            gain = min(vp_rational(c, lat.p) for c in defect if c != 0)
-            if gain >= lat.precision:
-                return tuple(y)
-            if gain <= prev_gain:
-                raise PrecisionExhausted("chart conversion failed to contract")
-            prev_gain = gain
-            y = [a + b for a, b in zip(y, defect)]
-        raise PrecisionExhausted("chart conversion did not terminate within precision")
 
     @property
     def is_identity(self):
@@ -474,7 +428,7 @@ class GroupElement:
 
     def __mul__(self, other):
         if other.lattice is not self.lattice:
-            raise ValueError("elements of different lattices")
+            raise InvalidArgument("a product needs two elements of the same lattice")
         z = self.lattice.bch(self.first(), other.first())
         return GroupElement(self.lattice, "first", z)
 
@@ -501,7 +455,7 @@ class GroupElement:
         coords = self.second()
         vals = [vp_rational(c, self.lattice.p) for c in coords if c != 0]
         if not vals:
-            raise ValueError("the identity has no finite lower-p-series level")
+            raise InvalidArgument("the identity has no finite lower-p-series level")
         m = min(vals)
         if m >= self.lattice.precision:
             raise PrecisionExhausted(
@@ -570,7 +524,10 @@ class FiniteQuotient:
 
     def __init__(self, lattice, level):
         if level < 1 or level >= lattice.precision:
-            raise ValueError("quotient level must satisfy 1 <= level < precision")
+            raise InvalidArgument(
+                f"quotient level must satisfy 1 <= level < precision = {lattice.precision}, "
+                f"not {level}"
+            )
         self.lattice = lattice
         self.level = level
         self.modulus = lattice.p**level
@@ -601,9 +558,11 @@ def check_powerful_commutator(quotient, i, j):
     """
     lat = quotient.lattice
     if lat.p != 2:
-        raise ValueError("the commutator check is specific to p = 2")
+        raise InvalidArgument(f"the commutator check is specific to p = 2, not p = {lat.p}")
     if quotient.level < i + j:
-        raise ValueError("quotient level too small for the requested step pair")
+        raise InvalidArgument(
+            f"quotient level {quotient.level} is below i + j = {i + j} for the step pair"
+        )
     window_a = min(j, quotient.level - i + 1)
     window_b = min(i, quotient.level - j + 1)
     checked = 0
@@ -692,7 +651,7 @@ class LGroupSpec:
         """Position of the generator h_ij in the order (1,1),(2,1),...,(n,d)."""
         return (j - 1) * self.n + (i - 1)
 
-    def restrict(self, precision=None, max_series_depth=10):
+    def restrict(self, precision=None):
         """The nd-dimensional Q_p-lattice of the scalar restriction.
 
         Generators are labelled b_ij in the basis order v_i x_j; raises
@@ -730,7 +689,6 @@ class LGroupSpec:
         return LieLattice(
             self.field.p, nd, br,
             precision=precision or self.field.precision,
-            max_series_depth=max_series_depth,
             labels=labels,
             name=f"{self.name}|Qp" if self.name else "restricted",
         )

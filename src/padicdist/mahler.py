@@ -8,8 +8,9 @@ integer grid points.  One routine, ``mahler_coefficients``, takes finite
 differences: Mahler coefficients on a product grid factor into one 1-D
 binomial transform per axis, run in place.  A non-abelian table is built
 whole on its first missing row, in exact integer arithmetic over one
-common denominator; abelian rows have a closed form.  The table
-serializes to a versioned cache file keyed by (group digest, N, M).
+common denominator; abelian rows have a closed form.  Every table is
+exact, so it serializes to a versioned cache file keyed by (group
+digest, N) alone.
 """
 
 from __future__ import annotations
@@ -106,38 +107,20 @@ class StructureConstants:
     def __init__(self, lattice, N, cache_dir=None):
         self.lattice = lattice
         self.N = N
-        self._first_kind = {}   # grid point -> first-kind coords
         self._rows = {}         # (alpha, beta) -> {gamma: Fraction}
         self._gammas = list(iter_multi_indices(lattice.d, N))
         self._cache_path = None
         if cache_dir is not None:
-            key = f"sc-{lattice.structure_digest()}-N{N}-M{lattice.precision}-v{CACHE_FORMAT_VERSION}"
+            key = f"sc-{lattice.structure_digest()}-N{N}-v{CACHE_FORMAT_VERSION}"
             self._cache_path = Path(cache_dir) / f"{key}.bin"
             self._load_cache()
 
     # -- group-law evaluation ---------------------------------------------------
 
-    def _point(self, x):
-        coords = self._first_kind.get(x)
-        if coords is None:
-            g = self.lattice.element_second(tuple(Fraction(c) for c in x))
-            coords = g.first()
-            self._first_kind[x] = coords
-        return coords
-
     def group_law(self, x, y):
-        """Second-kind coordinates of h^x h^y at integer points.
-
-        On a nilpotent lattice this evaluates the lattice's compiled law
-        polynomial; otherwise it runs the Hausdorff series and the chart
-        conversion numerically.
-        """
-        law = self.lattice.second_kind_law
-        if law is not None:
-            out = law((*x, *y))
-        else:
-            z = self.lattice.bch(self._point(x), self._point(y))
-            out = self.lattice.element_first(z).second()
+        """Second-kind coordinates of h^x h^y at integer points, from the
+        lattice's compiled law polynomial."""
+        out = self.lattice.second_kind_law((*x, *y))
         for c in out:
             if vp_rational(c, self.lattice.p) < 0:
                 raise CounterexampleFound(
@@ -278,7 +261,6 @@ class StructureConstants:
             "version": CACHE_FORMAT_VERSION,
             "digest": self.lattice.structure_digest(),
             "N": self.N,
-            "M": self.lattice.precision,
             "rows": {
                 key: {g: (v.numerator, v.denominator) for g, v in row.items()}
                 for key, row in self._rows.items()
@@ -307,7 +289,6 @@ class StructureConstants:
             payload.get("version") != CACHE_FORMAT_VERSION
             or payload.get("digest") != self.lattice.structure_digest()
             or payload.get("N") != self.N
-            or payload.get("M") != self.lattice.precision
         ):
             return
         self._rows = {

@@ -50,14 +50,29 @@ def heisenberg_bch_oracle(x, y, c):
     )
 
 
-def heisenberg_second_kind_oracle(coords, c):
-    """Second-kind coordinates via ordered matrix products."""
-    # solve exp(a c E12) exp(b E23) exp(e E13) = exp(coords) entrywise
-    E = heisenberg_mat_exp(coords, c)
+def _second_kind_of_matrix(E, c):
+    # solve exp(a c E12) exp(b E23) exp(e E13) = E entrywise
     a = E[0][1] / c
     b = E[1][2]
     e = E[0][2] - c * a * b
     return (a, b, e)
+
+
+def heisenberg_second_kind_oracle(coords, c):
+    """Second-kind coordinates via ordered matrix products."""
+    return _second_kind_of_matrix(heisenberg_mat_exp(coords, c), c)
+
+
+def heisenberg_law_oracle(x, y, c):
+    """Second-kind coordinates of h^x h^y, each factor an ordered product
+    exp(x_1 c E12) exp(x_2 E23) exp(x_3 E13) of matrices."""
+    c = Fraction(c)
+    E = heisenberg_mat_exp((0, 0, 0), c)
+    for coords in (x, y):
+        for i, t in enumerate(coords):
+            unit = tuple(Fraction(t) if k == i else Fraction(0) for k in range(3))
+            E = _matmul3(E, heisenberg_mat_exp(unit, c))
+    return _second_kind_of_matrix(E, c)
 
 
 # ---------------------------------------------------------------------------

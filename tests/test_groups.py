@@ -1,23 +1,30 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from helpers import heisenberg_bch_oracle, heisenberg_second_kind_oracle
 from padicdist import (
+    DistAlgebra,
     FieldSpec,
     FiniteQuotient,
+    GroupElement,
     LGroupSpec,
     LieLattice,
     abelian,
     check_p_valuation,
     check_powerful_commutator,
+    heisenberg,
+    heisenberg2,
     o_additive,
 )
 from padicdist.errors import (
+    InvalidArgument,
     InvalidBasis,
     InvalidBracket,
+    NotNilpotent,
     NotPowerful,
     PadicError,
     PrecisionExhausted,
@@ -70,6 +77,34 @@ def test_second_kind_matches_matrix_oracle(heis):
         coords = tuple(Fraction(rng.randrange(-20, 20)) for _ in range(3))
         g = heis.element_first(coords)
         assert g.second() == heisenberg_second_kind_oracle(coords, 3)
+
+
+def test_second_kind_chart_is_exact_at_small_precision():
+    # the chart fixed point stops at a zero defect, not at one of valuation
+    # >= M: at M = 3 the defect 27/2 of the first product is still corrected
+    lat = heisenberg(3, precision=3)
+
+    def first(v):
+        return lat.element_second(v).first()
+
+    g = lat.element_first(lat.bch(first((1, 0, 0)), first((0, 9, 0))))
+    assert g.second() == (1, 9, 0)
+    c = lat.brackets[0][1][2]
+    for x1, x2, y1, y2 in product((0, 1, 2, 9, 10), repeat=4):
+        x, y = (x1, x2, 0), (y1, y2, 0)
+        z = lat.bch(first(x), first(y))
+        expect = heisenberg_second_kind_oracle(z, c)
+        assert lat.element_first(z).second() == expect
+        assert lat.second_kind_law((*x, *y)) == expect
+
+
+def test_chart_refuses_basis_not_adapted_to_central_series():
+    # heisenberg on X1, X2, X3 + X1: [X1, X2] = 3 X3 leaves the last basis
+    # line, so the fixed point's defect never sinks to exactly zero
+    lat = LieLattice(3, 3, {(0, 1): (-3, 0, 3), (1, 2): (3, 0, -3)}, precision=24)
+    assert lat.depth == 2
+    with pytest.raises(PrecisionExhausted, match="adapted"):
+        lat.element_first((1, 1, 0)).second()
 
 
 def test_abelian_chart_is_identity():
@@ -224,6 +259,20 @@ def test_restrict_step_commutes(k3u2):
     assert not direct.abelian
 
 
+@pytest.mark.parametrize("use", [
+    lambda lat, K: lat.bch((0,) * lat.d, (0,) * lat.d),
+    lambda lat, K: lat.second_kind_law,
+    lambda lat, K: DistAlgebra(lat, K, 2).table.row((1, 0, 0, 0), (0, 1, 0, 0)),
+], ids=["bch", "second_kind_law", "table-row"])
+def test_non_nilpotent_lattice_refused_on_group_law_use(k3u2, use):
+    lg = _nonabelian_lgroup(k3u2)
+    lat = lg.restrict()  # construction, brackets and steps still work
+    assert lat.step(1).brackets == lg.step(1).restrict().brackets
+    with pytest.raises(PadicError, match="lower central series") as info:
+        use(lat, k3u2)
+    assert isinstance(info.value, NotNilpotent)
+
+
 def test_restrict_rejects_unpowerful(k3u2):
     n = k3u2.degree
     one_o = (1,) + (0,) * (n - 1)
@@ -273,3 +322,19 @@ def test_structure_refusals_are_typed(k3u2, build, error, match):
     with pytest.raises(PadicError, match=match) as info:
         build(k3u2)
     assert isinstance(info.value, error)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: LieLattice(3, 2, labels=("a",)), "one label per generator"),
+    (lambda: GroupElement(heisenberg(3), "third", (0, 0, 0)), "chart mode"),
+    (lambda: heisenberg(3).identity() * heisenberg(3).identity(), "same lattice"),
+    (lambda: heisenberg(3).identity().level(), "identity"),
+    (lambda: FiniteQuotient(heisenberg(3, precision=4), 4), "1 <= level < precision"),
+    (lambda: check_powerful_commutator(FiniteQuotient(heisenberg(3), 4), 1, 1), "p = 2"),
+    (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 2), 1, 2), "below i"),
+], ids=["labels", "mode", "lattices", "identity-level", "quotient-level", "prime",
+        "step-pair"])
+def test_group_argument_refusals_are_typed(build, match):
+    with pytest.raises(PadicError, match=match) as info:
+        build()
+    assert isinstance(info.value, InvalidArgument)

@@ -1,8 +1,10 @@
 """Property tests of the group law.
 
-The compiled law polynomial is checked against the numeric Hausdorff
-series plus chart conversion, on the built-in class-2 lattices and a
-class-3 filiform one; ``bch`` is checked against the 3x3 matrix oracle.
+The compiled law polynomial is checked against the element path (bch
+plus the chart fixed point, which the compiler shares), on the built-in
+class-2 lattices and a class-3 filiform one, and against the independent
+3x3 matrix oracle on the class-2 lattices; ``bch`` is checked against
+the matrix oracle too.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from helpers import heisenberg_bch_oracle  # noqa: E402
+from helpers import heisenberg_bch_oracle, heisenberg_law_oracle  # noqa: E402
 from padicdist import LieLattice, heisenberg, heisenberg2  # noqa: E402
 from padicdist.radii import kappa  # noqa: E402
 
@@ -44,6 +46,15 @@ def test_compiled_law_matches_numeric_path(lat, data):
     point = st.lists(st.integers(-40, 40), min_size=lat.d, max_size=lat.d).map(tuple)
     x, y = data.draw(point), data.draw(point)
     assert lat.second_kind_law((*x, *y)) == numeric_law(lat, x, y)
+
+
+@pytest.mark.parametrize("lat", LATTICES[:2], ids=repr)
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_compiled_law_matches_matrix_oracle(lat, data):
+    point = st.lists(st.integers(-40, 40), min_size=3, max_size=3).map(tuple)
+    x, y = data.draw(point), data.draw(point)
+    assert lat.second_kind_law((*x, *y)) == heisenberg_law_oracle(x, y, lat.brackets[0][1][2])
 
 
 def p_integral(p):

@@ -167,6 +167,20 @@ def test_cache_roundtrip_nonabelian(tmp_path):
     assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
 
 
+def test_cache_key_ignores_precision(tmp_path):
+    # every table is exact, so one saved at M = 24 serves M = 20
+    gammas = list(iter_multi_indices(3, 3))
+    t1 = StructureConstants(heisenberg(3, precision=24), 3, cache_dir=tmp_path)
+    rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
+    t1.save()
+    t2 = StructureConstants(heisenberg(3, precision=20), 3, cache_dir=tmp_path)
+    assert t2._cache_path == t1._cache_path
+    calls = []
+    t2.group_law = lambda x, y: calls.append((x, y))
+    assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
+    assert calls == []
+
+
 @pytest.mark.parametrize("lattice", [abelian(3, p=3, precision=24),
                                      heisenberg(3, precision=24)],
                          ids=["abelian3", "heisenberg"])
