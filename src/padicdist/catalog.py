@@ -10,21 +10,21 @@ from .padics import FieldSpec
 from .radii import kappa
 
 
-def abelian(d, p=3, precision=40):
-    return LieLattice(p, d, {}, precision=precision, name=f"abelian({d})")
+def abelian(d, p=3):
+    return LieLattice(p, d, {}, name=f"abelian({d})")
 
 
-def heisenberg(p=3, precision=40):
+def heisenberg(p=3):
     """d = 3 with [X_1, X_2] = p^kappa X_3, the rest central."""
     return LieLattice(
-        p, 3, {(0, 1): (0, 0, p**kappa(p))}, precision=precision,
+        p, 3, {(0, 1): (0, 0, p**kappa(p))},
         name="heisenberg" if p == 3 else f"heisenberg(p={p})",
     )
 
 
-def heisenberg2(precision=40):
+def heisenberg2():
     """The 2-adic powerful variant, [X_1, X_2] = 4 X_3."""
-    lat = heisenberg(p=2, precision=precision)
+    lat = heisenberg(p=2)
     lat.name = "heisenberg2"
     return lat
 
@@ -47,7 +47,7 @@ def o_additive(field: FieldSpec, d=1):
 _NAME_RE = re.compile(r"^([a-z0-9_-]+)(?:\((\d+)\))?$")
 
 
-def get_group(name, field=None, precision=40):
+def get_group(name, field=None):
     """Resolve a built-in group literal like ``abelian(2)`` or ``heisenberg``.
 
     Returns a LieLattice or, for the locally analytic examples, an
@@ -59,13 +59,13 @@ def get_group(name, field=None, precision=40):
     base, arg = m.group(1), m.group(2)
     p = field.p if field is not None else 3
     if base == "abelian":
-        return abelian(int(arg or 1), p=p, precision=precision)
+        return abelian(int(arg or 1), p=p)
     if base == "heisenberg":
         if p != 3 and field is not None:
             raise ConfigError("group: heisenberg is a p = 3 example")
-        return heisenberg(p=3, precision=precision)
+        return heisenberg(p=3)
     if base == "heisenberg2":
-        return heisenberg2(precision=precision)
+        return heisenberg2()
     if base in ("o-additive", "o_additive"):
         if field is None:
             raise ConfigError("group: o-additive needs a field")

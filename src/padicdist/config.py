@@ -79,7 +79,7 @@ class JobConfig:
             raise ConfigError(f"field: {exc}") from exc
 
         name = data.get("group", "abelian(1)")
-        group = get_group(name, field=fld, precision=fld.precision)
+        group = get_group(name, field=fld)
 
         N = data.get("truncation", 6)
         mprime = data.get("residual_precision", 2)

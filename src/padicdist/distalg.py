@@ -20,11 +20,11 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import DegreeOverflow, ParseError, ZeroDistribution
+from .errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
 from .grading import Symbol, SymbolContext
 from .indices import grlex_key, iter_multi_indices, unit_index
 from .mahler import StructureConstants, binom_rational
-from .radii import NormValue, log_tail_exponent
+from .radii import NormValue
 
 INF = math.inf
 
@@ -34,7 +34,9 @@ class DistAlgebra:
 
     def __init__(self, lattice, field, N, cache_dir=None):
         if field.p != lattice.p:
-            raise ValueError("field and lattice have different primes")
+            raise InvalidArgument(
+                f"field and lattice have different primes: {field.p} and {lattice.p}"
+            )
         self.lattice = lattice
         self.field = field
         self.N = N
@@ -279,11 +281,6 @@ def mul_tail_bound(lam, mu, r):
             cand2 = base + kappa * max(N + 1, tot) * rexp
             best = min(best, cand1, cand2)
     return best
-
-
-def log_series_tail(algebra, r):
-    """Tail bound of the truncated log series at radius r."""
-    return log_tail_exponent(algebra.N, r, algebra.kappa, algebra.lattice.p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ class PadicError(Exception):
 
 
 class PrecisionExhausted(PadicError):
-    """A required quantity cannot be certified within the working precision."""
+    """A required quantity cannot be certified within a budget.
+
+    Raised by the chart fixed point of ``groups`` when a basis is not
+    adapted to the lower central series, and by ``quotient`` when
+    canonicalization exceeds its step budget or a quotient norm is not
+    separated from its residual bound.
+    """
 
 
 class DivisionByZero(PadicError, ZeroDivisionError):

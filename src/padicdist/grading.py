@@ -22,6 +22,7 @@ from .errors import (
     CounterexampleFound,
     DegreeMismatch,
     DimensionMismatch,
+    InvalidArgument,
     NonUnitLeading,
     SweepLimit,
 )
@@ -118,12 +119,12 @@ class Symbol:
     def x_part(self):
         """(common e0-exponent, {alpha: coeff}) for symbols of pure X-degree.
 
-        Raises ValueError when terms mix e0-exponents; the F-shaped
+        Raises InvalidArgument when terms mix e0-exponents; the F-shaped
         families never do.
         """
         ws = {w for (w, _a) in self.terms}
         if len(ws) != 1:
-            raise ValueError("symbol mixes e0-exponents; no pure X-part")
+            raise InvalidArgument("symbol mixes e0-exponents; no pure X-part")
         w = ws.pop()
         return w, {alpha: c for (ww, alpha), c in self.terms.items()}
 
@@ -251,7 +252,7 @@ def check_regular_sequence(family, D):
         _w, xp = sym.x_part()
         degs = {sum(a) for a in xp}
         if len(degs) != 1:
-            raise ValueError("family members must have pure X-degree")
+            raise InvalidArgument("family members must have pure X-degree")
         polys.append((xp, degs.pop()))
 
     seen = set()
@@ -486,7 +487,7 @@ def finite_rank_quotient(polys, kfield):
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
         if len(coeffs) < 2:
-            raise ValueError(f"P_{j + 1} must be nonconstant")
+            raise InvalidArgument(f"P_{j + 1} must be nonconstant")
         lead = coeffs[-1]
         if not lead.is_unit:
             raise NonUnitLeading(f"leading coefficient of P_{j + 1} is not a unit")

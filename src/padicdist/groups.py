@@ -77,12 +77,15 @@ def _hausdorff_words(depth):
 
 
 class LieLattice:
-    """A powerful Z_p-Lie lattice with its induced uniform group."""
+    """A powerful Z_p-Lie lattice with its induced uniform group.
 
-    def __init__(self, p, d, brackets=None, precision=40, labels=None, name=""):
+    Brackets are exact rationals, the Jacobi identity is checked
+    exactly, and the group law is exact at any depth.
+    """
+
+    def __init__(self, p, d, brackets=None, labels=None, name=""):
         self.p = p
         self.d = d
-        self.precision = precision
         self.name = name
         self.labels = tuple(labels) if labels else tuple(f"b{i + 1}" for i in range(d))
         if len(self.labels) != d:
@@ -117,7 +120,7 @@ class LieLattice:
                         )
                     nu = min(nu, v)
         self.nu = nu  # INF for abelian lattices
-        # Jacobi defect must vanish within precision
+        # the Jacobi defect must vanish exactly
         for i in range(self.d):
             for j in range(i + 1, self.d):
                 for k in range(j + 1, self.d):
@@ -129,10 +132,10 @@ class LieLattice:
                     ):
                         inner = self.bracket(self._unit(other), vec)
                         e = [a + b for a, b in zip(e, inner)]
-                    defect = min((vp_rational(c, self.p) for c in e if c != 0), default=INF)
-                    if defect < self.precision:
+                    if any(e):
                         raise InvalidBracket(
-                            f"Jacobi identity fails at ({i},{j},{k}) with defect valuation {defect}"
+                            f"Jacobi identity fails at ({i},{j},{k}): defect "
+                            f"{tuple(str(c) for c in e)}"
                         )
 
     def _unit(self, i):
@@ -241,7 +244,7 @@ class LieLattice:
                 if any(row):
                     br[(i, j)] = row
         return LieLattice(
-            self.p, self.d, br, precision=self.precision, labels=self.labels,
+            self.p, self.d, br, labels=self.labels,
             name=f"{self.name}^({m})" if self.name else "",
         )
 
@@ -451,17 +454,12 @@ class GroupElement:
         return by.inverse() * self * by
 
     def level(self):
-        """Largest i with all second-kind coordinates in p^{i-1} Z_p."""
-        coords = self.second()
-        vals = [vp_rational(c, self.lattice.p) for c in coords if c != 0]
+        """Largest i with all second-kind coordinates in p^{i-1} Z_p, that
+        is 1 + min v_p over the nonzero coordinates; exact at any depth."""
+        vals = [vp_rational(c, self.lattice.p) for c in self.second() if c != 0]
         if not vals:
             raise InvalidArgument("the identity has no finite lower-p-series level")
-        m = min(vals)
-        if m >= self.lattice.precision:
-            raise PrecisionExhausted(
-                "all coordinates vanish modulo p^M; level not certifiable"
-            )
-        return 1 + m
+        return 1 + min(vals)
 
     def p_valuation(self):
         """The p-valuation induced by the lower p-series (shifted for p = 2)."""
@@ -519,18 +517,15 @@ class FiniteQuotient:
     """The quotient by the lower-p-series step P_{level+1}.
 
     Elements are integer second-kind coordinate vectors modulo p^level;
-    the group law is computed exactly upstairs and reduced.
+    the group law is computed exactly upstairs and reduced, so any level
+    >= 1 is admissible.
     """
 
     def __init__(self, lattice, level):
-        if level < 1 or level >= lattice.precision:
-            raise InvalidArgument(
-                f"quotient level must satisfy 1 <= level < precision = {lattice.precision}, "
-                f"not {level}"
-            )
+        if level < 1:
+            raise InvalidArgument(f"quotient level must be >= 1, not {level}")
         self.lattice = lattice
         self.level = level
-        self.modulus = lattice.p**level
 
     def window_members(self, i, window):
         """Representatives of P_i modulo P_{i+window} inside the quotient."""
@@ -651,7 +646,7 @@ class LGroupSpec:
         """Position of the generator h_ij in the order (1,1),(2,1),...,(n,d)."""
         return (j - 1) * self.n + (i - 1)
 
-    def restrict(self, precision=None):
+    def restrict(self):
         """The nd-dimensional Q_p-lattice of the scalar restriction.
 
         Generators are labelled b_ij in the basis order v_i x_j; raises
@@ -688,7 +683,6 @@ class LGroupSpec:
         labels = tuple(f"b{i}{j}" for j in range(1, d + 1) for i in range(1, n + 1))
         return LieLattice(
             self.field.p, nd, br,
-            precision=precision or self.field.precision,
             labels=labels,
             name=f"{self.name}|Qp" if self.name else "restricted",
         )

@@ -27,11 +27,13 @@ from .errors import (
     CounterexampleFound,
     CriticalRadius,
     DegreeOverflow,
+    InvalidArgument,
+    InvalidBracket,
     PrecisionExhausted,
 )
 from .grading import Symbol
 from .indices import grlex_key
-from .radii import NormValue, dominant_log_index
+from .radii import dominant_log_index, log_tail_exponent
 
 INF = math.inf
 
@@ -107,7 +109,7 @@ class KernelFamily:
                     acc = acc - c * lg.v_basis[i - 1]
             have = z.get((1, j), lg.field.zero())
             if acc != have:
-                raise ValueError("bracket left the kernel of the restriction map")
+                raise InvalidBracket("bracket left the kernel of the restriction map")
         return coeffs
 
     def _solve_lie_constants(self):
@@ -149,9 +151,8 @@ class KernelFamily:
         )
 
 
-def build_kernel_family(lgspec, N, cache_dir=None, precision=None):
-    lattice = lgspec.restrict(precision=precision)
-    algebra = DistAlgebra(lattice, lgspec.field, N, cache_dir=cache_dir)
+def build_kernel_family(lgspec, N, cache_dir=None):
+    algebra = DistAlgebra(lgspec.restrict(), lgspec.field, N, cache_dir=cache_dir)
     return KernelFamily(lgspec, algebra)
 
 
@@ -264,16 +265,7 @@ class CanonicalForm:
         return not self.coeffs
 
     def norm(self):
-        if not self.coeffs:
-            return NormValue(INF)
-        kappa = self.family.algebra.kappa
-        rexp = self.radius.exponent
-        return NormValue(
-            min(
-                c.abs_exponent() + kappa * sum(b) * rexp
-                for b, c in self.coeffs.items()
-            )
-        )
+        return self.as_distribution().norm(self.radius)
 
     @property
     def certified(self):
@@ -304,7 +296,7 @@ def _require_h0(fam, r):
     h = dominant_log_index(r, kappa, p)
     if h is None:
         raise CriticalRadius(f"radius {r} is critical for log(1+X)")
-    raise ValueError(
+    raise InvalidArgument(
         f"canonicalization needs r^kappa < p^(-1/(p-1)); got dominant index h = {h}"
     )
 
@@ -369,7 +361,7 @@ def canonicalize(fam, lam, r, mprime):
             gen_tail = (
                 coeff.abs_exponent()
                 + alg.kappa * sum(alpha_prime) * r.exponent
-                + _log_tail(alg, r)
+                + log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p)
             )
             tail = min(mul_tail_bound(gen, mu, r), gen_tail)
             if tail < mprime:
@@ -397,12 +389,6 @@ def canonicalize(fam, lam, r, mprime):
 
     canon = {b: c for b, c in canon.items() if not c.is_zero}
     return CanonicalForm(fam, r, canon, residual, mprime, steps, levels)
-
-
-def _log_tail(alg, r):
-    from .distalg import log_series_tail
-
-    return log_series_tail(alg, r)
 
 
 def _required_truncation(alg, r, mprime):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import towers
 from .distalg import DistAlgebra
-from .errors import PadicError
+from .errors import InvalidArgument, PadicError
 from .grading import (
     check_regular_sequence,
     eliminate_to_first_row,
@@ -98,10 +98,9 @@ def _record(env, suite, name, fn, expected=""):
                        elapsed_ms=(time.perf_counter() - start) * 1000)
 
 
-def random_element(lattice, rng, window=None):
+def random_element(lattice, rng):
     p = lattice.p
-    window = window or min(lattice.precision, 9)
-    coords = [rng.randrange(0, p**window) for _ in range(lattice.d)]
+    coords = [rng.randrange(0, p**9) for _ in range(lattice.d)]
     if not any(c % p for c in coords):
         coords[rng.randrange(lattice.d)] += 1  # keep at level 1 occasionally
     scale = p ** rng.choice((0, 0, 0, 1, 2))
@@ -474,7 +473,7 @@ def _radius_with_dominant_index(h, kappa, p):
             r = Radius(a, b)
             if dominant_log_index(r, kappa, p) == h:
                 return r
-    raise ValueError(f"no radius with dominant index {h} found")
+    raise InvalidArgument(f"no radius with dominant index {h} found")
 
 
 def _expect(value, want):

@@ -279,8 +279,7 @@ def delta_family(delta, p, kappa, count):
     return [radius_root(delta, m, p, kappa) for m in range(count)]
 
 
-def norm_transfer_check(lgspec, delta, m, samples, rng, max_alpha_degree=1,
-                        cache_dir=None):
+def norm_transfer_check(lgspec, delta, m, samples, rng, max_alpha_degree=1):
     """Transfer of the quotient norm to the level-(m + kappa - 1) step.
 
     For each sampled combination of step-generator monomials in the
@@ -310,7 +309,7 @@ def norm_transfer_check(lgspec, delta, m, samples, rng, max_alpha_degree=1,
     q = p**level
     N = q * lgspec.d * max(1, max_alpha_degree)
     lattice = lgspec.restrict()
-    algebra = DistAlgebra(lattice, field, N, cache_dir=cache_dir)
+    algebra = DistAlgebra(lattice, field, N)
     vbars = [lgspec.residue_of_v(i) for i in range(1, lgspec.n + 1)]
 
     from .radii import dominant_log_index

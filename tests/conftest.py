@@ -43,7 +43,7 @@ def k3r2():
 
 @pytest.fixture(scope="session")
 def heis():
-    return heisenberg(3, precision=24)
+    return heisenberg(3)
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +53,7 @@ def heis_alg(heis, q3):
 
 @pytest.fixture(scope="session")
 def heis2():
-    return heisenberg2(precision=24)
+    return heisenberg2()
 
 
 @pytest.fixture(scope="session")
@@ -63,7 +63,7 @@ def heis2_alg(heis2, q2):
 
 @pytest.fixture(scope="session")
 def ab2_alg(q3):
-    return DistAlgebra(abelian(2, p=3, precision=24), q3, 6)
+    return DistAlgebra(abelian(2, p=3), q3, 6)
 
 
 @pytest.fixture(scope="session")

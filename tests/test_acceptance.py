@@ -66,7 +66,7 @@ def _sample_element(lat, rng, window=6):
 def test_c01_p_valuation_axioms(heis, heis2):
     rng = random.Random(101)
     with criterion(1, "p-valuation axioms on 500+ pairs per group"):
-        for lat in (abelian(2, p=3, precision=24), heis, heis2):
+        for lat in (abelian(2, p=3), heis, heis2):
             pairs = [
                 (_sample_element(lat, rng), _sample_element(lat, rng))
                 for _ in range(500)
@@ -230,7 +230,7 @@ def test_c10_regular_sequences(fam31, fam32):
 def test_c11_restriction(q3, heis_alg):
     rng = random.Random(111)
     with criterion(11, "norm restriction exact at m = 1, 2; boundary probe"):
-        big = DistAlgebra(abelian(1, p=3, precision=24), q3, 18)
+        big = DistAlgebra(abelian(1, p=3), q3, 18)
         for r in (Radius(1, 8), Radius(1, 3), Radius(5, 10 + 1)):
             assert len(restriction_check(big, 1, r, 12, rng)) == 12
         for r in (Radius(1, 9), Radius(1, 20)):
@@ -253,7 +253,7 @@ def test_c12_orthogonal_bases(q3, q2):
         for p, field in ((3, q3), (2, q2)):
             for m in (1, 2):
                 N = 3 * p**m - 1
-                alg = DistAlgebra(abelian(1, p=p, precision=24), field, N)
+                alg = DistAlgebra(abelian(1, p=p), field, N)
                 r = Radius(1, 2 * p**m)
                 system = []
                 expected = {}

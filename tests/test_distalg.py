@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_support
-from padicdist import DistAlgebra, abelian, dominant_log_index, mul_tail_bound
-from padicdist.errors import DegreeOverflow, ParseError, ZeroDistribution
+from padicdist import DistAlgebra, abelian, dominant_log_index, heisenberg2, mul_tail_bound
+from padicdist.errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
 from padicdist.radii import Radius, log_tail_exponent
 
 INF = math.inf
@@ -14,7 +14,7 @@ INF = math.inf
 
 @pytest.fixture(scope="module")
 def ab1(q3):
-    return DistAlgebra(abelian(1, p=3, precision=24), q3, 10)
+    return DistAlgebra(abelian(1, p=3), q3, 10)
 
 
 def test_abelian_monomial_products(ab1):
@@ -148,6 +148,11 @@ def test_dominant_index_h0_region():
             r = Radius(a, b)
             if r.exponent > Fraction(1, 2):
                 assert dominant_log_index(r, 1, 3) == 0
+
+
+def test_prime_mismatch_refused(q3):
+    with pytest.raises(InvalidArgument, match="different primes"):
+        DistAlgebra(heisenberg2(), q3, 2)
 
 
 def test_log_tail_exponent():

@@ -16,6 +16,7 @@ from padicdist import (
 from padicdist.errors import (
     CounterexampleFound,
     DegreeMismatch,
+    InvalidArgument,
     NonUnitLeading,
     PadicError,
 )
@@ -173,6 +174,15 @@ def test_finite_rank_random(kfield):
             )
             polys.append(coeffs)
         assert finite_rank_quotient(polys, kfield) == expect
+
+
+def test_argument_refusals_are_typed(ctx2, kfield):
+    one = kfield.one()
+    mixed = Symbol(ctx2, {(1, (0, 0)): one, (0, (4, 0)): one})  # both of degree 1
+    with pytest.raises(InvalidArgument, match="mixes e0-exponents"):
+        mixed.x_part()
+    with pytest.raises(InvalidArgument, match="nonconstant"):
+        finite_rank_quotient([[LaurentScalar(kfield, {0: one})]], kfield)
 
 
 def test_finite_rank_refuses_nonunit_leading(kfield):

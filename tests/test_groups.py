@@ -80,9 +80,9 @@ def test_second_kind_matches_matrix_oracle(heis):
 
 
 def test_second_kind_chart_is_exact_at_small_precision():
-    # the chart fixed point stops at a zero defect, not at one of valuation
-    # >= M: at M = 3 the defect 27/2 of the first product is still corrected
-    lat = heisenberg(3, precision=3)
+    # the chart fixed point stops at a zero defect, so the defect 27/2 of
+    # the first product, of valuation 3, is still corrected
+    lat = heisenberg(3)
 
     def first(v):
         return lat.element_second(v).first()
@@ -101,7 +101,7 @@ def test_second_kind_chart_is_exact_at_small_precision():
 def test_chart_refuses_basis_not_adapted_to_central_series():
     # heisenberg on X1, X2, X3 + X1: [X1, X2] = 3 X3 leaves the last basis
     # line, so the fixed point's defect never sinks to exactly zero
-    lat = LieLattice(3, 3, {(0, 1): (-3, 0, 3), (1, 2): (3, 0, -3)}, precision=24)
+    lat = LieLattice(3, 3, {(0, 1): (-3, 0, 3), (1, 2): (3, 0, -3)})
     assert lat.depth == 2
     with pytest.raises(PrecisionExhausted, match="adapted"):
         lat.element_first((1, 1, 0)).second()
@@ -166,11 +166,9 @@ def test_level_rejects_identity(heis):
         heis.identity().level()
 
 
-def test_level_precision_exhausted():
-    lat = abelian(1, p=3, precision=5)
-    g = lat.element_second((3**6,))
-    with pytest.raises(PrecisionExhausted):
-        g.level()
+def test_level_is_exact_at_any_depth():
+    # the level is 1 + min v_p of the exact coordinates, however deep
+    assert abelian(1, p=3).element_second((3**45,)).level() == 46
 
 
 def test_p_valuation_axioms(heis, heis2):
@@ -200,6 +198,10 @@ def test_jacobi_validation():
     # [X1,X2] = 3X2 and [X2,X3] = -3X1 leave a defect 9X1 in the Jacobi sum
     with pytest.raises(ValueError, match="Jacobi"):
         LieLattice(3, 3, {(0, 1): (0, 3, 0), (1, 2): (-3, 0, 0)})
+
+
+def test_finite_quotient_takes_any_level_from_one():
+    assert FiniteQuotient(heisenberg2(), 40).level == 40
 
 
 def test_pro2_commutator_check(heis2):
@@ -317,7 +319,13 @@ def _k3u3():
     (lambda K: LGroupSpec(K, [K.one(), K.unram_gen() / 3], 1), InvalidBasis, "non-integral"),
     (lambda K: LieLattice(3, 3, {(0, 1): (0, 3, 0), (1, 2): (-3, 0, 0)}),
      InvalidBracket, "Jacobi"),
-], ids=["v1", "bracket-shape", "self-bracket", "span", "integrality", "jacobi"])
+    # the defect is -3^42 X5, which a check to valuation 40 would accept
+    (lambda K: LieLattice(3, 5, {(0, 1): (0, 0, 3, 0, 0), (0, 2): (0, 0, 0, 3, 0),
+                                 (1, 2): (0, 0, 0, 3, 0), (0, 3): (0, 0, 0, 0, 3),
+                                 (1, 3): (0, 0, 0, 0, 3 + 3**41)}),
+     InvalidBracket, "Jacobi"),
+], ids=["v1", "bracket-shape", "self-bracket", "span", "integrality", "jacobi",
+        "jacobi-deep"])
 def test_structure_refusals_are_typed(k3u2, build, error, match):
     with pytest.raises(PadicError, match=match) as info:
         build(k3u2)
@@ -329,7 +337,7 @@ def test_structure_refusals_are_typed(k3u2, build, error, match):
     (lambda: GroupElement(heisenberg(3), "third", (0, 0, 0)), "chart mode"),
     (lambda: heisenberg(3).identity() * heisenberg(3).identity(), "same lattice"),
     (lambda: heisenberg(3).identity().level(), "identity"),
-    (lambda: FiniteQuotient(heisenberg(3, precision=4), 4), "1 <= level < precision"),
+    (lambda: FiniteQuotient(heisenberg(3), 0), "level must be >= 1"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg(3), 4), 1, 1), "p = 2"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 2), 1, 2), "below i"),
 ], ids=["labels", "mode", "lattices", "identity-level", "quotient-level", "prime",

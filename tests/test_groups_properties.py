@@ -23,10 +23,10 @@ def filiform(p):
     """d = 4, class 3: [X1, X2] = p^kappa X3 and [X1, X3] = p^kappa X4."""
     c = p ** kappa(p)
     return LieLattice(p, 4, {(0, 1): (0, 0, c, 0), (0, 2): (0, 0, 0, c)},
-                      precision=24, name=f"filiform(p={p})")
+                      name=f"filiform(p={p})")
 
 
-LATTICES = [heisenberg(3, precision=24), heisenberg2(precision=24), filiform(3), filiform(2)]
+LATTICES = [heisenberg(3), heisenberg2(), filiform(3), filiform(2)]
 
 
 def numeric_law(lat, x, y):

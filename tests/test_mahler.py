@@ -65,9 +65,9 @@ def test_abelian_rows_are_vandermonde():
 ])
 def test_rows_match_box_sum_oracle(group, k3u2):
     lattice = {
-        "abelian(2)": lambda: abelian(2, p=3, precision=24),
-        "heisenberg": lambda: heisenberg(3, precision=24),
-        "heisenberg2": lambda: heisenberg2(precision=24),
+        "abelian(2)": lambda: abelian(2, p=3),
+        "heisenberg": lambda: heisenberg(3),
+        "heisenberg2": heisenberg2,
         "o-additive(1)": lambda: o_additive(k3u2, 1).restrict(),
         "o-additive(2)": lambda: o_additive(k3u2, 2).restrict(),
     }[group]()
@@ -112,7 +112,7 @@ def test_delta_convolution_50_pairs(q3, heis_alg):
     from padicdist import DistAlgebra
 
     rng = random.Random(23)
-    ab3 = DistAlgebra(abelian(3, p=3, precision=24), q3, 6)
+    ab3 = DistAlgebra(abelian(3, p=3), q3, 6)
     for _ in range(50):
         g = ab3.lattice.element_second(tuple(rng.randrange(0, 10) for _ in range(3)))
         h = ab3.lattice.element_second(tuple(rng.randrange(0, 10) for _ in range(3)))
@@ -141,7 +141,7 @@ def test_row_degree_guard(heis_alg):
 
 
 def test_cache_roundtrip(tmp_path, q3):
-    lat = abelian(2, p=3, precision=24)
+    lat = abelian(2, p=3)
     t1 = StructureConstants(lat, 3, cache_dir=tmp_path)
     r = t1.row((1, 0), (0, 2))
     t1.save()
@@ -153,7 +153,7 @@ def test_cache_roundtrip(tmp_path, q3):
 
 
 def test_cache_roundtrip_nonabelian(tmp_path):
-    lat = heisenberg(3, precision=24)
+    lat = heisenberg(3)
     gammas = list(iter_multi_indices(3, 3))
     t1 = StructureConstants(lat, 3, cache_dir=tmp_path)
     rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
@@ -168,12 +168,13 @@ def test_cache_roundtrip_nonabelian(tmp_path):
 
 
 def test_cache_key_ignores_precision(tmp_path):
-    # every table is exact, so one saved at M = 24 serves M = 20
+    # the key holds the lattice's structure and N only, so a table saved by
+    # one instance serves an equal lattice built again
     gammas = list(iter_multi_indices(3, 3))
-    t1 = StructureConstants(heisenberg(3, precision=24), 3, cache_dir=tmp_path)
+    t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
     t1.save()
-    t2 = StructureConstants(heisenberg(3, precision=20), 3, cache_dir=tmp_path)
+    t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     assert t2._cache_path == t1._cache_path
     calls = []
     t2.group_law = lambda x, y: calls.append((x, y))
@@ -181,8 +182,8 @@ def test_cache_key_ignores_precision(tmp_path):
     assert calls == []
 
 
-@pytest.mark.parametrize("lattice", [abelian(3, p=3, precision=24),
-                                     heisenberg(3, precision=24)],
+@pytest.mark.parametrize("lattice", [abelian(3, p=3),
+                                     heisenberg(3)],
                          ids=["abelian3", "heisenberg"])
 @pytest.mark.parametrize("alpha, beta, bad", [
     ((1, 0), (0, 0, 0), (1, 0)),
@@ -196,7 +197,7 @@ def test_row_refuses_bad_indices(lattice, alpha, beta, bad):
 
 
 def test_cache_save_is_atomic(tmp_path, monkeypatch):
-    lat = abelian(2, p=3, precision=24)
+    lat = abelian(2, p=3)
     t1 = StructureConstants(lat, 3, cache_dir=tmp_path)
     r = t1.row((1, 0), (0, 2))
     t1.save()

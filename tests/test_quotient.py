@@ -15,7 +15,7 @@ from padicdist import (
     orthogonality_check,
     quotient_norm,
 )
-from padicdist.errors import CriticalRadius, DegreeOverflow, PrecisionExhausted
+from padicdist.errors import CriticalRadius, DegreeOverflow, InvalidArgument, PrecisionExhausted
 from padicdist.indices import iter_multi_indices
 from padicdist.radii import Radius
 
@@ -189,4 +189,10 @@ def test_lie_constants_kernel_closure(fam32):
 
 def test_canonicalize_rejects_large_radius(fam31):
     with pytest.raises((ValueError, CriticalRadius)):
+        canonicalize(fam31, fam31.algebra.one(), Radius(1, 8), MP)
+
+
+def test_canonicalize_refusal_is_typed(fam31):
+    # 3^(-1/8) has dominant index 2: outside the h = 0 region
+    with pytest.raises(InvalidArgument, match="dominant index h = 2"):
         canonicalize(fam31, fam31.algebra.one(), Radius(1, 8), MP)

@@ -33,7 +33,7 @@ INF = math.inf
 
 @pytest.fixture(scope="module")
 def ab1_big(q3):
-    return DistAlgebra(abelian(1, p=3, precision=24), q3, 27)
+    return DistAlgebra(abelian(1, p=3), q3, 27)
 
 
 def test_step_generator_m0_and_m1(heis_alg):
@@ -89,7 +89,7 @@ def test_orthogonal_basis_families(q3, q2):
     rng = random.Random(64)
     for p, field, m in ((3, q3, 1), (3, q3, 2), (2, q2, 1), (2, q2, 2)):
         N = 3 * p**m - 1
-        alg = DistAlgebra(abelian(1, p=p, precision=24), field, N)
+        alg = DistAlgebra(abelian(1, p=p), field, N)
         r = Radius(1, 2 * (p**m))  # satisfies the restriction hypothesis
         system = []
         expected_iota = {}
