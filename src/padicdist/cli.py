@@ -57,6 +57,7 @@ def cmd_run(args):
             if s not in KNOWN_SUITES:
                 raise PadicError(f"unknown suite {s!r}")
         config.suites = list(args.suite)
+        config.check_sweep_limits()
     if args.seed is not None:
         config.seed = args.seed
         config.echo["seed"] = args.seed

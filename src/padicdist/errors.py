@@ -18,10 +18,8 @@ class PadicError(Exception):
 class PrecisionExhausted(PadicError):
     """A required quantity cannot be certified within a budget.
 
-    Raised by the chart fixed point of ``groups`` when a basis is not
-    adapted to the lower central series, and by ``quotient`` when
-    canonicalization exceeds its step budget or a quotient norm is not
-    separated from its residual bound.
+    Raised by ``quotient`` when canonicalization exceeds its step budget
+    or a quotient norm is not separated from its residual bound.
     """
 
 
@@ -51,8 +49,10 @@ class InvalidBracket(PadicError, ValueError):
 
 
 class InvalidBasis(PadicError, ValueError):
-    """A v-basis is not a Z_p-basis of a ring: v_1 != 1, or its products
-    leave its span or have non-integral coordinates."""
+    """A basis outside a hypothesis: a lattice basis not adapted to the
+    lower central series, or a v-basis that is not a Z_p-basis of a ring
+    (v_1 != 1, or its products leave its span or have non-integral
+    coordinates)."""
 
 
 class InvalidArgument(PadicError, ValueError):

@@ -7,10 +7,14 @@ x -> h_1^{x_1} ... h_d^{x_d} ("second kind").  Coordinates are exact
 p-integral rationals.  The lattice must be nilpotent: the series then
 stops at the nilpotency class, and a lattice whose lower central series
 does not reach zero is refused with NotNilpotent on its first group-law
-use.  The law is exact.  One chart fixed point converts to the second
-kind, both for elements and for the law F(x, y) of h^x h^y, which is
-compiled once into polynomials over (x, y) and then evaluated in
-integers.
+use.  The law is exact.  ``LieLattice.bch`` is the first-kind law over
+Fractions.  Elements run on four maps that the Hausdorff series and one
+chart fixed point compile once per lattice, on first use, into
+polynomials evaluated in integers: the law F(x, y) of h^x h^y, the chart
+maps E (second to first kind) and L (first to second kind), and the
+inverse I in the second-kind chart.  The fixed point closes only on a
+basis adapted to the lower central series; any other basis is refused
+with InvalidBasis.
 
 The module also provides the lower p-series level, the induced
 p-valuation, finite powerful quotients for the pro-2 commutator check and
@@ -34,7 +38,6 @@ from .errors import (
     NotNilpotent,
     NotPIntegral,
     NotPowerful,
-    PrecisionExhausted,
 )
 from .padics import FieldSpec, solve_columns
 from .radii import kappa, vp_rational
@@ -186,7 +189,9 @@ class LieLattice:
     # -- group law --------------------------------------------------------------
 
     def bch(self, x, y):
-        """First-kind coordinates of exp(x)exp(y), exactly."""
+        """The first-kind law: coordinates of exp(x)exp(y), exactly, by
+        the Hausdorff series over Fractions.  Elements do not use it; they
+        evaluate the compiled maps below."""
         for c in (*x, *y):
             if vp_rational(c, self.p) < 0:
                 raise NotPIntegral("Hausdorff series needs p-integral coordinates")
@@ -194,8 +199,8 @@ class LieLattice:
 
     def _bch(self, x, y):
         """``bch`` without the input check, over any coordinates that add,
-        multiply and test as zero: Fractions, or the law polynomials of
-        ``second_kind_law``."""
+        multiply and test as zero: Fractions, or the polynomials of the
+        compiled maps."""
         out = [a + b for a, b in zip(x, y)]
         args = (x, y)
         for word, coeff in _hausdorff_words(self.depth).items():
@@ -214,10 +219,31 @@ class LieLattice:
                         out[k] += coeff * acc[k]
         return tuple(out)
 
+    # Compiled maps, each built on its first use (see ``SecondKindLaw``).
+
     @cached_property
     def second_kind_law(self):
-        """The compiled ``SecondKindLaw``."""
-        return _compile_law(self)
+        """F(x, y): second-kind coordinates of h^x h^y."""
+        return _compile(self, 2, lambda x, y: _chart_fixed_point(
+            self, self._bch(_eval_second_kind(self, x), _eval_second_kind(self, y))
+        ))
+
+    @cached_property
+    def to_first_kind(self):
+        """E(x): first-kind coordinates of h^x."""
+        return _compile(self, 1, lambda x: _eval_second_kind(self, x))
+
+    @cached_property
+    def to_second_kind(self):
+        """L(z): second-kind coordinates of exp(z)."""
+        return _compile(self, 1, lambda z: _chart_fixed_point(self, z))
+
+    @cached_property
+    def second_kind_inverse(self):
+        """I(x): second-kind coordinates of (h^x)^-1 = exp(-E(x))."""
+        return _compile(self, 1, lambda x: _chart_fixed_point(
+            self, tuple(c * -1 for c in _eval_second_kind(self, x))
+        ))
 
     # -- elements ----------------------------------------------------------------
 
@@ -258,24 +284,20 @@ class LieLattice:
         return f"{tag}(p={self.p}, d={self.d})"
 
 
-def _eval_second_kind(lattice, coords, bch=None):
-    """First-kind coordinates of h_1^{x_1} ... h_d^{x_d}.
-
-    ``bch`` defaults to the checked ``lattice.bch``; the law compiler
-    passes the unchecked core, since its coordinates are polynomials.
-    """
-    bch = bch or lattice.bch
+def _eval_second_kind(lattice, coords):
+    """First-kind coordinates of h_1^{x_1} ... h_d^{x_d}, through the
+    unchecked Hausdorff core, so ``coords`` may be law polynomials."""
     acc = None
     for i, c in enumerate(coords):
         if c == 0:
             continue
         vec = tuple(c if k == i else Fraction(0) for k in range(lattice.d))
-        acc = vec if acc is None else bch(acc, vec)
+        acc = vec if acc is None else lattice._bch(acc, vec)
     return acc if acc is not None else (Fraction(0),) * lattice.d
 
 
 class _LawPoly:
-    """A sparse polynomial over Q in the 2d variables (x, y) of the law.
+    """A sparse polynomial over Q in the variables of a compiled map.
 
     ``terms`` maps a monomial, a sorted tuple of (variable, exponent)
     pairs, to a nonzero Fraction.  Only what ``bracket``, the Hausdorff
@@ -331,74 +353,92 @@ class _LawPoly:
 
 
 class SecondKindLaw:
-    """F(x, y), the second-kind coordinates of h^x h^y, compiled to integers.
+    """A compiled group-law map: the law F(x, y), a chart map or the inverse.
 
     Per coordinate it keeps integer terms (c, monomial) and one positive
-    denominator; a monomial lists (variable, exponent) pairs, variables
-    0..d-1 being x and d..2d-1 being y.  Calling it at an integer point
-    x + y evaluates in ints and returns the Fraction coordinates.
+    denominator; a monomial lists (variable, exponent) pairs over the
+    concatenated input point and, as one more variable, its common
+    denominator D, which makes every term of degree ``degree``.  A call
+    clears D, refuses it with NotPIntegral when p divides it, evaluates
+    in ints and builds one Fraction per output coordinate; integer points
+    have D = 1.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("p", "degree", "coords")
 
-    def __init__(self, polys):
+    def __init__(self, p, polys, nvars):
+        self.p = p
+        polys = [_LawPoly._terms(poly) for poly in polys]
+        self.degree = max(
+            (sum(e for _, e in m) for terms in polys for m in terms), default=0
+        )
         self.coords = []
-        for poly in polys:
-            terms = _LawPoly._terms(poly)
-            denom = lcm(*(c.denominator for c in terms.values()))
-            self.coords.append((
-                tuple((c.numerator * (denom // c.denominator), m) for m, c in terms.items()),
-                denom,
-            ))
+        for terms in polys:
+            denom = lcm(*[c.denominator for c in terms.values()])
+            out = []
+            for m, c in terms.items():
+                k = self.degree - sum(e for _, e in m)
+                mono = m + ((nvars, k),) if k else m
+                out.append((c.numerator * (denom // c.denominator), mono))
+            self.coords.append((tuple(out), denom))
 
     def __call__(self, point):
+        D = 1
+        for c in point:
+            D = lcm(D, c.denominator)
+        if D % self.p == 0:
+            raise NotPIntegral("the group law needs p-integral coordinates")
+        xs = [c.numerator * (D // c.denominator) for c in point]
+        xs.append(D)
+        scale = D**self.degree
         out = []
         for terms, denom in self.coords:
             s = 0
             for c, mono in terms:
                 for v, e in mono:
-                    c *= point[v] ** e
+                    c *= xs[v] ** e
                 s += c
-            out.append(Fraction(s, denom))
+            out.append(Fraction(s, denom * scale))
         return tuple(out)
 
 
-def _chart_fixed_point(lattice, target, bch):
+def _chart_fixed_point(lattice, target):
     """Second-kind coordinates of the element with first-kind ``target``.
 
-    Iterates y <- y + (target - first(y)), over Fractions or over law
-    polynomials (``bch`` as in ``_eval_second_kind``).  On a basis
-    adapted to the lower central series the defect sinks one term of it
-    per round, so it is exactly zero within ``lattice.depth`` rounds;
-    otherwise PrecisionExhausted is raised.
+    Iterates y <- y + (target - first(y)) over law polynomials.  On a
+    basis adapted to the lower central series the defect sinks one term
+    of it per round, so it is exactly zero within ``lattice.depth``
+    rounds; otherwise the basis is refused with InvalidBasis.
     """
     y = list(target)
     for _ in range(lattice.depth):
-        defect = [a - b for a, b in zip(target, _eval_second_kind(lattice, tuple(y), bch))]
+        defect = [a - b for a, b in zip(target, _eval_second_kind(lattice, tuple(y)))]
         if not any(defect):
             return tuple(y)
         y = [a + b for a, b in zip(y, defect)]
-    raise PrecisionExhausted(
-        f"chart conversion did not close in {lattice.depth} rounds; "
-        "is the basis adapted to the lower central series?"
+    raise InvalidBasis(
+        "basis is not adapted to the lower central series: the chart "
+        f"conversion did not close in {lattice.depth} rounds"
     )
 
 
-def _compile_law(lattice):
-    """Run the Hausdorff law and the chart fixed point over polynomials."""
+def _compile(lattice, arity, build):
+    """Run ``build`` over ``arity`` tuples of d polynomial variables and
+    compile the polynomials it returns."""
     d = lattice.d
-    variables = [_LawPoly({((k, 1),): Fraction(1)}) for k in range(2 * d)]
-    xs, ys = tuple(variables[:d]), tuple(variables[d:])
-    bch = lattice._bch
-    target = bch(_eval_second_kind(lattice, xs, bch), _eval_second_kind(lattice, ys, bch))
-    return SecondKindLaw(_chart_fixed_point(lattice, target, bch))
+    variables = [_LawPoly({((k, 1),): Fraction(1)}) for k in range(arity * d)]
+    args = [tuple(variables[i * d:(i + 1) * d]) for i in range(arity)]
+    return SecondKindLaw(lattice.p, build(*args), arity * d)
 
 
 class GroupElement:
     """A group element in a fixed chart; conversions are exact and cached.
 
-    Conversion from the exponential chart to the ordered-generator chart
-    runs the chart fixed point, which closes within the nilpotency class.
+    Chart conversions, products and inverses evaluate the lattice's
+    compiled maps in ints (E for ``first``, L for ``second``, F for
+    ``*`` and I for ``inverse``); products and inverses come back in the
+    second-kind chart.  Every compiled call refuses a point that is not
+    p-integral with NotPIntegral.
     """
 
     __slots__ = ("lattice", "mode", "coords", "_other")
@@ -415,14 +455,14 @@ class GroupElement:
         if self.mode == "first":
             return self.coords
         if self._other is None:
-            self._other = _eval_second_kind(self.lattice, self.coords)
+            self._other = self.lattice.to_first_kind(self.coords)
         return self._other
 
     def second(self):
         if self.mode == "second":
             return self.coords
         if self._other is None:
-            self._other = _chart_fixed_point(self.lattice, self.coords, self.lattice.bch)
+            self._other = self.lattice.to_second_kind(self.coords)
         return self._other
 
     @property
@@ -432,11 +472,12 @@ class GroupElement:
     def __mul__(self, other):
         if other.lattice is not self.lattice:
             raise InvalidArgument("a product needs two elements of the same lattice")
-        z = self.lattice.bch(self.first(), other.first())
-        return GroupElement(self.lattice, "first", z)
+        z = self.lattice.second_kind_law((*self.second(), *other.second()))
+        return GroupElement(self.lattice, "second", z)
 
     def inverse(self):
-        return GroupElement(self.lattice, "first", tuple(-c for c in self.first()))
+        z = self.lattice.second_kind_inverse(self.second())
+        return GroupElement(self.lattice, "second", z)
 
     def __pow__(self, exponent):
         """g^lambda = exp(lambda log g) for p-integral lambda."""
@@ -543,6 +584,23 @@ class FiniteQuotient:
         return 1 + min(vals)
 
 
+def _commutator_windows(level, i, j):
+    """Window sizes of P_i and P_j in the commutator check at ``level``."""
+    return min(j, level - i + 1), min(i, level - j + 1)
+
+
+def pro2_sweep_pairs(d, level):
+    """Pairs the pro-2 sweep checks at ``level`` on a d-dimensional
+    lattice: ``check_powerful_commutator`` over every step pair (i, j)
+    with i + j + 1 <= level, 2^(d (w_a + w_b)) pairs each."""
+    total = 0
+    for i in range(1, level):
+        for j in range(1, level - i):
+            window_a, window_b = _commutator_windows(level, i, j)
+            total += 2 ** (d * (window_a + window_b))
+    return total
+
+
 def check_powerful_commutator(quotient, i, j):
     """Exhaustively verify [P_i, P_j] <= P_{i+j+1} in a powerful 2-group quotient.
 
@@ -558,8 +616,7 @@ def check_powerful_commutator(quotient, i, j):
         raise InvalidArgument(
             f"quotient level {quotient.level} is below i + j = {i + j} for the step pair"
         )
-    window_a = min(j, quotient.level - i + 1)
-    window_b = min(i, quotient.level - j + 1)
+    window_a, window_b = _commutator_windows(quotient.level, i, j)
     checked = 0
     for a in quotient.window_members(i, window_a):
         ga = lat.element_second(a)

@@ -23,7 +23,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import DivisionByZero, NonUnit, ParseError
+from .errors import DivisionByZero, InvalidArgument, NonUnit, ParseError
 from .radii import kappa, vp_rational
 
 INF = math.inf
@@ -45,7 +45,7 @@ def rational_mod_prime_power(x, p, k):
     x = Fraction(x)
     num, den = x.numerator, x.denominator
     if den % p == 0:
-        raise ValueError(f"{x} is not p-integral at p={p}")
+        raise InvalidArgument(f"{x} is not p-integral at p={p}")
     mod = p**k
     return num * pow(den, -1, mod) % mod
 
@@ -166,7 +166,7 @@ def _default_unram_poly(p, f):
         g = tuple(coeffs) + (1,)
         if _fp_irreducible(list(g), p):
             return g
-    raise ValueError(f"no irreducible polynomial of degree {f} over F_{p}")  # unreachable
+    raise InvalidArgument(f"no irreducible polynomial of degree {f} over F_{p}")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +312,30 @@ class FieldSpec:
 
     def __init__(self, p, e=1, f=1, precision=20, unram_poly=None, eisenstein=None):
         if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+            raise InvalidArgument(f"p = {p} is not prime")
         if e < 1 or f < 1 or precision < 1:
-            raise ValueError("need e >= 1, f >= 1, precision >= 1")
+            raise InvalidArgument("need e >= 1, f >= 1, precision >= 1")
         self.p = p
         self.e = e
         self.f = f
         self.precision = precision
         self.unram_poly = tuple(unram_poly) if unram_poly else _default_unram_poly(p, f)
         if len(self.unram_poly) != f + 1 or self.unram_poly[-1] != 1:
-            raise ValueError("unram_poly must be monic of degree f")
+            raise InvalidArgument("unram_poly must be monic of degree f")
         if not _fp_irreducible([c % p for c in self.unram_poly], p):
-            raise ValueError("unram_poly is not irreducible mod p")
+            raise InvalidArgument("unram_poly is not irreducible mod p")
 
         if eisenstein is None:
             eisenstein = [-p] + [0] * (e - 1)
         self.eisenstein = tuple(self._as_uelem(c) for c in eisenstein)
         if len(self.eisenstein) != e:
-            raise ValueError("eisenstein must list the e coefficients a_0..a_{e-1}")
+            raise InvalidArgument("eisenstein must list the e coefficients a_0..a_{e-1}")
         for i, a in enumerate(self.eisenstein):
             v = self._uelem_vp(a)
             if v < 1:
-                raise ValueError(f"Eisenstein coefficient a_{i} has valuation {v} < 1")
+                raise InvalidArgument(f"Eisenstein coefficient a_{i} has valuation {v} < 1")
         if self._uelem_vp(self.eisenstein[0]) != 1:
-            raise ValueError("Eisenstein constant term must have p-valuation exactly 1")
+            raise InvalidArgument("Eisenstein constant term must have p-valuation exactly 1")
 
         self.degree = e * f
         self._build_tables()
@@ -379,7 +379,7 @@ class FieldSpec:
             return (Fraction(c),) + (Fraction(0),) * (self.f - 1)
         c = tuple(Fraction(x) for x in c)
         if len(c) != self.f:
-            raise ValueError("unramified coordinate tuple must have length f")
+            raise InvalidArgument("unramified coordinate tuple must have length f")
         return c
 
     def _uelem_vp(self, c):
@@ -482,7 +482,7 @@ class FieldSpec:
     def scalar(self, x):
         if isinstance(x, Scalar):
             if x.field != self:
-                raise ValueError("scalar from a different field")
+                raise InvalidArgument("scalar from a different field")
             return x
         return Scalar(self, self._int_vec(x))
 
@@ -497,19 +497,19 @@ class FieldSpec:
 
     def unram_gen(self):
         if self.f == 1:
-            raise ValueError("no unramified generator for f = 1")
+            raise InvalidArgument("no unramified generator for f = 1")
         return Scalar(self, self._basis_vec(1))
 
     def from_coords(self, coords):
         coords = tuple(Fraction(c) for c in coords)
         if len(coords) != self.degree:
-            raise ValueError(f"need {self.degree} coordinates")
+            raise InvalidArgument(f"need {self.degree} coordinates")
         return Scalar(self, coords)
 
     def lift_residue(self, r):
         """The digit lift of a residue class, an integral scalar."""
         if r.field != self.residue_field:
-            raise ValueError("residue class from a different field")
+            raise InvalidArgument("residue class from a different field")
         vec = [Fraction(0)] * self.degree
         for a, c in enumerate(r.coeffs):
             vec[a] = Fraction(c)
@@ -590,7 +590,7 @@ class Scalar:
     def _coerce(self, other):
         if isinstance(other, Scalar):
             if other.field != self.field:
-                raise ValueError("scalars from different fields")
+                raise InvalidArgument("scalars from different fields")
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar(self.field, self.field._int_vec(other))

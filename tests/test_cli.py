@@ -56,9 +56,43 @@ def test_bad_radius_rejected():
         JobConfig.from_dict({"field": {"p": 3}, "radii": ["2^-1/4"]})
 
 
+def test_bad_field_rejected():
+    # the field's InvalidArgument is wrapped, naming the config key
+    with pytest.raises(ConfigError, match="field: p = 4 is not prime"):
+        JobConfig.from_dict({"field": {"p": 4}})
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError):
         JobConfig.from_dict({"suites": ["nonsense"]})
+
+
+def _pro2_job(level):
+    return {"field": {"p": 2}, "group": "heisenberg2", "radii": ["2^-1/2"],
+            "suites": ["pro2"], "options": {"pro2_level": level}}
+
+
+def test_oversized_pro2_sweep_refused_at_load(tmp_path, capsys):
+    path = tmp_path / "pro2.json"
+    path.write_text(json.dumps(_pro2_job(7)))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "1,455,168 pairs" in capsys.readouterr().err
+    cfg = JobConfig.from_dict(_pro2_job(6))
+    assert cfg.options["pro2_level"] == 6
+
+
+def test_oversized_pro2_sweep_refused_on_suite_override(tmp_path, capsys):
+    data = {**_pro2_job(7), "suites": []}
+    path = tmp_path / "pro2.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--suite", "pro2"]) == 2
+    assert "1,455,168 pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [0, 2.5, "5"])
+def test_bad_pro2_level_rejected(level):
+    with pytest.raises(ConfigError, match="pro2_level"):
+        JobConfig.from_dict(_pro2_job(level))
 
 
 def test_reports_byte_identical(base_config):

@@ -1,10 +1,12 @@
-"""Property tests of the group law.
+"""Property tests of the compiled group-law maps.
 
-The compiled law polynomial is checked against the element path (bch
-plus the chart fixed point, which the compiler shares), on the built-in
-class-2 lattices and a class-3 filiform one, and against the independent
-3x3 matrix oracle on the class-2 lattices; ``bch`` is checked against
-the matrix oracle too.
+Each lattice compiles four maps: the law F(x, y) of h^x h^y, the charts
+E (second kind to first kind) and L (first kind to second kind), and the
+inverse I in the second-kind chart.  On the class-2 lattices they are
+checked against the independent 3x3 matrix oracle; on the class-3
+filiform lattice, against ``bch`` (the Hausdorff series over Fractions)
+through the identities that define them.  Inputs are p-integral
+Fractions; a denominator divisible by p is refused by every map.
 """
 
 from fractions import Fraction
@@ -14,8 +16,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from helpers import heisenberg_bch_oracle, heisenberg_law_oracle  # noqa: E402
+from helpers import (  # noqa: E402
+    heisenberg_bch_oracle,
+    heisenberg_law_oracle,
+    heisenberg_second_kind_oracle,
+)
 from padicdist import LieLattice, heisenberg, heisenberg2  # noqa: E402
+from padicdist.errors import NotPIntegral  # noqa: E402
 from padicdist.radii import kappa  # noqa: E402
 
 
@@ -27,16 +34,27 @@ def filiform(p):
 
 
 LATTICES = [heisenberg(3), heisenberg2(), filiform(3), filiform(2)]
+CLASS_2, CLASS_3 = LATTICES[:2], LATTICES[2:]
 
 
 def numeric_law(lat, x, y):
-    """Second-kind coordinates of h^x h^y by bch and the chart fixed point."""
-    def first(v):
-        return lat.element_second(tuple(Fraction(c) for c in v)).first()
-    return lat.element_first(lat.bch(first(x), first(y))).second()
+    """Second-kind coordinates of h^x h^y by bch between the charts."""
+    return lat.to_second_kind(lat.bch(lat.to_first_kind(x), lat.to_first_kind(y)))
 
 
 SETTINGS = hypothesis.settings(max_examples=150, deadline=None)
+FEW = hypothesis.settings(max_examples=40, deadline=None)
+
+
+def p_integral(p):
+    return st.builds(
+        Fraction, st.integers(-50, 50),
+        st.integers(1, 30).filter(lambda q: q % p),
+    )
+
+
+def points(lat):
+    return st.lists(p_integral(lat.p), min_size=lat.d, max_size=lat.d).map(tuple)
 
 
 @pytest.mark.parametrize("lat", LATTICES, ids=repr)
@@ -48,7 +66,7 @@ def test_compiled_law_matches_numeric_path(lat, data):
     assert lat.second_kind_law((*x, *y)) == numeric_law(lat, x, y)
 
 
-@pytest.mark.parametrize("lat", LATTICES[:2], ids=repr)
+@pytest.mark.parametrize("lat", CLASS_2, ids=repr)
 @SETTINGS
 @hypothesis.given(data=st.data())
 def test_compiled_law_matches_matrix_oracle(lat, data):
@@ -57,14 +75,68 @@ def test_compiled_law_matches_matrix_oracle(lat, data):
     assert lat.second_kind_law((*x, *y)) == heisenberg_law_oracle(x, y, lat.brackets[0][1][2])
 
 
-def p_integral(p):
-    return st.builds(
-        Fraction, st.integers(-50, 50),
-        st.integers(1, 30).filter(lambda q: q % p),
-    )
+@pytest.mark.parametrize("lat", CLASS_2, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_compiled_maps_match_matrix_oracle_at_fractions(lat, data):
+    x, y, z = data.draw(points(lat)), data.draw(points(lat)), data.draw(points(lat))
+    c = lat.brackets[0][1][2]
+    assert lat.second_kind_law((*x, *y)) == heisenberg_law_oracle(x, y, c)
+    assert lat.to_second_kind(z) == heisenberg_second_kind_oracle(z, c)
+    # the oracle's chart is injective, so this pins E(x)
+    assert heisenberg_second_kind_oracle(lat.to_first_kind(x), c) == x
+    assert heisenberg_law_oracle(x, lat.second_kind_inverse(x), c) == (0, 0, 0)
 
 
-@pytest.mark.parametrize("lat", LATTICES[:2], ids=repr)
+@pytest.mark.parametrize("lat", CLASS_3, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_compiled_maps_satisfy_their_identities(lat, data):
+    x, y, z = data.draw(points(lat)), data.draw(points(lat)), data.draw(points(lat))
+    E = lat.to_first_kind
+    assert lat.bch(E(x), E(y)) == E(lat.second_kind_law((*x, *y)))
+    assert E(lat.to_second_kind(z)) == z
+    assert lat.second_kind_law((*x, *lat.second_kind_inverse(x))) == (0,) * lat.d
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_elements_run_on_the_compiled_maps(lat, data):
+    x, y = data.draw(points(lat)), data.draw(points(lat))
+    g, h = lat.element_second(x), lat.element_second(y)
+    assert (g * h).mode == (g.inverse()).mode == "second"
+    assert (g * h).coords == lat.second_kind_law((*x, *y))
+    assert g.inverse().coords == lat.second_kind_inverse(x)
+    assert g.first() == lat.to_first_kind(x)
+    assert lat.element_first(x).second() == lat.to_second_kind(x)
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_compiled_maps_refuse_denominators_divisible_by_p(lat, data):
+    x = list(data.draw(points(lat)))
+    k = data.draw(st.integers(0, lat.d - 1))
+    x[k] = Fraction(data.draw(st.integers(-50, 50).filter(lambda n: n % lat.p)), lat.p)
+    x = tuple(x)
+    ok = (0,) * lat.d
+    for call in (
+        lambda: lat.second_kind_law((*x, *ok)),
+        lambda: lat.second_kind_law((*ok, *x)),
+        lambda: lat.to_first_kind(x),
+        lambda: lat.to_second_kind(x),
+        lambda: lat.second_kind_inverse(x),
+        lambda: lat.element_second(x).first(),
+        lambda: lat.element_second(x).inverse(),
+        lambda: lat.element_second(x) * lat.identity(),
+        lambda: lat.element_first(x).second(),
+    ):
+        with pytest.raises(NotPIntegral):
+            call()
+
+
+@pytest.mark.parametrize("lat", CLASS_2, ids=repr)
 @SETTINGS
 @hypothesis.given(data=st.data())
 def test_bch_matches_matrix_oracle(lat, data):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from padicdist import FieldSpec
-from padicdist.errors import DivisionByZero, NonUnit, ParseError
+from padicdist.errors import DivisionByZero, InvalidArgument, NonUnit, PadicError, ParseError
+from padicdist.padics import rational_mod_prime_power
 
 INF = math.inf
 
@@ -125,6 +126,24 @@ def test_eisenstein_validation():
         FieldSpec(3, e=2, eisenstein=[9, 0])  # constant term valuation 2
     with pytest.raises(ValueError):
         FieldSpec(4)  # not prime
+
+
+def test_refusals_are_typed(q3, k3u2):
+    # each is a PadicError that a caller can catch, and still a ValueError
+    refusals = [
+        lambda: FieldSpec(4),
+        lambda: FieldSpec(3, e=0),
+        lambda: q3.from_coords((1, 2)),
+        lambda: q3.unram_gen(),
+        lambda: q3.scalar(k3u2.one()),
+        lambda: q3.one() + k3u2.one(),
+        lambda: rational_mod_prime_power(Fraction(1, 3), 3, 2),
+    ]
+    for refuse in refusals:
+        with pytest.raises(InvalidArgument):
+            refuse()
+    assert issubclass(InvalidArgument, PadicError)
+    assert issubclass(InvalidArgument, ValueError)
 
 
 def test_residue_field_pth_root(k3u2):
