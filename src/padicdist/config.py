@@ -19,8 +19,10 @@ Grammar (all keys optional unless noted)::
 
 Radii must lie in (p^-1, 1); the residual precision, truncation and
 ``pro2_level`` are positive integers.  Unknown suite names are rejected
-up front, and so is a pro-2 sweep of more than MAX_PRO2_PAIRS pairs
-(SweepLimit).
+up front, and so (with SweepLimit) are a pro-2 sweep of more than
+MAX_PRO2_PAIRS pairs, a ``grading`` suite whose kernel-symbol family
+has more than ``grading.MAX_REGSEQ_FAMILY`` members, and a suite that
+computes in the residue field when q exceeds ``padics.MAX_RESIDUE_ORDER``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from dataclasses import dataclass, field
 
 from .catalog import get_group
 from .errors import ConfigError, SweepLimit
+from .grading import MAX_REGSEQ_FAMILY
 from .groups import LGroupSpec, pro2_sweep_pairs
-from .padics import FieldSpec
+from .padics import MAX_RESIDUE_ORDER, FieldSpec
 from .radii import parse_radius
 
 KNOWN_SUITES = (
@@ -51,6 +54,9 @@ DEFAULT_OPTIONS = {
     "regseq_cap": 6,
     "transfer_m": 2,
 }
+
+# Suites that compute in the residue field k, through its log tables.
+RESIDUE_SUITES = ("symbols", "quotient", "towers", "grading")
 
 # On a d = 3 lattice the pro-2 sweep checks 144,448 pairs at level 6 (about
 # 10 s on a 2-vCPU machine) and 1,455,168 at level 7.
@@ -143,11 +149,29 @@ class JobConfig:
         return config
 
     def check_sweep_limits(self):
-        """Refuse, with SweepLimit, a pro-2 sweep above MAX_PRO2_PAIRS."""
+        """Refuse, with SweepLimit, a pro-2 sweep above MAX_PRO2_PAIRS, a
+        regular-sequence family above MAX_REGSEQ_FAMILY and a residue field
+        above MAX_RESIDUE_ORDER under a suite that computes in it."""
+        q = self.field.residue_field.order
+        k_suites = [s for s in self.suites if s in RESIDUE_SUITES]
+        if k_suites and q > MAX_RESIDUE_ORDER:
+            raise SweepLimit(
+                f"field: the {k_suites[0]} suite computes in the residue field F_{q}, "
+                f"above the {MAX_RESIDUE_ORDER:,} elements its log tables are built for"
+            )
+        group = self.group
+        lgroup = isinstance(group, LGroupSpec)
+        if "grading" in self.suites and lgroup:
+            members = (group.n - 1) * group.d
+            if members > MAX_REGSEQ_FAMILY:
+                raise SweepLimit(
+                    f"suites: the grading suite's regular-sequence certificate sweeps "
+                    f"the orderings of families of at most {MAX_REGSEQ_FAMILY} symbols; "
+                    f"{group.name} over a field of degree {group.n} has {members}"
+                )
         if "pro2" not in self.suites or self.field.p != 2:
             return
-        group = self.group
-        d = group.n * group.d if isinstance(group, LGroupSpec) else group.d
+        d = group.n * group.d if lgroup else group.d
         level = self.options["pro2_level"]
         pairs = pro2_sweep_pairs(d, level)
         if pairs > MAX_PRO2_PAIRS:

@@ -3,11 +3,16 @@
 Elements are finitely supported series sum_alpha d_alpha b^alpha with
 coefficients in K and support degree bounded by the truncation N; the
 norm at a radius r = p^(-a/b) is sup |d_alpha| r^(kappa |alpha|), held in
-exponent space.  Multiplication goes through the structure-constant
-table: stored coefficients of a product are always the true ones, and
-whatever lies beyond degree N is covered by a certified tail bound
-(``mul_tail_bound``), so norm and symbol claims under the degree
-precondition deg(lambda) + deg(mu) <= N are exact.
+exponent space.  Inside the library an exponent is kept scaled by e*b
+(``ExponentScale``): the term d b^alpha has exponent v(d)/e + kappa
+|alpha| a/b, that is the int b v(d) + e kappa a |alpha| over e*b, so
+every minimum over terms compares ints and a ``Fraction`` (or
+``NormValue``) is built only for the value returned.  Multiplication
+goes through the structure-constant table: stored coefficients of a
+product are always the true ones, and whatever lies beyond degree N is
+covered by a certified tail bound (``mul_tail_bound``), so norm and
+symbol claims under the degree precondition deg(lambda) + deg(mu) <= N
+are exact.
 
 Distribution literals read and print as ``coeff * b1^2*b2 + ...``; the
 coefficient grammar admits integers, fractions, ``p``, ``pi``, ``w`` and
@@ -218,25 +223,16 @@ class Distribution:
 
     def norm(self, r):
         """sup_alpha |d_alpha| r^(kappa |alpha|), as a NormValue exponent."""
-        if not self.coeffs:
-            return NormValue(INF)
-        kappa = self.algebra.kappa
-        q = min(
-            c.abs_exponent() + kappa * sum(alpha) * r.exponent
-            for alpha, c in self.coeffs.items()
-        )
-        return NormValue(q)
+        scale = ExponentScale(self.algebra, r)
+        return NormValue(scale.unscale(scale.leading(self)[0]))
 
     def term_exponent(self, alpha, r):
-        c = self.coeffs[alpha]
-        return c.abs_exponent() + self.algebra.kappa * sum(alpha) * r.exponent
+        scale = ExponentScale(self.algebra, r)
+        return scale.unscale(scale.key(self.coeffs[alpha], alpha))
 
     def leading_support(self, r):
         """Support indices attaining the norm."""
-        if not self.coeffs:
-            return []
-        q = self.norm(r).exponent
-        return [a for a in self.coeffs if self.term_exponent(a, r) == q]
+        return ExponentScale(self.algebra, r).leading(self)[1]
 
     def principal_symbol(self, r):
         """The leading form in the graded ring k[e0^(+-1)][X..]."""
@@ -260,6 +256,68 @@ class Distribution:
         return f"Dist({self.algebra.format(self)})"
 
 
+class ExponentScale:
+    """Filtration exponents at one radius r = p^(-a/b), scaled by e*b.
+
+    The term c b^alpha has exponent v(c)/e + kappa |alpha| a/b; times
+    ``den`` = e*b that is the int ``key(c, alpha)`` = b v(c) + e kappa a
+    |alpha|.  Keys compare as exponents do; ``unscale`` turns one back into
+    the exponent, a Fraction (+inf stays +inf).
+    """
+
+    __slots__ = ("algebra", "den", "b", "w")
+
+    def __init__(self, algebra, r):
+        e = algebra.field.e
+        self.algebra = algebra
+        self.den, self.b, self.w = e * r.b, r.b, e * algebra.kappa * r.a
+
+    def key(self, c, alpha):
+        """The scaled exponent of the term c b^alpha."""
+        return self.b * c.valuation + self.w * sum(alpha)
+
+    def to_key(self, x):
+        """The key of an exponent x, which must lie in (1/(e*b)) Z."""
+        y = Fraction(x) * self.den
+        if y.denominator != 1:
+            raise InvalidArgument(f"exponent {x} is not a multiple of 1/{self.den}")
+        return y.numerator
+
+    def unscale(self, key):
+        return key if key == INF else Fraction(key, self.den)
+
+    def leading(self, dist):
+        """One sweep over the terms: the least key (+inf when zero) and the
+        support indices attaining it."""
+        key = self.key
+        best, leads = INF, []
+        for alpha, c in dist.coeffs.items():
+            k = key(c, alpha)
+            if k < best:
+                best, leads = k, [alpha]
+            elif k == best:
+                leads.append(alpha)
+        return best, leads
+
+    def mul_tail(self, lam, mu):
+        """The key of ``mul_tail_bound(lam, mu, r)``."""
+        alg = self.algebra
+        N, has_tail = alg.N, alg.table.has_tail
+        b, w = self.b, self.w
+        shift = self.den * alg.kappa  # kappa, scaled
+        best = INF
+        for alpha, da in lam.coeffs.items():
+            for beta, eb in mu.coeffs.items():
+                if not has_tail(alpha, beta):
+                    continue
+                base = b * (da.valuation + eb.valuation)
+                tot = sum(alpha) + sum(beta)
+                cand1 = base + shift * max(0, tot - (N + 1)) + w * (N + 1)
+                cand2 = base + w * max(N + 1, tot)
+                best = min(best, cand1, cand2)
+        return best
+
+
 def mul_tail_bound(lam, mu, r):
     """Certified norm-exponent lower bound for what mul() discards.
 
@@ -268,19 +326,8 @@ def mul_tail_bound(lam, mu, r):
     exponent is minimized at g = N+1 or g = |alpha|+|beta|; both endpoint
     bounds are taken.  Returns +inf when nothing can have been discarded.
     """
-    alg = lam.algebra
-    N, kappa, rexp = alg.N, alg.kappa, r.exponent
-    best = INF
-    for alpha, da in lam.coeffs.items():
-        for beta, eb in mu.coeffs.items():
-            if not alg.table.has_tail(alpha, beta):
-                continue
-            base = da.abs_exponent() + eb.abs_exponent()
-            tot = sum(alpha) + sum(beta)
-            cand1 = base + kappa * max(0, tot - (N + 1)) + kappa * (N + 1) * rexp
-            cand2 = base + kappa * max(N + 1, tot) * rexp
-            best = min(best, cand1, cand2)
-    return best
+    scale = ExponentScale(lam.algebra, r)
+    return scale.unscale(scale.mul_tail(lam, mu))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ directly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +28,12 @@ from .errors import (
     SweepLimit,
 )
 from .indices import add_index, grlex_key, iter_exact_degree
+from .padics import ResidueElem
 
 INF = math.inf
+
+# check_regular_sequence sweeps every ordering of its family: 6! = 720.
+MAX_REGSEQ_FAMILY = 6
 
 
 @dataclass(frozen=True)
@@ -152,36 +157,42 @@ class Symbol:
 # linear algebra over the residue field
 
 class Subspace:
-    """Row-reduced span of vectors over k, supporting membership tests."""
+    """Row-reduced span of vectors over k, supporting membership tests.
 
-    def __init__(self, dim):
+    Vectors are lists of ``ResidueElem`` codes.  A pivot row is stored
+    normalized, in the sparse form of ``ResidueField.scaled_row``, so a
+    row operation is one ``ResidueField.sub_scaled_row``.
+    """
+
+    def __init__(self, kfield, dim):
+        self.kfield = kfield
         self.dim = dim
-        self.pivots = {}  # leading row -> normalized vector
+        self.pivots = {}  # leading column -> normalized sparse row
+        self._leads = []  # pivot columns, ascending
 
     def reduce(self, vec):
         vec = list(vec)
-        for row in range(self.dim):
-            c = vec[row]
-            if c.is_zero:
-                continue
-            piv = self.pivots.get(row)
-            if piv is None:
-                continue
-            vec = [a - c * b for a, b in zip(vec, piv)]
+        sub = self.kfield.sub_scaled_row
+        for lead in self._leads:
+            sub(vec, vec[lead], self.pivots[lead])
         return vec
 
     def add(self, vec):
         """Insert; returns False when the vector was already in the span."""
         vec = self.reduce(vec)
-        lead = next((r for r in range(self.dim) if not vec[r].is_zero), None)
+        lead = next((r for r in range(self.dim) if vec[r]), None)
         if lead is None:
             return False
-        inv = vec[lead].inv()
-        self.pivots[lead] = [c * inv for c in vec]
+        self.pivots[lead] = self.kfield.scaled_row(vec, lead)
+        bisect.insort(self._leads, lead)
         return True
 
+    def row(self, lead):
+        """The normalized pivot row with leading column ``lead``, as codes."""
+        return self.kfield.row_codes(self.pivots[lead], self.dim)
+
     def contains(self, vec):
-        return all(c.is_zero for c in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     @property
     def rank(self):
@@ -193,11 +204,11 @@ def _component_basis(nvars, degree):
     return {a: i for i, a in enumerate(iter_exact_degree(nvars, degree))}
 
 
-def _poly_vector(poly, basis, kfield, shift=None):
-    """Coordinates of poly * X^shift in a component basis."""
-    vec = [kfield.zero()] * len(basis)
+def _poly_vector(poly, basis, shift=None):
+    """Codes of the coordinates of poly * X^shift in a component basis."""
+    vec = [0] * len(basis)
     for alpha, c in poly.items():
-        vec[basis[alpha if shift is None else add_index(alpha, shift)]] = c
+        vec[basis[alpha if shift is None else add_index(alpha, shift)]] = c.code
     return vec
 
 
@@ -208,11 +219,11 @@ def _ideal_component(gens, degree, basis, kfield):
     degree, written in ``basis`` (a ``_component_basis``).
     """
     nvars = len(next(iter(basis)))
-    span = Subspace(len(basis))
+    span = Subspace(kfield, len(basis))
     for gpoly, gdeg in gens:
         if degree >= gdeg:
             for mu in iter_exact_degree(nvars, degree - gdeg):
-                span.add(_poly_vector(gpoly, basis, kfield, mu))
+                span.add(_poly_vector(gpoly, basis, mu))
     return span
 
 
@@ -242,8 +253,10 @@ def check_regular_sequence(family, D):
     """
     if not family:
         return True
-    if len(family) > 6:
-        raise SweepLimit("ordering sweep limited to families of size <= 6")
+    if len(family) > MAX_REGSEQ_FAMILY:
+        raise SweepLimit(
+            f"ordering sweep limited to families of size <= {MAX_REGSEQ_FAMILY}"
+        )
     ctx = family[0].context
     kfield = ctx.field.residue_field
     nvars = len(ctx.xlabels)
@@ -284,7 +297,7 @@ def _check_not_zero_divisor(cand, gens, D, nvars, kfield):
         ideal_t = _ideal_component(gens, m + cdeg, basis_t, kfield)
         rank_t = ideal_t.rank
         for mu in basis_m:
-            ideal_t.add(_poly_vector(cpoly, basis_t, kfield, mu))
+            ideal_t.add(_poly_vector(cpoly, basis_t, mu))
         ideal_m = _ideal_component(gens, m, basis_m, kfield)
         if ideal_t.rank - rank_t + ideal_m.rank == len(basis_m):
             continue
@@ -292,16 +305,16 @@ def _check_not_zero_divisor(cand, gens, D, nvars, kfield):
         # leading in the unit block span the kernel, and one is not in I_m
         ideal_t = _ideal_component(gens, m + cdeg, basis_t, kfield)
         dim_t, dim_m = len(basis_t), len(basis_m)
-        pairs = Subspace(dim_t + dim_m)
+        pairs = Subspace(kfield, dim_t + dim_m)
         for mu, j in basis_m.items():
-            unit = [kfield.zero()] * dim_m
-            unit[j] = kfield.one()
-            pairs.add(ideal_t.reduce(_poly_vector(cpoly, basis_t, kfield, mu)) + unit)
-        kernel = (v[dim_t:] for lead, v in sorted(pairs.pivots.items()) if lead >= dim_t)
+            unit = [0] * dim_m
+            unit[j] = 1
+            pairs.add(ideal_t.reduce(_poly_vector(cpoly, basis_t, mu)) + unit)
+        kernel = (pairs.row(lead)[dim_t:] for lead in sorted(pairs.pivots) if lead >= dim_t)
         combo = next(c for c in kernel if not ideal_m.contains(c))
         raise CounterexampleFound(
             "zero divisor in the graded quotient",
-            witness={mu: combo[j] for mu, j in basis_m.items() if not combo[j].is_zero},
+            witness={mu: ResidueElem(kfield, combo[j]) for mu, j in basis_m.items() if combo[j]},
         )
 
 
@@ -349,7 +362,7 @@ def symbol_class_nonzero(sym, h, vbars, n, d):
             return True  # no generator multiples exist at this degree
         basis = _component_basis(n * d, deg)
         span = _ideal_component(rels, deg, basis, kfield)
-        if not span.contains(_poly_vector(poly, basis, kfield)):
+        if not span.contains(_poly_vector(poly, basis)):
             return True
     return False
 

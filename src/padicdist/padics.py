@@ -15,6 +15,18 @@ normalized absolute value is |x| = p^(-v(x)/e).  The text form of a
 nonzero scalar is ``pi^v * (d_0 ; d_1 ; ... ; d_{M-1})`` where digit d_j
 lists the f base-p coefficients of the j-th uniformizer digit of the unit
 part, comma separated.
+
+The residue field k = F_q, q = p^f, holds each element as one int code in
+[0, q), whose base-p digits are its coordinates over 1, w, ..., w^(f-1).
+Each ``ResidueField`` builds, on its first product or sum, the discrete
+logs and antilogs of one primitive element and its Zech logarithms
+log(1 + g^d), tables of size q; every product, inverse, power, p-th root,
+sum and difference of codes is then a few table lookups, and the
+row operations of ``grading.Subspace`` run on the same tables, through
+``ResidueField.sub_scaled_row``.  Fields with q above ``MAX_RESIDUE_ORDER``
+are refused when the tables are first needed.  The ``_fp_*`` polynomial
+helpers serve the irreducibility test, the one-time table build and the
+reduction of coordinate tuples longer than f.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DivisionByZero, InvalidArgument, NonUnit, ParseError
 from .radii import kappa, vp_rational
@@ -137,6 +150,20 @@ def _fp_sub(a, b, p):
     return _fp_trim([(x - y) % p for x, y in zip(a, b)])
 
 
+def _prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def _fp_irreducible(g, p):
     """Irreducibility of a monic polynomial over F_p (Rabin test)."""
     f = len(g) - 1
@@ -145,7 +172,7 @@ def _fp_irreducible(g, p):
     x = [0, 1]
     if _fp_sub(_fp_powmod(x, p**f, g, p), x, p):
         return False
-    for q in {d for d in range(2, f + 1) if f % d == 0 and _is_prime(d)}:
+    for q in _prime_factors(f):
         delta = _fp_sub(_fp_powmod(x, p ** (f // q), g, p), x, p)
         if len(_fp_gcd(delta, g, p)) > 1:
             return False
@@ -172,8 +199,22 @@ def _default_unram_poly(p, f):
 # ---------------------------------------------------------------------------
 # residue field k = F_{p^f}
 
+# The log tables of F_q take time and memory linear in q (times f for the
+# time).  On a 2-vCPU Xeon a build took 0.9 s and held 6 MiB at q = 2^16,
+# 2.2 s and 16 MiB at q = 3^11, and 6.5 s and 23 MiB at q = 2^18, the
+# bound; a larger residue field is refused on its first sum or product,
+# and a job configuration whose suites need one is refused at load.
+MAX_RESIDUE_ORDER = 1 << 18
+
+
 class ResidueField:
-    """F_{p^f} presented as F_p[w]/(gbar)."""
+    """F_{p^f} presented as F_p[w]/(gbar).
+
+    An element is one int code in [0, q): its base-p digits, lowest first,
+    are the coordinates over 1, w, ..., w^(f-1).  Sums and differences of
+    codes go through Zech logarithms, products, inverses and powers through
+    log/antilog tables; all three are built once, on first arithmetic.
+    """
 
     def __init__(self, p, modulus):
         self.p = p
@@ -182,23 +223,130 @@ class ResidueField:
         self.order = p**self.f
 
     def elem(self, coeffs):
+        """The class of sum_a coeffs[a] w^a; an int is a constant."""
         if isinstance(coeffs, int):
             coeffs = (coeffs,)
-        c = [x % self.p for x in coeffs]
-        c += [0] * (self.f - len(c))
-        if len(c) > self.f:
-            c = _fp_mod(c, list(self.modulus), self.p) or [0]
-            c = list(c) + [0] * (self.f - len(c))
-        return ResidueElem(self, tuple(c))
+        if len(coeffs) > self.f:
+            coeffs = _fp_mod(coeffs, self.modulus, self.p)
+        return ResidueElem(self, self._encode(coeffs))
+
+    def _encode(self, coeffs):
+        """The code of at most f coordinates, lowest first."""
+        code = 0
+        for c in reversed(coeffs):
+            code = code * self.p + c % self.p
+        return code
+
+    def _digits(self, code):
+        """The f coordinates of a code: its base-p digits, lowest first."""
+        out = []
+        for _ in range(self.f):
+            code, c = divmod(code, self.p)
+            out.append(c)
+        return tuple(out)
 
     def zero(self):
-        return self.elem(0)
+        return ResidueElem(self, 0)
 
     def one(self):
-        return self.elem(1)
+        return ResidueElem(self, 1)
 
     def gen(self):
-        return self.elem((0, 1))
+        """The class of w: the code p, or the root -g_0 of gbar when f = 1."""
+        return ResidueElem(self, self.p if self.f > 1 else -self.modulus[0] % self.p)
+
+    @cached_property
+    def tables(self):
+        """(log, antilog, zech, log(-1)) for one primitive element g.
+
+        ``log[x]`` is the discrete log of the code x (-1 for 0),
+        ``antilog[i]`` the code of g^i for i < 2(q-1), so a sum of two logs
+        needs no reduction, and ``zech[d]`` is log(1 + g^d), so -1 where
+        1 + g^d = 0.
+        """
+        if self.order > MAX_RESIDUE_ORDER:
+            raise InvalidArgument(
+                f"residue field F_{self.order} is larger than {MAX_RESIDUE_ORDER:,} "
+                "elements, the bound of its log tables"
+            )
+        p = self.p
+        antilog = self._primitive_powers()
+        log = [-1] * self.order
+        for i, code in enumerate(antilog):
+            log[code] = i
+        # 1 + x adds 1 to the constant digit of the code x
+        zech = [log[x - x % p + (x + 1) % p] for x in antilog]
+        return log, antilog + antilog, zech, log[p - 1]
+
+    def _primitive_powers(self):
+        """Codes of g^0, ..., g^(q-2) for the first primitive g by code."""
+        p, n, m = self.p, self.order - 1, list(self.modulus)
+        cofactors = [n // ell for ell in _prime_factors(n)]
+        for code in range(1, self.order):
+            g = _fp_trim(list(self._digits(code)))
+            if all(_fp_powmod(g, k, m, p) != [1] for k in cofactors):
+                break
+        powers, v = [], [1]
+        for _ in range(n):
+            powers.append(self._encode(v))
+            v = _fp_mod(_fp_mul(v, g, p), m, p)
+        return powers
+
+    def _add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        log, antilog, zech, _minus = self.tables
+        la = log[a]
+        z = zech[(log[b] - la) % (self.order - 1)]
+        return 0 if z < 0 else antilog[la + z]
+
+    def _neg(self, a):
+        if not a:
+            return 0
+        log, antilog, _zech, minus = self.tables
+        return antilog[log[a] + minus]
+
+    def _mul(self, a, b):
+        if not a or not b:
+            return 0
+        log, antilog, _zech, _minus = self.tables
+        return antilog[log[a] + log[b]]
+
+    def _pow(self, a, k):
+        """a^k for a nonzero code a and any int k."""
+        log, antilog, _zech, _minus = self.tables
+        return antilog[log[a] * k % (self.order - 1)]
+
+    # -- sparse rows of code vectors (grading.Subspace) -----------------------
+
+    def scaled_row(self, vec, lead):
+        """vec / vec[lead] from column ``lead`` on, for a code vector with
+        vec[lead] nonzero, as sparse (column, log) pairs: the row form that
+        ``sub_scaled_row`` and ``row_codes`` take."""
+        log = self.tables[0]
+        n = self.order - 1
+        shift = n - log[vec[lead]]
+        return [(col, (log[a] + shift) % n) for col in range(lead, len(vec)) if (a := vec[col])]
+
+    def sub_scaled_row(self, vec, c, row):
+        """vec -= c * row in place, for a code vector, a code c and a
+        sparse row."""
+        if not c:
+            return
+        log, antilog, _zech, minus = self.tables
+        neg_c = (log[c] + minus) % (self.order - 1)
+        for col, lb in row:
+            vec[col] = self._add(vec[col], antilog[neg_c + lb])
+
+    def row_codes(self, row, dim):
+        """The sparse row as a code vector of length ``dim``."""
+        antilog = self.tables[1]
+        out = [0] * dim
+        for col, lb in row:
+            out[col] = antilog[lb]
+        return out
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and (self.p, self.modulus) == (other.p, other.modulus)
@@ -211,54 +359,47 @@ class ResidueField:
 
 
 class ResidueElem:
-    __slots__ = ("field", "coeffs")
+    """An element of a ResidueField, held as its int code in [0, q)."""
 
-    def __init__(self, field, coeffs):
+    __slots__ = ("field", "code")
+
+    def __init__(self, field, code):
         self.field = field
-        self.coeffs = coeffs
+        self.code = code
+
+    @property
+    def coeffs(self):
+        """Coordinates over 1, w, ..., w^(f-1): the base-p digits of the code."""
+        return self.field._digits(self.code)
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self.code
 
     def __add__(self, other):
-        return ResidueElem(
-            self.field,
-            tuple((a + b) % self.field.p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return ResidueElem(self.field, self.field._add(self.code, other.code))
 
     def __sub__(self, other):
-        return ResidueElem(
-            self.field,
-            tuple((a - b) % self.field.p for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        F = self.field
+        return ResidueElem(F, F._add(self.code, F._neg(other.code)))
 
     def __neg__(self):
-        return ResidueElem(self.field, tuple((-a) % self.field.p for a in self.coeffs))
+        return ResidueElem(self.field, self.field._neg(self.code))
 
     def __mul__(self, other):
-        F = self.field
-        prod = _fp_mul(list(self.coeffs), list(other.coeffs), F.p)
-        red = _fp_mod(prod, list(F.modulus), F.p) if len(prod) > F.f else prod
-        red = list(red) + [0] * (F.f - len(red))
-        return ResidueElem(F, tuple(red))
+        return ResidueElem(self.field, self.field._mul(self.code, other.code))
 
     def inv(self):
-        if self.is_zero:
+        if not self.code:
             raise DivisionByZero("inverse of zero residue")
-        return self ** (self.field.order - 2)
+        return ResidueElem(self.field, self.field._pow(self.code, -1))
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if not self.code:
+            if n < 0:
+                return self.inv()
+            return self.field.one() if n == 0 else self
+        return ResidueElem(self.field, self.field._pow(self.code, n))
 
     def pth_root(self, h=1):
         """The unique p^h-th root (Frobenius is bijective on F_q)."""
@@ -270,18 +411,19 @@ class ResidueElem:
     def __eq__(self, other):
         return (
             isinstance(other, ResidueElem)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.code == other.code
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        if all(c == 0 for c in self.coeffs[1:]):
-            return str(self.coeffs[0])
+        coeffs = self.coeffs
+        if all(c == 0 for c in coeffs[1:]):
+            return str(coeffs[0])
         parts = []
-        for a, c in enumerate(self.coeffs):
+        for a, c in enumerate(coeffs):
             if c == 0:
                 continue
             if a == 0:

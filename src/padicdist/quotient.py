@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distalg import DistAlgebra, Distribution, mul_tail_bound
+from .distalg import DistAlgebra, Distribution, ExponentScale
 from .errors import (
     CounterexampleFound,
     CriticalRadius,
@@ -314,6 +314,11 @@ def canonicalize(fam, lam, r, mprime):
     _require_h0(fam, r)
     alg = fam.algebra
     lg = fam.lgspec
+    # filtration degrees are compared as scaled int keys
+    scale = ExponentScale(alg, r)
+    target_key = scale.to_key(mprime)
+    # min_k (kappa k a/b - v_p(k)) lies in (1/b) Z, so it has a key
+    log_tail = scale.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
     work = Distribution(alg, dict(lam.coeffs), truncated=lam.truncated)
     canon = {}
     residual = INF
@@ -323,19 +328,20 @@ def canonicalize(fam, lam, r, mprime):
     max_steps = 4000 + 200 * (mprime + alg.N) * (lg.n * lg.d)
 
     while not work.is_zero:
-        s = work.norm(r).exponent
-        if s >= mprime:
+        s, leads = scale.leading(work)
+        if s >= target_key:
             break
         if s != last_level:
             # the working residue's filtration degree is the termination
             # measure: it must move strictly upward through the levels
             if last_level is not None and s <= last_level:
                 raise CounterexampleFound(
-                    "canonicalization level did not rise", witness=(last_level, s)
+                    "canonicalization level did not rise",
+                    witness=(scale.unscale(last_level), scale.unscale(s)),
                 )
             levels += 1
             last_level = s
-        lead = min(work.leading_support(r), key=grlex_key)
+        lead = min(leads, key=grlex_key)
         target = None
         for j in range(1, lg.d + 1):
             for i in range(2, lg.n + 1):
@@ -358,17 +364,13 @@ def canonicalize(fam, lam, r, mprime):
             mu = alg.monomial(alpha_prime, coeff)
             gen = fam.gen(i, j)
             # the generator's own discarded log tail, times the monomial
-            gen_tail = (
-                coeff.abs_exponent()
-                + alg.kappa * sum(alpha_prime) * r.exponent
-                + log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p)
-            )
-            tail = min(mul_tail_bound(gen, mu, r), gen_tail)
-            if tail < mprime:
+            gen_tail = scale.key(coeff, alpha_prime) + log_tail
+            tail = min(scale.mul_tail(gen, mu), gen_tail)
+            if tail < target_key:
                 need = _required_truncation(alg, r, mprime)
                 raise DegreeOverflow(
-                    f"reduction tails reach p^-({tail}) above the target p^-{mprime}; "
-                    f"increase the truncation to about {need}",
+                    f"reduction tails reach p^-({scale.unscale(tail)}) above the "
+                    f"target p^-{mprime}; increase the truncation to about {need}",
                     required_degree=need,
                 )
             residual = min(residual, tail)
@@ -385,9 +387,10 @@ def canonicalize(fam, lam, r, mprime):
             prev = canon.get(beta)
             canon[beta] = c if prev is None else prev + c
         else:
-            residual = min(residual, work.term_exponent(alpha, r))
+            residual = min(residual, scale.key(c, alpha))
 
-    canon = {b: c for b, c in canon.items() if not c.is_zero}
+    canon = {beta: c for beta, c in canon.items() if not c.is_zero}
+    residual = scale.unscale(residual)
     return CanonicalForm(fam, r, canon, residual, mprime, steps, levels)
 
 

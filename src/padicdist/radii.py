@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -42,7 +43,7 @@ class Radius:
         fr = Fraction(fr)
         return cls(fr.numerator, fr.denominator)
 
-    @property
+    @cached_property
     def exponent(self):
         """q with r = p^(-q)."""
         return Fraction(self.a, self.b)

@@ -34,6 +34,7 @@ from .quotient import (
 )
 from .radii import Radius, dominant_log_index
 from .report import CheckRecord, Report
+from .samplers import random_distribution, random_element
 
 INF = math.inf
 
@@ -96,30 +97,6 @@ def _record(env, suite, name, fn, expected=""):
         passed, computed = False, f"{type(exc).__name__}: {exc}"
     return CheckRecord(suite, name, passed, expected, computed, repro=env.repro(suite),
                        elapsed_ms=(time.perf_counter() - start) * 1000)
-
-
-def random_element(lattice, rng):
-    p = lattice.p
-    coords = [rng.randrange(0, p**9) for _ in range(lattice.d)]
-    if not any(c % p for c in coords):
-        coords[rng.randrange(lattice.d)] += 1  # keep at level 1 occasionally
-    scale = p ** rng.choice((0, 0, 0, 1, 2))
-    return lattice.element_second(tuple(scale * c for c in coords))
-
-
-def random_distribution(algebra, rng, max_degree=None, max_terms=4, window=2):
-    field = algebra.field
-    cap = algebra.N if max_degree is None else max_degree
-    terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        alpha = tuple(rng.randrange(0, cap + 1) for _ in range(algebra.d))
-        if sum(alpha) > cap:
-            continue
-        unit = field.scalar(rng.randrange(1, field.p))
-        terms[alpha] = unit * field.uniformizer() ** rng.randrange(0, window + 1)
-    if not terms:
-        terms[(0,) * algebra.d] = field.one()
-    return algebra.from_terms(terms)
 
 
 # ---------------------------------------------------------------------------

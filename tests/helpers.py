@@ -1,4 +1,4 @@
-"""Shared test utilities: independent oracles and samplers.
+"""Shared test utilities: independent oracles.
 
 The matrix oracle realizes the Heisenberg-type lattice inside 3x3
 unitriangular matrices, where exp and log are exact quadratic polynomials;
@@ -9,12 +9,19 @@ transform.  The lattice oracle computes ultrametric least distances to a finitel
 right-ideal lattice by weighted elimination, independently of the
 symbol-rewriting canonicalizer.  The field-product oracle multiplies
 scalars of K as polynomials in Q[w, pi] and reduces by long division,
-independently of the basis-product table.
+independently of the basis-product table.  The exponent oracles evaluate
+v(c)/e + kappa |alpha| a/b over Fractions, independently of the scaled
+int keys of ``distalg``.  The residue-product oracle multiplies in F_q as
+polynomials over F_p reduced by gbar, independently of the log tables.
+
+The samplers live in ``padicdist.samplers``.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
+
+from padicdist.padics import _fp_mod, _fp_mul
 
 INF = math.inf
 
@@ -145,6 +152,60 @@ class BoxSumRows:
 
 
 # ---------------------------------------------------------------------------
+# filtration exponents over Fractions
+
+def exponent_oracle(coeff, alpha, kappa, r):
+    """v(c)/e + kappa |alpha| a/b, the exponent of the term c b^alpha at
+    r = p^(-a/b)."""
+    return Fraction(coeff.valuation, coeff.field.e) + kappa * sum(alpha) * Fraction(r.a, r.b)
+
+
+def norm_oracle(dist, r):
+    kappa = dist.algebra.kappa
+    return min(
+        (exponent_oracle(c, a, kappa, r) for a, c in dist.coeffs.items()), default=INF
+    )
+
+
+def leading_support_oracle(dist, r):
+    q = norm_oracle(dist, r)
+    kappa = dist.algebra.kappa
+    return [a for a, c in dist.coeffs.items() if exponent_oracle(c, a, kappa, r) == q]
+
+
+def mul_tail_oracle(lam, mu, r):
+    """The tail bound of ``distalg.mul_tail_bound``, term by term in Fractions:
+    min over support pairs with a tail of v(c_a)/e + v(c_b)/e plus kappa
+    (max(0, |a|+|b|-N-1) + (N+1) a/b) and kappa max(N+1, |a|+|b|) a/b."""
+    alg = lam.algebra
+    N, kappa, rexp = alg.N, alg.kappa, Fraction(r.a, r.b)
+    e = alg.field.e
+    best = INF
+    for alpha, da in lam.coeffs.items():
+        for beta, eb in mu.coeffs.items():
+            if not alg.table.has_tail(alpha, beta):
+                continue
+            base = Fraction(da.valuation, e) + Fraction(eb.valuation, e)
+            tot = sum(alpha) + sum(beta)
+            best = min(
+                best,
+                base + kappa * max(0, tot - (N + 1)) + kappa * (N + 1) * rexp,
+                base + kappa * max(N + 1, tot) * rexp,
+            )
+    return best
+
+
+# ---------------------------------------------------------------------------
+# residue-field products as polynomials over F_p
+
+def residue_product_oracle(kfield, x, y):
+    """Coordinates of x * y: multiply over F_p, reduce by gbar."""
+    prod = _fp_mul(list(x.coeffs), list(y.coeffs), kfield.p)
+    red = _fp_mod(prod, list(kfield.modulus), kfield.p) if len(prod) > kfield.f else prod
+    return tuple(red) + (0,) * (kfield.f - len(red))
+
+
+# ---------------------------------------------------------------------------
 # ultrametric lattice-distance oracle
 
 class LatticeOracle:
@@ -158,7 +219,7 @@ class LatticeOracle:
         self._echelonize([v for v in span if not v.is_zero])
 
     def _exp(self, alpha, coeff):
-        return coeff.abs_exponent() + self.kappa * sum(alpha) * self.r.exponent
+        return exponent_oracle(coeff, alpha, self.kappa, self.r)
 
     def _norm(self, v):
         return min((self._exp(a, c) for a, c in v.coeffs.items()), default=INF)
@@ -253,23 +314,3 @@ def field_product_oracle(field, x, y):
         for i, a_i in enumerate(field.eisenstein):
             prod[top - e + i] = _wadd(prod[top - e + i], _wmul(prod[top], a_i), -1)
     return tuple(c for b in range(e) for c in _wmod(prod[b], field.unram_poly))
-
-
-def random_scalar(field, rng, valuation_window=2, allow_negative=False):
-    lo = -valuation_window if allow_negative else 0
-    unit = field.scalar(rng.randrange(1, field.p))
-    if field.f > 1 and rng.randrange(2):
-        unit = unit + field.unram_gen() * rng.randrange(1, field.p)
-    return unit * field.uniformizer() ** rng.randrange(lo, valuation_window + 1)
-
-
-def random_support(algebra, rng, max_degree, max_terms=3, valuation_window=2):
-    terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
-        alpha = tuple(rng.randrange(0, max_degree + 1) for _ in range(algebra.d))
-        if sum(alpha) > max_degree:
-            continue
-        terms[alpha] = random_scalar(algebra.field, rng, valuation_window)
-    if not terms:
-        terms[(0,) * algebra.d] = algebra.field.one()
-    return algebra.from_terms(terms)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import LatticeOracle, random_support
+from helpers import LatticeOracle
 from padicdist import (
     DistAlgebra,
     FiniteQuotient,
@@ -41,6 +41,7 @@ from padicdist.errors import DegreeOverflow, HypothesisFailed, PrecisionExhauste
 from padicdist.grading import LaurentScalar
 from padicdist.indices import iter_multi_indices
 from padicdist.radii import Radius
+from padicdist.samplers import random_distribution
 
 INF = math.inf
 
@@ -111,8 +112,8 @@ def test_c04_norm_multiplicativity(heis_alg, heis2_alg, ab2_alg):
         for alg in (ab2_alg, heis_alg, heis2_alg):
             half = alg.N // 2
             for _ in range(200):
-                lam = random_support(alg, rng, half)
-                mu = random_support(alg, rng, alg.N - half)
+                lam = random_distribution(alg, rng, half, max_terms=3)
+                mu = random_distribution(alg, rng, alg.N - half, max_terms=3)
                 assert lam.degree + mu.degree <= alg.N
                 prod = alg.mul(lam, mu)
                 for r in RADII_6:

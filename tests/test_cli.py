@@ -89,6 +89,52 @@ def test_oversized_pro2_sweep_refused_on_suite_override(tmp_path, capsys):
     assert "1,455,168 pairs" in capsys.readouterr().err
 
 
+def _regseq_job(group, suites):
+    """A group over F_81: o-additive(d) has (4 - 1) * d kernel symbols."""
+    return {"field": {"p": 3, "f": 4, "precision": 12}, "group": group,
+            "truncation": 4, "radii": ["3^-2/3"], "suites": suites}
+
+
+def test_oversized_regseq_family_refused_at_load(tmp_path, capsys):
+    path = tmp_path / "f81.json"
+    path.write_text(json.dumps(_regseq_job("o-additive(3)", ["grading"])))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "o-additive(3) over a field of degree 4 has 9" in capsys.readouterr().err
+    JobConfig.from_dict(_regseq_job("o-additive(3)", ["norms"]))
+    JobConfig.from_dict(_regseq_job("o-additive(2)", ["grading"]))  # 6 members
+
+
+def test_oversized_regseq_family_refused_on_suite_override(tmp_path, capsys):
+    path = tmp_path / "f81.json"
+    path.write_text(json.dumps(_regseq_job("o-additive(3)", [])))
+    assert main(["run", "--config", str(path), "--suite", "grading"]) == 2
+    assert "at most 6 symbols" in capsys.readouterr().err
+
+
+def _big_residue_job(suites):
+    """Q_2 extended by degree 19: its residue field F_524288 has more than
+    MAX_RESIDUE_ORDER = 2^18 elements."""
+    return {"field": {"p": 2, "f": 19, "precision": 4}, "group": "abelian(1)",
+            "truncation": 2, "radii": ["2^-1/2"], "suites": suites}
+
+
+def test_oversized_residue_field_refused_at_load(tmp_path, capsys):
+    path = tmp_path / "f2_19.json"
+    path.write_text(json.dumps(_big_residue_job(["norms", "symbols"])))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "the symbols suite computes in the residue field F_524288" in \
+        capsys.readouterr().err
+    JobConfig.from_dict(_big_residue_job(["pvaluation", "norms"]))
+
+
+@pytest.mark.parametrize("suite", ["symbols", "quotient", "towers", "grading"])
+def test_oversized_residue_field_refused_on_suite_override(tmp_path, capsys, suite):
+    path = tmp_path / "f2_19.json"
+    path.write_text(json.dumps(_big_residue_job(["pvaluation"])))
+    assert main(["run", "--config", str(path), "--suite", suite]) == 2
+    assert "above the 262,144 elements" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("level", [0, 2.5, "5"])
 def test_bad_pro2_level_rejected(level):
     with pytest.raises(ConfigError, match="pro2_level"):

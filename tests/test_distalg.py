@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_support
 from padicdist import DistAlgebra, abelian, dominant_log_index, heisenberg2, mul_tail_bound
 from padicdist.errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
 from padicdist.radii import Radius, log_tail_exponent
+from padicdist.samplers import random_distribution
 
 INF = math.inf
 
@@ -76,8 +76,8 @@ def test_norm_multiplicative(heis_alg):
     rng = random.Random(33)
     radii = [Radius(1, 8), Radius(2, 3), Radius(7, 9)]
     for _ in range(25):
-        lam = random_support(heis_alg, rng, 3)
-        mu = random_support(heis_alg, rng, 3)
+        lam = random_distribution(heis_alg, rng, 3, max_terms=3)
+        mu = random_distribution(heis_alg, rng, 3, max_terms=3)
         prod = heis_alg.mul(lam, mu)
         for r in radii:
             assert prod.norm(r).exponent == lam.norm(r).exponent + mu.norm(r).exponent
@@ -106,8 +106,8 @@ def test_symbol_multiplicative(heis_alg):
     rng = random.Random(34)
     r = Radius(1, 4)
     for _ in range(15):
-        lam = random_support(heis_alg, rng, 3)
-        mu = random_support(heis_alg, rng, 3)
+        lam = random_distribution(heis_alg, rng, 3, max_terms=3)
+        mu = random_distribution(heis_alg, rng, 3, max_terms=3)
         assert heis_alg.mul(lam, mu).principal_symbol(r) == \
             lam.principal_symbol(r) * mu.principal_symbol(r)
 

@@ -1,0 +1,90 @@
+"""Property tests of the filtration exponents of ``distalg``: ``norm``,
+``leading_support``, ``term_exponent`` and ``mul_tail_bound`` against the
+Fraction formulas of ``tests/helpers.py``, over e in {1, 2, 3} and radii
+whose denominator does and does not share a factor with e."""
+
+import math
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from helpers import (  # noqa: E402
+    exponent_oracle,
+    leading_support_oracle,
+    mul_tail_oracle,
+    norm_oracle,
+)
+from padicdist import DistAlgebra, FieldSpec, abelian, heisenberg, heisenberg2  # noqa: E402
+from padicdist import mul_tail_bound  # noqa: E402
+from padicdist.indices import iter_multi_indices  # noqa: E402
+from padicdist.radii import Radius  # noqa: E402
+
+N = 4
+
+# field -> (a radius whose b shares a factor with e, one whose b does not);
+# for e = 1 no b shares a factor, so both are coprime
+FIELDS = {
+    "Q_3": ((3, 1, 1), (Radius(1, 2), Radius(2, 3))),
+    "e=2,f=2 over Q_3": ((3, 2, 2), (Radius(3, 4), Radius(2, 5))),
+    "e=3 over Q_2": ((2, 3, 1), (Radius(5, 6), Radius(1, 4))),
+    "e=3 over Q_5": ((5, 3, 1), (Radius(1, 3), Radius(3, 7))),
+}
+CASES = [
+    (name, r, nonabelian)
+    for name, (_spec, radii) in FIELDS.items()
+    for r in radii
+    for nonabelian in (False, True)
+]
+
+
+@cache
+def _algebra(name, nonabelian):
+    p, e, f = FIELDS[name][0]
+    field = FieldSpec(p, e=e, f=f, precision=8)
+    if not nonabelian:
+        lattice = abelian(2, p=p)
+    else:
+        lattice = heisenberg2() if p == 2 else heisenberg(p)
+    return DistAlgebra(lattice, field, N)
+
+
+def distributions(alg, max_degree):
+    """Up to four terms, coefficients unit * pi^v with |v| <= 3."""
+    field = alg.field
+    unit = st.builds(
+        lambda a, b: field.scalar(a) + (field.unram_gen() * b if field.f > 1 else 0),
+        st.integers(1, field.p - 1), st.integers(0, field.p - 1),
+    )
+    coeff = st.builds(lambda u, v: u * field.uniformizer() ** v, unit, st.integers(-3, 3))
+    index = st.sampled_from(list(iter_multi_indices(alg.d, max_degree)))
+    return st.dictionaries(index, coeff, max_size=4).map(alg.from_terms)
+
+
+@pytest.mark.parametrize(
+    "name,r,nonabelian", CASES,
+    ids=[f"{n}-{r}-{'heis' if h else 'ab'}" for n, r, h in CASES],
+)
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(data=st.data())
+def test_exponents_match_fraction_formula(name, r, nonabelian, data):
+    alg = _algebra(name, nonabelian)
+    lam = data.draw(distributions(alg, N))
+    mu = data.draw(distributions(alg, N))
+
+    got = lam.norm(r).exponent
+    assert got == norm_oracle(lam, r)
+    assert isinstance(got, Fraction) or (lam.is_zero and got == math.inf)
+    assert sorted(lam.leading_support(r)) == sorted(leading_support_oracle(lam, r))
+    for alpha, c in lam.coeffs.items():
+        assert lam.term_exponent(alpha, r) == exponent_oracle(c, alpha, alg.kappa, r)
+    assert mul_tail_bound(lam, mu, r) == mul_tail_oracle(lam, mu, r)
+
+
+def test_cases_cover_both_kinds_of_denominator():
+    shares = {math.gcd(r.b, FIELDS[name][0][1]) > 1 for name, r, _h in CASES}
+    assert shares == {True, False}
+    assert {FIELDS[name][0][1] for name, _r, _h in CASES} == {1, 2, 3}

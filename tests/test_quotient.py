@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import LatticeOracle, random_scalar
+from helpers import LatticeOracle
 from padicdist import (
     build_kernel_family,
     canonicalize,
@@ -17,7 +17,8 @@ from padicdist import (
 )
 from padicdist.errors import CriticalRadius, DegreeOverflow, InvalidArgument, PrecisionExhausted
 from padicdist.indices import iter_multi_indices
-from padicdist.radii import Radius
+from padicdist.radii import Radius, log_tail_exponent
+from padicdist.samplers import random_scalar
 
 INF = math.inf
 R23 = Radius(2, 3)  # 3^(-2/3), dominant index 0
@@ -103,6 +104,16 @@ def test_canonicalize_bij(fam31):
     assert sym.terms == {(0, (1, 0)): lg.residue_of_v(2)}
 
 
+def test_reduction_tail_is_the_generators_log_tail(fam31):
+    """The first step on b_21 subtracts G_21 * 1, a product that drops
+    nothing, so its tail is the log tail of the truncation at N = 8:
+    min over k > 8 of 2k/3 - v_3(k), which is 4 (k = 9)."""
+    assert log_tail_exponent(fam31.algebra.N, R23, 1, 3) == 4
+    b21 = fam31.algebra.generator(fam31.lgspec.flat_index(2, 1))
+    with pytest.raises(DegreeOverflow, match=r"reach p\^-\(4\) above the target p\^-5"):
+        canonicalize(fam31, b21, R23, 5)
+
+
 def test_canonicalize_idempotent(fam31):
     rng = random.Random(52)
     alg = fam31.algebra
@@ -110,7 +121,10 @@ def test_canonicalize_idempotent(fam31):
         terms = {}
         for _t in range(rng.randrange(1, 4)):
             alpha = tuple(rng.randrange(0, 3) for _ in range(2))
-            terms[alpha] = random_scalar(alg.field, rng, 1)
+            unit = alg.field.scalar(rng.randrange(1, 3))
+            if rng.randrange(2):
+                unit = unit + alg.field.unram_gen() * rng.randrange(1, 3)
+            terms[alpha] = unit * alg.field.uniformizer() ** rng.randrange(0, 2)
         lam = alg.from_terms(terms)
         try:
             form = canonicalize(fam31, lam, R23, MP)
@@ -164,14 +178,56 @@ def test_oracle_agreement(fam31_small):
             continue
         lam = alg.from_terms(terms)
         try:
-            q = quotient_norm(fam, lam, R23, MP).exponent
-        except (DegreeOverflow, PrecisionExhausted):
+            form = canonicalize(fam, lam, R23, MP)
+        except DegreeOverflow:
             continue
+        assert form.residual_exponent >= MP, lam
+        if not form.certified:
+            continue
+        q = form.norm().exponent
         certified += 1
         if q == oracle.distance(lam):
             agree += 1
     assert certified >= 40
     assert agree == certified
+
+
+def test_oracle_agreement_ramified(k3r2):
+    """Over e = 2 (pi^2 = 3) at the h = 0 radius 3^(-2/3), every residual
+    reaches the target p^-M', and canonical quotient norms, with their
+    half-integral valuations, equal the brute-force lattice distances."""
+    fam = build_kernel_family(o_additive(k3r2, 1), 4)
+    alg = fam.algebra
+    span = [
+        alg.mul(fam.gen(2, 1), alg.monomial(beta, 1))
+        for beta in iter_multi_indices(2, 3)
+    ]
+    oracle = LatticeOracle(span, R23)
+    rng = random.Random(55)
+    certified = 0
+    half_integral = False
+    for _ in range(200):
+        terms = {}
+        for _t in range(rng.randrange(1, 4)):
+            alpha = tuple(rng.randrange(0, 3) for _ in range(2))
+            if sum(alpha) <= 3:
+                terms[alpha] = random_scalar(k3r2, rng, 2)
+        if not terms:
+            continue
+        lam = alg.from_terms(terms)
+        try:
+            form = canonicalize(fam, lam, R23, MP)
+        except DegreeOverflow:
+            continue
+        assert form.residual_exponent >= MP, lam
+        if not form.certified:
+            continue
+        q = form.norm().exponent
+        certified += 1
+        half_integral |= (q * 6).denominator == 1 and (q * 3).denominator != 1
+        assert q == oracle.distance(lam), lam
+    assert certified >= 40
+    assert half_integral
 
 
 def test_domain_smoke(fam31, fam32):
