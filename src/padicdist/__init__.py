@@ -31,7 +31,7 @@ from .grading import (
     quotient_iso_check,
     symbol_class_nonzero,
 )
-from .mahler import MahlerTable, StructureConstants, mahler_coefficients
+from .mahler import StructureConstants, mahler_coefficients
 from .padics import FieldSpec, ResidueElem, ResidueField, Scalar
 from .quotient import (
     CanonicalForm,

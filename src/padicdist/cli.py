@@ -14,12 +14,10 @@ import re
 import sys
 
 from .config import JobConfig, KNOWN_SUITES
-from .distalg import DistAlgebra
 from .errors import PadicError
-from .groups import LGroupSpec
-from .quotient import build_kernel_family, canonicalize, quotient_norm
+from .quotient import canonicalize, quotient_norm
 from .radii import parse_radius
-from .suites import run_suite
+from .suites import SuiteEnv, run_suite
 from . import towers
 
 
@@ -28,16 +26,6 @@ def _load_config(args, default=None):
         return JobConfig.from_file(args.config, sc_cache=getattr(args, "sc_cache", None))
     data = default if default is not None else {}
     return JobConfig.from_dict(data, sc_cache=getattr(args, "sc_cache", None))
-
-
-def _algebra_from(config):
-    env_group = config.group
-    if isinstance(env_group, LGroupSpec):
-        lattice = env_group.restrict()
-    else:
-        lattice = env_group
-    return DistAlgebra(lattice, config.field, config.truncation,
-                       cache_dir=config.sc_cache)
 
 
 _LOG_RE = re.compile(r"^\s*log\(\s*1\s*\+\s*(b\w*)\s*\)\s*$")
@@ -79,7 +67,7 @@ def cmd_run(args):
 
 def cmd_dist(args):
     config = _load_config(args, default={"field": {"p": args.p}} if args.p else None)
-    algebra = _algebra_from(config)
+    algebra = SuiteEnv(config).algebra
     if args.action == "mul":
         lam = _parse_expr(algebra, args.expr[0])
         mu = _parse_expr(algebra, args.expr[1])
@@ -105,10 +93,10 @@ _DEFAULT_LGROUP = {
 
 def cmd_quotient(args):
     config = _load_config(args, default=_DEFAULT_LGROUP)
-    if not isinstance(config.group, LGroupSpec):
+    env = SuiteEnv(config)
+    if not env.is_lgroup:
         raise PadicError("quotient commands need a locally analytic group config")
-    fam = build_kernel_family(config.group, config.truncation,
-                              cache_dir=config.sc_cache)
+    fam = env.family
     _, r = parse_radius(args.radius, p=config.field.p)
     mprime = config.residual_precision
     lam = _parse_expr(fam.algebra, args.expr)
@@ -133,21 +121,21 @@ def cmd_towers(args):
 
     config = _load_config(args, default=_DEFAULT_LGROUP if args.action == "transfer" else None)
     rng = random.Random(config.seed)
-    algebra = _algebra_from(config)
+    env = SuiteEnv(config)
     if args.action == "restrict":
         _, r = parse_radius(args.radius, p=config.field.p)
-        recs = towers.restriction_check(algebra, args.m, r, args.samples, rng)
+        recs = towers.restriction_check(env.algebra, args.m, r, args.samples, rng)
         print(f"{len(recs)} samples, exact agreement")
     elif args.action == "orth":
         _, r = parse_radius(args.radius, p=config.field.p)
-        system = towers.orthogonal_system(algebra, args.m)
+        system = towers.orthogonal_system(env.algebra, args.m)
         out = towers.orthogonal_system_check(system, r, args.samples, rng)
         print(f"orthogonal system of {len(system)} elements; basis = {out['basis']}")
     elif args.action == "cosets":
-        cs = towers.lower_p_transversal(algebra.lattice, args.m)
+        cs = towers.lower_p_transversal(env.lattice, args.m)
         print(towers.coset_conditions(cs, rng))
     else:  # transfer
-        if not isinstance(config.group, LGroupSpec):
+        if not env.is_lgroup:
             raise PadicError("transfer needs a locally analytic group config")
         _, delta = parse_radius(args.radius, p=config.field.p)
         recs = towers.norm_transfer_check(config.group, delta, args.m,

@@ -28,7 +28,7 @@ computes in the residue field when q exceeds ``padics.MAX_RESIDUE_ORDER``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import get_group
 from .errors import ConfigError, SweepLimit

@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import factorial, lcm, prod
 
 from .errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
 from .grading import Symbol, SymbolContext
 from .indices import grlex_key, iter_multi_indices, unit_index
-from .mahler import StructureConstants, binom_rational
+from .mahler import StructureConstants
 from .radii import NormValue
 
 INF = math.inf
@@ -92,16 +93,20 @@ class DistAlgebra:
 
     def delta(self, g):
         """The image of a group element: coefficients binom(x, alpha) in the
-        second-kind coordinates x."""
+        second-kind coordinates x.
+
+        They are read off the table's binomial ladder: ``expansion(x, D)``
+        is D^|alpha| alpha! binom(x, alpha) over a common denominator D of x,
+        in the order of ``iter_multi_indices(d, N)``.
+        """
         x = g.second()
+        denom = lcm(*(c.denominator for c in x))
         terms = {}
-        for alpha in iter_multi_indices(self.d, self.N):
-            val = Fraction(1)
-            for k in range(self.d):
-                if alpha[k]:
-                    val *= binom_rational(x[k], alpha[k])
-            if val:
-                terms[alpha] = self.field.scalar(val)
+        scaled = self.table.expansion(x, denom)
+        for alpha, v in zip(iter_multi_indices(self.d, self.N), scaled):
+            if v:
+                scale = denom ** sum(alpha) * prod(map(factorial, alpha))
+                terms[alpha] = self.field.scalar(Fraction(v, scale))
         return Distribution(self, terms)
 
     def log_series(self, i):
@@ -114,24 +119,17 @@ class DistAlgebra:
         for k in range(1, self.N + 1):
             coeff = Fraction((-1) ** (k - 1), k)
             terms[tuple(k if j == i else 0 for j in range(self.d))] = self.field.scalar(coeff)
-        return Distribution(self, terms, truncated=True)
+        return Distribution(self, terms)
 
     # -- multiplication ----------------------------------------------------------
 
-    def mul(self, lam, mu, strict=False):
+    def mul(self, lam, mu):
         """Product through the structure-constant table.
 
-        Stored coefficients (degree <= N) are exact; when the combined
-        support degree exceeds N the result is a truncation and, in strict
-        mode, DegreeOverflow is raised instead.
+        Stored coefficients (degree <= N) are exact; what the product has
+        beyond degree N is dropped, and ``mul_tail_bound`` bounds its norm.
         """
-        if strict and lam.degree + mu.degree > self.N:
-            raise DegreeOverflow(
-                f"strict product of degrees {lam.degree} + {mu.degree} > N = {self.N}",
-                required_degree=lam.degree + mu.degree,
-            )
         acc = {}
-        truncated = lam.truncated or mu.truncated
         for alpha, da in lam.coeffs.items():
             for beta, eb in mu.coeffs.items():
                 weight = da * eb
@@ -139,10 +137,7 @@ class DistAlgebra:
                     prev = acc.get(gamma)
                     term = weight.scale(c)
                     acc[gamma] = term if prev is None else prev + term
-                truncated = truncated or self.table.has_tail(alpha, beta)
-        return Distribution(
-            self, {g: v for g, v in acc.items() if not v.is_zero}, truncated=truncated
-        )
+        return Distribution(self, {g: v for g, v in acc.items() if not v.is_zero})
 
     # -- parsing / printing --------------------------------------------------------
 
@@ -173,12 +168,11 @@ class DistAlgebra:
 class Distribution:
     """A finitely supported series over the generator monomials."""
 
-    __slots__ = ("algebra", "coeffs", "truncated")
+    __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra, coeffs, truncated=False):
+    def __init__(self, algebra, coeffs):
         self.algebra = algebra
         self.coeffs = coeffs
-        self.truncated = truncated
 
     @property
     def is_zero(self):
@@ -198,12 +192,10 @@ class Distribution:
                 out.pop(alpha, None)
             else:
                 out[alpha] = s
-        return Distribution(self.algebra, out, self.truncated or other.truncated)
+        return Distribution(self.algebra, out)
 
     def __neg__(self):
-        return Distribution(
-            self.algebra, {a: -c for a, c in self.coeffs.items()}, self.truncated
-        )
+        return Distribution(self.algebra, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -216,10 +208,8 @@ class Distribution:
     def scale(self, c):
         c = self.algebra.field.scalar(c)
         if c.is_zero:
-            return Distribution(self.algebra, {}, self.truncated)
-        return Distribution(
-            self.algebra, {a: v * c for a, v in self.coeffs.items()}, self.truncated
-        )
+            return Distribution(self.algebra, {})
+        return Distribution(self.algebra, {a: v * c for a, v in self.coeffs.items()})
 
     def norm(self, r):
         """sup_alpha |d_alpha| r^(kappa |alpha|), as a NormValue exponent."""

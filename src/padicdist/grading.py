@@ -402,10 +402,6 @@ class LaurentScalar:
         self.kfield = kfield
         self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero}
 
-    @classmethod
-    def constant(cls, c, power=0):
-        return cls(c.field, {power: c})
-
     @property
     def is_zero(self):
         return not self.terms

@@ -47,7 +47,7 @@ def mahler_coefficients(values, N, d):
     with c_alpha = sum_{beta <= alpha} (-1)^{|alpha - beta|}
     binom(alpha, beta) f(beta): forward differences along one axis at a
     time, the k-th pass turning each line of the grid into its 1-D
-    binomial transform.
+    binomial transform.  Returns ``values``, now the coefficient dict.
     """
     for k in range(d):
         # (x_k, x, x - e_k), highest x_k first, so a difference at one
@@ -61,29 +61,7 @@ def mahler_coefficients(values, N, d):
                 if t < level:
                     break
                 values[x] = values[x] - values[below]
-    return MahlerTable(values, N, d)
-
-
-class MahlerTable:
-    """Finitely supported Mahler coefficients with a degree bound."""
-
-    def __init__(self, coeffs, N, d):
-        self.coeffs = coeffs
-        self.N = N
-        self.d = d
-
-    def __getitem__(self, alpha):
-        return self.coeffs[alpha]
-
-    def reconstruct(self, x):
-        """sum_alpha c_alpha binom(x, alpha) at an integer point of the grid."""
-        acc = None
-        for alpha, c in self.coeffs.items():
-            if not le_componentwise(alpha, x):
-                continue
-            term = c * multi_binom(x, alpha)
-            acc = term if acc is None else acc + term
-        return acc
+    return values
 
 
 class _IntVector(list):
@@ -134,6 +112,9 @@ class StructureConstants:
 
         ``denom`` is a common denominator of the coordinates F, so every
         entry is the integer prod_k prod_{j < gamma_k} (denom F_k - j denom).
+        The entries follow ``iter_multi_indices(d, N)``.  They are the grid
+        values of ``_build`` and, divided back, the coefficients of
+        ``DistAlgebra.delta``.
         """
         ladders = []
         for c in F:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .grading import Symbol
 from .indices import grlex_key
-from .radii import dominant_log_index, log_tail_exponent
+from .radii import dominant_log_index, is_h0_radius, log_tail_exponent
 
 INF = math.inf
 
@@ -210,20 +210,20 @@ def kernel_symbol_family(fam, r):
     return [kernel_symbol(fam, i, j, r) for (i, j) in fam.pairs]
 
 
-def orthogonality_check(fam, r, trials, rng, valuation_window=3):
+def orthogonality_check(fam, r, trials, rng):
     """Exact max formula for random combinations of the kernel generators.
 
     Checks ||sum c_ij G_ij||_r == max_ij ||c_ij G_ij||_r for ``trials``
     random coefficient vectors over K; coefficients are sampled as
-    pi^v * unit with |v| <= valuation_window.  Raises CounterexampleFound
-    on any failure (this would contradict orthogonality).
+    pi^v * unit with |v| <= 3.  Raises CounterexampleFound on any failure
+    (this would contradict orthogonality).
     """
     alg = fam.algebra
     field = alg.field
     for _ in range(trials):
         coeffs = {}
         for pair in fam.pairs:
-            v = rng.randrange(-valuation_window, valuation_window + 1)
+            v = rng.randrange(-3, 4)
             unit = field.scalar(rng.randrange(1, field.p)) + field.uniformizer() * rng.randrange(0, field.p)
             coeffs[pair] = unit * field.uniformizer() ** v
         combo = alg.zero()
@@ -291,7 +291,7 @@ class CanonicalForm:
 def _require_h0(fam, r):
     p = fam.algebra.lattice.p
     kappa = fam.algebra.kappa
-    if kappa * r.exponent > Fraction(1, p - 1):
+    if is_h0_radius(r, kappa, p):
         return
     h = dominant_log_index(r, kappa, p)
     if h is None:
@@ -319,7 +319,7 @@ def canonicalize(fam, lam, r, mprime):
     target_key = scale.to_key(mprime)
     # min_k (kappa k a/b - v_p(k)) lies in (1/b) Z, so it has a key
     log_tail = scale.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
-    work = Distribution(alg, dict(lam.coeffs), truncated=lam.truncated)
+    work = Distribution(alg, dict(lam.coeffs))
     canon = {}
     residual = INF
     steps = 0
@@ -417,11 +417,13 @@ def quotient_norm(fam, lam, r, mprime):
     return form.norm()
 
 
-def domain_smoke_test(fam, r, trials, rng, mprime, max_degree=3, valuation_window=2):
+def domain_smoke_test(fam, r, trials, rng, mprime):
     """Quotient-norm multiplicativity on random canonical pairs.
 
-    Multiplicativity of the quotient norm rules out zero divisors among
-    the samples; any violation is raised as a counterexample.
+    Each side is up to three first-row terms of degree <= 3 with
+    coefficients unit * pi^v, 0 <= v <= 2.  Multiplicativity of the
+    quotient norm rules out zero divisors among the samples; any
+    violation is raised as a counterexample.
     """
     alg = fam.algebra
     lg = fam.lgspec
@@ -431,12 +433,10 @@ def domain_smoke_test(fam, r, trials, rng, mprime, max_degree=3, valuation_windo
         for _side in range(2):
             coeffs = {}
             for _t in range(rng.randrange(1, 4)):
-                beta = tuple(
-                    rng.randrange(0, max_degree + 1) for _ in range(lg.d)
-                )
-                if sum(beta) > max_degree:
+                beta = tuple(rng.randrange(0, 4) for _ in range(lg.d))
+                if sum(beta) > 3:
                     continue
-                v = rng.randrange(0, valuation_window + 1)
+                v = rng.randrange(0, 3)
                 unit = field.scalar(rng.randrange(1, field.p))
                 coeffs[beta] = unit * field.uniformizer() ** v
             if not coeffs:

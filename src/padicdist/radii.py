@@ -142,6 +142,16 @@ def _scan_min_exponent(s_exp, p, k_min=1):
             return best, argmins
 
 
+def is_h0_radius(r, kappa, p):
+    """Whether r^kappa < p^(-1/(p-1)), i.e. kappa a/b > 1/(p-1), exactly.
+
+    These are the radii where log(1+X) at s = r^kappa is dominated by its
+    first term (dominant index h = 0); the "dominant log index sweep"
+    record checks that against ``dominant_log_index``.
+    """
+    return kappa * r.exponent > Fraction(1, p - 1)
+
+
 def dominant_log_index(r, kappa, p):
     """Dominant-monomial index of log(1+X) at s = r^kappa.
 
@@ -179,7 +189,7 @@ def radius_root(delta, m, p, kappa):
     Requires delta^kappa < p^(-1/(p-1)); the result again lies in
     (p^-1, 1), which ``Radius`` itself enforces with InvalidDelta.
     """
-    if not kappa * delta.exponent > Fraction(1, p - 1):
+    if not is_h0_radius(delta, kappa, p):
         raise InvalidDelta(
             f"delta exponent {delta.exponent} needs kappa*exponent > 1/(p-1) = 1/{p - 1}"
         )

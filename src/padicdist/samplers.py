@@ -20,14 +20,14 @@ def random_element(lattice, rng):
     return lattice.element_second(tuple(scale * c for c in coords))
 
 
-def random_scalar(field, rng, window=2):
+def random_scalar(field, rng):
     """unit * pi^v with the unit an integer in [1, p) and v uniform in
-    [0, window]."""
+    [0, 2]."""
     unit = field.scalar(rng.randrange(1, field.p))
-    return unit * field.uniformizer() ** rng.randrange(0, window + 1)
+    return unit * field.uniformizer() ** rng.randrange(0, 3)
 
 
-def random_distribution(algebra, rng, max_degree=None, max_terms=4, window=2):
+def random_distribution(algebra, rng, max_degree=None, max_terms=4):
     """Up to ``max_terms`` terms of support degree <= max_degree (default N),
     each coefficient a ``random_scalar``; the constant 1 when every drawn
     index overshoots."""
@@ -37,7 +37,7 @@ def random_distribution(algebra, rng, max_degree=None, max_terms=4, window=2):
         alpha = tuple(rng.randrange(0, cap + 1) for _ in range(algebra.d))
         if sum(alpha) > cap:
             continue
-        terms[alpha] = random_scalar(algebra.field, rng, window)
+        terms[alpha] = random_scalar(algebra.field, rng)
     if not terms:
         terms[(0,) * algebra.d] = algebra.field.one()
     return algebra.from_terms(terms)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import towers
 from .distalg import DistAlgebra
-from .errors import InvalidArgument, PadicError
+from .errors import DegreeOverflow, InvalidArgument, PadicError
 from .grading import (
     check_regular_sequence,
     eliminate_to_first_row,
@@ -32,7 +32,7 @@ from .quotient import (
     kernel_symbol_family,
     orthogonality_check,
 )
-from .radii import Radius, dominant_log_index
+from .radii import Radius, dominant_log_index, is_h0_radius
 from .report import CheckRecord, Report
 from .samplers import random_distribution, random_element
 
@@ -223,7 +223,7 @@ def suite_symbols(env):
             for a in range(1, b):
                 r = Radius(a, b)
                 h = dominant_log_index(r, kappa, p)
-                if kappa * r.exponent > Fraction(1, p - 1) and h != 0:
+                if is_h0_radius(r, kappa, p) and h != 0:
                     raise PadicError(f"h != 0 below the critical threshold at {r}")
                 grid += 1
         crit = Radius.from_fraction(Fraction(1, kappa * (p - 1)))
@@ -235,7 +235,7 @@ def suite_symbols(env):
 
     def log_norm():
         for r in env.config.radii:
-            if kappa * r.exponent > Fraction(1, p - 1):
+            if is_h0_radius(r, kappa, p):
                 want = kappa * r.exponent
                 got = alg.log_series(0).norm(r).exponent
                 if got != want:
@@ -256,7 +256,7 @@ def suite_quotient(env):
     rng = env.rng(suite)
     mprime = env.config.residual_precision
     h0_radii = [r for r in env.config.radii
-                if fam.algebra.kappa * r.exponent > Fraction(1, env.field.p - 1)]
+                if is_h0_radius(r, fam.algebra.kappa, env.field.p)]
     if not h0_radii:
         return [CheckRecord(suite, "needs a radius with r^kappa < p^(-1/(p-1))",
                             False, repro=env.repro(suite))]
@@ -280,7 +280,7 @@ def suite_quotient(env):
     records.append(_record(env, suite, "generators canonicalize to zero",
                            reduce_generator))
 
-    def reduce_bij():
+    def reduce_bij(fam):
         lg = fam.lgspec
         for (i, j) in fam.pairs:
             b_ij = fam.algebra.generator(lg.flat_index(i, j))
@@ -293,8 +293,19 @@ def suite_quotient(env):
             if form2.coeffs != form.coeffs:
                 raise PadicError("canonicalization is not idempotent")
         return "leading residue vbar_i, idempotent"
+
+    def reduce_bij_sized():
+        # reducing the canonical forms again can need more degrees than the
+        # suite's N; canonicalize names how many, and the record runs once
+        # more on a kernel family of that truncation
+        try:
+            return reduce_bij(fam)
+        except DegreeOverflow as exc:
+            wider = build_kernel_family(env.group, exc.required_degree,
+                                        cache_dir=env.config.sc_cache)
+            return f"{reduce_bij(wider)} at N = {wider.algebra.N}"
     records.append(_record(env, suite, "b_ij reduces to vbar_i b_1j + deeper",
-                           reduce_bij))
+                           reduce_bij_sized))
 
     records.append(_record(
         env, suite, "quotient-norm multiplicativity (integral domain smoke)",
@@ -329,8 +340,7 @@ def suite_towers(env):
                 expected="exact equality of exponents",
             ))
     def probe():
-        bad = next((r for r in env.config.radii
-                    if kappa * (p - 1) * r.exponent > 1), None)
+        bad = next((r for r in env.config.radii if is_h0_radius(r, kappa, p)), None)
         if bad is None:
             return "no violating radius configured"
         try:
@@ -360,8 +370,7 @@ def suite_towers(env):
     ))
 
     if env.is_lgroup:
-        delta = next((r for r in env.config.radii
-                      if kappa * r.exponent > Fraction(1, p - 1)), None)
+        delta = next((r for r in env.config.radii if is_h0_radius(r, kappa, p)), None)
         if delta is not None:
             for m in range(1, env.config.options["transfer_m"] + 1):
                 records.append(_record(

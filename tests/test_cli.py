@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -300,3 +301,52 @@ def test_python_m_padicdist(base_config):
     )
     assert proc.returncode == 0, proc.stderr
     assert "# summary:" in proc.stdout
+
+
+def test_bij_record_sizes_its_truncation(tmp_path, capsys):
+    """On o-additive(2) over F_9 at N = 6 the idempotence check of the b_ij
+    record overflows the truncation; the record reruns at the N that
+    canonicalize names (7) and passes."""
+    data = {
+        "field": {"p": 3, "f": 2, "precision": 24},
+        "group": "o-additive(2)",
+        "truncation": 6,
+        "residual_precision": 2,
+        "radii": ["3^-2/3"],
+        "suites": ["quotient"],
+        "seed": 1,
+    }
+    path = tmp_path / "oadd2.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] quotient: b_ij reduces to vbar_i b_1j + deeper  expected= " \
+        "computed=leading residue vbar_i, idempotent at N = 7" in out
+
+
+_PINNED_SUITES = ["pvaluation", "norms", "symbols", "quotient", "towers", "grading"]
+# sha256 of the default text and structured reports; a change to either
+# means the library computes or prints something different for these jobs
+_PINNED_JOBS = {
+    "o-additive(1) over F_9": (
+        {"field": {"p": 3, "f": 2, "precision": 24}, "group": "o-additive(1)",
+         "truncation": 8, "residual_precision": 2, "radii": ["3^-1/4", "3^-2/3"]},
+        "2d400b2e7b2419f15e5b01ad09c306884cb17b60a56e1881aa722a2ee37cce43",
+        "ae58019ea318e062aed10c0de8f6816707fd947b0b320bde323a738d4785c60d",
+    ),
+    "abelian(2) over e = f = 2 above Q_5": (
+        {"field": {"p": 5, "e": 2, "f": 2, "precision": 24}, "group": "abelian(2)",
+         "truncation": 6, "residual_precision": 2, "radii": ["5^-1/8", "5^-1/2"]},
+        "fa34063c6fc0f6be151f8d7e7415d84600733e8bb5c23d02a89786e996d1007c",
+        "ccb1a10819243b57695836b8ccac0fbdc9f1b0549f8f5aef7581bd5993acc22d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_JOBS))
+def test_default_reports_pinned(name):
+    job, text_sha, structured_sha = _PINNED_JOBS[name]
+    report = run_suite(JobConfig.from_dict({**job, "suites": _PINNED_SUITES, "seed": 0}))
+    assert report.passed, report.to_text()
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_sha
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == structured_sha

@@ -1,7 +1,11 @@
-"""Property tests of the filtration exponents of ``distalg``: ``norm``,
-``leading_support``, ``term_exponent`` and ``mul_tail_bound`` against the
+"""Property tests of ``distalg``.
+
+The filtration exponents (``norm``, ``leading_support``,
+``term_exponent`` and ``mul_tail_bound``) are checked against the
 Fraction formulas of ``tests/helpers.py``, over e in {1, 2, 3} and radii
-whose denominator does and does not share a factor with e."""
+whose denominator does and does not share a factor with e.  ``delta`` is
+checked against products of ``binom_rational`` values at p-integral
+rational points."""
 
 import math
 from fractions import Fraction
@@ -21,6 +25,7 @@ from helpers import (  # noqa: E402
 from padicdist import DistAlgebra, FieldSpec, abelian, heisenberg, heisenberg2  # noqa: E402
 from padicdist import mul_tail_bound  # noqa: E402
 from padicdist.indices import iter_multi_indices  # noqa: E402
+from padicdist.mahler import binom_rational  # noqa: E402
 from padicdist.radii import Radius  # noqa: E402
 
 N = 4
@@ -88,3 +93,32 @@ def test_cases_cover_both_kinds_of_denominator():
     shares = {math.gcd(r.b, FIELDS[name][0][1]) > 1 for name, r, _h in CASES}
     assert shares == {True, False}
     assert {FIELDS[name][0][1] for name, _r, _h in CASES} == {1, 2, 3}
+
+
+@cache
+def _delta_algebra(group):
+    lattice = heisenberg(3) if group == "heisenberg" else abelian(2, p=3)
+    return DistAlgebra(lattice, FieldSpec.qp(3, precision=8), 6)
+
+
+# p-integral rationals: denominators prime to p = 3
+_P_INTEGRAL = st.builds(
+    Fraction, st.integers(-10**6, 10**6), st.integers(1, 100).filter(lambda q: q % 3)
+)
+
+
+@pytest.mark.parametrize("group", ["heisenberg", "abelian(2)"])
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(data=st.data())
+def test_delta_matches_binomial_products(group, data):
+    """delta_g has coefficient prod_k binom(x_k, alpha_k) at every |alpha| <= N,
+    x the second-kind coordinates of g, against the Fraction loop of
+    ``binom_rational``."""
+    alg = _delta_algebra(group)
+    x = data.draw(st.tuples(*[_P_INTEGRAL] * alg.d))
+    want = {}
+    for alpha in iter_multi_indices(alg.d, alg.N):
+        value = math.prod(binom_rational(t, a) for t, a in zip(x, alpha))
+        if value:
+            want[alpha] = alg.field.scalar(value)
+    assert alg.delta(alg.lattice.element_second(x)).coeffs == want

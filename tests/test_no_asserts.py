@@ -25,3 +25,26 @@ def test_group_law_modules_raise_no_bare_value_error():
             if isinstance(exc, ast.Name) and exc.id == "ValueError":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"bare ValueError raised in: {found}"
+
+
+def test_library_modules_load_every_name_they_import():
+    # an import whose name is never read is dead; __init__ re-exports its
+    # imports, so it is exempt
+    found = []
+    for path in sorted(Path(padicdist.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, node.lineno)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in loaded]
+    assert not found, f"imported names never loaded: {found}"

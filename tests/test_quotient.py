@@ -211,7 +211,7 @@ def test_oracle_agreement_ramified(k3r2):
         for _t in range(rng.randrange(1, 4)):
             alpha = tuple(rng.randrange(0, 3) for _ in range(2))
             if sum(alpha) <= 3:
-                terms[alpha] = random_scalar(k3r2, rng, 2)
+                terms[alpha] = random_scalar(k3r2, rng)
         if not terms:
             continue
         lam = alg.from_terms(terms)
