@@ -30,6 +30,7 @@ from .errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistributio
 from .grading import Symbol, SymbolContext
 from .indices import grlex_key, iter_multi_indices, unit_index
 from .mahler import StructureConstants
+from .padics import Scalar
 from .radii import NormValue
 
 INF = math.inf
@@ -128,16 +129,33 @@ class DistAlgebra:
 
         Stored coefficients (degree <= N) are exact; what the product has
         beyond degree N is dropped, and ``mul_tail_bound`` bounds its norm.
+        Each operand is cleared to int vectors over one denominator, the
+        products are summed per gamma in ints against the table's int rows,
+        and one Scalar is built per output gamma.
         """
+        field, table = self.field, self.table
+        lden, lvecs = _cleared(lam)
+        mden, mvecs = _cleared(mu)
+        mul_vec, rows = field._mul_vec, table._rows
         acc = {}
-        for alpha, da in lam.coeffs.items():
-            for beta, eb in mu.coeffs.items():
-                weight = da * eb
-                for gamma, c in self.table.row(alpha, beta).items():
+        for alpha, u in lvecs:
+            for beta, v in mvecs:
+                row = rows.get((alpha, beta))
+                if row is None:
+                    row = table.int_row(alpha, beta)
+                    rows = table._rows  # a table build replaces the store
+                w = mul_vec(u, v)
+                for gamma, c in row:
                     prev = acc.get(gamma)
-                    term = weight.scale(c)
-                    acc[gamma] = term if prev is None else prev + term
-        return Distribution(self, {g: v for g, v in acc.items() if not v.is_zero})
+                    acc[gamma] = [c * x for x in w] if prev is None else \
+                        [s + c * x for s, x in zip(prev, w)]
+        # read after the loop: building the table sets its denominator
+        den = lden * mden * field._den * table.den
+        out = {}
+        for gamma, vec in acc.items():
+            if any(vec):
+                out[gamma] = Scalar(field, tuple(vec), den)
+        return Distribution(self, out)
 
     # -- parsing / printing --------------------------------------------------------
 
@@ -163,6 +181,17 @@ class DistAlgebra:
             else:
                 parts.append(cs)
         return " + ".join(parts)
+
+
+def _cleared(dist):
+    """(D, [(alpha, u), ...]): the coefficients of ``dist`` as int vectors
+    u over one common denominator D."""
+    coeffs = dist.coeffs
+    den = lcm(*(c.den for c in coeffs.values()))
+    return den, [
+        (alpha, c.num if c.den == den else tuple(x * (den // c.den) for x in c.num))
+        for alpha, c in coeffs.items()
+    ]
 
 
 class Distribution:

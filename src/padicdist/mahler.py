@@ -8,7 +8,9 @@ integer grid points.  One routine, ``mahler_coefficients``, takes finite
 differences: Mahler coefficients on a product grid factor into one 1-D
 binomial transform per axis, run in place.  A non-abelian table is built
 whole on its first missing row, in exact integer arithmetic over one
-common denominator; abelian rows have a closed form.  Every table is
+common denominator; abelian rows have a closed form.  A table holds
+each row once, as (gamma, int) pairs over one denominator shared by the
+whole table, the form ``DistAlgebra.mul`` sums in.  Every table is
 exact, so it serializes to a versioned cache file keyed by (group
 digest, N) alone.
 """
@@ -18,13 +20,13 @@ from __future__ import annotations
 import os
 import pickle
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import sub
 from pathlib import Path
 
 from .errors import CounterexampleFound, DegreeOverflow, PadicError
 from .indices import add_index, iter_multi_indices, le_componentwise, multi_binom
-from .radii import vp_rational
+from .radii import vp_int, vp_rational
 
 CACHE_FORMAT_VERSION = 1
 
@@ -78,14 +80,18 @@ class StructureConstants:
 
     Rows are exact: the value at every stored gamma (|gamma| <= N) is the
     true coefficient, obtained from finite differences of the group law,
-    not from truncated series chaining.  ``has_tail(alpha, beta)`` reports
-    whether degrees beyond N were discarded for that row.
+    not from truncated series chaining.  ``int_row`` gives a row as
+    (gamma, n) pairs, the coefficient being n / ``den``, one denominator
+    for the whole table; ``row`` gives it as a dict of Fractions.
+    ``has_tail(alpha, beta)`` reports whether degrees beyond N were
+    discarded for that row.
     """
 
     def __init__(self, lattice, N, cache_dir=None):
         self.lattice = lattice
         self.N = N
-        self._rows = {}         # (alpha, beta) -> {gamma: Fraction}
+        self._rows = {}         # (alpha, beta) -> ((gamma, n), ...), c = n / den
+        self.den = 1
         self._gammas = list(iter_multi_indices(lattice.d, N))
         self._cache_path = None
         if cache_dir is not None:
@@ -127,8 +133,9 @@ class StructureConstants:
 
     # -- rows ---------------------------------------------------------------------
 
-    def row(self, alpha, beta):
-        """c^gamma_{alpha beta} for |gamma| <= N, as a sparse dict."""
+    def int_row(self, alpha, beta):
+        """c^gamma_{alpha beta} for |gamma| <= N, as sparse (gamma, n)
+        pairs with c = n / ``den``.  Building the table sets ``den``."""
         if sum(alpha) > self.N or sum(beta) > self.N:
             raise DegreeOverflow(
                 f"row ({alpha}, {beta}) outside the degree-{self.N} table",
@@ -145,11 +152,16 @@ class StructureConstants:
                 )
         if self.lattice.abelian:
             gamma = add_index(alpha, beta)
-            out = {gamma: Fraction(1)} if sum(gamma) <= self.N else {}
+            out = ((gamma, self.den),) if sum(gamma) <= self.N else ()
             self._rows[key] = out
             return out
         self._build()
         return self._rows[key]
+
+    def row(self, alpha, beta):
+        """c^gamma_{alpha beta} for |gamma| <= N, as a sparse dict of Fractions."""
+        entries = self.int_row(alpha, beta)
+        return {g: Fraction(n, self.den) for g, n in entries}
 
     def _build(self):
         """Every row at once: the Mahler transform of binom(F(x, y), gamma).
@@ -157,7 +169,8 @@ class StructureConstants:
         The group law is evaluated on {|x| <= N} x {|y| <= N}; each point
         contributes the integer vector ``expansion(F, denom)`` over one
         common denominator, and after the transform entry gamma of every
-        row is divided by denom^|gamma| gamma!.
+        row is v / (denom^|gamma| gamma!).  The table is stored over the
+        lcm of the reduced denominators of those entries.
         """
         grid = [(x, y) for x in self._gammas for y in self._gammas]
         laws = [self.group_law(x, y) for x, y in grid]
@@ -168,10 +181,12 @@ class StructureConstants:
         scales = [denom ** sum(g) * prod(map(factorial, g)) for g in self._gammas]
         # the transform keeps the grid order, and the row keys share the
         # index tuples of _gammas (a smaller cache file)
-        for key, vec in zip(grid, values.values()):
-            self._rows[key] = {
-                g: Fraction(v, s) for g, v, s in zip(self._gammas, vec, scales) if v
-            }
+        den = lcm(*(s // gcd(v, s) for vec in values.values() for v, s in zip(vec, scales) if v))
+        self._rows = {
+            key: tuple((g, v * den // s) for g, v, s in zip(self._gammas, vec, scales) if v)
+            for key, vec in zip(grid, values.values())
+        }
+        self.den = den
 
     def has_tail(self, alpha, beta):
         """Whether the (alpha, beta) product may have terms beyond degree N."""
@@ -192,12 +207,14 @@ class StructureConstants:
         checked = 0
         for alpha in self._gammas:
             for beta in self._gammas:
-                for gamma, c in self.row(alpha, beta).items():
+                entries = self.int_row(alpha, beta)
+                shift = vp_int(self.den, p)
+                for gamma, n in entries:
                     lower = kappa * (sum(alpha) + sum(beta) - sum(gamma))
-                    if vp_rational(c, p) < lower:
+                    if vp_int(n, p) - shift < lower:
                         raise CounterexampleFound(
                             "structure-constant valuation bound fails",
-                            witness=(alpha, beta, gamma, c),
+                            witness=(alpha, beta, gamma, Fraction(n, self.den)),
                         )
                     checked += 1
         if self._cache_path is not None:
@@ -243,8 +260,8 @@ class StructureConstants:
             "digest": self.lattice.structure_digest(),
             "N": self.N,
             "rows": {
-                key: {g: (v.numerator, v.denominator) for g, v in row.items()}
-                for key, row in self._rows.items()
+                key: {g: _reduced(n, self.den) for g, n in entries}
+                for key, entries in self._rows.items()
             },
         }
         # a temp file in the same directory, then an atomic rename: a
@@ -258,24 +275,49 @@ class StructureConstants:
             tmp.unlink(missing_ok=True)  # only left after a failed write
 
     def _load_cache(self):
+        """Load the saved table.  A file that does not unpickle, holds
+        another table or is not of the form ``save`` writes is a miss, and
+        the table is built as if there were no file."""
         path = self._cache_path
         if path is None or not path.exists():
             return
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
+            if (payload["version"], payload["digest"], payload["N"]) != (
+                CACHE_FORMAT_VERSION, self.lattice.structure_digest(), self.N
+            ):
+                return
+            rows = payload["rows"]
+            if not self._valid_rows(rows):
+                return
         except Exception:
             return
-        if (
-            payload.get("version") != CACHE_FORMAT_VERSION
-            or payload.get("digest") != self.lattice.structure_digest()
-            or payload.get("N") != self.N
-        ):
-            return
+        den = lcm(*(d for row in rows.values() for _, d in row.values()))
         self._rows = {
-            key: {g: Fraction(n, ddd) for g, (n, ddd) in row.items()}
-            for key, row in payload["rows"].items()
+            key: tuple((g, n * (den // d)) for g, (n, d) in row.items())
+            for key, row in rows.items()
         }
+        self.den = den
+
+    def _valid_rows(self, rows):
+        """Whether cached rows have index pairs as keys, multi-indices as
+        gammas and (int, positive int) entries; a non-abelian table must
+        hold every row, since it is built whole."""
+        indices = set(self._gammas)
+        keys = all(type(key) is tuple and len(key) == 2 and set(key) <= indices for key in rows)
+        entries = all(
+            g in indices and type(nd) is tuple and len(nd) == 2
+            and type(nd[0]) is int and type(nd[1]) is int and nd[1] > 0
+            for row in rows.values() for g, nd in row.items()
+        )
+        return keys and entries and (self.lattice.abelian or len(rows) == len(indices) ** 2)
+
+
+def _reduced(n, d):
+    """n / d in lowest terms, d > 0: the (numerator, denominator) pair."""
+    q = gcd(n, d)
+    return n // q, d // q
 
 
 def chu_vandermonde_identity(table, alpha, beta):

@@ -4,11 +4,13 @@ The field is presented as a two-step tower: an unramified layer
 U = Q_p[w]/(g) of residue degree f (g a monic lift of an irreducible
 polynomial over F_p) followed by a totally ramified Eisenstein layer
 K = U[pi]/(E) of index e.  Scalars hold exact rational coordinate vectors
-over the basis {w^a pi^b : a < f, b < e}; all arithmetic runs in the
-number field Q[w, pi]/(g, E), so every valuation, absolute value and
-residue reported here is certified, never rounded.  The precision M is a
-serialization budget: it bounds how many uniformizer digits the text form
-carries, and round-trips are bit-exact at that budget.
+over the basis {w^a pi^b : a < f, b < e}, as one int vector over one
+positive denominator, so sums and products run in ints with one gcd per
+result; all arithmetic runs in the number field Q[w, pi]/(g, E), so every
+valuation, absolute value and residue reported here is certified, never
+rounded.  The precision M is a serialization budget: it bounds how many
+uniformizer digits the text form carries, and round-trips are bit-exact
+at that budget.
 
 Valuations are counted in uniformizer units, v(pi) = 1, and the
 normalized absolute value is |x| = p^(-v(x)/e).  The text form of a
@@ -35,9 +37,10 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .errors import DivisionByZero, InvalidArgument, NonUnit, ParseError
-from .radii import kappa, vp_rational
+from .radii import kappa, vp_int, vp_rational
 
 INF = math.inf
 
@@ -438,18 +441,19 @@ class ResidueElem:
 # the field K
 
 class FieldSpec:
-    """A finite extension K of Q_p with working precision M.
+    """A finite extension K of Q_p, with a serialization budget M.
 
     Parameters
     ----------
     p : prime
     e, f : ramification index and residue degree
-    precision : number of uniformizer digits carried by serialization
+    precision : M, the number of uniformizer digits serialization
+        carries; it bounds no arithmetic, which is exact
     unram_poly : monic integer coefficients (low to high) of degree f,
         irreducible mod p; defaults to the smallest such polynomial
     eisenstein : coefficients a_0..a_{e-1} of E(x) = x^e + sum a_i x^i,
-        each given as an integer or a length-f coordinate tuple over the
-        unramified layer; defaults to x^e - p
+        each given as an integer, a rational or a length-f coordinate
+        tuple over the unramified layer; defaults to x^e - p
     """
 
     def __init__(self, p, e=1, f=1, precision=20, unram_poly=None, eisenstein=None):
@@ -480,6 +484,9 @@ class FieldSpec:
             raise InvalidArgument("Eisenstein constant term must have p-valuation exactly 1")
 
         self.degree = e * f
+        # scalars compare their fields on every operation
+        self._key = (p, e, f, self.unram_poly, self.eisenstein, precision)
+        self._hash = hash(self._key)
         self._build_tables()
         self.residue_field = ResidueField(p, self.unram_poly)
 
@@ -501,20 +508,18 @@ class FieldSpec:
     def kappa(self):
         return kappa(self.p)
 
-    def key(self):
-        return (self.p, self.e, self.f, self.unram_poly, self.eisenstein, self.precision)
-
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.key() == other.key()
+        return self is other or (isinstance(other, FieldSpec) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return f"K(p={self.p}, e={self.e}, f={self.f}, M={self.precision})"
 
     # -- internal coordinate algebra -----------------------------------------
-    # vectors are tuples of e*f Fractions indexed [b*f + a] for w^a pi^b
+    # a vector is a tuple of e*f ints indexed [b*f + a] for w^a pi^b; a
+    # scalar is one vector over one positive denominator
 
     def _as_uelem(self, c):
         if isinstance(c, (int, Fraction)):
@@ -528,11 +533,13 @@ class FieldSpec:
         return min((vp_rational(x, self.p) for x in c), default=INF)
 
     def _build_tables(self):
-        """The basis-product table, and the vectors of 1, pi and 1/pi.
+        """The basis-product table, and the scalars 1, pi and 1/pi.
 
         ``_products[i][j]`` lists the nonzero coordinates (k, c) of the
         product of basis elements i and j (index b*f + a for w^a pi^b),
-        with w^f reduced by g and pi^e by E.
+        with w^f reduced by g and pi^e by E, as ints over the one
+        denominator ``_den``: an Eisenstein coefficient may be a
+        non-integral rational.  The table is derived once in Fractions.
         """
         f, n = self.f, self.degree
         g = self.unram_poly
@@ -568,31 +575,26 @@ class FieldSpec:
                 vec = times_w(vec)
             return vec
 
+        self._units = tuple(tuple(int(k == j) for k in range(n)) for j in range(n))
+        table = [[times_basis(list(map(Fraction, u)), i) for u in self._units] for i in range(n)]
+        den = self._den = lcm(*(c.denominator for row in table for vec in row for c in vec))
         self._products = [
-            [
-                [(k, c) for k, c in enumerate(times_basis(self._basis_vec(j), i)) if c]
-                for j in range(n)
-            ]
-            for i in range(n)
+            [[(k, c.numerator * (den // c.denominator)) for k, c in enumerate(vec) if c] for vec in row]
+            for row in table
         ]
-        self._one_vec = self._int_vec(1)
-        self._pi_vec = tuple(times_pi(self._one_vec))
-        self._pi_inv_vec = self._inv_vec(self._pi_vec)
+        self._one = Scalar(self, self._units[0])
+        self._pi = self._from_fractions(times_pi(list(map(Fraction, self._units[0]))))
+        self._pi_inv = self._inverse(self._pi)
 
-    def _int_vec(self, x):
-        vec = [Fraction(0)] * self.degree
-        vec[0] = Fraction(x)
-        return tuple(vec)
-
-    def _basis_vec(self, k):
-        vec = [Fraction(0)] * self.degree
-        vec[k] = Fraction(1)
-        return tuple(vec)
+    def _from_fractions(self, coords):
+        den = lcm(*(c.denominator for c in coords))
+        return Scalar(self, tuple(c.numerator * (den // c.denominator) for c in coords), den)
 
     def _mul_vec(self, u, v):
+        """The product of two int vectors, over the denominator ``_den``."""
         if self.degree == 1:
             return (u[0] * v[0],)
-        out = [Fraction(0)] * self.degree
+        out = [0] * self.degree
         for x, row in zip(u, self._products):
             if x:
                 for y, entry in zip(v, row):
@@ -602,22 +604,29 @@ class FieldSpec:
                             out[k] += xy * c
         return tuple(out)
 
-    def _inv_vec(self, u):
-        """Solve u * z = 1 on the columns u * (w^a pi^b)."""
-        if all(x == 0 for x in u):
-            raise DivisionByZero("inverse of zero")
-        if self.degree == 1:
-            return (1 / u[0],)
-        cols = [self._mul_vec(u, self._basis_vec(k)) for k in range(self.degree)]
-        return tuple(solve_columns(cols, self._one_vec))
+    def _inverse(self, x):
+        """1/x for nonzero x: solve x z = 1 on the columns x * (w^a pi^b).
 
-    def _vpi_vec(self, vec):
+        With x = u/d the columns are the int vectors u * (w^a pi^b) over
+        ``_den``, so the right-hand side is d * _den times 1.
+        """
+        u, d = x.num, x.den
+        if self.degree == 1:
+            return Scalar(self, (d if u[0] > 0 else -d,), abs(u[0]))
+        cols = [self._mul_vec(u, unit) for unit in self._units]
+        target = (d * self._den,) + (0,) * (self.degree - 1)
+        return self._from_fractions(solve_columns(cols, target))
+
+    def _valuation(self, num, den):
+        """v(num/den) in uniformizer units: the least b + e v_p over the
+        pi^b blocks of num, less e v_p(den)."""
+        e, f, p = self.e, self.f, self.p
         best = INF
-        for b in range(self.e):
-            m = self._uelem_vp(vec[b * self.f : (b + 1) * self.f])
-            if m is not INF:
-                best = min(best, b + self.e * m)
-        return best
+        for b in range(e):
+            g = gcd(*num[b * f : (b + 1) * f])
+            if g:
+                best = min(best, b + e * vp_int(g, p))
+        return best if best is INF else best - e * vp_int(den, p)
 
     # -- public constructors ---------------------------------------------------
 
@@ -626,36 +635,34 @@ class FieldSpec:
             if x.field != self:
                 raise InvalidArgument("scalar from a different field")
             return x
-        return Scalar(self, self._int_vec(x))
+        x = Fraction(x)
+        return Scalar(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
 
     def zero(self):
-        return Scalar(self, self._int_vec(0))
+        return Scalar(self, (0,) * self.degree)
 
     def one(self):
-        return Scalar(self, self._one_vec)
+        return self._one
 
     def uniformizer(self):
-        return Scalar(self, self._pi_vec)
+        return self._pi
 
     def unram_gen(self):
         if self.f == 1:
             raise InvalidArgument("no unramified generator for f = 1")
-        return Scalar(self, self._basis_vec(1))
+        return Scalar(self, self._units[1])
 
     def from_coords(self, coords):
         coords = tuple(Fraction(c) for c in coords)
         if len(coords) != self.degree:
             raise InvalidArgument(f"need {self.degree} coordinates")
-        return Scalar(self, coords)
+        return self._from_fractions(coords)
 
     def lift_residue(self, r):
         """The digit lift of a residue class, an integral scalar."""
         if r.field != self.residue_field:
             raise InvalidArgument("residue class from a different field")
-        vec = [Fraction(0)] * self.degree
-        for a, c in enumerate(r.coeffs):
-            vec[a] = Fraction(c)
-        return Scalar(self, tuple(vec))
+        return Scalar(self, r.coeffs + (0,) * (self.degree - self.f))
 
     # -- serialization ---------------------------------------------------------
 
@@ -683,11 +690,9 @@ class FieldSpec:
             raise ParseError(f"more than M = {self.precision} digits")
         acc = self.zero()
         pi_pow = self.one()
+        zeros = (0,) * (self.degree - self.f)
         for digit in digits:
-            vec = [Fraction(0)] * self.degree
-            for a, c in enumerate(digit):
-                vec[a] = Fraction(c)
-            acc = acc + Scalar(self, tuple(vec)) * pi_pow
+            acc = acc + Scalar(self, tuple(digit) + zeros) * pi_pow
             pi_pow = pi_pow * self.uniformizer()
         if acc.is_zero:
             raise ParseError("unit part parses to zero")
@@ -697,29 +702,43 @@ class FieldSpec:
 class Scalar:
     """An exact element of K.
 
-    Immutable; supports field arithmetic through operators, exact
-    valuation/absolute value queries, residue reduction and digit
-    serialization at the field's precision budget.
+    Immutable: one int vector ``num`` over one positive denominator
+    ``den`` (coordinates num[k]/den over w^a pi^b, k = b*f + a), reduced so
+    that gcd(den, *num) = 1; zero is (0, ..., 0) over 1.  Supports field
+    arithmetic through operators, exact valuation/absolute value queries,
+    residue reduction and digit serialization at the field's precision
+    budget.
     """
 
-    __slots__ = ("field", "coords", "_val")
+    __slots__ = ("field", "num", "den", "_val")
 
-    def __init__(self, field, coords):
+    def __init__(self, field, num, den=1):
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
         self._val = None
+
+    @property
+    def coords(self):
+        """The coordinates as Fractions, indexed [b*f + a] for w^a pi^b."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
 
     # -- predicates and invariants ---------------------------------------------
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     @property
     def valuation(self):
         """v(x) in uniformizer units, v(pi) = 1; +inf for zero.  Exact."""
         if self._val is None:
-            self._val = self.field._vpi_vec(self.coords)
+            self._val = self.field._valuation(self.num, self.den)
         return self._val
 
     def abs_exponent(self):
@@ -731,29 +750,31 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise InvalidArgument("scalars from different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar(self.field, self.field._int_vec(other))
+            return self.field.scalar(other)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        return Scalar(self.field, tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coords))
+        return Scalar(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        return Scalar(self.field, tuple(a * d2 - b * d1 for a, b in zip(self.num, other.num)), d1 * d2)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -764,18 +785,20 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.field._mul_vec(self.coords, other.coords))
+        field = self.field
+        return Scalar(field, field._mul_vec(self.num, other.num), self.den * other.den * field._den)
 
     __rmul__ = __mul__
 
     def scale(self, q):
         q = Fraction(q)
-        return Scalar(self.field, tuple(a * q for a in self.coords))
+        n = q.numerator
+        return Scalar(self.field, tuple(a * n for a in self.num), self.den * q.denominator)
 
     def inv(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero scalar")
-        return Scalar(self.field, self.field._inv_vec(self.coords))
+        return self.field._inverse(self)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -800,12 +823,13 @@ class Scalar:
             other = self._coerce(other)
         return (
             isinstance(other, Scalar)
+            and self.num == other.num
+            and self.den == other.den
             and self.field == other.field
-            and self.coords == other.coords
         )
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self.num, self.den))
 
     # -- reduction ---------------------------------------------------------------
 
@@ -816,9 +840,8 @@ class Scalar:
         v = self.valuation
         if v == 0:
             return self
-        pi_inv = Scalar(self.field, self.field._pi_inv_vec)
         out = self
-        step = pi_inv if v > 0 else self.field.uniformizer()
+        step = self.field._pi_inv if v > 0 else self.field._pi
         for _ in range(abs(v)):
             out = out * step
         return out
@@ -828,10 +851,11 @@ class Scalar:
         if self.valuation != 0:
             raise NonUnit(f"residue of an element with valuation {self.valuation}")
         f, p = self.field.f, self.field.p
-        coeffs = tuple(
-            rational_mod_prime_power(self.coords[a], p, 1) for a in range(f)
-        )
-        return self.field.residue_field.elem(coeffs)
+        # at valuation 0 the p-part of den divides every coordinate of the
+        # pi^0 block, so the residue is (num / p^k) (den / p^k)^-1 mod p
+        pk = p ** vp_int(self.den, p)
+        inv = pow(self.den // pk, -1, p)
+        return self.field.residue_field.elem(tuple(x // pk * inv % p for x in self.num[:f]))
 
     def leading_residue(self):
         """Residue class of the unit part (the symbol coefficient)."""
@@ -846,7 +870,7 @@ class Scalar:
         v = self.valuation
         unit = self.unit_part()
         digits = []
-        pi_inv = Scalar(self.field, self.field._pi_inv_vec)
+        pi_inv = self.field._pi_inv
         for _ in range(self.field.precision):
             r = unit.residue() if unit.valuation == 0 else None
             digit = list(r.coeffs) if r is not None else [0] * self.field.f
@@ -865,9 +889,10 @@ class Scalar:
     def short_str(self):
         """Exact compact form: the coordinate polynomial in w and pi."""
         parts = []
+        coords = self.coords
         for b in range(self.field.e):
             for a in range(self.field.f):
-                c = self.coords[b * self.field.f + a]
+                c = coords[b * self.field.f + a]
                 if not c:
                     continue
                 factors = []

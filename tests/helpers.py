@@ -9,7 +9,9 @@ transform.  The lattice oracle computes ultrametric least distances to a finitel
 right-ideal lattice by weighted elimination, independently of the
 symbol-rewriting canonicalizer.  The field-product oracle multiplies
 scalars of K as polynomials in Q[w, pi] and reduces by long division,
-independently of the basis-product table.  The exponent oracles evaluate
+independently of the basis-product table; the product oracle convolves
+two distributions through the table's Fraction rows with it, independently
+of the int sums of ``DistAlgebra.mul``.  The exponent oracles evaluate
 v(c)/e + kappa |alpha| a/b over Fractions, independently of the scaled
 int keys of ``distalg``.  The residue-product oracle multiplies in F_q as
 polynomials over F_p reduced by gbar, independently of the log tables.
@@ -314,3 +316,16 @@ def field_product_oracle(field, x, y):
         for i, a_i in enumerate(field.eisenstein):
             prod[top - e + i] = _wadd(prod[top - e + i], _wmul(prod[top], a_i), -1)
     return tuple(c for b in range(e) for c in _wmod(prod[b], field.unram_poly))
+
+
+def mul_oracle(alg, lam, mu):
+    """Coordinates of lam * mu: the convolution through ``table.row`` in
+    Fractions, each coefficient product from ``field_product_oracle``."""
+    zero = (Fraction(0),) * alg.field.degree
+    acc = {}
+    for alpha, da in lam.coeffs.items():
+        for beta, eb in mu.coeffs.items():
+            prod = field_product_oracle(alg.field, da, eb)
+            for gamma, c in alg.table.row(alpha, beta).items():
+                acc[gamma] = tuple(a + c * x for a, x in zip(acc.get(gamma, zero), prod))
+    return {gamma: v for gamma, v in acc.items() if any(v)}

@@ -350,3 +350,32 @@ def test_default_reports_pinned(name):
     assert report.passed, report.to_text()
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_sha
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == structured_sha
+
+
+# A nonabelian table: ``padicdist run --sc-cache`` builds and saves it on
+# the cold run and loads it on the warm one; both reports are pinned, and
+# the warm run rewrites the cache file byte for byte.
+_PINNED_HEISENBERG = (
+    {"field": {"p": 3, "f": 2, "precision": 24}, "group": "heisenberg",
+     "truncation": 4, "residual_precision": 2, "radii": ["3^-1/4", "3^-2/3"],
+     "suites": _PINNED_SUITES, "seed": 0},
+    "7c8a540d5920a244d02c32ad1c6472971215a3a755029ed350890402b919d28e",
+    "12d80614d214cc2c9374d29cf179c8b4d70b79cb30bc6afdd2f2247bf6761978",
+)
+
+
+def test_nonabelian_report_pinned_cold_and_warm(tmp_path):
+    job, text_sha, structured_sha = _PINNED_HEISENBERG
+    config = tmp_path / "heis.json"
+    config.write_text(json.dumps(job))
+    cache, out = tmp_path / "cache", tmp_path / "report.txt"
+    files = []
+    for run in ("cold", "warm"):
+        assert main(["run", "--config", str(config), "--sc-cache", str(cache),
+                     "--out", str(out)]) == 0, run
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == text_sha, run
+        structured = Path(f"{out}.json").read_bytes()
+        assert hashlib.sha256(structured).hexdigest() == structured_sha, run
+        [table] = cache.glob("sc-*.bin")
+        files.append(table.read_bytes())
+    assert files[0] == files[1]

@@ -5,7 +5,8 @@ The filtration exponents (``norm``, ``leading_support``,
 Fraction formulas of ``tests/helpers.py``, over e in {1, 2, 3} and radii
 whose denominator does and does not share a factor with e.  ``delta`` is
 checked against products of ``binom_rational`` values at p-integral
-rational points."""
+rational points.  ``mul`` is checked against a Fraction convolution on
+fields whose basis products are not integral."""
 
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ st = hypothesis.strategies
 from helpers import (  # noqa: E402
     exponent_oracle,
     leading_support_oracle,
+    mul_oracle,
     mul_tail_oracle,
     norm_oracle,
 )
@@ -122,3 +124,43 @@ def test_delta_matches_binomial_products(group, data):
         if value:
             want[alpha] = alg.field.scalar(value)
     assert alg.delta(alg.lattice.element_second(x)).coeffs == want
+
+
+# nonabelian algebras over fields with a non-integral Eisenstein
+# coefficient (x^3 + 4x^2 + (2/3)x + 6 over Q_2) or e = 2 over F_9
+# (x^2 + (9 + 3w)x + 3 + 6w)
+MUL_CASES = {
+    "heisenberg2 over e=3 above Q_2": (2, 3, 1, [6, Fraction(2, 3), 4]),
+    "heisenberg over e=2 above F_9": (3, 2, 2, [(3, 6), (9, 3)]),
+}
+
+
+@cache
+def _mul_algebra(name):
+    p, e, f, eisenstein = MUL_CASES[name]
+    field = FieldSpec(p, e=e, f=f, precision=4, eisenstein=eisenstein)
+    return DistAlgebra(heisenberg2() if p == 2 else heisenberg(p), field, N)
+
+
+def rational_distributions(alg):
+    """Up to five terms with small rational coordinates, p and 3 among
+    their denominators."""
+    field = alg.field
+    coord = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 3, field.p, field.p**2)))
+    coeff = st.lists(coord, min_size=field.degree, max_size=field.degree).map(field.from_coords)
+    index = st.sampled_from(list(iter_multi_indices(alg.d, N)))
+    return st.dictionaries(index, coeff, max_size=5).map(alg.from_terms)
+
+
+@pytest.mark.parametrize("name", list(MUL_CASES))
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_mul_matches_fraction_convolution(name, data):
+    alg = _mul_algebra(name)
+    lam, mu = data.draw(rational_distributions(alg)), data.draw(rational_distributions(alg))
+    got = {gamma: c.coords for gamma, c in alg.mul(lam, mu).coeffs.items()}
+    assert got == mul_oracle(alg, lam, mu)
+
+
+def test_mul_cases_cover_non_integral_basis_products():
+    assert _mul_algebra("heisenberg2 over e=3 above Q_2").field._den == 3

@@ -147,7 +147,8 @@ def test_cache_roundtrip(tmp_path, q3):
     r = t1.row((1, 0), (0, 2))
     t1.save()
     t2 = StructureConstants(lat, 3, cache_dir=tmp_path)
-    assert t2._rows[((1, 0), (0, 2))] == r
+    assert ((1, 0), (0, 2)) in t2._rows  # loaded, not rebuilt
+    assert t2.row((1, 0), (0, 2)) == r
     # key mismatch is ignored, not an error
     t3 = StructureConstants(lat, 2, cache_dir=tmp_path)
     assert ((1, 0), (0, 2)) not in t3._rows
@@ -214,4 +215,33 @@ def test_cache_save_is_atomic(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert [f.name for f in tmp_path.iterdir()] == [t1._cache_path.name]
     t2 = StructureConstants(lat, 3, cache_dir=tmp_path)
-    assert t2._rows == {((1, 0), (0, 2)): r}
+    assert list(t2._rows) == [((1, 0), (0, 2))]
+    assert t2.row((1, 0), (0, 2)) == r
+
+
+def _one_entry(payload, value):
+    """The saved payload with its first table entry replaced by ``value``."""
+    row = next(row for row in payload["rows"].values() if row)
+    row[next(iter(row))] = value
+    return payload
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda payload: list(payload),
+    lambda payload: _one_entry(payload, (1, 0)),
+    lambda payload: _one_entry(payload, (1,)),
+    lambda payload: _one_entry(payload, (1.0, 2)),
+], ids=["list", "zero-denominator", "not-a-pair", "float"])
+def test_malformed_cache_is_a_miss(tmp_path, corrupt):
+    """A cache file that unpickles to something other than the saved dict,
+    or holds an entry that is not an (int, positive int) pair, is ignored
+    and the table rebuilt."""
+    gammas = list(iter_multi_indices(3, 3))
+    t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+    rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
+    t1.save()
+    payload = pickle.loads(t1._cache_path.read_bytes())
+    t1._cache_path.write_bytes(pickle.dumps(corrupt(payload), protocol=4))
+    t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+    assert not t2._rows
+    assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows

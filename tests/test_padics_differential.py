@@ -1,0 +1,75 @@
+"""Differential digest of arithmetic in K over 29 fields.
+
+The 27 towers with p in {2, 3, 5} and e, f <= 3 (seeded Eisenstein
+polynomials), plus x^2 + (9 + 3w)x + 3 + 6w over F_9 and
+x^3 + 4x^2 + (2/3)x + 6 over Q_2, whose coefficient 2/3 is not
+integral.  On seeded elements of each field the test hashes the
+coordinates of every product, sum, inverse and unit part, and every
+serialization, into one sha256.  The digest was recorded once on the
+Fraction implementation of ``padics``; any change to an exact result
+changes it.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+from padicdist import FieldSpec
+
+DIGEST = "24cf099a7e0b1c97527ab564e99c9124bcfc0e96e9efa720b26576478a87d2a0"
+ELEMENTS = 8
+
+
+def _fields():
+    for p in (2, 3, 5):
+        for e in (1, 2, 3):
+            for f in (1, 2, 3):
+                rng = random.Random(f"padics-differential:{p}:{e}:{f}")
+                small = range(-p, p + 1)
+                a0 = [rng.randrange(1, p)] + [rng.choice(small) for _ in range(f - 1)]
+                eisenstein = [tuple(p * c for c in a0)]
+                for _ in range(e - 1):
+                    eisenstein.append(tuple(p * rng.choice(small) for _ in range(f)))
+                yield (p, e, f, eisenstein)
+    yield (3, 2, 2, [(3, 6), (9, 3)])
+    yield (2, 3, 1, [6, Fraction(2, 3), 4])
+
+
+def _elements(field, label):
+    """Small rational coordinates with p among the denominators, times a
+    power of the uniformizer; the first element is zero."""
+    rng = random.Random(f"padics-differential:{label}")
+    dens = (1, 2, 3, 5, 7, field.p**2)
+    out = [field.zero()]
+    pi = field.uniformizer()
+    while len(out) < ELEMENTS:
+        x = field.from_coords(
+            [Fraction(rng.randrange(-20, 21), rng.choice(dens)) for _ in range(field.degree)]
+        )
+        out.append(x * pi ** rng.randrange(-2, 3))
+    return out
+
+
+def _coords(x):
+    return ",".join(str(c) for c in x.coords)
+
+
+def differential_digest():
+    h = hashlib.sha256()
+    specs = list(_fields())
+    for p, e, f, eisenstein in specs:
+        label = f"{p}:{e}:{f}:{eisenstein}"
+        h.update(label.encode())
+        field = FieldSpec(p, e=e, f=f, precision=4, eisenstein=eisenstein)
+        xs = _elements(field, label)
+        for x in xs:
+            for y in xs:
+                h.update(f"*{_coords(x * y)}+{_coords(x + y)};".encode())
+            if not x.is_zero:
+                h.update(f"/{_coords(x.inv())}u{_coords(x.unit_part())};".encode())
+            h.update(f"s{x.serialize()};".encode())
+    return len(specs), h.hexdigest()
+
+
+def test_field_arithmetic_digest():
+    assert differential_digest() == (29, DIGEST)
