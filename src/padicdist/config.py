@@ -59,7 +59,7 @@ DEFAULT_OPTIONS = {
 RESIDUE_SUITES = ("symbols", "quotient", "towers", "grading")
 
 # On a d = 3 lattice the pro-2 sweep checks 144,448 pairs at level 6 (about
-# 10 s on a 2-vCPU machine) and 1,455,168 at level 7.
+# 1 s on a 2-vCPU Xeon with Python 3.11) and 1,455,168 at level 7.
 MAX_PRO2_PAIRS = 200_000
 
 

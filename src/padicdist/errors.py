@@ -2,9 +2,9 @@
 
 Errors fall into three groups: arithmetic contract violations
 (PrecisionExhausted, DivisionByZero, NonUnit, DegreeOverflow), input
-validation (NotPowerful, NotNilpotent, NotPIntegral, InvalidBracket,
-InvalidBasis, InvalidArgument, InvalidDelta, SweepLimit, ConfigError,
-ParseError) and check failures that carry a witness
+validation (NotPowerful, NotNilpotent, NotPIntegral, LawNotPIntegral,
+InvalidBracket, InvalidBasis, InvalidArgument, InvalidDelta, SweepLimit,
+ConfigError, ParseError) and check failures that carry a witness
 (CounterexampleFound, ConditionFailed, HypothesisFailed).  A
 CounterexampleFound from one of the verification routines means an
 implementation bug, never a tolerated outcome.
@@ -61,6 +61,11 @@ class InvalidArgument(PadicError, ValueError):
 
 class NotPIntegral(PadicError, ValueError):
     """A coordinate or exponent that must lie in Z_p has negative p-valuation."""
+
+
+class LawNotPIntegral(PadicError, ValueError):
+    """A compiled group law has a coefficient whose denominator p divides,
+    so its values at p-integral points need not be p-integral."""
 
 
 class SweepLimit(PadicError, ValueError):

@@ -8,17 +8,18 @@ p-integral rationals.  The lattice must be nilpotent: the series then
 stops at the nilpotency class, and a lattice whose lower central series
 does not reach zero is refused with NotNilpotent on its first group-law
 use.  The law is exact.  ``LieLattice.bch`` is the first-kind law over
-Fractions.  Elements run on four maps that the Hausdorff series and one
+Fractions.  Elements run on five maps that the Hausdorff series and one
 chart fixed point compile once per lattice, on first use, into
 polynomials evaluated in integers: the law F(x, y) of h^x h^y, the chart
-maps E (second to first kind) and L (first to second kind), and the
-inverse I in the second-kind chart.  The fixed point closes only on a
-basis adapted to the lower central series; any other basis is refused
-with InvalidBasis.
+maps E (second to first kind) and L (first to second kind), the inverse
+I in the second-kind chart and the commutator C(x, y) of h^x and h^y.
+The fixed point closes only on a basis adapted to the lower central
+series; any other basis is refused with InvalidBasis.
 
 The module also provides the lower p-series level, the induced
-p-valuation, finite powerful quotients for the pro-2 commutator check and
-scalar restriction of groups defined over a finite extension L.
+p-valuation, finite powerful quotients for the pro-2 commutator check
+(which evaluates C in ints and reads levels off its integer numerators)
+and scalar restriction of groups defined over a finite extension L.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from .errors import (
     InvalidArgument,
     InvalidBasis,
     InvalidBracket,
+    LawNotPIntegral,
     NotNilpotent,
     NotPIntegral,
     NotPowerful,
 )
 from .padics import FieldSpec, solve_columns
-from .radii import kappa, vp_rational
+from .radii import kappa, vp_int, vp_rational
 
 INF = math.inf
 
@@ -245,6 +247,29 @@ class LieLattice:
             self, tuple(c * -1 for c in _eval_second_kind(self, x))
         ))
 
+    @cached_property
+    def commutator_law(self):
+        """C(x, y): second-kind coordinates of [h^x, h^y] = (h^x)^-1 (h^y)^-1 h^x h^y.
+
+        C is the product of three F and two I calls made one polynomial.
+        That product refuses a non-p-integral intermediate point, which
+        cannot occur when every coefficient of F and I is p-integral; this
+        is checked here, once, and a law that fails it is refused with
+        LawNotPIntegral.
+        """
+        for name in ("second_kind_law", "second_kind_inverse"):
+            if any(den % self.p == 0 for den in getattr(self, name).denoms):
+                raise LawNotPIntegral(
+                    f"{name} of {self!r} has a coefficient with p in its denominator, "
+                    "so the commutator of p-integral points may leave Z_p"
+                )
+
+        def build(x, y):
+            ex, ey = _eval_second_kind(self, x), _eval_second_kind(self, y)
+            inverses = self._bch(tuple(c * -1 for c in ex), tuple(c * -1 for c in ey))
+            return _chart_fixed_point(self, self._bch(self._bch(inverses, ex), ey))
+        return _compile(self, 2, build)
+
     # -- elements ----------------------------------------------------------------
 
     def element_first(self, coords):
@@ -353,18 +378,20 @@ class _LawPoly:
 
 
 class SecondKindLaw:
-    """A compiled group-law map: the law F(x, y), a chart map or the inverse.
+    """A compiled group-law map: the law F(x, y), a chart map, the inverse
+    or the commutator.
 
-    Per coordinate it keeps integer terms (c, monomial) and one positive
-    denominator; a monomial lists (variable, exponent) pairs over the
-    concatenated input point and, as one more variable, its common
-    denominator D, which makes every term of degree ``degree``.  A call
-    clears D, refuses it with NotPIntegral when p divides it, evaluates
-    in ints and builds one Fraction per output coordinate; integer points
-    have D = 1.
+    Per coordinate k it keeps integer terms (c, monomial) and one positive
+    denominator ``denoms[k]``; a monomial lists (variable, exponent) pairs
+    over the concatenated input point and, as one more variable, its
+    common denominator D, which makes every term of degree ``degree``.
+    ``ints`` is the evaluation: it clears D, refuses it with NotPIntegral
+    when p divides it and returns the output numerators n_k with the scale
+    D^degree, coordinate k being n_k / (denoms[k] D^degree); integer points
+    have D = 1.  A call is the Fraction view of ``ints``.
     """
 
-    __slots__ = ("p", "degree", "coords")
+    __slots__ = ("p", "degree", "terms", "denoms")
 
     def __init__(self, p, polys, nvars):
         self.p = p
@@ -372,7 +399,7 @@ class SecondKindLaw:
         self.degree = max(
             (sum(e for _, e in m) for terms in polys for m in terms), default=0
         )
-        self.coords = []
+        self.terms, self.denoms = [], []
         for terms in polys:
             denom = lcm(*[c.denominator for c in terms.values()])
             out = []
@@ -380,9 +407,10 @@ class SecondKindLaw:
                 k = self.degree - sum(e for _, e in m)
                 mono = m + ((nvars, k),) if k else m
                 out.append((c.numerator * (denom // c.denominator), mono))
-            self.coords.append((tuple(out), denom))
+            self.terms.append(tuple(out))
+            self.denoms.append(denom)
 
-    def __call__(self, point):
+    def ints(self, point):
         D = 1
         for c in point:
             D = lcm(D, c.denominator)
@@ -390,16 +418,19 @@ class SecondKindLaw:
             raise NotPIntegral("the group law needs p-integral coordinates")
         xs = [c.numerator * (D // c.denominator) for c in point]
         xs.append(D)
-        scale = D**self.degree
         out = []
-        for terms, denom in self.coords:
+        for terms in self.terms:
             s = 0
             for c, mono in terms:
                 for v, e in mono:
                     c *= xs[v] ** e
                 s += c
-            out.append(Fraction(s, denom * scale))
-        return tuple(out)
+            out.append(s)
+        return out, D**self.degree
+
+    def __call__(self, point):
+        nums, scale = self.ints(point)
+        return tuple([Fraction(n, denom * scale) for n, denom in zip(nums, self.denoms)])
 
 
 def _chart_fixed_point(lattice, target):
@@ -434,11 +465,12 @@ def _compile(lattice, arity, build):
 class GroupElement:
     """A group element in a fixed chart; conversions are exact and cached.
 
-    Chart conversions, products and inverses evaluate the lattice's
-    compiled maps in ints (E for ``first``, L for ``second``, F for
-    ``*`` and I for ``inverse``); products and inverses come back in the
-    second-kind chart.  Every compiled call refuses a point that is not
-    p-integral with NotPIntegral.
+    Chart conversions, products, inverses and commutators evaluate the
+    lattice's compiled maps in ints (E for ``first``, L for ``second``, F
+    for ``*``, I for ``inverse`` and C for ``commutator``); products,
+    inverses and commutators come back in the second-kind chart.  Every
+    compiled call refuses a point that is not p-integral with
+    NotPIntegral.
     """
 
     __slots__ = ("lattice", "mode", "coords", "_other")
@@ -489,7 +521,11 @@ class GroupElement:
         )
 
     def commutator(self, other):
-        return self.inverse() * other.inverse() * self * other
+        """[g, h] = g^-1 h^-1 g h, by one call of the compiled C."""
+        if other.lattice is not self.lattice:
+            raise InvalidArgument("a commutator needs two elements of the same lattice")
+        z = self.lattice.commutator_law((*self.second(), *other.second()))
+        return GroupElement(self.lattice, "second", z)
 
     def conjugate(self, by):
         return by.inverse() * self * by
@@ -575,13 +611,15 @@ class FiniteQuotient:
         steps = range(0, stride * p**window, stride)
         return list(product(steps, repeat=self.lattice.d))
 
-    def member_level(self, g):
-        """Lower-p-series level inside the quotient (level+1 for the class of 1)."""
-        vals = []
-        for c in g.second():
-            v = vp_rational(c, self.lattice.p)
-            vals.append(min(v, self.level))
-        return 1 + min(vals)
+    def member_level(self, nums, dens):
+        """Lower-p-series level inside the quotient (level+1 for the class
+        of 1) of the element with second-kind coordinates n_k / d_k."""
+        p = self.lattice.p
+        low = self.level
+        for n, d in zip(nums, dens):
+            if n:
+                low = min(low, vp_int(n, p) - vp_int(d, p))
+        return 1 + low
 
 
 def _commutator_windows(level, i, j):
@@ -607,7 +645,8 @@ def check_powerful_commutator(quotient, i, j):
     Enumeration runs over representatives of P_i mod P_{i+j} and P_j mod
     P_{i+j}: replacing a by az with z in P_{i+j} changes [a,b] by factors
     from [P_{i+j}, G] <= P_{i+j+1}, so these windows cover every pair.
-    Returns the number of pairs checked.
+    Each pair is one int evaluation of the compiled commutator C at the
+    integer window points.  Returns the number of pairs checked.
     """
     lat = quotient.lattice
     if lat.p != 2:
@@ -617,13 +656,14 @@ def check_powerful_commutator(quotient, i, j):
             f"quotient level {quotient.level} is below i + j = {i + j} for the step pair"
         )
     window_a, window_b = _commutator_windows(quotient.level, i, j)
+    law = lat.commutator_law
+    bound = min(i + j + 1, quotient.level + 1)
     checked = 0
     for a in quotient.window_members(i, window_a):
-        ga = lat.element_second(a)
         for b in quotient.window_members(j, window_b):
-            gb = lat.element_second(b)
-            c = ga.commutator(gb)
-            if quotient.member_level(c) < min(i + j + 1, quotient.level + 1):
+            nums, scale = law.ints((*a, *b))
+            if quotient.member_level(nums, [d * scale for d in law.denoms]) < bound:
+                c = lat.element_second(a).commutator(lat.element_second(b))
                 raise CounterexampleFound(
                     f"[P_{i}, P_{j}] escapes P_{i + j + 1}",
                     witness=(a, b, c.second()),

@@ -93,6 +93,7 @@ class StructureConstants:
         self._rows = {}         # (alpha, beta) -> ((gamma, n), ...), c = n / den
         self.den = 1
         self._gammas = list(iter_multi_indices(lattice.d, N))
+        self._built = False     # rows computed here, not only loaded
         self._cache_path = None
         if cache_dir is not None:
             key = f"sc-{lattice.structure_digest()}-N{N}-v{CACHE_FORMAT_VERSION}"
@@ -154,6 +155,7 @@ class StructureConstants:
             gamma = add_index(alpha, beta)
             out = ((gamma, self.den),) if sum(gamma) <= self.N else ()
             self._rows[key] = out
+            self._built = True
             return out
         self._build()
         return self._rows[key]
@@ -187,6 +189,7 @@ class StructureConstants:
             for key, vec in zip(grid, values.values())
         }
         self.den = den
+        self._built = True
 
     def has_tail(self, alpha, beta):
         """Whether the (alpha, beta) product may have terms beyond degree N."""
@@ -200,7 +203,9 @@ class StructureConstants:
         """v_p(c) >= kappa (|alpha| + |beta| - |gamma|) over the whole table.
 
         Reads every row; raises CounterexampleFound on violation and
-        returns the number of entries checked.
+        returns the number of entries checked.  A table that passes is
+        saved to the cache if any of its rows were computed rather than
+        loaded.
         """
         kappa = self.lattice.kappa
         p = self.lattice.p
@@ -217,7 +222,7 @@ class StructureConstants:
                             witness=(alpha, beta, gamma, Fraction(n, self.den)),
                         )
                     checked += 1
-        if self._cache_path is not None:
+        if self._built:
             self.save()
         return checked
 

@@ -394,6 +394,25 @@ def canonicalize(fam, lam, r, mprime):
     return CanonicalForm(fam, r, canon, residual, mprime, steps, levels)
 
 
+def binomial_series(fam, v, j):
+    """(1 + b_1j)^v - 1 = sum_(1 <= k <= N) binom(v, k) b_1j^k for v in o_L,
+    given as a scalar of K.
+
+    Since G_ij lies in the kernel, 1 + b_ij = (1 + b_1j)^(v_i) in the
+    quotient, so at v = v_i this is the canonical form of b_ij up to the
+    residual and the truncation.
+    """
+    alg = fam.algebra
+    index = fam.lgspec.flat_index(1, j)
+    coeff = alg.field.one()
+    terms = {}
+    for k in range(1, alg.N + 1):
+        coeff = (coeff * (v - (k - 1))).scale(Fraction(1, k))
+        if not coeff.is_zero:
+            terms[tuple(k if t == index else 0 for t in range(alg.d))] = coeff
+    return Distribution(alg, terms)
+
+
 def _required_truncation(alg, r, mprime):
     kappa, rexp = alg.kappa, r.exponent
     need = 1

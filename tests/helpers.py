@@ -72,15 +72,36 @@ def heisenberg_second_kind_oracle(coords, c):
     return _second_kind_of_matrix(heisenberg_mat_exp(coords, c), c)
 
 
+def _second_kind_matrix(coords, c):
+    """h^x as the ordered product exp(x_1 c E12) exp(x_2 E23) exp(x_3 E13)."""
+    E = heisenberg_mat_exp((0, 0, 0), c)
+    for i, t in enumerate(coords):
+        unit = tuple(Fraction(t) if k == i else Fraction(0) for k in range(3))
+        E = _matmul3(E, heisenberg_mat_exp(unit, c))
+    return E
+
+
+def _unipotent_inverse3(E):
+    a, b, e = E[0][1], E[0][2], E[1][2]
+    return [[Fraction(1), -a, a * e - b], [Fraction(0), Fraction(1), -e],
+            [Fraction(0), Fraction(0), Fraction(1)]]
+
+
 def heisenberg_law_oracle(x, y, c):
     """Second-kind coordinates of h^x h^y, each factor an ordered product
-    exp(x_1 c E12) exp(x_2 E23) exp(x_3 E13) of matrices."""
+    of matrices."""
     c = Fraction(c)
-    E = heisenberg_mat_exp((0, 0, 0), c)
-    for coords in (x, y):
-        for i, t in enumerate(coords):
-            unit = tuple(Fraction(t) if k == i else Fraction(0) for k in range(3))
-            E = _matmul3(E, heisenberg_mat_exp(unit, c))
+    return _second_kind_of_matrix(
+        _matmul3(_second_kind_matrix(x, c), _second_kind_matrix(y, c)), c
+    )
+
+
+def heisenberg_commutator_oracle(x, y, c):
+    """Second-kind coordinates of [h^x, h^y] = (h^x)^-1 (h^y)^-1 h^x h^y,
+    from the matrices of h^x and h^y and their exact inverses."""
+    c = Fraction(c)
+    A, B = _second_kind_matrix(x, c), _second_kind_matrix(y, c)
+    E = _matmul3(_matmul3(_unipotent_inverse3(A), _unipotent_inverse3(B)), _matmul3(A, B))
     return _second_kind_of_matrix(E, c)
 
 

@@ -11,6 +11,8 @@ import padicdist
 from padicdist.cli import main
 from padicdist.config import JobConfig
 from padicdist.errors import ConfigError
+from padicdist.groups import pro2_sweep_pairs
+from padicdist.mahler import StructureConstants
 from padicdist.suites import run_suite
 
 
@@ -324,6 +326,20 @@ def test_bij_record_sizes_its_truncation(tmp_path, capsys):
         "computed=leading residue vbar_i, idempotent at N = 7" in out
 
 
+@pytest.mark.parametrize("f", [1, 2])
+def test_bij_record_passes_over_ramified_fields(f):
+    """Over e = 2, v_2 = pi has residue 0: the record compares the whole
+    canonical form of b_i1 with (1 + b_11)^(v_i) - 1, not its leading
+    residue with vbar_i."""
+    job = {"field": {"p": 3, "e": 2, "f": f, "precision": 24}, "group": "o-additive(1)",
+           "truncation": 6, "residual_precision": 2, "radii": ["3^-2/3"],
+           "suites": ["quotient"], "seed": 0}
+    report = run_suite(JobConfig.from_dict(job))
+    [record] = [rec for rec in report.records if rec.name.startswith("b_ij reduces")]
+    assert record.passed, record.computed
+    assert report.passed, report.to_text()
+
+
 _PINNED_SUITES = ["pvaluation", "norms", "symbols", "quotient", "towers", "grading"]
 # sha256 of the default text and structured reports; a change to either
 # means the library computes or prints something different for these jobs
@@ -353,8 +369,8 @@ def test_default_reports_pinned(name):
 
 
 # A nonabelian table: ``padicdist run --sc-cache`` builds and saves it on
-# the cold run and loads it on the warm one; both reports are pinned, and
-# the warm run rewrites the cache file byte for byte.
+# the cold run and loads it on the warm one, which leaves the file as it
+# is; both reports are pinned.
 _PINNED_HEISENBERG = (
     {"field": {"p": 3, "f": 2, "precision": 24}, "group": "heisenberg",
      "truncation": 4, "residual_precision": 2, "radii": ["3^-1/4", "3^-2/3"],
@@ -364,13 +380,38 @@ _PINNED_HEISENBERG = (
 )
 
 
-def test_nonabelian_report_pinned_cold_and_warm(tmp_path):
+# The pro-2 sweep on heisenberg2: every pair of the 13,376 in the level-5
+# windows is checked, and the report is pinned as the jobs above are.
+_PINNED_PRO2 = (
+    {"field": {"p": 2, "precision": 24}, "group": "heisenberg2", "truncation": 6,
+     "radii": ["2^-1/4"], "suites": ["pvaluation", "pro2"], "seed": 0,
+     "options": {"pairs": 60, "pro2_level": 5}},
+    "c47950ff3b92e5f50e437fe78116309405cd9ecab57875e9017428e7a52182a4",
+    "602fe2606f605edaa82d189c91955523cf652495fa8f334d04ec741363170dd9",
+)
+
+
+def test_pro2_report_pinned():
+    job, text_sha, structured_sha = _PINNED_PRO2
+    report = run_suite(JobConfig.from_dict(job))
+    assert report.passed, report.to_text()
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_sha
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == structured_sha
+    sweep = [int(rec.computed) for rec in report.records if rec.suite == "pro2"]
+    assert sum(sweep) == pro2_sweep_pairs(3, 5) == 13_376
+
+
+def test_nonabelian_report_pinned_cold_and_warm(tmp_path, monkeypatch):
     job, text_sha, structured_sha = _PINNED_HEISENBERG
     config = tmp_path / "heis.json"
     config.write_text(json.dumps(job))
     cache, out = tmp_path / "cache", tmp_path / "report.txt"
-    files = []
+    saves = []
+    save = StructureConstants.save
+    monkeypatch.setattr(StructureConstants, "save", lambda sc: saves.append(1) or save(sc))
+    files, counts = [], []
     for run in ("cold", "warm"):
+        saves.clear()
         assert main(["run", "--config", str(config), "--sc-cache", str(cache),
                      "--out", str(out)]) == 0, run
         assert hashlib.sha256(out.read_bytes()).hexdigest() == text_sha, run
@@ -378,4 +419,6 @@ def test_nonabelian_report_pinned_cold_and_warm(tmp_path):
         assert hashlib.sha256(structured).hexdigest() == structured_sha, run
         [table] = cache.glob("sc-*.bin")
         files.append(table.read_bytes())
+        counts.append(len(saves))
+    assert counts[0] >= 1 and counts[1] == 0, counts
     assert files[0] == files[1]

@@ -21,6 +21,7 @@ from padicdist import (
     o_additive,
 )
 from padicdist.errors import (
+    CounterexampleFound,
     InvalidArgument,
     InvalidBasis,
     InvalidBracket,
@@ -28,6 +29,7 @@ from padicdist.errors import (
     NotPowerful,
     PadicError,
 )
+from padicdist.groups import SecondKindLaw, _LawPoly
 
 INF = math.inf
 
@@ -208,6 +210,19 @@ def test_pro2_commutator_check(heis2):
     assert check_powerful_commutator(q, 1, 1) > 0
     assert check_powerful_commutator(q, 1, 2) > 0
     assert check_powerful_commutator(q, 2, 2) > 0
+
+
+def test_pro2_counterexample_carries_the_commutator():
+    """A planted C(x, y) = (0, 0, x_1 y_2), the heisenberg2 commutator
+    without its factor 4, escapes P_3: the sweep reads the level off the
+    numerators and builds the witness (a, b, second-kind coordinates)."""
+    lat = heisenberg2()
+    lat.commutator_law = SecondKindLaw(2, [0, 0, _LawPoly({((0, 1), (4, 1)): Fraction(1)})], 6)
+    with pytest.raises(CounterexampleFound, match=r"\[P_1, P_1\] escapes P_3") as info:
+        check_powerful_commutator(FiniteQuotient(lat, 5), 1, 1)
+    a, b, c = info.value.witness
+    assert c == (0, 0, Fraction(a[0] * b[1]))
+    assert a[0] * b[1] % 4 != 0
 
 
 def test_pro2_requires_p2(heis):

@@ -1,12 +1,14 @@
 """Property tests of the compiled group-law maps.
 
-Each lattice compiles four maps: the law F(x, y) of h^x h^y, the charts
-E (second kind to first kind) and L (first kind to second kind), and the
-inverse I in the second-kind chart.  On the class-2 lattices they are
-checked against the independent 3x3 matrix oracle; on the class-3
-filiform lattice, against ``bch`` (the Hausdorff series over Fractions)
-through the identities that define them.  Inputs are p-integral
-Fractions; a denominator divisible by p is refused by every map.
+Each lattice compiles five maps: the law F(x, y) of h^x h^y, the charts
+E (second kind to first kind) and L (first kind to second kind), the
+inverse I in the second-kind chart and the commutator C(x, y) of h^x and
+h^y.  On the class-2 lattices they are checked against the independent
+3x3 matrix oracle; on the class-3 filiform lattice, against ``bch`` (the
+Hausdorff series over Fractions) through the identities that define
+them.  Inputs are p-integral Fractions; a denominator divisible by p is
+refused by every map, and C refuses a law F or I with p in a coefficient
+denominator.
 """
 
 from fractions import Fraction
@@ -18,11 +20,13 @@ st = hypothesis.strategies
 
 from helpers import (  # noqa: E402
     heisenberg_bch_oracle,
+    heisenberg_commutator_oracle,
     heisenberg_law_oracle,
     heisenberg_second_kind_oracle,
 )
 from padicdist import LieLattice, heisenberg, heisenberg2  # noqa: E402
-from padicdist.errors import NotPIntegral  # noqa: E402
+from padicdist.errors import InvalidArgument, LawNotPIntegral, NotPIntegral  # noqa: E402
+from padicdist.groups import SecondKindLaw, _LawPoly  # noqa: E402
 from padicdist.radii import kappa  # noqa: E402
 
 
@@ -99,6 +103,28 @@ def test_compiled_maps_satisfy_their_identities(lat, data):
     assert lat.second_kind_law((*x, *lat.second_kind_inverse(x))) == (0,) * lat.d
 
 
+@pytest.mark.parametrize("lat", CLASS_2, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_commutator_matches_matrix_oracle(lat, data):
+    x, y = data.draw(points(lat)), data.draw(points(lat))
+    c = lat.brackets[0][1][2]
+    assert lat.commutator_law((*x, *y)) == heisenberg_commutator_oracle(x, y, c)
+
+
+@pytest.mark.parametrize("lat", CLASS_3, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_commutator_is_the_five_call_product(lat, data):
+    x, y = data.draw(points(lat)), data.draw(points(lat))
+    ex, ey = lat.to_first_kind(x), lat.to_first_kind(y)
+    inverses = lat.bch(tuple(-c for c in ex), tuple(-c for c in ey))
+    expected = lat.to_second_kind(lat.bch(lat.bch(inverses, ex), ey))
+    assert lat.commutator_law((*x, *y)) == expected
+    g, h = lat.element_second(x), lat.element_second(y)
+    assert (g.inverse() * h.inverse() * g * h).second() == expected
+
+
 @pytest.mark.parametrize("lat", LATTICES, ids=repr)
 @FEW
 @hypothesis.given(data=st.data())
@@ -108,6 +134,8 @@ def test_elements_run_on_the_compiled_maps(lat, data):
     assert (g * h).mode == (g.inverse()).mode == "second"
     assert (g * h).coords == lat.second_kind_law((*x, *y))
     assert g.inverse().coords == lat.second_kind_inverse(x)
+    assert g.commutator(h).mode == "second"
+    assert g.commutator(h).coords == lat.commutator_law((*x, *y))
     assert g.first() == lat.to_first_kind(x)
     assert lat.element_first(x).second() == lat.to_second_kind(x)
 
@@ -127,9 +155,12 @@ def test_compiled_maps_refuse_denominators_divisible_by_p(lat, data):
         lambda: lat.to_first_kind(x),
         lambda: lat.to_second_kind(x),
         lambda: lat.second_kind_inverse(x),
+        lambda: lat.commutator_law((*x, *ok)),
+        lambda: lat.commutator_law((*ok, *x)),
         lambda: lat.element_second(x).first(),
         lambda: lat.element_second(x).inverse(),
         lambda: lat.element_second(x) * lat.identity(),
+        lambda: lat.element_second(x).commutator(lat.identity()),
         lambda: lat.element_first(x).second(),
     ):
         with pytest.raises(NotPIntegral):
@@ -144,3 +175,22 @@ def test_bch_matches_matrix_oracle(lat, data):
     x, y = data.draw(coords), data.draw(coords)
     c = lat.brackets[0][1][2]
     assert lat.bch(x, y) == heisenberg_bch_oracle(x, y, c)
+
+
+@pytest.mark.parametrize("name", ["second_kind_law", "second_kind_inverse"])
+def test_commutator_refuses_a_law_with_p_in_a_denominator(name):
+    """C stands for three F and two I calls; a planted F or I whose
+    coefficients are not p-integral is refused once, when C is compiled."""
+    lat = heisenberg(3)
+    arity = 2 if name == "second_kind_law" else 1
+    x0 = _LawPoly({((0, 1),): Fraction(1, 3)})
+    planted = SecondKindLaw(3, [x0, x0 * 0, x0 * 0], arity * lat.d)
+    setattr(lat, name, planted)  # the cached property's slot
+    with pytest.raises(LawNotPIntegral, match=name):
+        lat.commutator_law
+
+
+def test_commutator_refuses_elements_of_two_lattices():
+    g, h = heisenberg(3).generator(0), heisenberg(3).generator(1)
+    with pytest.raises(InvalidArgument, match="same lattice"):
+        g.commutator(h)
