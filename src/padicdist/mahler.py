@@ -7,12 +7,13 @@ are the joint finite differences of (x, y) -> binom(F(x, y), gamma) over
 integer grid points.  One routine, ``mahler_coefficients``, takes finite
 differences: Mahler coefficients on a product grid factor into one 1-D
 binomial transform per axis, run in place.  A non-abelian table is built
-whole on its first missing row, in exact integer arithmetic over one
-common denominator; abelian rows have a closed form.  A table holds
-each row once, as (gamma, int) pairs over one denominator shared by the
-whole table, the form ``DistAlgebra.mul`` sums in.  Every table is
-exact, so it serializes to a versioned cache file keyed by (group
-digest, N) alone.
+whole on its first missing row: the integer law gives each grid point
+one packed int, a signed slot per gamma over one common denominator, and
+one transform of those ints gives every row; abelian rows have a closed
+form.  A table holds each row once, as (gamma, int) pairs over one
+denominator shared by the whole table, the form ``DistAlgebra.mul`` sums
+in.  Every table is exact, so it serializes to a versioned cache file
+keyed by (group digest, N) alone.
 """
 
 from __future__ import annotations
@@ -20,24 +21,15 @@ from __future__ import annotations
 import os
 import pickle
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
-from operator import sub
+from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 from pathlib import Path
 
 from .errors import CounterexampleFound, DegreeOverflow, PadicError
-from .indices import add_index, iter_multi_indices, le_componentwise, multi_binom
+from .indices import add_index, iter_multi_indices
 from .radii import vp_int, vp_rational
 
 CACHE_FORMAT_VERSION = 1
-
-
-def binom_rational(t, k):
-    """binom(t, k) for a rational (or integer) upper argument."""
-    t = Fraction(t)
-    out = Fraction(1)
-    for i in range(k):
-        out *= (t - i) / (i + 1)
-    return out
 
 
 def mahler_coefficients(values, N, d):
@@ -66,13 +58,40 @@ def mahler_coefficients(values, N, d):
     return values
 
 
-class _IntVector(list):
-    """An integer vector under componentwise subtraction: a table grid value."""
+def _ladder(top, step, N):
+    """prod_{j < g} (top - j step) for g = 0..N, that is step^g g!
+    binom(top / step, g)."""
+    ladder = [1]
+    for j in range(N):
+        ladder.append(ladder[-1] * (top - j * step))
+    return ladder
 
-    __slots__ = ()
 
-    def __sub__(self, other):
-        return _IntVector(map(sub, self, other))
+def _slot_width(bound, N):
+    """Bits per signed slot for the transform of grid values bounded by
+    ``bound`` on simplex x simplex of degree N (see ``_build``)."""
+    return (bound << 2 * N).bit_length() + 1
+
+
+def _unpack(vectors, width, count):
+    """The nonzero slots of each int in ``vectors``, which packs ``count``
+    signed ``width``-bit slots, as a list of (position, value) pairs,
+    highest position first.
+
+    Adding half a slot range to every slot makes each one nonnegative
+    without carries; XOR with the same offset is then zero exactly on
+    the zero slots, and each nonzero slot is found by its top bit."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    offset = ((1 << width * count) - 1) // mask * half
+    for packed in vectors:
+        shifted = packed + offset
+        live = shifted ^ offset
+        out = []
+        while live:
+            i = (live.bit_length() - 1) // width
+            out.append((i, (shifted >> width * i & mask) - half))
+            live &= (1 << width * i) - 1
+        yield out
 
 
 class StructureConstants:
@@ -115,22 +134,14 @@ class StructureConstants:
         return out
 
     def expansion(self, F, denom):
-        """denom^|gamma| gamma! binom(F, gamma) for all |gamma| <= N.
+        """denom^|gamma| gamma! binom(F, gamma) for all |gamma| <= N, in the
+        order of ``iter_multi_indices(d, N)``: the coefficients of
+        ``DistAlgebra.delta`` over a common denominator ``denom`` of F.
 
-        ``denom`` is a common denominator of the coordinates F, so every
-        entry is the integer prod_k prod_{j < gamma_k} (denom F_k - j denom).
-        The entries follow ``iter_multi_indices(d, N)``.  They are the grid
-        values of ``_build`` and, divided back, the coefficients of
-        ``DistAlgebra.delta``.
+        Entry gamma is the integer prod_k prod_{j < gamma_k} (denom F_k - j denom).
         """
-        ladders = []
-        for c in F:
-            top = c.numerator * (denom // c.denominator)
-            ladder = [1]
-            for j in range(self.N):
-                ladder.append(ladder[-1] * (top - j * denom))
-            ladders.append(ladder)
-        return _IntVector(prod(map(list.__getitem__, ladders, gamma)) for gamma in self._gammas)
+        ladders = [_ladder(c.numerator * (denom // c.denominator), denom, self.N) for c in F]
+        return [prod(map(list.__getitem__, ladders, gamma)) for gamma in self._gammas]
 
     # -- rows ---------------------------------------------------------------------
 
@@ -168,25 +179,71 @@ class StructureConstants:
     def _build(self):
         """Every row at once: the Mahler transform of binom(F(x, y), gamma).
 
-        The group law is evaluated on {|x| <= N} x {|y| <= N}; each point
-        contributes the integer vector ``expansion(F, denom)`` over one
-        common denominator, and after the transform entry gamma of every
-        row is v / (denom^|gamma| gamma!).  The table is stored over the
-        lcm of the reduced denominators of those entries.
+        The integer law is evaluated on {|x| <= N} x {|y| <= N}, the first
+        point where F leaves Z_p refused through ``group_law``.  With
+        D = lcm(law.denoms) and tops t = D F, the grid value at gamma is
+        prod_k ladder(t_k)[gamma_k] = D^|gamma| gamma! binom(F, gamma).  A
+        point's values are packed into one int, gamma in lex order in signed
+        B-bit slots, so each transform step is one int subtraction; after
+        it slot gamma of row (x, y) is v / (D^|gamma| gamma!).  The table is
+        stored over the lcm of the reduced denominators of those entries.
+
+        The width: |v| <= M0 = max_gamma prod_k max_t |ladder(t_k)[gamma_k]|
+        at every point, and c_(alpha, beta) sums v(x, y) over x <= alpha,
+        y <= beta with weights +-binom(alpha, x) binom(beta, y), so
+        |c| <= 2^(|alpha| + |beta|) M0 <= 4^N M0.  Packing is linear over Z,
+        so slots may overflow into each other during the transform; only
+        the final values must fit, and B = bit_length(4^N M0) + 1 bits hold
+        every value of absolute value below 2^(B-1).
         """
+        d, N, p = self.lattice.d, self.N, self.lattice.p
+        law = self.lattice.second_kind_law
+        denom = lcm(*law.denoms)
+        lifts = [denom // q for q in law.denoms]
+        # coordinate k is nums[k] / denoms[k]: p-integral iff the p-part
+        # of denoms[k] divides nums[k]
+        checks = [(k, p ** vp_int(q, p)) for k, q in enumerate(law.denoms) if q % p == 0]
         grid = [(x, y) for x in self._gammas for y in self._gammas]
-        laws = [self.group_law(x, y) for x, y in grid]
-        denom = lcm(*(c.denominator for F in laws for c in F))
-        values = {x + y: self.expansion(F, denom) for (x, y), F in zip(grid, laws)}
-        del laws
-        mahler_coefficients(values, self.N, 2 * self.lattice.d)
+        tops = []
+        for x, y in grid:
+            nums, _ = law.ints((*x, *y))
+            if any(nums[k] % q for k, q in checks):
+                self.group_law(x, y)  # raises, with the Fraction point as witness
+            tops.append(tuple(map(mul, nums, lifts)))
+        ladders = [{t: _ladder(t, denom, N) for t in set(col)} for col in zip(*tops)]
+        peaks = [[max(abs(ladder[j]) for ladder in col.values()) for j in range(N + 1)]
+                 for col in ladders]
+        width = _slot_width(max(prod(map(list.__getitem__, peaks, g)) for g in self._gammas), N)
+        memo = {}
+
+        def pack(tail, R):
+            # the simplex {|gamma| <= R} of the last len(tail) coordinates, lex order
+            if not tail:
+                return 1
+            out = memo.get((tail, R))
+            if out is None:
+                ladder, rest = ladders[d - len(tail)][tail[0]], tail[1:]
+                out = shift = 0
+                for a in range(R + 1):
+                    out += ladder[a] * pack(rest, R - a) << shift
+                    shift += width * comb(len(rest) + R - a, R - a)
+                memo[(tail, R)] = out
+            return out
+
+        values = {x + y: pack(t, N) for (x, y), t in zip(grid, tops)}
+        del tops, memo
+        mahler_coefficients(values, N, 2 * d)
+        lex = sorted(range(len(self._gammas)), key=self._gammas.__getitem__)
+        # the transform keeps the grid order; entries go in _gammas order
+        found = [sorted((lex[i], v) for i, v in slots)
+                 for slots in _unpack(values.values(), width, len(lex))]
+        del values
         scales = [denom ** sum(g) * prod(map(factorial, g)) for g in self._gammas]
-        # the transform keeps the grid order, and the row keys share the
-        # index tuples of _gammas (a smaller cache file)
-        den = lcm(*(s // gcd(v, s) for vec in values.values() for v, s in zip(vec, scales) if v))
+        den = lcm(*(scales[g] // gcd(v, scales[g]) for entries in found for g, v in entries))
+        # the row keys share the index tuples of _gammas (a smaller cache file)
         self._rows = {
-            key: tuple((g, v * den // s) for g, v, s in zip(self._gammas, vec, scales) if v)
-            for key, vec in zip(grid, values.values())
+            key: tuple((self._gammas[g], v * den // scales[g]) for g, v in entries)
+            for key, entries in zip(grid, found)
         }
         self.den = den
         self._built = True
@@ -225,33 +282,6 @@ class StructureConstants:
         if self._built:
             self.save()
         return checked
-
-    def verify_convolution(self, x, y):
-        """Check the characterizing grid identity at one integer pair.
-
-        Expands delta_{h^x} delta_{h^y} through the table and compares with
-        delta at the group-law point, coefficientwise up to degree N.
-        """
-        lhs = {}
-        for alpha in self._gammas:
-            ca = multi_binom(x, alpha) if le_componentwise(alpha, x) else 0
-            if not ca:
-                continue
-            for beta in self._gammas:
-                cb = multi_binom(y, beta) if le_componentwise(beta, y) else 0
-                if not cb:
-                    continue
-                for gamma, val in self.row(alpha, beta).items():
-                    lhs[gamma] = lhs.get(gamma, Fraction(0)) + ca * cb * val
-        F = self.group_law(x, y)
-        for gamma in self._gammas:
-            expect = Fraction(1)
-            for k in range(self.lattice.d):
-                if gamma[k]:
-                    expect *= binom_rational(F[k], gamma[k])
-            if lhs.get(gamma, Fraction(0)) != expect:
-                return False
-        return True
 
     # -- cache -------------------------------------------------------------------
 
@@ -323,12 +353,3 @@ def _reduced(n, d):
     """n / d in lowest terms, d > 0: the (numerator, denominator) pair."""
     q = gcd(n, d)
     return n // q, d // q
-
-
-def chu_vandermonde_identity(table, alpha, beta):
-    """Abelian-case oracle: the row is the single entry 1 at gamma = alpha+beta."""
-    gamma = add_index(alpha, beta)
-    row = table.row(alpha, beta)
-    if sum(gamma) > table.N:
-        return row == {}
-    return row == {gamma: Fraction(1)}

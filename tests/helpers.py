@@ -5,7 +5,10 @@ unitriangular matrices, where exp and log are exact quadratic polynomials;
 it shares no code with the series evaluation it checks.  The box-sum
 oracle rebuilds structure-constant rows from their defining signed sum
 over the group law, independently of the table's finite-difference
-transform.  The lattice oracle computes ultrametric least distances to a finitely generated
+transform; the convolution oracle checks a table at one grid pair
+through ``binom_rational``, and the Chu-Vandermonde oracle gives the
+closed form of an abelian row.  The lattice oracle computes ultrametric
+least distances to a finitely generated
 right-ideal lattice by weighted elimination, independently of the
 symbol-rewriting canonicalizer.  The field-product oracle multiplies
 scalars of K as polynomials in Q[w, pi] and reduces by long division,
@@ -23,7 +26,10 @@ import math
 from fractions import Fraction
 from itertools import product
 
+from padicdist import LieLattice
+from padicdist.indices import add_index, le_componentwise, multi_binom
 from padicdist.padics import _fp_mod, _fp_mul
+from padicdist.radii import kappa
 
 INF = math.inf
 
@@ -105,8 +111,60 @@ def heisenberg_commutator_oracle(x, y, c):
     return _second_kind_of_matrix(E, c)
 
 
+def filiform(p):
+    """d = 4, class 3: [X1, X2] = p^kappa X3 and [X1, X3] = p^kappa X4."""
+    c = p ** kappa(p)
+    return LieLattice(p, 4, {(0, 1): (0, 0, c, 0), (0, 2): (0, 0, 0, c)},
+                      name=f"filiform(p={p})")
+
+
 # ---------------------------------------------------------------------------
-# structure-constant oracle: the signed box sum that defines a row
+# structure-constant oracles: the signed box sum that defines a row, the
+# convolution identity at one grid pair and the abelian closed form
+
+def binom_rational(t, k):
+    """binom(t, k) for a rational (or integer) upper argument."""
+    t = Fraction(t)
+    out = Fraction(1)
+    for i in range(k):
+        out *= (t - i) / (i + 1)
+    return out
+
+
+def verify_convolution(table, x, y):
+    """Check the characterizing grid identity of ``table`` at one integer pair.
+
+    Expands delta_{h^x} delta_{h^y} through the table and compares with
+    delta at the group-law point, coefficientwise up to degree N.
+    """
+    gammas = simplex(table.lattice.d, table.N)
+    lhs = {}
+    for alpha in gammas:
+        ca = multi_binom(x, alpha) if le_componentwise(alpha, x) else 0
+        if not ca:
+            continue
+        for beta in gammas:
+            cb = multi_binom(y, beta) if le_componentwise(beta, y) else 0
+            if not cb:
+                continue
+            for gamma, val in table.row(alpha, beta).items():
+                lhs[gamma] = lhs.get(gamma, Fraction(0)) + ca * cb * val
+    F = table.group_law(x, y)
+    for gamma in gammas:
+        expect = math.prod(binom_rational(t, g) for t, g in zip(F, gamma))
+        if lhs.get(gamma, Fraction(0)) != expect:
+            return False
+    return True
+
+
+def chu_vandermonde_identity(table, alpha, beta):
+    """Abelian-case oracle: the row is the single entry 1 at gamma = alpha+beta."""
+    gamma = add_index(alpha, beta)
+    row = table.row(alpha, beta)
+    if sum(gamma) > table.N:
+        return row == {}
+    return row == {gamma: Fraction(1)}
+
 
 def simplex(d, N):
     """All points of N_0^d with |x| <= N."""

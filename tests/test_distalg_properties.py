@@ -18,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from helpers import (  # noqa: E402
+    binom_rational,
     exponent_oracle,
     leading_support_oracle,
     mul_oracle,
@@ -27,7 +28,6 @@ from helpers import (  # noqa: E402
 from padicdist import DistAlgebra, FieldSpec, abelian, heisenberg, heisenberg2  # noqa: E402
 from padicdist import mul_tail_bound  # noqa: E402
 from padicdist.indices import iter_multi_indices  # noqa: E402
-from padicdist.mahler import binom_rational  # noqa: E402
 from padicdist.radii import Radius  # noqa: E402
 
 N = 4

@@ -19,22 +19,15 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from helpers import (  # noqa: E402
+    filiform,
     heisenberg_bch_oracle,
     heisenberg_commutator_oracle,
     heisenberg_law_oracle,
     heisenberg_second_kind_oracle,
 )
-from padicdist import LieLattice, heisenberg, heisenberg2  # noqa: E402
+from padicdist import heisenberg, heisenberg2  # noqa: E402
 from padicdist.errors import InvalidArgument, LawNotPIntegral, NotPIntegral  # noqa: E402
 from padicdist.groups import SecondKindLaw, _LawPoly  # noqa: E402
-from padicdist.radii import kappa  # noqa: E402
-
-
-def filiform(p):
-    """d = 4, class 3: [X1, X2] = p^kappa X3 and [X1, X3] = p^kappa X4."""
-    c = p ** kappa(p)
-    return LieLattice(p, 4, {(0, 1): (0, 0, c, 0), (0, 2): (0, 0, 0, c)},
-                      name=f"filiform(p={p})")
 
 
 LATTICES = [heisenberg(3), heisenberg2(), filiform(3), filiform(2)]

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 import re
@@ -6,7 +7,15 @@ from math import comb
 
 import pytest
 
-from helpers import BoxSumRows, heisenberg_second_kind_oracle, heisenberg_bch_oracle
+from helpers import (
+    BoxSumRows,
+    binom_rational,
+    chu_vandermonde_identity,
+    filiform,
+    heisenberg_bch_oracle,
+    heisenberg_second_kind_oracle,
+    verify_convolution,
+)
 from padicdist import (
     StructureConstants,
     abelian,
@@ -15,9 +24,9 @@ from padicdist import (
     mahler_coefficients,
     o_additive,
 )
-from padicdist.errors import DegreeOverflow, PadicError
+from padicdist.errors import CounterexampleFound, DegreeOverflow, PadicError
+from padicdist.groups import SecondKindLaw, _LawPoly
 from padicdist.indices import iter_multi_indices, multi_binom, unit_index
-from padicdist.mahler import chu_vandermonde_identity
 from padicdist.radii import vp_rational
 
 
@@ -29,8 +38,6 @@ def test_mahler_constant_function(q3):
 
 
 def test_mahler_basis_function(q3):
-    from padicdist.mahler import binom_rational
-
     vals = {(x,): q3.scalar(binom_rational(x, 2)) for x in range(7)}
     t = mahler_coefficients(vals, 6, 1)
     assert t[(2,)] == q3.one()
@@ -63,16 +70,20 @@ def test_abelian_rows_are_vandermonde():
 
 @pytest.mark.parametrize("group", [
     "abelian(2)", "heisenberg", "heisenberg2", "o-additive(1)", "o-additive(2)",
+    "filiform(3)", "filiform(2)",
 ])
 def test_rows_match_box_sum_oracle(group, k3u2):
-    lattice = {
-        "abelian(2)": lambda: abelian(2, p=3),
-        "heisenberg": lambda: heisenberg(3),
-        "heisenberg2": heisenberg2,
-        "o-additive(1)": lambda: o_additive(k3u2, 1).restrict(),
-        "o-additive(2)": lambda: o_additive(k3u2, 2).restrict(),
+    # the class-3 filiform lattices have two nonlinear coordinates
+    lattice, N = {
+        "abelian(2)": lambda: (abelian(2, p=3), 4),
+        "heisenberg": lambda: (heisenberg(3), 4),
+        "heisenberg2": lambda: (heisenberg2(), 4),
+        "o-additive(1)": lambda: (o_additive(k3u2, 1).restrict(), 4),
+        "o-additive(2)": lambda: (o_additive(k3u2, 2).restrict(), 4),
+        "filiform(3)": lambda: (filiform(3), 3),
+        "filiform(2)": lambda: (filiform(2), 3),
     }[group]()
-    table = StructureConstants(lattice, 4)
+    table = StructureConstants(lattice, N)
     oracle = BoxSumRows(table)
     for alpha in oracle.gammas:
         for beta in oracle.gammas:
@@ -105,7 +116,7 @@ def test_convolution_identity(heis_alg):
     for _ in range(6):
         x = tuple(rng.randrange(0, 3) for _ in range(3))
         y = tuple(rng.randrange(0, 3) for _ in range(3))
-        assert table.verify_convolution(x, y)
+        assert verify_convolution(table, x, y)
 
 
 def test_delta_convolution_50_pairs(q3, heis_alg):
@@ -162,10 +173,10 @@ def test_cache_roundtrip_nonabelian(tmp_path):
     t1.save()
     t2 = StructureConstants(lat, 3, cache_dir=tmp_path)
 
-    def no_group_law(x, y):
-        raise AssertionError("group law evaluated although the cache holds every row")
+    def no_build():
+        raise AssertionError("table built although the cache holds every row")
 
-    t2.group_law = no_group_law
+    t2._build = no_build
     assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
 
 
@@ -179,7 +190,7 @@ def test_cache_key_ignores_precision(tmp_path):
     t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     assert t2._cache_path == t1._cache_path
     calls = []
-    t2.group_law = lambda x, y: calls.append((x, y))
+    t2._build = lambda: calls.append("build")
     assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
     assert calls == []
 
@@ -245,3 +256,43 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     assert not t2._rows
     assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
+
+
+def _table_text(table):
+    """The table's contents as text: ``den``, then one line "alpha beta
+    gamma n" per entry, rows and entries in ``_gammas`` order."""
+    lines = []
+    for alpha in table._gammas:
+        for beta in table._gammas:
+            for gamma, n in table.int_row(alpha, beta):
+                lines.append(" ".join([*(",".join(map(str, i)) for i in (alpha, beta, gamma)), str(n)]))
+    return "\n".join([str(table.den), *lines]) + "\n"  # den is set by the first row
+
+
+@pytest.mark.parametrize("lattice, N, digest", [
+    (heisenberg(3), 6, "b9814536afd76b7ecc1f12e9d80625f4e970724b6c3c16a81e70f159e38e52d5"),
+    (heisenberg2(), 6, "e2854032992a212479b9a6bebaddf088902d7e7414e7bef5be4ab14138807524"),
+    (filiform(3), 5, "e56803c07acaa4d9054b7c50b4fd1c14492c544915264e80013bba2e4c1f8247"),
+], ids=["heisenberg-N6", "heisenberg2-N6", "filiform3-N5"])
+def test_table_contents_are_pinned(lattice, N, digest):
+    """The whole table, den and every entry, as recorded from the build of
+    ``Fraction`` laws and per-gamma integer vectors."""
+    table = StructureConstants(lattice, N)
+    assert hashlib.sha256(_table_text(table).encode()).hexdigest() == digest
+
+
+def test_build_refuses_a_law_leaving_z_p():
+    """A law with p in a coordinate denominator is refused at the first
+    grid point, in grid order, where it leaves Z_p, with the witness of
+    ``group_law`` there."""
+    lat = heisenberg(3)
+    x0, x2, y1, y2 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 2, 4, 5))
+    planted = SecondKindLaw(3, [x0, y1, x2 + y2 + x0 * y1 * Fraction(1, 3)], 2 * lat.d)
+    setattr(lat, "second_kind_law", planted)  # the cached property's slot
+    table = StructureConstants(lat, 3)
+    gammas = list(iter_multi_indices(3, 3))
+    x, y = next((x, y) for x in gammas for y in gammas if x[0] * y[1] % 3)
+    assert (x, y) == ((1, 0, 0), (0, 1, 0))
+    with pytest.raises(CounterexampleFound, match="group law left Z_p") as info:
+        table.row((0, 0, 0), (0, 0, 0))
+    assert info.value.witness == (x, y, (Fraction(1), Fraction(1), Fraction(1, 3)))

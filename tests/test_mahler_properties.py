@@ -1,4 +1,5 @@
-"""Property test of the separable Mahler transform against its defining sum."""
+"""Property tests of the separable Mahler transform: against its defining
+sum, and on packed ints against one run per slot."""
 
 import pytest
 
@@ -7,6 +8,7 @@ st = hypothesis.strategies
 
 from helpers import box, signed_binom, simplex  # noqa: E402
 from padicdist import mahler_coefficients  # noqa: E402
+from padicdist.mahler import _slot_width, _unpack  # noqa: E402
 
 
 def _grid(d, N, blocks):
@@ -29,3 +31,33 @@ def test_mahler_coefficients_match_signed_binomial_sum(d, N, blocks, data):
     for alpha in points:
         expect = sum(signed_binom(alpha, beta) * f[beta] for beta in box(alpha))
         assert table[alpha] == expect, alpha
+
+
+def _pack(slots, width):
+    return sum(v << width * i for i, v in enumerate(slots))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    d=st.integers(1, 2), N=st.integers(0, 3), count=st.integers(1, 6),
+    bound=st.integers(1, 10**6), data=st.data(),
+)
+def test_packed_transform_matches_each_slot(d, N, count, bound, data):
+    """Grid functions on simplex x simplex, ``count`` of them bounded by
+    ``bound``, packed at the width the table build derives: one transform
+    of the packed ints decodes to the transform of each slot."""
+    points = _grid(d, N, 2)
+    width = _slot_width(bound, N)
+    grids = [dict(zip(points, data.draw(st.lists(
+        st.integers(-bound, bound), min_size=len(points), max_size=len(points)))))
+        for _ in range(count)]
+    packed = mahler_coefficients({x: _pack([f[x] for f in grids], width) for x in points},
+                                 N, 2 * d)
+    per_slot = [mahler_coefficients(dict(f), N, 2 * d) for f in grids]
+    for x, slots in zip(points, _unpack(packed.values(), width, count)):
+        assert dict(slots) == {i: t[x] for i, t in enumerate(per_slot) if t[x]}, x
+    # the decoder at the extreme slot values, next to zero slots
+    top = (1 << width - 1) - 1
+    edge = [top, 0, -top, 0, -1, top, 1, -top]
+    (slots,) = _unpack([_pack(edge, width)], width, len(edge))
+    assert dict(slots) == {i: v for i, v in enumerate(edge) if v}
