@@ -3,8 +3,8 @@
 ``padicdist run`` executes verification suites from a config file and
 writes a text or structured report; the expression commands evaluate
 distribution arithmetic, norms, symbols and quotient reductions in the
-documented text forms.  Exit status is nonzero iff any check record
-failed.
+documented text forms.  Exit status is 0 when every check record
+passes, 1 when one fails and 2 on bad input or usage.
 """
 
 from __future__ import annotations
@@ -194,11 +194,17 @@ def build_parser():
     return parser
 
 
+_NEEDS_RADIUS = {"dist": ("norm", "symbol"), "towers": ("restrict", "orth", "transfer")}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "action", None) in ("norm", "symbol") and not getattr(args, "radius", None):
-        parser.error("norm/symbol need -r RADIUS")
+    action = getattr(args, "action", None)
+    if action in _NEEDS_RADIUS.get(args.command, ()) and not args.radius:
+        parser.error(f"{args.command} {action} needs -r RADIUS")
+    if (args.command, action) == ("dist", "mul") and len(args.expr) != 2:
+        parser.error("dist mul needs two expressions")
     try:
         return args.func(args)
     except PadicError as exc:

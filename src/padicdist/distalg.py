@@ -136,6 +136,8 @@ class DistAlgebra:
         field, table = self.field, self.table
         lden, lvecs = _cleared(lam)
         mden, mvecs = _cleared(mu)
+        # reading den builds a non-abelian table, so the row store is read after
+        den = lden * mden * field._den * table.den
         mul_vec, rows = field._mul_vec, table._rows
         acc = {}
         for alpha, u in lvecs:
@@ -143,14 +145,11 @@ class DistAlgebra:
                 row = rows.get((alpha, beta))
                 if row is None:
                     row = table.int_row(alpha, beta)
-                    rows = table._rows  # a table build replaces the store
                 w = mul_vec(u, v)
                 for gamma, c in row:
                     prev = acc.get(gamma)
                     acc[gamma] = [c * x for x in w] if prev is None else \
                         [s + c * x for s, x in zip(prev, w)]
-        # read after the loop: building the table sets its denominator
-        den = lden * mden * field._den * table.den
         out = {}
         for gamma, vec in acc.items():
             if any(vec):
@@ -244,10 +243,6 @@ class Distribution:
         """sup_alpha |d_alpha| r^(kappa |alpha|), as a NormValue exponent."""
         scale = ExponentScale(self.algebra, r)
         return NormValue(scale.unscale(scale.leading(self)[0]))
-
-    def term_exponent(self, alpha, r):
-        scale = ExponentScale(self.algebra, r)
-        return scale.unscale(scale.key(self.coeffs[alpha], alpha))
 
     def leading_support(self, r):
         """Support indices attaining the norm."""

@@ -48,12 +48,6 @@ class SymbolContext:
     def term_degree(self, w, alpha):
         return Fraction(w, self.field.e) + self.kappa * sum(alpha) * self.rexp
 
-    def epsilon0(self, power=1):
-        """The symbol of pi^power, a graded unit."""
-        one = self.field.residue_field.one()
-        nvars = len(self.xlabels)
-        return Symbol(self, {(power, (0,) * nvars): one})
-
 
 class Symbol:
     """A homogeneous element of k[e0^(+-1)][X_1..X_n]."""

@@ -497,10 +497,6 @@ class GroupElement:
             self._other = self.lattice.to_second_kind(self.coords)
         return self._other
 
-    @property
-    def is_identity(self):
-        return not any(self.coords)
-
     def __mul__(self, other):
         if other.lattice is not self.lattice:
             raise InvalidArgument("a product needs two elements of the same lattice")

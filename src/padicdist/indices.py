@@ -1,7 +1,5 @@
 """Multi-index helpers shared by the series, table and symbol modules."""
 
-from math import comb
-
 
 def iter_multi_indices(d, max_total):
     """All alpha in N_0^d with |alpha| <= max_total, graded-lex order."""
@@ -24,18 +22,6 @@ def grlex_key(alpha):
 
 def add_index(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def le_componentwise(b, a):
-    return all(x <= y for x, y in zip(b, a))
-
-
-def multi_binom(alpha, beta):
-    """Product of componentwise binomial coefficients binom(alpha_i, beta_i)."""
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= comb(a, b)
-    return out
 
 
 def unit_index(d, i):

@@ -12,8 +12,9 @@ one packed int, a signed slot per gamma over one common denominator, and
 one transform of those ints gives every row; abelian rows have a closed
 form.  A table holds each row once, as (gamma, int) pairs over one
 denominator shared by the whole table, the form ``DistAlgebra.mul`` sums
-in.  Every table is exact, so it serializes to a versioned cache file
-keyed by (group digest, N) alone.
+in.  Every table is exact, so that denominator and the int rows, as
+built, serialize to a versioned cache file keyed by (group digest, N)
+alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import CounterexampleFound, DegreeOverflow, PadicError
 from .indices import add_index, iter_multi_indices
 from .radii import vp_int, vp_rational
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 def mahler_coefficients(values, N, d):
@@ -101,7 +102,8 @@ class StructureConstants:
     true coefficient, obtained from finite differences of the group law,
     not from truncated series chaining.  ``int_row`` gives a row as
     (gamma, n) pairs, the coefficient being n / ``den``, one denominator
-    for the whole table; ``row`` gives it as a dict of Fractions.
+    for the whole table, which reading ``den`` builds if it was not loaded;
+    ``row`` gives a row as a dict of Fractions.
     ``has_tail(alpha, beta)`` reports whether degrees beyond N were
     discarded for that row.
     """
@@ -110,7 +112,7 @@ class StructureConstants:
         self.lattice = lattice
         self.N = N
         self._rows = {}         # (alpha, beta) -> ((gamma, n), ...), c = n / den
-        self.den = 1
+        self._den = 1
         self._gammas = list(iter_multi_indices(lattice.d, N))
         self._built = False     # rows computed here, not only loaded
         self._cache_path = None
@@ -145,9 +147,17 @@ class StructureConstants:
 
     # -- rows ---------------------------------------------------------------------
 
+    @property
+    def den(self):
+        """The one denominator of every entry.  A non-abelian table is built
+        whole, so it is built here if it was not loaded."""
+        if not self._rows and not self.lattice.abelian:
+            self._build()
+        return self._den
+
     def int_row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as sparse (gamma, n)
-        pairs with c = n / ``den``.  Building the table sets ``den``."""
+        pairs with c = n / ``den``."""
         if sum(alpha) > self.N or sum(beta) > self.N:
             raise DegreeOverflow(
                 f"row ({alpha}, {beta}) outside the degree-{self.N} table",
@@ -164,7 +174,7 @@ class StructureConstants:
                 )
         if self.lattice.abelian:
             gamma = add_index(alpha, beta)
-            out = ((gamma, self.den),) if sum(gamma) <= self.N else ()
+            out = ((gamma, self._den),) if sum(gamma) <= self.N else ()
             self._rows[key] = out
             self._built = True
             return out
@@ -245,7 +255,7 @@ class StructureConstants:
             key: tuple((self._gammas[g], v * den // scales[g]) for g, v in entries)
             for key, entries in zip(grid, found)
         }
-        self.den = den
+        self._den = den
         self._built = True
 
     def has_tail(self, alpha, beta):
@@ -267,10 +277,10 @@ class StructureConstants:
         kappa = self.lattice.kappa
         p = self.lattice.p
         checked = 0
+        shift = vp_int(self.den, p)
         for alpha in self._gammas:
             for beta in self._gammas:
                 entries = self.int_row(alpha, beta)
-                shift = vp_int(self.den, p)
                 for gamma, n in entries:
                     lower = kappa * (sum(alpha) + sum(beta) - sum(gamma))
                     if vp_int(n, p) - shift < lower:
@@ -294,10 +304,8 @@ class StructureConstants:
             "version": CACHE_FORMAT_VERSION,
             "digest": self.lattice.structure_digest(),
             "N": self.N,
-            "rows": {
-                key: {g: _reduced(n, self.den) for g, n in entries}
-                for key, entries in self._rows.items()
-            },
+            "den": self._den,
+            "rows": self._rows,
         }
         # a temp file in the same directory, then an atomic rename: a
         # failed write leaves the previous cache file intact
@@ -323,33 +331,22 @@ class StructureConstants:
                 CACHE_FORMAT_VERSION, self.lattice.structure_digest(), self.N
             ):
                 return
-            rows = payload["rows"]
-            if not self._valid_rows(rows):
+            den, rows = payload["den"], payload["rows"]
+            if not (type(den) is int and den > 0 and self._valid_rows(rows)):
                 return
         except Exception:
             return
-        den = lcm(*(d for row in rows.values() for _, d in row.values()))
-        self._rows = {
-            key: tuple((g, n * (den // d)) for g, (n, d) in row.items())
-            for key, row in rows.items()
-        }
-        self.den = den
+        self._rows = rows
+        self._den = den
 
     def _valid_rows(self, rows):
-        """Whether cached rows have index pairs as keys, multi-indices as
-        gammas and (int, positive int) entries; a non-abelian table must
-        hold every row, since it is built whole."""
+        """Whether cached rows map index pairs to tuples of (multi-index,
+        int) pairs (an entry of another length raises on unpacking); a
+        non-abelian table must hold every row, since it is built whole."""
         indices = set(self._gammas)
         keys = all(type(key) is tuple and len(key) == 2 and set(key) <= indices for key in rows)
         entries = all(
-            g in indices and type(nd) is tuple and len(nd) == 2
-            and type(nd[0]) is int and type(nd[1]) is int and nd[1] > 0
-            for row in rows.values() for g, nd in row.items()
+            type(row) is tuple and all(g in indices and type(n) is int for g, n in row)
+            for row in rows.values()
         )
         return keys and entries and (self.lattice.abelian or len(rows) == len(indices) ** 2)
-
-
-def _reduced(n, d):
-    """n / d in lowest terms, d > 0: the (numerator, denominator) pair."""
-    q = gcd(n, d)
-    return n // q, d // q

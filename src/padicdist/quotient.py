@@ -28,7 +28,6 @@ from .errors import (
     CriticalRadius,
     DegreeOverflow,
     InvalidArgument,
-    InvalidBracket,
     PrecisionExhausted,
 )
 from .grading import Symbol
@@ -50,7 +49,6 @@ class KernelFamily:
             for i in range(2, lgspec.n + 1):
                 log_ij = algebra.log_series(lgspec.flat_index(i, j))
                 self._gens[(i, j)] = log_ij - log_1j.scale(lgspec.v_basis[i - 1])
-        self.lie_constants = self._solve_lie_constants()
 
     @property
     def pairs(self):
@@ -66,61 +64,6 @@ class KernelFamily:
         if i == 1:
             return self.algebra.zero()
         return self._gens[(i, j)]
-
-    # -- Lie-kernel commutator bookkeeping --------------------------------------
-
-    def _tensor_coords(self, i, j):
-        """Coordinates of the (i, j) generator in L tensor g."""
-        field = self.lgspec.field
-        return {(i, j): field.one(), (1, j): -self.lgspec.v_basis[i - 1]}
-
-    def _tensor_bracket(self, a, b):
-        lg = self.lgspec
-        lat = self.algebra.lattice
-        field = lg.field
-        out = {}
-        for (i, j), ca in a.items():
-            fa = lg.flat_index(i, j)
-            for (k, l), cb in b.items():
-                row = lat.brackets[fa][lg.flat_index(k, l)]
-                if not any(row):
-                    continue
-                c = ca * cb
-                for m, coeff in enumerate(row):
-                    if coeff:
-                        key = (m % lg.n + 1, m // lg.n + 1)
-                        prev = out.get(key, field.zero())
-                        out[key] = prev + c.scale(coeff)
-        return {k: v for k, v in out.items() if not v.is_zero}
-
-    def _expand_over_generators(self, z):
-        """Coefficients of a kernel element over the generator basis."""
-        lg = self.lgspec
-        coeffs = {}
-        for (i, j), c in z.items():
-            if i >= 2:
-                coeffs[(i, j)] = c
-        # kernel-membership certificate: the first-row coordinates must match
-        for j in range(1, lg.d + 1):
-            acc = lg.field.zero()
-            for i in range(2, lg.n + 1):
-                c = coeffs.get((i, j))
-                if c is not None:
-                    acc = acc - c * lg.v_basis[i - 1]
-            have = z.get((1, j), lg.field.zero())
-            if acc != have:
-                raise InvalidBracket("bracket left the kernel of the restriction map")
-        return coeffs
-
-    def _solve_lie_constants(self):
-        out = {}
-        for a in self.pairs:
-            for b in self.pairs:
-                if a == b:
-                    continue
-                z = self._tensor_bracket(self._tensor_coords(*a), self._tensor_coords(*b))
-                out[(a, b)] = self._expand_over_generators(z)
-        return out
 
     # -- projections --------------------------------------------------------------
 

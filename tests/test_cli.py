@@ -292,17 +292,33 @@ def test_towers_orth_matches_suite_record(tmp_path, capsys):
     assert out == f"orthogonal system of {size} elements; basis = True"
 
 
-def test_python_m_padicdist(base_config):
+def _python_m_padicdist(*argv):
     src = Path(padicdist.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicdist", "run", "--config", str(base_config),
-         "--suite", "pvaluation"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", "padicdist", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_padicdist(base_config):
+    proc = _python_m_padicdist("run", "--config", str(base_config), "--suite", "pvaluation")
     assert proc.returncode == 0, proc.stderr
     assert "# summary:" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["towers", "restrict"], "towers restrict needs -r RADIUS"),
+    (["towers", "orth"], "towers orth needs -r RADIUS"),
+    (["towers", "transfer"], "towers transfer needs -r RADIUS"),
+    (["dist", "norm", "b1", "--p", "3"], "dist norm needs -r RADIUS"),
+    (["dist", "mul", "b1", "--p", "3"], "dist mul needs two expressions"),
+    (["dist", "mul", "b1", "b1", "b1", "--p", "3"], "dist mul needs two expressions"),
+], ids=["restrict", "orth", "transfer", "norm", "mul-one", "mul-three"])
+def test_usage_errors_exit_two_without_traceback(argv, message):
+    proc = _python_m_padicdist(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage:") and message in proc.stderr
 
 
 def test_bij_record_sizes_its_truncation(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Property tests of ``distalg``.
 
-The filtration exponents (``norm``, ``leading_support``,
-``term_exponent`` and ``mul_tail_bound``) are checked against the
+The filtration exponents (``norm``, ``leading_support``, the per-term
+keys of ``ExponentScale`` and ``mul_tail_bound``) are checked against the
 Fraction formulas of ``tests/helpers.py``, over e in {1, 2, 3} and radii
 whose denominator does and does not share a factor with e.  ``delta`` is
 checked against products of ``binom_rational`` values at p-integral
@@ -27,6 +27,7 @@ from helpers import (  # noqa: E402
 )
 from padicdist import DistAlgebra, FieldSpec, abelian, heisenberg, heisenberg2  # noqa: E402
 from padicdist import mul_tail_bound  # noqa: E402
+from padicdist.distalg import ExponentScale  # noqa: E402
 from padicdist.indices import iter_multi_indices  # noqa: E402
 from padicdist.radii import Radius  # noqa: E402
 
@@ -86,8 +87,9 @@ def test_exponents_match_fraction_formula(name, r, nonabelian, data):
     assert got == norm_oracle(lam, r)
     assert isinstance(got, Fraction) or (lam.is_zero and got == math.inf)
     assert sorted(lam.leading_support(r)) == sorted(leading_support_oracle(lam, r))
+    scale = ExponentScale(alg, r)
     for alpha, c in lam.coeffs.items():
-        assert lam.term_exponent(alpha, r) == exponent_oracle(c, alpha, alg.kappa, r)
+        assert scale.unscale(scale.key(c, alpha)) == exponent_oracle(c, alpha, alg.kappa, r)
     assert mul_tail_bound(lam, mu, r) == mul_tail_oracle(lam, mu, r)
 
 

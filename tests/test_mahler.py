@@ -14,6 +14,7 @@ from helpers import (
     filiform,
     heisenberg_bch_oracle,
     heisenberg_second_kind_oracle,
+    multi_binom,
     verify_convolution,
 )
 from padicdist import (
@@ -26,7 +27,7 @@ from padicdist import (
 )
 from padicdist.errors import CounterexampleFound, DegreeOverflow, PadicError
 from padicdist.groups import SecondKindLaw, _LawPoly
-from padicdist.indices import iter_multi_indices, multi_binom, unit_index
+from padicdist.indices import iter_multi_indices, unit_index
 from padicdist.radii import vp_rational
 
 
@@ -230,23 +231,26 @@ def test_cache_save_is_atomic(tmp_path, monkeypatch):
     assert t2.row((1, 0), (0, 2)) == r
 
 
-def _one_entry(payload, value):
-    """The saved payload with its first table entry replaced by ``value``."""
-    row = next(row for row in payload["rows"].values() if row)
-    row[next(iter(row))] = value
+def _one_entry(payload, edit):
+    """The saved payload with the first entry of its first nonempty row
+    replaced by ``edit(entry)``."""
+    rows = payload["rows"]
+    key = next(key for key, row in rows.items() if row)
+    rows[key] = (edit(rows[key][0]), *rows[key][1:])
     return payload
 
 
 @pytest.mark.parametrize("corrupt", [
     lambda payload: list(payload),
-    lambda payload: _one_entry(payload, (1, 0)),
-    lambda payload: _one_entry(payload, (1,)),
-    lambda payload: _one_entry(payload, (1.0, 2)),
-], ids=["list", "zero-denominator", "not-a-pair", "float"])
+    lambda payload: {**payload, "den": 0},
+    lambda payload: {**payload, "den": float(payload["den"])},
+    lambda payload: _one_entry(payload, lambda entry: (*entry, 0)),
+    lambda payload: _one_entry(payload, lambda entry: (entry[0], 1.0)),
+], ids=["list", "zero-denominator", "float-denominator", "not-a-pair", "float"])
 def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     """A cache file that unpickles to something other than the saved dict,
-    or holds an entry that is not an (int, positive int) pair, is ignored
-    and the table rebuilt."""
+    has a ``den`` that is not a positive int, or holds an entry that is not
+    a (multi-index, int) pair, is ignored and the table rebuilt."""
     gammas = list(iter_multi_indices(3, 3))
     t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
@@ -261,12 +265,12 @@ def test_malformed_cache_is_a_miss(tmp_path, corrupt):
 def _table_text(table):
     """The table's contents as text: ``den``, then one line "alpha beta
     gamma n" per entry, rows and entries in ``_gammas`` order."""
-    lines = []
+    lines = [str(table.den)]
     for alpha in table._gammas:
         for beta in table._gammas:
             for gamma, n in table.int_row(alpha, beta):
                 lines.append(" ".join([*(",".join(map(str, i)) for i in (alpha, beta, gamma)), str(n)]))
-    return "\n".join([str(table.den), *lines]) + "\n"  # den is set by the first row
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("lattice, N, digest", [
@@ -279,6 +283,46 @@ def test_table_contents_are_pinned(lattice, N, digest):
     ``Fraction`` laws and per-gamma integer vectors."""
     table = StructureConstants(lattice, N)
     assert hashlib.sha256(_table_text(table).encode()).hexdigest() == digest
+
+
+def test_den_is_built_when_read_first():
+    """Reading ``den`` before any row builds a non-abelian table; an
+    abelian table's rows are over 1."""
+    table = StructureConstants(filiform(3), 3)
+    assert table.den == 16
+    assert len(table._rows) == len(table._gammas) ** 2
+    assert StructureConstants(abelian(2, p=3), 3).den == 1
+
+
+def test_cache_holds_den_and_the_int_rows(tmp_path):
+    gammas = list(iter_multi_indices(3, 3))
+    t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+    den = t1.den
+    t1.save()
+    payload = pickle.loads(t1._cache_path.read_bytes())
+    assert payload["version"] == 2 and t1._cache_path.name.endswith("-v2.bin")
+    assert payload["den"] == den
+    assert payload["rows"] == {(a, b): t1.int_row(a, b) for a in gammas for b in gammas}
+
+
+def test_version_1_file_is_neither_loaded_nor_an_error(tmp_path):
+    """A file of the previous format, rows of reduced (n, d) pairs per
+    gamma, is a miss both under its own name and at the current path."""
+    gammas = list(iter_multi_indices(3, 3))
+    t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+    rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
+    v1 = {
+        "version": 1, "digest": t1.lattice.structure_digest(), "N": 3,
+        "rows": {key: {g: (c.numerator, c.denominator) for g, c in row.items()}
+                 for key, row in rows.items()},
+    }
+    v1_path = t1._cache_path.with_name(t1._cache_path.name.replace("-v2.bin", "-v1.bin"))
+    for path in (v1_path, t1._cache_path):
+        path.write_bytes(pickle.dumps(v1, protocol=4))
+        t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+        assert not t2._rows
+        assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
+        path.unlink()
 
 
 def test_build_refuses_a_law_leaving_z_p():

@@ -236,13 +236,6 @@ def test_domain_smoke(fam31, fam32):
     assert domain_smoke_test(fam32, R23, 10, rng, 12)
 
 
-def test_lie_constants_kernel_closure(fam32):
-    # brackets of kernel generators expand over the generators; for the
-    # abelian examples every constant vanishes
-    for key, coeffs in fam32.lie_constants.items():
-        assert coeffs == {}, key
-
-
 def test_canonicalize_rejects_large_radius(fam31):
     with pytest.raises((ValueError, CriticalRadius)):
         canonicalize(fam31, fam31.algebra.one(), Radius(1, 8), MP)
