@@ -12,7 +12,10 @@ goes through the structure-constant table: stored coefficients of a
 product are always the true ones, and whatever lies beyond degree N is
 covered by a certified tail bound (``mul_tail_bound``), so norm and
 symbol claims under the degree precondition deg(lambda) + deg(mu) <= N
-are exact.
+are exact.  A product runs on packed coefficients: each element of K is
+one int with a signed slot per basis element w^a pi^b (Kronecker
+substitution, ``FieldSpec._pack``), so a support pair costs one int
+product, and each output coefficient is unpacked and reduced in K once.
 
 Distribution literals read and print as ``coeff * b1^2*b2 + ...``; the
 coefficient grammar admits integers, fractions, ``p``, ``pi``, ``w`` and
@@ -129,29 +132,43 @@ class DistAlgebra:
 
         Stored coefficients (degree <= N) are exact; what the product has
         beyond degree N is dropped, and ``mul_tail_bound`` bounds its norm.
-        Each operand is cleared to int vectors over one denominator, the
-        products are summed per gamma in ints against the table's int rows,
-        and one Scalar is built per output gamma.
+        Each operand is cleared to int vectors over one denominator and
+        each vector packed into one int (``FieldSpec._pack``), so one int
+        product U V is the product of two coefficients in Z[w, pi],
+        unreduced.  Per gamma the sum of c U V over the table's int rows is
+        one int; each output gamma is unpacked once, its slots reduced in K
+        (``FieldSpec._unpacked``), and one Scalar built over the denominator
+        a product of Scalars has.
+
+        The slot width: slot w^A pi^B of U V adds at most [K:Q_p] products
+        x y of operand coordinates (at most f ways to split A and e to split
+        B), and the sum at gamma adds c U V over at most len(lam) len(mu)
+        support pairs, so every slot is bounded by pairs * max|c| * [K:Q_p]
+        * max|x| * max|y|, max|c| being the table's ``_peak``.  Packing is
+        linear over Z, so only those sums must fit, and W = bit_length(bound)
+        + 1 bits hold every value of absolute value below 2^(W-1).
         """
         field, table = self.field, self.table
-        lden, lvecs = _cleared(lam)
-        mden, mvecs = _cleared(mu)
-        # reading den builds a non-abelian table, so the row store is read after
+        lden, lterms = _cleared(lam)
+        mden, mterms = _cleared(mu)
+        # reading den builds a non-abelian table, so its rows and peak are read after
         den = lden * mden * field._den * table.den
-        mul_vec, rows = field._mul_vec, table._rows
+        bound = len(lterms) * len(mterms) * table._peak * field.degree * _peak(lterms) * _peak(mterms)
+        width = bound.bit_length() + 1
+        rows, int_row = table._rows, table.int_row
+        mpacked = field._pack(mterms, width)
         acc = {}
-        for alpha, u in lvecs:
-            for beta, v in mvecs:
+        get = acc.get
+        for alpha, U in field._pack(lterms, width):
+            for beta, V in mpacked:
                 row = rows.get((alpha, beta))
                 if row is None:
-                    row = table.int_row(alpha, beta)
-                w = mul_vec(u, v)
+                    row = int_row(alpha, beta)
+                UV = U * V
                 for gamma, c in row:
-                    prev = acc.get(gamma)
-                    acc[gamma] = [c * x for x in w] if prev is None else \
-                        [s + c * x for s, x in zip(prev, w)]
+                    acc[gamma] = get(gamma, 0) + c * UV
         out = {}
-        for gamma, vec in acc.items():
+        for gamma, vec in zip(acc, field._unpacked(acc.values(), width)):
             if any(vec):
                 out[gamma] = Scalar(field, tuple(vec), den)
         return Distribution(self, out)
@@ -183,14 +200,17 @@ class DistAlgebra:
 
 
 def _cleared(dist):
-    """(D, [(alpha, u), ...]): the coefficients of ``dist`` as int vectors
-    u over one common denominator D."""
+    """(D, [(alpha, num, k), ...]): the coefficients of ``dist`` over one
+    common denominator D, coefficient alpha being the int vector num * k."""
     coeffs = dist.coeffs
     den = lcm(*(c.den for c in coeffs.values()))
-    return den, [
-        (alpha, c.num if c.den == den else tuple(x * (den // c.den) for x in c.num))
-        for alpha, c in coeffs.items()
-    ]
+    return den, [(alpha, c.num, den // c.den) for alpha, c in coeffs.items()]
+
+
+def _peak(terms):
+    """The largest |x| over the coordinates x of the int vectors num * k of
+    the (alpha, num, k) triples ``terms``."""
+    return max((max(map(abs, num)) * k for _, num, k in terms), default=0)
 
 
 class Distribution:

@@ -103,7 +103,9 @@ class StructureConstants:
     not from truncated series chaining.  ``int_row`` gives a row as
     (gamma, n) pairs, the coefficient being n / ``den``, one denominator
     for the whole table, which reading ``den`` builds if it was not loaded;
-    ``row`` gives a row as a dict of Fractions.
+    ``row`` gives a row as a dict of Fractions.  ``_peak``, the largest
+    |n|, is read where the rows are walked anyway (the build and the cache
+    load); ``DistAlgebra.mul`` sizes its packed slots by it.
     ``has_tail(alpha, beta)`` reports whether degrees beyond N were
     discarded for that row.
     """
@@ -113,6 +115,7 @@ class StructureConstants:
         self.N = N
         self._rows = {}         # (alpha, beta) -> ((gamma, n), ...), c = n / den
         self._den = 1
+        self._peak = 1          # max |n| over the rows; an abelian row is n = den = 1
         self._gammas = list(iter_multi_indices(lattice.d, N))
         self._built = False     # rows computed here, not only loaded
         self._cache_path = None
@@ -255,6 +258,7 @@ class StructureConstants:
             key: tuple((self._gammas[g], v * den // scales[g]) for g, v in entries)
             for key, entries in zip(grid, found)
         }
+        self._peak = max((abs(n) for row in self._rows.values() for _, n in row), default=1)
         self._den = den
         self._built = True
 
@@ -300,11 +304,12 @@ class StructureConstants:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
+        den = self.den  # builds a non-abelian table that was neither built nor loaded
         payload = {
             "version": CACHE_FORMAT_VERSION,
             "digest": self.lattice.structure_digest(),
             "N": self.N,
-            "den": self._den,
+            "den": den,
             "rows": self._rows,
         }
         # a temp file in the same directory, then an atomic rename: a
@@ -332,21 +337,33 @@ class StructureConstants:
             ):
                 return
             den, rows = payload["den"], payload["rows"]
-            if not (type(den) is int and den > 0 and self._valid_rows(rows)):
+            peak = self._valid_rows(rows)
+            if not (type(den) is int and den > 0 and peak is not None):
                 return
         except Exception:
             return
         self._rows = rows
         self._den = den
+        # an abelian row computed after the load is (gamma, den)
+        self._peak = max(peak, den) if self.lattice.abelian else peak
 
     def _valid_rows(self, rows):
-        """Whether cached rows map index pairs to tuples of (multi-index,
-        int) pairs (an entry of another length raises on unpacking); a
-        non-abelian table must hold every row, since it is built whole."""
+        """The largest |n| (at least 1) of cached rows, or None unless they
+        map index pairs to tuples of (multi-index, int) pairs (an entry of
+        another length raises on unpacking); a non-abelian table must hold
+        every row, since it is built whole."""
         indices = set(self._gammas)
-        keys = all(type(key) is tuple and len(key) == 2 and set(key) <= indices for key in rows)
-        entries = all(
-            type(row) is tuple and all(g in indices and type(n) is int for g, n in row)
-            for row in rows.values()
-        )
-        return keys and entries and (self.lattice.abelian or len(rows) == len(indices) ** 2)
+        if not all(type(key) is tuple and len(key) == 2 and set(key) <= indices for key in rows):
+            return None
+        if not (self.lattice.abelian or len(rows) == len(indices) ** 2):
+            return None
+        peak = 1
+        for row in rows.values():
+            if type(row) is not tuple:
+                return None
+            for g, n in row:
+                if g not in indices or type(n) is not int:
+                    return None
+                if n > peak or -n > peak:
+                    peak = abs(n)
+        return peak

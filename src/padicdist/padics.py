@@ -6,11 +6,13 @@ polynomial over F_p) followed by a totally ramified Eisenstein layer
 K = U[pi]/(E) of index e.  Scalars hold exact rational coordinate vectors
 over the basis {w^a pi^b : a < f, b < e}, as one int vector over one
 positive denominator, so sums and products run in ints with one gcd per
-result; all arithmetic runs in the number field Q[w, pi]/(g, E), so every
-valuation, absolute value and residue reported here is certified, never
-rounded.  The precision M is a serialization budget: it bounds how many
-uniformizer digits the text form carries, and round-trips are bit-exact
-at that budget.
+result (``DistAlgebra.mul`` packs each vector into one int instead, a
+signed slot per coordinate, and reduces the packed products through the
+table ``_slot_products``); all arithmetic runs in the number field
+Q[w, pi]/(g, E), so every valuation, absolute value and residue reported
+here is certified, never rounded.  The precision M is a serialization
+budget: it bounds how many uniformizer digits the text form carries, and
+round-trips are bit-exact at that budget.
 
 Valuations are counted in uniformizer units, v(pi) = 1, and the
 normalized absolute value is |x| = p^(-v(x)/e).  The text form of a
@@ -38,6 +40,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import lshift
 
 from .errors import DivisionByZero, InvalidArgument, NonUnit, ParseError
 from .radii import kappa, vp_int, vp_rational
@@ -582,6 +585,17 @@ class FieldSpec:
             [[(k, c.numerator * (den // c.denominator)) for k, c in enumerate(vec) if c] for vec in row]
             for row in table
         ]
+        # a packed vector (``_pack``) holds w^a pi^b in slot a + (2f - 1) b,
+        # so a product of two holds w^A pi^B, A < 2f - 1 and B < 2e - 1, in
+        # slot A + (2f - 1) B: _slot_products[slot] is that monomial reduced,
+        # as the product of two basis elements
+        e = self.e
+        self._slots = tuple(a + (2 * f - 1) * b for b in range(e) for a in range(f))
+        self._slot_products = [
+            self._products[min(B, e - 1) * f + min(A, f - 1)][
+                (B - min(B, e - 1)) * f + A - min(A, f - 1)]
+            for B in range(2 * e - 1) for A in range(2 * f - 1)
+        ]
         self._one = Scalar(self, self._units[0])
         self._pi = self._from_fractions(times_pi(list(map(Fraction, self._units[0]))))
         self._pi_inv = self._inverse(self._pi)
@@ -603,6 +617,42 @@ class FieldSpec:
                         for k, c in entry:
                             out[k] += xy * c
         return tuple(out)
+
+    def _pack(self, terms, width):
+        """(key, packed) for each (key, num, k) triple of ``terms``: the int
+        vector num * k as one int, coordinate b*f + a (w^a pi^b) in the
+        signed ``width``-bit slot a + (2f - 1) b (Kronecker substitution).
+        The product of two packed vectors is then their product in
+        Z[w, pi], unreduced, as long as every slot of it fits the width."""
+        shifts = [width * s for s in self._slots]
+        return [(key, sum(map(lshift, num, shifts)) * k) for key, num, k in terms]
+
+    def _unpacked(self, packed, width):
+        """For each int of ``packed``, a sum of packed products whose slots
+        fit ``width`` bits, its value in K as an int vector over ``_den``.
+
+        Slots are read from the lowest: slot s of x is x mod 2^width taken
+        in [-2^(width-1), 2^(width-1)), and (x - s) >> width packs the rest.
+        There are at most (2f - 1)(2e - 1) of them, so reading each in turn
+        costs less than locating the nonzero ones (``mahler._unpack``)."""
+        products, n = self._slot_products, self.degree
+        full = 1 << width
+        half, mask = full >> 1, full - 1
+        out = []
+        for x in packed:
+            vec = [0] * n
+            for entries in products:
+                if not x:
+                    break
+                s = x & mask
+                if s >= half:
+                    s -= full
+                x = (x - s) >> width
+                if s:
+                    for k, c in entries:
+                        vec[k] += s * c
+            out.append(vec)
+        return out
 
     def _inverse(self, x):
         """1/x for nonzero x: solve x z = 1 on the columns x * (w^a pi^b).

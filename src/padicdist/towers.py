@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .distalg import DistAlgebra
+from .distalg import DistAlgebra, ExponentScale, _peak
 from .errors import (
     ConditionFailed,
     CounterexampleFound,
@@ -160,33 +160,65 @@ def orthogonal_system_check(system, r, trials, rng):
     0 <= v <= 2.  Returns {"iota": ..., "basis": ...},
     where "basis" reports whether the attainment indices exhaust the
     degree-N simplex.
+
+    The trials run in ints at the scale of ``ExponentScale``.  Each
+    element's norm key is read once.  Its coefficients, over one common
+    denominator, and pi^v for v <= 2, over another, are packed
+    (``FieldSpec._pack``), and each packed coefficient times each packed
+    pi^v is formed once, so a trial adds u P per support index of each
+    element and each sum is read back as a sum of packed products
+    (``FieldSpec._unpacked``).  A slot of such a sum is bounded by
+    len(system) (p - 1) [K:Q_p] max|x| max|y|, x and y the packed
+    coordinates of the coefficients and of the powers of pi, which sets
+    the slot width as in ``DistAlgebra.mul``; the valuation of each
+    coefficient of the combination is read off its unpacked sum.
     """
     if not system:
         return {"iota": {}, "basis": False}
     algebra = system[0].algebra
-    iota = {}
+    scale = ExponentScale(algebra, r)
+    iota, keys = {}, []
     for idx, t in enumerate(system):
-        leads = t.leading_support(r)
+        key, leads = scale.leading(t)
         if len(leads) != 1:
             raise UniqueAttainmentFailed(
                 f"element {idx} attains its norm at {len(leads)} indices"
             )
         iota[idx] = leads[0]
+        keys.append(key)
     if len(set(iota.values())) != len(system):
         raise InjectivityFailed("attainment indices collide")
     field = algebra.field
+    p, pi = field.p, field.uniformizer()
+    den = math.lcm(*(c.den for t in system for c in t.coeffs.values()))
+    terms = [[(alpha, c.num, den // c.den) for alpha, c in t.coeffs.items()] for t in system]
+    powers = (field.one(), pi, pi * pi)
+    pden = math.lcm(*(s.den for s in powers))
+    pterms = [(v, s.num, pden // s.den) for v, s in enumerate(powers)]
+    bound = len(system) * (p - 1) * field.degree * max(map(_peak, terms)) * _peak(pterms)
+    width = bound.bit_length() + 1
+    packed_powers = [P for _, P in field._pack(pterms, width)]
+    packed = [[[(alpha, x * P) for alpha, x in field._pack(t, width)] for P in packed_powers]
+              for t in terms]
+    b, w = scale.b, scale.w
+    vden = den * pden * field._den  # the denominator of an unpacked sum
     for _ in range(trials):
-        combo = algebra.zero()
+        acc = {}
+        get = acc.get
         expected = INF
-        for t in system:
+        for multiples, key in zip(packed, keys):
             v = rng.randrange(0, 3)
-            c = field.scalar(rng.randrange(1, field.p)) * field.uniformizer() ** v
-            combo = combo + t.scale(c)
-            expected = min(expected, c.abs_exponent() + t.norm(r).exponent)
-        if combo.norm(r).exponent != expected:
+            u = rng.randrange(1, p)
+            for alpha, x in multiples[v]:
+                acc[alpha] = get(alpha, 0) + u * x
+            expected = min(expected, b * v + key)
+        got = min((b * field._valuation(vec, vden) + w * sum(alpha)
+                   for alpha, vec in zip(acc, field._unpacked(acc.values(), width))),
+                  default=INF)
+        if got != expected:
             raise CounterexampleFound(
                 "orthogonal system max formula failed",
-                witness=(iota, combo.norm(r).exponent, expected),
+                witness=(iota, scale.unscale(got), scale.unscale(expected)),
             )
     full = set(iter_multi_indices(algebra.d, algebra.N))
     return {"iota": iota, "basis": set(iota.values()) == full}

@@ -16,8 +16,11 @@ independently of the basis-product table; the product oracle convolves
 two distributions through the table's Fraction rows with it, independently
 of the int sums of ``DistAlgebra.mul``.  The exponent oracles evaluate
 v(c)/e + kappa |alpha| a/b over Fractions, independently of the scaled
-int keys of ``distalg``.  The residue-product oracle multiplies in F_q as
-polynomials over F_p reduced by gbar, independently of the log tables.
+int keys of ``distalg``, and the orthogonal-system trial oracle runs the
+trials of ``towers.orthogonal_system_check`` on Distributions and Scalars,
+independently of its packed int sums.  The residue-product oracle
+multiplies in F_q as polynomials over F_p reduced by gbar, independently
+of the log tables.
 
 The samplers live in ``padicdist.samplers``.
 """
@@ -279,6 +282,27 @@ def mul_tail_oracle(lam, mu, r):
                 base + kappa * max(N + 1, tot) * rexp,
             )
     return best
+
+
+def orthogonal_trials_oracle(system, r, trials, rng):
+    """The max-formula trials of ``towers.orthogonal_system_check``, each
+    combination summed with ``Distribution.__add__`` and ``scale`` and
+    measured with ``norm``, drawing from ``rng`` in the same order.
+    Returns None when every trial holds, else the (norm, expected)
+    exponents of the first that fails."""
+    algebra = system[0].algebra
+    field = algebra.field
+    for _ in range(trials):
+        combo = algebra.zero()
+        expected = INF
+        for t in system:
+            v = rng.randrange(0, 3)
+            c = field.scalar(rng.randrange(1, field.p)) * field.uniformizer() ** v
+            combo = combo + t.scale(c)
+            expected = min(expected, c.abs_exponent() + t.norm(r).exponent)
+        if combo.norm(r).exponent != expected:
+            return combo.norm(r).exponent, expected
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Fraction formulas of ``tests/helpers.py``, over e in {1, 2, 3} and radii
 whose denominator does and does not share a factor with e.  ``delta`` is
 checked against products of ``binom_rational`` values at p-integral
 rational points.  ``mul`` is checked against a Fraction convolution on
-fields whose basis products are not integral."""
+fields whose basis products are not integral, on Q_3, with coordinates up
+to 2^70 and at the edge of its packed slot width."""
 
 import math
 from fractions import Fraction
@@ -130,10 +131,11 @@ def test_delta_matches_binomial_products(group, data):
 
 # nonabelian algebras over fields with a non-integral Eisenstein
 # coefficient (x^3 + 4x^2 + (2/3)x + 6 over Q_2) or e = 2 over F_9
-# (x^2 + (9 + 3w)x + 3 + 6w)
+# (x^2 + (9 + 3w)x + 3 + 6w), and one of degree 1
 MUL_CASES = {
     "heisenberg2 over e=3 above Q_2": (2, 3, 1, [6, Fraction(2, 3), 4]),
     "heisenberg over e=2 above F_9": (3, 2, 2, [(3, 6), (9, 3)]),
+    "heisenberg over Q_3": (3, 1, 1, None),
 }
 
 
@@ -144,11 +146,16 @@ def _mul_algebra(name):
     return DistAlgebra(heisenberg2() if p == 2 else heisenberg(p), field, N)
 
 
-def rational_distributions(alg):
-    """Up to five terms with small rational coordinates, p and 3 among
-    their denominators."""
+def rational_distributions(alg, large=False):
+    """Up to five terms with rational coordinates, p and 3 among their
+    denominators: small ones, or (``large``) numerators up to 2^70 over
+    p^k * 3, which widen the packed slots of ``mul``."""
     field = alg.field
-    coord = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 3, field.p, field.p**2)))
+    if large:
+        coord = st.builds(Fraction, st.integers(-2**70, 2**70),
+                          st.sampled_from([field.p**k * 3 for k in range(4)]))
+    else:
+        coord = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 3, field.p, field.p**2)))
     coeff = st.lists(coord, min_size=field.degree, max_size=field.degree).map(field.from_coords)
     index = st.sampled_from(list(iter_multi_indices(alg.d, N)))
     return st.dictionaries(index, coeff, max_size=5).map(alg.from_terms)
@@ -161,6 +168,38 @@ def test_mul_matches_fraction_convolution(name, data):
     alg = _mul_algebra(name)
     lam, mu = data.draw(rational_distributions(alg)), data.draw(rational_distributions(alg))
     got = {gamma: c.coords for gamma, c in alg.mul(lam, mu).coeffs.items()}
+    assert got == mul_oracle(alg, lam, mu)
+
+
+@pytest.mark.parametrize("name", list(MUL_CASES))
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_mul_matches_fraction_convolution_at_large_magnitude(name, data):
+    alg = _mul_algebra(name)
+    lam = data.draw(rational_distributions(alg, large=True))
+    mu = data.draw(rational_distributions(alg, large=True))
+    got = {gamma: c.coords for gamma, c in alg.mul(lam, mu).coeffs.items()}
+    assert got == mul_oracle(alg, lam, mu)
+
+
+def test_mul_slot_at_the_certified_bound():
+    """One product whose slot sum equals the bound ``mul`` certifies its
+    slot width for: one support pair, a table entry c of the largest |c|,
+    and coefficients x (1 + w), y (1 + w) over F_9, so the w slot at gamma
+    is 2 c x y = pairs * max|c| * [K:Q_p] * max|x| * max|y|.  A width one
+    bit short reads that slot as negative."""
+    field = FieldSpec(3, f=2, precision=4)
+    alg = DistAlgebra(heisenberg(3), field, 3)
+    table = alg.table
+    gammas = list(iter_multi_indices(alg.d, 3))
+    c, alpha, beta = max(((n, a, b) for a in gammas for b in gammas for _, n in table.int_row(a, b)),
+                         key=lambda t: abs(t[0]))
+    x, y = 2**70 + 1, (3**40 + 2) * (1 if c > 0 else -1)
+    pairs = 1
+    assert 2 * c * x * y == pairs * table._peak * field.degree * x * abs(y)
+    lam = alg.monomial(alpha, field.from_coords((x, x)))
+    mu = alg.monomial(beta, field.from_coords((y, y)))
+    got = {gamma: s.coords for gamma, s in alg.mul(lam, mu).coeffs.items()}
     assert got == mul_oracle(alg, lam, mu)
 
 

@@ -305,6 +305,40 @@ def test_cache_holds_den_and_the_int_rows(tmp_path):
     assert payload["rows"] == {(a, b): t1.int_row(a, b) for a in gammas for b in gammas}
 
 
+def test_save_before_any_row_writes_the_whole_table(tmp_path, monkeypatch):
+    """A non-abelian table saved before any row was read builds itself
+    first, so the file holds every row and reloads whole, with no build."""
+    t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+    t1.save()
+
+    def no_build(self):
+        raise AssertionError("table built although the cache holds every row")
+
+    monkeypatch.setattr(StructureConstants, "_build", no_build)
+    t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+    assert len(t2._rows) == len(t2._gammas) ** 2
+    assert (t2.den, t2._rows) == (t1.den, t1._rows)
+
+
+def test_peak_is_the_largest_entry_built_or_loaded(tmp_path):
+    """``_peak``, the max |n| that ``DistAlgebra.mul`` sizes its packed
+    slots by, is read off the rows as built and as loaded; an abelian
+    table's is at least its den, the entry of a row computed later."""
+    t1 = StructureConstants(filiform(3), 3, cache_dir=tmp_path)
+    peak = max(abs(n) for a in t1._gammas for b in t1._gammas for _, n in t1.int_row(a, b))
+    assert peak > 1 and t1._peak == peak
+    t1.save()
+    assert StructureConstants(filiform(3), 3, cache_dir=tmp_path)._peak == peak
+    ab = StructureConstants(abelian(2, p=3), 3, cache_dir=tmp_path)
+    ab.int_row((1, 0), (0, 1))
+    ab.save()
+    payload = pickle.loads(ab._cache_path.read_bytes())
+    payload["den"], payload["rows"] = 5, {((1, 0), (0, 1)): (((1, 1), 5),)}
+    ab._cache_path.write_bytes(pickle.dumps(payload, protocol=4))
+    loaded = StructureConstants(abelian(2, p=3), 3, cache_dir=tmp_path)
+    assert loaded.den == 5 and loaded._peak == 5
+
+
 def test_version_1_file_is_neither_loaded_nor_an_error(tmp_path):
     """A file of the previous format, rows of reduced (n, d) pairs per
     gamma, is a miss both under its own name and at the current path."""

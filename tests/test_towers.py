@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import orthogonal_trials_oracle
 from padicdist import (
     DistAlgebra,
     abelian,
     coset_conditions,
     delta_family,
+    heisenberg,
     lower_p_transversal,
     norm_transfer_check,
     o_additive,
@@ -27,6 +29,7 @@ from padicdist.errors import (
     UniqueAttainmentFailed,
 )
 from padicdist.radii import Radius
+from padicdist.towers import orthogonal_system
 
 INF = math.inf
 
@@ -103,6 +106,53 @@ def test_orthogonal_basis_families(q3, q2):
         out = orthogonal_system_check(system, r, 10, rng)
         assert out["iota"] == expected_iota
         assert out["basis"]
+
+
+def _abelian_systems(q3, q2):
+    """The systems of ``test_orthogonal_basis_families``, with their radii."""
+    for p, field, m in ((3, q3, 1), (3, q3, 2), (2, q2, 1), (2, q2, 2)):
+        N = 3 * p**m - 1
+        alg = DistAlgebra(abelian(1, p=p), field, N)
+        yield orthogonal_system(alg, m), Radius(1, 2 * (p**m))
+
+
+def _assert_trials_match_oracle(system, r, seed):
+    """The int trials pass exactly when the Distribution trials of the
+    oracle do, and leave the generator in the same state."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    orthogonal_system_check(system, r, 12, rng)
+    assert orthogonal_trials_oracle(system, r, 12, oracle_rng) is None
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("field", ["q3", "k3u2", "k3r2"])
+def test_trials_match_the_distribution_oracle_on_heisenberg(field, request):
+    alg = DistAlgebra(heisenberg(3), request.getfixturevalue(field), 4)
+    _assert_trials_match_oracle(orthogonal_system(alg, 1), Radius(1, 4), 67)
+
+
+def test_trials_match_the_distribution_oracle_on_abelian_systems(q3, q2):
+    for seed, (system, r) in enumerate(_abelian_systems(q3, q2)):
+        _assert_trials_match_oracle(system, r, 68 + seed)
+
+
+class _TopDraws:
+    """A generator stub whose every draw is the largest allowed value."""
+
+    def randrange(self, start, stop):
+        return stop - 1
+
+
+def test_trials_at_the_certified_slot_bound(q3):
+    """Every element holds 3^5 at index 0 below its lead, and every draw
+    is v = 2, u = p - 1, so the trial sum at index 0 is 3 * 2 * 3^5 * 9 =
+    len(system) (p - 1) [K:Q_p] max|x| max|y|, the bound the slot width
+    is certified for.  A width one bit short misreads that slot."""
+    alg = DistAlgebra(abelian(2, p=3), q3, 2)
+    system = [alg.from_terms({(0, 0): 3**5})] + [
+        alg.from_terms({(1, 0): 1, (0, 0): 3**5}), alg.from_terms({(0, 1): 1, (0, 0): 3**5})]
+    out = orthogonal_system_check(system, Radius(1, 2), 1, _TopDraws())
+    assert out["iota"] == {0: (0, 0), 1: (1, 0), 2: (0, 1)}
 
 
 def test_orthogonality_diagnoses(ab1_big):
