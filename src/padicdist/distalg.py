@@ -246,7 +246,15 @@ class Distribution:
         return Distribution(self.algebra, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.coeffs)
+        for alpha, c in other.coeffs.items():
+            prev = out.get(alpha)
+            s = -c if prev is None else prev - c
+            if s.is_zero:
+                out.pop(alpha, None)
+            else:
+                out[alpha] = s
+        return Distribution(self.algebra, out)
 
     def __mul__(self, other):
         if isinstance(other, Distribution):

@@ -38,11 +38,22 @@ INF = math.inf
 
 
 class KernelFamily:
-    """The kernel generators of a restricted group, truncated at degree N."""
+    """The kernel generators of a restricted group, truncated at degree N.
+
+    ``shifted_gen(i, j, alpha)`` memoizes G_ij * b^alpha, the product with
+    coefficient 1.  Every canonicalization step subtracts such a product
+    times one scalar c, and the memo is exact: the table product is
+    K-bilinear, so mul(G_ij, c b^alpha) is c times it term by term, with
+    the same support in the same order (c != 0 in a field), and a Scalar's
+    form is canonical, so g * c equals the coefficient ``mul`` builds bit
+    for bit.  The products depend on no radius, and canonicalization asks
+    only for |alpha| < N, so the memo stays bounded.
+    """
 
     def __init__(self, lgspec, algebra):
         self.lgspec = lgspec
         self.algebra = algebra
+        self._shifted = {}
         self._gens = {}
         for j in range(1, lgspec.d + 1):
             log_1j = algebra.log_series(lgspec.flat_index(1, j))
@@ -64,6 +75,15 @@ class KernelFamily:
         if i == 1:
             return self.algebra.zero()
         return self._gens[(i, j)]
+
+    def shifted_gen(self, i, j, alpha):
+        """G_ij * b^alpha through the table, memoized per (i, j, alpha)."""
+        key = (i, j, alpha)
+        prod = self._shifted.get(key)
+        if prod is None:
+            alg = self.algebra
+            prod = self._shifted[key] = alg.mul(self._gens[(i, j)], alg.monomial(alpha))
+        return prod
 
     # -- projections --------------------------------------------------------------
 
@@ -253,16 +273,34 @@ def canonicalize(fam, lam, r, mprime):
     the occurrence by vbar_i X_1j at the same filtration level and pushes
     everything else strictly deeper.  The filtration degrees live in a
     discrete rational lattice, so the loop reaches the target p^(-mprime).
+
+    The working residue is one dict changed in place, each term's scaled
+    key kept beside it and the terms grouped by key, so a step costs time
+    in the terms it touches: the leading level is the least key, and a
+    term that cancels or appears moves in the dict order that
+    ``Distribution.__sub__`` gives.  The subtracted product is c times the
+    memoized G_ij * b^alpha' (``KernelFamily.shifted_gen``), and its tail
+    key is that of G_ij * b^alpha' plus b v(c), every candidate of
+    ``ExponentScale.mul_tail`` and of the log tail moving by the same v(c).
     """
     _require_h0(fam, r)
     alg = fam.algebra
+    if lam.algebra is not alg:
+        raise InvalidArgument("the distribution is not in the kernel family's algebra")
     lg = fam.lgspec
     # filtration degrees are compared as scaled int keys
     scale = ExponentScale(alg, r)
+    b, w = scale.b, scale.w
     target_key = scale.to_key(mprime)
     # min_k (kappa k a/b - v_p(k)) lies in (1/b) Z, so it has a key
     log_tail = scale.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
-    work = Distribution(alg, dict(lam.coeffs))
+    work = dict(lam.coeffs)
+    keys = {}
+    levels_at = {}  # key -> the set of alpha with that key
+    for alpha, c in work.items():
+        _rekey(keys, levels_at, alpha, scale.key(c, alpha))
+    # (i, j, alpha') -> (tail key at v(c) = 0, [(gamma, coefficient, w |gamma|)])
+    shifts = {}
     canon = {}
     residual = INF
     steps = 0
@@ -270,8 +308,8 @@ def canonicalize(fam, lam, r, mprime):
     last_level = None
     max_steps = 4000 + 200 * (mprime + alg.N) * (lg.n * lg.d)
 
-    while not work.is_zero:
-        s, leads = scale.leading(work)
+    while work:
+        s = min(levels_at)
         if s >= target_key:
             break
         if s != last_level:
@@ -284,7 +322,7 @@ def canonicalize(fam, lam, r, mprime):
                 )
             levels += 1
             last_level = s
-        lead = min(leads, key=grlex_key)
+        lead = min(levels_at[s], key=grlex_key)
         target = None
         for j in range(1, lg.d + 1):
             for i in range(2, lg.n + 1):
@@ -293,22 +331,28 @@ def canonicalize(fam, lam, r, mprime):
                     break
             if target:
                 break
-        coeff = work.coeffs[lead]
+        coeff = work[lead]
         if target is None:
             beta = fam.to_canonical_index(lead)
             prev = canon.get(beta)
             canon[beta] = coeff if prev is None else prev + coeff
-            work = work - alg.monomial(lead, coeff)
+            del work[lead]
+            _rekey(keys, levels_at, lead, None)
         else:
             i, j = target
             alpha_prime = tuple(
                 a - (1 if t == lg.flat_index(i, j) else 0) for t, a in enumerate(lead)
             )
-            mu = alg.monomial(alpha_prime, coeff)
-            gen = fam.gen(i, j)
-            # the generator's own discarded log tail, times the monomial
-            gen_tail = scale.key(coeff, alpha_prime) + log_tail
-            tail = min(scale.mul_tail(gen, mu), gen_tail)
+            shift = shifts.get((i, j, alpha_prime))
+            if shift is None:
+                # the generator's own discarded log tail, times the monomial
+                gen_tail = w * sum(alpha_prime) + log_tail
+                tail0 = min(scale.mul_tail(fam.gen(i, j), alg.monomial(alpha_prime)), gen_tail)
+                prod = fam.shifted_gen(i, j, alpha_prime)
+                terms = [(gamma, g, w * sum(gamma)) for gamma, g in prod.coeffs.items()]
+                shift = shifts[(i, j, alpha_prime)] = (tail0, terms)
+            tail0, terms = shift
+            tail = tail0 + b * coeff.valuation
             if tail < target_key:
                 need = _required_truncation(alg, r, mprime)
                 raise DegreeOverflow(
@@ -317,24 +361,50 @@ def canonicalize(fam, lam, r, mprime):
                     required_degree=need,
                 )
             residual = min(residual, tail)
-            work = work - alg.mul(gen, mu)
+            for gamma, g, wdeg in terms:
+                t = g * coeff
+                prev = work.get(gamma)
+                c = -t if prev is None else prev - t
+                if c.is_zero:
+                    work.pop(gamma, None)
+                    _rekey(keys, levels_at, gamma, None)
+                else:
+                    work[gamma] = c
+                    _rekey(keys, levels_at, gamma, b * c.valuation + wdeg)
         steps += 1
         if steps > max_steps:
             raise PrecisionExhausted("canonicalization exceeded its step budget")
 
     # leftovers sit at or above the target: pure terms still belong to the
     # canonical part (exactly), everything else is bounded into the residual
-    for alpha, c in work.coeffs.items():
+    for alpha, c in work.items():
         if fam.is_first_row(alpha):
             beta = fam.to_canonical_index(alpha)
             prev = canon.get(beta)
             canon[beta] = c if prev is None else prev + c
         else:
-            residual = min(residual, scale.key(c, alpha))
+            residual = min(residual, keys[alpha])
 
     canon = {beta: c for beta, c in canon.items() if not c.is_zero}
     residual = scale.unscale(residual)
     return CanonicalForm(fam, r, canon, residual, mprime, steps, levels)
+
+
+def _rekey(keys, levels_at, alpha, new):
+    """Set the key of alpha to ``new`` (None: alpha has left the residue)
+    and move it to that key's group of ``levels_at``."""
+    old = keys.pop(alpha, None)
+    if new is not None:
+        keys[alpha] = new
+    if old == new:
+        return
+    if old is not None:
+        group = levels_at[old]
+        group.discard(alpha)
+        if not group:
+            del levels_at[old]
+    if new is not None:
+        levels_at.setdefault(new, set()).add(alpha)
 
 
 def binomial_series(fam, v, j):

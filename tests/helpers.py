@@ -18,9 +18,12 @@ of the int sums of ``DistAlgebra.mul``.  The exponent oracles evaluate
 v(c)/e + kappa |alpha| a/b over Fractions, independently of the scaled
 int keys of ``distalg``, and the orthogonal-system trial oracle runs the
 trials of ``towers.orthogonal_system_check`` on Distributions and Scalars,
-independently of its packed int sums.  The residue-product oracle
-multiplies in F_q as polynomials over F_p reduced by gbar, independently
-of the log tables.
+independently of its packed int sums.  The canonicalization oracle runs
+the reduction loop of ``quotient.canonicalize`` on whole Distributions,
+one leading-form sweep and one full product per step, independently of
+its in-place residue and its memo of shifted kernel generators.  The
+residue-product oracle multiplies in F_q as polynomials over F_p reduced
+by gbar, independently of the log tables.
 
 The samplers live in ``padicdist.samplers``.
 """
@@ -30,9 +33,12 @@ from fractions import Fraction
 from itertools import product
 
 from padicdist import LieLattice
-from padicdist.indices import add_index
+from padicdist.distalg import Distribution, ExponentScale
+from padicdist.errors import CounterexampleFound, DegreeOverflow, PrecisionExhausted
+from padicdist.indices import add_index, grlex_key
 from padicdist.padics import _fp_mod, _fp_mul
-from padicdist.radii import kappa
+from padicdist.quotient import CanonicalForm, _require_h0, _required_truncation
+from padicdist.radii import kappa, log_tail_exponent
 
 INF = math.inf
 
@@ -303,6 +309,90 @@ def orthogonal_trials_oracle(system, r, trials, rng):
         if combo.norm(r).exponent != expected:
             return combo.norm(r).exponent, expected
     return None
+
+
+# ---------------------------------------------------------------------------
+# canonicalization over whole Distributions
+
+def canonicalize_oracle(fam, lam, r, mprime):
+    """``quotient.canonicalize`` as a loop over whole Distributions: each
+    step sweeps the residue for its leading form (``ExponentScale.leading``)
+    and subtracts the full product ``alg.mul(G_ij, c b^alpha')``, with the
+    tail key ``mul_tail`` of that product.  Same refusals, step budget and
+    level-rise check; returns a ``CanonicalForm``."""
+    _require_h0(fam, r)
+    alg = fam.algebra
+    lg = fam.lgspec
+    scale = ExponentScale(alg, r)
+    target_key = scale.to_key(mprime)
+    log_tail = scale.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
+    work = Distribution(alg, dict(lam.coeffs))
+    canon = {}
+    residual = INF
+    steps = 0
+    levels = 0
+    last_level = None
+    max_steps = 4000 + 200 * (mprime + alg.N) * (lg.n * lg.d)
+
+    while not work.is_zero:
+        s, leads = scale.leading(work)
+        if s >= target_key:
+            break
+        if s != last_level:
+            if last_level is not None and s <= last_level:
+                raise CounterexampleFound(
+                    "canonicalization level did not rise",
+                    witness=(scale.unscale(last_level), scale.unscale(s)),
+                )
+            levels += 1
+            last_level = s
+        lead = min(leads, key=grlex_key)
+        target = None
+        for j in range(1, lg.d + 1):
+            for i in range(2, lg.n + 1):
+                if lead[lg.flat_index(i, j)] > 0:
+                    target = (i, j)
+                    break
+            if target:
+                break
+        coeff = work.coeffs[lead]
+        if target is None:
+            beta = fam.to_canonical_index(lead)
+            prev = canon.get(beta)
+            canon[beta] = coeff if prev is None else prev + coeff
+            work = work - alg.monomial(lead, coeff)
+        else:
+            i, j = target
+            alpha_prime = tuple(
+                a - (1 if t == lg.flat_index(i, j) else 0) for t, a in enumerate(lead)
+            )
+            mu = alg.monomial(alpha_prime, coeff)
+            gen = fam.gen(i, j)
+            gen_tail = scale.key(coeff, alpha_prime) + log_tail
+            tail = min(scale.mul_tail(gen, mu), gen_tail)
+            if tail < target_key:
+                need = _required_truncation(alg, r, mprime)
+                raise DegreeOverflow(
+                    f"reduction tails reach p^-({scale.unscale(tail)}) above the "
+                    f"target p^-{mprime}; increase the truncation to about {need}",
+                    required_degree=need,
+                )
+            residual = min(residual, tail)
+            work = work - alg.mul(gen, mu)
+        steps += 1
+        if steps > max_steps:
+            raise PrecisionExhausted("canonicalization exceeded its step budget")
+
+    for alpha, c in work.coeffs.items():
+        if fam.is_first_row(alpha):
+            beta = fam.to_canonical_index(alpha)
+            prev = canon.get(beta)
+            canon[beta] = c if prev is None else prev + c
+        else:
+            residual = min(residual, scale.key(c, alpha))
+
+    canon = {beta: c for beta, c in canon.items() if not c.is_zero}
+    return CanonicalForm(fam, r, canon, scale.unscale(residual), mprime, steps, levels)
 
 
 # ---------------------------------------------------------------------------

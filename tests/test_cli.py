@@ -215,6 +215,19 @@ def test_quotient_commands(capsys):
     assert main(["quotient", "check", "-r", "3^-2/3", "b11 + p*b21"]) == 0
 
 
+def test_quotient_canonicalize_output(capsys):
+    """The canonical form of b21 at N = 8, M' = 2: the binomial series of
+    (1 + b11)^w - 1, four levels and 74 steps."""
+    assert main(["quotient", "canonicalize", "-r", "3^-2/3", "b21"]) == 0
+    assert capsys.readouterr().out == (
+        "w * b11 + (-1/2 + -1/2*w) * b11^2 + (1/4 + 2/3*w) * b11^3"
+        " + (-11/12 + -3/4*w) * b11^4 + (5/8 + 13/12*w) * b11^5"
+        " + (-33/80 + -239/360*w) * b11^6 + (7/12 + 239/126*w) * b11^7"
+        " + (-163/420 + -16627/15120*w) * b11^8\n"
+        "residual <= p^-(2); passes 4, steps 74\n"
+    )
+
+
 def test_towers_commands(capsys):
     assert main(["towers", "cosets", "--p", "3"] if False else
                 ["towers", "cosets", "-m", "1"]) == 0

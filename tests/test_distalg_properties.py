@@ -7,7 +7,8 @@ whose denominator does and does not share a factor with e.  ``delta`` is
 checked against products of ``binom_rational`` values at p-integral
 rational points.  ``mul`` is checked against a Fraction convolution on
 fields whose basis products are not integral, on Q_3, with coordinates up
-to 2^70 and at the edge of its packed slot width."""
+to 2^70 and at the edge of its packed slot width.  Subtraction is checked
+against adding the negation, dict order included."""
 
 import math
 from fractions import Fraction
@@ -92,6 +93,22 @@ def test_exponents_match_fraction_formula(name, r, nonabelian, data):
     for alpha, c in lam.coeffs.items():
         assert scale.unscale(scale.key(c, alpha)) == exponent_oracle(c, alpha, alg.kappa, r)
     assert mul_tail_bound(lam, mu, r) == mul_tail_oracle(lam, mu, r)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(data=st.data())
+def test_sub_is_add_of_the_negation(name, data):
+    """a - b equals a + (-b), coefficient by coefficient and in dict order;
+    b repeats some terms of a, so those cancel."""
+    alg = _algebra(name, False)
+    a = data.draw(distributions(alg, 2))
+    b = data.draw(distributions(alg, 2))
+    shared = data.draw(st.sets(st.sampled_from(list(a.coeffs)))) if a.coeffs else set()
+    b = alg.from_terms({**b.coeffs, **{alpha: a.coeffs[alpha] for alpha in shared}})
+    got, want = a - b, a + (-b)
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
 
 
 def test_cases_cover_both_kinds_of_denominator():

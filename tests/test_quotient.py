@@ -1,11 +1,14 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import LatticeOracle
+from helpers import LatticeOracle, canonicalize_oracle
 from padicdist import (
+    FieldSpec,
     build_kernel_family,
     canonicalize,
     domain_smoke_test,
@@ -15,10 +18,14 @@ from padicdist import (
     orthogonality_check,
     quotient_norm,
 )
+from padicdist.distalg import Distribution
 from padicdist.errors import CriticalRadius, DegreeOverflow, InvalidArgument, PrecisionExhausted
 from padicdist.indices import iter_multi_indices
 from padicdist.radii import Radius, log_tail_exponent
 from padicdist.samplers import random_scalar
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import STREAM_MPRIME, STREAM_TRUNCATION, stream_requests  # noqa: E402
 
 INF = math.inf
 R23 = Radius(2, 3)  # 3^(-2/3), dominant index 0
@@ -245,3 +252,106 @@ def test_canonicalize_refusal_is_typed(fam31):
     # 3^(-1/8) has dominant index 2: outside the h = 0 region
     with pytest.raises(InvalidArgument, match="dominant index h = 2"):
         canonicalize(fam31, fam31.algebra.one(), Radius(1, 8), MP)
+
+
+def test_canonicalize_refuses_another_algebra(fam31, fam31_small, k3r2):
+    """b21^2 of the N = 8 algebra is not an element of the N = 4 family's
+    algebra, and neither is b21 over another field."""
+    lg = fam31.lgspec
+    b21 = fam31.algebra.generator(lg.flat_index(2, 1))
+    with pytest.raises(InvalidArgument, match="not in the kernel family's algebra"):
+        canonicalize(fam31_small, b21 * b21, R23, MP)
+    ramified = build_kernel_family(o_additive(k3r2, 1), 4)
+    foreign = ramified.algebra.generator(ramified.lgspec.flat_index(2, 1))
+    with pytest.raises(InvalidArgument, match="not in the kernel family's algebra"):
+        canonicalize(fam31_small, foreign, R23, MP)
+
+
+# ---------------------------------------------------------------------------
+# the in-place loop against the Distribution-level loop of ``helpers``
+
+def _outcome(fn, fam, lam, r, mprime):
+    try:
+        form = fn(fam, lam, r, mprime)
+    except DegreeOverflow as exc:
+        return type(exc), exc.required_degree
+    return (list(form.coeffs.items()), form.residual_exponent, form.steps, form.levels)
+
+
+def _assert_same_as_oracle(fam, lam, r, mprime):
+    got = _outcome(canonicalize, fam, lam, r, mprime)
+    assert got == _outcome(canonicalize_oracle, fam, lam, r, mprime), lam
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_canonicalize_matches_oracle_on_stream_shapes(seed):
+    """o-additive(1) over Q_9 at N = 14, M' = 3: the requests of the
+    lgroup-stream benchmark workload (three terms each, leading levels 4/3
+    to 8/3), coefficient dict order included."""
+    field = FieldSpec.unramified(3, 2, precision=24)
+    fam = build_kernel_family(o_additive(field, 1), STREAM_TRUNCATION)
+    alg = fam.algebra
+    w, pi = field.unram_gen(), field.uniformizer()
+    for req in stream_requests(seed, 1):
+        lam = alg.from_terms({
+            alpha: (field.scalar(u0) + w * u1) * pi ** v for alpha, (u0, u1), v in req
+        })
+        _assert_same_as_oracle(fam, lam, R23, STREAM_MPRIME)
+
+
+def _unit_terms(alg, rng, max_degree=3, count=3):
+    """Up to ``count`` terms of degree 1..max_degree with unit coefficients
+    u + pi k, the low levels that take the most reduction steps."""
+    field = alg.field
+    terms = {}
+    for _ in range(count):
+        alpha = [0] * alg.d
+        for _ in range(rng.randrange(1, max_degree + 1)):
+            alpha[rng.randrange(alg.d)] += 1
+        unit = field.scalar(rng.randrange(1, field.p))
+        terms[tuple(alpha)] = unit + field.uniformizer() * rng.randrange(field.p)
+    return alg.from_terms(terms)
+
+
+@pytest.mark.parametrize("case", ["o-additive(2), N = 6", "ramified, N = 4"])
+def test_canonicalize_matches_oracle_on_random_inputs(case, fam32, k3r2):
+    """o-additive(2) over Q_9 (two generator pairs to clear) and o-additive(1)
+    over the ramified quadratic extension; both outcomes occur."""
+    if case.startswith("o-additive(2)"):
+        fam, rng = fam32, random.Random(56)
+    else:
+        fam, rng = build_kernel_family(o_additive(k3r2, 1), 4), random.Random(57)
+    outcomes = [
+        _assert_same_as_oracle(fam, _unit_terms(fam.algebra, rng), R23, MP)
+        for _ in range(20)
+    ]
+    assert any(o[0] is DegreeOverflow for o in outcomes)
+    assert any(o[0] is not DegreeOverflow and o[2] >= 4 for o in outcomes)
+
+
+def test_canonicalize_matches_oracle_on_overflow(fam31):
+    """The target p^-5 lies beyond the log tail p^-4 of N = 8: both loops refuse
+    with the same required truncation."""
+    b21 = fam31.algebra.generator(fam31.lgspec.flat_index(2, 1))
+    assert _assert_same_as_oracle(fam31, b21, R23, 5) == (DegreeOverflow, 9)
+
+
+def test_one_family_at_two_radii_matches_fresh_families(k3u2):
+    """The shifted-generator memo is radius-free: one family reducing at
+    3^-2/3 and 3^-3/4 in turn gives what a fresh family gives at each, and
+    every memo entry is the product G_ij * b^alpha it is keyed by."""
+    lgspec = o_additive(k3u2, 1)
+    shared = build_kernel_family(lgspec, 8)
+    alg = shared.algebra
+    b11, b21 = (alg.generator(lgspec.flat_index(i, 1)) for i in (1, 2))
+    inputs = [b21, b21 * b21, b11 * b21.scale(3) + b21]
+    for r in (R23, Radius(3, 4), R23, Radius(3, 4)):
+        for lam in inputs:
+            fresh = build_kernel_family(lgspec, 8)
+            lam_fresh = Distribution(fresh.algebra, lam.coeffs)
+            assert (_outcome(canonicalize, shared, lam, r, MP)
+                    == _outcome(canonicalize, fresh, lam_fresh, r, MP))
+    assert shared._shifted
+    for (i, j, alpha), prod in shared._shifted.items():
+        assert prod == alg.mul(shared.gen(i, j), alg.monomial(alpha))
