@@ -97,20 +97,22 @@ class DistAlgebra:
 
     def delta(self, g):
         """The image of a group element: coefficients binom(x, alpha) in the
-        second-kind coordinates x.
+        second-kind coordinates x = nums / den.
 
-        They are read off the table's binomial ladder: ``expansion(x, D)``
-        is D^|alpha| alpha! binom(x, alpha) over a common denominator D of x,
-        in the order of ``iter_multi_indices(d, N)``.
+        They are read off the table's binomial ladder: ``expansion(nums,
+        den)`` is den^|alpha| alpha! binom(x, alpha), in the order of
+        ``iter_multi_indices(d, N)``, so each coefficient is one rational
+        v / scale, a Scalar built straight from its ints.
         """
-        x = g.second()
-        denom = lcm(*(c.denominator for c in x))
+        nums, den = g.second_ints()
+        field = self.field
+        zeros = (0,) * (field.degree - 1)
         terms = {}
-        scaled = self.table.expansion(x, denom)
+        scaled = self.table.expansion(nums, den)
         for alpha, v in zip(iter_multi_indices(self.d, self.N), scaled):
             if v:
-                scale = denom ** sum(alpha) * prod(map(factorial, alpha))
-                terms[alpha] = self.field.scalar(Fraction(v, scale))
+                scale = den ** sum(alpha) * prod(map(factorial, alpha))
+                terms[alpha] = Scalar(field, (v, *zeros), scale)
         return Distribution(self, terms)
 
     def log_series(self, i):
@@ -163,7 +165,9 @@ class DistAlgebra:
             for beta, V in mpacked:
                 row = rows.get((alpha, beta))
                 if row is None:
-                    row = int_row(alpha, beta)
+                    row = int_row(alpha, beta)  # raises DegreeOverflow outside the table
+                if not row:
+                    continue
                 UV = U * V
                 for gamma, c in row:
                     acc[gamma] = get(gamma, 0) + c * UV

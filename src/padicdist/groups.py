@@ -4,7 +4,8 @@ A lattice with bracket constants of p-valuation >= kappa carries a group
 law through the Hausdorff series; elements live in two charts, the
 exponential one ("first kind") and the ordered-generator one
 x -> h_1^{x_1} ... h_d^{x_d} ("second kind").  Coordinates are exact
-p-integral rationals.  The lattice must be nilpotent: the series then
+p-integral rationals; an element holds them as int numerators over one
+denominator.  The lattice must be nilpotent: the series then
 stops at the nilpotency class, and a lattice whose lower central series
 does not reach zero is refused with NotNilpotent on its first group-law
 use.  The law is exact.  ``LieLattice.bch`` is the first-kind law over
@@ -29,7 +30,8 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import (
     CounterexampleFound,
@@ -273,10 +275,10 @@ class LieLattice:
     # -- elements ----------------------------------------------------------------
 
     def element_first(self, coords):
-        return GroupElement(self, "first", tuple(Fraction(c) for c in coords))
+        return GroupElement(self, "first", *_cleared(coords))
 
     def element_second(self, coords):
-        return GroupElement(self, "second", tuple(Fraction(c) for c in coords))
+        return GroupElement(self, "second", *_cleared(coords))
 
     def identity(self):
         return self.element_first((0,) * self.d)
@@ -385,13 +387,17 @@ class SecondKindLaw:
     denominator ``denoms[k]``; a monomial lists (variable, exponent) pairs
     over the concatenated input point and, as one more variable, its
     common denominator D, which makes every term of degree ``degree``.
-    ``ints`` is the evaluation: it clears D, refuses it with NotPIntegral
-    when p divides it and returns the output numerators n_k with the scale
-    D^degree, coordinate k being n_k / (denoms[k] D^degree); integer points
-    have D = 1.  A call is the Fraction view of ``ints``.
+    Both evaluations refuse a D divisible by p with NotPIntegral.
+    ``ints`` takes a point of Fractions (or ints), clears D and returns
+    the output numerators n_k with the scale D^degree, coordinate k being
+    n_k / (denoms[k] D^degree); integer points have D = 1.  ``reduced``
+    takes a point already cleared, int numerators over one D, and returns
+    the output the same way, over the one denominator lcm(denoms)
+    D^degree and reduced by one gcd, with no Fraction built.  A call is
+    the Fraction view of ``ints``.
     """
 
-    __slots__ = ("p", "degree", "terms", "denoms")
+    __slots__ = ("p", "degree", "terms", "denoms", "_common", "_lifts")
 
     def __init__(self, p, polys, nvars):
         self.p = p
@@ -409,15 +415,14 @@ class SecondKindLaw:
                 out.append((c.numerator * (denom // c.denominator), mono))
             self.terms.append(tuple(out))
             self.denoms.append(denom)
+        self._common = lcm(*self.denoms)
+        self._lifts = [self._common // q for q in self.denoms]
 
-    def ints(self, point):
-        D = 1
-        for c in point:
-            D = lcm(D, c.denominator)
-        if D % self.p == 0:
+    def _numerators(self, xs):
+        """The n_k at the cleared point ``xs``, its common denominator D
+        appended as the last variable."""
+        if xs[-1] % self.p == 0:
             raise NotPIntegral("the group law needs p-integral coordinates")
-        xs = [c.numerator * (D // c.denominator) for c in point]
-        xs.append(D)
         out = []
         for terms in self.terms:
             s = 0
@@ -426,7 +431,26 @@ class SecondKindLaw:
                     c *= xs[v] ** e
                 s += c
             out.append(s)
-        return out, D**self.degree
+        return out
+
+    def ints(self, point):
+        D = 1
+        for c in point:
+            D = lcm(D, c.denominator)
+        xs = [c.numerator * (D // c.denominator) for c in point]
+        xs.append(D)
+        return self._numerators(xs), D**self.degree
+
+    def reduced(self, nums, den):
+        """(nums', den') with nums'[k] / den' the output at the point
+        nums / den; den' > 0 and gcd(den', *nums') = 1."""
+        out = list(map(mul, self._numerators([*nums, den]), self._lifts))
+        scale = self._common * den**self.degree
+        g = gcd(scale, *out)
+        if g != 1:
+            out = [n // g for n in out]
+            scale //= g
+        return tuple(out), scale
 
     def __call__(self, point):
         nums, scale = self.ints(point)
@@ -462,66 +486,103 @@ def _compile(lattice, arity, build):
     return SecondKindLaw(lattice.p, build(*args), arity * d)
 
 
+def _cleared(coords):
+    """Rational coordinates as (int numerators, their least common
+    denominator), the form ``GroupElement`` stores."""
+    coords = [c if type(c) is int else Fraction(c) for c in coords]
+    den = lcm(*[c.denominator for c in coords])
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
+
+
+def _joint(a, b):
+    """Two (nums, den) points as one point over lcm of their denominators."""
+    (xs, dx), (ys, dy) = a, b
+    if dx == dy:
+        return (*xs, *ys), dx
+    D = lcm(dx, dy)
+    return (*[x * (D // dx) for x in xs], *[y * (D // dy) for y in ys]), D
+
+
 class GroupElement:
     """A group element in a fixed chart; conversions are exact and cached.
 
-    Chart conversions, products, inverses and commutators evaluate the
-    lattice's compiled maps in ints (E for ``first``, L for ``second``, F
-    for ``*``, I for ``inverse`` and C for ``commutator``); products,
-    inverses and commutators come back in the second-kind chart.  Every
-    compiled call refuses a point that is not p-integral with
-    NotPIntegral.
+    The coordinates in chart ``mode`` are stored as ints ``nums`` over one
+    positive denominator ``den``, reduced so that gcd(den, *nums) = 1, as
+    ``Scalar`` stores K; ``coords``, ``first()`` and ``second()`` are
+    Fraction views of them.  Chart conversions, products, inverses and
+    commutators evaluate the lattice's compiled maps on those ints
+    (``SecondKindLaw.reduced``: E for the first kind, L for the second, F
+    for ``*``, I for ``inverse`` and C for ``commutator``); the other chart
+    is converted once and kept in ``_other``, and products, inverses and
+    commutators come back in the second-kind chart.  Every compiled call
+    refuses a point that is not p-integral with NotPIntegral.
     """
 
-    __slots__ = ("lattice", "mode", "coords", "_other")
+    __slots__ = ("lattice", "mode", "nums", "den", "_other")
 
-    def __init__(self, lattice, mode, coords):
+    def __init__(self, lattice, mode, nums, den=1):
         if mode not in ("first", "second"):
             raise InvalidArgument(f"chart mode must be 'first' or 'second', not {mode!r}")
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
         self.lattice = lattice
         self.mode = mode
-        self.coords = coords
+        self.nums = tuple(nums)
+        self.den = den
         self._other = None
 
-    def first(self):
-        if self.mode == "first":
-            return self.coords
+    def _chart(self, mode):
+        """The coordinates in chart ``mode`` as (nums, den)."""
+        if mode == self.mode:
+            return self.nums, self.den
         if self._other is None:
-            self._other = self.lattice.to_first_kind(self.coords)
+            lat = self.lattice
+            law = lat.to_first_kind if mode == "first" else lat.to_second_kind
+            self._other = law.reduced(self.nums, self.den)
         return self._other
 
+    def second_ints(self):
+        """The second-kind coordinates as (nums, den), reduced."""
+        return self._chart("second")
+
+    @property
+    def coords(self):
+        return _fractions(self.nums, self.den)
+
+    def first(self):
+        return _fractions(*self._chart("first"))
+
     def second(self):
-        if self.mode == "second":
-            return self.coords
-        if self._other is None:
-            self._other = self.lattice.to_second_kind(self.coords)
-        return self._other
+        return _fractions(*self._chart("second"))
 
     def __mul__(self, other):
         if other.lattice is not self.lattice:
             raise InvalidArgument("a product needs two elements of the same lattice")
-        z = self.lattice.second_kind_law((*self.second(), *other.second()))
-        return GroupElement(self.lattice, "second", z)
+        z = self.lattice.second_kind_law.reduced(*_joint(self.second_ints(), other.second_ints()))
+        return GroupElement(self.lattice, "second", *z)
 
     def inverse(self):
-        z = self.lattice.second_kind_inverse(self.second())
-        return GroupElement(self.lattice, "second", z)
+        z = self.lattice.second_kind_inverse.reduced(*self.second_ints())
+        return GroupElement(self.lattice, "second", *z)
 
     def __pow__(self, exponent):
         """g^lambda = exp(lambda log g) for p-integral lambda."""
-        lam = Fraction(exponent)
+        lam = exponent if type(exponent) is int else Fraction(exponent)
         if vp_rational(lam, self.lattice.p) < 0:
             raise NotPIntegral("exponent must be p-integral")
+        nums, den = self._chart("first")
         return GroupElement(
-            self.lattice, "first", tuple(lam * c for c in self.first())
+            self.lattice, "first", [lam.numerator * n for n in nums], lam.denominator * den
         )
 
     def commutator(self, other):
         """[g, h] = g^-1 h^-1 g h, by one call of the compiled C."""
         if other.lattice is not self.lattice:
             raise InvalidArgument("a commutator needs two elements of the same lattice")
-        z = self.lattice.commutator_law((*self.second(), *other.second()))
-        return GroupElement(self.lattice, "second", z)
+        z = self.lattice.commutator_law.reduced(*_joint(self.second_ints(), other.second_ints()))
+        return GroupElement(self.lattice, "second", *z)
 
     def conjugate(self, by):
         return by.inverse() * self * by
@@ -529,14 +590,16 @@ class GroupElement:
     def level(self):
         """Largest i with all second-kind coordinates in p^{i-1} Z_p, that
         is 1 + min v_p over the nonzero coordinates; exact at any depth."""
-        vals = [vp_rational(c, self.lattice.p) for c in self.second() if c != 0]
+        nums, den = self.second_ints()
+        p = self.lattice.p
+        vals = [vp_int(n, p) for n in nums if n]
         if not vals:
             raise InvalidArgument("the identity has no finite lower-p-series level")
-        return 1 + min(vals)
+        return 1 + min(vals) - vp_int(den, p)
 
     def p_valuation(self):
         """The p-valuation induced by the lower p-series (shifted for p = 2)."""
-        if not any(self.second()):
+        if not any(self.second_ints()[0]):
             return INF
         lvl = self.level()
         return lvl if self.lattice.p != 2 else lvl + 1
@@ -545,19 +608,23 @@ class GroupElement:
         return (
             isinstance(other, GroupElement)
             and self.lattice is other.lattice
-            and self.second() == other.second()
+            and self.second_ints() == other.second_ints()
         )
 
     def __repr__(self):
         return f"g{self.mode[0]}{tuple(str(c) for c in self.coords)}"
 
 
+def _fractions(nums, den):
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def second_kind_valuation_formula(g):
     """min_i (omega(h_i) + v_p(x_i)) over the second-kind coordinates."""
     lat = g.lattice
-    kappa = lat.kappa
-    vals = [kappa + vp_rational(c, lat.p) for c in g.second()]
-    return min(vals) if vals else INF
+    nums, den = g.second_ints()
+    shift = lat.kappa - vp_int(den, lat.p)
+    return min((vp_int(n, lat.p) + shift for n in nums), default=INF)
 
 
 def check_p_valuation(pairs):

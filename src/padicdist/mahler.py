@@ -138,14 +138,14 @@ class StructureConstants:
                 )
         return out
 
-    def expansion(self, F, denom):
-        """denom^|gamma| gamma! binom(F, gamma) for all |gamma| <= N, in the
-        order of ``iter_multi_indices(d, N)``: the coefficients of
-        ``DistAlgebra.delta`` over a common denominator ``denom`` of F.
+    def expansion(self, nums, den):
+        """den^|gamma| gamma! binom(x, gamma) for all |gamma| <= N, x being
+        nums / den, in the order of ``iter_multi_indices(d, N)``: the
+        coefficients of ``DistAlgebra.delta`` over the denominator ``den``.
 
-        Entry gamma is the integer prod_k prod_{j < gamma_k} (denom F_k - j denom).
+        Entry gamma is the integer prod_k prod_{j < gamma_k} (nums_k - j den).
         """
-        ladders = [_ladder(c.numerator * (denom // c.denominator), denom, self.N) for c in F]
+        ladders = [_ladder(n, den, self.N) for n in nums]
         return [prod(map(list.__getitem__, ladders, gamma)) for gamma in self._gammas]
 
     # -- rows ---------------------------------------------------------------------

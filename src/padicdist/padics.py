@@ -59,16 +59,6 @@ def _is_prime(n):
     return True
 
 
-def rational_mod_prime_power(x, p, k):
-    """Canonical representative in [0, p^k) of a p-integral rational."""
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    if den % p == 0:
-        raise InvalidArgument(f"{x} is not p-integral at p={p}")
-    mod = p**k
-    return num * pow(den, -1, mod) % mod
-
-
 def solve_columns(cols, target):
     """Solve sum_k c_k * cols[k] = target over Q; None when inconsistent."""
     rows = len(target)

@@ -47,13 +47,17 @@ class KernelFamily:
     the same support in the same order (c != 0 in a field), and a Scalar's
     form is canonical, so g * c equals the coefficient ``mul`` builds bit
     for bit.  The products depend on no radius, and canonicalization asks
-    only for |alpha| < N, so the memo stays bounded.
+    only for |alpha| < N, so the memo stays bounded.  ``_shift_keys``
+    holds, per radius, what ``canonicalize`` reads of each product: its
+    tail key and the terms with their degree keys, keyed by (i, j,
+    alpha); at a fixed radius they depend on nothing else.
     """
 
     def __init__(self, lgspec, algebra):
         self.lgspec = lgspec
         self.algebra = algebra
         self._shifted = {}
+        self._shift_keys = {}  # radius -> {(i, j, alpha): (tail key, terms)}
         self._gens = {}
         for j in range(1, lgspec.d + 1):
             log_1j = algebra.log_series(lgspec.flat_index(1, j))
@@ -282,6 +286,9 @@ def canonicalize(fam, lam, r, mprime):
     memoized G_ij * b^alpha' (``KernelFamily.shifted_gen``), and its tail
     key is that of G_ij * b^alpha' plus b v(c), every candidate of
     ``ExponentScale.mul_tail`` and of the log tail moving by the same v(c).
+    That tail key and the product's terms with their degree keys are kept
+    on the family per radius (``KernelFamily._shift_keys``), so a later
+    call at the same radius reads them back.
     """
     _require_h0(fam, r)
     alg = fam.algebra
@@ -300,7 +307,7 @@ def canonicalize(fam, lam, r, mprime):
     for alpha, c in work.items():
         _rekey(keys, levels_at, alpha, scale.key(c, alpha))
     # (i, j, alpha') -> (tail key at v(c) = 0, [(gamma, coefficient, w |gamma|)])
-    shifts = {}
+    shifts = fam._shift_keys.setdefault(r, {})
     canon = {}
     residual = INF
     steps = 0

@@ -26,11 +26,11 @@ from .errors import (
     DegreeOverflow,
     HypothesisFailed,
     InjectivityFailed,
+    InvalidArgument,
     UniqueAttainmentFailed,
 )
 from .grading import symbol_class_nonzero
 from .indices import iter_multi_indices
-from .padics import rational_mod_prime_power
 from .radii import radius_root
 
 INF = math.inf
@@ -249,6 +249,24 @@ def lower_p_transversal(lattice, m):
     return CosetSystem(lattice, m, reps)
 
 
+def _coset_key(g, m):
+    """The coset of g modulo the level-m step subgroup, one modular
+    reduction per coordinate: with second-kind coordinates n_k / den
+    (``GroupElement.second_ints``) it is n_k den^-1 mod p^m, which is
+    n_k mod p^m when den = 1, so g lies in the step subgroup exactly when
+    the key is zero.  An element whose den is divisible by p has no key
+    and is refused with InvalidArgument."""
+    p = g.lattice.p
+    nums, den = g.second_ints()
+    if den % p == 0:
+        raise InvalidArgument(
+            f"coset keys need p-integral coordinates; {g!r} has p = {p} in a denominator"
+        )
+    mod = p**m
+    inv = pow(den, -1, mod)
+    return tuple(n * inv % mod for n in nums)
+
+
 def coset_conditions(cs, rng):
     """Group-level crossed-product conditions for a coset system.
 
@@ -256,24 +274,20 @@ def coset_conditions(cs, rng):
     elements conjugated by each representative), closure of
     representatives under products and inverses, and reports the index t
     with its absolute value.  Raises ConditionFailed naming the violated
-    clause.
+    clause.  Cosets and subgroup membership are read off ``_coset_key``.
     """
     lat = cs.lattice
     p, m, d = lat.p, cs.m, lat.d
     mod = p**m
 
-    def coset_key(g):
-        return tuple(rational_mod_prime_power(c, p, m) for c in g.second())
-
     def in_subgroup(g):
-        coords = g.second()
-        return all(rational_mod_prime_power(c, p, m) == 0 for c in coords)
+        return not any(_coset_key(g, m))
 
-    if not cs.reps or any(cs.reps[0].second()):
+    if not cs.reps or any(cs.reps[0].second_ints()[0]):
         raise ConditionFailed("transversal must start with the identity")
     keys = {}
     for idx, g in enumerate(cs.reps):
-        k = coset_key(g)
+        k = _coset_key(g, m)
         if k in keys:
             raise ConditionFailed(f"representatives {keys[k]} and {idx} share a coset")
         keys[k] = idx
@@ -289,11 +303,11 @@ def coset_conditions(cs, rng):
     for i, gi in enumerate(cs.reps):
         for j, gj in enumerate(cs.reps):
             prod = gi * gj
-            k = keys.get(coset_key(prod))
+            k = keys.get(_coset_key(prod, m))
             if k is None or not in_subgroup(cs.reps[k].inverse() * prod):
                 raise ConditionFailed(f"product of reps {i}, {j} misses the transversal")
         inv = gi.inverse()
-        k = keys.get(coset_key(inv))
+        k = keys.get(_coset_key(inv, m))
         if k is None or not in_subgroup(cs.reps[k].inverse() * inv):
             raise ConditionFailed(f"inverse of rep {i} misses the transversal")
 

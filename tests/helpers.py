@@ -25,6 +25,12 @@ its in-place residue and its memo of shifted kernel generators.  The
 residue-product oracle multiplies in F_q as polynomials over F_p reduced
 by gbar, independently of the log tables.
 
+The Fraction element oracle holds a group element as Fractions in one
+chart and calls each compiled map through its Fraction view, as group
+elements did before they held int numerators over one denominator; the
+coset and p-valuation checks are replayed on it, with coset keys
+reduced one Fraction coordinate at a time.
+
 The samplers live in ``padicdist.samplers``.
 """
 
@@ -34,11 +40,18 @@ from itertools import product
 
 from padicdist import LieLattice
 from padicdist.distalg import Distribution, ExponentScale
-from padicdist.errors import CounterexampleFound, DegreeOverflow, PrecisionExhausted
+from padicdist.errors import (
+    ConditionFailed,
+    CounterexampleFound,
+    DegreeOverflow,
+    InvalidArgument,
+    NotPIntegral,
+    PrecisionExhausted,
+)
 from padicdist.indices import add_index, grlex_key
 from padicdist.padics import _fp_mod, _fp_mul
 from padicdist.quotient import CanonicalForm, _require_h0, _required_truncation
-from padicdist.radii import kappa, log_tail_exponent
+from padicdist.radii import kappa, log_tail_exponent, vp_rational
 
 INF = math.inf
 
@@ -125,6 +138,157 @@ def filiform(p):
     c = p ** kappa(p)
     return LieLattice(p, 4, {(0, 1): (0, 0, c, 0), (0, 2): (0, 0, 0, c)},
                       name=f"filiform(p={p})")
+
+
+# ---------------------------------------------------------------------------
+# group elements over Fractions: products, levels, coset keys and the
+# coset and p-valuation checks as they ran on Fraction coordinates
+
+class FractionElement:
+    """A group element held as a tuple of Fractions in one chart, each
+    compiled map called through its Fraction view (``SecondKindLaw``'s
+    ``__call__``), independently of the int numerators over one
+    denominator that ``GroupElement`` stores and of
+    ``SecondKindLaw.reduced``."""
+
+    def __init__(self, lattice, mode, coords):
+        self.lattice = lattice
+        self.mode = mode
+        self.coords = tuple(Fraction(c) for c in coords)
+
+    @classmethod
+    def of(cls, g):
+        """The oracle element of a ``GroupElement``, in its stored chart."""
+        return cls(g.lattice, g.mode, g.coords)
+
+    def first(self):
+        if self.mode == "first":
+            return self.coords
+        return self.lattice.to_first_kind(self.coords)
+
+    def second(self):
+        if self.mode == "second":
+            return self.coords
+        return self.lattice.to_second_kind(self.coords)
+
+    def __mul__(self, other):
+        z = self.lattice.second_kind_law((*self.second(), *other.second()))
+        return FractionElement(self.lattice, "second", z)
+
+    def inverse(self):
+        return FractionElement(self.lattice, "second",
+                               self.lattice.second_kind_inverse(self.second()))
+
+    def __pow__(self, exponent):
+        lam = Fraction(exponent)
+        if vp_rational(lam, self.lattice.p) < 0:
+            raise NotPIntegral("exponent must be p-integral")
+        return FractionElement(self.lattice, "first", tuple(lam * c for c in self.first()))
+
+    def commutator(self, other):
+        z = self.lattice.commutator_law((*self.second(), *other.second()))
+        return FractionElement(self.lattice, "second", z)
+
+    def conjugate(self, by):
+        return by.inverse() * self * by
+
+    def level(self):
+        vals = [vp_rational(c, self.lattice.p) for c in self.second() if c != 0]
+        if not vals:
+            raise InvalidArgument("the identity has no finite lower-p-series level")
+        return 1 + min(vals)
+
+    def p_valuation(self):
+        if not any(self.second()):
+            return INF
+        lvl = self.level()
+        return lvl if self.lattice.p != 2 else lvl + 1
+
+
+def valuation_formula_oracle(g):
+    """min_i (kappa + v_p(x_i)) over the Fraction coordinates of g."""
+    lat = g.lattice
+    return min(lat.kappa + vp_rational(c, lat.p) for c in g.second())
+
+
+def rational_mod_prime_power(x, p, k):
+    """Canonical representative in [0, p^k) of a p-integral rational."""
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if den % p == 0:
+        raise InvalidArgument(f"{x} is not p-integral at p={p}")
+    mod = p**k
+    return num * pow(den, -1, mod) % mod
+
+
+def coset_key_oracle(g, m):
+    """The coset of g mod the level-m step, one Fraction coordinate at a time."""
+    return tuple(rational_mod_prime_power(c, g.lattice.p, m) for c in g.second())
+
+
+def coset_conditions_oracle(cs, rng):
+    """``towers.coset_conditions`` over FractionElements, drawing from
+    ``rng`` in the same order."""
+    lat = cs.lattice
+    p, m, d = lat.p, cs.m, lat.d
+    mod = p**m
+    reps = [FractionElement.of(g) for g in cs.reps]
+
+    def in_subgroup(g):
+        return not any(coset_key_oracle(g, m))
+
+    if not reps or any(reps[0].second()):
+        raise ConditionFailed("transversal must start with the identity")
+    keys = {}
+    for idx, g in enumerate(reps):
+        k = coset_key_oracle(g, m)
+        if k in keys:
+            raise ConditionFailed(f"representatives {keys[k]} and {idx} share a coset")
+        keys[k] = idx
+    for idx, g in enumerate(reps):
+        for _ in range(12):
+            h = FractionElement(lat, "second",
+                                tuple(mod * rng.randrange(0, p**2) for _ in range(d)))
+            if not in_subgroup(h.conjugate(g)):
+                raise ConditionFailed(f"normality fails at representative {idx}")
+    for i, gi in enumerate(reps):
+        for j, gj in enumerate(reps):
+            prod = gi * gj
+            k = keys.get(coset_key_oracle(prod, m))
+            if k is None or not in_subgroup(reps[k].inverse() * prod):
+                raise ConditionFailed(f"product of reps {i}, {j} misses the transversal")
+        inv = gi.inverse()
+        k = keys.get(coset_key_oracle(inv, m))
+        if k is None or not in_subgroup(reps[k].inverse() * inv):
+            raise ConditionFailed(f"inverse of rep {i} misses the transversal")
+    return {
+        "index": len(reps),
+        "index_abs_exponent": Fraction(m * d),
+        "p_divides_index": m * d > 0,
+        "invertible_in_K": True,
+    }
+
+
+def p_valuation_oracle(pairs):
+    """``groups.check_p_valuation`` over the FractionElements of ``pairs``
+    (pairs of ``GroupElement``); each violation is (axiom, the second-kind
+    coordinates of the elements it names)."""
+    violations = []
+    for g0, h0 in pairs:
+        g, h = FractionElement.of(g0), FractionElement.of(h0)
+        og, oh = g.p_valuation(), h.p_valuation()
+        if (g * h.inverse()).p_valuation() < min(og, oh):
+            violations.append(("ultrametric", g.second(), h.second()))
+        if g.commutator(h).p_valuation() < og + oh:
+            violations.append(("commutator", g.second(), h.second()))
+        for elt, om in ((g, og), (h, oh)):
+            if om is INF:
+                continue
+            if (elt ** elt.lattice.p).p_valuation() != om + 1:
+                violations.append(("p-power", elt.second(), None))
+            if om != valuation_formula_oracle(elt):
+                violations.append(("coordinate-formula", elt.second(), None))
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ h^y.  On the class-2 lattices they are checked against the independent
 Hausdorff series over Fractions) through the identities that define
 them.  Inputs are p-integral Fractions; a denominator divisible by p is
 refused by every map, and C refuses a law F or I with p in a coefficient
-denominator.
+denominator.  Group elements, which hold int numerators over one
+denominator, are checked against the Fraction element oracle of
+``helpers``: products, inverses, commutators, p-th powers, levels,
+valuations and coset keys.
 """
 
 from fractions import Fraction
@@ -19,15 +22,24 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from helpers import (  # noqa: E402
+    FractionElement,
+    coset_key_oracle,
     filiform,
     heisenberg_bch_oracle,
     heisenberg_commutator_oracle,
     heisenberg_law_oracle,
     heisenberg_second_kind_oracle,
+    valuation_formula_oracle,
 )
 from padicdist import heisenberg, heisenberg2  # noqa: E402
-from padicdist.errors import InvalidArgument, LawNotPIntegral, NotPIntegral  # noqa: E402
-from padicdist.groups import SecondKindLaw, _LawPoly  # noqa: E402
+from padicdist.errors import (  # noqa: E402
+    InvalidArgument,
+    LawNotPIntegral,
+    NotPIntegral,
+    PadicError,
+)
+from padicdist.groups import SecondKindLaw, _LawPoly, second_kind_valuation_formula  # noqa: E402
+from padicdist.towers import _coset_key  # noqa: E402
 
 
 LATTICES = [heisenberg(3), heisenberg2(), filiform(3), filiform(2)]
@@ -187,3 +199,68 @@ def test_commutator_refuses_elements_of_two_lattices():
     g, h = heisenberg(3).generator(0), heisenberg(3).generator(1)
     with pytest.raises(InvalidArgument, match="same lattice"):
         g.commutator(h)
+
+
+def sparse_points(lat):
+    """p-integral points with some zero coordinates, scaled by p^s, s <= 3,
+    so levels above 1 and the identity occur."""
+    coord = st.one_of(st.just(Fraction(0)), p_integral(lat.p))
+    return st.tuples(st.lists(coord, min_size=lat.d, max_size=lat.d),
+                     st.integers(0, 3)).map(lambda t: tuple(c * lat.p ** t[1] for c in t[0]))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PadicError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_int_elements_match_the_fraction_path(lat, data):
+    x, y = data.draw(sparse_points(lat)), data.draw(sparse_points(lat))
+    mode = data.draw(st.sampled_from(("first", "second")))
+    g = lat.element_first(x) if mode == "first" else lat.element_second(x)
+    h = lat.element_second(y)
+    G, H = FractionElement(lat, mode, x), FractionElement(lat, "second", y)
+    assert g.coords == G.coords and g.first() == G.first() and g.second() == G.second()
+    pairs = [
+        (g, G), (h, H), (g * h, G * H), (g.inverse(), G.inverse()),
+        (g.commutator(h), G.commutator(H)), (g ** lat.p, G ** lat.p),
+        (h ** Fraction(1, lat.p + 1), H ** Fraction(1, lat.p + 1)),
+    ]
+    for elt, ref in pairs:
+        assert elt.second() == ref.second() and elt.first() == ref.first()
+        assert _outcome(elt.level) == _outcome(ref.level)
+        assert elt.p_valuation() == ref.p_valuation()
+        assert second_kind_valuation_formula(elt) == valuation_formula_oracle(ref)
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_levels_read_the_denominator(lat, data):
+    """A second-kind point with p^j in a denominator needs no compiled map
+    for its level and valuation formula, which count -j as the Fraction
+    path does."""
+    x = list(data.draw(sparse_points(lat)))
+    k, j = data.draw(st.integers(0, lat.d - 1)), data.draw(st.integers(1, 3))
+    x[k] = Fraction(data.draw(st.integers(1, 50).filter(lambda n: n % lat.p)), lat.p**j)
+    g, ref = lat.element_second(x), FractionElement(lat, "second", x)
+    assert g.level() == ref.level() <= 1 - j
+    assert g.p_valuation() == ref.p_valuation()
+    assert second_kind_valuation_formula(g) == valuation_formula_oracle(ref)
+
+
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_coset_keys_match_the_fraction_path(lat, data):
+    x, y = data.draw(sparse_points(lat)), data.draw(sparse_points(lat))
+    m = data.draw(st.integers(0, 3))
+    g, h = lat.element_second(x), lat.element_first(y)
+    G, H = FractionElement(lat, "second", x), FractionElement(lat, "first", y)
+    for elt, ref in ((g, G), (h, H), (g * h, G * H), (h.inverse() * g, H.inverse() * G)):
+        assert _coset_key(elt, m) == coset_key_oracle(ref, m)

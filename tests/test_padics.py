@@ -6,7 +6,6 @@ import pytest
 
 from padicdist import FieldSpec
 from padicdist.errors import DivisionByZero, InvalidArgument, NonUnit, PadicError, ParseError
-from padicdist.padics import rational_mod_prime_power
 
 INF = math.inf
 
@@ -137,7 +136,6 @@ def test_refusals_are_typed(q3, k3u2):
         lambda: q3.unram_gen(),
         lambda: q3.scalar(k3u2.one()),
         lambda: q3.one() + k3u2.one(),
-        lambda: rational_mod_prime_power(Fraction(1, 3), 3, 2),
     ]
     for refuse in refusals:
         with pytest.raises(InvalidArgument):

@@ -4,13 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import orthogonal_trials_oracle
+from helpers import (
+    coset_conditions_oracle,
+    filiform,
+    orthogonal_trials_oracle,
+    p_valuation_oracle,
+)
 from padicdist import (
     DistAlgebra,
     abelian,
     coset_conditions,
     delta_family,
     heisenberg,
+    heisenberg2,
     lower_p_transversal,
     norm_transfer_check,
     o_additive,
@@ -25,10 +31,15 @@ from padicdist.errors import (
     DegreeOverflow,
     HypothesisFailed,
     InjectivityFailed,
+    InvalidArgument,
     InvalidDelta,
+    PadicError,
     UniqueAttainmentFailed,
 )
+from padicdist.config import JobConfig
 from padicdist.radii import Radius
+from padicdist.samplers import random_element
+from padicdist.suites import SuiteEnv, suite_pvaluation
 from padicdist.towers import orthogonal_system
 
 INF = math.inf
@@ -188,6 +199,56 @@ def test_coset_conditions_reject_bad_transversal(heis):
     cs.reps[1] = cs.reps[2]  # duplicate coset
     with pytest.raises(ConditionFailed):
         coset_conditions(cs, rng)
+
+
+def test_coset_key_refuses_p_in_a_denominator():
+    """A representative whose second-kind denominator p divides has no
+    coset mod the step subgroup: a typed refusal naming the hypothesis,
+    not the ValueError of a modular inverse."""
+    lat = abelian(1, p=3)
+    cs = lower_p_transversal(lat, 2)
+    cs.reps[1] = lat.element_second((Fraction(1, 3),))
+    with pytest.raises(PadicError, match="p-integral") as info:
+        coset_conditions(cs, random.Random(70))
+    assert isinstance(info.value, InvalidArgument)
+
+
+@pytest.mark.parametrize("lat", [heisenberg(3), heisenberg2(), filiform(3), filiform(2)],
+                         ids=repr)
+def test_coset_conditions_match_the_fraction_path(lat):
+    """The int coset keys give the report of the Fraction path and draw
+    from the generator exactly as it does."""
+    for m in (0, 1):
+        cs = lower_p_transversal(lat, m)
+        rng, oracle_rng = random.Random(71), random.Random(71)
+        assert coset_conditions(cs, rng) == coset_conditions_oracle(cs, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("group", ["heisenberg", "heisenberg2"])
+def test_pvaluation_suite_matches_the_fraction_path(group):
+    """suite_pvaluation passes where the Fraction path finds no violation
+    and leaves its generator where the sampler's draws leave it."""
+    p = 3 if group == "heisenberg" else 2
+    config = JobConfig.from_dict({"field": {"p": p}, "group": group, "seed": 4,
+                                  "suites": ["pvaluation"], "options": {"pairs": 25}})
+    env = SuiteEnv(config)
+    drawn = {}
+
+    def rng(suite):
+        drawn[suite] = random.Random(f"{config.seed}:{suite}")
+        return drawn[suite]
+
+    env.rng = rng
+    records = suite_pvaluation(env)
+    oracle_rng = random.Random(f"{config.seed}:pvaluation")
+    lat = env.lattice
+    pairs = [(random_element(lat, oracle_rng), random_element(lat, oracle_rng))
+             for _ in range(25)]
+    assert drawn["pvaluation"].getstate() == oracle_rng.getstate()
+    assert p_valuation_oracle(pairs) == []
+    assert all(r.passed for r in records)
+    assert records[-1].name == "p-valuation axioms on 25 pairs" and records[-1].computed == "[]"
 
 
 def test_trivial_transversal(heis):
