@@ -161,7 +161,26 @@ class DistAlgebra:
         mpacked = field._pack(mterms, width)
         acc = {}
         get = acc.get
+        if table.lattice.abelian:
+            index, mvalue = {}, None
+        else:
+            index, mvalue = table.nonzero_rows(), dict(mpacked)
+            if not index.keys() >= mvalue.keys():
+                # the walk of an alpha's rows would skip a beta outside the table
+                for alpha, _, _ in lterms:
+                    for beta in mvalue:
+                        int_row(alpha, beta)  # raises at the first pair outside the table
         for alpha, U in field._pack(lterms, width):
+            hits = index.get(alpha)
+            if hits is not None and len(hits) <= len(mpacked):
+                # alpha's nonempty rows, when fewer than mu's terms
+                for beta, row in hits:
+                    V = mvalue.get(beta)
+                    if V is not None:
+                        UV = U * V
+                        for gamma, c in row:
+                            acc[gamma] = get(gamma, 0) + c * UV
+                continue
             for beta, V in mpacked:
                 row = rows.get((alpha, beta))
                 if row is None:

@@ -5,16 +5,17 @@ group itself: writing F(x, y) for the second-kind coordinates of
 h^x * h^y, the coefficients c of b^alpha b^beta = sum_gamma c * b^gamma
 are the joint finite differences of (x, y) -> binom(F(x, y), gamma) over
 integer grid points.  One routine, ``mahler_coefficients``, takes finite
-differences: Mahler coefficients on a product grid factor into one 1-D
-binomial transform per axis, run in place.  A non-abelian table is built
-whole on its first missing row: the integer law gives each grid point
-one packed int, a signed slot per gamma over one common denominator, and
-one transform of those ints gives every row; abelian rows have a closed
-form.  A table holds each row once, as (gamma, int) pairs over one
-denominator shared by the whole table, the form ``DistAlgebra.mul`` sums
-in.  Every table is exact, so that denominator and the int rows, as
-built, serialize to a versioned cache file keyed by (group digest, N)
-alone.
+differences: Mahler coefficients on a product of down-sets factor into
+one 1-D binomial transform per axis, run in place on a flat list over
+the product, one slice subtraction per grid line.  A non-abelian table
+is built whole on its first missing row: the integer law gives each
+point of simplex x simplex one packed int, a signed slot per gamma over
+one common denominator, and one transform of that list gives every row;
+abelian rows have a closed form.  A table holds each row once, as
+(gamma, int) pairs over one denominator shared by the whole table, the
+form ``DistAlgebra.mul`` sums in.  Every table is exact, so that
+denominator and the int rows, as built, serialize to a versioned cache
+file keyed by (group digest, N) alone.
 """
 
 from __future__ import annotations
@@ -23,39 +24,67 @@ import os
 import pickle
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 from pathlib import Path
 
-from .errors import CounterexampleFound, DegreeOverflow, PadicError
+from .errors import CounterexampleFound, DegreeOverflow, InvalidArgument, PadicError
 from .indices import add_index, iter_multi_indices
 from .radii import vp_int, vp_rational
 
 CACHE_FORMAT_VERSION = 2
 
 
-def mahler_coefficients(values, N, d):
+def mahler_coefficients(values, factors):
     """Mahler table of a grid function, by separable finite differences.
 
-    ``values`` maps every point of a downward-closed set in {0..N}^d (the
-    simplex {|x| <= N}, or simplex x simplex for the structure constants)
-    to ring elements supporting subtraction.  It is overwritten in place
+    ``factors`` lists downward-closed sets of multi-indices (the simplex
+    {|x| <= N}, twice for the structure constants); ``values`` is a flat
+    list over their product, row-major with the last factor fastest, of
+    ring elements supporting subtraction.  It is overwritten in place
     with c_alpha = sum_{beta <= alpha} (-1)^{|alpha - beta|}
     binom(alpha, beta) f(beta): forward differences along one axis at a
-    time, the k-th pass turning each line of the grid into its 1-D
-    binomial transform.  Returns ``values``, now the coefficient dict.
+    time, the passes of an axis turning each line of the grid into its
+    1-D binomial transform.  A step subtracts the grid line at x - e_k
+    from the line at x, a slice of ``values`` per block, so its cost is
+    one list operation, not one per grid point.  Returns ``values``.
     """
-    for k in range(d):
-        # (x_k, x, x - e_k), highest x_k first, so a difference at one
-        # level reads its lower neighbour before that is overwritten
-        steps = sorted(
-            ((x[k], x, x[:k] + (x[k] - 1,) + x[k + 1:]) for x in values if x[k]),
-            reverse=True,
+    sizes = [len(points) for points in factors]
+    if len(values) != prod(sizes):
+        raise InvalidArgument(
+            f"{len(values)} values for a grid of {' x '.join(map(str, sizes)) or 1} points"
         )
-        for level in range(1, N + 1):
-            for t, x, below in steps:
-                if t < level:
-                    break
-                values[x] = values[x] - values[below]
+    outer, inner = 1, len(values)
+    for points, n in zip(factors, sizes):
+        inner //= n
+        span = n * inner
+
+        def line(i):
+            # the grid line at index i of this factor: `outer` blocks of
+            # `inner` consecutive values, or `inner` slices of stride span
+            if outer <= inner:
+                return [slice(s, s + inner) for s in range(i * inner, outer * span, span)]
+            return [slice(i * inner + s, None, span) for s in range(inner)]
+
+        index = {x: i for i, x in enumerate(points)}
+        for k in range(len(points[0]) if points else 0):
+            # (x_k, x, x - e_k), highest x_k first, so a difference at one
+            # level reads its lower neighbour before that is overwritten
+            steps = []
+            for i, x in enumerate(points):
+                if x[k]:
+                    j = index.get(x[:k] + (x[k] - 1,) + x[k + 1:])
+                    if j is None:
+                        raise InvalidArgument(f"factor points are not downward closed at {x}")
+                    steps.append((x[k], i, j))
+            steps.sort(reverse=True)
+            steps = [(t, line(i), line(j)) for t, i, j in steps]
+            for level in range(1, steps[0][0] + 1 if steps else 1):
+                for t, at, of in steps:
+                    if t < level:
+                        break
+                    for dst, src in zip(at, of):
+                        values[dst] = map(sub, values[dst], values[src])
+        outer *= n
     return values
 
 
@@ -118,6 +147,7 @@ class StructureConstants:
         self._peak = 1          # max |n| over the rows; an abelian row is n = den = 1
         self._gammas = list(iter_multi_indices(lattice.d, N))
         self._built = False     # rows computed here, not only loaded
+        self._nonzero = None    # alpha -> [(beta, row)], nonempty rows; see nonzero_rows
         self._cache_path = None
         if cache_dir is not None:
             key = f"sc-{lattice.structure_digest()}-N{N}-v{CACHE_FORMAT_VERSION}"
@@ -184,6 +214,20 @@ class StructureConstants:
         self._build()
         return self._rows[key]
 
+    def nonzero_rows(self):
+        """alpha -> [(beta, row), ...] over the nonempty rows of a non-abelian
+        table, in the order of ``_rows`` (``_build``'s grid order, which the
+        cache file keeps: beta in ``_gammas`` order); built, with the table
+        if it was neither built nor loaded, on the first call."""
+        if self._nonzero is None:
+            self.den  # builds a non-abelian table that was neither built nor loaded
+            index = {a: [] for a in self._gammas}
+            for (a, b), r in self._rows.items():
+                if r:
+                    index[a].append((b, r))
+            self._nonzero = index
+        return self._nonzero
+
     def row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as a sparse dict of Fractions."""
         entries = self.int_row(alpha, beta)
@@ -197,9 +241,11 @@ class StructureConstants:
         D = lcm(law.denoms) and tops t = D F, the grid value at gamma is
         prod_k ladder(t_k)[gamma_k] = D^|gamma| gamma! binom(F, gamma).  A
         point's values are packed into one int, gamma in lex order in signed
-        B-bit slots, so each transform step is one int subtraction; after
-        it slot gamma of row (x, y) is v / (D^|gamma| gamma!).  The table is
-        stored over the lcm of the reduced denominators of those entries.
+        B-bit slots, in a flat list over the grid (x outer, y inner, each in
+        ``_gammas`` order), so a transform step is one slice subtraction of
+        packed ints along a grid line; after it slot gamma of row (x, y) is
+        v / (D^|gamma| gamma!).  The table is stored over the lcm of the
+        reduced denominators of those entries.
 
         The width: |v| <= M0 = max_gamma prod_k max_t |ladder(t_k)[gamma_k]|
         at every point, and c_(alpha, beta) sums v(x, y) over x <= alpha,
@@ -243,13 +289,13 @@ class StructureConstants:
                 memo[(tail, R)] = out
             return out
 
-        values = {x + y: pack(t, N) for (x, y), t in zip(grid, tops)}
+        values = [pack(t, N) for t in tops]
         del tops, memo
-        mahler_coefficients(values, N, 2 * d)
+        mahler_coefficients(values, [self._gammas, self._gammas])
         lex = sorted(range(len(self._gammas)), key=self._gammas.__getitem__)
         # the transform keeps the grid order; entries go in _gammas order
         found = [sorted((lex[i], v) for i, v in slots)
-                 for slots in _unpack(values.values(), width, len(lex))]
+                 for slots in _unpack(values, width, len(lex))]
         del values
         scales = [denom ** sum(g) * prod(map(factorial, g)) for g in self._gammas]
         den = lcm(*(scales[g] // gcd(v, scales[g]) for entries in found for g, v in entries))

@@ -286,8 +286,8 @@ def suite_quotient(env):
         for (i, j) in fam.pairs:
             b_ij = fam.algebra.generator(lg.flat_index(i, j))
             form = canonicalize(fam, b_ij, r, mprime)
-            # the leading term is vbar_i b_1j when v_i is a unit; the whole
-            # form is compared, since a v_i of positive valuation has vbar_i = 0
+            # the whole form is compared, not its leading term vbar_i b_1j,
+            # since a v_i of positive valuation has vbar_i = 0
             series = binomial_series(fam, lg.v_basis[i - 1], j)
             gap = (form.as_distribution() - series).norm(r).exponent
             if gap < mprime:
@@ -298,7 +298,7 @@ def suite_quotient(env):
             form2 = canonicalize(fam, form.as_distribution(), r, mprime)
             if form2.coeffs != form.coeffs:
                 raise PadicError("canonicalization is not idempotent")
-        return "leading residue vbar_i, idempotent"
+        return f"every b_ij within p^-{mprime}, idempotent"
 
     def reduce_bij_sized():
         # reducing the canonical forms again can need more degrees than the
@@ -310,7 +310,7 @@ def suite_quotient(env):
             wider = build_kernel_family(env.group, exc.required_degree,
                                         cache_dir=env.config.sc_cache)
             return f"{reduce_bij(wider)} at N = {wider.algebra.N}"
-    records.append(_record(env, suite, "b_ij reduces to vbar_i b_1j + deeper",
+    records.append(_record(env, suite, "b_ij reduces to (1 + b_1j)^(v_i) - 1 within p^-M'",
                            reduce_bij_sized))
 
     records.append(_record(

@@ -351,8 +351,8 @@ def test_bij_record_sizes_its_truncation(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] quotient: b_ij reduces to vbar_i b_1j + deeper  expected= " \
-        "computed=leading residue vbar_i, idempotent at N = 7" in out
+    assert "[PASS] quotient: b_ij reduces to (1 + b_1j)^(v_i) - 1 within p^-M'  expected= " \
+        "computed=every b_ij within p^-2, idempotent at N = 7" in out
 
 
 @pytest.mark.parametrize("f", [1, 2])
@@ -376,8 +376,8 @@ _PINNED_JOBS = {
     "o-additive(1) over F_9": (
         {"field": {"p": 3, "f": 2, "precision": 24}, "group": "o-additive(1)",
          "truncation": 8, "residual_precision": 2, "radii": ["3^-1/4", "3^-2/3"]},
-        "2d400b2e7b2419f15e5b01ad09c306884cb17b60a56e1881aa722a2ee37cce43",
-        "ae58019ea318e062aed10c0de8f6816707fd947b0b320bde323a738d4785c60d",
+        "8a4c9f7c716e9dd3ca2f91ddffd0455735ceb79b4a18ce18a6b6e8de72bd4e90",
+        "1338ce9f340d988b15e5977ebdcff94750c2a2d0caa2f78d2bb715af108bf826",
     ),
     "abelian(2) over e = f = 2 above Q_5": (
         {"field": {"p": 5, "e": 2, "f": 2, "precision": 24}, "group": "abelian(2)",

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import mul_oracle
 from padicdist import DistAlgebra, abelian, dominant_log_index, heisenberg2, mul_tail_bound
-from padicdist.errors import InvalidArgument, ParseError, ZeroDistribution
+from padicdist.errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
+from padicdist.indices import iter_multi_indices
 from padicdist.radii import Radius, log_tail_exponent
 from padicdist.samplers import random_distribution
 
@@ -207,3 +209,32 @@ def test_truncation_tagging(ab1):
     assert prod.is_zero  # everything fell beyond N
     small = ab1.mul(ab1.generator(0), ab1.generator(0))
     assert not small.is_zero
+
+
+def test_mul_walks_nonzero_rows_of_a_dense_operand(heis, q3):
+    """A dense operand makes each alpha walk its nonempty rows (fewer than
+    the operand's terms) instead of every pair; the product is the
+    convolution through ``table.row`` either way, on both sides."""
+    alg = DistAlgebra(heis, q3, 3)
+    gammas = list(iter_multi_indices(3, 3))
+    rng = random.Random(5)
+    dense = alg.from_terms({g: Fraction(rng.randint(-9, 9), rng.choice([1, 3, 5])) for g in gammas})
+    sparse = alg.from_terms({(1, 0, 0): 2, (0, 1, 1): Fraction(1, 3)})
+    index = alg.table.nonzero_rows()
+    assert any(len(index[g]) < len(dense.coeffs) for g in gammas)
+    for lam, mu in ((dense, sparse), (sparse, dense), (dense, dense)):
+        got = {gamma: c.coords for gamma, c in alg.mul(lam, mu).coeffs.items()}
+        assert got == mul_oracle(alg, lam, mu)
+
+
+def test_mul_refuses_an_index_outside_the_table(heis, q3):
+    """A term of degree above N, from a wider algebra, is refused with
+    DegreeOverflow on either side, as the row lookup of that pair is, also
+    where the other side walks only its nonempty rows."""
+    alg, wide = DistAlgebra(heis, q3, 3), DistAlgebra(heis, q3, 5)
+    dense = alg.from_terms({g: 1 for g in iter_multi_indices(3, 3)})
+    # dense terms first, so each alpha of the other side walks its rows
+    high = wide.from_terms({**{g: 1 for g in iter_multi_indices(3, 3)}, (4, 0, 0): 1})
+    for lam, mu in ((dense, high), (high, dense)):
+        with pytest.raises(DegreeOverflow, match="outside the degree-3 table"):
+            alg.mul(lam, mu)

@@ -25,41 +25,52 @@ from padicdist import (
     mahler_coefficients,
     o_additive,
 )
-from padicdist.errors import CounterexampleFound, DegreeOverflow, PadicError
+from padicdist.errors import CounterexampleFound, DegreeOverflow, InvalidArgument, PadicError
 from padicdist.groups import SecondKindLaw, _LawPoly
 from padicdist.indices import iter_multi_indices, unit_index
 from padicdist.radii import vp_rational
 
 
+_LINE = [(x,) for x in range(7)]
+
+
 def test_mahler_constant_function(q3):
-    vals = {(x,): q3.one() for x in range(7)}
-    t = mahler_coefficients(vals, 6, 1)
-    assert t[(0,)] == q3.one()
-    assert all(t[(k,)].is_zero for k in range(1, 7))
+    vals = [q3.one() for _ in _LINE]
+    t = mahler_coefficients(vals, [_LINE])
+    assert t[0] == q3.one()
+    assert all(t[k].is_zero for k in range(1, 7))
 
 
 def test_mahler_basis_function(q3):
-    vals = {(x,): q3.scalar(binom_rational(x, 2)) for x in range(7)}
-    t = mahler_coefficients(vals, 6, 1)
-    assert t[(2,)] == q3.one()
-    assert all(t[(k,)].is_zero for k in range(7) if k != 2)
+    vals = [q3.scalar(binom_rational(x, 2)) for (x,) in _LINE]
+    t = mahler_coefficients(vals, [_LINE])
+    assert t[2] == q3.one()
+    assert all(t[k].is_zero for k in range(7) if k != 2)
 
 
 def test_mahler_square():
     # x^2 = binom(x,1) + 2 binom(x,2); plain Fractions work as values too
-    vals = {(x,): Fraction(x * x) for x in range(7)}
-    t = mahler_coefficients(vals, 6, 1)
-    assert [t[(k,)] for k in range(4)] == [0, 1, 2, 0]
-    assert sum(c * comb(5, k) for (k,), c in t.items()) == 25
+    vals = [Fraction(x * x) for (x,) in _LINE]
+    t = mahler_coefficients(vals, [_LINE])
+    assert [t[k] for k in range(4)] == [0, 1, 2, 0]
+    assert sum(c * comb(5, k) for k, c in enumerate(t)) == 25
 
 
 def test_mahler_two_variables():
-    vals = {xy: Fraction(xy[0] * xy[1]) for xy in iter_multi_indices(2, 4)}
-    t = mahler_coefficients(vals, 4, 2)
+    points = list(iter_multi_indices(2, 4))
+    vals = [Fraction(xy[0] * xy[1]) for xy in points]
+    t = dict(zip(points, mahler_coefficients(vals, [points])))
     assert t[(1, 1)] == 1
     assert t[(1, 0)] == 0 and t[(2, 1)] == 0
     for x in iter_multi_indices(2, 4):
         assert sum(c * multi_binom(x, a) for a, c in t.items()) == x[0] * x[1]
+
+
+def test_mahler_refuses_a_grid_of_another_size():
+    with pytest.raises(InvalidArgument, match="6 values for a grid of 7 x 3 points"):
+        mahler_coefficients([0] * 6, [_LINE, [(0,), (1,), (2,)]])
+    with pytest.raises(InvalidArgument, match="not downward closed"):
+        mahler_coefficients([0] * 3, [[(0,), (2,), (3,)]])
 
 
 def test_abelian_rows_are_vandermonde():
