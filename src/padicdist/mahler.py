@@ -327,18 +327,21 @@ class StructureConstants:
         kappa = self.lattice.kappa
         p = self.lattice.p
         checked = 0
-        shift = vp_int(self.den, p)
-        for alpha in self._gammas:
-            for beta in self._gammas:
-                entries = self.int_row(alpha, beta)
-                for gamma, n in entries:
-                    lower = kappa * (sum(alpha) + sum(beta) - sum(gamma))
-                    if vp_int(n, p) - shift < lower:
-                        raise CounterexampleFound(
-                            "structure-constant valuation bound fails",
-                            witness=(alpha, beta, gamma, Fraction(n, self.den)),
-                        )
-                    checked += 1
+        shift = vp_int(self.den, p)  # builds a non-abelian table not loaded
+        if self.lattice.abelian:
+            # abelian rows are made lazily, one per read
+            rows = (((a, b), self.int_row(a, b)) for a in self._gammas for b in self._gammas)
+        else:
+            rows = self._rows.items()  # every row, alpha-major in _gammas order
+        for (alpha, beta), entries in rows:
+            top = kappa * (sum(alpha) + sum(beta))
+            for gamma, n in entries:
+                if vp_int(n, p) - shift < top - kappa * sum(gamma):
+                    raise CounterexampleFound(
+                        "structure-constant valuation bound fails",
+                        witness=(alpha, beta, gamma, Fraction(n, self.den)),
+                    )
+                checked += 1
         if self._built:
             self.save()
         return checked

@@ -40,7 +40,7 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import lshift
+from operator import lshift, mul
 
 from .errors import DivisionByZero, InvalidArgument, NonUnit, ParseError
 from .radii import kappa, vp_int, vp_rational
@@ -607,6 +607,34 @@ class FieldSpec:
                         for k, c in entry:
                             out[k] += xy * c
         return tuple(out)
+
+    def _times(self, num, den):
+        """Multiplication by num/den as (cols, d), read once for many
+        products: coordinate k of its product with an int vector x is
+        sum(map(mul, x, cols[k])), over d."""
+        return tuple(zip(*(self._mul_vec(num, unit) for unit in self._units))), den * self._den
+
+    def _sub_times(self, prev, x, xden, times):
+        """pn/pd - (x/xden) y for prev = (pn, pd) and ``times`` = ``_times`` of
+        y: (num, den, v), reduced by one gcd as ``Scalar`` keeps it, with v
+        its valuation (+inf for zero)."""
+        (pn, pd), (cols, d) = prev, times
+        d *= xden
+        num = [a * d - sum(map(mul, x, col)) * pd for a, col in zip(pn, cols)]
+        den = pd * d
+        g = gcd(*num)
+        if not g:
+            return num, 1, INF
+        h = gcd(g, den)
+        if h != 1:
+            num = [a // h for a in num]
+            den //= h
+            g //= h
+        if self.e == 1:
+            # gcd(g, den) = 1, so p divides at most one of them
+            p = self.p
+            return num, den, (vp_int(g, p) if g % p == 0 else -vp_int(den, p))
+        return num, den, self._valuation(num, den)
 
     def _pack(self, terms, width):
         """(key, packed) for each (key, num, k) triple of ``terms``: the int

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .grading import Symbol
 from .indices import grlex_key
+from .padics import Scalar
 from .radii import dominant_log_index, is_h0_radius, log_tail_exponent
 
 INF = math.inf
@@ -45,12 +46,13 @@ class KernelFamily:
     times one scalar c, and the memo is exact: the table product is
     K-bilinear, so mul(G_ij, c b^alpha) is c times it term by term, with
     the same support in the same order (c != 0 in a field), and a Scalar's
-    form is canonical, so g * c equals the coefficient ``mul`` builds bit
-    for bit.  The products depend on no radius, and canonicalization asks
-    only for |alpha| < N, so the memo stays bounded.  ``_shift_keys``
-    holds, per radius, what ``canonicalize`` reads of each product: its
-    tail key and the terms with their degree keys, keyed by (i, j,
-    alpha); at a fixed radius they depend on nothing else.
+    reduced form is canonical, so g * c in ints equals the coefficient
+    ``mul`` builds bit for bit.  The products depend on no radius, and
+    canonicalization asks only for |alpha| < N, so the memo stays bounded.
+    ``_shift_keys`` holds, per radius, what ``canonicalize`` reads of each
+    product: its tail key and a (gamma, g.num, g.den, w |gamma|) per term
+    g b^gamma, keyed by (i, j, alpha); at a fixed radius they depend on
+    nothing else.
     """
 
     def __init__(self, lgspec, algebra):
@@ -76,6 +78,9 @@ class KernelFamily:
 
     def gen(self, i, j):
         """The (i, j) kernel generator; identically zero for i = 1."""
+        n, d = self.lgspec.n, self.lgspec.d
+        if not (1 <= i <= n and 1 <= j <= d):
+            raise InvalidArgument(f"kernel generator ({i}, {j}) needs 1 <= i <= {n} and 1 <= j <= {d}")
         if i == 1:
             return self.algebra.zero()
         return self._gens[(i, j)]
@@ -278,17 +283,19 @@ def canonicalize(fam, lam, r, mprime):
     everything else strictly deeper.  The filtration degrees live in a
     discrete rational lattice, so the loop reaches the target p^(-mprime).
 
-    The working residue is one dict changed in place, each term's scaled
-    key kept beside it and the terms grouped by key, so a step costs time
-    in the terms it touches: the leading level is the least key, and a
-    term that cancels or appears moves in the dict order that
+    The working residue is one dict changed in place, each coefficient an
+    int vector over one positive int reduced as a Scalar is, each term's
+    scaled key beside it and the terms grouped by key, so a step costs
+    time in the terms it touches: the leading level is the least key, and
+    a term that cancels or appears moves in the dict order that
     ``Distribution.__sub__`` gives.  The subtracted product is c times the
-    memoized G_ij * b^alpha' (``KernelFamily.shifted_gen``), and its tail
-    key is that of G_ij * b^alpha' plus b v(c), every candidate of
-    ``ExponentScale.mul_tail`` and of the log tail moving by the same v(c).
-    That tail key and the product's terms with their degree keys are kept
-    on the family per radius (``KernelFamily._shift_keys``), so a later
-    call at the same radius reads them back.
+    memoized G_ij * b^alpha' (``KernelFamily.shifted_gen``): each touched
+    term becomes prev - g c in ints, one gcd giving its reduced form and
+    valuation (``FieldSpec._sub_times``); Scalars are built only for the
+    canonical part.  The tail key is that of G_ij * b^alpha' plus b v(c),
+    every candidate of ``ExponentScale.mul_tail`` and of the log tail
+    moving by the same v(c); it and the product's terms are kept on the
+    family per radius (``KernelFamily._shift_keys``).
     """
     _require_h0(fam, r)
     alg = fam.algebra
@@ -301,13 +308,19 @@ def canonicalize(fam, lam, r, mprime):
     target_key = scale.to_key(mprime)
     # min_k (kappa k a/b - v_p(k)) lies in (1/b) Z, so it has a key
     log_tail = scale.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
-    work = dict(lam.coeffs)
+    field = alg.field
+    sub_times = field._sub_times
+    zero = ((0,) * field.degree, 1)
+    work = {}  # alpha -> (int vector, positive int), reduced as a Scalar is
     keys = {}
     levels_at = {}  # key -> the set of alpha with that key
-    for alpha, c in work.items():
+    for alpha, c in lam.coeffs.items():
+        work[alpha] = (c.num, c.den)
         _rekey(keys, levels_at, alpha, scale.key(c, alpha))
-    # (i, j, alpha') -> (tail key at v(c) = 0, [(gamma, coefficient, w |gamma|)])
+    # (i, j, alpha') -> (tail key at v(c) = 0, [(gamma, num, den, w |gamma|)])
     shifts = fam._shift_keys.setdefault(r, {})
+    # the first X_ij, i >= 2, that a lead contains is the one cleared
+    pairs = [(i, j, lg.flat_index(i, j)) for i, j in fam.pairs]
     canon = {}
     residual = INF
     steps = 0
@@ -330,36 +343,23 @@ def canonicalize(fam, lam, r, mprime):
             levels += 1
             last_level = s
         lead = min(levels_at[s], key=grlex_key)
-        target = None
-        for j in range(1, lg.d + 1):
-            for i in range(2, lg.n + 1):
-                if lead[lg.flat_index(i, j)] > 0:
-                    target = (i, j)
-                    break
-            if target:
-                break
-        coeff = work[lead]
+        target = next((pair for pair in pairs if lead[pair[2]]), None)
         if target is None:
-            beta = fam.to_canonical_index(lead)
-            prev = canon.get(beta)
-            canon[beta] = coeff if prev is None else prev + coeff
-            del work[lead]
+            _add_canonical(fam, canon, lead, work.pop(lead))
             _rekey(keys, levels_at, lead, None)
         else:
-            i, j = target
-            alpha_prime = tuple(
-                a - (1 if t == lg.flat_index(i, j) else 0) for t, a in enumerate(lead)
-            )
+            i, j, ij = target
+            alpha_prime = tuple(a - (t == ij) for t, a in enumerate(lead))
             shift = shifts.get((i, j, alpha_prime))
             if shift is None:
                 # the generator's own discarded log tail, times the monomial
                 gen_tail = w * sum(alpha_prime) + log_tail
                 tail0 = min(scale.mul_tail(fam.gen(i, j), alg.monomial(alpha_prime)), gen_tail)
                 prod = fam.shifted_gen(i, j, alpha_prime)
-                terms = [(gamma, g, w * sum(gamma)) for gamma, g in prod.coeffs.items()]
+                terms = [(gamma, g.num, g.den, w * sum(gamma)) for gamma, g in prod.coeffs.items()]
                 shift = shifts[(i, j, alpha_prime)] = (tail0, terms)
             tail0, terms = shift
-            tail = tail0 + b * coeff.valuation
+            tail = tail0 + s - w * sum(lead)  # the lead's key is b v(c) + w |lead|
             if tail < target_key:
                 need = _required_truncation(alg, r, mprime)
                 raise DegreeOverflow(
@@ -368,16 +368,15 @@ def canonicalize(fam, lam, r, mprime):
                     required_degree=need,
                 )
             residual = min(residual, tail)
-            for gamma, g, wdeg in terms:
-                t = g * coeff
-                prev = work.get(gamma)
-                c = -t if prev is None else prev - t
-                if c.is_zero:
+            times = field._times(*work[lead])
+            for gamma, gnum, gden, wdeg in terms:
+                num, den, v = sub_times(work.get(gamma, zero), gnum, gden, times)
+                if v == INF:
                     work.pop(gamma, None)
                     _rekey(keys, levels_at, gamma, None)
                 else:
-                    work[gamma] = c
-                    _rekey(keys, levels_at, gamma, b * c.valuation + wdeg)
+                    work[gamma] = (num, den)
+                    _rekey(keys, levels_at, gamma, b * v + wdeg)
         steps += 1
         if steps > max_steps:
             raise PrecisionExhausted("canonicalization exceeded its step budget")
@@ -386,15 +385,20 @@ def canonicalize(fam, lam, r, mprime):
     # canonical part (exactly), everything else is bounded into the residual
     for alpha, c in work.items():
         if fam.is_first_row(alpha):
-            beta = fam.to_canonical_index(alpha)
-            prev = canon.get(beta)
-            canon[beta] = c if prev is None else prev + c
+            _add_canonical(fam, canon, alpha, c)
         else:
             residual = min(residual, keys[alpha])
 
     canon = {beta: c for beta, c in canon.items() if not c.is_zero}
     residual = scale.unscale(residual)
     return CanonicalForm(fam, r, canon, residual, mprime, steps, levels)
+
+
+def _add_canonical(fam, canon, alpha, c):
+    """Add the first-row term c b^alpha, c = (num, den), to ``canon``."""
+    beta = fam.to_canonical_index(alpha)
+    c = Scalar(fam.algebra.field, tuple(c[0]), c[1])
+    canon[beta] = canon[beta] + c if beta in canon else c
 
 
 def _rekey(keys, levels_at, alpha, new):

@@ -46,6 +46,16 @@ def test_generator_shape(fam31):
     assert G.coeffs[(0, 3)] == lg.field.scalar(Fraction(1, 3))
 
 
+def test_gen_refuses_labels_outside_the_generators(fam31):
+    """o-additive(1) has n = 2 and d = 1: (3, 1) and (1, 2) name no
+    generator, directly or through ``kernel_symbol``."""
+    for i, j in [(3, 1), (0, 1), (1, 99), (2, 0)]:
+        with pytest.raises(InvalidArgument, match=r"1 <= i <= 2 and 1 <= j <= 1"):
+            fam31.gen(i, j)
+    with pytest.raises(InvalidArgument, match=r"kernel generator \(3, 1\)"):
+        kernel_symbol(fam31, 3, 1, R23)
+
+
 def test_symbol_h0(fam31):
     sym = kernel_symbol(fam31, 2, 1, R23)
     k = fam31.lgspec.field.residue_field
@@ -328,6 +338,23 @@ def test_canonicalize_matches_oracle_on_random_inputs(case, fam32, k3r2):
     ]
     assert any(o[0] is DegreeOverflow for o in outcomes)
     assert any(o[0] is not DegreeOverflow and o[2] >= 4 for o in outcomes)
+
+
+@pytest.mark.parametrize("mprime", [MP, 3])
+@pytest.mark.parametrize("r", [R23, Radius(3, 4)], ids=str)
+def test_canonicalize_matches_oracle_over_a_field_with_a_denominator(r, mprime):
+    """o-additive(1) over Q_2[pi]/(pi^3 + 4 pi^2 + (2/3) pi + 6): the basis
+    products of K are ints over 3, not 1, and e = 3, so each touched term's
+    valuation is read blockwise.  b21 and b31 + 3 b21 at 2^-2/3 and 2^-3/4
+    take 2 to 18 steps."""
+    field = FieldSpec(2, e=3, f=1, eisenstein=[6, Fraction(2, 3), 4])
+    assert field._den == 3
+    lgspec = o_additive(field, 1)
+    fam = build_kernel_family(lgspec, 6)
+    b21, b31 = (fam.algebra.generator(lgspec.flat_index(i, 1)) for i in (2, 3))
+    for lam in (b21, b31 + b21.scale(3)):
+        got = _assert_same_as_oracle(fam, lam, r, mprime)
+        assert got[0] and got[2] >= 2
 
 
 def test_canonicalize_matches_oracle_on_overflow(fam31):
