@@ -19,8 +19,9 @@ series; any other basis is refused with InvalidBasis.
 
 The module also provides the lower p-series level, the induced
 p-valuation, finite powerful quotients for the pro-2 commutator check
-(which evaluates C in ints and reads levels off its integer numerators)
-and scalar restriction of groups defined over a finite extension L.
+(which evaluates C on whole grids of integer window points and tests
+divisibility of its numerators) and scalar restriction of groups
+defined over a finite extension L.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     CounterexampleFound,
@@ -394,13 +395,19 @@ class SecondKindLaw:
     takes a point already cleared, int numerators over one D, and returns
     the output the same way, over the one denominator lcm(denoms)
     D^degree and reduced by one gcd, with no Fraction built.  A call is
-    the Fraction view of ``ints``.
+    the Fraction view of ``ints``.  ``grid`` evaluates an arity-2 map (F
+    or C) on a whole grid of integer points xs x ys, where D = 1: each
+    term's monomial is split once per map into its x-part and y-part, the
+    x-parts are evaluated once per x and the y-parts once per y, and each
+    coordinate comes back as one row of numerators over ys per x.
     """
 
-    __slots__ = ("p", "degree", "terms", "denoms", "_common", "_lifts")
+    __slots__ = ("p", "degree", "terms", "denoms", "nvars", "_common", "_lifts", "_plan")
 
     def __init__(self, p, polys, nvars):
         self.p = p
+        self.nvars = nvars
+        self._plan = None
         polys = [_LawPoly._terms(poly) for poly in polys]
         self.degree = max(
             (sum(e for _, e in m) for terms in polys for m in terms), default=0
@@ -455,6 +462,79 @@ class SecondKindLaw:
     def __call__(self, point):
         nums, scale = self.ints(point)
         return tuple([Fraction(n, denom * scale) for n, denom in zip(nums, self.denoms)])
+
+    def _grid_plan(self):
+        """The terms split for ``grid``: the distinct x-monomials and
+        y-monomials, each over its own half of the variables (D = 1
+        dropped), and per coordinate, for each y-monomial m it holds, the
+        triple (m, coefficients, x-monomial indices) of the x-polynomial
+        that multiplies y^m; an identically zero coordinate has none."""
+        if self._plan is None:
+            half = self.nvars // 2
+            xmonos, ymonos, coords = {}, {}, []
+            for terms in self.terms:
+                groups = {}
+                for c, mono in terms:
+                    xm = tuple((v, e) for v, e in mono if v < half)
+                    ym = tuple((v - half, e) for v, e in mono if half <= v < self.nvars)
+                    poly = groups.setdefault(ymonos.setdefault(ym, len(ymonos)), ([], []))
+                    poly[0].append(c)
+                    poly[1].append(xmonos.setdefault(xm, len(xmonos)))
+                coords.append(tuple((m, tuple(cs), tuple(at)) for m, (cs, at) in groups.items()))
+            self._plan = list(xmonos), list(ymonos), coords
+        return self._plan
+
+    def grid(self, xs, ys):
+        """The numerators n_k of an arity-2 map at every integer point
+        (x, y) of ``xs`` x ``ys``, the scale D^degree being 1.
+
+        Yields, per x in ``xs`` in order, one entry per coordinate k: the
+        list of n_k(x, y) over ``ys``, or None when every x-polynomial of
+        coordinate k vanishes at x, so that the row is zero (always on a
+        coordinate that is identically zero).  The
+        y-monomials are evaluated once per y, as one column over ``ys``
+        each, and the x-polynomials once per x; a row is then the sum of
+        the columns scaled by those values, one C-level ``map`` per
+        nonzero term, not one Python step per point.
+        """
+        xmonos, ymonos, coords = self._grid_plan()
+        columns = list(zip(*[_monomials(ymonos, y) for y in ys])) or [()] * len(ymonos)
+        for x in xs:
+            xvals = _monomials(xmonos, x)
+            out = []
+            for plan in coords:
+                row = None
+                for m, cs, at in plan:
+                    c = sum(map(mul, cs, map(xvals.__getitem__, at)))
+                    if c:
+                        term = columns[m] if c == 1 else map(c.__mul__, columns[m])
+                        row = term if row is None else map(add, row, term)
+                out.append(None if row is None else list(row))
+            yield out
+
+
+def first_indivisible(rows, moduli):
+    """The least index, over the rows of one x of ``SecondKindLaw.grid``,
+    of a numerator that the modulus of its coordinate does not divide, or
+    None when every one is divisible (a None row is all zeros)."""
+    misses = [
+        next(i for i, n in enumerate(row) if n % q)
+        for row, q in zip(rows, moduli)
+        if row is not None and q != 1 and any(map(q.__rmod__, row))
+    ]
+    return min(misses, default=None)
+
+
+def _monomials(monos, point):
+    """The value of each monomial, a tuple of (index, exponent) pairs, at
+    the int point ``point``."""
+    out = []
+    for mono in monos:
+        v = 1
+        for i, e in mono:
+            v *= point[i] ** e
+        out.append(v)
+    return out
 
 
 def _chart_fixed_point(lattice, target):
@@ -674,16 +754,6 @@ class FiniteQuotient:
         steps = range(0, stride * p**window, stride)
         return list(product(steps, repeat=self.lattice.d))
 
-    def member_level(self, nums, dens):
-        """Lower-p-series level inside the quotient (level+1 for the class
-        of 1) of the element with second-kind coordinates n_k / d_k."""
-        p = self.lattice.p
-        low = self.level
-        for n, d in zip(nums, dens):
-            if n:
-                low = min(low, vp_int(n, p) - vp_int(d, p))
-        return 1 + low
-
 
 def _commutator_windows(level, i, j):
     """Window sizes of P_i and P_j in the commutator check at ``level``."""
@@ -708,12 +778,19 @@ def check_powerful_commutator(quotient, i, j):
     Enumeration runs over representatives of P_i mod P_{i+j} and P_j mod
     P_{i+j}: replacing a by az with z in P_{i+j} changes [a,b] by factors
     from [P_{i+j}, G] <= P_{i+j+1}, so these windows cover every pair.
-    Each pair is one int evaluation of the compiled commutator C at the
-    integer window points.  Returns the number of pairs checked.
+    The compiled commutator C is evaluated on the whole window grid
+    (``SecondKindLaw.grid``), one row of numerators n_k per a and
+    coordinate.  [a, b] lies in P_bound, bound = min(i + j + 1, level +
+    1), iff every n_k is divisible by p^(bound - 1 + v_p(denoms[k])),
+    exactly so since bound - 1 <= level.  The first escaping pair in
+    (a, b) order is the witness, with the second-kind coordinates of
+    [a, b].  Returns the number of pairs checked.
     """
     lat = quotient.lattice
     if lat.p != 2:
         raise InvalidArgument(f"the commutator check is specific to p = 2, not p = {lat.p}")
+    if i < 1 or j < 1:
+        raise InvalidArgument(f"step indices need 1 <= i, j, not i = {i}, j = {j}")
     if quotient.level < i + j:
         raise InvalidArgument(
             f"quotient level {quotient.level} is below i + j = {i + j} for the step pair"
@@ -721,18 +798,19 @@ def check_powerful_commutator(quotient, i, j):
     window_a, window_b = _commutator_windows(quotient.level, i, j)
     law = lat.commutator_law
     bound = min(i + j + 1, quotient.level + 1)
-    checked = 0
-    for a in quotient.window_members(i, window_a):
-        for b in quotient.window_members(j, window_b):
-            nums, scale = law.ints((*a, *b))
-            if quotient.member_level(nums, [d * scale for d in law.denoms]) < bound:
-                c = lat.element_second(a).commutator(lat.element_second(b))
-                raise CounterexampleFound(
-                    f"[P_{i}, P_{j}] escapes P_{i + j + 1}",
-                    witness=(a, b, c.second()),
-                )
-            checked += 1
-    return checked
+    moduli = [lat.p ** (bound - 1 + vp_int(q, lat.p)) for q in law.denoms]
+    xs = quotient.window_members(i, window_a)
+    ys = quotient.window_members(j, window_b)
+    for a, rows in zip(xs, law.grid(xs, ys)):
+        at = first_indivisible(rows, moduli)
+        if at is not None:
+            b = ys[at]
+            c = lat.element_second(a).commutator(lat.element_second(b))
+            raise CounterexampleFound(
+                f"[P_{i}, P_{j}] escapes P_{i + j + 1}",
+                witness=(a, b, c.second()),
+            )
+    return len(xs) * len(ys)
 
 
 # ---------------------------------------------------------------------------

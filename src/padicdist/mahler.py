@@ -23,11 +23,13 @@ from __future__ import annotations
 import os
 import pickle
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, gcd, lcm, prod
-from operator import mul, sub
+from operator import sub
 from pathlib import Path
 
 from .errors import CounterexampleFound, DegreeOverflow, InvalidArgument, PadicError
+from .groups import first_indivisible
 from .indices import add_index, iter_multi_indices
 from .radii import vp_int, vp_rational
 
@@ -236,9 +238,11 @@ class StructureConstants:
     def _build(self):
         """Every row at once: the Mahler transform of binom(F(x, y), gamma).
 
-        The integer law is evaluated on {|x| <= N} x {|y| <= N}, the first
-        point where F leaves Z_p refused through ``group_law``.  With
-        D = lcm(law.denoms) and tops t = D F, the grid value at gamma is
+        The integer law is evaluated on {|x| <= N} x {|y| <= N} by
+        ``SecondKindLaw.grid``, one row of numerators per x and coordinate;
+        the p-integrality test runs on those rows and refuses the first
+        point, in grid order, where F leaves Z_p, through ``group_law``.
+        With D = lcm(law.denoms) and tops t = D F, the grid value at gamma is
         prod_k ladder(t_k)[gamma_k] = D^|gamma| gamma! binom(F, gamma).  A
         point's values are packed into one int, gamma in lex order in signed
         B-bit slots, in a flat list over the grid (x outer, y inner, each in
@@ -261,15 +265,19 @@ class StructureConstants:
         lifts = [denom // q for q in law.denoms]
         # coordinate k is nums[k] / denoms[k]: p-integral iff the p-part
         # of denoms[k] divides nums[k]
-        checks = [(k, p ** vp_int(q, p)) for k, q in enumerate(law.denoms) if q % p == 0]
-        grid = [(x, y) for x in self._gammas for y in self._gammas]
-        tops = []
-        for x, y in grid:
-            nums, _ = law.ints((*x, *y))
-            if any(nums[k] % q for k, q in checks):
-                self.group_law(x, y)  # raises, with the Fraction point as witness
-            tops.append(tuple(map(mul, nums, lifts)))
-        ladders = [{t: _ladder(t, denom, N) for t in set(col)} for col in zip(*tops)]
+        moduli = [p ** vp_int(q, p) for q in law.denoms]
+        gammas = self._gammas
+        cols = [[] for _ in law.denoms]  # the tops t_k over the grid
+        for x, rows in zip(gammas, law.grid(gammas, gammas)):
+            at = first_indivisible(rows, moduli)
+            if at is not None:
+                self.group_law(x, gammas[at])  # raises, with the Fraction point as witness
+            for col, row, lift in zip(cols, rows, lifts):
+                if row is None:
+                    col.extend([0] * len(gammas))
+                else:
+                    col.extend(row if lift == 1 else map(lift.__mul__, row))
+        ladders = [{t: _ladder(t, denom, N) for t in set(col)} for col in cols]
         peaks = [[max(abs(ladder[j]) for ladder in col.values()) for j in range(N + 1)]
                  for col in ladders]
         width = _slot_width(max(prod(map(list.__getitem__, peaks, g)) for g in self._gammas), N)
@@ -289,8 +297,8 @@ class StructureConstants:
                 memo[(tail, R)] = out
             return out
 
-        values = [pack(t, N) for t in tops]
-        del tops, memo
+        values = [pack(t, N) for t in zip(*cols)]
+        del cols, memo
         mahler_coefficients(values, [self._gammas, self._gammas])
         lex = sorted(range(len(self._gammas)), key=self._gammas.__getitem__)
         # the transform keeps the grid order; entries go in _gammas order
@@ -302,7 +310,7 @@ class StructureConstants:
         # the row keys share the index tuples of _gammas (a smaller cache file)
         self._rows = {
             key: tuple((self._gammas[g], v * den // scales[g]) for g, v in entries)
-            for key, entries in zip(grid, found)
+            for key, entries in zip(product(gammas, repeat=2), found)
         }
         self._peak = max((abs(n) for row in self._rows.values() for _, n in row), default=1)
         self._den = den

@@ -29,7 +29,9 @@ The Fraction element oracle holds a group element as Fractions in one
 chart and calls each compiled map through its Fraction view, as group
 elements did before they held int numerators over one denominator; the
 coset and p-valuation checks are replayed on it, with coset keys
-reduced one Fraction coordinate at a time.
+reduced one Fraction coordinate at a time.  The pro-2 sweep oracle
+checks the commutator windows one point at a time, independently of the
+grid evaluation and the divisibility test of the sweep.
 
 The samplers live in ``padicdist.samplers``.
 """
@@ -289,6 +291,34 @@ def p_valuation_oracle(pairs):
             if om != valuation_formula_oracle(elt):
                 violations.append(("coordinate-formula", elt.second(), None))
     return violations
+
+
+def pro2_sweep_oracle(lattice, level, i, j):
+    """``groups.check_powerful_commutator`` as a loop over single points:
+    one ``SecondKindLaw.ints`` call per pair of window representatives
+    and the level in the quotient read off the p-valuations of the
+    numerators.  Returns (pairs checked, None), or (pairs checked before
+    it, (a, b, second-kind coordinates of [a, b])) at the first escaping
+    pair in (a, b) order."""
+    p, law = lattice.p, lattice.commutator_law
+
+    def window(step, size):
+        stride = p ** (step - 1)
+        return list(product(range(0, stride * p**size, stride), repeat=lattice.d))
+
+    bound = min(i + j + 1, level + 1)
+    checked = 0
+    for a in window(i, min(j, level - i + 1)):
+        for b in window(j, min(i, level - j + 1)):
+            nums, scale = law.ints((*a, *b))
+            low = level
+            for n, den in zip(nums, law.denoms):
+                if n:
+                    low = min(low, vp_rational(Fraction(n, den * scale), p))
+            if 1 + low < bound:
+                return checked, (a, b, law((*a, *b)))
+            checked += 1
+    return checked, None
 
 
 # ---------------------------------------------------------------------------

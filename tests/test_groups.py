@@ -5,7 +5,12 @@ from itertools import product
 
 import pytest
 
-from helpers import heisenberg_bch_oracle, heisenberg_second_kind_oracle
+from helpers import (
+    filiform,
+    heisenberg_bch_oracle,
+    heisenberg_second_kind_oracle,
+    pro2_sweep_oracle,
+)
 from padicdist import (
     DistAlgebra,
     FieldSpec,
@@ -225,6 +230,30 @@ def test_pro2_counterexample_carries_the_commutator():
     assert a[0] * b[1] % 4 != 0
 
 
+@pytest.mark.parametrize("lat", [heisenberg2(), filiform(2)], ids=repr)
+def test_pro2_sweep_matches_the_per_point_loop(lat):
+    level = 5
+    quotient = FiniteQuotient(lat, level)
+    for i in range(1, level):
+        for j in range(1, level - i):
+            assert check_powerful_commutator(quotient, i, j) == pro2_sweep_oracle(lat, level, i, j)[0]
+
+
+def test_pro2_counterexample_is_the_earliest_pair():
+    """A planted C(x, y) = (0, 2 x_1 y_2, 2 x_1 y_3) escapes P_3, by one
+    level, in two coordinates: at a = (1, 0, 0) the second first fails at
+    b = (0, 1, 0), the third already at b = (0, 0, 1).  The witness is the
+    earliest pair in (a, b) order over all coordinates, as in the
+    per-point loop."""
+    lat = heisenberg2()
+    x1, y2, y3 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 4, 5))
+    lat.commutator_law = SecondKindLaw(2, [0, x1 * y2 * 2, x1 * y3 * 2], 6)
+    with pytest.raises(CounterexampleFound, match=r"\[P_1, P_1\] escapes P_3") as info:
+        check_powerful_commutator(FiniteQuotient(lat, 5), 1, 1)
+    assert info.value.witness == ((1, 0, 0), (0, 0, 1), (0, 0, 2))
+    assert info.value.witness == pro2_sweep_oracle(lat, 5, 1, 1)[1]
+
+
 def test_pro2_requires_p2(heis):
     q = FiniteQuotient(heis, 4)
     with pytest.raises(ValueError):
@@ -354,8 +383,10 @@ def test_structure_refusals_are_typed(k3u2, build, error, match):
     (lambda: FiniteQuotient(heisenberg(3), 0), "level must be >= 1"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg(3), 4), 1, 1), "p = 2"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 2), 1, 2), "below i"),
+    (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 4), 0, 1), "1 <= i, j"),
+    (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 4), 2, -1), "1 <= i, j"),
 ], ids=["labels", "mode", "lattices", "identity-level", "quotient-level", "prime",
-        "step-pair"])
+        "step-pair", "step-index-zero", "step-index-negative"])
 def test_group_argument_refusals_are_typed(build, match):
     with pytest.raises(PadicError, match=match) as info:
         build()

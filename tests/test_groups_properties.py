@@ -75,6 +75,37 @@ def test_compiled_law_matches_numeric_path(lat, data):
     assert lat.second_kind_law((*x, *y)) == numeric_law(lat, x, y)
 
 
+@pytest.mark.parametrize("name", ["second_kind_law", "commutator_law"])
+@pytest.mark.parametrize("lat", LATTICES, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_grid_matches_pointwise_ints(lat, name, data):
+    """``grid(xs, ys)`` gives, per x and coordinate, the numerators of
+    ``ints`` over ys (None where all of them are zero), on int point lists
+    that may be empty or hold one point."""
+    law = getattr(lat, name)
+    point = st.lists(st.integers(-40, 40), min_size=lat.d, max_size=lat.d).map(tuple)
+    xs = data.draw(st.lists(point, max_size=4))
+    ys = data.draw(st.lists(point, max_size=4))
+    rows = list(law.grid(xs, ys))
+    assert len(rows) == len(xs)
+    for x, per_coord in zip(xs, rows):
+        assert len(per_coord) == lat.d
+        expected = [law.ints((*x, *y))[0] for y in ys]
+        for k, row in enumerate(per_coord):
+            column = [nums[k] for nums in expected]
+            assert row == column or (row is None and not any(column))
+
+
+def test_grid_marks_zero_coordinates_and_takes_empty_lists():
+    """C_1 and C_2 of heisenberg2 vanish identically and come back as
+    None; a single point and empty point lists need no special case."""
+    law = heisenberg2().commutator_law
+    assert list(law.grid([(1, -2, 3)], [(-4, 5, 6)])) == [[None, None, [4 * (1 * 5 - (-2) * (-4))]]]
+    assert list(law.grid([], [(1, 0, 0)])) == []
+    assert list(law.grid([(1, 0, 0)], [])) in ([[None, None, []]], [[None, None, None]])
+
+
 @pytest.mark.parametrize("lat", CLASS_2, ids=repr)
 @SETTINGS
 @hypothesis.given(data=st.data())

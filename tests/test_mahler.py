@@ -373,15 +373,20 @@ def test_version_1_file_is_neither_loaded_nor_an_error(tmp_path):
 def test_build_refuses_a_law_leaving_z_p():
     """A law with p in a coordinate denominator is refused at the first
     grid point, in grid order, where it leaves Z_p, with the witness of
-    ``group_law`` there."""
+    ``group_law`` there.  The second planted law also leaves Z_p in its
+    second coordinate, first at a later point of the same grid row
+    (y = (0, 0, 1)), so the refusal still names the earliest point."""
     lat = heisenberg(3)
     x0, x2, y1, y2 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 2, 4, 5))
-    planted = SecondKindLaw(3, [x0, y1, x2 + y2 + x0 * y1 * Fraction(1, 3)], 2 * lat.d)
-    setattr(lat, "second_kind_law", planted)  # the cached property's slot
-    table = StructureConstants(lat, 3)
+    third = Fraction(1, 3)
     gammas = list(iter_multi_indices(3, 3))
     x, y = next((x, y) for x in gammas for y in gammas if x[0] * y[1] % 3)
     assert (x, y) == ((1, 0, 0), (0, 1, 0))
-    with pytest.raises(CounterexampleFound, match="group law left Z_p") as info:
-        table.row((0, 0, 0), (0, 0, 0))
-    assert info.value.witness == (x, y, (Fraction(1), Fraction(1), Fraction(1, 3)))
+    assert gammas.index((0, 1, 0)) < gammas.index((0, 0, 1))
+    for second in (y1, y1 + x0 * y2 * third):
+        planted = SecondKindLaw(3, [x0, second, x2 + y2 + x0 * y1 * third], 2 * lat.d)
+        setattr(lat, "second_kind_law", planted)  # the cached property's slot
+        table = StructureConstants(lat, 3)
+        with pytest.raises(CounterexampleFound, match="group law left Z_p") as info:
+            table.row((0, 0, 0), (0, 0, 0))
+        assert info.value.witness == (x, y, (Fraction(1), Fraction(1), Fraction(1, 3)))
