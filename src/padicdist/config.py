@@ -17,12 +17,13 @@ Grammar (all keys optional unless noted)::
                   "regseq_cap": 6, "transfer_m": 2}
     }
 
-Radii must lie in (p^-1, 1); the residual precision, truncation and
-``pro2_level`` are positive integers.  Unknown suite names are rejected
-up front, and so (with SweepLimit) are a pro-2 sweep of more than
-MAX_PRO2_PAIRS pairs, a ``grading`` suite whose kernel-symbol family
-has more than ``grading.MAX_REGSEQ_FAMILY`` members, and a suite that
-computes in the residue field when q exceeds ``padics.MAX_RESIDUE_ORDER``.
+Radii must lie in (p^-1, 1); the residual precision, the truncation and
+every option are integers (not bools), ``transfer_m`` >= 0 and the rest
+>= 1.  Unknown suite names and option keys are rejected up front, and
+so (with SweepLimit) are a pro-2 sweep of more than MAX_PRO2_PAIRS pairs,
+a ``grading`` suite whose kernel-symbol family has more than
+``grading.MAX_REGSEQ_FAMILY`` members, and a suite that computes in the
+residue field when q exceeds ``padics.MAX_RESIDUE_ORDER``.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class JobConfig:
 
     @classmethod
     def from_dict(cls, data, sc_cache=None):
+        if not isinstance(data, dict):
+            raise ConfigError("config: must be a JSON object")
         try:
             fdata = dict(data.get("field", {"p": 3}))
             fld = FieldSpec(
@@ -94,12 +97,8 @@ class JobConfig:
         name = data.get("group", "abelian(1)")
         group = get_group(name, field=fld)
 
-        N = data.get("truncation", 6)
-        mprime = data.get("residual_precision", 2)
-        if not (isinstance(N, int) and N >= 1):
-            raise ConfigError("truncation: must be an integer >= 1")
-        if not (isinstance(mprime, int) and mprime >= 1):
-            raise ConfigError("residual_precision: must be an integer >= 1")
+        N = _integer("truncation", data.get("truncation", 6), 1)
+        mprime = _integer("residual_precision", data.get("residual_precision", 2), 1)
 
         radii = []
         for idx, lit in enumerate(data.get("radii", [f"{fld.p}^-1/2"])):
@@ -109,7 +108,9 @@ class JobConfig:
                 raise ConfigError(f"radii[{idx}]: {exc}") from exc
             radii.append(r)
 
-        suites = list(data.get("suites", []))
+        suites = data.get("suites", [])
+        if not isinstance(suites, list):
+            raise ConfigError("suites: must be a list of suite names")
         for s in suites:
             if s not in KNOWN_SUITES:
                 raise ConfigError(f"suites: unknown suite {s!r}")
@@ -118,11 +119,15 @@ class JobConfig:
         if not isinstance(seed, int):
             raise ConfigError("seed: must be an integer")
 
+        given = data.get("options", {})
+        if not isinstance(given, dict):
+            raise ConfigError("options: must be an object")
         options = dict(DEFAULT_OPTIONS)
-        options.update(data.get("options", {}))
-        level = options["pro2_level"]
-        if not (isinstance(level, int) and level >= 1):
-            raise ConfigError("options.pro2_level: must be an integer >= 1")
+        for key, value in given.items():
+            if key not in DEFAULT_OPTIONS:
+                raise ConfigError(f"options.{key}: unknown option")
+            low = 0 if key == "transfer_m" else 1
+            options[key] = _integer(f"options.{key}", value, low)
 
         echo = {
             "field": {"p": fld.p, "e": fld.e, "f": fld.f, "precision": fld.precision},
@@ -190,3 +195,11 @@ class JobConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
         return cls.from_dict(data, sc_cache=sc_cache)
+
+
+def _integer(key, value, low):
+    """``value`` if it is an int (not a bool) >= ``low``; else ConfigError
+    naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key}: must be an integer >= {low}")
+    return value

@@ -104,7 +104,7 @@ class DistAlgebra:
         ``iter_multi_indices(d, N)``, so each coefficient is one rational
         v / scale, a Scalar built straight from its ints.
         """
-        nums, den = g.second_ints()
+        nums, den = g.nums, g.den
         field = self.field
         zeros = (0,) * (field.degree - 1)
         terms = {}

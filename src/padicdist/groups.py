@@ -1,11 +1,12 @@
 """Uniform pro-p groups presented by powerful nilpotent Z_p-Lie lattices.
 
 A lattice with bracket constants of p-valuation >= kappa carries a group
-law through the Hausdorff series; elements live in two charts, the
-exponential one ("first kind") and the ordered-generator one
-x -> h_1^{x_1} ... h_d^{x_d} ("second kind").  Coordinates are exact
-p-integral rationals; an element holds them as int numerators over one
-denominator.  The lattice must be nilpotent: the series then
+law through the Hausdorff series.  An element is held in one chart, the
+ordered-generator one x -> h_1^{x_1} ... h_d^{x_d} ("second kind"), from
+which the filtration and the norms are read; the exponential chart
+("first kind") is computed on demand.  Coordinates are exact p-integral
+rationals; an element holds them as int numerators over one denominator.
+The lattice must be nilpotent: the series then
 stops at the nilpotency class, and a lattice whose lower central series
 does not reach zero is refused with NotNilpotent on its first group-law
 use.  The law is exact.  ``LieLattice.bch`` is the first-kind law over
@@ -109,6 +110,10 @@ class LieLattice:
             table[i][j] = row
             table[j][i] = tuple(-c for c in row)
         self.brackets = tuple(tuple(r) for r in table)
+        self._constants = tuple(
+            (i, j, k, c) for i, row in enumerate(self.brackets)
+            for j, vec in enumerate(row) for k, c in enumerate(vec) if c
+        )
 
         self._validate()
 
@@ -150,18 +155,11 @@ class LieLattice:
         return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.d))
 
     def bracket(self, x, y):
+        """[x, y], summed over the nonzero structure constants only."""
         out = [Fraction(0)] * self.d
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = self.brackets[i][j]
-                c = xi * yj
-                for k in range(self.d):
-                    if row[k]:
-                        out[k] += c * row[k]
+        for i, j, k, c in self._constants:
+            if x[i] and y[j]:
+                out[k] += x[i] * y[j] * c
         return tuple(out)
 
     @property
@@ -276,13 +274,14 @@ class LieLattice:
     # -- elements ----------------------------------------------------------------
 
     def element_first(self, coords):
-        return GroupElement(self, "first", *_cleared(coords))
+        """exp(z) for the first-kind coordinates z, converted once by L."""
+        return GroupElement(self, *self.to_second_kind.reduced(*_cleared(coords, self.d)))
 
     def element_second(self, coords):
-        return GroupElement(self, "second", *_cleared(coords))
+        return GroupElement(self, *_cleared(coords, self.d))
 
     def identity(self):
-        return self.element_first((0,) * self.d)
+        return self.element_second((0,) * self.d)
 
     def generator(self, i):
         """h_{i+1} = exp(X_{i+1})."""
@@ -388,18 +387,17 @@ class SecondKindLaw:
     denominator ``denoms[k]``; a monomial lists (variable, exponent) pairs
     over the concatenated input point and, as one more variable, its
     common denominator D, which makes every term of degree ``degree``.
-    Both evaluations refuse a D divisible by p with NotPIntegral.
-    ``ints`` takes a point of Fractions (or ints), clears D and returns
-    the output numerators n_k with the scale D^degree, coordinate k being
-    n_k / (denoms[k] D^degree); integer points have D = 1.  ``reduced``
-    takes a point already cleared, int numerators over one D, and returns
-    the output the same way, over the one denominator lcm(denoms)
-    D^degree and reduced by one gcd, with no Fraction built.  A call is
-    the Fraction view of ``ints``.  ``grid`` evaluates an arity-2 map (F
-    or C) on a whole grid of integer points xs x ys, where D = 1: each
-    term's monomial is split once per map into its x-part and y-part, the
-    x-parts are evaluated once per x and the y-parts once per y, and each
-    coordinate comes back as one row of numerators over ys per x.
+    ``reduced`` takes a point cleared to int numerators over one D and
+    returns the output the same way, over the one denominator
+    lcm(denoms) D^degree and reduced by one gcd, with no Fraction built;
+    it refuses a D divisible by p with NotPIntegral.  A call is the
+    Fraction view of ``reduced`` at a point of ints and Fractions.
+    ``grid`` evaluates an arity-2 map (F or C) on a whole grid of integer
+    points xs x ys, where D = 1: each term's monomial is split once per
+    map into its x-part and y-part, the x-parts are evaluated once per x
+    and the y-parts once per y, and each coordinate comes back as one row
+    of numerators n_k over ys per x, coordinate k at (x, y) being
+    n_k / denoms[k].
     """
 
     __slots__ = ("p", "degree", "terms", "denoms", "nvars", "_common", "_lifts", "_plan")
@@ -425,33 +423,20 @@ class SecondKindLaw:
         self._common = lcm(*self.denoms)
         self._lifts = [self._common // q for q in self.denoms]
 
-    def _numerators(self, xs):
-        """The n_k at the cleared point ``xs``, its common denominator D
-        appended as the last variable."""
-        if xs[-1] % self.p == 0:
+    def reduced(self, nums, den):
+        """(nums', den') with nums'[k] / den' the output at the point
+        nums / den; den' > 0 and gcd(den', *nums') = 1."""
+        if den % self.p == 0:
             raise NotPIntegral("the group law needs p-integral coordinates")
+        xs = (*nums, den)
         out = []
-        for terms in self.terms:
+        for terms, lift in zip(self.terms, self._lifts):
             s = 0
             for c, mono in terms:
                 for v, e in mono:
                     c *= xs[v] ** e
                 s += c
-            out.append(s)
-        return out
-
-    def ints(self, point):
-        D = 1
-        for c in point:
-            D = lcm(D, c.denominator)
-        xs = [c.numerator * (D // c.denominator) for c in point]
-        xs.append(D)
-        return self._numerators(xs), D**self.degree
-
-    def reduced(self, nums, den):
-        """(nums', den') with nums'[k] / den' the output at the point
-        nums / den; den' > 0 and gcd(den', *nums') = 1."""
-        out = list(map(mul, self._numerators([*nums, den]), self._lifts))
+            out.append(s * lift)
         scale = self._common * den**self.degree
         g = gcd(scale, *out)
         if g != 1:
@@ -460,8 +445,7 @@ class SecondKindLaw:
         return tuple(out), scale
 
     def __call__(self, point):
-        nums, scale = self.ints(point)
-        return tuple([Fraction(n, denom * scale) for n, denom in zip(nums, self.denoms)])
+        return _fractions(*self.reduced(*_cleared(point, self.nvars)))
 
     def _grid_plan(self):
         """The terms split for ``grid``: the distinct x-monomials and
@@ -566,120 +550,96 @@ def _compile(lattice, arity, build):
     return SecondKindLaw(lattice.p, build(*args), arity * d)
 
 
-def _cleared(coords):
-    """Rational coordinates as (int numerators, their least common
-    denominator), the form ``GroupElement`` stores."""
-    coords = [c if type(c) is int else Fraction(c) for c in coords]
+def _cleared(coords, n):
+    """A point of n int or Fraction coordinates as (int numerators, their
+    least common denominator), reduced as ``GroupElement`` stores it; any
+    other point is refused with InvalidArgument."""
+    coords = tuple(coords)
+    if len(coords) != n or not all(isinstance(c, (int, Fraction)) for c in coords):
+        raise InvalidArgument(f"a point needs {n} int or Fraction coordinates, not {coords!r}")
     den = lcm(*[c.denominator for c in coords])
     return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
 
-def _joint(a, b):
-    """Two (nums, den) points as one point over lcm of their denominators."""
-    (xs, dx), (ys, dy) = a, b
-    if dx == dy:
-        return (*xs, *ys), dx
-    D = lcm(dx, dy)
-    return (*[x * (D // dx) for x in xs], *[y * (D // dy) for y in ys]), D
-
-
 class GroupElement:
-    """A group element in a fixed chart; conversions are exact and cached.
+    """A group element, held in the second-kind chart.
 
-    The coordinates in chart ``mode`` are stored as ints ``nums`` over one
-    positive denominator ``den``, reduced so that gcd(den, *nums) = 1, as
-    ``Scalar`` stores K; ``coords``, ``first()`` and ``second()`` are
-    Fraction views of them.  Chart conversions, products, inverses and
-    commutators evaluate the lattice's compiled maps on those ints
-    (``SecondKindLaw.reduced``: E for the first kind, L for the second, F
-    for ``*``, I for ``inverse`` and C for ``commutator``); the other chart
-    is converted once and kept in ``_other``, and products, inverses and
-    commutators come back in the second-kind chart.  Every compiled call
-    refuses a point that is not p-integral with NotPIntegral.
+    Its coordinates x are stored as ints ``nums`` over one positive
+    denominator ``den``, reduced so that gcd(den, *nums) = 1, as
+    ``Scalar`` stores K; ``second()`` is their Fraction view and
+    ``first()`` evaluates E at them.  Products, inverses and commutators
+    evaluate the lattice's compiled maps on those ints
+    (``SecondKindLaw.reduced``: F for ``*``, I for ``inverse`` and C for
+    ``commutator``), and g^lambda is L(lambda E(x)).  Every compiled call
+    refuses a point that is not p-integral with NotPIntegral.  Elements
+    are built by ``LieLattice.element_first`` and ``element_second`` and
+    by these operations, which hand the constructor reduced ints.
     """
 
-    __slots__ = ("lattice", "mode", "nums", "den", "_other")
+    __slots__ = ("lattice", "nums", "den")
 
-    def __init__(self, lattice, mode, nums, den=1):
-        if mode not in ("first", "second"):
-            raise InvalidArgument(f"chart mode must be 'first' or 'second', not {mode!r}")
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = [n // g for n in nums]
-            den //= g
+    def __init__(self, lattice, nums, den):
         self.lattice = lattice
-        self.mode = mode
-        self.nums = tuple(nums)
+        self.nums = nums
         self.den = den
-        self._other = None
-
-    def _chart(self, mode):
-        """The coordinates in chart ``mode`` as (nums, den)."""
-        if mode == self.mode:
-            return self.nums, self.den
-        if self._other is None:
-            lat = self.lattice
-            law = lat.to_first_kind if mode == "first" else lat.to_second_kind
-            self._other = law.reduced(self.nums, self.den)
-        return self._other
-
-    def second_ints(self):
-        """The second-kind coordinates as (nums, den), reduced."""
-        return self._chart("second")
-
-    @property
-    def coords(self):
-        return _fractions(self.nums, self.den)
 
     def first(self):
-        return _fractions(*self._chart("first"))
+        return _fractions(*self.lattice.to_first_kind.reduced(self.nums, self.den))
 
     def second(self):
-        return _fractions(*self._chart("second"))
+        return _fractions(self.nums, self.den)
+
+    def _with(self, other, what):
+        """This element and ``other`` as one point over the lcm of their
+        denominators."""
+        if not isinstance(other, GroupElement) or other.lattice is not self.lattice:
+            raise InvalidArgument(f"a {what} needs two elements of the same lattice")
+        dx, dy = self.den, other.den
+        if dx == dy:
+            return (*self.nums, *other.nums), dx
+        D = lcm(dx, dy)
+        return (*[x * (D // dx) for x in self.nums], *[y * (D // dy) for y in other.nums]), D
 
     def __mul__(self, other):
-        if other.lattice is not self.lattice:
-            raise InvalidArgument("a product needs two elements of the same lattice")
-        z = self.lattice.second_kind_law.reduced(*_joint(self.second_ints(), other.second_ints()))
-        return GroupElement(self.lattice, "second", *z)
+        z = self.lattice.second_kind_law.reduced(*self._with(other, "product"))
+        return GroupElement(self.lattice, *z)
 
     def inverse(self):
-        z = self.lattice.second_kind_inverse.reduced(*self.second_ints())
-        return GroupElement(self.lattice, "second", *z)
+        z = self.lattice.second_kind_inverse.reduced(self.nums, self.den)
+        return GroupElement(self.lattice, *z)
 
     def __pow__(self, exponent):
         """g^lambda = exp(lambda log g) for p-integral lambda."""
-        lam = exponent if type(exponent) is int else Fraction(exponent)
-        if vp_rational(lam, self.lattice.p) < 0:
+        if not isinstance(exponent, (int, Fraction)):
+            raise InvalidArgument(f"an exponent must be an int or a Fraction, not {exponent!r}")
+        lat = self.lattice
+        if vp_rational(exponent, lat.p) < 0:
             raise NotPIntegral("exponent must be p-integral")
-        nums, den = self._chart("first")
-        return GroupElement(
-            self.lattice, "first", [lam.numerator * n for n in nums], lam.denominator * den
-        )
+        nums, den = lat.to_first_kind.reduced(self.nums, self.den)
+        z = [exponent.numerator * n for n in nums], exponent.denominator * den
+        return GroupElement(lat, *lat.to_second_kind.reduced(*z))
 
     def commutator(self, other):
         """[g, h] = g^-1 h^-1 g h, by one call of the compiled C."""
-        if other.lattice is not self.lattice:
-            raise InvalidArgument("a commutator needs two elements of the same lattice")
-        z = self.lattice.commutator_law.reduced(*_joint(self.second_ints(), other.second_ints()))
-        return GroupElement(self.lattice, "second", *z)
+        z = self.lattice.commutator_law.reduced(*self._with(other, "commutator"))
+        return GroupElement(self.lattice, *z)
 
     def conjugate(self, by):
-        return by.inverse() * self * by
+        moved = self * by  # refuses a ``by`` that is not an element of this lattice
+        return by.inverse() * moved
 
     def level(self):
         """Largest i with all second-kind coordinates in p^{i-1} Z_p, that
         is 1 + min v_p over the nonzero coordinates; exact at any depth."""
-        nums, den = self.second_ints()
         p = self.lattice.p
-        vals = [vp_int(n, p) for n in nums if n]
+        vals = [vp_int(n, p) for n in self.nums if n]
         if not vals:
             raise InvalidArgument("the identity has no finite lower-p-series level")
-        return 1 + min(vals) - vp_int(den, p)
+        return 1 + min(vals) - vp_int(self.den, p)
 
     def p_valuation(self):
         """The p-valuation induced by the lower p-series (shifted for p = 2)."""
-        if not any(self.second_ints()[0]):
+        if not any(self.nums):
             return INF
         lvl = self.level()
         return lvl if self.lattice.p != 2 else lvl + 1
@@ -688,11 +648,12 @@ class GroupElement:
         return (
             isinstance(other, GroupElement)
             and self.lattice is other.lattice
-            and self.second_ints() == other.second_ints()
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __repr__(self):
-        return f"g{self.mode[0]}{tuple(str(c) for c in self.coords)}"
+        return f"g{tuple(str(c) for c in self.second())}"
 
 
 def _fractions(nums, den):
@@ -702,9 +663,8 @@ def _fractions(nums, den):
 def second_kind_valuation_formula(g):
     """min_i (omega(h_i) + v_p(x_i)) over the second-kind coordinates."""
     lat = g.lattice
-    nums, den = g.second_ints()
-    shift = lat.kappa - vp_int(den, lat.p)
-    return min((vp_int(n, lat.p) + shift for n in nums), default=INF)
+    shift = lat.kappa - vp_int(g.den, lat.p)
+    return min((vp_int(n, lat.p) + shift for n in g.nums), default=INF)
 
 
 def check_p_valuation(pairs):

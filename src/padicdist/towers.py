@@ -252,12 +252,12 @@ def lower_p_transversal(lattice, m):
 def _coset_key(g, m):
     """The coset of g modulo the level-m step subgroup, one modular
     reduction per coordinate: with second-kind coordinates n_k / den
-    (``GroupElement.second_ints``) it is n_k den^-1 mod p^m, which is
+    (``g.nums`` over ``g.den``) it is n_k den^-1 mod p^m, which is
     n_k mod p^m when den = 1, so g lies in the step subgroup exactly when
     the key is zero.  An element whose den is divisible by p has no key
     and is refused with InvalidArgument."""
     p = g.lattice.p
-    nums, den = g.second_ints()
+    nums, den = g.nums, g.den
     if den % p == 0:
         raise InvalidArgument(
             f"coset keys need p-integral coordinates; {g!r} has p = {p} in a denominator"
@@ -283,7 +283,7 @@ def coset_conditions(cs, rng):
     def in_subgroup(g):
         return not any(_coset_key(g, m))
 
-    if not cs.reps or any(cs.reps[0].second_ints()[0]):
+    if not cs.reps or any(cs.reps[0].nums):
         raise ConditionFailed("transversal must start with the identity")
     keys = {}
     for idx, g in enumerate(cs.reps):

@@ -26,12 +26,14 @@ residue-product oracle multiplies in F_q as polynomials over F_p reduced
 by gbar, independently of the log tables.
 
 The Fraction element oracle holds a group element as Fractions in one
-chart and calls each compiled map through its Fraction view, as group
-elements did before they held int numerators over one denominator; the
-coset and p-valuation checks are replayed on it, with coset keys
-reduced one Fraction coordinate at a time.  The pro-2 sweep oracle
-checks the commutator windows one point at a time, independently of the
-grid evaluation and the divisibility test of the sweep.
+chart and runs the group law, the inverse, the commutator and the chart
+maps through the uncompiled Hausdorff series and chart fixed point over
+Fractions, independently of the compiled maps and of the int numerators
+over one denominator that group elements hold; the coset and
+p-valuation checks are replayed on it, with coset keys reduced one
+Fraction coordinate at a time.  The pro-2 sweep oracle checks the
+commutator windows one point at a time, independently of the grid
+evaluation and the divisibility test of the sweep.
 
 The samplers live in ``padicdist.samplers``.
 """
@@ -50,6 +52,7 @@ from padicdist.errors import (
     NotPIntegral,
     PrecisionExhausted,
 )
+from padicdist.groups import _chart_fixed_point, _eval_second_kind
 from padicdist.indices import add_index, grlex_key
 from padicdist.padics import _fp_mod, _fp_mul
 from padicdist.quotient import CanonicalForm, _require_h0, _required_truncation
@@ -147,49 +150,50 @@ def filiform(p):
 # coset and p-valuation checks as they ran on Fraction coordinates
 
 class FractionElement:
-    """A group element held as a tuple of Fractions in one chart, each
-    compiled map called through its Fraction view (``SecondKindLaw``'s
-    ``__call__``), independently of the int numerators over one
-    denominator that ``GroupElement`` stores and of
-    ``SecondKindLaw.reduced``."""
+    """A group element held as Fractions in the exponential (first-kind)
+    chart, where the group law is ``LieLattice.bch``, the uncompiled
+    Hausdorff series: inverses negate, powers scale and commutators are
+    three ``bch`` calls.  Second-kind coordinates are converted once, by
+    ``_chart_fixed_point`` over Fractions, and first-kind ones by
+    ``_eval_second_kind``.  None of it runs the compiled maps or the int
+    numerators over one denominator that ``GroupElement`` holds."""
 
     def __init__(self, lattice, mode, coords):
         self.lattice = lattice
-        self.mode = mode
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.charts = {mode: tuple(Fraction(c) for c in coords)}
 
     @classmethod
     def of(cls, g):
-        """The oracle element of a ``GroupElement``, in its stored chart."""
-        return cls(g.lattice, g.mode, g.coords)
+        """The oracle element of a ``GroupElement``."""
+        return cls(g.lattice, "second", g.second())
 
     def first(self):
-        if self.mode == "first":
-            return self.coords
-        return self.lattice.to_first_kind(self.coords)
+        if "first" not in self.charts:
+            self.charts["first"] = _eval_second_kind(self.lattice, self.charts["second"])
+        return self.charts["first"]
 
     def second(self):
-        if self.mode == "second":
-            return self.coords
-        return self.lattice.to_second_kind(self.coords)
+        if "second" not in self.charts:
+            self.charts["second"] = _chart_fixed_point(self.lattice, self.charts["first"])
+        return self.charts["second"]
+
+    def _exp(self, z):
+        return FractionElement(self.lattice, "first", z)
 
     def __mul__(self, other):
-        z = self.lattice.second_kind_law((*self.second(), *other.second()))
-        return FractionElement(self.lattice, "second", z)
+        return self._exp(self.lattice.bch(self.first(), other.first()))
 
     def inverse(self):
-        return FractionElement(self.lattice, "second",
-                               self.lattice.second_kind_inverse(self.second()))
+        return self._exp(tuple(-c for c in self.first()))
 
     def __pow__(self, exponent):
         lam = Fraction(exponent)
         if vp_rational(lam, self.lattice.p) < 0:
             raise NotPIntegral("exponent must be p-integral")
-        return FractionElement(self.lattice, "first", tuple(lam * c for c in self.first()))
+        return self._exp(tuple(lam * c for c in self.first()))
 
     def commutator(self, other):
-        z = self.lattice.commutator_law((*self.second(), *other.second()))
-        return FractionElement(self.lattice, "second", z)
+        return self.inverse() * other.inverse() * self * other
 
     def conjugate(self, by):
         return by.inverse() * self * by
@@ -295,9 +299,9 @@ def p_valuation_oracle(pairs):
 
 def pro2_sweep_oracle(lattice, level, i, j):
     """``groups.check_powerful_commutator`` as a loop over single points:
-    one ``SecondKindLaw.ints`` call per pair of window representatives
+    one ``SecondKindLaw.reduced`` call per pair of window representatives
     and the level in the quotient read off the p-valuations of the
-    numerators.  Returns (pairs checked, None), or (pairs checked before
+    coordinates.  Returns (pairs checked, None), or (pairs checked before
     it, (a, b, second-kind coordinates of [a, b])) at the first escaping
     pair in (a, b) order."""
     p, law = lattice.p, lattice.commutator_law
@@ -310,13 +314,10 @@ def pro2_sweep_oracle(lattice, level, i, j):
     checked = 0
     for a in window(i, min(j, level - i + 1)):
         for b in window(j, min(i, level - j + 1)):
-            nums, scale = law.ints((*a, *b))
-            low = level
-            for n, den in zip(nums, law.denoms):
-                if n:
-                    low = min(low, vp_rational(Fraction(n, den * scale), p))
+            nums, den = law.reduced((*a, *b), 1)
+            low = min([level] + [vp_rational(Fraction(n, den), p) for n in nums if n])
             if 1 + low < bound:
-                return checked, (a, b, law((*a, *b)))
+                return checked, (a, b, tuple(Fraction(n, den) for n in nums))
             checked += 1
     return checked, None
 

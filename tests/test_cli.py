@@ -144,6 +144,33 @@ def test_bad_pro2_level_rejected(level):
         JobConfig.from_dict(_pro2_job(level))
 
 
+@pytest.mark.parametrize("data, message", [
+    ([1], "config: must be a JSON object"),
+    ({"options": [1, 2]}, "options: must be an object"),
+    ({"options": {"pairs": "x"}}, "options.pairs: must be an integer >= 1"),
+    ({"options": {"trials": 0}}, "options.trials: must be an integer >= 1"),
+    ({"options": {"regseq_cap": True}}, "options.regseq_cap: must be an integer >= 1"),
+    ({"options": {"transfer_m": -1}}, "options.transfer_m: must be an integer >= 0"),
+    ({"options": {"pairz": 5}}, "options.pairz: unknown option"),
+    ({"truncation": True}, "truncation: must be an integer >= 1"),
+    ({"residual_precision": 2.0}, "residual_precision: must be an integer >= 1"),
+    ({"suites": "norms"}, "suites: must be a list of suite names"),
+], ids=["top-level-list", "options-list", "option-string", "option-zero", "option-bool",
+        "transfer-negative", "option-unknown", "truncation-bool", "precision-float",
+        "suites-string"])
+def test_bad_config_exits_two_naming_the_key(tmp_path, capsys, data, message):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(ConfigError, match=message):
+        JobConfig.from_dict(data)
+
+
+def test_transfer_m_zero_is_accepted():
+    assert JobConfig.from_dict({"options": {"transfer_m": 0}}).options["transfer_m"] == 0
+
+
 def test_reports_byte_identical(base_config):
     cfg1 = JobConfig.from_file(base_config)
     cfg2 = JobConfig.from_file(base_config)

@@ -15,7 +15,6 @@ from padicdist import (
     DistAlgebra,
     FieldSpec,
     FiniteQuotient,
-    GroupElement,
     LGroupSpec,
     LieLattice,
     abelian,
@@ -377,16 +376,28 @@ def test_structure_refusals_are_typed(k3u2, build, error, match):
 
 @pytest.mark.parametrize("build, match", [
     (lambda: LieLattice(3, 2, labels=("a",)), "one label per generator"),
-    (lambda: GroupElement(heisenberg(3), "third", (0, 0, 0)), "chart mode"),
     (lambda: heisenberg(3).identity() * heisenberg(3).identity(), "same lattice"),
+    (lambda: heisenberg(3).element_second((1, 2)), r"needs 3 int or Fraction .*, not \(1, 2\)"),
+    (lambda: heisenberg(3).element_second((1, 2, 3, 4)), r"needs 3 int or Fraction .* 4\)"),
+    (lambda: heisenberg(3).element_first((1, 2)), r"needs 3 int or Fraction .*, not \(1, 2\)"),
+    (lambda: DistAlgebra(heisenberg(3), FieldSpec.qp(3), 3).delta(
+        heisenberg(3).element_second((1, 2))), "needs 3 int or Fraction coordinates"),
+    (lambda: heisenberg(3).element_second((0.1, 0, 0)), "int or Fraction coordinates"),
+    (lambda: heisenberg(3).element_first((0, "1/2", 0)), "int or Fraction coordinates"),
+    (lambda: heisenberg(3).generator(0) ** 0.1, "exponent must be an int or a Fraction"),
+    (lambda: heisenberg(3).generator(0) * 3, "same lattice"),
+    (lambda: heisenberg(3).generator(0).commutator(None), "same lattice"),
+    (lambda: heisenberg(3).generator(0).conjugate(2), "same lattice"),
     (lambda: heisenberg(3).identity().level(), "identity"),
     (lambda: FiniteQuotient(heisenberg(3), 0), "level must be >= 1"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg(3), 4), 1, 1), "p = 2"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 2), 1, 2), "below i"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 4), 0, 1), "1 <= i, j"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 4), 2, -1), "1 <= i, j"),
-], ids=["labels", "mode", "lattices", "identity-level", "quotient-level", "prime",
-        "step-pair", "step-index-zero", "step-index-negative"])
+], ids=["labels", "lattices", "short-point", "long-point", "short-first-point",
+        "short-point-delta", "float-coordinate", "string-coordinate", "float-exponent",
+        "product-with-int", "commutator-with-none", "conjugate-by-int", "identity-level",
+        "quotient-level", "prime", "step-pair", "step-index-zero", "step-index-negative"])
 def test_group_argument_refusals_are_typed(build, match):
     with pytest.raises(PadicError, match=match) as info:
         build()
