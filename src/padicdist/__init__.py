@@ -49,7 +49,6 @@ from .radii import NormValue, Radius, dominant_log_index, log_tail_exponent, rad
 from .towers import (
     CosetSystem,
     coset_conditions,
-    delta_family,
     lower_p_transversal,
     norm_transfer_check,
     orthogonal_system_check,

@@ -205,6 +205,8 @@ def main(argv=None):
         parser.error(f"{args.command} {action} needs -r RADIUS")
     if (args.command, action) == ("dist", "mul") and len(args.expr) != 2:
         parser.error("dist mul needs two expressions")
+    if getattr(args, "samples", 1) < 1:
+        parser.error(f"--samples must be at least 1, not {args.samples}")
     try:
         return args.func(args)
     except PadicError as exc:

@@ -19,7 +19,8 @@ product, and each output coefficient is unpacked and reduced in K once.
 
 Distribution literals read and print as ``coeff * b1^2*b2 + ...``; the
 coefficient grammar admits integers, fractions, ``p``, ``pi``, ``w`` and
-products/powers of these.
+products/powers of these, and a malformed literal is refused with
+``ParseError`` at its position.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ class DistAlgebra:
         unreduced.  Per gamma the sum of c U V over the table's int rows is
         one int; each output gamma is unpacked once, its slots reduced in K
         (``FieldSpec._unpacked``), and one Scalar built over the denominator
-        a product of Scalars has.
+        a product of Scalars has.  Per alpha the sum walks alpha's nonempty
+        rows (``StructureConstants.rows_from``) when they are fewer than
+        mu's terms, and mu's terms otherwise.
 
         The slot width: slot w^A pi^B of U V adds at most [K:Q_p] products
         x y of operand coordinates (at most f ways to split A and e to split
@@ -153,43 +156,29 @@ class DistAlgebra:
         field, table = self.field, self.table
         lden, lterms = _cleared(lam)
         mden, mterms = _cleared(mu)
-        # reading den builds a non-abelian table, so its rows and peak are read after
+        # reading den builds a non-abelian table, so its peak is read after
         den = lden * mden * field._den * table.den
         bound = len(lterms) * len(mterms) * table._peak * field.degree * _peak(lterms) * _peak(mterms)
         width = bound.bit_length() + 1
-        rows, int_row = table._rows, table.int_row
-        mpacked = field._pack(mterms, width)
+        mvalue = dict(field._pack(mterms, width))
+        if not table._indices >= mvalue.keys():
+            # the walk of an alpha's rows would skip a beta outside the table
+            for beta in mvalue:
+                table._check(beta)  # raises at the first beta outside the table
         acc = {}
         get = acc.get
-        if table.lattice.abelian:
-            index, mvalue = {}, None
-        else:
-            index, mvalue = table.nonzero_rows(), dict(mpacked)
-            if not index.keys() >= mvalue.keys():
-                # the walk of an alpha's rows would skip a beta outside the table
-                for alpha, _, _ in lterms:
-                    for beta in mvalue:
-                        int_row(alpha, beta)  # raises at the first pair outside the table
         for alpha, U in field._pack(lterms, width):
-            hits = index.get(alpha)
-            if hits is not None and len(hits) <= len(mpacked):
+            rows = table.rows_from(alpha)  # raises DegreeOverflow outside the table
+            if len(rows) <= len(mvalue):
                 # alpha's nonempty rows, when fewer than mu's terms
-                for beta, row in hits:
-                    V = mvalue.get(beta)
-                    if V is not None:
-                        UV = U * V
-                        for gamma, c in row:
-                            acc[gamma] = get(gamma, 0) + c * UV
-                continue
-            for beta, V in mpacked:
-                row = rows.get((alpha, beta))
-                if row is None:
-                    row = int_row(alpha, beta)  # raises DegreeOverflow outside the table
-                if not row:
-                    continue
-                UV = U * V
-                for gamma, c in row:
-                    acc[gamma] = get(gamma, 0) + c * UV
+                pairs = zip(rows.values(), map(mvalue.get, rows))
+            else:
+                pairs = zip(map(rows.get, mvalue), mvalue.values())
+            for row, V in pairs:
+                if row and V is not None:
+                    UV = U * V
+                    for gamma, c in row:
+                        acc[gamma] = get(gamma, 0) + c * UV
         out = {}
         for gamma, vec in zip(acc, field._unpacked(acc.values(), width)):
             if any(vec):
@@ -402,6 +391,10 @@ _TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|/|\d+|pi|p|w|b\d+)")
 
 
 def _parse_distribution(algebra, text):
+    """A literal: terms joined by + and -, each a run of signs and then
+    factors joined by *, a factor being an int (optionally over an int),
+    p, pi, w or a generator, with an optional ^ and an int exponent.
+    Anything else is refused with ParseError at its position."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -410,19 +403,28 @@ def _parse_distribution(algebra, text):
             if text[pos:].strip() == "":
                 break
             raise ParseError(f"unexpected input {text[pos:pos + 8]!r}", position=pos)
-        tokens.append((m.group(1), pos))
+        tokens.append((m.group(1), m.start(1)))
         pos = m.end()
     if not tokens:
         raise ParseError("empty distribution literal", position=0)
+    tokens.append((None, len(text.rstrip())))  # the end of the literal
 
     field = algebra.field
     terms = {}
     idx = 0
 
     def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
+        return tokens[idx][0]
 
-    while idx < len(tokens):
+    def integer(what, at):
+        nonlocal idx
+        tok = peek()
+        if tok is None or not tok.isdigit():
+            raise ParseError(what, position=at)
+        idx += 1
+        return int(tok)
+
+    while peek() is not None:
         sign = 1
         while peek() in ("+", "-"):
             if peek() == "-":
@@ -430,46 +432,41 @@ def _parse_distribution(algebra, text):
             idx += 1
         coeff = field.scalar(sign)
         alpha = [0] * algebra.d
-        expect_factor = True
         while True:
-            tok = peek()
-            if tok is None or tok in ("+", "-"):
-                break
-            if tok == "*":
-                idx += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                break
-            base_pos = tokens[idx][1]
+            tok, base_pos = tokens[idx]
+            if tok is None or tok in ("+", "-", "*", "^", "/"):
+                found = "the end" if tok is None else repr(tok)
+                raise ParseError(f"expected a factor, found {found}", position=base_pos)
             idx += 1
             power = 1
             if peek() == "^":
                 idx += 1
-                if peek() is None or not peek().isdigit():
-                    raise ParseError("exponent must be an integer", position=base_pos)
-                power = int(peek())
-                idx += 1
+                power = integer("exponent must be an integer", base_pos)
             if tok.isdigit():
-                num = int(tok)
+                den = 1
                 if peek() == "/":
                     idx += 1
-                    if peek() is None or not peek().isdigit():
-                        raise ParseError("bad fraction", position=base_pos)
-                    coeff = coeff * Fraction(num, int(peek())) ** power
-                    idx += 1
-                else:
-                    coeff = coeff * Fraction(num) ** power
+                    den_pos = tokens[idx][1]
+                    den = integer("bad fraction", base_pos)
+                    if not den:
+                        raise ParseError("zero denominator", position=den_pos)
+                coeff = coeff * Fraction(int(tok), den) ** power
             elif tok == "p":
                 coeff = coeff * Fraction(field.p) ** power
             elif tok == "pi":
                 coeff = coeff * field.uniformizer() ** power
             elif tok == "w":
                 coeff = coeff * field.unram_gen() ** power
-            elif tok.startswith("b"):
+            else:
                 k = _generator_index(algebra, tok, base_pos)
                 alpha[k] += power
-            expect_factor = False
+            tok, at = tokens[idx]
+            if tok == "*":
+                idx += 1
+            elif tok is None or tok in ("+", "-"):
+                break
+            else:
+                raise ParseError(f"expected *, + or - before {tok!r}", position=at)
         key = tuple(alpha)
         if sum(key) > algebra.N:
             raise ParseError(f"monomial degree {sum(key)} exceeds N = {algebra.N}")

@@ -51,6 +51,12 @@ from .radii import kappa, vp_int, vp_rational
 INF = math.inf
 
 
+def require_step(m):
+    """Refuse a lower-p-series step m < 0 with InvalidArgument."""
+    if m < 0:
+        raise InvalidArgument(f"the step m = {m} must be >= 0")
+
+
 @lru_cache(maxsize=None)
 def _hausdorff_words(depth):
     """Summed Hausdorff-series coefficients, grouped by word.
@@ -289,6 +295,7 @@ class LieLattice:
 
     def step(self, m):
         """The lattice of the m-th lower-p-series step (basis p^m X_i)."""
+        require_step(m)
         scale = Fraction(self.p) ** m
         br = {}
         for i in range(self.d):
@@ -887,6 +894,7 @@ class LGroupSpec:
 
     def step(self, m):
         """The spec of the m-th lower-p-series step (basis v_i (p^m x_j))."""
+        require_step(m)
         scale = Fraction(self.field.p) ** m
         br = {
             key: tuple(tuple(c * scale for c in o_elem) for o_elem in entry)

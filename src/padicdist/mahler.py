@@ -11,11 +11,13 @@ the product, one slice subtraction per grid line.  A non-abelian table
 is built whole on its first missing row: the integer law gives each
 point of simplex x simplex one packed int, a signed slot per gamma over
 one common denominator, and one transform of that list gives every row;
-abelian rows have a closed form.  A table holds each row once, as
-(gamma, int) pairs over one denominator shared by the whole table, the
-form ``DistAlgebra.mul`` sums in.  Every table is exact, so that
-denominator and the int rows, as built, serialize to a versioned cache
-file keyed by (group digest, N) alone.
+abelian rows have a closed form, made per alpha on first use.  A table
+holds only its nonempty rows, alpha -> {beta: row}, each row (gamma,
+int) pairs over one denominator shared by the whole table: the form
+``DistAlgebra.mul`` walks per alpha.  Every table is exact, so a
+non-abelian table's denominator and rows, as built, serialize to a
+versioned cache file keyed by (group digest, N) alone; an abelian table
+is not cached, its closed form costing less than a load.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 from fractions import Fraction
-from itertools import product
+from itertools import takewhile
 from math import comb, factorial, gcd, lcm, prod
 from operator import sub
 from pathlib import Path
@@ -33,7 +35,7 @@ from .groups import first_indivisible
 from .indices import add_index, iter_multi_indices
 from .radii import vp_int, vp_rational
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 def mahler_coefficients(values, factors):
@@ -131,12 +133,14 @@ class StructureConstants:
 
     Rows are exact: the value at every stored gamma (|gamma| <= N) is the
     true coefficient, obtained from finite differences of the group law,
-    not from truncated series chaining.  ``int_row`` gives a row as
-    (gamma, n) pairs, the coefficient being n / ``den``, one denominator
-    for the whole table, which reading ``den`` builds if it was not loaded;
-    ``row`` gives a row as a dict of Fractions.  ``_peak``, the largest
-    |n|, is read where the rows are walked anyway (the build and the cache
-    load); ``DistAlgebra.mul`` sizes its packed slots by it.
+    not from truncated series chaining.  ``rows_from(alpha)`` gives the
+    nonempty rows of alpha as {beta: ((gamma, n), ...)}, the coefficient
+    being n / ``den``, one denominator for the whole table, which reading
+    ``den`` builds if it was not loaded; ``int_row`` gives one row of it
+    (empty if absent) and ``row`` the same as a dict of Fractions.
+    ``_peak``, the largest |n|, is read where the rows are walked anyway
+    (the build and the cache load); ``DistAlgebra.mul`` sizes its packed
+    slots by it, and tests its operands against ``_indices``.
     ``has_tail(alpha, beta)`` reports whether degrees beyond N were
     discarded for that row.
     """
@@ -144,14 +148,14 @@ class StructureConstants:
     def __init__(self, lattice, N, cache_dir=None):
         self.lattice = lattice
         self.N = N
-        self._rows = {}         # (alpha, beta) -> ((gamma, n), ...), c = n / den
-        self._den = 1
+        self._rows = {}         # alpha -> {beta: ((gamma, n), ...)}, nonempty rows, c = n / den
+        self._den = 1 if lattice.abelian else None  # None until built or loaded
         self._peak = 1          # max |n| over the rows; an abelian row is n = den = 1
         self._gammas = list(iter_multi_indices(lattice.d, N))
+        self._indices = frozenset(self._gammas)
         self._built = False     # rows computed here, not only loaded
-        self._nonzero = None    # alpha -> [(beta, row)], nonempty rows; see nonzero_rows
         self._cache_path = None
-        if cache_dir is not None:
+        if cache_dir is not None and not lattice.abelian:
             key = f"sc-{lattice.structure_digest()}-N{N}-v{CACHE_FORMAT_VERSION}"
             self._cache_path = Path(cache_dir) / f"{key}.bin"
             self._load_cache()
@@ -186,49 +190,42 @@ class StructureConstants:
     def den(self):
         """The one denominator of every entry.  A non-abelian table is built
         whole, so it is built here if it was not loaded."""
-        if not self._rows and not self.lattice.abelian:
+        if self._den is None:
             self._build()
         return self._den
+
+    def _check(self, index):
+        """Refuse a row index above N with DegreeOverflow, and any other
+        that is not a multi-index of the table with PadicError."""
+        if sum(index) > self.N:
+            raise DegreeOverflow(f"row index {index} outside the degree-{self.N} table",
+                                 required_degree=sum(index))
+        if len(index) != self.lattice.d or min(index) < 0:
+            raise PadicError(f"row index {index} is not a multi-index in N_0^{self.lattice.d}")
+
+    def rows_from(self, alpha):
+        """The nonempty rows of alpha, {beta: ((gamma, n), ...)} with beta
+        in ``_gammas`` order and c^gamma_{alpha beta} = n / ``den``.  A
+        non-abelian table is built whole on the first read; an abelian
+        alpha's rows are b^alpha b^beta = b^(alpha + beta), made here, the
+        beta with |beta| <= N - |alpha| being a prefix of ``_gammas``."""
+        rows = self._rows.get(alpha)
+        if rows is not None:
+            return rows
+        self._check(alpha)
+        if not self.lattice.abelian:
+            self._build()
+            return self._rows[alpha]
+        room = self.N - sum(alpha)
+        betas = takewhile(lambda beta: sum(beta) <= room, self._gammas)
+        rows = self._rows[alpha] = {beta: ((add_index(alpha, beta), 1),) for beta in betas}
+        return rows
 
     def int_row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as sparse (gamma, n)
         pairs with c = n / ``den``."""
-        if sum(alpha) > self.N or sum(beta) > self.N:
-            raise DegreeOverflow(
-                f"row ({alpha}, {beta}) outside the degree-{self.N} table",
-                required_degree=max(sum(alpha), sum(beta)),
-            )
-        key = (alpha, beta)
-        out = self._rows.get(key)
-        if out is not None:
-            return out
-        for index in key:
-            if len(index) != self.lattice.d or min(index) < 0:
-                raise PadicError(
-                    f"row index {index} is not a multi-index in N_0^{self.lattice.d}"
-                )
-        if self.lattice.abelian:
-            gamma = add_index(alpha, beta)
-            out = ((gamma, self._den),) if sum(gamma) <= self.N else ()
-            self._rows[key] = out
-            self._built = True
-            return out
-        self._build()
-        return self._rows[key]
-
-    def nonzero_rows(self):
-        """alpha -> [(beta, row), ...] over the nonempty rows of a non-abelian
-        table, in the order of ``_rows`` (``_build``'s grid order, which the
-        cache file keeps: beta in ``_gammas`` order); built, with the table
-        if it was neither built nor loaded, on the first call."""
-        if self._nonzero is None:
-            self.den  # builds a non-abelian table that was neither built nor loaded
-            index = {a: [] for a in self._gammas}
-            for (a, b), r in self._rows.items():
-                if r:
-                    index[a].append((b, r))
-            self._nonzero = index
-        return self._nonzero
+        self._check(beta)
+        return self.rows_from(alpha).get(beta, ())
 
     def row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as a sparse dict of Fractions."""
@@ -307,12 +304,16 @@ class StructureConstants:
         del values
         scales = [denom ** sum(g) * prod(map(factorial, g)) for g in self._gammas]
         den = lcm(*(scales[g] // gcd(v, scales[g]) for entries in found for g, v in entries))
-        # the row keys share the index tuples of _gammas (a smaller cache file)
+        # found is alpha-major; each alpha's zip takes the next len(gammas)
+        # rows.  The keys share the index tuples of _gammas (a smaller cache file)
+        found = iter(found)
         self._rows = {
-            key: tuple((self._gammas[g], v * den // scales[g]) for g, v in entries)
-            for key, entries in zip(product(gammas, repeat=2), found)
+            alpha: {beta: tuple((gammas[g], v * den // scales[g]) for g, v in entries)
+                    for beta, entries in zip(gammas, found) if entries}
+            for alpha in gammas
         }
-        self._peak = max((abs(n) for row in self._rows.values() for _, n in row), default=1)
+        self._peak = max((abs(n) for rows in self._rows.values() for row in rows.values()
+                          for _, n in row), default=1)
         self._den = den
         self._built = True
 
@@ -336,20 +337,16 @@ class StructureConstants:
         p = self.lattice.p
         checked = 0
         shift = vp_int(self.den, p)  # builds a non-abelian table not loaded
-        if self.lattice.abelian:
-            # abelian rows are made lazily, one per read
-            rows = (((a, b), self.int_row(a, b)) for a in self._gammas for b in self._gammas)
-        else:
-            rows = self._rows.items()  # every row, alpha-major in _gammas order
-        for (alpha, beta), entries in rows:
-            top = kappa * (sum(alpha) + sum(beta))
-            for gamma, n in entries:
-                if vp_int(n, p) - shift < top - kappa * sum(gamma):
-                    raise CounterexampleFound(
-                        "structure-constant valuation bound fails",
-                        witness=(alpha, beta, gamma, Fraction(n, self.den)),
-                    )
-                checked += 1
+        for alpha in self._gammas:
+            for beta, entries in self.rows_from(alpha).items():
+                top = kappa * (sum(alpha) + sum(beta))
+                for gamma, n in entries:
+                    if vp_int(n, p) - shift < top - kappa * sum(gamma):
+                        raise CounterexampleFound(
+                            "structure-constant valuation bound fails",
+                            witness=(alpha, beta, gamma, Fraction(n, self.den)),
+                        )
+                    checked += 1
         if self._built:
             self.save()
         return checked
@@ -401,26 +398,26 @@ class StructureConstants:
             return
         self._rows = rows
         self._den = den
-        # an abelian row computed after the load is (gamma, den)
-        self._peak = max(peak, den) if self.lattice.abelian else peak
+        self._peak = peak
 
     def _valid_rows(self, rows):
         """The largest |n| (at least 1) of cached rows, or None unless they
-        map index pairs to tuples of (multi-index, int) pairs (an entry of
-        another length raises on unpacking); a non-abelian table must hold
-        every row, since it is built whole."""
-        indices = set(self._gammas)
-        if not all(type(key) is tuple and len(key) == 2 and set(key) <= indices for key in rows):
-            return None
-        if not (self.lattice.abelian or len(rows) == len(indices) ** 2):
+        map every alpha of the table (it is built whole) to a dict from
+        betas of the table to nonempty tuples of (multi-index, int) pairs
+        (an entry of another length raises on unpacking)."""
+        indices = self._indices
+        if type(rows) is not dict or rows.keys() != indices:
             return None
         peak = 1
-        for row in rows.values():
-            if type(row) is not tuple:
+        for inner in rows.values():
+            if type(inner) is not dict or not inner.keys() <= indices:
                 return None
-            for g, n in row:
-                if g not in indices or type(n) is not int:
+            for row in inner.values():
+                if type(row) is not tuple or not row:
                     return None
-                if n > peak or -n > peak:
-                    peak = abs(n)
+                for g, n in row:
+                    if g not in indices or type(n) is not int:
+                        return None
+                    if n > peak or -n > peak:
+                        peak = abs(n)
         return peak

@@ -12,7 +12,9 @@ table ``_slot_products``); all arithmetic runs in the number field
 Q[w, pi]/(g, E), so every valuation, absolute value and residue reported
 here is certified, never rounded.  The precision M is a serialization
 budget: it bounds how many uniformizer digits the text form carries, and
-round-trips are bit-exact at that budget.
+round-trips are bit-exact at that budget.  An element enters K only as an
+int, a ``Fraction`` or a Scalar of the field; a float or a string is
+refused with InvalidArgument.
 
 Valuations are counted in uniformizer units, v(pi) = 1, and the
 normalized absolute value is |x| = p^(-v(x)/e).  The text form of a
@@ -24,7 +26,7 @@ The residue field k = F_q, q = p^f, holds each element as one int code in
 [0, q), whose base-p digits are its coordinates over 1, w, ..., w^(f-1).
 Each ``ResidueField`` builds, on its first product or sum, the discrete
 logs and antilogs of one primitive element and its Zech logarithms
-log(1 + g^d), tables of size q; every product, inverse, power, p-th root,
+log(1 + g^d), tables of size q; every product, inverse, power,
 sum and difference of codes is then a few table lookups, and the
 row operations of ``grading.Subspace`` run on the same tables, through
 ``ResidueField.sub_scaled_row``.  Fields with q above ``MAX_RESIDUE_ORDER``
@@ -397,13 +399,6 @@ class ResidueElem:
             return self.field.one() if n == 0 else self
         return ResidueElem(self.field, self.field._pow(self.code, n))
 
-    def pth_root(self, h=1):
-        """The unique p^h-th root (Frobenius is bijective on F_q)."""
-        if self.is_zero:
-            return self
-        exp = pow(self.field.p, (self.field.f - 1) * h, self.field.order - 1)
-        return self**exp
-
     def __eq__(self, other):
         return (
             isinstance(other, ResidueElem)
@@ -432,6 +427,14 @@ class ResidueElem:
 
 # ---------------------------------------------------------------------------
 # the field K
+
+def _rational(x):
+    """An int or a Fraction x as a Fraction; any other value (a float, a
+    string) is refused with InvalidArgument."""
+    if not isinstance(x, (int, Fraction)):
+        raise InvalidArgument(f"an element of K needs an int or a Fraction, not {x!r}")
+    return Fraction(x)
+
 
 class FieldSpec:
     """A finite extension K of Q_p, with a serialization budget M.
@@ -614,11 +617,11 @@ class FieldSpec:
         sum(map(mul, x, cols[k])), over d."""
         return tuple(zip(*(self._mul_vec(num, unit) for unit in self._units))), den * self._den
 
-    def _sub_times(self, prev, x, xden, times):
-        """pn/pd - (x/xden) y for prev = (pn, pd) and ``times`` = ``_times`` of
-        y: (num, den, v), reduced by one gcd as ``Scalar`` keeps it, with v
-        its valuation (+inf for zero)."""
-        (pn, pd), (cols, d) = prev, times
+    def _sub_times(self, pn, pd, x, xden, times):
+        """pn/pd - (x/xden) y for ``times`` = ``_times`` of y: (num, den, v),
+        reduced by one gcd as ``Scalar`` keeps it, with v its valuation
+        (+inf for zero)."""
+        cols, d = times
         d *= xden
         num = [a * d - sum(map(mul, x, col)) * pd for a, col in zip(pn, cols)]
         den = pd * d
@@ -699,11 +702,13 @@ class FieldSpec:
     # -- public constructors ---------------------------------------------------
 
     def scalar(self, x):
+        """x as an element of K: a Scalar of this field, an int or a Fraction;
+        any other value is refused with InvalidArgument."""
         if isinstance(x, Scalar):
             if x.field != self:
                 raise InvalidArgument("scalar from a different field")
             return x
-        x = Fraction(x)
+        x = _rational(x)
         return Scalar(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
 
     def zero(self):
@@ -721,7 +726,7 @@ class FieldSpec:
         return Scalar(self, self._units[1])
 
     def from_coords(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(_rational, coords))
         if len(coords) != self.degree:
             raise InvalidArgument(f"need {self.degree} coordinates")
         return self._from_fractions(coords)
@@ -859,7 +864,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def scale(self, q):
-        q = Fraction(q)
+        q = _rational(q)
         n = q.numerator
         return Scalar(self.field, tuple(a * n for a in self.num), self.den * q.denominator)
 
@@ -875,6 +880,8 @@ class Scalar:
         return self * other.inv()
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            raise InvalidArgument(f"a power of a scalar needs an int exponent, not {n!r}")
         if n < 0:
             return self.inv() ** (-n)
         out = self.field.one()

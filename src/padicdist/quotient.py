@@ -14,6 +14,7 @@ then the plain coefficient formula on that canonical form.  The reduction
 implemented here rewrites the leading form one symbol occurrence at a
 time, strictly decreasing a well-founded filtration measure, and carries
 a certified residual bound p^(-M') instead of claiming bare equalities.
+The working residue is one dict of terms with one heap of leads.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .distalg import DistAlgebra, Distribution, ExponentScale
 from .errors import (
@@ -41,24 +43,22 @@ INF = math.inf
 class KernelFamily:
     """The kernel generators of a restricted group, truncated at degree N.
 
-    ``shifted_gen(i, j, alpha)`` memoizes G_ij * b^alpha, the product with
-    coefficient 1.  Every canonicalization step subtracts such a product
-    times one scalar c, and the memo is exact: the table product is
-    K-bilinear, so mul(G_ij, c b^alpha) is c times it term by term, with
-    the same support in the same order (c != 0 in a field), and a Scalar's
-    reduced form is canonical, so g * c in ints equals the coefficient
-    ``mul`` builds bit for bit.  The products depend on no radius, and
-    canonicalization asks only for |alpha| < N, so the memo stays bounded.
-    ``_shift_keys`` holds, per radius, what ``canonicalize`` reads of each
-    product: its tail key and a (gamma, g.num, g.den, w |gamma|) per term
-    g b^gamma, keyed by (i, j, alpha); at a fixed radius they depend on
-    nothing else.
+    ``_shift_keys`` is the one memo of canonicalization: per radius, keyed
+    by (i, j, alpha), what ``canonicalize`` reads of the product G_ij *
+    b^alpha with coefficient 1, that is its tail key and a (gamma, g.num,
+    g.den, w |gamma|, grlex_key(gamma)) per term g b^gamma.  Every step
+    subtracts such a product times one scalar c, and the memo is exact: the
+    table product is K-bilinear, so mul(G_ij, c b^alpha) is c times it term
+    by term, with the same support in the same order (c != 0 in a field),
+    and a Scalar's reduced form is canonical, so g * c in ints equals the
+    coefficient ``mul`` builds bit for bit.  At a fixed radius the entry
+    depends on nothing else, and canonicalization asks only for |alpha| <
+    N, so the memo stays bounded.
     """
 
     def __init__(self, lgspec, algebra):
         self.lgspec = lgspec
         self.algebra = algebra
-        self._shifted = {}
         self._shift_keys = {}  # radius -> {(i, j, alpha): (tail key, terms)}
         self._gens = {}
         for j in range(1, lgspec.d + 1):
@@ -84,15 +84,6 @@ class KernelFamily:
         if i == 1:
             return self.algebra.zero()
         return self._gens[(i, j)]
-
-    def shifted_gen(self, i, j, alpha):
-        """G_ij * b^alpha through the table, memoized per (i, j, alpha)."""
-        key = (i, j, alpha)
-        prod = self._shifted.get(key)
-        if prod is None:
-            alg = self.algebra
-            prod = self._shifted[key] = alg.mul(self._gens[(i, j)], alg.monomial(alpha))
-        return prod
 
     # -- projections --------------------------------------------------------------
 
@@ -283,19 +274,21 @@ def canonicalize(fam, lam, r, mprime):
     everything else strictly deeper.  The filtration degrees live in a
     discrete rational lattice, so the loop reaches the target p^(-mprime).
 
-    The working residue is one dict changed in place, each coefficient an
-    int vector over one positive int reduced as a Scalar is, each term's
-    scaled key beside it and the terms grouped by key, so a step costs
-    time in the terms it touches: the leading level is the least key, and
-    a term that cancels or appears moves in the dict order that
-    ``Distribution.__sub__`` gives.  The subtracted product is c times the
-    memoized G_ij * b^alpha' (``KernelFamily.shifted_gen``): each touched
-    term becomes prev - g c in ints, one gcd giving its reduced form and
-    valuation (``FieldSpec._sub_times``); Scalars are built only for the
-    canonical part.  The tail key is that of G_ij * b^alpha' plus b v(c),
-    every candidate of ``ExponentScale.mul_tail`` and of the log tail
-    moving by the same v(c); it and the product's terms are kept on the
-    family per radius (``KernelFamily._shift_keys``).
+    The working residue is one dict changed in place, alpha -> (num, den,
+    key): an int vector over one positive int reduced as a Scalar is, and
+    the term's scaled key.  One heap holds (key, grlex_key(alpha), alpha)
+    entries, one pushed whenever a term takes a new key, so the least live
+    entry is the lead (least key, then least in grlex order); an entry whose
+    term has left or changed key is dropped when it surfaces, and the lead's
+    entry is only peeked at, so a lead whose key does not change stays live.
+    A step thus costs time in the terms it touches.  The subtracted product
+    is c times G_ij * b^alpha': each touched term becomes prev - g c in
+    ints, one gcd giving its reduced form and valuation
+    (``FieldSpec._sub_times``); Scalars are built only for the canonical
+    part.  The tail key is that of G_ij * b^alpha' plus b v(c), every
+    candidate of ``ExponentScale.mul_tail`` and of the log tail moving by
+    the same v(c); it and the product's terms are kept on the family per
+    radius (``KernelFamily._shift_keys``).
     """
     _require_h0(fam, r)
     alg = fam.algebra
@@ -310,26 +303,28 @@ def canonicalize(fam, lam, r, mprime):
     log_tail = scale.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
     field = alg.field
     sub_times = field._sub_times
-    zero = ((0,) * field.degree, 1)
-    work = {}  # alpha -> (int vector, positive int), reduced as a Scalar is
-    keys = {}
-    levels_at = {}  # key -> the set of alpha with that key
-    for alpha, c in lam.coeffs.items():
-        work[alpha] = (c.num, c.den)
-        _rekey(keys, levels_at, alpha, scale.key(c, alpha))
-    # (i, j, alpha') -> (tail key at v(c) = 0, [(gamma, num, den, w |gamma|)])
+    absent = ((0,) * field.degree, 1, None)
+    # alpha -> (int vector, positive int, key), reduced as a Scalar is
+    work = {alpha: (c.num, c.den, scale.key(c, alpha)) for alpha, c in lam.coeffs.items()}
+    # (key, grlex_key(alpha), alpha), one per key a term has taken
+    heap = [(key, grlex_key(alpha), alpha) for alpha, (_, _, key) in work.items()]
+    heapify(heap)
+    # (i, j, alpha') -> (tail key at v(c) = 0, [(gamma, num, den, w |gamma|, grlex)])
     shifts = fam._shift_keys.setdefault(r, {})
     # the first X_ij, i >= 2, that a lead contains is the one cleared
     pairs = [(i, j, lg.flat_index(i, j)) for i, j in fam.pairs]
     canon = {}
     residual = INF
-    steps = 0
-    levels = 0
+    steps = levels = 0
     last_level = None
     max_steps = 4000 + 200 * (mprime + alg.N) * (lg.n * lg.d)
 
-    while work:
-        s = min(levels_at)
+    while heap:
+        s, _, lead = heap[0]
+        pn, pd, key = work.get(lead, absent)
+        if key != s:
+            heappop(heap)  # the term has left the residue or changed key
+            continue
         if s >= target_key:
             break
         if s != last_level:
@@ -342,21 +337,21 @@ def canonicalize(fam, lam, r, mprime):
                 )
             levels += 1
             last_level = s
-        lead = min(levels_at[s], key=grlex_key)
         target = next((pair for pair in pairs if lead[pair[2]]), None)
         if target is None:
-            _add_canonical(fam, canon, lead, work.pop(lead))
-            _rekey(keys, levels_at, lead, None)
+            del work[lead]
+            _add_canonical(fam, canon, lead, pn, pd)
         else:
             i, j, ij = target
             alpha_prime = tuple(a - (t == ij) for t, a in enumerate(lead))
             shift = shifts.get((i, j, alpha_prime))
             if shift is None:
                 # the generator's own discarded log tail, times the monomial
+                gen, mono = fam.gen(i, j), alg.monomial(alpha_prime)
                 gen_tail = w * sum(alpha_prime) + log_tail
-                tail0 = min(scale.mul_tail(fam.gen(i, j), alg.monomial(alpha_prime)), gen_tail)
-                prod = fam.shifted_gen(i, j, alpha_prime)
-                terms = [(gamma, g.num, g.den, w * sum(gamma)) for gamma, g in prod.coeffs.items()]
+                tail0 = min(scale.mul_tail(gen, mono), gen_tail)
+                terms = [(gamma, g.num, g.den, w * sum(gamma), grlex_key(gamma))
+                         for gamma, g in alg.mul(gen, mono).coeffs.items()]
                 shift = shifts[(i, j, alpha_prime)] = (tail0, terms)
             tail0, terms = shift
             tail = tail0 + s - w * sum(lead)  # the lead's key is b v(c) + w |lead|
@@ -368,54 +363,39 @@ def canonicalize(fam, lam, r, mprime):
                     required_degree=need,
                 )
             residual = min(residual, tail)
-            times = field._times(*work[lead])
-            for gamma, gnum, gden, wdeg in terms:
-                num, den, v = sub_times(work.get(gamma, zero), gnum, gden, times)
+            times = field._times(pn, pd)
+            for gamma, gnum, gden, wdeg, grlex in terms:
+                pn, pd, old = work.get(gamma, absent)
+                num, den, v = sub_times(pn, pd, gnum, gden, times)
                 if v == INF:
                     work.pop(gamma, None)
-                    _rekey(keys, levels_at, gamma, None)
                 else:
-                    work[gamma] = (num, den)
-                    _rekey(keys, levels_at, gamma, b * v + wdeg)
+                    key = b * v + wdeg
+                    work[gamma] = (num, den, key)
+                    if key != old:
+                        heappush(heap, (key, grlex, gamma))
         steps += 1
         if steps > max_steps:
             raise PrecisionExhausted("canonicalization exceeded its step budget")
 
     # leftovers sit at or above the target: pure terms still belong to the
     # canonical part (exactly), everything else is bounded into the residual
-    for alpha, c in work.items():
+    for alpha, (num, den, key) in work.items():
         if fam.is_first_row(alpha):
-            _add_canonical(fam, canon, alpha, c)
+            _add_canonical(fam, canon, alpha, num, den)
         else:
-            residual = min(residual, keys[alpha])
+            residual = min(residual, key)
 
     canon = {beta: c for beta, c in canon.items() if not c.is_zero}
     residual = scale.unscale(residual)
     return CanonicalForm(fam, r, canon, residual, mprime, steps, levels)
 
 
-def _add_canonical(fam, canon, alpha, c):
-    """Add the first-row term c b^alpha, c = (num, den), to ``canon``."""
+def _add_canonical(fam, canon, alpha, num, den):
+    """Add the first-row term (num / den) b^alpha to ``canon``."""
     beta = fam.to_canonical_index(alpha)
-    c = Scalar(fam.algebra.field, tuple(c[0]), c[1])
+    c = Scalar(fam.algebra.field, tuple(num), den)
     canon[beta] = canon[beta] + c if beta in canon else c
-
-
-def _rekey(keys, levels_at, alpha, new):
-    """Set the key of alpha to ``new`` (None: alpha has left the residue)
-    and move it to that key's group of ``levels_at``."""
-    old = keys.pop(alpha, None)
-    if new is not None:
-        keys[alpha] = new
-    if old == new:
-        return
-    if old is not None:
-        group = levels_at[old]
-        group.discard(alpha)
-        if not group:
-            del levels_at[old]
-    if new is not None:
-        levels_at.setdefault(new, set()).add(alpha)
 
 
 def binomial_series(fam, v, j):

@@ -1,15 +1,16 @@
 """Lower-p-series subalgebras: restriction, orthogonal systems and transfer.
 
-The m-th step subalgebra is generated by b'_i = (1 + b_i)^(p^m) - 1.  The
-norm of the ambient algebra restricts on it to the intrinsic norm at the
-radius r^(p^m) whenever r^(kappa (p^m - 1)) > p^(-1); outside that range
-the generator norm flips to |p| r^kappa, which the hypothesis probe
-reports.  The p-power-root radius family delta^(1/p^m) transfers the
-quotient norm of a locally analytic group to the intrinsic norm of a deep
-step; the transfer check certifies exact exponent equality on the
-step-generator monomial sublattice through a nonvanishing-symbol
-certificate in the graded quotient, and reports two-sided exponent data
-for general combinations.
+The m-th step subalgebra (m >= 0; a negative m is refused with
+InvalidArgument) is generated by b'_i = (1 + b_i)^(p^m) - 1.  The norm of
+the ambient algebra restricts on it to the intrinsic norm at the radius
+r^(p^m) whenever r^(kappa (p^m - 1)) > p^(-1); outside that range the
+generator norm flips to |p| r^kappa, which the hypothesis probe reports.
+The p-power-root radius family delta^(1/p^m) transfers the quotient norm
+of a locally analytic group to the intrinsic norm of a deep step; the
+transfer check certifies exact exponent equality on the step-generator
+monomial sublattice through a nonvanishing-symbol certificate in the
+graded quotient, and reports two-sided exponent data for general
+combinations.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     UniqueAttainmentFailed,
 )
 from .grading import symbol_class_nonzero
+from .groups import require_step
 from .indices import iter_multi_indices
 from .radii import radius_root
 
@@ -38,6 +40,7 @@ INF = math.inf
 
 def step_generator(algebra, i, m):
     """b'_i = (1 + b_i)^(p^m) - 1, expanded exactly."""
+    require_step(m)
     p = algebra.lattice.p
     q = p**m
     if q > algebra.N:
@@ -52,6 +55,7 @@ def step_generator(algebra, i, m):
 
 def step_monomial(algebra, alpha, m):
     """The ordered monomial b'_1^(alpha_1) ... b'_d^(alpha_d)."""
+    require_step(m)
     p = algebra.lattice.p
     if p**m * sum(alpha) > algebra.N:
         raise DegreeOverflow(
@@ -68,6 +72,7 @@ def step_monomial(algebra, alpha, m):
 
 def restriction_hypothesis(r, m, kappa, p):
     """r^(kappa (p^m - 1)) > p^(-1), as an exact rational comparison."""
+    require_step(m)
     return kappa * (p**m - 1) * r.exponent < 1
 
 
@@ -90,6 +95,7 @@ def restriction_check(algebra, m, r, samples, rng):
     Raises HypothesisFailed with the boundary probe outside the admissible
     radius range, and CounterexampleFound on any norm disagreement.
     """
+    require_step(m)
     lat = algebra.lattice
     p, kappa = lat.p, algebra.kappa
     if not restriction_hypothesis(r, m, kappa, p):
@@ -139,6 +145,7 @@ def orthogonal_system(algebra, m):
     so bounding |beta| by N - p^m |alpha| lists the same beta in the same
     order as a larger bound (N, or min(d (p^m - 1), N)) with that filter.
     """
+    require_step(m)
     q = algebra.lattice.p**m
     system = []
     for alpha in iter_multi_indices(algebra.d, algebra.N // q):
@@ -242,6 +249,7 @@ class CosetSystem:
 
 def lower_p_transversal(lattice, m):
     """The canonical transversal {h^beta : beta < p^m componentwise}."""
+    require_step(m)
     reps = [
         lattice.element_second(beta)
         for beta in product(range(lattice.p**m), repeat=lattice.d)
@@ -323,11 +331,6 @@ def coset_conditions(cs, rng):
 # ---------------------------------------------------------------------------
 # the p-power-root radius family and norm transfer
 
-def delta_family(delta, p, kappa, count):
-    """The radii delta^(1/p^m) for m = 0..count-1; increasing towards 1."""
-    return [radius_root(delta, m, p, kappa) for m in range(count)]
-
-
 def norm_transfer_check(lgspec, delta, m, samples, rng):
     """Transfer of the quotient norm to the level-(m + kappa - 1) step.
 
@@ -341,6 +344,7 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
     intrinsic exponent is asserted; records carry both exponents so
     equivalence offsets are visible either way.
     """
+    require_step(m)
     field = lgspec.field
     p, kappa = field.p, field.kappa
     if p != 2:

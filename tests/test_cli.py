@@ -303,12 +303,18 @@ def test_grading_suite_on_ramified_lgroup():
 
 
 def test_sc_cache_flag(tmp_path, base_config):
-    cache = tmp_path / "cache"
-    assert main([
-        "run", "--config", str(base_config), "--suite", "norms",
-        "--sc-cache", str(cache), "--out", str(tmp_path / "r.txt"),
-    ]) == 0
-    assert list(cache.glob("sc-*.bin"))
+    """A heisenberg job writes its table to the cache directory; an abelian
+    job, whose rows have a closed form, writes none."""
+    heis = tmp_path / "heis.json"
+    heis.write_text(json.dumps({**json.loads(base_config.read_text()),
+                                "group": "heisenberg", "truncation": 4}))
+    for config, written in ((base_config, False), (heis, True)):
+        cache = tmp_path / f"cache-{config.stem}"
+        assert main([
+            "run", "--config", str(config), "--suite", "norms",
+            "--sc-cache", str(cache), "--out", str(tmp_path / "r.txt"),
+        ]) == 0
+        assert bool(list(cache.glob("sc-*.bin"))) == written
 
 
 def test_towers_orth_matches_suite_record(tmp_path, capsys):
@@ -353,12 +359,29 @@ def test_python_m_padicdist(base_config):
     (["dist", "norm", "b1", "--p", "3"], "dist norm needs -r RADIUS"),
     (["dist", "mul", "b1", "--p", "3"], "dist mul needs two expressions"),
     (["dist", "mul", "b1", "b1", "b1", "--p", "3"], "dist mul needs two expressions"),
-], ids=["restrict", "orth", "transfer", "norm", "mul-one", "mul-three"])
+    (["towers", "restrict", "-r", "3^-1/8", "--samples", "0"], "--samples must be at least 1"),
+    (["towers", "orth", "-r", "3^-1/4", "--samples", "-3"], "--samples must be at least 1"),
+], ids=["restrict", "orth", "transfer", "norm", "mul-one", "mul-three", "samples-zero",
+        "samples-negative"])
 def test_usage_errors_exit_two_without_traceback(argv, message):
     proc = _python_m_padicdist(*argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage:") and message in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["towers", "restrict", "-r", "3^-1/8", "-m", "-1"], "the step m = -1 must be >= 0"),
+    (["towers", "orth", "-r", "3^-1/4", "-m", "-1"], "the step m = -1 must be >= 0"),
+    (["towers", "cosets", "-m", "-1"], "the step m = -1 must be >= 0"),
+    (["towers", "transfer", "-r", "3^-2/3", "-m", "-1"], "the step m = -1 must be >= 0"),
+    (["dist", "mul", "1/0", "b1", "--p", "3"], "zero denominator (at position 2)"),
+], ids=["restrict", "orth", "cosets", "transfer", "zero-denominator"])
+def test_bad_input_exits_two_without_traceback(argv, message):
+    proc = _python_m_padicdist(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
 
 
 def test_bij_record_sizes_its_truncation(tmp_path, capsys):

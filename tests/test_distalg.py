@@ -189,6 +189,27 @@ def test_parse_and_format(ab1, heis_alg):
         ab1.parse("$$")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("2^3^4", 3),      # a stray ^
+    ("3/4^2", 3),
+    ("/3", 0),         # a stray /
+    ("^2", 0),
+    ("b1 b2", 3),      # two factors with no * between them
+    ("3 3", 2),
+    ("*b1", 0),        # a leading operator
+    ("b1 +", 4),       # a trailing operator
+    ("b1 *", 4),
+    ("b1 * * b2", 5),  # a doubled *
+    ("b1 + * b2", 5),
+    ("1/0", 2),        # a zero denominator
+])
+def test_parse_refuses_malformed_literals(heis_alg, text, position):
+    with pytest.raises(ParseError) as info:
+        heis_alg.parse(text)
+    assert info.value.position == position
+    assert f"(at position {position})" in str(info.value)
+
+
 def test_delta_unit_norms(heis_alg):
     rng = random.Random(35)
     r = Radius(1, 4)
@@ -220,8 +241,7 @@ def test_mul_walks_nonzero_rows_of_a_dense_operand(heis, q3):
     rng = random.Random(5)
     dense = alg.from_terms({g: Fraction(rng.randint(-9, 9), rng.choice([1, 3, 5])) for g in gammas})
     sparse = alg.from_terms({(1, 0, 0): 2, (0, 1, 1): Fraction(1, 3)})
-    index = alg.table.nonzero_rows()
-    assert any(len(index[g]) < len(dense.coeffs) for g in gammas)
+    assert any(len(alg.table.rows_from(g)) < len(dense.coeffs) for g in gammas)
     for lam, mu in ((dense, sparse), (sparse, dense), (dense, dense)):
         got = {gamma: c.coords for gamma, c in alg.mul(lam, mu).coeffs.items()}
         assert got == mul_oracle(alg, lam, mu)

@@ -394,10 +394,13 @@ def test_structure_refusals_are_typed(k3u2, build, error, match):
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 2), 1, 2), "below i"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 4), 0, 1), "1 <= i, j"),
     (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 4), 2, -1), "1 <= i, j"),
+    (lambda: abelian(2).step(-1), "m = -1 must be >= 0"),
+    (lambda: o_additive(FieldSpec.unramified(3, 2), 1).step(-1), "m = -1 must be >= 0"),
 ], ids=["labels", "lattices", "short-point", "long-point", "short-first-point",
         "short-point-delta", "float-coordinate", "string-coordinate", "float-exponent",
         "product-with-int", "commutator-with-none", "conjugate-by-int", "identity-level",
-        "quotient-level", "prime", "step-pair", "step-index-zero", "step-index-negative"])
+        "quotient-level", "prime", "step-pair", "step-index-zero", "step-index-negative",
+        "lattice-step", "lgroup-step"])
 def test_group_argument_refusals_are_typed(build, match):
     with pytest.raises(PadicError, match=match) as info:
         build()

@@ -165,16 +165,16 @@ def test_row_degree_guard(heis_alg):
 
 
 def test_cache_roundtrip(tmp_path, q3):
-    lat = abelian(2, p=3)
+    lat = heisenberg(3)
     t1 = StructureConstants(lat, 3, cache_dir=tmp_path)
-    r = t1.row((1, 0), (0, 2))
+    r = t1.row((1, 0, 0), (0, 2, 0))
     t1.save()
     t2 = StructureConstants(lat, 3, cache_dir=tmp_path)
-    assert ((1, 0), (0, 2)) in t2._rows  # loaded, not rebuilt
-    assert t2.row((1, 0), (0, 2)) == r
+    assert (0, 2, 0) in t2._rows[(1, 0, 0)]  # loaded, not rebuilt
+    assert t2.row((1, 0, 0), (0, 2, 0)) == r
     # key mismatch is ignored, not an error
     t3 = StructureConstants(lat, 2, cache_dir=tmp_path)
-    assert ((1, 0), (0, 2)) not in t3._rows
+    assert (1, 0, 0) not in t3._rows
 
 
 def test_cache_roundtrip_nonabelian(tmp_path):
@@ -222,11 +222,11 @@ def test_row_refuses_bad_indices(lattice, alpha, beta, bad):
 
 
 def test_cache_save_is_atomic(tmp_path, monkeypatch):
-    lat = abelian(2, p=3)
+    lat = heisenberg(3)
     t1 = StructureConstants(lat, 3, cache_dir=tmp_path)
-    r = t1.row((1, 0), (0, 2))
+    r = t1.row((1, 0, 0), (0, 2, 0))
     t1.save()
-    t1.row((0, 1), (1, 0))
+    saved = t1._cache_path.read_bytes()
 
     def failing_dump(obj, fh, protocol=None):
         fh.write(b"partial")
@@ -237,17 +237,18 @@ def test_cache_save_is_atomic(tmp_path, monkeypatch):
         t1.save()
     monkeypatch.undo()
     assert [f.name for f in tmp_path.iterdir()] == [t1._cache_path.name]
+    assert t1._cache_path.read_bytes() == saved
     t2 = StructureConstants(lat, 3, cache_dir=tmp_path)
-    assert list(t2._rows) == [((1, 0), (0, 2))]
-    assert t2.row((1, 0), (0, 2)) == r
+    assert t2._rows
+    assert t2.row((1, 0, 0), (0, 2, 0)) == r
 
 
 def _one_entry(payload, edit):
-    """The saved payload with the first entry of its first nonempty row
-    replaced by ``edit(entry)``."""
-    rows = payload["rows"]
-    key = next(key for key, row in rows.items() if row)
-    rows[key] = (edit(rows[key][0]), *rows[key][1:])
+    """The saved payload with the first entry of its first row replaced
+    by ``edit(entry)``."""
+    rows = next(iter(payload["rows"].values()))
+    beta = next(iter(rows))
+    rows[beta] = (edit(rows[beta][0]), *rows[beta][1:])
     return payload
 
 
@@ -301,7 +302,7 @@ def test_den_is_built_when_read_first():
     abelian table's rows are over 1."""
     table = StructureConstants(filiform(3), 3)
     assert table.den == 16
-    assert len(table._rows) == len(table._gammas) ** 2
+    assert list(table._rows) == table._gammas
     assert StructureConstants(abelian(2, p=3), 3).den == 1
 
 
@@ -311,9 +312,13 @@ def test_cache_holds_den_and_the_int_rows(tmp_path):
     den = t1.den
     t1.save()
     payload = pickle.loads(t1._cache_path.read_bytes())
-    assert payload["version"] == 2 and t1._cache_path.name.endswith("-v2.bin")
+    assert payload["version"] == 3 and t1._cache_path.name.endswith("-v3.bin")
     assert payload["den"] == den
-    assert payload["rows"] == {(a, b): t1.int_row(a, b) for a in gammas for b in gammas}
+    # every alpha, its nonempty rows only, beta in grid order
+    assert list(payload["rows"]) == gammas
+    for a in gammas:
+        rows = [(b, t1.int_row(a, b)) for b in gammas if t1.int_row(a, b)]
+        assert list(payload["rows"][a].items()) == rows
 
 
 def test_save_before_any_row_writes_the_whole_table(tmp_path, monkeypatch):
@@ -327,47 +332,50 @@ def test_save_before_any_row_writes_the_whole_table(tmp_path, monkeypatch):
 
     monkeypatch.setattr(StructureConstants, "_build", no_build)
     t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
-    assert len(t2._rows) == len(t2._gammas) ** 2
+    assert list(t2._rows) == t2._gammas
     assert (t2.den, t2._rows) == (t1.den, t1._rows)
 
 
 def test_peak_is_the_largest_entry_built_or_loaded(tmp_path):
     """``_peak``, the max |n| that ``DistAlgebra.mul`` sizes its packed
     slots by, is read off the rows as built and as loaded; an abelian
-    table's is at least its den, the entry of a row computed later."""
+    table, never cached, has den and every entry 1."""
     t1 = StructureConstants(filiform(3), 3, cache_dir=tmp_path)
     peak = max(abs(n) for a in t1._gammas for b in t1._gammas for _, n in t1.int_row(a, b))
     assert peak > 1 and t1._peak == peak
     t1.save()
     assert StructureConstants(filiform(3), 3, cache_dir=tmp_path)._peak == peak
     ab = StructureConstants(abelian(2, p=3), 3, cache_dir=tmp_path)
-    ab.int_row((1, 0), (0, 1))
-    ab.save()
-    payload = pickle.loads(ab._cache_path.read_bytes())
-    payload["den"], payload["rows"] = 5, {((1, 0), (0, 1)): (((1, 1), 5),)}
-    ab._cache_path.write_bytes(pickle.dumps(payload, protocol=4))
-    loaded = StructureConstants(abelian(2, p=3), 3, cache_dir=tmp_path)
-    assert loaded.den == 5 and loaded._peak == 5
+    assert ab.int_row((1, 0), (0, 1)) == (((1, 1), 1),)
+    assert ab.den == ab._peak == 1 and ab._cache_path is None
 
 
 def test_version_1_file_is_neither_loaded_nor_an_error(tmp_path):
-    """A file of the previous format, rows of reduced (n, d) pairs per
-    gamma, is a miss both under its own name and at the current path."""
+    """Files of the previous formats, rows of reduced (n, d) pairs per
+    gamma (version 1) and every (alpha, beta) row over one den (version 2),
+    are a miss both under their own names and at the current path."""
     gammas = list(iter_multi_indices(3, 3))
     t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
+    digest = t1.lattice.structure_digest()
     v1 = {
-        "version": 1, "digest": t1.lattice.structure_digest(), "N": 3,
+        "version": 1, "digest": digest, "N": 3,
         "rows": {key: {g: (c.numerator, c.denominator) for g, c in row.items()}
                  for key, row in rows.items()},
     }
-    v1_path = t1._cache_path.with_name(t1._cache_path.name.replace("-v2.bin", "-v1.bin"))
-    for path in (v1_path, t1._cache_path):
-        path.write_bytes(pickle.dumps(v1, protocol=4))
-        t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
-        assert not t2._rows
-        assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
-        path.unlink()
+    v2 = {
+        "version": 2, "digest": digest, "N": 3, "den": t1.den,
+        "rows": {(a, b): t1.int_row(a, b) for a in gammas for b in gammas},
+    }
+    for old in (v1, v2):
+        old_path = t1._cache_path.with_name(
+            t1._cache_path.name.replace("-v3.bin", f"-v{old['version']}.bin"))
+        for path in (old_path, t1._cache_path):
+            path.write_bytes(pickle.dumps(old, protocol=4))
+            t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+            assert not t2._rows
+            assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
+            path.unlink()
 
 
 def test_build_refuses_a_law_leaving_z_p():

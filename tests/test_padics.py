@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicdist import FieldSpec
+from padicdist import DistAlgebra, FieldSpec, abelian
 from padicdist.errors import DivisionByZero, InvalidArgument, NonUnit, PadicError, ParseError
 
 INF = math.inf
@@ -136,21 +136,20 @@ def test_refusals_are_typed(q3, k3u2):
         lambda: q3.unram_gen(),
         lambda: q3.scalar(k3u2.one()),
         lambda: q3.one() + k3u2.one(),
+        # a float or a string never enters K
+        lambda: q3.scalar(0.1),
+        lambda: q3.scalar("1/3"),
+        lambda: q3.from_coords([0.5]),
+        lambda: q3.one().scale(0.25),
+        lambda: q3.one() ** Fraction(1, 2),
+        lambda: q3.one() ** 0.5,
+        lambda: DistAlgebra(abelian(1, p=3), q3, 2).monomial((1,), 0.1),
     ]
     for refuse in refusals:
         with pytest.raises(InvalidArgument):
             refuse()
     assert issubclass(InvalidArgument, PadicError)
     assert issubclass(InvalidArgument, ValueError)
-
-
-def test_residue_field_pth_root(k3u2):
-    k = k3u2.residue_field
-    rng = random.Random(4)
-    for _ in range(20):
-        x = k.elem((rng.randrange(3), rng.randrange(3)))
-        assert x.pth_root() ** 3 == x
-        assert x.pth_root(2) ** 9 == x
 
 
 def test_tower_with_both_layers():

@@ -89,7 +89,7 @@ def test_sub_times_matches_scalar_arithmetic():
             times = field._times(c.num, c.den)
             for g in xs[1:]:
                 for prev in xs:
-                    num, den, v = field._sub_times((prev.num, prev.den), g.num, g.den, times)
+                    num, den, v = field._sub_times(prev.num, prev.den, g.num, g.den, times)
                     want = prev - g * c
                     assert (tuple(num), den, v) == (want.num, want.den, want.valuation), label
                     checked += 1

@@ -365,9 +365,10 @@ def test_canonicalize_matches_oracle_on_overflow(fam31):
 
 
 def test_one_family_at_two_radii_matches_fresh_families(k3u2):
-    """The shifted-generator memo is radius-free: one family reducing at
+    """The shifted-generator memo is kept per radius: one family reducing at
     3^-2/3 and 3^-3/4 in turn gives what a fresh family gives at each, and
-    every memo entry is the product G_ij * b^alpha it is keyed by."""
+    the terms of every memo entry are those of the product G_ij * b^alpha
+    it is keyed by."""
     lgspec = o_additive(k3u2, 1)
     shared = build_kernel_family(lgspec, 8)
     alg = shared.algebra
@@ -379,6 +380,9 @@ def test_one_family_at_two_radii_matches_fresh_families(k3u2):
             lam_fresh = Distribution(fresh.algebra, lam.coeffs)
             assert (_outcome(canonicalize, shared, lam, r, MP)
                     == _outcome(canonicalize, fresh, lam_fresh, r, MP))
-    assert shared._shifted
-    for (i, j, alpha), prod in shared._shifted.items():
-        assert prod == alg.mul(shared.gen(i, j), alg.monomial(alpha))
+    assert set(shared._shift_keys) == {R23, Radius(3, 4)}
+    for memo in shared._shift_keys.values():
+        assert memo
+        for (i, j, alpha), (_, terms) in memo.items():
+            prod = alg.mul(shared.gen(i, j), alg.monomial(alpha))
+            assert [t[:3] for t in terms] == [(g, c.num, c.den) for g, c in prod.coeffs.items()]

@@ -76,20 +76,6 @@ def test_every_inverse_and_power(p, f):
 
 
 @pytest.mark.parametrize("p,f", FIELDS)
-def test_pth_root(p, f):
-    k = _field(p, f)
-    for x in _elements(k):
-        for h in (1, 2, f):
-            y = x.pth_root(h)
-            for _ in range(h):  # Frobenius, h times, through the oracle
-                power = k.one()
-                for _ in range(p):
-                    power = k.elem(residue_product_oracle(k, power, y))
-                y = power
-            assert y == x, (x, h)
-
-
-@pytest.mark.parametrize("p,f", FIELDS)
 def test_equality_hash_and_repr_unchanged(p, f):
     k, k_again = _field(p, f), _field(p, f)
     elems = _elements(k)

@@ -12,9 +12,9 @@ from helpers import (
 )
 from padicdist import (
     DistAlgebra,
+    FieldSpec,
     abelian,
     coset_conditions,
-    delta_family,
     heisenberg,
     heisenberg2,
     lower_p_transversal,
@@ -201,6 +201,25 @@ def test_coset_conditions_reject_bad_transversal(heis):
         coset_conditions(cs, rng)
 
 
+@pytest.mark.parametrize("build", [
+    lambda alg: step_generator(alg, 0, -1),
+    lambda alg: step_monomial(alg, (1, 0, 0), -1),
+    lambda alg: restriction_check(alg, -1, Radius(1, 8), 2, random.Random(1)),
+    lambda alg: orthogonal_system(alg, -1),
+    lambda alg: lower_p_transversal(alg.lattice, -1),
+    lambda alg: norm_transfer_check(o_additive(FieldSpec.unramified(3, 2), 1), Radius(2, 3), -1,
+                                    2, random.Random(1)),
+], ids=["step-generator", "step-monomial", "restriction", "orthogonal", "transversal",
+        "transfer"])
+def test_negative_steps_are_refused(heis_alg, build):
+    """m < 0 is no step of the lower p-series: a typed refusal naming m,
+    not a TypeError or a radius outside (0, 1); m = 0 stays valid."""
+    with pytest.raises(InvalidArgument, match="m = -1"):
+        build(heis_alg)
+    assert lower_p_transversal(heis_alg.lattice, 0).index == 1
+    assert heis_alg.lattice.step(0).structure_digest() == heis_alg.lattice.structure_digest()
+
+
 def test_coset_key_refuses_p_in_a_denominator():
     """A representative whose second-kind denominator p divides has no
     coset mod the step subgroup: a typed refusal naming the hypothesis,
@@ -270,7 +289,7 @@ def test_rank_one_transversal():
 
 def test_delta_family_props():
     delta = Radius(2, 3)
-    fam = delta_family(delta, 3, 1, 5)
+    fam = [radius_root(delta, m, 3, 1) for m in range(5)]
     assert fam[0] == delta
     exps = [r.exponent for r in fam]
     assert all(a > b for a, b in zip(exps, exps[1:]))  # radii increase to 1
