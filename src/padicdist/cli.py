@@ -13,7 +13,7 @@ import argparse
 import re
 import sys
 
-from .config import JobConfig, KNOWN_SUITES
+from .config import JobConfig
 from .errors import PadicError
 from .quotient import canonicalize, quotient_norm
 from .radii import parse_radius
@@ -21,11 +21,13 @@ from .suites import SuiteEnv, run_suite
 from . import towers
 
 
-def _load_config(args, default=None):
+def _load_config(args, default=None, **overrides):
+    """The ``--config`` file's job, else ``default``, with the keys in
+    ``overrides`` replaced, so that the config checks and echoes them."""
+    sc_cache = getattr(args, "sc_cache", None)
     if getattr(args, "config", None):
-        return JobConfig.from_file(args.config, sc_cache=getattr(args, "sc_cache", None))
-    data = default if default is not None else {}
-    return JobConfig.from_dict(data, sc_cache=getattr(args, "sc_cache", None))
+        return JobConfig.from_file(args.config, sc_cache=sc_cache, **overrides)
+    return JobConfig.from_dict({**(default or {}), **overrides}, sc_cache=sc_cache)
 
 
 _LOG_RE = re.compile(r"^\s*log\(\s*1\s*\+\s*(b\w*)\s*\)\s*$")
@@ -39,16 +41,8 @@ def _parse_expr(algebra, text):
 
 
 def cmd_run(args):
-    config = _load_config(args)
-    if args.suite:
-        for s in args.suite:
-            if s not in KNOWN_SUITES:
-                raise PadicError(f"unknown suite {s!r}")
-        config.suites = list(args.suite)
-        config.check_sweep_limits()
-    if args.seed is not None:
-        config.seed = args.seed
-        config.echo["seed"] = args.seed
+    overrides = {"suites": args.suite, "seed": args.seed}
+    config = _load_config(args, **{k: v for k, v in overrides.items() if v is not None})
     report = run_suite(config)
     text = report.to_text()
     structured = report.to_json(include_timing=args.timing)

@@ -17,9 +17,10 @@ Grammar (all keys optional unless noted)::
                   "regseq_cap": 6, "transfer_m": 2}
     }
 
-Radii must lie in (p^-1, 1); the residual precision, the truncation and
-every option are integers (not bools), ``transfer_m`` >= 0 and the rest
->= 1.  Unknown suite names and option keys are rejected up front, and
+The group is a built-in name and the radii a list of literals, each in
+(p^-1, 1); the residual precision, the truncation, the seed and every
+option are integers (not bools), ``transfer_m`` >= 0 and the rest >= 1.
+Unknown suite names and option keys are rejected up front, and
 so (with SweepLimit) are a pro-2 sweep of more than MAX_PRO2_PAIRS pairs,
 a ``grading`` suite whose kernel-symbol family has more than
 ``grading.MAX_REGSEQ_FAMILY`` members, and a suite that computes in the
@@ -32,7 +33,7 @@ import json
 from dataclasses import dataclass
 
 from .catalog import get_group
-from .errors import ConfigError, SweepLimit
+from .errors import ConfigError, PadicError, SweepLimit
 from .grading import MAX_REGSEQ_FAMILY
 from .groups import LGroupSpec, pro2_sweep_pairs
 from .padics import MAX_RESIDUE_ORDER, FieldSpec
@@ -95,16 +96,23 @@ class JobConfig:
             raise ConfigError(f"field: {exc}") from exc
 
         name = data.get("group", "abelian(1)")
+        if not isinstance(name, str):
+            raise ConfigError("group: must be a built-in group name")
         group = get_group(name, field=fld)
 
         N = _integer("truncation", data.get("truncation", 6), 1)
         mprime = _integer("residual_precision", data.get("residual_precision", 2), 1)
 
+        literals = data.get("radii", [f"{fld.p}^-1/2"])
+        if not isinstance(literals, list):
+            raise ConfigError("radii: must be a list of radius literals")
         radii = []
-        for idx, lit in enumerate(data.get("radii", [f"{fld.p}^-1/2"])):
+        for idx, lit in enumerate(literals):
+            if not isinstance(lit, str):
+                raise ConfigError(f"radii[{idx}]: must be a radius literal like {fld.p}^-1/2")
             try:
                 _, r = parse_radius(lit, p=fld.p)
-            except Exception as exc:
+            except PadicError as exc:
                 raise ConfigError(f"radii[{idx}]: {exc}") from exc
             radii.append(r)
 
@@ -116,7 +124,7 @@ class JobConfig:
                 raise ConfigError(f"suites: unknown suite {s!r}")
 
         seed = data.get("seed", 0)
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("seed: must be an integer")
 
         given = data.get("options", {})
@@ -186,7 +194,9 @@ class JobConfig:
             )
 
     @classmethod
-    def from_file(cls, path, sc_cache=None):
+    def from_file(cls, path, sc_cache=None, **overrides):
+        """The config in the JSON file ``path``, its keys in ``overrides``
+        replaced before ``from_dict`` checks them."""
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -194,6 +204,8 @@ class JobConfig:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
+        if isinstance(data, dict):
+            data = {**data, **overrides}
         return cls.from_dict(data, sc_cache=sc_cache)
 
 

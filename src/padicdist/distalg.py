@@ -387,14 +387,17 @@ def mul_tail_bound(lam, mu, r):
 # ---------------------------------------------------------------------------
 # text form
 
-_TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|/|\d+|pi|p|w|b\d+)")
+_TOKEN_RE = re.compile(r"\s*([+-]|\*|\^|/|\(|\)|\d+|pi|p|w|b\d+)")
 
 
 def _parse_distribution(algebra, text):
     """A literal: terms joined by + and -, each a run of signs and then
-    factors joined by *, a factor being an int (optionally over an int),
-    p, pi, w or a generator, with an optional ^ and an int exponent.
-    Anything else is refused with ParseError at its position."""
+    factors joined by *.  A factor is p, pi, w, a generator or an int, each
+    with an optional ^ and an int exponent, the int optionally over an int
+    with its own exponent (3^2/4 is 9/4, 3/4^2 is 3/16); or a parenthesized
+    sum of terms without generators, as ``format`` writes a coefficient of
+    several parts.  Anything else is refused with ParseError at its
+    position."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -410,7 +413,6 @@ def _parse_distribution(algebra, text):
     tokens.append((None, len(text.rstrip())))  # the end of the literal
 
     field = algebra.field
-    terms = {}
     idx = 0
 
     def peek():
@@ -424,55 +426,74 @@ def _parse_distribution(algebra, text):
         idx += 1
         return int(tok)
 
-    while peek() is not None:
-        sign = 1
-        while peek() in ("+", "-"):
-            if peek() == "-":
-                sign = -sign
-            idx += 1
-        coeff = field.scalar(sign)
-        alpha = [0] * algebra.d
+    def power(at):
+        nonlocal idx
+        if peek() != "^":
+            return 1
+        idx += 1
+        return integer("exponent must be an integer", at)
+
+    def terms(group_at):
+        """{alpha: coefficient} of the terms up to the end of the literal,
+        or, inside the parenthesis at ``group_at``, up to its close."""
+        nonlocal idx
+        out = {}
         while True:
-            tok, base_pos = tokens[idx]
-            if tok is None or tok in ("+", "-", "*", "^", "/"):
-                found = "the end" if tok is None else repr(tok)
-                raise ParseError(f"expected a factor, found {found}", position=base_pos)
-            idx += 1
-            power = 1
-            if peek() == "^":
+            sign = 1
+            while peek() in ("+", "-"):
+                if peek() == "-":
+                    sign = -sign
                 idx += 1
-                power = integer("exponent must be an integer", base_pos)
-            if tok.isdigit():
-                den = 1
-                if peek() == "/":
+            coeff = field.scalar(sign)
+            alpha = [0] * algebra.d
+            while True:
+                tok, base_pos = tokens[idx]
+                if tok is None or tok in ("+", "-", "*", "^", "/", ")"):
+                    found = "the end" if tok is None else repr(tok)
+                    raise ParseError(f"expected a factor, found {found}", position=base_pos)
+                idx += 1
+                if tok == "(":
+                    coeff = coeff * terms(base_pos)[(0,) * algebra.d]
+                elif tok.isdigit():
+                    value = Fraction(int(tok) ** power(base_pos))
+                    if peek() == "/":
+                        idx += 1
+                        den_pos = tokens[idx][1]
+                        den = integer("bad fraction", base_pos)
+                        if not den:
+                            raise ParseError("zero denominator", position=den_pos)
+                        value /= den ** power(den_pos)
+                    coeff = coeff * value
+                elif tok in ("p", "pi", "w"):
+                    unit = (Fraction(field.p) if tok == "p" else
+                            field.uniformizer() if tok == "pi" else field.unram_gen())
+                    coeff = coeff * unit ** power(base_pos)
+                elif group_at is not None:
+                    raise ParseError(f"generator {tok!r} inside parentheses", position=base_pos)
+                else:
+                    alpha[_generator_index(algebra, tok, base_pos)] += power(base_pos)
+                tok, at = tokens[idx]
+                if tok == "*":
                     idx += 1
-                    den_pos = tokens[idx][1]
-                    den = integer("bad fraction", base_pos)
-                    if not den:
-                        raise ParseError("zero denominator", position=den_pos)
-                coeff = coeff * Fraction(int(tok), den) ** power
-            elif tok == "p":
-                coeff = coeff * Fraction(field.p) ** power
-            elif tok == "pi":
-                coeff = coeff * field.uniformizer() ** power
-            elif tok == "w":
-                coeff = coeff * field.unram_gen() ** power
-            else:
-                k = _generator_index(algebra, tok, base_pos)
-                alpha[k] += power
-            tok, at = tokens[idx]
-            if tok == "*":
-                idx += 1
-            elif tok is None or tok in ("+", "-"):
-                break
-            else:
-                raise ParseError(f"expected *, + or - before {tok!r}", position=at)
-        key = tuple(alpha)
-        if sum(key) > algebra.N:
-            raise ParseError(f"monomial degree {sum(key)} exceeds N = {algebra.N}")
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-    return Distribution(algebra, {a: c for a, c in terms.items() if not c.is_zero})
+                elif tok is None or tok in ("+", "-", ")"):
+                    break
+                else:
+                    raise ParseError(f"expected *, + or - before {tok!r}", position=at)
+            key = tuple(alpha)
+            if sum(key) > algebra.N:
+                raise ParseError(f"monomial degree {sum(key)} exceeds N = {algebra.N}")
+            prev = out.get(key)
+            out[key] = coeff if prev is None else prev + coeff
+            if tok in ("+", "-"):
+                continue
+            if tok is None and group_at is not None:
+                raise ParseError("unclosed (", position=group_at)
+            if tok == ")" and group_at is None:
+                raise ParseError("unmatched )", position=at)
+            idx += tok == ")"
+            return out
+
+    return Distribution(algebra, {a: c for a, c in terms(None).items() if not c.is_zero})
 
 
 def _generator_index(algebra, token, pos):

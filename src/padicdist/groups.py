@@ -859,7 +859,6 @@ class LGroupSpec:
         """
         n, d = self.n, self.d
         nd = n * d
-        one = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(n))
 
         def basis_o(i):
             return tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))

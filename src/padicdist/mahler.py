@@ -17,17 +17,24 @@ int) pairs over one denominator shared by the whole table: the form
 ``DistAlgebra.mul`` walks per alpha.  Every table is exact, so a
 non-abelian table's denominator and rows, as built, serialize to a
 versioned cache file keyed by (group digest, N) alone; an abelian table
-is not cached, its closed form costing less than a load.
+is not cached, its closed form costing less than a load.  The file
+(format 4) is plain JSON, {"version", "digest", "N", "den", "rows"},
+each row a flat int list [alpha, beta, gamma, n, gamma, n, ...] with
+every multi-index written as its position in ``iter_multi_indices(d, N)``,
+rows in (alpha, beta) order.  A file that is absent, is not JSON, holds
+another table or is anything ``save`` cannot have written (a number not
+an int, a position out of range, rows out of order or repeated, an alpha
+without rows, a short or odd row, a zero entry, den < 1) is a miss.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 from fractions import Fraction
-from itertools import takewhile
+from itertools import chain, takewhile
 from math import comb, factorial, gcd, lcm, prod
-from operator import sub
+from operator import lt, sub
 from pathlib import Path
 
 from .errors import CounterexampleFound, DegreeOverflow, InvalidArgument, PadicError
@@ -35,7 +42,7 @@ from .groups import first_indivisible
 from .indices import add_index, iter_multi_indices
 from .radii import vp_int, vp_rational
 
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 
 def mahler_coefficients(values, factors):
@@ -157,7 +164,7 @@ class StructureConstants:
         self._cache_path = None
         if cache_dir is not None and not lattice.abelian:
             key = f"sc-{lattice.structure_digest()}-N{N}-v{CACHE_FORMAT_VERSION}"
-            self._cache_path = Path(cache_dir) / f"{key}.bin"
+            self._cache_path = Path(cache_dir) / f"{key}.json"
             self._load_cache()
 
     # -- group-law evaluation ---------------------------------------------------
@@ -359,65 +366,49 @@ class StructureConstants:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         den = self.den  # builds a non-abelian table that was neither built nor loaded
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "digest": self.lattice.structure_digest(),
-            "N": self.N,
-            "den": den,
-            "rows": self._rows,
-        }
+        index = {gamma: i for i, gamma in enumerate(self._gammas)}
+        rows = [[index[alpha], index[beta], *chain.from_iterable((index[g], n) for g, n in row)]
+                for alpha, inner in self._rows.items() for beta, row in inner.items()]
+        doc = {"version": CACHE_FORMAT_VERSION, "digest": self.lattice.structure_digest(),
+               "N": self.N, "den": den, "rows": rows}
         # a temp file in the same directory, then an atomic rename: a
         # failed write leaves the previous cache file intact
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            with open(tmp, "wb") as fh:
-                pickle.dump(payload, fh, protocol=4)
+            tmp.write_text(json.dumps(doc, separators=(",", ":")), encoding="ascii")
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)  # only left after a failed write
 
     def _load_cache(self):
-        """Load the saved table.  A file that does not unpickle, holds
-        another table or is not of the form ``save`` writes is a miss, and
-        the table is built as if there were no file."""
+        """Load the saved table unless the file is a miss (see the module
+        docstring), each check running over all the numbers at once.  The
+        loaded keys are the tuples of ``_gammas``, as built ones are."""
         path = self._cache_path
-        if path is None or not path.exists():
+        if path is None:
             return
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            if (payload["version"], payload["digest"], payload["N"]) != (
-                CACHE_FORMAT_VERSION, self.lattice.structure_digest(), self.N
-            ):
-                return
-            den, rows = payload["den"], payload["rows"]
-            peak = self._valid_rows(rows)
-            if not (type(den) is int and den > 0 and peak is not None):
-                return
-        except Exception:
+            doc = json.loads(path.read_bytes())
+        except (OSError, ValueError, RecursionError):
+            return  # absent or unreadable, not JSON, an over-long int, nested too deep
+        if type(doc) is not dict or doc.keys() != {"version", "digest", "N", "den", "rows"}:
             return
-        self._rows = rows
-        self._den = den
-        self._peak = peak
-
-    def _valid_rows(self, rows):
-        """The largest |n| (at least 1) of cached rows, or None unless they
-        map every alpha of the table (it is built whole) to a dict from
-        betas of the table to nonempty tuples of (multi-index, int) pairs
-        (an entry of another length raises on unpacking)."""
-        indices = self._indices
-        if type(rows) is not dict or rows.keys() != indices:
-            return None
-        peak = 1
-        for inner in rows.values():
-            if type(inner) is not dict or not inner.keys() <= indices:
-                return None
-            for row in inner.values():
-                if type(row) is not tuple or not row:
-                    return None
-                for g, n in row:
-                    if g not in indices or type(n) is not int:
-                        return None
-                    if n > peak or -n > peak:
-                        peak = abs(n)
-        return peak
+        rows, gammas = doc["rows"], self._gammas
+        if type(rows) is not list or set(map(type, rows)) != {list}:
+            return
+        head = (doc["version"], doc["digest"], doc["N"])
+        if (set(map(type, chain((doc["version"], doc["N"], doc["den"]), *rows))) != {int}
+                or head != (CACHE_FORMAT_VERSION, self.lattice.structure_digest(), self.N)
+                or doc["den"] < 1 or any(len(r) < 4 or len(r) & 1 for r in rows)):
+            return
+        keys = [r[:2] for r in rows]
+        positions = [*chain(*keys), *chain.from_iterable(r[2::2] for r in rows)]
+        entries = [*chain.from_iterable(r[3::2] for r in rows)]
+        if (min(positions) < 0 or max(positions) >= len(gammas) or 0 in entries
+                or not all(map(lt, keys, keys[1:]))):
+            return
+        at, table = gammas.__getitem__, {alpha: {} for alpha in gammas}
+        for r in rows:
+            table[at(r[0])][at(r[1])] = tuple(zip(map(at, r[2::2]), r[3::2]))
+        if all(table.values()):  # every alpha has at least its beta = 0 row
+            self._rows, self._den, self._peak = table, doc["den"], max(map(abs, entries))

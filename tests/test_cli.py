@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,16 +156,37 @@ def test_bad_pro2_level_rejected(level):
     ({"truncation": True}, "truncation: must be an integer >= 1"),
     ({"residual_precision": 2.0}, "residual_precision: must be an integer >= 1"),
     ({"suites": "norms"}, "suites: must be a list of suite names"),
+    ({"group": 3}, "group: must be a built-in group name"),
+    ({"radii": 3}, "radii: must be a list of radius literals"),
+    ({"radii": None}, "radii: must be a list of radius literals"),
+    ({"radii": [3]}, "radii[0]: must be a radius literal like 3^-1/2"),
+    ({"radii": ["3^-1/2", "3^-1"]}, "radii[1]: radius exponent 1/1 outside (0, 1)"),
+    ({"seed": True}, "seed: must be an integer"),
 ], ids=["top-level-list", "options-list", "option-string", "option-zero", "option-bool",
         "transfer-negative", "option-unknown", "truncation-bool", "precision-float",
-        "suites-string"])
+        "suites-string", "group-int", "radii-int", "radii-null", "radius-int",
+        "radius-out-of-range", "seed-bool"])
 def test_bad_config_exits_two_naming_the_key(tmp_path, capsys, data, message):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(data))
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         JobConfig.from_dict(data)
+
+
+def test_run_echoes_its_suite_and_seed_overrides(tmp_path, capsys):
+    """``run --suite`` and ``--seed`` replace the config's keys before the
+    config checks them, so the report echoes what ran; an unknown suite is
+    refused by the config's one check."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"suites": ["norms", "symbols"], "seed": 3,
+                                "options": {"pairs": 4}}))
+    assert main(["run", "--config", str(path), "--suite", "pvaluation", "--seed", "5"]) == 0
+    echo = json.loads(capsys.readouterr().out.splitlines()[0].removeprefix("# config: "))
+    assert (echo["suites"], echo["seed"]) == (["pvaluation"], 5)
+    assert main(["run", "--config", str(path), "--suite", "nope"]) == 2
+    assert capsys.readouterr().err == "error: suites: unknown suite 'nope'\n"
 
 
 def test_transfer_m_zero_is_accepted():
@@ -314,7 +336,7 @@ def test_sc_cache_flag(tmp_path, base_config):
             "run", "--config", str(config), "--suite", "norms",
             "--sc-cache", str(cache), "--out", str(tmp_path / "r.txt"),
         ]) == 0
-        assert bool(list(cache.glob("sc-*.bin"))) == written
+        assert bool(list(cache.glob("sc-*.json"))) == written
 
 
 def test_towers_orth_matches_suite_record(tmp_path, capsys):
@@ -496,7 +518,7 @@ def test_nonabelian_report_pinned_cold_and_warm(tmp_path, monkeypatch):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == text_sha, run
         structured = Path(f"{out}.json").read_bytes()
         assert hashlib.sha256(structured).hexdigest() == structured_sha, run
-        [table] = cache.glob("sc-*.bin")
+        [table] = cache.glob("sc-*.json")
         files.append(table.read_bytes())
         counts.append(len(saves))
     assert counts[0] >= 1 and counts[1] == 0, counts

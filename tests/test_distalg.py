@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import mul_oracle
-from padicdist import DistAlgebra, abelian, dominant_log_index, heisenberg2, mul_tail_bound
+from padicdist import (
+    DistAlgebra, FieldSpec, abelian, dominant_log_index, heisenberg2, mul_tail_bound,
+)
 from padicdist.errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
 from padicdist.indices import iter_multi_indices
 from padicdist.radii import Radius, log_tail_exponent
@@ -191,7 +193,7 @@ def test_parse_and_format(ab1, heis_alg):
 
 @pytest.mark.parametrize("text, position", [
     ("2^3^4", 3),      # a stray ^
-    ("3/4^2", 3),
+    ("2/3/4", 3),
     ("/3", 0),         # a stray /
     ("^2", 0),
     ("b1 b2", 3),      # two factors with no * between them
@@ -202,12 +204,43 @@ def test_parse_and_format(ab1, heis_alg):
     ("b1 * * b2", 5),  # a doubled *
     ("b1 + * b2", 5),
     ("1/0", 2),        # a zero denominator
+    ("(1 + b1)", 5),   # a generator inside parentheses
+    ("(1 + pi", 0),    # an unclosed (
+    ("1 + pi) * b1", 6),  # an unmatched )
+    ("()", 1),
+    ("(1 + pi)^2", 8),  # ^ after a parenthesis
 ])
 def test_parse_refuses_malformed_literals(heis_alg, text, position):
     with pytest.raises(ParseError) as info:
         heis_alg.parse(text)
     assert info.value.position == position
     assert f"(at position {position})" in str(info.value)
+
+
+def test_literal_powers_bind_to_their_int(ab1):
+    """^ binds to the int it follows: 3^2/4 is 9/4 and 3/4^2 is 3/16."""
+    for text, value in [("3^2/4", Fraction(9, 4)), ("3/4^2", Fraction(3, 16)),
+                        ("3^2/4^2 * b1", Fraction(9, 16)), ("-2^3", Fraction(-8))]:
+        lam = ab1.parse(text)
+        assert list(lam.coeffs.values()) == [ab1.field.scalar(value)], text
+
+
+@pytest.mark.parametrize("field, text, terms", [
+    (FieldSpec.unramified(3, 2), "(1 + w) * b1", {(1,): (1, 1)}),
+    (FieldSpec.unramified(3, 2), "b1 + (-1/3 + 2*w) * b1^2", {(1,): (1, 0), (2,): (Fraction(-1, 3), 2)}),
+    (FieldSpec(3, e=2), "(1 + pi)", {(0,): (1, 1)}),
+    (FieldSpec(3, e=2), "-(1 + pi) * (2 + pi) * b1", {(1,): (-5, -3)}),
+], ids=["Q_9", "Q_9-two-terms", "e=2", "e=2-product"])
+def test_parse_reads_parenthesized_coefficients(field, text, terms):
+    """A coefficient of several parts, written in parentheses as ``format``
+    writes it, parses to that coefficient; the format of the result is the
+    literal again where the literal is in that form."""
+    alg = DistAlgebra(abelian(1, p=3), field, 4)
+    lam = alg.parse(text)
+    assert lam == alg.from_terms({a: field.from_coords(c) for a, c in terms.items()})
+    assert alg.parse(alg.format(lam)) == lam
+    if text.count("(") == 1:
+        assert alg.format(lam) == text
 
 
 def test_delta_unit_norms(heis_alg):

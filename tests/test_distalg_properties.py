@@ -222,3 +222,25 @@ def test_mul_slot_at_the_certified_bound():
 
 def test_mul_cases_cover_non_integral_basis_products():
     assert _mul_algebra("heisenberg2 over e=3 above Q_2").field._den == 3
+
+
+# fields whose coefficients ``format`` writes with several parts, in
+# parentheses: Q_9, the e = 2 extension of Q_3 and e = 2 over F_9
+TEXT_FIELDS = {"Q_9": (3, 1, 2), "e=2 over Q_3": (3, 2, 1), "e=2,f=2 over Q_3": (3, 2, 2)}
+
+
+@cache
+def _text_algebra(name):
+    p, e, f = TEXT_FIELDS[name]
+    return DistAlgebra(heisenberg(p), FieldSpec(p, e=e, f=f, precision=8), N)
+
+
+@pytest.mark.parametrize("name", list(TEXT_FIELDS))
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_parse_inverts_format(name, data):
+    """parse(format(x)) == x for distributions whose coefficients have
+    several parts, with rational and negative coordinates."""
+    alg = _text_algebra(name)
+    lam = data.draw(rational_distributions(alg))
+    assert alg.parse(alg.format(lam)) == lam

@@ -1,9 +1,12 @@
 import hashlib
+import json
+import os
 import pickle
 import random
 import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -227,15 +230,19 @@ def test_cache_save_is_atomic(tmp_path, monkeypatch):
     r = t1.row((1, 0, 0), (0, 2, 0))
     t1.save()
     saved = t1._cache_path.read_bytes()
+    written = []
 
-    def failing_dump(obj, fh, protocol=None):
-        fh.write(b"partial")
+    def failing_write(path, text, encoding=None):
+        written.append(path)
+        path.write_bytes(text[:len(text) // 2].encode())
         raise OSError("disk full")
 
-    monkeypatch.setattr(pickle, "dump", failing_dump)
-    with pytest.raises(OSError):
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    with pytest.raises(OSError, match="disk full"):
         t1.save()
     monkeypatch.undo()
+    # the half-written file was the temp file beside the cache file
+    assert [(w.parent, w.suffix) for w in written] == [(tmp_path, ".tmp")]
     assert [f.name for f in tmp_path.iterdir()] == [t1._cache_path.name]
     assert t1._cache_path.read_bytes() == saved
     t2 = StructureConstants(lat, 3, cache_dir=tmp_path)
@@ -243,35 +250,115 @@ def test_cache_save_is_atomic(tmp_path, monkeypatch):
     assert t2.row((1, 0, 0), (0, 2, 0)) == r
 
 
-def _one_entry(payload, edit):
-    """The saved payload with the first entry of its first row replaced
-    by ``edit(entry)``."""
-    rows = next(iter(payload["rows"].values()))
-    beta = next(iter(rows))
-    rows[beta] = (edit(rows[beta][0]), *rows[beta][1:])
-    return payload
+def _first_row(doc, edit):
+    """The saved document with its first row replaced by ``edit(row)``."""
+    doc["rows"][0] = edit(list(doc["rows"][0]))
+    return doc
+
+
+def _set(row, at, value):
+    row[at] = value
+    return row
+
+
+def _without_alpha(doc):
+    """The saved document less the rows of its last alpha."""
+    last = doc["rows"][-1][0]
+    doc["rows"] = [row for row in doc["rows"] if row[0] != last]
+    return doc
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda payload: list(payload),
-    lambda payload: {**payload, "den": 0},
-    lambda payload: {**payload, "den": float(payload["den"])},
-    lambda payload: _one_entry(payload, lambda entry: (*entry, 0)),
-    lambda payload: _one_entry(payload, lambda entry: (entry[0], 1.0)),
-], ids=["list", "zero-denominator", "float-denominator", "not-a-pair", "float"])
+    lambda doc: list(doc),
+    lambda doc: {**doc, "den": 0},
+    lambda doc: {**doc, "den": -doc["den"]},
+    lambda doc: {**doc, "den": float(doc["den"])},
+    lambda doc: {**doc, "version": 4.0},
+    lambda doc: {**doc, "N": True},
+    lambda doc: {**doc, "extra": 1},
+    lambda doc: _first_row(doc, lambda row: row[:-1]),
+    lambda doc: _first_row(doc, lambda row: row[:2]),
+    lambda doc: _first_row(doc, lambda row: _set(row, 3, float(row[3]))),
+    lambda doc: _first_row(doc, lambda row: _set(row, 3, True)),
+    lambda doc: _first_row(doc, lambda row: _set(row, 3, str(row[3]))),
+    lambda doc: _first_row(doc, lambda row: _set(row, 3, None)),
+    lambda doc: _first_row(doc, lambda row: _set(row, 3, 0)),
+    lambda doc: _first_row(doc, lambda row: _set(row, 2, -1)),
+    lambda doc: _first_row(doc, lambda row: _set(row, 2, 20)),
+    lambda doc: _first_row(doc, lambda row: _set(row, 1, 20)),
+    lambda doc: {**doc, "rows": doc["rows"][1::-1] + doc["rows"][2:]},
+    lambda doc: {**doc, "rows": doc["rows"][:1] + doc["rows"]},
+    lambda doc: {**doc, "rows": []},
+    _without_alpha,
+], ids=["list", "zero-denominator", "negative-denominator", "float-denominator",
+        "float-version", "bool-N", "extra-key", "not-a-pair", "no-entry", "float", "bool",
+        "string", "null", "zero-entry", "negative-position", "position-out-of-range",
+        "beta-out-of-range", "rows-out-of-order", "row-repeated", "no-rows",
+        "alpha-without-rows"])
 def test_malformed_cache_is_a_miss(tmp_path, corrupt):
-    """A cache file that unpickles to something other than the saved dict,
-    has a ``den`` that is not a positive int, or holds an entry that is not
-    a (multi-index, int) pair, is ignored and the table rebuilt."""
+    """A cache file whose JSON is anything ``save`` cannot have written is
+    ignored and the table rebuilt: another document shape, a ``den`` that
+    is not an int >= 1, a number that is not an int (a bool included), a
+    row of odd length or with no entry, a zero entry, a position outside
+    the 20 multi-indices of the degree-3 table, rows out of order or
+    repeated, or an alpha with no rows."""
     gammas = list(iter_multi_indices(3, 3))
+    assert len(gammas) == 20
     t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
     t1.save()
-    payload = pickle.loads(t1._cache_path.read_bytes())
-    t1._cache_path.write_bytes(pickle.dumps(corrupt(payload), protocol=4))
+    doc = json.loads(t1._cache_path.read_bytes())
+    t1._cache_path.write_text(json.dumps(corrupt(doc)))
     t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     assert not t2._rows
     assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:len(raw) // 2],
+    lambda raw: b"\xff\xfe" + raw,
+    lambda raw: raw.replace(b'"den":', b'"den":' + b"1" * 5000, 1),
+    lambda raw: b"[" * 100_000,
+    lambda raw: b"",
+], ids=["truncated", "not-utf-8", "over-long-int", "nested-too-deep", "empty"])
+def test_unreadable_cache_is_a_miss(tmp_path, corrupt):
+    """A cache file that does not decode as JSON is a miss, not an error."""
+    t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+    den = t1.den
+    t1.save()
+    t1._cache_path.write_bytes(corrupt(t1._cache_path.read_bytes()))
+    t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
+    assert not t2._rows
+    assert t2.den == den and t2._built
+
+
+class _Mkdir:
+    """Unpickles by creating the directory ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (str(self.path),)
+
+
+def test_pickle_at_the_cache_path_is_never_loaded(tmp_path):
+    """Loading a cache file runs no code: a pickle at the cache path, which
+    would create a marker directory if it were unpickled, is a miss and the
+    marker never appears."""
+    marker = tmp_path / "marker"
+    payload = pickle.dumps(_Mkdir(marker), protocol=4)
+    pickle.loads(payload)  # the payload does what it says
+    assert marker.is_dir()
+    marker.rmdir()
+    cache = tmp_path / "cache"
+    t1 = StructureConstants(heisenberg(3), 3, cache_dir=cache)
+    den = t1.den
+    cache.mkdir()
+    t1._cache_path.write_bytes(payload)
+    t2 = StructureConstants(heisenberg(3), 3, cache_dir=cache)
+    assert not t2._rows and not marker.exists()
+    assert (t2.den, t2._rows) == (den, t1._rows)
 
 
 def _table_text(table):
@@ -307,18 +394,43 @@ def test_den_is_built_when_read_first():
 
 
 def test_cache_holds_den_and_the_int_rows(tmp_path):
+    """The file is one JSON object; each nonempty row is a flat list of
+    ints, alpha, beta and each gamma written as its position in the grid,
+    rows in (alpha, beta) order and every alpha present."""
     gammas = list(iter_multi_indices(3, 3))
     t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     den = t1.den
     t1.save()
-    payload = pickle.loads(t1._cache_path.read_bytes())
-    assert payload["version"] == 3 and t1._cache_path.name.endswith("-v3.bin")
-    assert payload["den"] == den
-    # every alpha, its nonempty rows only, beta in grid order
-    assert list(payload["rows"]) == gammas
+    doc = json.loads(t1._cache_path.read_bytes())
+    assert doc["version"] == 4 and t1._cache_path.name.endswith("-v4.json")
+    assert (doc["digest"], doc["N"], doc["den"]) == (t1.lattice.structure_digest(), 3, den)
+    at = gammas.index
+    expected = []
     for a in gammas:
-        rows = [(b, t1.int_row(a, b)) for b in gammas if t1.int_row(a, b)]
-        assert list(payload["rows"][a].items()) == rows
+        for b in gammas:
+            entries = t1.int_row(a, b)
+            if entries:
+                expected.append([at(a), at(b), *(x for g, n in entries for x in (at(g), n))])
+    assert doc["rows"] == expected
+    assert sorted({row[0] for row in doc["rows"]}) == list(range(len(gammas)))
+
+
+def test_loaded_table_equals_the_built_one(tmp_path):
+    """A loaded table has the built one's rows, den and peak; its keys are
+    the tuples of ``_gammas`` themselves, and each alpha's betas are in
+    grid order."""
+    t1 = StructureConstants(filiform(3), 4, cache_dir=tmp_path)
+    t1.save()
+    t2 = StructureConstants(filiform(3), 4, cache_dir=tmp_path)
+    assert not t2._built
+    assert (t2._rows, t2._den, t2._peak) == (t1._rows, t1._den, t1._peak)
+    grid = {id(g) for g in t2._gammas}
+    order = {g: i for i, g in enumerate(t2._gammas)}
+    for alpha, rows in t2._rows.items():
+        assert id(alpha) in grid
+        assert [order[b] for b in rows] == sorted(order[b] for b in rows)
+        assert all(id(b) in grid and all(id(g) in grid for g, _ in row)
+                   for b, row in rows.items())
 
 
 def test_save_before_any_row_writes_the_whole_table(tmp_path, monkeypatch):
@@ -351,9 +463,10 @@ def test_peak_is_the_largest_entry_built_or_loaded(tmp_path):
 
 
 def test_version_1_file_is_neither_loaded_nor_an_error(tmp_path):
-    """Files of the previous formats, rows of reduced (n, d) pairs per
-    gamma (version 1) and every (alpha, beta) row over one den (version 2),
-    are a miss both under their own names and at the current path."""
+    """Files of the previous formats, pickles all, are a miss both under
+    their own names and at the current path: rows of reduced (n, d) pairs
+    per gamma (version 1), every (alpha, beta) row over one den (version
+    2) and the nonempty rows as alpha -> {beta: row} (version 3)."""
     gammas = list(iter_multi_indices(3, 3))
     t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
     rows = {(a, b): t1.row(a, b) for a in gammas for b in gammas}
@@ -367,9 +480,10 @@ def test_version_1_file_is_neither_loaded_nor_an_error(tmp_path):
         "version": 2, "digest": digest, "N": 3, "den": t1.den,
         "rows": {(a, b): t1.int_row(a, b) for a in gammas for b in gammas},
     }
-    for old in (v1, v2):
+    v3 = {"version": 3, "digest": digest, "N": 3, "den": t1.den, "rows": t1._rows}
+    for old in (v1, v2, v3):
         old_path = t1._cache_path.with_name(
-            t1._cache_path.name.replace("-v3.bin", f"-v{old['version']}.bin"))
+            t1._cache_path.name.replace("-v4.json", f"-v{old['version']}.bin"))
         for path in (old_path, t1._cache_path):
             path.write_bytes(pickle.dumps(old, protocol=4))
             t2 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
