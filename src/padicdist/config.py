@@ -17,9 +17,10 @@ Grammar (all keys optional unless noted)::
                   "regseq_cap": 6, "transfer_m": 2}
     }
 
-The group is a built-in name and the radii a list of literals, each in
-(p^-1, 1); the residual precision, the truncation, the seed and every
-option are integers (not bools), ``transfer_m`` >= 0 and the rest >= 1.
+The field is an object and the group a built-in name, the radii a list
+of literals, each in (p^-1, 1); the field's p, e, f and precision, the
+residual precision, the truncation, the seed and every option are
+integers (not bools), p >= 2, ``transfer_m`` >= 0 and the rest >= 1.
 Unknown suite names and option keys are rejected up front, and
 so (with SweepLimit) are a pro-2 sweep of more than MAX_PRO2_PAIRS pairs,
 a ``grading`` suite whose kernel-symbol family has more than
@@ -82,8 +83,13 @@ class JobConfig:
     def from_dict(cls, data, sc_cache=None):
         if not isinstance(data, dict):
             raise ConfigError("config: must be a JSON object")
+        fdata = data.get("field", {"p": 3})
+        if not isinstance(fdata, dict):
+            raise ConfigError("field: must be an object")
+        for key, low in (("p", 2), ("e", 1), ("f", 1), ("precision", 1)):
+            if key in fdata:
+                _integer(f"field.{key}", fdata[key], low)
         try:
-            fdata = dict(data.get("field", {"p": 3}))
             fld = FieldSpec(
                 fdata.get("p", 3),
                 e=fdata.get("e", 1),

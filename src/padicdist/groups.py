@@ -11,15 +11,17 @@ stops at the nilpotency class, and a lattice whose lower central series
 does not reach zero is refused with NotNilpotent on its first group-law
 use.  The law is exact.  ``LieLattice.bch`` is the first-kind law over
 Fractions.  Elements run on five maps that the Hausdorff series and one
-chart fixed point compile once per lattice, on first use, into
-polynomials evaluated in integers: the law F(x, y) of h^x h^y, the chart
-maps E (second to first kind) and L (first to second kind), the inverse
-I in the second-kind chart and the commutator C(x, y) of h^x and h^y.
+chart fixed point compile on first use, once per structure (p, d,
+brackets), into polynomials evaluated in integers: the law F(x, y) of
+h^x h^y, the chart maps E (second to first kind) and L (first to second
+kind), the inverse I in the second-kind chart and the commutator C(x, y)
+of h^x and h^y.
 The fixed point closes only on a basis adapted to the lower central
 series; any other basis is refused with InvalidBasis.
 
 The module also provides the lower p-series level, the induced
-p-valuation, finite powerful quotients for the pro-2 commutator check
+p-valuation and its axiom check (which evaluates each map once over the
+whole sample), finite powerful quotients for the pro-2 commutator check
 (which evaluates C on whole grids of integer window points and tests
 divisibility of its numerators) and scalar restriction of groups
 defined over a finite extension L.
@@ -29,11 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+from copy import copy
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import product, repeat
 from math import factorial, gcd, lcm
-from operator import add, mul
+from operator import add, floordiv, itemgetter, mul
 
 from .errors import (
     CounterexampleFound,
@@ -233,24 +236,24 @@ class LieLattice:
     @cached_property
     def second_kind_law(self):
         """F(x, y): second-kind coordinates of h^x h^y."""
-        return _compile(self, 2, lambda x, y: _chart_fixed_point(
+        return _compile(self, "F", 2, lambda x, y: _chart_fixed_point(
             self, self._bch(_eval_second_kind(self, x), _eval_second_kind(self, y))
         ))
 
     @cached_property
     def to_first_kind(self):
         """E(x): first-kind coordinates of h^x."""
-        return _compile(self, 1, lambda x: _eval_second_kind(self, x))
+        return _compile(self, "E", 1, lambda x: _eval_second_kind(self, x))
 
     @cached_property
     def to_second_kind(self):
         """L(z): second-kind coordinates of exp(z)."""
-        return _compile(self, 1, lambda z: _chart_fixed_point(self, z))
+        return _compile(self, "L", 1, lambda z: _chart_fixed_point(self, z))
 
     @cached_property
     def second_kind_inverse(self):
         """I(x): second-kind coordinates of (h^x)^-1 = exp(-E(x))."""
-        return _compile(self, 1, lambda x: _chart_fixed_point(
+        return _compile(self, "I", 1, lambda x: _chart_fixed_point(
             self, tuple(c * -1 for c in _eval_second_kind(self, x))
         ))
 
@@ -275,7 +278,7 @@ class LieLattice:
             ex, ey = _eval_second_kind(self, x), _eval_second_kind(self, y)
             inverses = self._bch(tuple(c * -1 for c in ex), tuple(c * -1 for c in ey))
             return _chart_fixed_point(self, self._bch(self._bch(inverses, ex), ey))
-        return _compile(self, 2, build)
+        return _compile(self, "C", 2, build)
 
     # -- elements ----------------------------------------------------------------
 
@@ -398,21 +401,23 @@ class SecondKindLaw:
     returns the output the same way, over the one denominator
     lcm(denoms) D^degree and reduced by one gcd, with no Fraction built;
     it refuses a D divisible by p with NotPIntegral.  A call is the
-    Fraction view of ``reduced`` at a point of ints and Fractions.
+    Fraction view of ``reduced`` at a point of ints and Fractions, and
+    ``reduced_all`` is ``reduced`` over a whole list of points.
     ``grid`` evaluates an arity-2 map (F or C) on a whole grid of integer
     points xs x ys, where D = 1: each term's monomial is split once per
     map into its x-part and y-part, the x-parts are evaluated once per x
     and the y-parts once per y, and each coordinate comes back as one row
     of numerators n_k over ys per x, coordinate k at (x, y) being
-    n_k / denoms[k].
+    n_k / denoms[k]; ``swapped`` is the map with x and y exchanged, for a
+    grid with the y-points outside.
     """
 
-    __slots__ = ("p", "degree", "terms", "denoms", "nvars", "_common", "_lifts", "_plan")
+    __slots__ = ("p", "degree", "terms", "denoms", "nvars", "_common", "_lifts", "_plan", "_swapped")
 
     def __init__(self, p, polys, nvars):
         self.p = p
         self.nvars = nvars
-        self._plan = None
+        self._plan = self._swapped = None
         polys = [_LawPoly._terms(poly) for poly in polys]
         self.degree = max(
             (sum(e for _, e in m) for terms in polys for m in terms), default=0
@@ -451,8 +456,45 @@ class SecondKindLaw:
             scale //= g
         return tuple(out), scale
 
+    def reduced_all(self, points):
+        """``reduced`` at each (nums, den) of the list ``points``, in order.
+        Each power of a variable is computed once, as a column over the
+        points, and every term, gcd and division is a C-level ``map`` over
+        such columns, not a Python step per point."""
+        if not points:
+            return []
+        dens = list(map(itemgetter(1), points))
+        if not all(map(self.p.__rmod__, dens)):
+            raise NotPIntegral("the group law needs p-integral coordinates")
+        columns = [*zip(*map(itemgetter(0), points)), dens]
+        powers, sums = {(v, 1): column for v, column in enumerate(columns)}, []
+        for terms, lift in zip(self.terms, self._lifts):
+            total = repeat(0, len(points))
+            for c, mono in terms:
+                c *= lift
+                term = None if c == 1 and mono else repeat(c, len(points))
+                for v, e in mono:
+                    if (v, e) not in powers:
+                        powers[v, e] = list(map(pow, columns[v], repeat(e)))
+                    term = powers[v, e] if term is None else map(mul, term, powers[v, e])
+                total = map(add, total, term)
+            sums.append(list(total))
+        scales = list(map(mul, repeat(self._common), map(pow, dens, repeat(self.degree))))
+        gcds = list(map(gcd, scales, *sums))
+        nums = zip(*[map(floordiv, column, gcds) for column in sums])
+        return list(zip(nums, map(floordiv, scales, gcds)))
+
     def __call__(self, point):
         return _fractions(*self.reduced(*_cleared(point, self.nvars)))
+
+    def swapped(self):
+        """The arity-2 map (x, y) -> this map at (y, x), built once."""
+        if self._swapped is None:
+            twin, n = copy(self), self.nvars
+            twin.terms = [tuple((c, tuple(((v + n // 2) % n if v < n else v, e) for v, e in mono))
+                                for c, mono in terms) for terms in self.terms]
+            twin._plan, twin._swapped, self._swapped = None, self, twin
+        return self._swapped
 
     def _grid_plan(self):
         """The terms split for ``grid``: the distinct x-monomials and
@@ -505,9 +547,10 @@ class SecondKindLaw:
 
 
 def first_indivisible(rows, moduli):
-    """The least index, over the rows of one x of ``SecondKindLaw.grid``,
-    of a numerator that the modulus of its coordinate does not divide, or
-    None when every one is divisible (a None row is all zeros)."""
+    """The least index, over the rows of one outer point of
+    ``SecondKindLaw.grid``, of a numerator that the modulus of its
+    coordinate does not divide, or None when every one is divisible (a
+    None row is all zeros)."""
     misses = [
         next(i for i, n in enumerate(row) if n % q)
         for row, q in zip(rows, moduli)
@@ -548,13 +591,20 @@ def _chart_fixed_point(lattice, target):
     )
 
 
-def _compile(lattice, arity, build):
+_COMPILED = {}  # (p, d, brackets, map name) -> its SecondKindLaw
+
+
+def _compile(lattice, name, arity, build):
     """Run ``build`` over ``arity`` tuples of d polynomial variables and
-    compile the polynomials it returns."""
-    d = lattice.d
-    variables = [_LawPoly({((k, 1),): Fraction(1)}) for k in range(arity * d)]
-    args = [tuple(variables[i * d:(i + 1) * d]) for i in range(arity)]
-    return SecondKindLaw(lattice.p, build(*args), arity * d)
+    compile the polynomials it returns, once per structure: lattices with
+    the same (p, d, brackets) share the map ``name``."""
+    key = (lattice.p, lattice.d, lattice.brackets, name)
+    if key not in _COMPILED:
+        d = lattice.d
+        variables = [_LawPoly({((k, 1),): Fraction(1)}) for k in range(arity * d)]
+        args = [tuple(variables[i * d:(i + 1) * d]) for i in range(arity)]
+        _COMPILED[key] = SecondKindLaw(lattice.p, build(*args), arity * d)
+    return _COMPILED[key]
 
 
 def _cleared(coords, n):
@@ -601,11 +651,7 @@ class GroupElement:
         denominators."""
         if not isinstance(other, GroupElement) or other.lattice is not self.lattice:
             raise InvalidArgument(f"a {what} needs two elements of the same lattice")
-        dx, dy = self.den, other.den
-        if dx == dy:
-            return (*self.nums, *other.nums), dx
-        D = lcm(dx, dy)
-        return (*[x * (D // dx) for x in self.nums], *[y * (D // dy) for y in other.nums]), D
+        return _joined((self.nums, self.den), (other.nums, other.den))
 
     def __mul__(self, other):
         z = self.lattice.second_kind_law.reduced(*self._with(other, "product"))
@@ -638,18 +684,14 @@ class GroupElement:
     def level(self):
         """Largest i with all second-kind coordinates in p^{i-1} Z_p, that
         is 1 + min v_p over the nonzero coordinates; exact at any depth."""
-        p = self.lattice.p
-        vals = [vp_int(n, p) for n in self.nums if n]
-        if not vals:
+        omega = self.p_valuation()
+        if omega is INF:
             raise InvalidArgument("the identity has no finite lower-p-series level")
-        return 1 + min(vals) - vp_int(self.den, p)
+        return omega - (self.lattice.p == 2)
 
     def p_valuation(self):
         """The p-valuation induced by the lower p-series (shifted for p = 2)."""
-        if not any(self.nums):
-            return INF
-        lvl = self.level()
-        return lvl if self.lattice.p != 2 else lvl + 1
+        return _omega(self.lattice.p, self.nums, self.den)
 
     def __eq__(self, other):
         return (
@@ -667,6 +709,22 @@ def _fractions(nums, den):
     return tuple(Fraction(n, den) for n in nums)
 
 
+def _joined(x, y):
+    """Two points (nums, den) as one point over the lcm of their denominators."""
+    (xs, dx), (ys, dy) = x, y
+    if dx == dy:
+        return (*xs, *ys), dx
+    D = lcm(dx, dy)
+    return (*[n * (D // dx) for n in xs], *[n * (D // dy) for n in ys]), D
+
+
+def _omega(p, nums, den):
+    """The p-valuation at second-kind coordinates nums / den: the level,
+    1 + v_p(gcd(nums) / den), plus one for p = 2; INF at the identity."""
+    g = gcd(*nums)
+    return 1 + vp_int(g, p) - vp_int(den, p) + (p == 2) if g else INF
+
+
 def second_kind_valuation_formula(g):
     """min_i (omega(h_i) + v_p(x_i)) over the second-kind coordinates."""
     lat = g.lattice
@@ -678,19 +736,36 @@ def check_p_valuation(pairs):
     """Verify the p-valuation axioms and the coordinate formula on sample pairs.
 
     Returns the list of violations (empty when the axioms hold); each entry
-    names the axiom and carries the offending pair.
+    names the axiom and carries the offending pair.  The elements share
+    one lattice, whose maps each run once over the sample (``reduced_all``):
+    I at every h, F at every (g, h^-1), C at every (g, h), E at every
+    element and L at every p E, as g^p = L(p E(g)).
     """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    lat = pairs[0][0].lattice
+    if any(not isinstance(x, GroupElement) or x.lattice is not lat for pair in pairs for x in pair):
+        raise InvalidArgument("the p-valuation check needs elements of one lattice")
+    p = lat.p
+    gs = [(g.nums, g.den) for g, _ in pairs]
+    hs = [(h.nums, h.den) for _, h in pairs]
+    inverses = lat.second_kind_inverse.reduced_all(hs)
+    quotients = lat.second_kind_law.reduced_all(list(map(_joined, gs, inverses)))
+    commutators = lat.commutator_law.reduced_all(list(map(_joined, gs, hs)))
+    firsts = lat.to_first_kind.reduced_all([x for pair in zip(gs, hs) for x in pair])
+    powers = lat.to_second_kind.reduced_all([([p * n for n in nums], den) for nums, den in firsts])
     violations = []
-    for g, h in pairs:
+    for (g, h), q, c, pg, ph in zip(pairs, quotients, commutators, powers[::2], powers[1::2]):
         og, oh = g.p_valuation(), h.p_valuation()
-        if (g * h.inverse()).p_valuation() < min(og, oh):
+        if _omega(p, *q) < min(og, oh):
             violations.append(("ultrametric", g, h))
-        if g.commutator(h).p_valuation() < og + oh:
+        if _omega(p, *c) < og + oh:
             violations.append(("commutator", g, h))
-        for elt, om in ((g, og), (h, oh)):
+        for elt, om, power in ((g, og, pg), (h, oh, ph)):
             if om is INF:
                 continue
-            if (elt ** elt.lattice.p).p_valuation() != om + 1:
+            if _omega(p, *power) != om + 1:
                 violations.append(("p-power", elt, None))
             if om != second_kind_valuation_formula(elt):
                 violations.append(("coordinate-formula", elt, None))
@@ -746,12 +821,14 @@ def check_powerful_commutator(quotient, i, j):
     P_{i+j}: replacing a by az with z in P_{i+j} changes [a,b] by factors
     from [P_{i+j}, G] <= P_{i+j+1}, so these windows cover every pair.
     The compiled commutator C is evaluated on the whole window grid
-    (``SecondKindLaw.grid``), one row of numerators n_k per a and
-    coordinate.  [a, b] lies in P_bound, bound = min(i + j + 1, level +
-    1), iff every n_k is divisible by p^(bound - 1 + v_p(denoms[k])),
-    exactly so since bound - 1 <= level.  The first escaping pair in
-    (a, b) order is the witness, with the second-kind coordinates of
-    [a, b].  Returns the number of pairs checked.
+    (``SecondKindLaw.grid``), one row of numerators n_k per point of the
+    outer window and coordinate; ``grid`` pays a fixed cost per outer
+    point, so the shorter window is outside, the b-window through
+    ``C.swapped()``.  [a, b] lies in P_bound, bound = min(i + j + 1,
+    level + 1), iff every n_k is divisible by p^(bound - 1 +
+    v_p(denoms[k])), exactly so since bound - 1 <= level.  The first
+    escaping pair in (a, b) order is the witness, with the second-kind
+    coordinates of [a, b].  Returns the number of pairs checked.
     """
     lat = quotient.lattice
     if lat.p != 2:
@@ -768,15 +845,19 @@ def check_powerful_commutator(quotient, i, j):
     moduli = [lat.p ** (bound - 1 + vp_int(q, lat.p)) for q in law.denoms]
     xs = quotient.window_members(i, window_a)
     ys = quotient.window_members(j, window_b)
-    for a, rows in zip(xs, law.grid(xs, ys)):
-        at = first_indivisible(rows, moduli)
-        if at is not None:
-            b = ys[at]
-            c = lat.element_second(a).commutator(lat.element_second(b))
-            raise CounterexampleFound(
-                f"[P_{i}, P_{j}] escapes P_{i + j + 1}",
-                witness=(a, b, c.second()),
-            )
+    if len(xs) <= len(ys):
+        misses = enumerate(first_indivisible(rows, moduli) for rows in law.grid(xs, ys))
+        escape = next(((at, miss) for at, miss in misses if miss is not None), None)
+    else:
+        misses = enumerate(first_indivisible(rows, moduli) for rows in law.swapped().grid(ys, xs))
+        escape = min(((miss, at) for at, miss in misses if miss is not None), default=None)
+    if escape is not None:
+        a, b = xs[escape[0]], ys[escape[1]]
+        c = lat.element_second(a).commutator(lat.element_second(b))
+        raise CounterexampleFound(
+            f"[P_{i}, P_{j}] escapes P_{i + j + 1}",
+            witness=(a, b, c.second()),
+        )
     return len(xs) * len(ys)
 
 

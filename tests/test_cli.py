@@ -162,10 +162,15 @@ def test_bad_pro2_level_rejected(level):
     ({"radii": [3]}, "radii[0]: must be a radius literal like 3^-1/2"),
     ({"radii": ["3^-1/2", "3^-1"]}, "radii[1]: radius exponent 1/1 outside (0, 1)"),
     ({"seed": True}, "seed: must be an integer"),
+    ({"field": 3}, "field: must be an object"),
+    ({"field": {"p": "3"}}, "field.p: must be an integer >= 2"),
+    ({"field": {"p": 3, "precision": True}}, "field.precision: must be an integer >= 1"),
+    ({"field": {"p": 3, "e": True}}, "field.e: must be an integer >= 1"),
 ], ids=["top-level-list", "options-list", "option-string", "option-zero", "option-bool",
         "transfer-negative", "option-unknown", "truncation-bool", "precision-float",
         "suites-string", "group-int", "radii-int", "radii-null", "radius-int",
-        "radius-out-of-range", "seed-bool"])
+        "radius-out-of-range", "seed-bool", "field-int", "field-p-string",
+        "field-precision-bool", "field-e-bool"])
 def test_bad_config_exits_two_naming_the_key(tmp_path, capsys, data, message):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(data))

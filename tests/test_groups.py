@@ -9,6 +9,7 @@ from helpers import (
     filiform,
     heisenberg_bch_oracle,
     heisenberg_second_kind_oracle,
+    p_valuation_oracle,
     pro2_sweep_oracle,
 )
 from padicdist import (
@@ -20,6 +21,7 @@ from padicdist import (
     abelian,
     check_p_valuation,
     check_powerful_commutator,
+    groups,
     heisenberg,
     heisenberg2,
     o_additive,
@@ -34,6 +36,7 @@ from padicdist.errors import (
     PadicError,
 )
 from padicdist.groups import SecondKindLaw, _LawPoly
+from padicdist.samplers import random_element
 
 INF = math.inf
 
@@ -187,6 +190,77 @@ def test_p_valuation_axioms(heis, heis2):
         assert check_p_valuation(pairs) == []
 
 
+def _levelled_pairs(lat, seed):
+    """Every ordered pair of the identity, elements at levels 1, 2 and 3
+    (the level-2 one over the denominator 5) and three sampled ones."""
+    rng = random.Random(seed)
+    elements = [lat.identity()]
+    for k, den in ((0, 1), (1, 5), (2, 1)):
+        elements.append(lat.element_second(
+            tuple(Fraction(lat.p**k * (i + 1), den) for i in range(lat.d))
+        ))
+    elements += [random_element(lat, rng) for _ in range(3)]
+    assert [g.level() for g in elements[1:4]] == [1, 2, 3]
+    return [(g, h) for g in elements for h in elements]
+
+
+@pytest.mark.parametrize("lat", [heisenberg(3), heisenberg2(), filiform(3), filiform(2)], ids=repr)
+def test_p_valuation_check_matches_the_fraction_oracle(lat):
+    """The batch check, its valuations read off the compiled maps' ints,
+    finds what the Fraction path of ``helpers`` finds, identity included."""
+    pairs = _levelled_pairs(lat, 24)
+    found = [
+        (kind, g.second(), None if h is None else h.second())
+        for kind, g, h in check_p_valuation(pairs)
+    ]
+    assert found == p_valuation_oracle(pairs)
+
+
+def _p_valuation_loop(pairs):
+    """``check_p_valuation`` one pair at a time through the ``GroupElement``
+    operations, each one ``SecondKindLaw.reduced`` call of whatever map
+    the lattice holds."""
+    violations = []
+    for g, h in pairs:
+        og, oh = g.p_valuation(), h.p_valuation()
+        if (g * h.inverse()).p_valuation() < min(og, oh):
+            violations.append(("ultrametric", g, h))
+        if g.commutator(h).p_valuation() < og + oh:
+            violations.append(("commutator", g, h))
+        for elt, om in ((g, og), (h, oh)):
+            if om is INF:
+                continue
+            if (elt ** elt.lattice.p).p_valuation() != om + 1:
+                violations.append(("p-power", elt, None))
+            if om != groups.second_kind_valuation_formula(elt):
+                violations.append(("coordinate-formula", elt, None))
+    return violations
+
+
+def test_p_valuation_check_reports_planted_violations_in_order(monkeypatch):
+    """On heisenberg2 with F halved, C without its factor 4, E doubled and
+    the coordinate formula off by one at an odd first numerator, the batch
+    check reports violations of every kind, entry by entry as the per-pair
+    loop does."""
+    lat = heisenberg2()
+    x = [_LawPoly({((v, 1),): Fraction(1)}) for v in range(6)]
+    lat.second_kind_law = SecondKindLaw(2, [(x[k] + x[k + 3]) * Fraction(1, 2) for k in range(3)], 6)
+    lat.commutator_law = SecondKindLaw(2, [0, 0, x[0] * x[4]], 6)
+    lat.to_first_kind = SecondKindLaw(2, [c * 2 for c in x[:3]], 3)
+    formula = groups.second_kind_valuation_formula
+    monkeypatch.setattr(groups, "second_kind_valuation_formula", lambda g: formula(g) + g.nums[0] % 2)
+    pairs = _levelled_pairs(lat, 25)
+    found = check_p_valuation(pairs)
+    assert found == _p_valuation_loop(pairs)
+    assert {kind for kind, _, _ in found} == {"ultrametric", "commutator", "p-power", "coordinate-formula"}
+
+
+def test_p_valuation_check_refuses_elements_of_two_lattices(heis):
+    with pytest.raises(InvalidArgument, match="one lattice"):
+        check_p_valuation([(heis.generator(0), heis.generator(1)), (heisenberg(3).generator(0),) * 2])
+    assert check_p_valuation([]) == []
+
+
 def test_commutator_valuation(heis):
     h1, h2 = heis.generator(0), heis.generator(1)
     assert h1.commutator(h2).p_valuation() >= 2
@@ -251,6 +325,30 @@ def test_pro2_counterexample_is_the_earliest_pair():
         check_powerful_commutator(FiniteQuotient(lat, 5), 1, 1)
     assert info.value.witness == ((1, 0, 0), (0, 0, 1), (0, 0, 2))
     assert info.value.witness == pro2_sweep_oracle(lat, 5, 1, 1)[1]
+
+
+@pytest.mark.parametrize("i, j, witness", [
+    (1, 3, ((0, 1, 0), (0, 4, 0), (0, 8, 0))),
+    (3, 1, ((0, 4, 0), (0, 1, 0), (0, 8, 0))),
+])
+def test_pro2_sweep_with_unequal_windows(i, j, witness):
+    """At level 5 the windows of [P_1, P_3] hold 512 a and 8 b, and those
+    of [P_3, P_1] 8 a and 512 b; either way the shorter is outside.  A
+    planted C(x, y) = (0, 2 x_2 y_2, 2 x_1 y_3) escapes P_5 in both
+    coordinates.  In [P_1, P_3] the first b to escape, (0, 0, 4), first
+    does so at a = (1, 0, 0), after a = (0, 1, 0), which escapes with
+    b = (0, 4, 0): the witness is still the earliest pair in (a, b)
+    order, as in the per-point loop.  Doubled, C passes, with the loop's
+    pair count."""
+    lat = heisenberg2()
+    x1, x2, y2, y3 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 1, 4, 5))
+    lat.commutator_law = SecondKindLaw(2, [0, x2 * y2 * 2, x1 * y3 * 2], 6)
+    with pytest.raises(CounterexampleFound, match=rf"\[P_{i}, P_{j}\] escapes P_5") as info:
+        check_powerful_commutator(FiniteQuotient(lat, 5), i, j)
+    assert info.value.witness == witness == pro2_sweep_oracle(lat, 5, i, j)[1]
+    lat.commutator_law = SecondKindLaw(2, [0, x2 * y2 * 4, x1 * y3 * 4], 6)
+    assert check_powerful_commutator(FiniteQuotient(lat, 5), i, j) == 4096
+    assert pro2_sweep_oracle(lat, 5, i, j) == (4096, None)
 
 
 def test_pro2_requires_p2(heis):

@@ -8,7 +8,9 @@ h^y.  On the class-2 lattices they are checked against the independent
 Hausdorff series over Fractions) through the identities that define
 them.  Inputs are p-integral Fractions; a denominator divisible by p is
 refused by every map, and C refuses a law F or I with p in a coefficient
-denominator.  Group elements, which hold int numerators over one
+denominator.  The list evaluator ``reduced_all`` is checked point by
+point against ``reduced``, on an o-additive restriction and a step
+lattice too.  Group elements, which hold int numerators over one
 denominator, are checked against the Fraction element oracle of
 ``helpers``: products, inverses, commutators, p-th powers, levels,
 valuations and coset keys.
@@ -31,7 +33,7 @@ from helpers import (  # noqa: E402
     heisenberg_second_kind_oracle,
     valuation_formula_oracle,
 )
-from padicdist import heisenberg, heisenberg2  # noqa: E402
+from padicdist import FieldSpec, heisenberg, heisenberg2, o_additive  # noqa: E402
 from padicdist.errors import (  # noqa: E402
     InvalidArgument,
     LawNotPIntegral,
@@ -211,6 +213,48 @@ def test_compiled_maps_refuse_denominators_divisible_by_p(lat, data):
             call()
 
 
+# every compiled map with its arity; the restriction and the step lattice
+# add an abelian map over d = 2 and a class-2 one with brackets in 3 Z_3
+MAPS = {"second_kind_law": 2, "commutator_law": 2, "second_kind_inverse": 1,
+        "to_first_kind": 1, "to_second_kind": 1}
+BATCH_LATTICES = LATTICES + [o_additive(FieldSpec.unramified(3, 2), 1).restrict(),
+                             heisenberg(3).step(1)]
+
+
+def cleared_points(lat, size, min_size=0):
+    """Lists of (nums, den) points of ``size`` coordinates, each over its
+    own denominator prime to p."""
+    den = st.integers(1, 40).map(lambda q: q if q % lat.p else q + 1)
+    nums = st.lists(st.integers(-60, 60), min_size=size, max_size=size).map(tuple)
+    return st.lists(st.tuples(nums, den), min_size=min_size, max_size=6)
+
+
+@pytest.mark.parametrize("lat", BATCH_LATTICES, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_reduced_all_matches_reduced_point_by_point(lat, data):
+    """``reduced_all`` returns, in order, exactly what ``reduced`` returns at
+    each point, on lists (empty ones included) whose points have mixed
+    denominators prime to p; heisenberg(3)'s E and L have denominator 2."""
+    for name, arity in MAPS.items():
+        law = getattr(lat, name)
+        points = data.draw(cleared_points(lat, arity * lat.d))
+        assert law.reduced_all(points) == [law.reduced(*point) for point in points]
+
+
+@pytest.mark.parametrize("lat", BATCH_LATTICES, ids=repr)
+@FEW
+@hypothesis.given(data=st.data())
+def test_reduced_all_refuses_a_p_divisible_denominator_anywhere(lat, data):
+    for name, arity in MAPS.items():
+        points = data.draw(cleared_points(lat, arity * lat.d, min_size=1))
+        at = data.draw(st.integers(0, len(points) - 1))
+        nums, den = points[at]
+        points[at] = nums, den * lat.p
+        with pytest.raises(NotPIntegral):
+            getattr(lat, name).reduced_all(points)
+
+
 @pytest.mark.parametrize("lat", CLASS_2, ids=repr)
 @SETTINGS
 @hypothesis.given(data=st.data())
@@ -232,6 +276,21 @@ def test_commutator_refuses_a_law_with_p_in_a_denominator(name):
     setattr(lat, name, planted)  # the cached property's slot
     with pytest.raises(LawNotPIntegral, match=name):
         lat.commutator_law
+
+
+def test_compiled_maps_are_shared_per_structure():
+    """Lattices with one (p, d, brackets) share each compiled map; a law
+    planted on one lattice reaches no other, and C still checks the F and
+    I of its own lattice after C of that structure is compiled."""
+    first, second = heisenberg(3), heisenberg(3)
+    assert first.commutator_law is second.commutator_law
+    assert first.step(1).second_kind_law is not first.second_kind_law
+    planted = heisenberg(3)
+    x0 = _LawPoly({((0, 1),): Fraction(1, 3)})
+    planted.second_kind_law = SecondKindLaw(3, [x0, x0 * 0, x0 * 0], 2 * planted.d)
+    with pytest.raises(LawNotPIntegral, match="second_kind_law"):
+        planted.commutator_law
+    assert heisenberg(3).second_kind_law is first.second_kind_law
 
 
 def test_commutator_refuses_elements_of_two_lattices():
