@@ -14,7 +14,6 @@ suites.
 from .catalog import abelian, get_group, heisenberg, heisenberg2, o_additive
 from .distalg import DistAlgebra, Distribution, mul_tail_bound
 from .groups import (
-    FiniteQuotient,
     GroupElement,
     LGroupSpec,
     LieLattice,

@@ -21,10 +21,10 @@ series; any other basis is refused with InvalidBasis.
 
 The module also provides the lower p-series level, the induced
 p-valuation and its axiom check (which evaluates each map once over the
-whole sample), finite powerful quotients for the pro-2 commutator check
-(which evaluates C on whole grids of integer window points and tests
+whole sample), the pro-2 commutator check (which evaluates C on whole
+grids of integer window points of the lower p-series and tests
 divisibility of its numerators) and scalar restriction of groups
-defined over a finite extension L.
+defined over a finite extension L, computed in K.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from copy import copy
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import factorial, gcd, lcm
 from operator import add, floordiv, itemgetter, mul
 
@@ -110,12 +110,8 @@ class LieLattice:
             raise InvalidArgument(f"need one label per generator: {len(self.labels)} for d = {d}")
 
         table = [[(Fraction(0),) * d for _ in range(d)] for _ in range(d)]
-        for (i, j), vec in (brackets or {}).items():
-            if i == j:
-                raise InvalidBracket("bracket of a generator with itself must be omitted")
-            row = tuple(Fraction(c) for c in vec)
-            if len(row) != d:
-                raise InvalidBracket("bracket vectors must have length d")
+        checked = _bracket_table(brackets, 0, (d,), "bracket vectors must have length d")
+        for (i, j), row in checked.items():
             table[i][j] = row
             table[j][i] = tuple(-c for c in row)
         self.brackets = tuple(tuple(r) for r in table)
@@ -319,6 +315,38 @@ class LieLattice:
     def __repr__(self):
         tag = self.name or "lattice"
         return f"{tag}(p={self.p}, d={self.d})"
+
+
+def _bracket_table(brackets, first, shape, what):
+    """``brackets`` checked and in one orientation: {(i, j): entry} with
+    i < j, an entry given at (j, i) negated, its constants as Fractions.
+    A key that is not a pair of distinct generator indices first, ...,
+    first + d - 1 (d = shape[0]) and a constant that is not an int or a
+    Fraction are refused with InvalidBracket, and so, with the message
+    ``what``, is an entry whose nesting is not of the lengths ``shape``."""
+    d = shape[0]
+
+    def constants(entry, dims, sign):
+        entry = tuple(entry)
+        if len(entry) != dims[0]:
+            raise InvalidBracket(what)
+        if len(dims) > 1:
+            return tuple(constants(e, dims[1:], sign) for e in entry)
+        if not all(isinstance(c, (int, Fraction)) for c in entry):
+            raise InvalidBracket(f"bracket constants must be ints or Fractions, not {entry!r}")
+        return tuple(sign * Fraction(c) for c in entry)
+
+    table = {}
+    for key, entry in (brackets or {}).items():
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(i, int) and first <= i < first + d for i in key)):
+            raise InvalidBracket(f"bracket key {key!r} is not a pair of generator indices "
+                                 f"in {first}..{first + d - 1}")
+        i, j = key
+        if i == j:
+            raise InvalidBracket("bracket of a generator with itself must be omitted")
+        table[min(i, j), max(i, j)] = constants(entry, shape, 1 if i < j else -1)
+    return table
 
 
 def _eval_second_kind(lattice, coords):
@@ -683,14 +711,14 @@ class GroupElement:
 
     def level(self):
         """Largest i with all second-kind coordinates in p^{i-1} Z_p, that
-        is 1 + min v_p over the nonzero coordinates; exact at any depth."""
+        is omega - kappa + 1; exact at any depth."""
         omega = self.p_valuation()
         if omega is INF:
             raise InvalidArgument("the identity has no finite lower-p-series level")
-        return omega - (self.lattice.p == 2)
+        return omega - self.lattice.kappa + 1
 
     def p_valuation(self):
-        """The p-valuation induced by the lower p-series (shifted for p = 2)."""
+        """The p-valuation omega induced by the lower p-series (see ``_omega``)."""
         return _omega(self.lattice.p, self.nums, self.den)
 
     def __eq__(self, other):
@@ -719,27 +747,23 @@ def _joined(x, y):
 
 
 def _omega(p, nums, den):
-    """The p-valuation at second-kind coordinates nums / den: the level,
-    1 + v_p(gcd(nums) / den), plus one for p = 2; INF at the identity."""
+    """The p-valuation at the coordinates nums / den, in either chart:
+    kappa + v_p(gcd(nums) / den); INF at the identity."""
     g = gcd(*nums)
-    return 1 + vp_int(g, p) - vp_int(den, p) + (p == 2) if g else INF
-
-
-def second_kind_valuation_formula(g):
-    """min_i (omega(h_i) + v_p(x_i)) over the second-kind coordinates."""
-    lat = g.lattice
-    shift = lat.kappa - vp_int(g.den, lat.p)
-    return min((vp_int(n, lat.p) + shift for n in g.nums), default=INF)
+    return kappa(p) + vp_int(g, p) - vp_int(den, p) if g else INF
 
 
 def check_p_valuation(pairs):
-    """Verify the p-valuation axioms and the coordinate formula on sample pairs.
+    """Verify the p-valuation axioms on sample pairs.
 
     Returns the list of violations (empty when the axioms hold); each entry
-    names the axiom and carries the offending pair.  The elements share
-    one lattice, whose maps each run once over the sample (``reduced_all``):
-    I at every h, F at every (g, h^-1), C at every (g, h), E at every
-    element and L at every p E, as g^p = L(p E(g)).
+    names the axiom and carries the offending pair.  Besides the
+    ultrametric, commutator and p-power axioms, the "coordinate-formula"
+    one asks that omega agree with the first-kind chart: omega(g) =
+    ``_omega`` at E(x), as omega(exp z) = kappa + v_p(z).  The elements
+    share one lattice, whose maps each run once over the sample
+    (``reduced_all``): I at every h, F at every (g, h^-1), C at every
+    (g, h), E at every element and L at every p E, as g^p = L(p E(g)).
     """
     pairs = list(pairs)
     if not pairs:
@@ -756,46 +780,26 @@ def check_p_valuation(pairs):
     firsts = lat.to_first_kind.reduced_all([x for pair in zip(gs, hs) for x in pair])
     powers = lat.to_second_kind.reduced_all([([p * n for n in nums], den) for nums, den in firsts])
     violations = []
-    for (g, h), q, c, pg, ph in zip(pairs, quotients, commutators, powers[::2], powers[1::2]):
+    for (g, h), q, c, pg, ph, eg, eh in zip(
+        pairs, quotients, commutators, powers[::2], powers[1::2], firsts[::2], firsts[1::2]
+    ):
         og, oh = g.p_valuation(), h.p_valuation()
         if _omega(p, *q) < min(og, oh):
             violations.append(("ultrametric", g, h))
         if _omega(p, *c) < og + oh:
             violations.append(("commutator", g, h))
-        for elt, om, power in ((g, og, pg), (h, oh, ph)):
+        for elt, om, power, first in ((g, og, pg, eg), (h, oh, ph, eh)):
             if om is INF:
                 continue
             if _omega(p, *power) != om + 1:
                 violations.append(("p-power", elt, None))
-            if om != second_kind_valuation_formula(elt):
+            if _omega(p, *first) != om:
                 violations.append(("coordinate-formula", elt, None))
     return violations
 
 
 # ---------------------------------------------------------------------------
-# finite quotients and the pro-2 commutator check
-
-class FiniteQuotient:
-    """The quotient by the lower-p-series step P_{level+1}.
-
-    Elements are integer second-kind coordinate vectors modulo p^level;
-    the group law is computed exactly upstairs and reduced, so any level
-    >= 1 is admissible.
-    """
-
-    def __init__(self, lattice, level):
-        if level < 1:
-            raise InvalidArgument(f"quotient level must be >= 1, not {level}")
-        self.lattice = lattice
-        self.level = level
-
-    def window_members(self, i, window):
-        """Representatives of P_i modulo P_{i+window} inside the quotient."""
-        p = self.lattice.p
-        stride = p ** (i - 1)
-        steps = range(0, stride * p**window, stride)
-        return list(product(steps, repeat=self.lattice.d))
-
+# the pro-2 commutator check
 
 def _commutator_windows(level, i, j):
     """Window sizes of P_i and P_j in the commutator check at ``level``."""
@@ -814,11 +818,14 @@ def pro2_sweep_pairs(d, level):
     return total
 
 
-def check_powerful_commutator(quotient, i, j):
-    """Exhaustively verify [P_i, P_j] <= P_{i+j+1} in a powerful 2-group quotient.
+def check_powerful_commutator(lattice, level, i, j):
+    """Exhaustively verify [P_i, P_j] <= P_{i+j+1} modulo P_{level+1}.
 
+    The lattice must have p = 2 and level must be at least i + j.
     Enumeration runs over representatives of P_i mod P_{i+j} and P_j mod
-    P_{i+j}: replacing a by az with z in P_{i+j} changes [a,b] by factors
+    P_{i+j}, cut at P_{level+1}: integer second-kind points with
+    coordinates multiples of p^(i-1) below p^(i-1+w), w the window size.
+    Replacing a by az with z in P_{i+j} changes [a,b] by factors
     from [P_{i+j}, G] <= P_{i+j+1}, so these windows cover every pair.
     The compiled commutator C is evaluated on the whole window grid
     (``SecondKindLaw.grid``), one row of numerators n_k per point of the
@@ -830,21 +837,20 @@ def check_powerful_commutator(quotient, i, j):
     escaping pair in (a, b) order is the witness, with the second-kind
     coordinates of [a, b].  Returns the number of pairs checked.
     """
-    lat = quotient.lattice
-    if lat.p != 2:
-        raise InvalidArgument(f"the commutator check is specific to p = 2, not p = {lat.p}")
+    p = lattice.p
+    if p != 2:
+        raise InvalidArgument(f"the commutator check is specific to p = 2, not p = {p}")
     if i < 1 or j < 1:
         raise InvalidArgument(f"step indices need 1 <= i, j, not i = {i}, j = {j}")
-    if quotient.level < i + j:
-        raise InvalidArgument(
-            f"quotient level {quotient.level} is below i + j = {i + j} for the step pair"
-        )
-    window_a, window_b = _commutator_windows(quotient.level, i, j)
-    law = lat.commutator_law
-    bound = min(i + j + 1, quotient.level + 1)
-    moduli = [lat.p ** (bound - 1 + vp_int(q, lat.p)) for q in law.denoms]
-    xs = quotient.window_members(i, window_a)
-    ys = quotient.window_members(j, window_b)
+    if level < i + j:
+        raise InvalidArgument(f"quotient level {level} is below i + j = {i + j} for the step pair")
+    law = lattice.commutator_law
+    bound = min(i + j + 1, level + 1)
+    moduli = [p ** (bound - 1 + vp_int(q, p)) for q in law.denoms]
+    xs, ys = (
+        list(product(range(0, p ** (step - 1 + window), p ** (step - 1)), repeat=lattice.d))
+        for step, window in zip((i, j), _commutator_windows(level, i, j))
+    )
     if len(xs) <= len(ys):
         misses = enumerate(first_indivisible(rows, moduli) for rows in law.grid(xs, ys))
         escape = next(((at, miss) for at, miss in misses if miss is not None), None)
@@ -853,7 +859,7 @@ def check_powerful_commutator(quotient, i, j):
         escape = min(((miss, at) for at, miss in misses if miss is not None), default=None)
     if escape is not None:
         a, b = xs[escape[0]], ys[escape[1]]
-        c = lat.element_second(a).commutator(lat.element_second(b))
+        c = lattice.element_second(a).commutator(lattice.element_second(b))
         raise CounterexampleFound(
             f"[P_{i}, P_{j}] escapes P_{i + j + 1}",
             witness=(a, b, c.second()),
@@ -870,7 +876,7 @@ class LGroupSpec:
     The field K must contain L; ``v_basis`` lists the images in K of a
     Z_p-basis v_1 = 1, ..., v_n of the valuation ring of L, and
     ``brackets`` gives the L-bilinear bracket [x_j, x_l] = sum_m beta *
-    x_m with each beta an o-element written over the v-basis.  The data
+    x_m with each beta an o-element, p-integral over the v-basis.  The data
     asserts that the second-kind chart of the restriction is a global
     chart compatible with integer powers of exp.
     """
@@ -883,50 +889,24 @@ class LGroupSpec:
         if not self.v_basis or self.v_basis[0] != field.one():
             raise InvalidBasis("v_1 must be 1")
         self.n = len(self.v_basis)
-        self.brackets = {}
-        for (j, l), vecs in (brackets or {}).items():
-            if j == l:
-                raise InvalidBracket("bracket of x_j with itself must be omitted")
-            entry = tuple(tuple(Fraction(c) for c in o_elem) for o_elem in vecs)
-            if len(entry) != d or any(len(o) != self.n for o in entry):
-                raise InvalidBracket("bracket entries must be d o-elements over the v-basis")
-            self.brackets[(j, l)] = entry
-            self.brackets[(l, j)] = tuple(
-                tuple(-c for c in o_elem) for o_elem in entry
-            )
-        self._omul = self._solve_o_multiplication()
+        self.brackets = _bracket_table(
+            brackets, 1, (d, self.n), "bracket entries must be d o-elements over the v-basis"
+        )
+        if any(vp_rational(c, field.p) < 0 for e in self.brackets.values() for c in chain(*e)):
+            raise InvalidBracket("an o-element needs p-integral coordinates over the v-basis")
+        for a, b in product(range(self.n), repeat=2):
+            self._v_coords(self.v_basis[a] * self.v_basis[b])
 
-    def _solve_o_multiplication(self):
-        cols = [v.coords for v in self.v_basis]
-        table = {}
-        for i in range(self.n):
-            for j in range(i, self.n):
-                prod = self.v_basis[i] * self.v_basis[j]
-                sol = solve_columns(cols, prod.coords)
-                if sol is None:
-                    raise InvalidBasis("v-basis does not span a ring: products leave the span")
-                for c in sol:
-                    if vp_rational(c, self.field.p) < 0:
-                        raise InvalidBasis("v-basis products have non-integral coordinates")
-                table[(i, j)] = tuple(sol)
-                table[(j, i)] = tuple(sol)
-        return table
-
-    def o_mul(self, u, w):
-        """Product of two o-elements given over the v-basis."""
-        out = [Fraction(0)] * self.n
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(w):
-                if not b:
-                    continue
-                row = self._omul[(i, j)]
-                c = a * b
-                for k in range(self.n):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return tuple(out)
+    def _v_coords(self, x):
+        """The coordinates over the v-basis of the scalar x of K, which
+        must lie in the Z_p-span of the v-basis, with p-integral
+        coordinates; refused with InvalidBasis otherwise."""
+        sol = solve_columns([v.coords for v in self.v_basis], x.coords)
+        if sol is None:
+            raise InvalidBasis("v-basis does not span a ring: products leave the span")
+        if any(vp_rational(c, self.field.p) < 0 for c in sol):
+            raise InvalidBasis("v-basis products have non-integral coordinates")
+        return sol
 
     def flat_index(self, i, j):
         """Position of the generator h_ij in the order (1,1),(2,1),...,(n,d)."""
@@ -935,39 +915,25 @@ class LGroupSpec:
     def restrict(self):
         """The nd-dimensional Q_p-lattice of the scalar restriction.
 
-        Generators are labelled b_ij in the basis order v_i x_j; raises
-        NotPowerful when the induced constants violate the kappa bound.
+        Generators are labelled b_ij in the basis order v_i x_j, and
+        [b_aj, b_bl] = sum_m v_a v_b beta_m x_m is computed in K, each
+        product read back over the v-basis; raises NotPowerful when the
+        induced constants violate the kappa bound.
         """
-        n, d = self.n, self.d
-        nd = n * d
-
-        def basis_o(i):
-            return tuple(Fraction(1) if k == i else Fraction(0) for k in range(n))
-
+        n, d, v = self.n, self.d, self.v_basis
         br = {}
-        for j in range(1, d + 1):
-            for l in range(j + 1, d + 1):
-                beta = self.brackets.get((j, l))
-                if beta is None:
-                    continue
-                for a in range(n):
-                    for b in range(n):
-                        vab = self.o_mul(basis_o(a), basis_o(b))
-                        row = [Fraction(0)] * nd
-                        nonzero = False
-                        for m in range(1, d + 1):
-                            coeff_o = self.o_mul(vab, beta[m - 1])
-                            for i in range(n):
-                                c = coeff_o[i]
-                                if c:
-                                    row[self.flat_index(i + 1, m)] += c
-                                    nonzero = True
-                        if nonzero:
-                            key = (self.flat_index(a + 1, j), self.flat_index(b + 1, l))
-                            br[key] = tuple(row)
+        for (j, l), entry in self.brackets.items():
+            beta = [sum(map(mul, v, o_elem), self.field.zero()) for o_elem in entry]
+            for a, b in product(range(n), repeat=2):
+                row = [Fraction(0)] * (n * d)
+                for m, beta_m in enumerate(beta, 1):
+                    for i, c in enumerate(self._v_coords(v[a] * v[b] * beta_m), 1):
+                        row[self.flat_index(i, m)] = c
+                if any(row):
+                    br[(self.flat_index(a + 1, j), self.flat_index(b + 1, l))] = tuple(row)
         labels = tuple(f"b{i}{j}" for j in range(1, d + 1) for i in range(1, n + 1))
         return LieLattice(
-            self.field.p, nd, br,
+            self.field.p, n * d, br,
             labels=labels,
             name=f"{self.name}|Qp" if self.name else "restricted",
         )
@@ -980,8 +946,6 @@ class LGroupSpec:
             key: tuple(tuple(c * scale for c in o_elem) for o_elem in entry)
             for key, entry in self.brackets.items()
         }
-        # keep only one orientation; constructor rebuilds the other
-        br = {(j, l): e for (j, l), e in br.items() if j < l}
         return LGroupSpec(
             self.field, self.v_basis, self.d, br,
             name=f"{self.name}^({m})" if self.name else "",

@@ -23,7 +23,7 @@ from .grading import (
     LaurentScalar,
     SymbolContext,
 )
-from .groups import FiniteQuotient, LGroupSpec, check_p_valuation, check_powerful_commutator
+from .groups import LGroupSpec, check_p_valuation, check_powerful_commutator
 from .quotient import (
     binomial_series,
     build_kernel_family,
@@ -133,14 +133,13 @@ def suite_pro2(env):
     if lat.p != 2:
         return [CheckRecord(suite, "requires p = 2", True, detail="skipped (p != 2)")]
     level = env.config.options["pro2_level"]
-    quotient = FiniteQuotient(lat, level)
     for i in range(1, level):
         for j in range(1, level):
             if i + j + 1 > level:
                 continue
             records.append(_record(
                 env, suite, f"[P_{i}, P_{j}] <= P_{i + j + 1} at level {level}",
-                lambda i=i, j=j: check_powerful_commutator(quotient, i, j),
+                lambda i=i, j=j: check_powerful_commutator(lat, level, i, j),
                 expected="exhaustive, no counterexample",
             ))
     return records

@@ -33,7 +33,7 @@ from .errors import (
 from .grading import symbol_class_nonzero
 from .groups import require_step
 from .indices import iter_multi_indices
-from .radii import radius_root
+from .radii import dominant_log_index, radius_root
 
 INF = math.inf
 
@@ -347,10 +347,7 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
     require_step(m)
     field = lgspec.field
     p, kappa = field.p, field.kappa
-    if p != 2:
-        level = m  # kappa = 1: r^(p^m) = delta
-    else:
-        level = m + 1  # kappa = 2: r^(p^(m+1)) = delta
+    level = m + kappa - 1  # r^(p^level) = delta
     r = radius_root(delta, level, p, kappa)
     if (p**level) * r.exponent != delta.exponent:
         raise CounterexampleFound("root-family radius misses delta", witness=(r, delta))
@@ -365,8 +362,6 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
     lattice = lgspec.restrict()
     algebra = DistAlgebra(lattice, field, N)
     vbars = [lgspec.residue_of_v(i) for i in range(1, lgspec.n + 1)]
-
-    from .radii import dominant_log_index
 
     h = dominant_log_index(r, kappa, p)
     if h is None:

@@ -207,14 +207,12 @@ class FractionElement:
     def p_valuation(self):
         if not any(self.second()):
             return INF
-        lvl = self.level()
-        return lvl if self.lattice.p != 2 else lvl + 1
+        return self.level() + self.lattice.kappa - 1
 
 
-def valuation_formula_oracle(g):
-    """min_i (kappa + v_p(x_i)) over the Fraction coordinates of g."""
-    lat = g.lattice
-    return min(lat.kappa + vp_rational(c, lat.p) for c in g.second())
+def valuation_formula_oracle(lattice, coords):
+    """min_i (kappa + v_p(c_i)) over Fraction coordinates in either chart."""
+    return min(lattice.kappa + vp_rational(c, lattice.p) for c in coords)
 
 
 def rational_mod_prime_power(x, p, k):
@@ -292,7 +290,7 @@ def p_valuation_oracle(pairs):
                 continue
             if (elt ** elt.lattice.p).p_valuation() != om + 1:
                 violations.append(("p-power", elt.second(), None))
-            if om != valuation_formula_oracle(elt):
+            if om != valuation_formula_oracle(elt.lattice, elt.first()):
                 violations.append(("coordinate-formula", elt.second(), None))
     return violations
 

@@ -16,7 +16,6 @@ import pytest
 from helpers import LatticeOracle
 from padicdist import (
     DistAlgebra,
-    FiniteQuotient,
     abelian,
     canonicalize,
     check_p_valuation,
@@ -93,12 +92,11 @@ def test_c02_generator_valuations(heis, heis2, k3u2):
 
 def test_c03_pro2_commutator_lemma(heis2):
     with criterion(3, "[P_i, P_j] <= P_{i+j+1} exhaustive at level 5"):
-        quotient = FiniteQuotient(heis2, 5)
         total = 0
         for i in range(1, 5):
             for j in range(1, 5):
                 if i + j + 1 <= 5:
-                    total += check_powerful_commutator(quotient, i, j)
+                    total += check_powerful_commutator(heis2, 5, i, j)
         assert total > 13000
 
 

@@ -6,22 +6,22 @@ from itertools import product
 import pytest
 
 from helpers import (
+    FractionElement,
     filiform,
     heisenberg_bch_oracle,
     heisenberg_second_kind_oracle,
     p_valuation_oracle,
     pro2_sweep_oracle,
+    valuation_formula_oracle,
 )
 from padicdist import (
     DistAlgebra,
     FieldSpec,
-    FiniteQuotient,
     LGroupSpec,
     LieLattice,
     abelian,
     check_p_valuation,
     check_powerful_commutator,
-    groups,
     heisenberg,
     heisenberg2,
     o_additive,
@@ -232,27 +232,40 @@ def _p_valuation_loop(pairs):
                 continue
             if (elt ** elt.lattice.p).p_valuation() != om + 1:
                 violations.append(("p-power", elt, None))
-            if om != groups.second_kind_valuation_formula(elt):
+            # omega of the first-kind coordinates E(x), read as a point
+            if elt.lattice.element_second(elt.first()).p_valuation() != om:
                 violations.append(("coordinate-formula", elt, None))
     return violations
 
 
-def test_p_valuation_check_reports_planted_violations_in_order(monkeypatch):
-    """On heisenberg2 with F halved, C without its factor 4, E doubled and
-    the coordinate formula off by one at an odd first numerator, the batch
-    check reports violations of every kind, entry by entry as the per-pair
-    loop does."""
+def test_p_valuation_check_reports_planted_violations_in_order():
+    """On heisenberg2 with F halved, C without its factor 4 and E with its
+    third coordinate doubled, the batch check reports violations of every
+    kind, entry by entry as the per-pair loop does.  The wrong E alone
+    makes the coordinate-formula ones: at the elements where the Fraction
+    oracle, given the same E, finds kappa + min v_p(E(x)) off omega, which
+    are those whose x_3 alone has the least valuation, as (4, 8, 2)."""
     lat = heisenberg2()
+    shallow = lat.element_second((4, 8, 2))
+    pairs = _levelled_pairs(lat, 25)
+    pairs += [(shallow, g) for g, _ in pairs[::8]]  # with each element
+    assert check_p_valuation(pairs) == []
     x = [_LawPoly({((v, 1),): Fraction(1)}) for v in range(6)]
+    assert lat.to_first_kind((3, 5, 7)) == (3, 5, 7 + 2 * 3 * 5)  # x_3 + 2 x_1 x_2
+    wrong = SecondKindLaw(2, [x[0], x[1], (x[2] + x[0] * x[1] * 2) * 2], 3)
+    lat.to_first_kind = wrong
     lat.second_kind_law = SecondKindLaw(2, [(x[k] + x[k + 3]) * Fraction(1, 2) for k in range(3)], 6)
     lat.commutator_law = SecondKindLaw(2, [0, 0, x[0] * x[4]], 6)
-    lat.to_first_kind = SecondKindLaw(2, [c * 2 for c in x[:3]], 3)
-    formula = groups.second_kind_valuation_formula
-    monkeypatch.setattr(groups, "second_kind_valuation_formula", lambda g: formula(g) + g.nums[0] % 2)
-    pairs = _levelled_pairs(lat, 25)
     found = check_p_valuation(pairs)
     assert found == _p_valuation_loop(pairs)
     assert {kind for kind, _, _ in found} == {"ultrametric", "commutator", "p-power", "coordinate-formula"}
+    formula = [(g.second(), h) for kind, g, h in found if kind == "coordinate-formula"]
+    assert formula == [
+        (elt.second(), None) for pair in pairs for elt in pair
+        if any(elt.nums)
+        and valuation_formula_oracle(lat, wrong(elt.second())) != FractionElement.of(elt).p_valuation()
+    ]
+    assert formula == [(shallow.second(), None)] * 7
 
 
 def test_p_valuation_check_refuses_elements_of_two_lattices(heis):
@@ -279,15 +292,16 @@ def test_jacobi_validation():
         LieLattice(3, 3, {(0, 1): (0, 3, 0), (1, 2): (-3, 0, 0)})
 
 
-def test_finite_quotient_takes_any_level_from_one():
-    assert FiniteQuotient(heisenberg2(), 40).level == 40
+def test_pro2_check_takes_any_level_from_i_plus_j():
+    # both windows hold 2^3 points at i = j = 1, from level 2 up
+    assert check_powerful_commutator(heisenberg2(), 2, 1, 1) == 64
+    assert check_powerful_commutator(heisenberg2(), 40, 1, 1) == 64
 
 
 def test_pro2_commutator_check(heis2):
-    q = FiniteQuotient(heis2, 5)
-    assert check_powerful_commutator(q, 1, 1) > 0
-    assert check_powerful_commutator(q, 1, 2) > 0
-    assert check_powerful_commutator(q, 2, 2) > 0
+    assert check_powerful_commutator(heis2, 5, 1, 1) > 0
+    assert check_powerful_commutator(heis2, 5, 1, 2) > 0
+    assert check_powerful_commutator(heis2, 5, 2, 2) > 0
 
 
 def test_pro2_counterexample_carries_the_commutator():
@@ -297,7 +311,7 @@ def test_pro2_counterexample_carries_the_commutator():
     lat = heisenberg2()
     lat.commutator_law = SecondKindLaw(2, [0, 0, _LawPoly({((0, 1), (4, 1)): Fraction(1)})], 6)
     with pytest.raises(CounterexampleFound, match=r"\[P_1, P_1\] escapes P_3") as info:
-        check_powerful_commutator(FiniteQuotient(lat, 5), 1, 1)
+        check_powerful_commutator(lat, 5, 1, 1)
     a, b, c = info.value.witness
     assert c == (0, 0, Fraction(a[0] * b[1]))
     assert a[0] * b[1] % 4 != 0
@@ -306,10 +320,9 @@ def test_pro2_counterexample_carries_the_commutator():
 @pytest.mark.parametrize("lat", [heisenberg2(), filiform(2)], ids=repr)
 def test_pro2_sweep_matches_the_per_point_loop(lat):
     level = 5
-    quotient = FiniteQuotient(lat, level)
     for i in range(1, level):
         for j in range(1, level - i):
-            assert check_powerful_commutator(quotient, i, j) == pro2_sweep_oracle(lat, level, i, j)[0]
+            assert check_powerful_commutator(lat, level, i, j) == pro2_sweep_oracle(lat, level, i, j)[0]
 
 
 def test_pro2_counterexample_is_the_earliest_pair():
@@ -322,7 +335,7 @@ def test_pro2_counterexample_is_the_earliest_pair():
     x1, y2, y3 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 4, 5))
     lat.commutator_law = SecondKindLaw(2, [0, x1 * y2 * 2, x1 * y3 * 2], 6)
     with pytest.raises(CounterexampleFound, match=r"\[P_1, P_1\] escapes P_3") as info:
-        check_powerful_commutator(FiniteQuotient(lat, 5), 1, 1)
+        check_powerful_commutator(lat, 5, 1, 1)
     assert info.value.witness == ((1, 0, 0), (0, 0, 1), (0, 0, 2))
     assert info.value.witness == pro2_sweep_oracle(lat, 5, 1, 1)[1]
 
@@ -344,17 +357,16 @@ def test_pro2_sweep_with_unequal_windows(i, j, witness):
     x1, x2, y2, y3 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 1, 4, 5))
     lat.commutator_law = SecondKindLaw(2, [0, x2 * y2 * 2, x1 * y3 * 2], 6)
     with pytest.raises(CounterexampleFound, match=rf"\[P_{i}, P_{j}\] escapes P_5") as info:
-        check_powerful_commutator(FiniteQuotient(lat, 5), i, j)
+        check_powerful_commutator(lat, 5, i, j)
     assert info.value.witness == witness == pro2_sweep_oracle(lat, 5, i, j)[1]
     lat.commutator_law = SecondKindLaw(2, [0, x2 * y2 * 4, x1 * y3 * 4], 6)
-    assert check_powerful_commutator(FiniteQuotient(lat, 5), i, j) == 4096
+    assert check_powerful_commutator(lat, 5, i, j) == 4096
     assert pro2_sweep_oracle(lat, 5, i, j) == (4096, None)
 
 
 def test_pro2_requires_p2(heis):
-    q = FiniteQuotient(heis, 4)
     with pytest.raises(ValueError):
-        check_powerful_commutator(q, 1, 1)
+        check_powerful_commutator(heis, 4, 1, 1)
 
 
 def test_scalar_restrict_abelian(k3u2):
@@ -424,11 +436,20 @@ def test_restrict_rejects_unpowerful(k3u2):
         lg.restrict()
 
 
-def test_o_multiplication_table(k3u2):
-    lg = o_additive(k3u2, 1)
-    # w * w = -1 mod the defining polynomial w^2 + 1
-    prod = lg.o_mul((0, 1), (0, 1))
-    assert prod == (Fraction(-1), Fraction(0))
+def test_restrict_multiplies_in_K(k3u2):
+    # [x_1, x_2] = 3 x_2 over Q_9 = Q_3(w), w^2 = -1: [v_a x_1, v_b x_2] =
+    # 3 v_a v_b x_2, so [b21, b22] = 3 w^2 x_2 = -3 b12
+    zero_o, three_o = (0, 0), (3, 0)
+    lg = LGroupSpec(k3u2, [k3u2.one(), k3u2.unram_gen()], 2, {(1, 2): (zero_o, three_o)})
+    lat = lg.restrict()
+    assert lat.labels == ("b11", "b21", "b12", "b22")
+    assert lat.brackets[0][2] == (0, 0, 3, 0)  # [b11, b12] = 3 b12
+    assert lat.brackets[0][3] == lat.brackets[1][2] == (0, 0, 0, 3)  # 3 w x_2 = 3 b22
+    assert lat.brackets[1][3] == (0, 0, -3, 0)
+    assert lat.brackets[0][1] == lat.brackets[2][3] == (0, 0, 0, 0)
+    # the bracket given at (2, 1) is the negated one at (1, 2)
+    flipped = LGroupSpec(k3u2, [k3u2.one(), k3u2.unram_gen()], 2, {(2, 1): (zero_o, (-3, 0))})
+    assert flipped.restrict().brackets == lat.brackets
 
 
 def test_lgroup_refuses_v_basis_without_ring_closure():
@@ -459,13 +480,27 @@ def _k3u3():
     (lambda K: LGroupSpec(K, [K.one(), K.unram_gen() / 3], 1), InvalidBasis, "non-integral"),
     (lambda K: LieLattice(3, 3, {(0, 1): (0, 3, 0), (1, 2): (-3, 0, 0)}),
      InvalidBracket, "Jacobi"),
+    (lambda K: LieLattice(3, 3, {(0, 5): (0, 0, 3)}), InvalidBracket, "generator indices in 0..2"),
+    (lambda K: LieLattice(3, 3, {(-1, 0): (0, 0, 3)}), InvalidBracket, "generator indices"),
+    (lambda K: LieLattice(3, 3, {(0, 1): (0, 0, 3.0)}), InvalidBracket, "ints or Fractions"),
+    (lambda K: LieLattice(3, 3, {(0, 1): (0, 0, "3")}), InvalidBracket, "ints or Fractions"),
+    (lambda K: LGroupSpec(K, [K.one(), K.unram_gen()], 2, {(0, 1): ((0, 0), (3, 0))}),
+     InvalidBracket, "generator indices in 1..2"),
+    (lambda K: LGroupSpec(K, [K.one(), K.unram_gen()], 2, {(2, 5): ((0, 0), (3, 0))}),
+     InvalidBracket, "generator indices"),
+    (lambda K: LGroupSpec(K, [K.one(), K.unram_gen()], 2, {(1, 2): ((0, 0), (3.0, 0))}),
+     InvalidBracket, "ints or Fractions"),
+    (lambda K: LGroupSpec(K, [K.one(), K.unram_gen()], 2, {(1, 2): ((0, 0), (Fraction(1, 3), 0))}),
+     InvalidBracket, "p-integral coordinates"),
     # the defect is -3^42 X5, which a check to valuation 40 would accept
     (lambda K: LieLattice(3, 5, {(0, 1): (0, 0, 3, 0, 0), (0, 2): (0, 0, 0, 3, 0),
                                  (1, 2): (0, 0, 0, 3, 0), (0, 3): (0, 0, 0, 0, 3),
                                  (1, 3): (0, 0, 0, 0, 3 + 3**41)}),
      InvalidBracket, "Jacobi"),
 ], ids=["v1", "bracket-shape", "self-bracket", "span", "integrality", "jacobi",
-        "jacobi-deep"])
+        "key-out-of-range", "key-negative", "float-constant", "string-constant",
+        "lgroup-key-zero", "lgroup-key-out-of-range", "lgroup-float-constant",
+        "lgroup-non-integral-constant", "jacobi-deep"])
 def test_structure_refusals_are_typed(k3u2, build, error, match):
     with pytest.raises(PadicError, match=match) as info:
         build(k3u2)
@@ -487,11 +522,11 @@ def test_structure_refusals_are_typed(k3u2, build, error, match):
     (lambda: heisenberg(3).generator(0).commutator(None), "same lattice"),
     (lambda: heisenberg(3).generator(0).conjugate(2), "same lattice"),
     (lambda: heisenberg(3).identity().level(), "identity"),
-    (lambda: FiniteQuotient(heisenberg(3), 0), "level must be >= 1"),
-    (lambda: check_powerful_commutator(FiniteQuotient(heisenberg(3), 4), 1, 1), "p = 2"),
-    (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 2), 1, 2), "below i"),
-    (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 4), 0, 1), "1 <= i, j"),
-    (lambda: check_powerful_commutator(FiniteQuotient(heisenberg2(), 4), 2, -1), "1 <= i, j"),
+    (lambda: check_powerful_commutator(heisenberg2(), 0, 1, 1), "level 0 is below i"),
+    (lambda: check_powerful_commutator(heisenberg(3), 4, 1, 1), "p = 2"),
+    (lambda: check_powerful_commutator(heisenberg2(), 2, 1, 2), "below i"),
+    (lambda: check_powerful_commutator(heisenberg2(), 4, 0, 1), "1 <= i, j"),
+    (lambda: check_powerful_commutator(heisenberg2(), 4, 2, -1), "1 <= i, j"),
     (lambda: abelian(2).step(-1), "m = -1 must be >= 0"),
     (lambda: o_additive(FieldSpec.unramified(3, 2), 1).step(-1), "m = -1 must be >= 0"),
 ], ids=["labels", "lattices", "short-point", "long-point", "short-first-point",
