@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm
 
 from .errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
 from .grading import Symbol, SymbolContext
-from .indices import grlex_key, iter_multi_indices, unit_index
+from .indices import grlex_key, unit_index
 from .mahler import StructureConstants
 from .padics import Scalar
 from .radii import NormValue
@@ -101,19 +101,20 @@ class DistAlgebra:
         second-kind coordinates x = nums / den.
 
         They are read off the table's binomial ladder: ``expansion(nums,
-        den)`` is den^|alpha| alpha! binom(x, alpha), in the order of
-        ``iter_multi_indices(d, N)``, so each coefficient is one rational
-        v / scale, a Scalar built straight from its ints.
+        den)`` is den^|alpha| alpha! binom(x, alpha), in the order of the
+        table's ``_gammas``, so each coefficient is one rational v / scale,
+        a Scalar built straight from its ints, the scale read off the
+        table's degree and alpha! at that position.
         """
         nums, den = g.nums, g.den
-        field = self.field
+        field, table = self.field, self.table
         zeros = (0,) * (field.degree - 1)
+        powers = [den ** n for n in range(self.N + 1)]
         terms = {}
-        scaled = self.table.expansion(nums, den)
-        for alpha, v in zip(iter_multi_indices(self.d, self.N), scaled):
+        scaled = table.expansion(nums, den)
+        for alpha, v, n, f in zip(table._gammas, scaled, table._degree, table._factorial):
             if v:
-                scale = den ** sum(alpha) * prod(map(factorial, alpha))
-                terms[alpha] = Scalar(field, (v, *zeros), scale)
+                terms[alpha] = Scalar(field, (v, *zeros), powers[n] * f)
         return Distribution(self, terms)
 
     def log_series(self, i):
@@ -139,11 +140,13 @@ class DistAlgebra:
         each vector packed into one int (``FieldSpec._pack``), so one int
         product U V is the product of two coefficients in Z[w, pi],
         unreduced.  Per gamma the sum of c U V over the table's int rows is
-        one int; each output gamma is unpacked once, its slots reduced in K
-        (``FieldSpec._unpacked``), and one Scalar built over the denominator
-        a product of Scalars has.  Per alpha the sum walks alpha's nonempty
-        rows (``StructureConstants.rows_from``) when they are fewer than
-        mu's terms, and mu's terms otherwise.
+        one int, gathered under gamma's position in the table's ``_gammas``
+        as the rows hold it; each output gamma is unpacked once, its slots
+        reduced in K (``FieldSpec._unpacked``), and one Scalar built over
+        the denominator a product of Scalars has, keyed by gamma itself.
+        Per alpha the sum walks alpha's nonempty rows
+        (``StructureConstants.rows_from``) when they are fewer than mu's
+        terms, and mu's terms otherwise.
 
         The slot width: slot w^A pi^B of U V adds at most [K:Q_p] products
         x y of operand coordinates (at most f ways to split A and e to split
@@ -161,7 +164,7 @@ class DistAlgebra:
         bound = len(lterms) * len(mterms) * table._peak * field.degree * _peak(lterms) * _peak(mterms)
         width = bound.bit_length() + 1
         mvalue = dict(field._pack(mterms, width))
-        if not table._indices >= mvalue.keys():
+        if not table._position.keys() >= mvalue.keys():
             # the walk of an alpha's rows would skip a beta outside the table
             for beta in mvalue:
                 table._check(beta)  # raises at the first beta outside the table
@@ -177,12 +180,13 @@ class DistAlgebra:
             for row, V in pairs:
                 if row and V is not None:
                     UV = U * V
-                    for gamma, c in row:
-                        acc[gamma] = get(gamma, 0) + c * UV
+                    for g, c in row:
+                        acc[g] = get(g, 0) + c * UV
         out = {}
-        for gamma, vec in zip(acc, field._unpacked(acc.values(), width)):
+        gammas = table._gammas
+        for g, vec in zip(acc, field._unpacked(acc.values(), width)):
             if any(vec):
-                out[gamma] = Scalar(field, tuple(vec), den)
+                out[gammas[g]] = Scalar(field, tuple(vec), den)
         return Distribution(self, out)
 
     # -- parsing / printing --------------------------------------------------------

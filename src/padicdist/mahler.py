@@ -10,31 +10,37 @@ one 1-D binomial transform per axis, run in place on a flat list over
 the product, one slice subtraction per grid line.  A non-abelian table
 is built whole on its first missing row: the integer law gives each
 point of simplex x simplex one packed int, a signed slot per gamma over
-one common denominator, and one transform of that list gives every row;
-abelian rows have a closed form, made per alpha on first use.  A table
-holds only its nonempty rows, alpha -> {beta: row}, each row (gamma,
-int) pairs over one denominator shared by the whole table: the form
-``DistAlgebra.mul`` walks per alpha.  Every table is exact, so a
-non-abelian table's denominator and rows, as built, serialize to a
-versioned cache file keyed by (group digest, N) alone; an abelian table
-is not cached, its closed form costing less than a load.  The file
-(format 4) is plain JSON, {"version", "digest", "N", "den", "rows"},
-each row a flat int list [alpha, beta, gamma, n, gamma, n, ...] with
-every multi-index written as its position in ``iter_multi_indices(d, N)``,
-rows in (alpha, beta) order.  A file that is absent, is not JSON, holds
-another table or is anything ``save`` cannot have written (a number not
-an int, a position out of range, rows out of order or repeated, an alpha
-without rows, a short or odd row, a zero entry, den < 1) is a miss.
+one common denominator, and one transform of that list gives every row.
+A slot's width is certified per degree |gamma|: packing is linear over
+Z, so slots may carry into each other during the transform and only the
+final values need to fit their own slot.  Abelian rows have a closed
+form, made per alpha on first use.  A table holds only its nonempty
+rows, alpha -> {beta: row}, each row (g, int) pairs, g the position of
+gamma in ``iter_multi_indices(d, N)``, over one denominator shared by
+the whole table: the form ``DistAlgebra.mul`` walks per alpha.  Every
+table is exact, so a non-abelian table's denominator and rows, as built,
+serialize to a versioned cache file keyed by (group digest, N) alone;
+an abelian table is not cached, its closed form costing less than a
+load.  The file (format 4) is plain JSON, {"version", "digest", "N",
+"den", "rows"}, each row a flat int list [alpha, beta, gamma, n, gamma,
+n, ...] with every multi-index written as its position, rows in (alpha,
+beta) order and the gammas of a row in increasing order.  A file that is
+absent, is not JSON, holds another table or is anything ``save`` cannot
+have written (a number not an int, a position out of range, rows out of
+order or repeated, a gamma out of order or repeated within a row, an
+alpha without rows, a short or odd row, a zero entry, den < 1) is a
+miss.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, takewhile
-from math import comb, factorial, gcd, lcm, prod
-from operator import lt, sub
+from itertools import accumulate, chain, takewhile
+from math import factorial, gcd, lcm, prod
+from operator import lshift, lt, mul, sub
 from pathlib import Path
 
 from .errors import CounterexampleFound, DegreeOverflow, InvalidArgument, PadicError
@@ -114,25 +120,30 @@ def _slot_width(bound, N):
     return (bound << 2 * N).bit_length() + 1
 
 
-def _unpack(vectors, width, count):
-    """The nonzero slots of each int in ``vectors``, which packs ``count``
-    signed ``width``-bit slots, as a list of (position, value) pairs,
-    highest position first.
+def _unpack(values, widths, labels):
+    """(n, entries) for each nonzero int ``values[n]``, the ints packing
+    signed slots of ``widths`` bits, slot 0 lowest: ``entries`` lists
+    (``labels[i]``, value) for each nonzero slot i, in label order.
 
-    Adding half a slot range to every slot makes each one nonnegative
-    without carries; XOR with the same offset is then zero exactly on
-    the zero slots, and each nonzero slot is found by its top bit."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    offset = ((1 << width * count) - 1) // mask * half
-    for packed in vectors:
-        shifted = packed + offset
-        live = shifted ^ offset
-        out = []
-        while live:
-            i = (live.bit_length() - 1) // width
-            out.append((i, (shifted >> width * i & mask) - half))
-            live &= (1 << width * i) - 1
-        yield out
+    A zero int has only zero slots and is skipped.  Adding half its range
+    to every slot makes each one nonnegative without carries; XOR with the
+    same offset is then zero exactly on the zero slots, and each nonzero
+    slot is found by its top bit."""
+    starts = list(accumulate(widths, initial=0))
+    offset = sum(1 << s + w - 1 for s, w in zip(starts, widths))
+    slots = [(s, (1 << w) - 1, 1 << w - 1, (1 << s) - 1, label)
+             for s, w, label in zip(starts, widths, labels)]
+    for n, packed in enumerate(values):
+        if packed:
+            shifted = packed + offset
+            live = shifted ^ offset
+            out = []
+            while live:
+                start, mask, half, below, label = slots[bisect_right(starts, live.bit_length() - 1) - 1]
+                out.append((label, (shifted >> start & mask) - half))
+                live &= below
+            out.sort()
+            yield n, out
 
 
 class StructureConstants:
@@ -140,14 +151,17 @@ class StructureConstants:
 
     Rows are exact: the value at every stored gamma (|gamma| <= N) is the
     true coefficient, obtained from finite differences of the group law,
-    not from truncated series chaining.  ``rows_from(alpha)`` gives the
-    nonempty rows of alpha as {beta: ((gamma, n), ...)}, the coefficient
-    being n / ``den``, one denominator for the whole table, which reading
-    ``den`` builds if it was not loaded; ``int_row`` gives one row of it
+    not from truncated series chaining.  A multi-index is also known by
+    its position in ``_gammas`` (``_position``), whose degree and gamma!
+    are ``_degree`` and ``_factorial``.  ``rows_from(alpha)`` gives the
+    nonempty rows of alpha as {beta: ((g, n), ...)}, g the position of
+    gamma, in increasing order, and the coefficient n / ``den``, one
+    denominator for the whole table, which reading ``den`` builds if it
+    was not loaded; ``int_row`` gives one row of it as (gamma, n) pairs
     (empty if absent) and ``row`` the same as a dict of Fractions.
     ``_peak``, the largest |n|, is read where the rows are walked anyway
     (the build and the cache load); ``DistAlgebra.mul`` sizes its packed
-    slots by it, and tests its operands against ``_indices``.
+    slots by it, and tests its operands against ``_position``.
     ``has_tail(alpha, beta)`` reports whether degrees beyond N were
     discarded for that row.
     """
@@ -155,11 +169,13 @@ class StructureConstants:
     def __init__(self, lattice, N, cache_dir=None):
         self.lattice = lattice
         self.N = N
-        self._rows = {}         # alpha -> {beta: ((gamma, n), ...)}, nonempty rows, c = n / den
+        self._rows = {}         # alpha -> {beta: ((g, n), ...)}, nonempty rows, c = n / den
         self._den = 1 if lattice.abelian else None  # None until built or loaded
         self._peak = 1          # max |n| over the rows; an abelian row is n = den = 1
         self._gammas = list(iter_multi_indices(lattice.d, N))
-        self._indices = frozenset(self._gammas)
+        self._position = {gamma: g for g, gamma in enumerate(self._gammas)}
+        self._degree = [sum(gamma) for gamma in self._gammas]
+        self._factorial = [prod(map(factorial, gamma)) for gamma in self._gammas]
         self._built = False     # rows computed here, not only loaded
         self._cache_path = None
         if cache_dir is not None and not lattice.abelian:
@@ -211,8 +227,9 @@ class StructureConstants:
             raise PadicError(f"row index {index} is not a multi-index in N_0^{self.lattice.d}")
 
     def rows_from(self, alpha):
-        """The nonempty rows of alpha, {beta: ((gamma, n), ...)} with beta
-        in ``_gammas`` order and c^gamma_{alpha beta} = n / ``den``.  A
+        """The nonempty rows of alpha, {beta: ((g, n), ...)} with beta in
+        ``_gammas`` order, g the position of gamma in ``_gammas``, rising
+        along the row, and c^gamma_{alpha beta} = n / ``den``.  A
         non-abelian table is built whole on the first read; an abelian
         alpha's rows are b^alpha b^beta = b^(alpha + beta), made here, the
         beta with |beta| <= N - |alpha| being a prefix of ``_gammas``."""
@@ -223,16 +240,18 @@ class StructureConstants:
         if not self.lattice.abelian:
             self._build()
             return self._rows[alpha]
-        room = self.N - sum(alpha)
+        room, position = self.N - sum(alpha), self._position
         betas = takewhile(lambda beta: sum(beta) <= room, self._gammas)
-        rows = self._rows[alpha] = {beta: ((add_index(alpha, beta), 1),) for beta in betas}
+        rows = self._rows[alpha] = {beta: ((position[add_index(alpha, beta)], 1),)
+                                    for beta in betas}
         return rows
 
     def int_row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as sparse (gamma, n)
         pairs with c = n / ``den``."""
         self._check(beta)
-        return self.rows_from(alpha).get(beta, ())
+        gammas = self._gammas
+        return tuple((gammas[g], n) for g, n in self.rows_from(alpha).get(beta, ()))
 
     def row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as a sparse dict of Fractions."""
@@ -249,19 +268,27 @@ class StructureConstants:
         With D = lcm(law.denoms) and tops t = D F, the grid value at gamma is
         prod_k ladder(t_k)[gamma_k] = D^|gamma| gamma! binom(F, gamma).  A
         point's values are packed into one int, gamma in lex order in signed
-        B-bit slots, in a flat list over the grid (x outer, y inner, each in
+        slots, in a flat list over the grid (x outer, y inner, each in
         ``_gammas`` order), so a transform step is one slice subtraction of
         packed ints along a grid line; after it slot gamma of row (x, y) is
         v / (D^|gamma| gamma!).  The table is stored over the lcm of the
-        reduced denominators of those entries.
+        reduced denominators of those entries.  ``_unpack`` skips the
+        points whose int is zero, the empty rows, and gives each other
+        point's entries at their positions in ``_gammas``.
 
-        The width: |v| <= M0 = max_gamma prod_k max_t |ladder(t_k)[gamma_k]|
+        The widths: |v| <= M0(gamma) = prod_k max_t |ladder(t_k)[gamma_k]|
         at every point, and c_(alpha, beta) sums v(x, y) over x <= alpha,
         y <= beta with weights +-binom(alpha, x) binom(beta, y), so
-        |c| <= 2^(|alpha| + |beta|) M0 <= 4^N M0.  Packing is linear over Z,
-        so slots may overflow into each other during the transform; only
-        the final values must fit, and B = bit_length(4^N M0) + 1 bits hold
-        every value of absolute value below 2^(B-1).
+        |c| <= 2^(|alpha| + |beta|) M0(gamma) <= 4^N M0(gamma).  Packing is
+        linear over Z, so slots may overflow into each other during the
+        transform; only the final values must fit their own slot, and
+        B = bit_length(4^N M0) + 1 bits hold every value of absolute value
+        below 2^(B-1).  Every slot of degree n gets the largest such B over
+        |gamma| = n.  A sub-pack, the simplex {|gamma| <= R} of the last k
+        coordinates in lex order, sits where the earlier coordinates sum to
+        N - R, so its slots have degree N - R plus their own: its layout
+        depends on (k, R) alone, and one packed int serves every point
+        whose last k tops agree.
         """
         d, N, p = self.lattice.d, self.N, self.lattice.p
         law = self.lattice.second_kind_law
@@ -270,7 +297,7 @@ class StructureConstants:
         # coordinate k is nums[k] / denoms[k]: p-integral iff the p-part
         # of denoms[k] divides nums[k]
         moduli = [p ** vp_int(q, p) for q in law.denoms]
-        gammas = self._gammas
+        gammas, degree = self._gammas, self._degree
         cols = [[] for _ in law.denoms]  # the tops t_k over the grid
         for x, rows in zip(gammas, law.grid(gammas, gammas)):
             at = first_indivisible(rows, moduli)
@@ -284,44 +311,54 @@ class StructureConstants:
         ladders = [{t: _ladder(t, denom, N) for t in set(col)} for col in cols]
         peaks = [[max(abs(ladder[j]) for ladder in col.values()) for j in range(N + 1)]
                  for col in ladders]
-        width = _slot_width(max(prod(map(list.__getitem__, peaks, g)) for g in self._gammas), N)
-        memo = {}
+        width = [0] * (N + 1)
+        for gamma, n in zip(gammas, degree):
+            width[n] = max(width[n], _slot_width(prod(map(list.__getitem__, peaks, gamma)), N))
+        # shifts[k, R][a]: where the sub-pack of the last k - 1 coordinates
+        # at R - a starts when coordinate d - k is a; size[k, R] is the
+        # bit length of a sub-pack
+        size = {(0, R): width[N - R] for R in range(N + 1)}
+        shifts = {}
+        for k in range(1, d + 1):
+            for R in range(N + 1):
+                *shifts[k, R], size[k, R] = accumulate(
+                    (size[k - 1, R - a] for a in range(R + 1)), initial=0)
+        memo = {(): [1] * (N + 1)}
 
-        def pack(tail, R):
-            # the simplex {|gamma| <= R} of the last len(tail) coordinates, lex order
-            if not tail:
-                return 1
-            out = memo.get((tail, R))
+        def packs(tail):
+            # the simplex {|gamma| <= R} of the last len(tail) coordinates,
+            # lex order, for each R = 0..N: the level above reads every R
+            out = memo.get(tail)
             if out is None:
-                ladder, rest = ladders[d - len(tail)][tail[0]], tail[1:]
-                out = shift = 0
-                for a in range(R + 1):
-                    out += ladder[a] * pack(rest, R - a) << shift
-                    shift += width * comb(len(rest) + R - a, R - a)
-                memo[(tail, R)] = out
+                ladder, subs = ladders[d - len(tail)][tail[0]], packs(tail[1:])
+                out = memo[tail] = [
+                    sum(map(lshift, map(mul, ladder, reversed(subs[:R + 1])), shifts[len(tail), R]))
+                    for R in range(N + 1)]
             return out
 
-        values = [pack(t, N) for t in zip(*cols)]
-        del cols, memo
-        mahler_coefficients(values, [self._gammas, self._gammas])
-        lex = sorted(range(len(self._gammas)), key=self._gammas.__getitem__)
-        # the transform keeps the grid order; entries go in _gammas order
-        found = [sorted((lex[i], v) for i, v in slots)
-                 for slots in _unpack(values, width, len(lex))]
+        packed, values = {}, []  # the whole simplex, R = N, once per distinct tops
+        for t in zip(*cols):
+            if t not in packed:
+                packed[t] = sum(map(lshift, map(mul, ladders[0][t[0]], reversed(packs(t[1:]))),
+                                    shifts[d, N]))
+            values.append(packed[t])
+        del cols, memo, packed
+        mahler_coefficients(values, [gammas, gammas])
+        # slot i of the layout holds the gamma at position lex[i], at its degree's width
+        lex = sorted(range(len(gammas)), key=gammas.__getitem__)
+        found = list(_unpack(values, [width[degree[g]] for g in lex], lex))
         del values
-        scales = [denom ** sum(g) * prod(map(factorial, g)) for g in self._gammas]
-        den = lcm(*(scales[g] // gcd(v, scales[g]) for entries in found for g, v in entries))
-        # found is alpha-major; each alpha's zip takes the next len(gammas)
-        # rows.  The keys share the index tuples of _gammas (a smaller cache file)
-        found = iter(found)
-        self._rows = {
-            alpha: {beta: tuple((gammas[g], v * den // scales[g]) for g, v in entries)
-                    for beta, entries in zip(gammas, found) if entries}
-            for alpha in gammas
-        }
-        self._peak = max((abs(n) for rows in self._rows.values() for row in rows.values()
-                          for _, n in row), default=1)
-        self._den = den
+        scales = [denom ** n * f for n, f in zip(degree, self._factorial)]
+        den = lcm(*(scales[g] // gcd(v, scales[g]) for _, entries in found for g, v in entries))
+        rows = {alpha: {} for alpha in gammas}
+        peak = 1
+        for i, entries in found:
+            # point i is (x, y) = (alpha, beta), alpha-major
+            alpha, beta = divmod(i, len(gammas))
+            row = rows[gammas[alpha]][gammas[beta]] = tuple(
+                (g, v * den // scales[g]) for g, v in entries)
+            peak = max(peak, *(abs(n) for _, n in row))
+        self._rows, self._peak, self._den = rows, peak, den
         self._built = True
 
     def has_tail(self, alpha, beta):
@@ -342,16 +379,17 @@ class StructureConstants:
         """
         kappa = self.lattice.kappa
         p = self.lattice.p
+        degree = self._degree
         checked = 0
         shift = vp_int(self.den, p)  # builds a non-abelian table not loaded
         for alpha in self._gammas:
             for beta, entries in self.rows_from(alpha).items():
                 top = kappa * (sum(alpha) + sum(beta))
-                for gamma, n in entries:
-                    if vp_int(n, p) - shift < top - kappa * sum(gamma):
+                for g, n in entries:
+                    if vp_int(n, p) - shift < top - kappa * degree[g]:
                         raise CounterexampleFound(
                             "structure-constant valuation bound fails",
-                            witness=(alpha, beta, gamma, Fraction(n, self.den)),
+                            witness=(alpha, beta, self._gammas[g], Fraction(n, self.den)),
                         )
                     checked += 1
         if self._built:
@@ -366,8 +404,8 @@ class StructureConstants:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         den = self.den  # builds a non-abelian table that was neither built nor loaded
-        index = {gamma: i for i, gamma in enumerate(self._gammas)}
-        rows = [[index[alpha], index[beta], *chain.from_iterable((index[g], n) for g, n in row)]
+        position = self._position
+        rows = [[position[alpha], position[beta], *chain.from_iterable(row)]
                 for alpha, inner in self._rows.items() for beta, row in inner.items()]
         doc = {"version": CACHE_FORMAT_VERSION, "digest": self.lattice.structure_digest(),
                "N": self.N, "den": den, "rows": rows}
@@ -382,8 +420,10 @@ class StructureConstants:
 
     def _load_cache(self):
         """Load the saved table unless the file is a miss (see the module
-        docstring), each check running over all the numbers at once.  The
-        loaded keys are the tuples of ``_gammas``, as built ones are."""
+        docstring), each check but the order of a row's gammas running over
+        all the numbers at once.  The loaded keys are the tuples of
+        ``_gammas`` and the entries' positions the file's ints, as built
+        ones are."""
         path = self._cache_path
         if path is None:
             return
@@ -405,10 +445,11 @@ class StructureConstants:
         positions = [*chain(*keys), *chain.from_iterable(r[2::2] for r in rows)]
         entries = [*chain.from_iterable(r[3::2] for r in rows)]
         if (min(positions) < 0 or max(positions) >= len(gammas) or 0 in entries
-                or not all(map(lt, keys, keys[1:]))):
+                or not all(map(lt, keys, keys[1:]))
+                or not all(all(map(lt, r[2:-2:2], r[4::2])) for r in rows)):
             return
-        at, table = gammas.__getitem__, {alpha: {} for alpha in gammas}
+        table = {alpha: {} for alpha in gammas}
         for r in rows:
-            table[at(r[0])][at(r[1])] = tuple(zip(map(at, r[2::2]), r[3::2]))
+            table[gammas[r[0]]][gammas[r[1]]] = tuple(zip(r[2::2], r[3::2]))
         if all(table.values()):  # every alpha has at least its beta = 0 row
             self._rows, self._den, self._peak = table, doc["den"], max(map(abs, entries))

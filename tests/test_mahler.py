@@ -162,6 +162,20 @@ def test_filtration_bound_sampled(heis_alg):
             assert vp_rational(c, 3) >= kappa * (sum(alpha) + sum(beta) - sum(gamma))
 
 
+def test_filtration_bound_names_a_planted_violation():
+    """An entry below the bound, planted in a built heisenberg table, is
+    refused with the witness (alpha, beta, gamma, c): gamma the multi-index
+    itself, not its position in the table."""
+    table = StructureConstants(heisenberg(3), 3)
+    alpha, beta, gamma = (0, 1, 0), (1, 0, 0), (0, 0, 1)
+    g, row = table._position[gamma], table.rows_from(alpha)[beta]  # builds the table
+    assert dict(row)[g] == -3  # the commutator term, of valuation kappa = 1
+    table._rows[alpha][beta] = tuple((h, table.den if h == g else n) for h, n in row)
+    with pytest.raises(CounterexampleFound, match="valuation bound fails") as info:
+        table.check_filtration_bound()
+    assert info.value.witness == (alpha, beta, gamma, Fraction(1))
+
+
 def test_row_degree_guard(heis_alg):
     with pytest.raises(DegreeOverflow):
         heis_alg.table.row((7, 0, 0), (0, 0, 0))
@@ -261,6 +275,14 @@ def _set(row, at, value):
     return row
 
 
+def _swap_entries(doc):
+    """The saved document with the first two entries of its first row of
+    several entries swapped."""
+    row = next(row for row in doc["rows"] if len(row) >= 6)
+    row[2:6] = row[4:6] + row[2:4]
+    return doc
+
+
 def _without_alpha(doc):
     """The saved document less the rows of its last alpha."""
     last = doc["rows"][-1][0]
@@ -286,6 +308,8 @@ def _without_alpha(doc):
     lambda doc: _first_row(doc, lambda row: _set(row, 2, -1)),
     lambda doc: _first_row(doc, lambda row: _set(row, 2, 20)),
     lambda doc: _first_row(doc, lambda row: _set(row, 1, 20)),
+    lambda doc: _first_row(doc, lambda row: row + row[2:4]),
+    _swap_entries,
     lambda doc: {**doc, "rows": doc["rows"][1::-1] + doc["rows"][2:]},
     lambda doc: {**doc, "rows": doc["rows"][:1] + doc["rows"]},
     lambda doc: {**doc, "rows": []},
@@ -293,15 +317,17 @@ def _without_alpha(doc):
 ], ids=["list", "zero-denominator", "negative-denominator", "float-denominator",
         "float-version", "bool-N", "extra-key", "not-a-pair", "no-entry", "float", "bool",
         "string", "null", "zero-entry", "negative-position", "position-out-of-range",
-        "beta-out-of-range", "rows-out-of-order", "row-repeated", "no-rows",
-        "alpha-without-rows"])
+        "beta-out-of-range", "gamma-repeated", "gammas-out-of-order", "rows-out-of-order",
+        "row-repeated", "no-rows", "alpha-without-rows"])
 def test_malformed_cache_is_a_miss(tmp_path, corrupt):
     """A cache file whose JSON is anything ``save`` cannot have written is
     ignored and the table rebuilt: another document shape, a ``den`` that
     is not an int >= 1, a number that is not an int (a bool included), a
     row of odd length or with no entry, a zero entry, a position outside
-    the 20 multi-indices of the degree-3 table, rows out of order or
-    repeated, or an alpha with no rows."""
+    the 20 multi-indices of the degree-3 table, a gamma repeated or out of
+    order within a row, rows out of order or repeated, or an alpha with no
+    rows.  A repeated gamma would count its entry twice in a product: the
+    first row, b^0 b^0 = b^0, read with its entry twice gives 2 b^0."""
     gammas = list(iter_multi_indices(3, 3))
     assert len(gammas) == 20
     t1 = StructureConstants(heisenberg(3), 3, cache_dir=tmp_path)
@@ -376,10 +402,13 @@ def _table_text(table):
     (heisenberg(3), 6, "b9814536afd76b7ecc1f12e9d80625f4e970724b6c3c16a81e70f159e38e52d5"),
     (heisenberg2(), 6, "e2854032992a212479b9a6bebaddf088902d7e7414e7bef5be4ab14138807524"),
     (filiform(3), 5, "e56803c07acaa4d9054b7c50b4fd1c14492c544915264e80013bba2e4c1f8247"),
-], ids=["heisenberg-N6", "heisenberg2-N6", "filiform3-N5"])
+    (heisenberg(3), 8, "eeb967e96d8832d3661795a9ec4e7bbe4f917012d3f826ae146ea454f5b4191a"),
+], ids=["heisenberg-N6", "heisenberg2-N6", "filiform3-N5", "heisenberg-N8"])
 def test_table_contents_are_pinned(lattice, N, digest):
-    """The whole table, den and every entry, as recorded from the build of
-    ``Fraction`` laws and per-gamma integer vectors."""
+    """The whole table, den and every entry: the N <= 6 tables as recorded
+    from the build of ``Fraction`` laws and per-gamma integer vectors, the
+    heisenberg N = 8 one from the build with one slot width for every
+    gamma."""
     table = StructureConstants(lattice, N)
     assert hashlib.sha256(_table_text(table).encode()).hexdigest() == digest
 
@@ -417,8 +446,9 @@ def test_cache_holds_den_and_the_int_rows(tmp_path):
 
 def test_loaded_table_equals_the_built_one(tmp_path):
     """A loaded table has the built one's rows, den and peak; its keys are
-    the tuples of ``_gammas`` themselves, and each alpha's betas are in
-    grid order."""
+    the tuples of ``_gammas`` themselves, each alpha's betas are in grid
+    order, and every entry's gamma is an int position in ``_gammas``,
+    rising along the row."""
     t1 = StructureConstants(filiform(3), 4, cache_dir=tmp_path)
     t1.save()
     t2 = StructureConstants(filiform(3), 4, cache_dir=tmp_path)
@@ -426,11 +456,15 @@ def test_loaded_table_equals_the_built_one(tmp_path):
     assert (t2._rows, t2._den, t2._peak) == (t1._rows, t1._den, t1._peak)
     grid = {id(g) for g in t2._gammas}
     order = {g: i for i, g in enumerate(t2._gammas)}
+    positions = range(len(t2._gammas))
     for alpha, rows in t2._rows.items():
         assert id(alpha) in grid
         assert [order[b] for b in rows] == sorted(order[b] for b in rows)
-        assert all(id(b) in grid and all(id(g) in grid for g, _ in row)
-                   for b, row in rows.items())
+        for b, row in rows.items():
+            assert id(b) in grid
+            at = [g for g, _ in row]
+            assert all(type(g) is int and g in positions for g in at)
+            assert at == sorted(set(at))
 
 
 def test_save_before_any_row_writes_the_whole_table(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Property tests of the separable Mahler transform: against its defining
 sum, and on packed ints against one run per slot."""
 
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -43,32 +43,48 @@ def test_mahler_coefficients_match_signed_binomial_sum(dims, data):
         assert c == sum(signed_binom(alpha, beta) * values[beta] for beta in box(alpha)), alpha
 
 
-def _pack(slots, width):
-    return sum(v << width * i for i, v in enumerate(slots))
+def _pack(slots, widths):
+    return sum(v << s for v, s in zip(slots, accumulate(widths, initial=0)))
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(
-    d=st.integers(1, 2), N=st.integers(0, 3), count=st.integers(1, 6),
-    bound=st.integers(1, 10**6), data=st.data(),
+    d=st.integers(1, 2), N=st.integers(0, 3),
+    bounds=st.lists(st.integers(1, 10**6), min_size=1, max_size=3), data=st.data(),
 )
-def test_packed_transform_matches_each_slot(d, N, count, bound, data):
-    """Grid functions on simplex x simplex, ``count`` of them bounded by
-    ``bound``, packed at the width the table build derives: one transform
-    of the packed ints decodes to the transform of each slot."""
+def test_packed_transform_matches_each_slot(d, N, bounds, data):
+    """Grid functions on simplex x simplex in groups, one per bound, as
+    the table build groups its slots by degree: each function is bounded
+    by its group's bound and packed at the width the build derives from
+    it, the slots in a drawn order and labelled by a drawn permutation.
+    One transform of the packed ints decodes, at every point where a slot
+    is nonzero, to the transform of each slot under its label, in label
+    order."""
     points = simplex(d, N)
     factors = [points, points]
     grid = [x + y for x in points for y in points]
-    width = _slot_width(bound, N)
+    slot_bounds = data.draw(st.lists(st.sampled_from(bounds), min_size=1, max_size=6))
+    widths = [_slot_width(bound, N) for bound in slot_bounds]
+    labels = data.draw(st.permutations(range(len(widths))))
     grids = [dict(zip(grid, data.draw(st.lists(
         st.integers(-bound, bound), min_size=len(grid), max_size=len(grid)))))
-        for _ in range(count)]
-    packed = mahler_coefficients([_pack([f[x] for f in grids], width) for x in grid], factors)
+        for bound in slot_bounds]
+    packed = mahler_coefficients([_pack([f[x] for f in grids], widths) for x in grid], factors)
     per_slot = [mahler_coefficients([f[x] for x in grid], factors) for f in grids]
-    for n, slots in enumerate(_unpack(packed, width, count)):
-        assert dict(slots) == {i: t[n] for i, t in enumerate(per_slot) if t[n]}, grid[n]
-    # the decoder at the extreme slot values, next to zero slots
-    top = (1 << width - 1) - 1
-    edge = [top, 0, -top, 0, -1, top, 1, -top]
-    (slots,) = _unpack([_pack(edge, width)], width, len(edge))
-    assert dict(slots) == {i: v for i, v in enumerate(edge) if v}
+    expected = {}
+    for n in range(len(grid)):
+        entries = sorted((label, t[n]) for label, t in zip(labels, per_slot) if t[n])
+        if entries:
+            expected[n] = entries
+    assert dict(_unpack(packed, widths, labels)) == expected
+    # the decoder at each slot's own extreme values, next to zero slots and
+    # slots of the other widths, between two zero ints
+    edge_widths, edge = [], []
+    for bound in bounds:
+        width = _slot_width(bound, N)
+        top = (1 << width - 1) - 1
+        edge_widths += [width] * 8
+        edge += [top, 0, -top, 0, -1, top, 1, -top]
+    labels = range(len(edge) - 1, -1, -1)
+    assert list(_unpack([0, _pack(edge, edge_widths), 0], edge_widths, labels)) == \
+        [(1, sorted((label, v) for label, v in zip(labels, edge) if v))]
