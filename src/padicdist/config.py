@@ -21,11 +21,12 @@ The field is an object and the group a built-in name, the radii a list
 of literals, each in (p^-1, 1); the field's p, e, f and precision, the
 residual precision, the truncation, the seed and every option are
 integers (not bools), p >= 2, ``transfer_m`` >= 0 and the rest >= 1.
-Unknown suite names and option keys are rejected up front, and
-so (with SweepLimit) are a pro-2 sweep of more than MAX_PRO2_PAIRS pairs,
-a ``grading`` suite whose kernel-symbol family has more than
-``grading.MAX_REGSEQ_FAMILY`` members, and a suite that computes in the
-residue field when q exceeds ``padics.MAX_RESIDUE_ORDER``.
+``regseq_cap`` is accepted and validated but not read: the grading
+suite's regular-sequence certificate is exact, with no degree bound.
+Unknown suite names and option keys are rejected up front, and so (with
+SweepLimit) are a pro-2 sweep of more than MAX_PRO2_PAIRS pairs and a
+suite that computes in the residue field when q exceeds
+``padics.MAX_RESIDUE_ORDER``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 from .catalog import get_group
 from .errors import ConfigError, PadicError, SweepLimit
-from .grading import MAX_REGSEQ_FAMILY
 from .groups import LGroupSpec, pro2_sweep_pairs
 from .padics import MAX_RESIDUE_ORDER, FieldSpec
 from .radii import parse_radius
@@ -168,9 +168,9 @@ class JobConfig:
         return config
 
     def check_sweep_limits(self):
-        """Refuse, with SweepLimit, a pro-2 sweep above MAX_PRO2_PAIRS, a
-        regular-sequence family above MAX_REGSEQ_FAMILY and a residue field
-        above MAX_RESIDUE_ORDER under a suite that computes in it."""
+        """Refuse, with SweepLimit, a pro-2 sweep above MAX_PRO2_PAIRS and a
+        residue field above MAX_RESIDUE_ORDER under a suite that computes in
+        it."""
         q = self.field.residue_field.order
         k_suites = [s for s in self.suites if s in RESIDUE_SUITES]
         if k_suites and q > MAX_RESIDUE_ORDER:
@@ -179,18 +179,9 @@ class JobConfig:
                 f"above the {MAX_RESIDUE_ORDER:,} elements its log tables are built for"
             )
         group = self.group
-        lgroup = isinstance(group, LGroupSpec)
-        if "grading" in self.suites and lgroup:
-            members = (group.n - 1) * group.d
-            if members > MAX_REGSEQ_FAMILY:
-                raise SweepLimit(
-                    f"suites: the grading suite's regular-sequence certificate sweeps "
-                    f"the orderings of families of at most {MAX_REGSEQ_FAMILY} symbols; "
-                    f"{group.name} over a field of degree {group.n} has {members}"
-                )
         if "pro2" not in self.suites or self.field.p != 2:
             return
-        d = group.n * group.d if lgroup else group.d
+        d = group.n * group.d if isinstance(group, LGroupSpec) else group.d
         level = self.options["pro2_level"]
         pairs = pro2_sweep_pairs(d, level)
         if pairs > MAX_PRO2_PAIRS:

@@ -2,22 +2,21 @@
 
 A Symbol is a homogeneous element: every term e0^w X^alpha satisfies
 w/e + kappa |alpha| (a/b) = degree.  Since e0 is an invertible graded
-variable, ideal and zero-divisor questions on homogeneous elements reduce
-to linear algebra over the residue field k on X-monomial components; no
-Groebner engine is needed for anything in scope.  The one place a
-rewriting system appears (finite_rank_quotient) the generators are
-univariate in distinct variables, where the S-pair criterion is checked
-directly.
+variable, an ideal generated by X-polynomials is decided in k[X], and
+every ideal question here runs through one reduced Groebner basis over the
+residue field (GroebnerBasis): the Krull dimension of the quotient, its
+Hilbert function and normal forms are read off the leading monomials.
+That makes the regular-sequence certificate, the quotient isomorphism and
+symbol classes exact in every degree.  The one echelon routine is
+Subspace, which finds a zero-divisor witness when a certificate fails.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import comb
+from itertools import count
 
 from .errors import (
     CounterexampleFound,
@@ -25,16 +24,9 @@ from .errors import (
     DimensionMismatch,
     InvalidArgument,
     NonUnitLeading,
-    SweepLimit,
 )
 from .indices import add_index, grlex_key, iter_exact_degree
 from .padics import ResidueElem
-
-INF = math.inf
-
-# check_regular_sequence sweeps every ordering of its family: 6! = 720.
-MAX_REGSEQ_FAMILY = 6
-
 
 @dataclass(frozen=True)
 class SymbolContext:
@@ -151,7 +143,7 @@ class Symbol:
 # linear algebra over the residue field
 
 class Subspace:
-    """Row-reduced span of vectors over k, supporting membership tests.
+    """Row-reduced span of vectors over k.
 
     Vectors are lists of ``ResidueElem`` codes.  A pivot row is stored
     normalized, in the sparse form of ``ResidueField.scaled_row``, so a
@@ -185,180 +177,245 @@ class Subspace:
         """The normalized pivot row with leading column ``lead``, as codes."""
         return self.kfield.row_codes(self.pivots[lead], self.dim)
 
-    def contains(self, vec):
-        return not any(self.reduce(vec))
+
+# ---------------------------------------------------------------------------
+# Groebner bases of ideals of k[X_1, ..., X_n]
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _sub_multiple(work, c, shift, poly):
+    """work -= c X^shift poly in place, dropping the terms that cancel."""
+    for beta, b in poly.items():
+        key = add_index(beta, shift)
+        if key in work:
+            s = work[key] - c * b
+            if s.is_zero:
+                del work[key]
+            else:
+                work[key] = s
+        else:
+            work[key] = -(c * b)
+
+
+class GroebnerBasis:
+    """The reduced Groebner basis of the ideal I of k[X_1..X_n] generated
+    by ``polys``, each a dict {alpha: ResidueElem}, in the order
+    ``grlex_key``.
+
+    Buchberger's algorithm takes the pair of least lcm first and skips the
+    pairs that Buchberger's two criteria settle (Cox, Little and O'Shea,
+    *Ideals, Varieties, and Algorithms*, section 2.10): leads that are
+    coprime (the product criterion), and a pair (i, j) when a third lead
+    divides lcm(LT_i, LT_j) and its pairs with i and j are done (the chain
+    criterion).  Everything else is read off the leading monomials.
+    """
+
+    def __init__(self, polys, nvars, kfield):
+        self.nvars = nvars
+        self.basis = []  # monic (lead, poly) pairs
+        one = kfield.one()
+        pending = {}  # (i, j) -> lcm of the leads, for the pairs still due
+        for poly in polys:
+            self._insert(poly, pending)
+        while pending:
+            (i, j), lcm = min(pending.items(), key=lambda item: grlex_key(item[1]))
+            del pending[(i, j)]
+            if not any(
+                k not in (i, j)
+                and _divides(lead, lcm)
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                for k, (lead, _g) in enumerate(self.basis)
+            ):
+                spoly = {}
+                for sign, (lead, g) in ((-one, self.basis[i]), (one, self.basis[j])):
+                    _sub_multiple(spoly, sign, tuple(a - b for a, b in zip(lcm, lead)), g)
+                self._insert(self.reduce(spoly), pending)
+        leads = self.leads
+        self.basis = [
+            (lead, g) for k, (lead, g) in enumerate(self.basis)
+            if not any(_divides(other, lead) and (other != lead or m < k)
+                       for m, other in enumerate(leads) if m != k)
+        ]
+        self.basis = [
+            (lead, {lead: one, **self.reduce({a: c for a, c in g.items() if a != lead})})
+            for lead, g in self.basis
+        ]
+
+    def _insert(self, poly, pending):
+        """Append poly, made monic, with its pairs that the product
+        criterion does not settle."""
+        if not poly:
+            return
+        lead = max(poly, key=grlex_key)
+        inv = poly[lead].inv()
+        for k, (other, _g) in enumerate(self.basis):
+            lcm = tuple(map(max, lead, other))
+            if lcm != add_index(lead, other):
+                pending[(k, len(self.basis))] = lcm
+        self.basis.append((lead, {a: c * inv for a, c in poly.items()}))
 
     @property
-    def rank(self):
-        return len(self.pivots)
+    def leads(self):
+        return [lead for lead, _g in self.basis]
+
+    def reduce(self, poly):
+        """The normal form of poly: the remainder with no monomial that a
+        lead divides, zero exactly when poly lies in I once the basis is
+        complete."""
+        work, out = dict(poly), {}
+        while work:
+            alpha = max(work, key=grlex_key)
+            divisor = next(((lead, g) for lead, g in self.basis if _divides(lead, alpha)), None)
+            if divisor is None:
+                out[alpha] = work.pop(alpha)
+            else:
+                lead, g = divisor
+                _sub_multiple(work, work[alpha], tuple(a - b for a, b in zip(alpha, lead)), g)
+        return out
+
+    def standard_monomials(self, degree):
+        """The monomials of one degree that no lead divides: a basis of that
+        component of k[X]/I, so their count is the Hilbert function."""
+        leads = self.leads
+        return [a for a in iter_exact_degree(self.nvars, degree)
+                if not any(_divides(lead, a) for lead in leads)]
+
+    @property
+    def dimension(self):
+        """The Krull dimension of k[X]/I: the most variables in which no
+        lead is supported (-1 when I is the unit ideal)."""
+        supports = [{t for t, a in enumerate(lead) if a} for lead in self.leads]
+        if set() in supports:
+            return -1
+        return self.nvars - _min_cover(supports)
 
 
-def _component_basis(nvars, degree):
-    """The X-monomials of one total degree, each mapped to its coordinate."""
-    return {a: i for i, a in enumerate(iter_exact_degree(nvars, degree))}
-
-
-def _poly_vector(poly, basis, shift=None):
-    """Codes of the coordinates of poly * X^shift in a component basis."""
-    vec = [0] * len(basis)
-    for alpha, c in poly.items():
-        vec[basis[alpha if shift is None else add_index(alpha, shift)]] = c.code
-    return vec
-
-
-def _ideal_component(gens, degree, basis, kfield):
-    """The degree part of the ideal of X-homogeneous (poly, degree) generators.
-
-    Spanned by every generator times every monomial of the complementary
-    degree, written in ``basis`` (a ``_component_basis``).
-    """
-    nvars = len(next(iter(basis)))
-    span = Subspace(kfield, len(basis))
-    for gpoly, gdeg in gens:
-        if degree >= gdeg:
-            for mu in iter_exact_degree(nvars, degree - gdeg):
-                span.add(_poly_vector(gpoly, basis, mu))
-    return span
+def _min_cover(supports):
+    """The fewest variables that meet every support."""
+    if not supports:
+        return 0
+    return 1 + min(_min_cover([s for s in supports if t not in s])
+                   for t in min(supports, key=len))
 
 
 def _relations(n, d, vbars, k, kfield):
-    """The generators X_ij^k - vbar_i X_1j^k (i > 1) as (poly, k) pairs."""
+    """The generators X_ij^k - vbar_i X_1j^k (i > 1)."""
     nvars = n * d
     out = []
     for j in range(d):
         for i in range(1, n):
             hi = tuple(k if t == j * n + i else 0 for t in range(nvars))
             lo = tuple(k if t == j * n else 0 for t in range(nvars))
-            out.append(({hi: kfield.one(), lo: -vbars[i]}, k))
+            out.append({a: c for a, c in ((hi, kfield.one()), (lo, -vbars[i])) if not c.is_zero})
     return out
 
 
 # ---------------------------------------------------------------------------
-# regular sequences (bounded certificates)
+# regular sequences
 
-def check_regular_sequence(family, D):
-    """Certify that the symbol family is a regular sequence up to X-degree D.
+def check_regular_sequence(family, D=None):
+    """Certify that the symbol family is a regular sequence, in every ordering.
 
-    For every ordering and every prefix, the next element must not divide
-    zero modulo the ideal of the previous ones, verified by rank counts
-    over k on each graded component of total X-degree <= D.  The
-    certificate is bounded by D, not a full proof.  Raises
-    CounterexampleFound with a witness polynomial on failure.
+    A member is e0^w times an X-polynomial f, homogeneous of one X-degree,
+    and e0 is a unit, so the question is one about the f in k[X].  There
+    homogeneous f_1..f_c of positive degree are a regular sequence, in
+    every order, iff dim k[X]/(f_1..f_c) = n - c (Bruns and Herzog,
+    *Cohen-Macaulay Rings*, section 2.1); the dimension is exact, from one
+    Groebner basis.  ``D``, a degree bound, is accepted from callers that
+    still pass one and not read.
+
+    Raises InvalidArgument for a zero member or one of X-degree 0 (a unit,
+    which generates the whole ring).  Otherwise, when the family is not
+    regular, let f_k be the first member whose prefix's dimension does not
+    drop.  Then f_1..f_(k-1) is regular, its quotient Cohen-Macaulay, and
+    f_k a zero divisor there: CounterexampleFound carries a witness
+    g = {alpha: coeff}, nonzero modulo the prefix, with f_k g in it.
     """
     if not family:
         return True
-    if len(family) > MAX_REGSEQ_FAMILY:
-        raise SweepLimit(
-            f"ordering sweep limited to families of size <= {MAX_REGSEQ_FAMILY}"
-        )
     ctx = family[0].context
     kfield = ctx.field.residue_field
     nvars = len(ctx.xlabels)
     polys = []
     for sym in family:
-        _w, xp = sym.x_part()
-        degs = {sum(a) for a in xp}
-        if len(degs) != 1:
-            raise InvalidArgument("family members must have pure X-degree")
-        polys.append((xp, degs.pop()))
-
-    seen = set()
-    for order in permutations(range(len(polys))):
-        for k in range(1, len(order) + 1):
-            cand = order[k - 1]
-            prev = frozenset(order[: k - 1])
-            key = (prev, cand)
-            if key in seen:
-                continue
-            seen.add(key)
-            _check_not_zero_divisor(
-                polys[cand], [polys[i] for i in prev], D, nvars, kfield
-            )
-    return True
+        if sym.is_zero:
+            raise InvalidArgument("a regular sequence has no zero member")
+        _w, poly = sym.x_part()
+        if not any(next(iter(poly))):
+            raise InvalidArgument("a regular sequence has no member of X-degree 0 (a unit)")
+        polys.append(poly)
+    if GroebnerBasis(polys, nvars, kfield).dimension == nvars - len(polys):
+        return True
+    k = next(k for k in range(2, len(polys) + 1)
+             if GroebnerBasis(polys[:k], nvars, kfield).dimension != nvars - k)
+    raise CounterexampleFound(
+        "zero divisor in the graded quotient",
+        witness=_annihilated(GroebnerBasis(polys[:k - 1], nvars, kfield), polys[k - 1], kfield),
+    )
 
 
-def _check_not_zero_divisor(cand, gens, D, nvars, kfield):
-    """Multiplication by cand is injective on (R/I)_m for every m <= D - deg.
+def _annihilated(gb, f, kfield):
+    """A nonzero normal form g with f g in the ideal of ``gb``, for a zero
+    divisor f; searched degree by degree on the standard monomials.
 
-    With I the ideal of gens, cand * I_m lies in I_t (t = m + deg), so the
-    image of (R/I)_m in (R/I)_t has the dimension the products cand * mu
-    add to the rank of I_t; injectivity is image + rank(I_m) = dim R_m.
+    In each degree the rows [normal form of f mu | e_mu] are echelonized;
+    a pivot in the unit block is a combination of the mu that f maps to I.
     """
-    cpoly, cdeg = cand
-    for m in range(0, max(0, D - cdeg) + 1):
-        basis_m = _component_basis(nvars, m)
-        basis_t = _component_basis(nvars, m + cdeg)
-        ideal_t = _ideal_component(gens, m + cdeg, basis_t, kfield)
-        rank_t = ideal_t.rank
-        for mu in basis_m:
-            ideal_t.add(_poly_vector(cpoly, basis_t, mu))
-        ideal_m = _ideal_component(gens, m, basis_m, kfield)
-        if ideal_t.rank - rank_t + ideal_m.rank == len(basis_m):
-            continue
-        # the witness: echelonize [cand * mu reduced by I_t | e_mu]; pivots
-        # leading in the unit block span the kernel, and one is not in I_m
-        ideal_t = _ideal_component(gens, m + cdeg, basis_t, kfield)
-        dim_t, dim_m = len(basis_t), len(basis_m)
-        pairs = Subspace(kfield, dim_t + dim_m)
-        for mu, j in basis_m.items():
-            unit = [0] * dim_m
-            unit[j] = 1
-            pairs.add(ideal_t.reduce(_poly_vector(cpoly, basis_t, mu)) + unit)
-        kernel = (pairs.row(lead)[dim_t:] for lead in sorted(pairs.pivots) if lead >= dim_t)
-        combo = next(c for c in kernel if not ideal_m.contains(c))
-        raise CounterexampleFound(
-            "zero divisor in the graded quotient",
-            witness={mu: ResidueElem(kfield, combo[j]) for mu, j in basis_m.items() if combo[j]},
-        )
+    fdeg = sum(next(iter(f)))
+    for m in count():
+        source = gb.standard_monomials(m)
+        target = {a: t for t, a in enumerate(gb.standard_monomials(m + fdeg))}
+        rows = Subspace(kfield, len(target) + len(source))
+        for j, mu in enumerate(source):
+            vec = [0] * rows.dim
+            for a, c in gb.reduce({add_index(a, mu): c for a, c in f.items()}).items():
+                vec[target[a]] = c.code
+            vec[len(target) + j] = 1
+            rows.add(vec)
+        for lead in sorted(rows.pivots):
+            if lead >= len(target):
+                combo = rows.row(lead)[len(target):]
+                return {mu: ResidueElem(kfield, c) for mu, c in zip(source, combo) if c}
 
 
 # ---------------------------------------------------------------------------
-# the quotient isomorphism (dimension counts) and variable elimination
+# the quotient isomorphism and variable elimination
 
-def quotient_iso_check(n, d, vbars, kfield, cap=5):
-    """Component dimensions of k[X_11..X_nd]/(X_ij - vbar_i X_1j) vs k[X_11..X_1d].
+def quotient_iso_check(n, d, vbars, kfield):
+    """k[X_11..X_nd]/(X_ij - vbar_i X_1j) is a polynomial ring in d variables.
 
-    ``vbars`` lists the residue classes of v_1 = 1, ..., v_n.  Checks every
-    X-degree up to the cap; raises DimensionMismatch on failure.
+    ``vbars`` lists the residue classes of v_1 = 1, ..., v_n.  The
+    relations are linear, so their reduced Groebner basis is, and the
+    quotient is the polynomial ring in the variables that are no lead, in
+    every X-degree, iff there are d(n - 1) leads.  Raises
+    DimensionMismatch otherwise.
     """
-    rels = _relations(n, d, vbars, 1, kfield)
-    for m in range(0, cap + 1):
-        basis = _component_basis(n * d, m)
-        got = len(basis) - _ideal_component(rels, m, basis, kfield).rank
-        expected = comb(m + d - 1, d - 1)
-        if got != expected:
-            raise DimensionMismatch(
-                f"degree-{m} component has dimension {got}, expected {expected}"
-            )
+    leads = GroebnerBasis(_relations(n, d, vbars, 1, kfield), n * d, kfield).leads
+    if len(leads) != d * (n - 1):
+        raise DimensionMismatch(
+            f"the relations leave {n * d - len(leads)} free variables, expected {d}"
+        )
     return True
 
 
 def symbol_class_nonzero(sym, h, vbars, n, d):
     """Whether a symbol survives in gr modulo (X_ij^(p^h) - vbar_i X_1j^(p^h)).
 
-    The relation generators are X-homogeneous, so the class vanishes iff
-    every fixed-X-degree piece of the symbol lies in the span of the
-    generator multiples of that degree; this is checked by exact linear
-    algebra over k.  A nonzero class certifies that the quotient norm of
-    any lift equals its lift norm.
+    The relations are X-polynomials and e0 is a unit, so the class vanishes
+    iff the X-polynomial at every e0-exponent has normal form 0 under the
+    relations' Groebner basis.  A nonzero class certifies that the quotient
+    norm of any lift equals its lift norm.
     """
-    if sym.is_zero:
-        return False
     ctx = sym.context
     kfield = ctx.field.residue_field
-    step = ctx.field.p**h
-    rels = _relations(n, d, vbars, step, kfield)
+    gb = GroebnerBasis(_relations(n, d, vbars, ctx.field.p**h, kfield), n * d, kfield)
     pieces = {}
     for (w, alpha), c in sym.terms.items():
-        pieces.setdefault(sum(alpha), {})[alpha] = c
-    for deg, poly in pieces.items():
-        if deg < step:
-            return True  # no generator multiples exist at this degree
-        basis = _component_basis(n * d, deg)
-        span = _ideal_component(rels, deg, basis, kfield)
-        if not span.contains(_poly_vector(poly, basis)):
-            return True
-    return False
+        pieces.setdefault(w, {})[alpha] = c
+    return any(gb.reduce(poly) for poly in pieces.values())
 
 
 def eliminate_to_first_row(symbol, n, d, vbars, target_context):
@@ -388,7 +445,8 @@ def eliminate_to_first_row(symbol, n, d, vbars, target_context):
 # finite-rank quotients by univariate relations
 
 class LaurentScalar:
-    """An element of k[e0, e0^-1], as a sparse exponent -> k map."""
+    """An element of k[e0, e0^-1], as a sparse exponent -> k map: a
+    coefficient of the relations of ``finite_rank_quotient``."""
 
     __slots__ = ("kfield", "terms")
 
@@ -404,40 +462,6 @@ class LaurentScalar:
     def is_unit(self):
         return len(self.terms) == 1
 
-    def unit_inv(self):
-        if not self.is_unit:
-            raise NonUnitLeading(f"{self} is not a unit of k[e0^(+-1)]")
-        ((w, c),) = self.terms.items()
-        return LaurentScalar(self.kfield, {-w: c.inv()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, self.kfield.zero()) + c
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return LaurentScalar(self.kfield, out)
-
-    def __neg__(self):
-        return LaurentScalar(self.kfield, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, self.kfield.zero()) + c1 * c2
-                if s.is_zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return LaurentScalar(self.kfield, out)
-
     def __eq__(self, other):
         return isinstance(other, LaurentScalar) and self.terms == other.terms
 
@@ -449,78 +473,26 @@ class LaurentScalar:
         )
 
 
-def _reduce_by_rules(poly, rules, d):
-    """Normal form of {alpha: LaurentScalar} under X_j^{D_j} -> lower terms."""
-    work = dict(poly)
-    out = {}
-    while work:
-        alpha = max(work, key=grlex_key)
-        coeff = work.pop(alpha)
-        if coeff.is_zero:
-            continue
-        for j in range(d):
-            Dj, lower = rules[j]
-            if alpha[j] >= Dj:
-                rest = tuple(a - (Dj if t == j else 0) for t, a in enumerate(alpha))
-                for tdeg, c in lower.items():
-                    key = tuple(
-                        rest[t] + (tdeg if t == j else 0) for t in range(d)
-                    )
-                    add = coeff * c
-                    work[key] = work.get(key, LaurentScalar(add.kfield)) + add
-                break
-        else:
-            out[alpha] = out.get(alpha, LaurentScalar(coeff.kfield)) + coeff
-    return {a: c for a, c in out.items() if not c.is_zero}
-
-
 def finite_rank_quotient(polys, kfield):
     """Free rank of k[e0^(+-1)][X_1..X_d] / (P_1(X_1), ..., P_d(X_d)).
 
     Each P_j is a list of LaurentScalar coefficients in its own variable,
-    nonconstant with unit leading coefficient.  The monomial basis
-    {X^beta : beta_j < deg P_j} is certified by reducing every S-pair of
-    the (pairwise coprime-leading) relations to zero; the rank is the
-    product of the degrees.
+    nonconstant with unit leading coefficient.  Made monic, the P_j have
+    leads X_j^(deg P_j) in distinct variables, so every pair of leads is
+    coprime and, by Buchberger's first (product) criterion (Cox, Little and
+    O'Shea, *Ideals, Varieties, and Algorithms*, section 2.9), the P_j are
+    already a Groebner basis.  The monomials X^beta with beta_j < deg P_j
+    are then a basis of the quotient, whose rank is the product of the
+    degrees.  ``kfield`` is the residue field k.
     """
-    d = len(polys)
-    rules = []
+    rank = 1
     for j, coeffs in enumerate(polys):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1].is_zero:
             coeffs.pop()
         if len(coeffs) < 2:
             raise InvalidArgument(f"P_{j + 1} must be nonconstant")
-        lead = coeffs[-1]
-        if not lead.is_unit:
+        if not coeffs[-1].is_unit:
             raise NonUnitLeading(f"leading coefficient of P_{j + 1} is not a unit")
-        inv = lead.unit_inv()
-        Dj = len(coeffs) - 1
-        lower = {t: -(coeffs[t] * inv) for t in range(Dj) if not coeffs[t].is_zero}
-        rules.append((Dj, lower))
-
-    # S-pair certificate: relations in distinct variables, coprime leads
-    for i in range(d):
-        for j in range(i + 1, d):
-            Di, lower_i = rules[i]
-            Dj, lower_j = rules[j]
-            spair = {}
-            for t, c in lower_i.items():
-                key = tuple(
-                    (t if v == i else (Dj if v == j else 0)) for v in range(d)
-                )
-                spair[key] = spair.get(key, LaurentScalar(kfield)) - c
-            for t, c in lower_j.items():
-                key = tuple(
-                    (t if v == j else (Di if v == i else 0)) for v in range(d)
-                )
-                spair[key] = spair.get(key, LaurentScalar(kfield)) + c
-            if _reduce_by_rules(spair, rules, d):
-                raise CounterexampleFound(
-                    "S-pair does not reduce to zero", witness=(i, j)
-                )
-
-    rank = 1
-    for Dj, _lower in rules:
-        rank *= Dj
+        rank *= len(coeffs) - 1
     return rank

@@ -321,7 +321,7 @@ def suite_quotient(env):
     def iso_dims():
         lg = fam.lgspec
         vbars = [lg.residue_of_v(i) for i in range(1, lg.n + 1)]
-        return quotient_iso_check(lg.n, lg.d, vbars, env.field.residue_field, cap=5)
+        return quotient_iso_check(lg.n, lg.d, vbars, env.field.residue_field)
     records.append(_record(env, suite, "graded quotient dimension counts",
                            iso_dims, expected="polynomial ring in d variables"))
     return records
@@ -400,16 +400,13 @@ def suite_grading(env):
     rng = env.rng(suite)
     records = []
     kfield = env.field.residue_field
-    cap = env.config.options["regseq_cap"]
     if env.is_lgroup:
         fam = env.family
         p, kappa = env.field.p, env.field.kappa
         for h in (0, 1):
             def regseq(h=h):
                 r = _radius_with_dominant_index(h, kappa, p)
-                syms = kernel_symbol_family(fam, r)
-                local_cap = max(cap, p**h + 2)
-                return check_regular_sequence(syms, local_cap)
+                return check_regular_sequence(kernel_symbol_family(fam, r))
             records.append(_record(
                 env, suite, f"regular sequence certificate at h = {h}",
                 regseq, expected="all orderings",

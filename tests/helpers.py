@@ -23,7 +23,10 @@ the reduction loop of ``quotient.canonicalize`` on whole Distributions,
 one leading-form sweep and one full product per step, independently of
 its in-place residue and its memo of shifted kernel generators.  The
 residue-product oracle multiplies in F_q as polynomials over F_p reduced
-by gbar, independently of the log tables.
+by gbar, independently of the log tables.  The graded-component oracles
+decide ideal membership, Hilbert functions and regular sequences (every
+ordering, up to a degree bound) by rank counts on the components of
+k[X], independently of ``grading.GroebnerBasis``.
 
 The Fraction element oracle holds a group element as Fractions in one
 chart and runs the group law, the inverse, the commutator and the chart
@@ -40,7 +43,7 @@ The samplers live in ``padicdist.samplers``.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from padicdist import LieLattice
 from padicdist.distalg import Distribution, ExponentScale
@@ -53,7 +56,8 @@ from padicdist.errors import (
     PrecisionExhausted,
 )
 from padicdist.groups import _chart_fixed_point, _eval_second_kind
-from padicdist.indices import add_index, grlex_key
+from padicdist.grading import Subspace
+from padicdist.indices import add_index, grlex_key, iter_exact_degree
 from padicdist.padics import _fp_mod, _fp_mul
 from padicdist.quotient import CanonicalForm, _require_h0, _required_truncation
 from padicdist.radii import kappa, log_tail_exponent, vp_rational
@@ -720,3 +724,78 @@ def mul_oracle(alg, lam, mu):
             for gamma, c in alg.table.row(alpha, beta).items():
                 acc[gamma] = tuple(a + c * x for a, x in zip(acc.get(gamma, zero), prod))
     return {gamma: v for gamma, v in acc.items() if any(v)}
+
+
+# ---------------------------------------------------------------------------
+# bounded rank counts on graded components of k[X]
+
+def component_basis(nvars, degree):
+    """The X-monomials of one total degree, each mapped to its coordinate."""
+    return {a: i for i, a in enumerate(iter_exact_degree(nvars, degree))}
+
+
+def poly_vector(poly, basis, shift=None):
+    """Codes of the coordinates of poly * X^shift in a component basis."""
+    vec = [0] * len(basis)
+    for alpha, c in poly.items():
+        vec[basis[alpha if shift is None else add_index(alpha, shift)]] = c.code
+    return vec
+
+
+def ideal_component(gens, degree, basis, kfield):
+    """The degree part of the ideal of homogeneous X-polynomials ``gens``,
+    spanned by every generator times every monomial of the complementary
+    degree, written in ``basis`` (a ``component_basis``)."""
+    nvars = len(next(iter(basis)))
+    span = Subspace(kfield, len(basis))
+    for g in gens:
+        gdeg = sum(next(iter(g)))
+        if degree >= gdeg:
+            for mu in iter_exact_degree(nvars, degree - gdeg):
+                span.add(poly_vector(g, basis, mu))
+    return span
+
+
+def in_ideal_oracle(poly, gens, kfield):
+    """Whether the homogeneous nonzero poly lies in the ideal of ``gens``."""
+    alpha = next(iter(poly))
+    basis = component_basis(len(alpha), sum(alpha))
+    span = ideal_component(gens, sum(alpha), basis, kfield)
+    return not any(span.reduce(poly_vector(poly, basis)))
+
+
+def hilbert_oracle(gens, degree, nvars, kfield):
+    """dim (k[X]/I)_degree = dim k[X]_degree - rank I_degree."""
+    basis = component_basis(nvars, degree)
+    return len(basis) - len(ideal_component(gens, degree, basis, kfield).pivots)
+
+
+def regular_sequence_oracle(polys, D, nvars, kfield):
+    """Whether no member divides zero modulo the ideal of the members
+    before it, in any ordering, on every component of X-degree <= D.
+
+    Multiplication by f maps I_m into I_(m + deg f), so it is injective on
+    (R/I)_m iff the products f mu (mu of degree m) add dim R_m - rank I_m
+    to the rank of I_(m + deg f).
+    """
+    seen = set()
+    for order in permutations(range(len(polys))):
+        for k, cand in enumerate(order):
+            key = (frozenset(order[:k]), cand)
+            if key in seen:
+                continue
+            seen.add(key)
+            gens = [polys[i] for i in order[:k]]
+            f = polys[cand]
+            fdeg = sum(next(iter(f)))
+            for m in range(max(0, D - fdeg) + 1):
+                basis_m = component_basis(nvars, m)
+                basis_t = component_basis(nvars, m + fdeg)
+                ideal_t = ideal_component(gens, m + fdeg, basis_t, kfield)
+                rank_t = len(ideal_t.pivots)
+                for mu in basis_m:
+                    ideal_t.add(poly_vector(f, basis_t, mu))
+                rank_m = len(ideal_component(gens, m, basis_m, kfield).pivots)
+                if len(ideal_t.pivots) - rank_t + rank_m != len(basis_m):
+                    return False
+    return True

@@ -4,12 +4,16 @@ from itertools import permutations
 
 import pytest
 
+from helpers import hilbert_oracle, in_ideal_oracle, regular_sequence_oracle
 from padicdist import (
     LaurentScalar,
     Symbol,
     SymbolContext,
+    build_kernel_family,
     check_regular_sequence,
     finite_rank_quotient,
+    get_group,
+    kernel_symbol_family,
     quotient_iso_check,
     symbol_class_nonzero,
 )
@@ -18,8 +22,10 @@ from padicdist.errors import (
     DegreeMismatch,
     InvalidArgument,
     NonUnitLeading,
-    PadicError,
 )
+from padicdist.grading import GroebnerBasis
+from padicdist.indices import iter_exact_degree
+from padicdist.suites import _radius_with_dominant_index
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +95,28 @@ def test_repeated_element_fails(ctx2, kfield):
         check_regular_sequence([s, s], 4)
 
 
-def test_ordering_sweep_refuses_seven_members(ctx2, kfield):
-    s = fshape(ctx2, kfield, 1, 0, 0, kfield.gen())
-    with pytest.raises(PadicError, match="size <= 6"):
-        check_regular_sequence([s] * 7, 4)
+def test_seven_member_family_certified(k3u2, kfield):
+    """The kernel-symbol shape of a group over a quadratic field with d = 7:
+    seven members in 14 variables, one certificate for every ordering."""
+    ctx14 = SymbolContext(k3u2, 1, Fraction(1, 4), tuple(f"X{i}{j}" for j in range(1, 8)
+                                                         for i in (1, 2)))
+    for h in (0, 1):
+        fam = [fshape(ctx14, kfield, 2 * j + 1, 2 * j, h, kfield.gen()) for j in range(7)]
+        assert check_regular_sequence(fam)
+        assert check_regular_sequence(fam[::-1])
+
+
+def test_unit_and_zero_members_refused(ctx2, kfield):
+    """R/(unit) = 0, so no family with a unit member is regular, e0 being
+    a unit too; a zero member divides zero."""
+    one = Symbol(ctx2, {(0, (0, 0)): kfield.one()})
+    e0 = Symbol(ctx2, {(1, (0, 0)): kfield.one()})
+    x1 = Symbol(ctx2, {(0, (1, 0)): kfield.one()})
+    for family in ([one], [x1, one], [e0, x1]):
+        with pytest.raises(InvalidArgument, match="X-degree 0"):
+            check_regular_sequence(family, 4)
+    with pytest.raises(InvalidArgument, match="zero member"):
+        check_regular_sequence([x1, Symbol(ctx2, {})], 4)
 
 
 def test_family_all_orderings(k3u2, kfield):
@@ -118,14 +142,14 @@ def test_genuine_zero_divisor_detected(ctx2, kfield):
 
 def test_quotient_iso_dimensions(kfield):
     vbars = [kfield.one(), kfield.gen()]
-    assert quotient_iso_check(2, 1, vbars, kfield, cap=5)
-    assert quotient_iso_check(2, 2, vbars, kfield, cap=5)
-    assert quotient_iso_check(1, 2, [kfield.one()], kfield, cap=5)
+    assert quotient_iso_check(2, 1, vbars, kfield)
+    assert quotient_iso_check(2, 2, vbars, kfield)
+    assert quotient_iso_check(1, 2, [kfield.one()], kfield)
 
 
 def test_quotient_iso_larger_extension(kfield):
     vbars = [kfield.one(), kfield.gen(), kfield.gen() ** 2]
-    assert quotient_iso_check(3, 2, vbars, kfield, cap=4)
+    assert quotient_iso_check(3, 2, vbars, kfield)
 
 
 def test_symbol_class_nonzero(ctx2, kfield):
@@ -213,3 +237,80 @@ def test_zero_divisor_witness_is_genuine(ctx2, kfield, gens, cand):
 
     assert in_ideal(w * family[-1])
     assert not in_ideal(w)
+
+
+# ---------------------------------------------------------------------------
+# the Groebner verdicts against the bounded rank-count oracle
+
+def _agrees_with_oracle(family, regular, degree=6):
+    """The verdict and the Hilbert function of the family's ideal, in
+    degrees <= ``degree``, match the rank-count oracle's."""
+    ctx = family[0].context
+    kfield = ctx.field.residue_field
+    nvars = len(ctx.xlabels)
+    polys = [sym.x_part()[1] for sym in family]
+    assert regular_sequence_oracle(polys, degree, nvars, kfield) is regular
+    if regular:
+        assert check_regular_sequence(family)
+    else:
+        with pytest.raises(CounterexampleFound):
+            check_regular_sequence(family)
+    gb = GroebnerBasis(polys, nvars, kfield)
+    for m in range(degree + 1):
+        assert len(gb.standard_monomials(m)) == hilbert_oracle(polys, m, nvars, kfield)
+
+
+@pytest.mark.parametrize("h", [0, 1])
+@pytest.mark.parametrize("group, field", [
+    ("o-additive(1)", "k3u2"), ("o-additive(2)", "k3u2"), ("o-additive(1)", "k3r2"),
+])
+def test_kernel_families_match_the_oracle(request, group, field, h):
+    fld = request.getfixturevalue(field)
+    fam = build_kernel_family(get_group(group, field=fld), 4)
+    r = _radius_with_dominant_index(h, fld.kappa, fld.p)
+    _agrees_with_oracle(kernel_symbol_family(fam, r), regular=True)
+
+
+@pytest.fixture(scope="module")
+def ctx3(k3u2):
+    return SymbolContext(k3u2, 1, Fraction(1, 4), ("X1", "X2", "X3"))
+
+
+@pytest.mark.parametrize("gens", [
+    ((1, 1, 0), (1, 0, 1)),     # a shared factor: X1 X3 * X2 lies in (X1 X2)
+    ((1, 0, 0), (1, 1, 0)),     # X1 X2 lies in (X1)
+])
+def test_planted_monomial_zero_divisors(ctx3, kfield, gens):
+    family = [Symbol(ctx3, {(0, alpha): kfield.one()}) for alpha in gens]
+    _agrees_with_oracle(family, regular=False)
+    with pytest.raises(CounterexampleFound) as info:
+        check_regular_sequence(family)
+    g = info.value.witness
+    first = family[0].x_part()[1]
+    prod = (Symbol(ctx3, {(0, a): c for a, c in g.items()}) * family[1]).x_part()[1]
+    assert in_ideal_oracle(prod, [first], kfield)
+    assert not in_ideal_oracle(g, [first], kfield)
+
+
+def test_planted_repeated_symbol(ctx3, kfield):
+    s = fshape(ctx3, kfield, 2, 0, 1, kfield.gen())
+    _agrees_with_oracle([s, fshape(ctx3, kfield, 1, 0, 0, kfield.one()), s], regular=False)
+
+
+def test_random_families_match_the_oracle(ctx3, kfield):
+    """Homogeneous families whose leads share variables, so Buchberger
+    reduces S-polynomials; regular and not, as the oracle decides."""
+    rng = random.Random(27)
+    seen = set()
+    for _ in range(30):
+        family = []
+        for _ in range(rng.randrange(1, 4)):
+            deg = rng.randrange(1, 3)
+            monos = rng.sample(list(iter_exact_degree(3, deg)), rng.randrange(1, 4))
+            family.append(Symbol(ctx3, {(0, a): kfield.elem((rng.randrange(1, 3), rng.randrange(3)))
+                                        for a in monos}))
+        polys = [sym.x_part()[1] for sym in family]
+        regular = regular_sequence_oracle(polys, 6, 3, kfield)
+        seen.add(regular)
+        _agrees_with_oracle(family, regular)
+    assert seen == {True, False}
