@@ -93,17 +93,31 @@ def test_oversized_pro2_sweep_refused_on_suite_override(tmp_path, capsys):
     assert "1,455,168 pairs" in capsys.readouterr().err
 
 
-def test_grading_suite_on_nine_symbols(tmp_path, capsys):
-    """o-additive(3) over F_81: nine kernel symbols in twelve variables, one
-    exact certificate for every ordering."""
-    path = tmp_path / "f81.json"
-    path.write_text(json.dumps({"field": {"p": 3, "f": 4, "precision": 12},
-                                "group": "o-additive(3)", "truncation": 4,
-                                "radii": ["3^-2/3"], "suites": ["grading"]}))
-    assert main(["run", "--config", str(path)]) == 0
-    out = capsys.readouterr().out
+def _regseq_job(group, suites):
+    """A group over F_81: o-additive(d) has (4 - 1) * d kernel symbols."""
+    return {"field": {"p": 3, "f": 4, "precision": 12}, "group": group,
+            "truncation": 4, "radii": ["3^-2/3"], "suites": suites}
+
+
+def _assert_nine_symbols_certified(out):
     assert "regular sequence certificate at h = 1  expected=all orderings computed=True" in out
     assert "# summary: 4 passed, 0 failed" in out
+
+
+def test_nine_symbol_family_passes_grading_at_load(tmp_path, capsys):
+    """o-additive(3) over F_81: nine kernel symbols in twelve variables, one
+    exact certificate for every ordering; no family size is refused."""
+    path = tmp_path / "f81.json"
+    path.write_text(json.dumps(_regseq_job("o-additive(3)", ["grading"])))
+    assert main(["run", "--config", str(path)]) == 0
+    _assert_nine_symbols_certified(capsys.readouterr().out)
+
+
+def test_nine_symbol_family_passes_grading_on_suite_override(tmp_path, capsys):
+    path = tmp_path / "f81.json"
+    path.write_text(json.dumps(_regseq_job("o-additive(3)", [])))
+    assert main(["run", "--config", str(path), "--suite", "grading"]) == 0
+    _assert_nine_symbols_certified(capsys.readouterr().out)
 
 
 def _big_residue_job(suites):
