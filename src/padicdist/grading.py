@@ -110,9 +110,11 @@ class Symbol:
     def x_part(self):
         """(common e0-exponent, {alpha: coeff}) for symbols of pure X-degree.
 
-        Raises InvalidArgument when terms mix e0-exponents; the F-shaped
-        families never do.
+        Raises InvalidArgument on the zero symbol, which has no X-part, and
+        when terms mix e0-exponents; the F-shaped families never do.
         """
+        if not self.terms:
+            raise InvalidArgument("the zero symbol has no X-part")
         ws = {w for (w, _a) in self.terms}
         if len(ws) != 1:
             raise InvalidArgument("symbol mixes e0-exponents; no pure X-part")
@@ -473,7 +475,7 @@ class LaurentScalar:
         )
 
 
-def finite_rank_quotient(polys, kfield):
+def finite_rank_quotient(polys):
     """Free rank of k[e0^(+-1)][X_1..X_d] / (P_1(X_1), ..., P_d(X_d)).
 
     Each P_j is a list of LaurentScalar coefficients in its own variable,
@@ -483,7 +485,7 @@ def finite_rank_quotient(polys, kfield):
     O'Shea, *Ideals, Varieties, and Algorithms*, section 2.9), the P_j are
     already a Groebner basis.  The monomials X^beta with beta_j < deg P_j
     are then a basis of the quotient, whose rank is the product of the
-    degrees.  ``kfield`` is the residue field k.
+    degrees.
     """
     rank = 1
     for j, coeffs in enumerate(polys):

@@ -126,20 +126,26 @@ def _scan_min_exponent(s_exp, p, k_min=1):
     lower bound L(k) = k*s_exp - digits_p(k) certifiably exceeds the
     incumbent for the entire tail: L dominates E, and E(k') >= k'*s_exp -
     log_p(k') is increasing once k*s_exp >= 2.
+
+    It runs in ints, scaled by the denominator b of s_exp = a/b:
+    b E(k) = k a - b v_p(k), and the stop test is k a >= 2b with
+    k a - b digits_p(k) above the incumbent; the minimum is returned as
+    the Fraction (b E) / b.
     """
+    a, b = s_exp.numerator, s_exp.denominator
     best = None
     argmins = []
     k = k_min
     while True:
-        e_k = k * s_exp - vp_int(k, p)
+        e_k = k * a - b * vp_int(k, p)
         if best is None or e_k < best:
             best, argmins = e_k, [k]
         elif e_k == best:
             argmins.append(k)
         k += 1
-        lower = k * s_exp - _digits_base(k, p)
-        if k * s_exp >= 2 and lower > best:
-            return best, argmins
+        ka = k * a
+        if ka >= 2 * b and ka - b * _digits_base(k, p) > best:
+            return Fraction(best, b), argmins
 
 
 def is_h0_radius(r, kappa, p):

@@ -31,7 +31,7 @@ from .errors import (
     UniqueAttainmentFailed,
 )
 from .grading import symbol_class_nonzero
-from .groups import require_step
+from .groups import GroupElement, _joined, require_step
 from .indices import iter_multi_indices
 from .radii import dominant_log_index, radius_root
 
@@ -257,22 +257,22 @@ def lower_p_transversal(lattice, m):
     return CosetSystem(lattice, m, reps)
 
 
-def _coset_key(g, m):
-    """The coset of g modulo the level-m step subgroup, one modular
-    reduction per coordinate: with second-kind coordinates n_k / den
-    (``g.nums`` over ``g.den``) it is n_k den^-1 mod p^m, which is
-    n_k mod p^m when den = 1, so g lies in the step subgroup exactly when
-    the key is zero.  An element whose den is divisible by p has no key
-    and is refused with InvalidArgument."""
-    p = g.lattice.p
-    nums, den = g.nums, g.den
+def _coset_key(point, p, m):
+    """The coset modulo the level-m step subgroup of the element with
+    second-kind coordinates n_k / den, for the point (nums, den), one
+    modular reduction per coordinate: it is n_k den^-1 mod p^m, which is
+    n_k mod p^m when den = 1, so the element lies in the step subgroup
+    exactly when the key is zero.  A den divisible by p has no key and is
+    refused with InvalidArgument."""
+    nums, den = point
     if den % p == 0:
         raise InvalidArgument(
-            f"coset keys need p-integral coordinates; {g!r} has p = {p} in a denominator"
+            f"coset keys need p-integral coordinates; {nums} over {den} has p = {p} "
+            "in a denominator"
         )
     mod = p**m
     inv = pow(den, -1, mod)
-    return tuple(n * inv % mod for n in nums)
+    return tuple([n * inv % mod for n in nums])
 
 
 def coset_conditions(cs, rng):
@@ -283,43 +283,64 @@ def coset_conditions(cs, rng):
     representatives under products and inverses, and reports the index t
     with its absolute value.  Raises ConditionFailed naming the violated
     clause.  Cosets and subgroup membership are read off ``_coset_key``.
+
+    The group law runs in batches over (nums, den) points
+    (``SecondKindLaw.reduced_all``), one representative's batch at a
+    time, so memory stays that of one row of t points: the inverses of
+    all representatives in one call; per representative g, its 12
+    conjugates g^-1 (h g) in two calls; then, per representative g_i, the
+    products g_i g_j over all j and its inverse in one call, and each
+    product's check g_k^-1 (g_i g_j) against the representative g_k of
+    its coset in one more.  Checks, failure messages, the first failure
+    reported and the draws from ``rng`` are those of a loop over single
+    elements, except that a representative's 12 samples are all drawn
+    before the first is checked, and that a representative which is not
+    an element of ``cs.lattice`` is refused with InvalidArgument before
+    any coset key is read.
     """
     lat = cs.lattice
     p, m, d = lat.p, cs.m, lat.d
     mod = p**m
+    law = lat.second_kind_law
 
-    def in_subgroup(g):
-        return not any(_coset_key(g, m))
+    def in_subgroup(point):
+        return not any(_coset_key(point, p, m))
 
     if not cs.reps or any(cs.reps[0].nums):
         raise ConditionFailed("transversal must start with the identity")
+    if not all(isinstance(g, GroupElement) and g.lattice is lat for g in cs.reps):
+        raise InvalidArgument("a product needs two elements of the same lattice")
+    points = [(g.nums, g.den) for g in cs.reps]
     keys = {}
-    for idx, g in enumerate(cs.reps):
-        k = _coset_key(g, m)
+    for idx, point in enumerate(points):
+        k = _coset_key(point, p, m)
         if k in keys:
             raise ConditionFailed(f"representatives {keys[k]} and {idx} share a coset")
         keys[k] = idx
+    inverses = lat.second_kind_inverse.reduced_all(points)
 
-    for idx, g in enumerate(cs.reps):
-        for _ in range(12):
-            h = lat.element_second(
-                tuple(mod * rng.randrange(0, p**2) for _ in range(d))
-            )
-            if not in_subgroup(h.conjugate(g)):
-                raise ConditionFailed(f"normality fails at representative {idx}")
-
-    for i, gi in enumerate(cs.reps):
-        for j, gj in enumerate(cs.reps):
-            prod = gi * gj
-            k = keys.get(_coset_key(prod, m))
-            if k is None or not in_subgroup(cs.reps[k].inverse() * prod):
-                raise ConditionFailed(f"product of reps {i}, {j} misses the transversal")
-        inv = gi.inverse()
-        k = keys.get(_coset_key(inv, m))
-        if k is None or not in_subgroup(cs.reps[k].inverse() * inv):
-            raise ConditionFailed(f"inverse of rep {i} misses the transversal")
+    for idx, point in enumerate(points):
+        hs = [(tuple(mod * rng.randrange(0, p**2) for _ in range(d)), 1) for _ in range(12)]
+        moved = law.reduced_all([_joined(h, point) for h in hs])
+        if not all(map(in_subgroup, law.reduced_all([_joined(inverses[idx], x) for x in moved]))):
+            raise ConditionFailed(f"normality fails at representative {idx}")
 
     t = cs.index
+    for i, point in enumerate(points):
+        row = law.reduced_all([_joined(point, q) for q in points]) + [inverses[i]]
+        found = []
+        for x in row:
+            k = keys.get(_coset_key(x, p, m))
+            if k is None:
+                break
+            found.append(k)
+        checks = law.reduced_all([_joined(inverses[k], x) for k, x in zip(found, row)])
+        j = next((j for j, y in enumerate(checks) if not in_subgroup(y)), len(found))
+        if j < t:
+            raise ConditionFailed(f"product of reps {i}, {j} misses the transversal")
+        if j == t:
+            raise ConditionFailed(f"inverse of rep {i} misses the transversal")
+
     return {
         "index": t,
         "index_abs_exponent": Fraction(m * d),

@@ -18,7 +18,9 @@ of the int sums of ``DistAlgebra.mul``.  The exponent oracles evaluate
 v(c)/e + kappa |alpha| a/b over Fractions, independently of the scaled
 int keys of ``distalg``, and the orthogonal-system trial oracle runs the
 trials of ``towers.orthogonal_system_check`` on Distributions and Scalars,
-independently of its packed int sums.  The canonicalization oracle runs
+independently of its packed int sums.  The scan oracle minimizes
+k s - v_p(k) in Fraction arithmetic, independently of the int scan of
+``radii``.  The canonicalization oracle runs
 the reduction loop of ``quotient.canonicalize`` on whole Distributions,
 one leading-form sweep and one full product per step, independently of
 its in-place residue and its memo of shifted kernel generators.  The
@@ -322,6 +324,30 @@ def pro2_sweep_oracle(lattice, level, i, j):
                 return checked, (a, b, tuple(Fraction(n, den) for n in nums))
             checked += 1
     return checked, None
+
+
+# ---------------------------------------------------------------------------
+# the scan behind the dominant log index and the log tail, over Fractions
+
+def scan_min_exponent_oracle(s_exp, p, k_min=1):
+    """``radii._scan_min_exponent`` as it ran in Fraction arithmetic:
+    the minimum of E(k) = k s_exp - v_p(k) over k >= k_min and its
+    argmins, stopping once k s_exp >= 2 and k s_exp - digits_p(k)
+    exceeds the incumbent."""
+    best, argmins, k = None, [], k_min
+    while True:
+        e_k = k * s_exp - vp_rational(k, p)
+        if best is None or e_k < best:
+            best, argmins = e_k, [k]
+        elif e_k == best:
+            argmins.append(k)
+        k += 1
+        digits, n = 0, k
+        while n:
+            n //= p
+            digits += 1
+        if k * s_exp >= 2 and k * s_exp - digits > best:
+            return best, argmins
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import mul_oracle
+from helpers import mul_oracle, scan_min_exponent_oracle
 from padicdist import (
     DistAlgebra, FieldSpec, abelian, dominant_log_index, heisenberg2, mul_tail_bound,
 )
 from padicdist.errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
 from padicdist.indices import iter_multi_indices
-from padicdist.radii import Radius, log_tail_exponent
+from padicdist.radii import Radius, _scan_min_exponent, log_tail_exponent
 from padicdist.samplers import random_distribution
 
 INF = math.inf
@@ -157,6 +157,20 @@ def test_dominant_index_h0_region():
 def test_prime_mismatch_refused(q3):
     with pytest.raises(InvalidArgument, match="different primes"):
         DistAlgebra(heisenberg2(), q3, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scan_matches_the_fraction_path(p):
+    """The int scan returns the minimum and argmins of the Fraction one at
+    every radius exponent a/b with b <= 40, for both kappa and for scans
+    from 1 and from past a truncation."""
+    exponents = {Fraction(a, b) for b in range(2, 41) for a in range(1, b)}
+    for kap in (1, 2):
+        for s_exp in sorted(kap * e for e in exponents):
+            for k_min in (1, 7, 15):
+                got = _scan_min_exponent(s_exp, p, k_min)
+                assert got == scan_min_exponent_oracle(s_exp, p, k_min)
+                assert type(got[0]) is Fraction
 
 
 def test_log_tail_exponent():

@@ -22,6 +22,7 @@ from padicdist.errors import (
     DegreeMismatch,
     InvalidArgument,
     NonUnitLeading,
+    PadicError,
 )
 from padicdist.grading import GroebnerBasis
 from padicdist.indices import iter_exact_degree
@@ -170,12 +171,12 @@ def test_finite_rank_examples(kfield):
 
     # d = 1, P = X -> rank 1
     P = [LaurentScalar(kfield), LaurentScalar(kfield, {0: one})]
-    assert finite_rank_quotient([P], kfield) == 1
+    assert finite_rank_quotient([P]) == 1
     # d = 2, P1 = X^2 - e0, P2 = X^3 -> rank 6
     P1 = [LaurentScalar(kfield, {1: -one}), LaurentScalar(kfield),
           LaurentScalar(kfield, {0: one})]
     P2 = [LaurentScalar(kfield)] * 3 + [LaurentScalar(kfield, {0: one})]
-    assert finite_rank_quotient([P1, P2], kfield) == 6
+    assert finite_rank_quotient([P1, P2]) == 6
 
 
 def test_finite_rank_random(kfield):
@@ -197,7 +198,7 @@ def test_finite_rank_random(kfield):
                 LaurentScalar(kfield, {rng.randrange(-1, 2): kfield.elem((rng.randrange(1, 3), 0))})
             )
             polys.append(coeffs)
-        assert finite_rank_quotient(polys, kfield) == expect
+        assert finite_rank_quotient(polys) == expect
 
 
 def test_argument_refusals_are_typed(ctx2, kfield):
@@ -206,16 +207,23 @@ def test_argument_refusals_are_typed(ctx2, kfield):
     with pytest.raises(InvalidArgument, match="mixes e0-exponents"):
         mixed.x_part()
     with pytest.raises(InvalidArgument, match="nonconstant"):
-        finite_rank_quotient([[LaurentScalar(kfield, {0: one})]], kfield)
+        finite_rank_quotient([[LaurentScalar(kfield, {0: one})]])
+
+
+def test_zero_symbol_has_no_x_part(ctx2):
+    """The zero symbol is refused for having no X-part, not as a symbol
+    that mixes e0-exponents."""
+    with pytest.raises(PadicError, match="the zero symbol has no X-part"):
+        Symbol(ctx2, {}).x_part()
 
 
 def test_finite_rank_refuses_nonunit_leading(kfield):
     one = kfield.one()
     bad = [LaurentScalar(kfield), LaurentScalar(kfield, {0: one, 1: one})]
     with pytest.raises(NonUnitLeading):
-        finite_rank_quotient([bad], kfield)
+        finite_rank_quotient([bad])
     with pytest.raises(ValueError):
-        finite_rank_quotient([[LaurentScalar(kfield, {0: one})]], kfield)
+        finite_rank_quotient([[LaurentScalar(kfield, {0: one})]])
 
 
 @pytest.mark.parametrize("gens, cand", [

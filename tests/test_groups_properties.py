@@ -361,4 +361,4 @@ def test_coset_keys_match_the_fraction_path(lat, data):
     g, h = lat.element_second(x), lat.element_first(y)
     G, H = FractionElement(lat, "second", x), FractionElement(lat, "first", y)
     for elt, ref in ((g, G), (h, H), (g * h, G * H), (h.inverse() * g, H.inverse() * G)):
-        assert _coset_key(elt, m) == coset_key_oracle(ref, m)
+        assert _coset_key((elt.nums, elt.den), lat.p, m) == coset_key_oracle(ref, m)

@@ -244,6 +244,40 @@ def test_coset_conditions_match_the_fraction_path(lat):
         assert rng.getstate() == oracle_rng.getstate()
 
 
+def _heisenberg_missing_a_rep():
+    cs = lower_p_transversal(heisenberg(3), 1)
+    del cs.reps[13]
+    return cs
+
+
+def _identity_not_first():
+    cs = lower_p_transversal(heisenberg(3), 1)
+    cs.reps.append(cs.reps.pop(0))
+    return cs
+
+
+@pytest.mark.parametrize("build, failure", [
+    (_heisenberg_missing_a_rep, r"product of reps \d+, \d+ misses the transversal"),
+    (_identity_not_first, "transversal must start with the identity"),
+    (lambda: lower_p_transversal(heisenberg2(), 2), None),
+], ids=["rep-removed", "identity-not-first", "heisenberg2-m2"])
+def test_coset_conditions_match_the_oracle(build, failure):
+    """Batched over one representative at a time, the checks fail with the
+    Fraction path's message at its first failure, or pass with its report
+    on 64 representatives, and leave the generator where it leaves it."""
+    cs = build()
+    rng, oracle_rng = random.Random(72), random.Random(72)
+    if failure is None:
+        assert coset_conditions(cs, rng) == coset_conditions_oracle(cs, oracle_rng)
+    else:
+        with pytest.raises(ConditionFailed, match=failure) as got:
+            coset_conditions(cs, rng)
+        with pytest.raises(ConditionFailed) as want:
+            coset_conditions_oracle(cs, oracle_rng)
+        assert str(got.value) == str(want.value)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
 @pytest.mark.parametrize("group", ["heisenberg", "heisenberg2"])
 def test_pvaluation_suite_matches_the_fraction_path(group):
     """suite_pvaluation passes where the Fraction path finds no violation
