@@ -6,6 +6,7 @@ import re
 
 from .errors import ConfigError
 from .groups import LGroupSpec, LieLattice
+from .indices import unit_index
 from .padics import FieldSpec
 from .radii import kappa
 
@@ -35,12 +36,7 @@ def o_additive(field: FieldSpec, d=1):
     The v-basis is the full integral basis {w^a pi^b} with v_1 = 1; all
     brackets vanish.
     """
-    basis = []
-    for b in range(field.e):
-        for a in range(field.f):
-            basis.append(field.from_coords(
-                tuple(1 if k == b * field.f + a else 0 for k in range(field.degree))
-            ))
+    basis = [field.from_coords(unit_index(field.degree, k)) for k in range(field.degree)]
     return LGroupSpec(field, basis, d, {}, name=f"o-additive({d})")
 
 

@@ -23,6 +23,9 @@ residual precision, the truncation, the seed and every option are
 integers (not bools), p >= 2, ``transfer_m`` >= 0 and the rest >= 1.
 ``regseq_cap`` is accepted and validated but not read: the grading
 suite's regular-sequence certificate is exact, with no degree bound.
+``field.precision`` (default 24) is accepted, validated and echoed in the
+report's ``# config:`` line, but no computation reads it: arithmetic in
+K is exact, and ``FieldSpec`` takes no precision.
 Unknown suite names and option keys are rejected up front, and so (with
 SweepLimit) are a pro-2 sweep of more than MAX_PRO2_PAIRS pairs and a
 suite that computes in the residue field when q exceeds
@@ -94,7 +97,6 @@ class JobConfig:
                 fdata.get("p", 3),
                 e=fdata.get("e", 1),
                 f=fdata.get("f", 1),
-                precision=fdata.get("precision", 24),
                 unram_poly=fdata.get("unram_poly"),
                 eisenstein=fdata.get("eisenstein"),
             )
@@ -144,7 +146,7 @@ class JobConfig:
             options[key] = _integer(f"options.{key}", value, low)
 
         echo = {
-            "field": {"p": fld.p, "e": fld.e, "f": fld.f, "precision": fld.precision},
+            "field": {"p": fld.p, "e": fld.e, "f": fld.f, "precision": fdata.get("precision", 24)},
             "group": name,
             "truncation": N,
             "residual_precision": mprime,

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
+from .errors import InvalidArgument, ParseError, ZeroDistribution
 from .grading import Symbol, SymbolContext
 from .indices import grlex_key, unit_index
 from .mahler import StructureConstants
@@ -79,9 +79,11 @@ class DistAlgebra:
         return Distribution(self, {unit_index(self.d, i): self.field.one()})
 
     def monomial(self, alpha, coeff=1):
+        """coeff * b^alpha; an alpha that is not a multi-index in N_0^d is
+        refused with PadicError, one of degree above N with DegreeOverflow
+        (``StructureConstants._check``)."""
         alpha = tuple(alpha)
-        if sum(alpha) > self.N:
-            raise DegreeOverflow(f"monomial degree {sum(alpha)} exceeds N = {self.N}")
+        self.table._check(alpha)
         c = self.field.scalar(coeff)
         return Distribution(self, {} if c.is_zero else {alpha: c})
 
@@ -89,8 +91,7 @@ class DistAlgebra:
         out = {}
         for alpha, c in terms.items():
             alpha = tuple(alpha)
-            if sum(alpha) > self.N:
-                raise DegreeOverflow(f"support degree {sum(alpha)} exceeds N = {self.N}")
+            self.table._check(alpha)
             c = self.field.scalar(c)
             if not c.is_zero:
                 out[alpha] = c
@@ -126,7 +127,7 @@ class DistAlgebra:
         terms = {}
         for k in range(1, self.N + 1):
             coeff = Fraction((-1) ** (k - 1), k)
-            terms[tuple(k if j == i else 0 for j in range(self.d))] = self.field.scalar(coeff)
+            terms[unit_index(self.d, i, k)] = self.field.scalar(coeff)
         return Distribution(self, terms)
 
     # -- multiplication ----------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     InvalidArgument,
     NonUnitLeading,
 )
-from .indices import add_index, grlex_key, iter_exact_degree
+from .indices import add_index, grlex_key, iter_exact_degree, unit_index
 from .padics import ResidueElem
 
 @dataclass(frozen=True)
@@ -309,8 +309,8 @@ def _relations(n, d, vbars, k, kfield):
     out = []
     for j in range(d):
         for i in range(1, n):
-            hi = tuple(k if t == j * n + i else 0 for t in range(nvars))
-            lo = tuple(k if t == j * n else 0 for t in range(nvars))
+            hi = unit_index(nvars, j * n + i, k)
+            lo = unit_index(nvars, j * n, k)
             out.append({a: c for a, c in ((hi, kfield.one()), (lo, -vbars[i])) if not c.is_zero})
     return out
 

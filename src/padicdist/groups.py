@@ -48,6 +48,7 @@ from .errors import (
     NotPIntegral,
     NotPowerful,
 )
+from .indices import unit_index
 from .padics import FieldSpec, solve_columns
 from .radii import kappa, vp_int, vp_rational
 
@@ -148,16 +149,13 @@ class LieLattice:
                         (self.brackets[k][i], j),
                         (self.brackets[i][j], k),
                     ):
-                        inner = self.bracket(self._unit(other), vec)
+                        inner = self.bracket(unit_index(self.d, other), vec)
                         e = [a + b for a, b in zip(e, inner)]
                     if any(e):
                         raise InvalidBracket(
                             f"Jacobi identity fails at ({i},{j},{k}): defect "
                             f"{tuple(str(c) for c in e)}"
                         )
-
-    def _unit(self, i):
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.d))
 
     def bracket(self, x, y):
         """[x, y], summed over the nonzero structure constants only."""
@@ -179,12 +177,12 @@ class LieLattice:
         vectors, so every round brackets at most d^2 pairs; a nilpotent
         lattice of dimension d reaches zero within d rounds.
         """
-        term = [self._unit(i) for i in range(self.d)]
+        term = [unit_index(self.d, i) for i in range(self.d)]
         for depth in range(1, self.d + 1):
             nxt = []
             for i in range(self.d):
                 for v in term:
-                    b = self.bracket(self._unit(i), v)
+                    b = self.bracket(unit_index(self.d, i), v)
                     if solve_columns(nxt, b) is None:  # b is not in the span
                         nxt.append(b)
             if not nxt:
@@ -280,7 +278,7 @@ class LieLattice:
 
     def element_first(self, coords):
         """exp(z) for the first-kind coordinates z, converted once by L."""
-        return GroupElement(self, *self.to_second_kind.reduced(*_cleared(coords, self.d)))
+        return GroupElement(self, *self.to_second_kind.reduced_all([_cleared(coords, self.d)])[0])
 
     def element_second(self, coords):
         return GroupElement(self, *_cleared(coords, self.d))
@@ -290,7 +288,7 @@ class LieLattice:
 
     def generator(self, i):
         """h_{i+1} = exp(X_{i+1})."""
-        return self.element_second(self._unit(i))
+        return self.element_second(unit_index(self.d, i))
 
     def step(self, m):
         """The lattice of the m-th lower-p-series step (basis p^m X_i)."""
@@ -425,12 +423,13 @@ class SecondKindLaw:
     denominator ``denoms[k]``; a monomial lists (variable, exponent) pairs
     over the concatenated input point and, as one more variable, its
     common denominator D, which makes every term of degree ``degree``.
-    ``reduced`` takes a point cleared to int numerators over one D and
-    returns the output the same way, over the one denominator
-    lcm(denoms) D^degree and reduced by one gcd, with no Fraction built;
-    it refuses a D divisible by p with NotPIntegral.  A call is the
-    Fraction view of ``reduced`` at a point of ints and Fractions, and
-    ``reduced_all`` is ``reduced`` over a whole list of points.
+    ``reduced_all`` takes a list of points, each cleared to int numerators
+    over one D, and returns each output the same way, over the one
+    denominator lcm(denoms) D^degree and reduced by one gcd, with no
+    Fraction built; it refuses a D divisible by p with NotPIntegral.  A
+    single point is a list of one: a call is the Fraction view of
+    ``reduced_all`` at one point of ints and Fractions, and so are the
+    operations of ``GroupElement``.
     ``grid`` evaluates an arity-2 map (F or C) on a whole grid of integer
     points xs x ys, where D = 1: each term's monomial is split once per
     map into its x-part and y-part, the x-parts are evaluated once per x
@@ -463,32 +462,13 @@ class SecondKindLaw:
         self._common = lcm(*self.denoms)
         self._lifts = [self._common // q for q in self.denoms]
 
-    def reduced(self, nums, den):
-        """(nums', den') with nums'[k] / den' the output at the point
-        nums / den; den' > 0 and gcd(den', *nums') = 1."""
-        if den % self.p == 0:
-            raise NotPIntegral("the group law needs p-integral coordinates")
-        xs = (*nums, den)
-        out = []
-        for terms, lift in zip(self.terms, self._lifts):
-            s = 0
-            for c, mono in terms:
-                for v, e in mono:
-                    c *= xs[v] ** e
-                s += c
-            out.append(s * lift)
-        scale = self._common * den**self.degree
-        g = gcd(scale, *out)
-        if g != 1:
-            out = [n // g for n in out]
-            scale //= g
-        return tuple(out), scale
-
     def reduced_all(self, points):
-        """``reduced`` at each (nums, den) of the list ``points``, in order.
-        Each power of a variable is computed once, as a column over the
-        points, and every term, gcd and division is a C-level ``map`` over
-        such columns, not a Python step per point."""
+        """(nums', den') at each (nums, den) of the list ``points``, in order,
+        with nums'[k] / den' the output at the point nums / den, den' > 0
+        and gcd(den', *nums') = 1.  Each power of a variable is computed
+        once, as a column over the points, and every term, gcd and
+        division is a C-level ``map`` over such columns, not a Python step
+        per point."""
         if not points:
             return []
         dens = list(map(itemgetter(1), points))
@@ -513,7 +493,7 @@ class SecondKindLaw:
         return list(zip(nums, map(floordiv, scales, gcds)))
 
     def __call__(self, point):
-        return _fractions(*self.reduced(*_cleared(point, self.nvars)))
+        return _fractions(*self.reduced_all([_cleared(point, self.nvars)])[0])
 
     def swapped(self):
         """The arity-2 map (x, y) -> this map at (y, x), built once."""
@@ -653,12 +633,13 @@ class GroupElement:
     denominator ``den``, reduced so that gcd(den, *nums) = 1, as
     ``Scalar`` stores K; ``second()`` is their Fraction view and
     ``first()`` evaluates E at them.  Products, inverses and commutators
-    evaluate the lattice's compiled maps on those ints
-    (``SecondKindLaw.reduced``: F for ``*``, I for ``inverse`` and C for
-    ``commutator``), and g^lambda is L(lambda E(x)).  Every compiled call
-    refuses a point that is not p-integral with NotPIntegral.  Elements
-    are built by ``LieLattice.element_first`` and ``element_second`` and
-    by these operations, which hand the constructor reduced ints.
+    evaluate the lattice's compiled maps on those ints, one point each
+    (``SecondKindLaw.reduced_all`` at a list of one: F for ``*``, I for
+    ``inverse`` and C for ``commutator``), and g^lambda is L(lambda E(x)).
+    Every compiled call refuses a point that is not p-integral with
+    NotPIntegral.  Elements are built by ``LieLattice.element_first`` and
+    ``element_second`` and by these operations, which hand the
+    constructor reduced ints.
     """
 
     __slots__ = ("lattice", "nums", "den")
@@ -669,7 +650,7 @@ class GroupElement:
         self.den = den
 
     def first(self):
-        return _fractions(*self.lattice.to_first_kind.reduced(self.nums, self.den))
+        return _fractions(*self.lattice.to_first_kind.reduced_all([(self.nums, self.den)])[0])
 
     def second(self):
         return _fractions(self.nums, self.den)
@@ -682,11 +663,11 @@ class GroupElement:
         return _joined((self.nums, self.den), (other.nums, other.den))
 
     def __mul__(self, other):
-        z = self.lattice.second_kind_law.reduced(*self._with(other, "product"))
+        z = self.lattice.second_kind_law.reduced_all([self._with(other, "product")])[0]
         return GroupElement(self.lattice, *z)
 
     def inverse(self):
-        z = self.lattice.second_kind_inverse.reduced(self.nums, self.den)
+        z = self.lattice.second_kind_inverse.reduced_all([(self.nums, self.den)])[0]
         return GroupElement(self.lattice, *z)
 
     def __pow__(self, exponent):
@@ -696,13 +677,13 @@ class GroupElement:
         lat = self.lattice
         if vp_rational(exponent, lat.p) < 0:
             raise NotPIntegral("exponent must be p-integral")
-        nums, den = lat.to_first_kind.reduced(self.nums, self.den)
+        nums, den = lat.to_first_kind.reduced_all([(self.nums, self.den)])[0]
         z = [exponent.numerator * n for n in nums], exponent.denominator * den
-        return GroupElement(lat, *lat.to_second_kind.reduced(*z))
+        return GroupElement(lat, *lat.to_second_kind.reduced_all([z])[0])
 
     def commutator(self, other):
         """[g, h] = g^-1 h^-1 g h, by one call of the compiled C."""
-        z = self.lattice.commutator_law.reduced(*self._with(other, "commutator"))
+        z = self.lattice.commutator_law.reduced_all([self._with(other, "commutator")])[0]
         return GroupElement(self.lattice, *z)
 
     def conjugate(self, by):

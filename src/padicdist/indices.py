@@ -1,5 +1,7 @@
 """Multi-index helpers shared by the series, table and symbol modules."""
 
+from .errors import InvalidArgument
+
 
 def iter_multi_indices(d, max_total):
     """All alpha in N_0^d with |alpha| <= max_total, graded-lex order."""
@@ -24,5 +26,9 @@ def add_index(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def unit_index(d, i):
-    return tuple(1 if k == i else 0 for k in range(d))
+def unit_index(d, i, k=1):
+    """k e_i in N_0^d; an index i outside 0..d-1 is refused with
+    InvalidArgument."""
+    if i not in range(d):
+        raise InvalidArgument(f"index {i!r} is outside 0..{d - 1}")
+    return tuple(k if t == i else 0 for t in range(d))

@@ -218,13 +218,15 @@ class StructureConstants:
         return self._den
 
     def _check(self, index):
-        """Refuse a row index above N with DegreeOverflow, and any other
-        that is not a multi-index of the table with PadicError."""
+        """Refuse an index that is not a multi-index in N_0^d (of another
+        length, or with an entry that is negative or not an int) with
+        PadicError, and a multi-index above N with DegreeOverflow."""
+        d = self.lattice.d
+        if len(index) != d or not all(type(a) is int and a >= 0 for a in index):
+            raise PadicError(f"index {index} is not a multi-index in N_0^{d}")
         if sum(index) > self.N:
-            raise DegreeOverflow(f"row index {index} outside the degree-{self.N} table",
+            raise DegreeOverflow(f"index {index} outside the degree-{self.N} table",
                                  required_degree=sum(index))
-        if len(index) != self.lattice.d or min(index) < 0:
-            raise PadicError(f"row index {index} is not a multi-index in N_0^{self.lattice.d}")
 
     def rows_from(self, alpha):
         """The nonempty rows of alpha, {beta: ((g, n), ...)} with beta in
@@ -248,7 +250,9 @@ class StructureConstants:
 
     def int_row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as sparse (gamma, n)
-        pairs with c = n / ``den``."""
+        pairs with c = n / ``den``; both indices are checked, alpha also
+        where its rows are already held."""
+        self._check(alpha)
         self._check(beta)
         gammas = self._gammas
         return tuple((gammas[g], n) for g, n in self.rows_from(alpha).get(beta, ()))

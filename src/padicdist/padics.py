@@ -10,17 +10,14 @@ result (``DistAlgebra.mul`` packs each vector into one int instead, a
 signed slot per coordinate, and reduces the packed products through the
 table ``_slot_products``); all arithmetic runs in the number field
 Q[w, pi]/(g, E), so every valuation, absolute value and residue reported
-here is certified, never rounded.  The precision M is a serialization
-budget: it bounds how many uniformizer digits the text form carries, and
-round-trips are bit-exact at that budget.  An element enters K only as an
-int, a ``Fraction`` or a Scalar of the field; a float or a string is
-refused with InvalidArgument.
+here is certified, never rounded, and nothing truncates a scalar.  An
+element enters K only as an int, a ``Fraction`` or a Scalar of the field;
+a float or a string is refused with InvalidArgument.
 
 Valuations are counted in uniformizer units, v(pi) = 1, and the
-normalized absolute value is |x| = p^(-v(x)/e).  The text form of a
-nonzero scalar is ``pi^v * (d_0 ; d_1 ; ... ; d_{M-1})`` where digit d_j
-lists the f base-p coefficients of the j-th uniformizer digit of the unit
-part, comma separated.
+normalized absolute value is |x| = p^(-v(x)/e).  The one text form of a
+scalar is ``Scalar.short_str``, its exact coordinate polynomial in w and
+pi.
 
 The residue field k = F_q, q = p^f, holds each element as one int code in
 [0, q), whose base-p digits are its coordinates over 1, w, ..., w^(f-1).
@@ -38,13 +35,12 @@ reduction of coordinate tuples longer than f.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import lshift, mul
 
-from .errors import DivisionByZero, InvalidArgument, NonUnit, ParseError
+from .errors import DivisionByZero, InvalidArgument, NonUnit
 from .radii import kappa, vp_int, vp_rational
 
 INF = math.inf
@@ -437,14 +433,13 @@ def _rational(x):
 
 
 class FieldSpec:
-    """A finite extension K of Q_p, with a serialization budget M.
+    """A finite extension K of Q_p, exact: no parameter bounds its
+    arithmetic.
 
     Parameters
     ----------
     p : prime
     e, f : ramification index and residue degree
-    precision : M, the number of uniformizer digits serialization
-        carries; it bounds no arithmetic, which is exact
     unram_poly : monic integer coefficients (low to high) of degree f,
         irreducible mod p; defaults to the smallest such polynomial
     eisenstein : coefficients a_0..a_{e-1} of E(x) = x^e + sum a_i x^i,
@@ -452,15 +447,14 @@ class FieldSpec:
         tuple over the unramified layer; defaults to x^e - p
     """
 
-    def __init__(self, p, e=1, f=1, precision=20, unram_poly=None, eisenstein=None):
+    def __init__(self, p, e=1, f=1, unram_poly=None, eisenstein=None):
         if not _is_prime(p):
             raise InvalidArgument(f"p = {p} is not prime")
-        if e < 1 or f < 1 or precision < 1:
-            raise InvalidArgument("need e >= 1, f >= 1, precision >= 1")
+        if e < 1 or f < 1:
+            raise InvalidArgument("need e >= 1, f >= 1")
         self.p = p
         self.e = e
         self.f = f
-        self.precision = precision
         self.unram_poly = tuple(unram_poly) if unram_poly else _default_unram_poly(p, f)
         if len(self.unram_poly) != f + 1 or self.unram_poly[-1] != 1:
             raise InvalidArgument("unram_poly must be monic of degree f")
@@ -481,7 +475,7 @@ class FieldSpec:
 
         self.degree = e * f
         # scalars compare their fields on every operation
-        self._key = (p, e, f, self.unram_poly, self.eisenstein, precision)
+        self._key = (p, e, f, self.unram_poly, self.eisenstein)
         self._hash = hash(self._key)
         self._build_tables()
         self.residue_field = ResidueField(p, self.unram_poly)
@@ -489,16 +483,16 @@ class FieldSpec:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def qp(cls, p, precision=20):
-        return cls(p, precision=precision)
+    def qp(cls, p):
+        return cls(p)
 
     @classmethod
-    def unramified(cls, p, f, precision=20, poly=None):
-        return cls(p, f=f, precision=precision, unram_poly=poly)
+    def unramified(cls, p, f, poly=None):
+        return cls(p, f=f, unram_poly=poly)
 
     @classmethod
-    def totally_ramified(cls, p, e, precision=20, eisenstein=None):
-        return cls(p, e=e, precision=precision, eisenstein=eisenstein)
+    def totally_ramified(cls, p, e, eisenstein=None):
+        return cls(p, e=e, eisenstein=eisenstein)
 
     @property
     def kappa(self):
@@ -511,7 +505,7 @@ class FieldSpec:
         return self._hash
 
     def __repr__(self):
-        return f"K(p={self.p}, e={self.e}, f={self.f}, M={self.precision})"
+        return f"K(p={self.p}, e={self.e}, f={self.f})"
 
     # -- internal coordinate algebra -----------------------------------------
     # a vector is a tuple of e*f ints indexed [b*f + a] for w^a pi^b; a
@@ -731,46 +725,6 @@ class FieldSpec:
             raise InvalidArgument(f"need {self.degree} coordinates")
         return self._from_fractions(coords)
 
-    def lift_residue(self, r):
-        """The digit lift of a residue class, an integral scalar."""
-        if r.field != self.residue_field:
-            raise InvalidArgument("residue class from a different field")
-        return Scalar(self, r.coeffs + (0,) * (self.degree - self.f))
-
-    # -- serialization ---------------------------------------------------------
-
-    def parse_scalar(self, text):
-        text = text.strip()
-        if text == "0":
-            return self.zero()
-        m = re.match(r"^pi\^(-?\d+)\s*\*\s*\((.*)\)$", text)
-        if not m:
-            raise ParseError(f"bad scalar literal {text!r}")
-        v = int(m.group(1))
-        digits = []
-        for j, part in enumerate(m.group(2).split(";")):
-            entries = [s.strip() for s in part.split(",")]
-            if len(entries) != self.f:
-                raise ParseError(f"digit {j} needs {self.f} coordinates", position=j)
-            try:
-                digit = [int(s) for s in entries]
-            except ValueError as exc:
-                raise ParseError(f"bad digit {part.strip()!r}", position=j) from exc
-            if any(not 0 <= c < self.p for c in digit):
-                raise ParseError(f"digit {j} out of range [0, p)", position=j)
-            digits.append(digit)
-        if len(digits) > self.precision:
-            raise ParseError(f"more than M = {self.precision} digits")
-        acc = self.zero()
-        pi_pow = self.one()
-        zeros = (0,) * (self.degree - self.f)
-        for digit in digits:
-            acc = acc + Scalar(self, tuple(digit) + zeros) * pi_pow
-            pi_pow = pi_pow * self.uniformizer()
-        if acc.is_zero:
-            raise ParseError("unit part parses to zero")
-        return acc * self.uniformizer() ** v
-
 
 class Scalar:
     """An exact element of K.
@@ -778,9 +732,8 @@ class Scalar:
     Immutable: one int vector ``num`` over one positive denominator
     ``den`` (coordinates num[k]/den over w^a pi^b, k = b*f + a), reduced so
     that gcd(den, *num) = 1; zero is (0, ..., 0) over 1.  Supports field
-    arithmetic through operators, exact valuation/absolute value queries,
-    residue reduction and digit serialization at the field's precision
-    budget.
+    arithmetic through operators, exact valuation/absolute value queries
+    and residue reduction; ``short_str`` is its one text form.
     """
 
     __slots__ = ("field", "num", "den", "_val")
@@ -936,30 +889,7 @@ class Scalar:
         """Residue class of the unit part (the symbol coefficient)."""
         return self.unit_part().residue()
 
-    # -- serialization -------------------------------------------------------------
-
-    def serialize(self):
-        """Text form with M uniformizer digits; '0' for zero."""
-        if self.is_zero:
-            return "0"
-        v = self.valuation
-        unit = self.unit_part()
-        digits = []
-        pi_inv = self.field._pi_inv
-        for _ in range(self.field.precision):
-            r = unit.residue() if unit.valuation == 0 else None
-            digit = list(r.coeffs) if r is not None else [0] * self.field.f
-            digits.append(",".join(str(c) for c in digit))
-            if r is not None:
-                unit = unit - self.field.lift_residue(r)
-            if unit.is_zero:
-                digits.extend(
-                    ",".join("0" for _ in range(self.field.f))
-                    for _ in range(self.field.precision - len(digits))
-                )
-                break
-            unit = unit * pi_inv
-        return f"pi^{v} * ({' ; '.join(digits)})"
+    # -- text form ---------------------------------------------------------------
 
     def short_str(self):
         """Exact compact form: the coordinate polynomial in w and pi."""

@@ -33,7 +33,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .grading import Symbol
-from .indices import grlex_key
+from .indices import grlex_key, unit_index
 from .padics import Scalar
 from .radii import dominant_log_index, is_h0_radius, log_tail_exponent
 
@@ -136,8 +136,8 @@ def kernel_symbol_closed_form(fam, i, j, r):
     k = p**h
     lg = fam.lgspec
     nd = lg.n * lg.d
-    e_ij = tuple(k if t == lg.flat_index(i, j) else 0 for t in range(nd))
-    e_1j = tuple(k if t == lg.flat_index(1, j) else 0 for t in range(nd))
+    e_ij = unit_index(nd, lg.flat_index(i, j), k)
+    e_1j = unit_index(nd, lg.flat_index(1, j), k)
     vbar = lg.residue_of_v(i)
     return Symbol(ctx, {(w, e_ij): res, (w, e_1j): -(vbar * res)})
 
@@ -413,7 +413,7 @@ def binomial_series(fam, v, j):
     for k in range(1, alg.N + 1):
         coeff = (coeff * (v - (k - 1))).scale(Fraction(1, k))
         if not coeff.is_zero:
-            terms[tuple(k if t == index else 0 for t in range(alg.d))] = coeff
+            terms[unit_index(alg.d, index, k)] = coeff
     return Distribution(alg, terms)
 
 

@@ -24,6 +24,7 @@ from .grading import (
     SymbolContext,
 )
 from .groups import LGroupSpec, check_p_valuation, check_powerful_commutator
+from .indices import unit_index
 from .quotient import (
     binomial_series,
     build_kernel_family,
@@ -423,9 +424,7 @@ def suite_grading(env):
                     b_ij.principal_symbol(r), lg.n, lg.d, vbars, ctx
                 )
                 vbar = vbars[i - 1]
-                want = {} if vbar.is_zero else {
-                    (0, tuple(1 if t == j - 1 else 0 for t in range(lg.d))): vbar
-                }
+                want = {} if vbar.is_zero else {(0, unit_index(lg.d, j - 1)): vbar}
                 if img.terms != want:
                     raise PadicError(f"image of sigma(b_{i}{j}) is not vbar_{i} X_1{j}")
             return "X_ij -> vbar_i X_1j"

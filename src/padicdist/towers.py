@@ -32,7 +32,7 @@ from .errors import (
 )
 from .grading import symbol_class_nonzero
 from .groups import GroupElement, _joined, require_step
-from .indices import iter_multi_indices
+from .indices import iter_multi_indices, unit_index
 from .radii import dominant_log_index, radius_root
 
 INF = math.inf
@@ -49,7 +49,7 @@ def step_generator(algebra, i, m):
         )
     terms = {}
     for k in range(1, q + 1):
-        terms[tuple(k if t == i else 0 for t in range(algebra.d))] = math.comb(q, k)
+        terms[unit_index(algebra.d, i, k)] = math.comb(q, k)
     return algebra.from_terms(terms)
 
 
@@ -392,7 +392,7 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
     first_row = [lgspec.flat_index(1, j) for j in range(1, lgspec.d + 1)]
     for trial in range(samples):
         if trial == 0:
-            support = {tuple(1 if j == 0 else 0 for j in range(lgspec.d)): field.one()}
+            support = {unit_index(lgspec.d, 0): field.one()}
         else:
             support = {}
             for _t in range(rng.randrange(1, 3)):

@@ -18,27 +18,27 @@ from padicdist import (
 
 @pytest.fixture(scope="session")
 def q3():
-    return FieldSpec.qp(3, precision=24)
+    return FieldSpec.qp(3)
 
 
 @pytest.fixture(scope="session")
 def q2():
-    return FieldSpec.qp(2, precision=24)
+    return FieldSpec.qp(2)
 
 
 @pytest.fixture(scope="session")
 def k3u2():
-    return FieldSpec.unramified(3, 2, precision=24)
+    return FieldSpec.unramified(3, 2)
 
 
 @pytest.fixture(scope="session")
 def k2u2():
-    return FieldSpec.unramified(2, 2, precision=24)
+    return FieldSpec.unramified(2, 2)
 
 
 @pytest.fixture(scope="session")
 def k3r2():
-    return FieldSpec.totally_ramified(3, 2, precision=24)
+    return FieldSpec.totally_ramified(3, 2)
 
 
 @pytest.fixture(scope="session")

@@ -302,9 +302,10 @@ def p_valuation_oracle(pairs):
 
 
 def pro2_sweep_oracle(lattice, level, i, j):
-    """``groups.check_powerful_commutator`` as a loop over single points:
-    one ``SecondKindLaw.reduced`` call per pair of window representatives
-    and the level in the quotient read off the p-valuations of the
+    """``groups.check_powerful_commutator`` as a loop over single points,
+    without ``SecondKindLaw.grid``: per a-window representative one
+    ``reduced_all`` call over the pairs (a, b) for the whole b-window, and
+    the level in the quotient read off the p-valuations of each point's
     coordinates.  Returns (pairs checked, None), or (pairs checked before
     it, (a, b, second-kind coordinates of [a, b])) at the first escaping
     pair in (a, b) order."""
@@ -316,9 +317,9 @@ def pro2_sweep_oracle(lattice, level, i, j):
 
     bound = min(i + j + 1, level + 1)
     checked = 0
+    bs = window(j, min(i, level - j + 1))
     for a in window(i, min(j, level - i + 1)):
-        for b in window(j, min(i, level - j + 1)):
-            nums, den = law.reduced((*a, *b), 1)
+        for b, (nums, den) in zip(bs, law.reduced_all([((*a, *b), 1) for b in bs])):
             low = min([level] + [vp_rational(Fraction(n, den), p) for n in nums if n])
             if 1 + low < bound:
                 return checked, (a, b, tuple(Fraction(n, den) for n in nums))

@@ -479,6 +479,30 @@ def test_default_reports_pinned(name):
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == structured_sha
 
 
+def test_field_precision_is_only_echoed():
+    """``field.precision`` reaches no computation: two configs that differ
+    only in it (1 and 24) build equal fields, and their reports differ
+    only in the ``# config:`` line that echoes it."""
+    job, _, _ = _PINNED_JOBS["o-additive(1) over F_9"]
+    configs = [
+        JobConfig.from_dict({**job, "field": {**job["field"], "precision": m},
+                             "suites": _PINNED_SUITES, "seed": 0})
+        for m in (1, 24)
+    ]
+    assert configs[0].field == configs[1].field
+    assert hash(configs[0].field) == hash(configs[1].field)
+    reports = [run_suite(config) for config in configs]
+    texts = [report.to_text().splitlines() for report in reports]
+    assert len(texts[0]) == len(texts[1])
+    differ = [pair for pair in zip(*texts) if pair[0] != pair[1]]
+    assert len(differ) == 1 and all(line.startswith("# config: ") for line in differ[0])
+    echoes = [json.loads(line[len("# config: "):]) for line in differ[0]]
+    assert [echo["field"]["precision"] for echo in echoes] == [1, 24]
+    structured = [json.loads(report.to_json()) for report in reports]
+    assert [s.pop("config") for s in structured] == echoes
+    assert structured[0] == structured[1]
+
+
 # A nonabelian table: ``padicdist run --sc-cache`` builds and saves it on
 # the cold run and loads it on the warm one, which leaves the file as it
 # is; both reports are pinned.

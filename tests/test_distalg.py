@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ from helpers import mul_oracle, scan_min_exponent_oracle
 from padicdist import (
     DistAlgebra, FieldSpec, abelian, dominant_log_index, heisenberg2, mul_tail_bound,
 )
-from padicdist.errors import DegreeOverflow, InvalidArgument, ParseError, ZeroDistribution
+from padicdist.errors import (
+    DegreeOverflow, InvalidArgument, PadicError, ParseError, ZeroDistribution,
+)
 from padicdist.indices import iter_multi_indices
 from padicdist.radii import Radius, _scan_min_exponent, log_tail_exponent
 from padicdist.samplers import random_distribution
@@ -131,6 +134,40 @@ def test_log_series(ab1):
     # norm r^kappa in the h = 0 range
     r = Radius(2, 3)
     assert ls.norm(r).exponent == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("i", [3, -1])
+def test_generator_refuses_an_index_outside_the_lattice(heis_alg, i):
+    """b_(i+1) exists for i in 0..d-1 only, here d = 3; the index is not
+    read as the unit 1."""
+    with pytest.raises(InvalidArgument, match=f"index {i} is outside 0..2"):
+        heis_alg.generator(i)
+
+
+def test_log_series_refuses_an_index_outside_the_lattice(heis_alg):
+    """log(1 + b_8) on a d = 3 lattice is refused, not read as index 0."""
+    with pytest.raises(InvalidArgument, match="index 7 is outside 0..2"):
+        heis_alg.log_series(7)
+
+
+@pytest.mark.parametrize("alpha", [
+    (-1, 1, 0), (1, 0, 0, 0), (1, 0), (0.5, 0, 0), (Fraction(1, 2), 0, 0),
+], ids=["negative", "too-long", "too-short", "float", "fraction"])
+def test_monomial_and_from_terms_refuse_a_malformed_index(heis_alg, alpha):
+    """An index that is not in N_0^3 is refused with a PadicError naming
+    it, by both constructors, before it can be stored as another element
+    (b^(-1, 1, 0) printed as b1*b2) or fail later with a bare IndexError."""
+    for build in (lambda: heis_alg.monomial(alpha), lambda: heis_alg.from_terms({alpha: 1})):
+        with pytest.raises(PadicError, match=re.escape(str(alpha))) as info:
+            build()
+        assert not isinstance(info.value, DegreeOverflow)
+
+
+def test_monomial_and_from_terms_refuse_a_degree_above_n(heis_alg):
+    for build in (lambda: heis_alg.monomial((7, 0, 0)),
+                  lambda: heis_alg.from_terms({(0, 0, 0): 1, (3, 2, 2): 1})):
+        with pytest.raises(DegreeOverflow, match="outside the degree-6 table"):
+            build()
 
 
 def test_dominant_log_index_examples():

@@ -54,7 +54,7 @@ CASES = [
 @cache
 def _algebra(name, nonabelian):
     p, e, f = FIELDS[name][0]
-    field = FieldSpec(p, e=e, f=f, precision=8)
+    field = FieldSpec(p, e=e, f=f)
     if not nonabelian:
         lattice = abelian(2, p=p)
     else:
@@ -120,7 +120,7 @@ def test_cases_cover_both_kinds_of_denominator():
 @cache
 def _delta_algebra(group):
     lattice = heisenberg(3) if group == "heisenberg" else abelian(2, p=3)
-    return DistAlgebra(lattice, FieldSpec.qp(3, precision=8), 6)
+    return DistAlgebra(lattice, FieldSpec.qp(3), 6)
 
 
 # p-integral rationals: denominators prime to p = 3
@@ -159,7 +159,7 @@ MUL_CASES = {
 @cache
 def _mul_algebra(name):
     p, e, f, eisenstein = MUL_CASES[name]
-    field = FieldSpec(p, e=e, f=f, precision=4, eisenstein=eisenstein)
+    field = FieldSpec(p, e=e, f=f, eisenstein=eisenstein)
     return DistAlgebra(heisenberg2() if p == 2 else heisenberg(p), field, N)
 
 
@@ -205,7 +205,7 @@ def test_mul_slot_at_the_certified_bound():
     and coefficients x (1 + w), y (1 + w) over F_9, so the w slot at gamma
     is 2 c x y = pairs * max|c| * [K:Q_p] * max|x| * max|y|.  A width one
     bit short reads that slot as negative."""
-    field = FieldSpec(3, f=2, precision=4)
+    field = FieldSpec(3, f=2)
     alg = DistAlgebra(heisenberg(3), field, 3)
     table = alg.table
     gammas = list(iter_multi_indices(alg.d, 3))
@@ -232,7 +232,7 @@ TEXT_FIELDS = {"Q_9": (3, 1, 2), "e=2 over Q_3": (3, 2, 1), "e=2,f=2 over Q_3": 
 @cache
 def _text_algebra(name):
     p, e, f = TEXT_FIELDS[name]
-    return DistAlgebra(heisenberg(p), FieldSpec(p, e=e, f=f, precision=8), N)
+    return DistAlgebra(heisenberg(p), FieldSpec(p, e=e, f=f), N)
 
 
 @pytest.mark.parametrize("name", list(TEXT_FIELDS))

@@ -70,6 +70,14 @@ def test_bch_associative_sampled(heis):
         assert heis.bch(heis.bch(x, y), z) == heis.bch(x, heis.bch(y, z))
 
 
+@pytest.mark.parametrize("i", [3, -1])
+def test_lattice_generator_refuses_an_index_outside_the_lattice(heis, i):
+    """h_(i+1) exists for i in 0..d-1 only, here d = 3; the index is not
+    read as the identity."""
+    with pytest.raises(InvalidArgument, match=f"index {i} is outside 0..2"):
+        heis.generator(i)
+
+
 def test_chart_roundtrip(heis):
     rng = random.Random(13)
     for _ in range(20):
@@ -218,8 +226,8 @@ def test_p_valuation_check_matches_the_fraction_oracle(lat):
 
 def _p_valuation_loop(pairs):
     """``check_p_valuation`` one pair at a time through the ``GroupElement``
-    operations, each one ``SecondKindLaw.reduced`` call of whatever map
-    the lattice holds."""
+    operations, each one single-point ``SecondKindLaw.reduced_all`` call of
+    whatever map the lattice holds."""
     violations = []
     for g, h in pairs:
         og, oh = g.p_valuation(), h.p_valuation()
@@ -454,7 +462,7 @@ def test_restrict_multiplies_in_K(k3u2):
 
 def test_lgroup_refuses_v_basis_without_ring_closure():
     # 1, w span a rank-2 submodule of the cubic unramified ring; w^2 leaves it
-    k3u3 = FieldSpec.unramified(3, 3, precision=24)
+    k3u3 = FieldSpec.unramified(3, 3)
     with pytest.raises(ValueError, match="products leave the span"):
         LGroupSpec(k3u3, [k3u3.one(), k3u3.unram_gen()], 1)
 
@@ -466,7 +474,7 @@ def test_lgroup_refuses_non_integral_products(k3u2):
 
 
 def _k3u3():
-    return FieldSpec.unramified(3, 3, precision=24)
+    return FieldSpec.unramified(3, 3)
 
 
 @pytest.mark.parametrize("build, error, match", [

@@ -9,13 +9,14 @@ Hausdorff series over Fractions) through the identities that define
 them.  Inputs are p-integral Fractions; a denominator divisible by p is
 refused by every map, and C refuses a law F or I with p in a coefficient
 denominator.  The list evaluator ``reduced_all`` is checked point by
-point against ``reduced``, on an o-additive restriction and a step
-lattice too.  Group elements, which hold int numerators over one
-denominator, are checked against the Fraction element oracle of
-``helpers``: products, inverses, commutators, p-th powers, levels,
+point against the Fraction element oracle of ``helpers``, on an
+o-additive restriction and a step lattice too.  Group elements, which
+hold int numerators over one denominator, are checked against the same
+oracle: products, inverses, commutators, p-th powers, levels,
 valuations and coset keys.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -233,13 +234,33 @@ def cleared_points(lat, size, min_size=0):
 @FEW
 @hypothesis.given(data=st.data())
 def test_reduced_all_matches_reduced_point_by_point(lat, data):
-    """``reduced_all`` returns, in order, exactly what ``reduced`` returns at
-    each point, on lists (empty ones included) whose points have mixed
-    denominators prime to p; heisenberg(3)'s E and L have denominator 2."""
+    """``reduced_all`` returns, in order, each point's output in lowest
+    terms (den > 0, gcd(den, *nums) = 1), equal to what the Fraction
+    element oracle gives through the first-kind chart and ``bch``, on lists
+    (empty ones included) whose points have mixed denominators prime to p;
+    heisenberg(3)'s E and L have denominator 2."""
+    d = lat.d
+
+    def oracle(name, point):
+        x, y = point[:d], point[d:]
+        if name == "to_second_kind":
+            return FractionElement(lat, "first", x).second()
+        g = FractionElement(lat, "second", x)
+        if name == "to_first_kind":
+            return g.first()
+        if name == "second_kind_inverse":
+            return g.inverse().second()
+        h = FractionElement(lat, "second", y)
+        return (g * h if name == "second_kind_law" else g.commutator(h)).second()
+
     for name, arity in MAPS.items():
-        law = getattr(lat, name)
-        points = data.draw(cleared_points(lat, arity * lat.d))
-        assert law.reduced_all(points) == [law.reduced(*point) for point in points]
+        points = data.draw(cleared_points(lat, arity * d))
+        outputs = getattr(lat, name).reduced_all(points)
+        assert len(outputs) == len(points)
+        for (nums, den), (out, out_den) in zip(points, outputs):
+            assert out_den > 0 and math.gcd(out_den, *out) == 1
+            point = tuple(Fraction(n, den) for n in nums)
+            assert tuple(Fraction(n, out_den) for n in out) == oracle(name, point)
 
 
 @pytest.mark.parametrize("lat", BATCH_LATTICES, ids=repr)

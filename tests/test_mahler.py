@@ -238,6 +238,19 @@ def test_row_refuses_bad_indices(lattice, alpha, beta, bad):
         table.row(alpha, beta)
 
 
+@pytest.mark.parametrize("bad", [(0.5, 0, 0), (Fraction(1, 2), 0, 0), (True, 0, 0)],
+                         ids=["float", "fraction", "bool"])
+def test_row_refuses_a_non_int_entry(bad):
+    """An entry that is not an int is refused as the negative one is, on
+    either side of a row lookup, also once the table holds the rows of the
+    int index that the entry equals (True == 1)."""
+    table = StructureConstants(heisenberg(3), 3)
+    table.row((1, 0, 0), (0, 0, 0))
+    for alpha, beta in ((bad, (0, 0, 0)), ((0, 0, 0), bad)):
+        with pytest.raises(PadicError, match=re.escape(str(bad))):
+            table.row(alpha, beta)
+
+
 def test_cache_save_is_atomic(tmp_path, monkeypatch):
     lat = heisenberg(3)
     t1 = StructureConstants(lat, 3, cache_dir=tmp_path)

@@ -21,7 +21,7 @@ def towers(draw):
     eisenstein = [tuple(p * c for c in a0)]
     for _ in range(e - 1):
         eisenstein.append(tuple(p * draw(small) for _ in range(f)))
-    return FieldSpec(p, e=e, f=f, precision=4, eisenstein=eisenstein)
+    return FieldSpec(p, e=e, f=f, eisenstein=eisenstein)
 
 
 def scalars(field):

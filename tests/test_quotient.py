@@ -299,7 +299,7 @@ def test_canonicalize_matches_oracle_on_stream_shapes(seed):
     """o-additive(1) over Q_9 at N = 14, M' = 3: the requests of the
     lgroup-stream benchmark workload (three terms each, leading levels 4/3
     to 8/3), coefficient dict order included."""
-    field = FieldSpec.unramified(3, 2, precision=24)
+    field = FieldSpec.unramified(3, 2)
     fam = build_kernel_family(o_additive(field, 1), STREAM_TRUNCATION)
     alg = fam.algebra
     w, pi = field.unram_gen(), field.uniformizer()

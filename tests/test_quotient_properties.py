@@ -24,8 +24,8 @@ from padicdist.radii import Radius  # noqa: E402
 R23 = Radius(2, 3)  # 3^(-2/3), dominant index 0
 MP = 2
 FAMILIES = {
-    "e=1": build_kernel_family(o_additive(FieldSpec.unramified(3, 2, precision=24), 1), 8),
-    "e=2": build_kernel_family(o_additive(FieldSpec.totally_ramified(3, 2, precision=24), 1), 8),
+    "e=1": build_kernel_family(o_additive(FieldSpec.unramified(3, 2), 1), 8),
+    "e=2": build_kernel_family(o_additive(FieldSpec.totally_ramified(3, 2), 1), 8),
 }
 SETTINGS = hypothesis.settings(max_examples=25, deadline=None)
 

@@ -69,6 +69,12 @@ def test_step_generator_overflow(heis_alg):
         step_generator(heis_alg, 0, 2)  # needs degree 9 > 6
 
 
+def test_step_generator_refuses_an_index_outside_the_lattice(heis_alg):
+    """b'_6 on a d = 3 lattice is refused, not read as the unit 1."""
+    with pytest.raises(InvalidArgument, match="index 5 is outside 0..2"):
+        step_generator(heis_alg, 5, 1)
+
+
 def test_restriction_m1_m2(ab1_big):
     rng = random.Random(61)
     recs = restriction_check(ab1_big, 1, Radius(1, 8), 10, rng)
