@@ -2,12 +2,12 @@
 
 The package models, with certified exact arithmetic throughout: a finite
 extension K of Q_p (padics), uniform pro-p groups presented by powerful
-Lie lattices (groups), the finite-difference structure constants of their
-distribution algebras (mahler), the truncated Banach-algebra model with
-its norms and principal symbols (distalg), the associated graded ring
-(grading), the locally analytic quotient with canonical expansions
-(quotient), and lower-p-series subalgebra restriction and transfer
-(towers).  The cli module wires these into reproducible verification
+Lie lattices (groups), the structure constants of their distribution
+algebras in the binomial basis (mahler), the truncated Banach-algebra
+model with its norms and principal symbols (distalg), the associated
+graded ring (grading), the locally analytic quotient with canonical
+expansions (quotient), and lower-p-series subalgebra restriction and
+transfer (towers).  The cli module wires these into reproducible verification
 suites.
 """
 
@@ -30,7 +30,7 @@ from .grading import (
     quotient_iso_check,
     symbol_class_nonzero,
 )
-from .mahler import StructureConstants, mahler_coefficients
+from .mahler import StructureConstants
 from .padics import FieldSpec, ResidueElem, ResidueField, Scalar
 from .quotient import (
     CanonicalForm,

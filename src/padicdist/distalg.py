@@ -402,7 +402,8 @@ def _parse_distribution(algebra, text):
     with its own exponent (3^2/4 is 9/4, 3/4^2 is 3/16); or a parenthesized
     sum of terms without generators, as ``format`` writes a coefficient of
     several parts.  Anything else is refused with ParseError at its
-    position."""
+    position; the terms go through ``from_terms``, so a monomial above the
+    table's degree is refused with DegreeOverflow."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -485,8 +486,6 @@ def _parse_distribution(algebra, text):
                 else:
                     raise ParseError(f"expected *, + or - before {tok!r}", position=at)
             key = tuple(alpha)
-            if sum(key) > algebra.N:
-                raise ParseError(f"monomial degree {sum(key)} exceeds N = {algebra.N}")
             prev = out.get(key)
             out[key] = coeff if prev is None else prev + coeff
             if tok in ("+", "-"):
@@ -498,7 +497,7 @@ def _parse_distribution(algebra, text):
             idx += tok == ")"
             return out
 
-    return Distribution(algebra, {a: c for a, c in terms(None).items() if not c.is_zero})
+    return algebra.from_terms(terms(None))
 
 
 def _generator_index(algebra, token, pos):

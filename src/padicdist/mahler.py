@@ -1,108 +1,51 @@
-"""Finite differences on Z_p^d and distribution-algebra structure constants.
+"""Distribution-algebra structure constants, in the binomial basis.
 
-The product law of the generator monomials b^alpha is recovered from the
-group itself: writing F(x, y) for the second-kind coordinates of
-h^x * h^y, the coefficients c of b^alpha b^beta = sum_gamma c * b^gamma
-are the joint finite differences of (x, y) -> binom(F(x, y), gamma) over
-integer grid points.  One routine, ``mahler_coefficients``, takes finite
-differences: Mahler coefficients on a product of down-sets factor into
-one 1-D binomial transform per axis, run in place on a flat list over
-the product, one slice subtraction per grid line.  A non-abelian table
-is built whole on its first missing row: the integer law gives each
-point of simplex x simplex one packed int, a signed slot per gamma over
-one common denominator, and one transform of that list gives every row.
-A slot's width is certified per degree |gamma|: packing is linear over
-Z, so slots may carry into each other during the transform and only the
-final values need to fit their own slot.  Abelian rows have a closed
-form, made per alpha on first use.  A table holds only its nonempty
-rows, alpha -> {beta: row}, each row (g, int) pairs, g the position of
-gamma in ``iter_multi_indices(d, N)``, over one denominator shared by
-the whole table: the form ``DistAlgebra.mul`` walks per alpha.  Every
-table is exact, so a non-abelian table's denominator and rows, as built,
-serialize to a versioned cache file keyed by (group digest, N) alone;
-an abelian table is not cached, its closed form costing less than a
-load.  The file (format 4) is plain JSON, {"version", "digest", "N",
-"den", "rows"}, each row a flat int list [alpha, beta, gamma, n, gamma,
-n, ...] with every multi-index written as its position, rows in (alpha,
-beta) order and the gammas of a row in increasing order.  A file that is
-absent, is not JSON, holds another table or is anything ``save`` cannot
-have written (a number not an int, a position out of range, rows out of
-order or repeated, a gamma out of order or repeated within a row, an
-alpha without rows, a short or odd row, a zero entry, den < 1) is a
-miss.
+The product law of the generator monomials b^alpha is read off the group
+itself: writing F(x, y) for the second-kind coordinates of h^x * h^y,
+the coefficients c of b^alpha b^beta = sum_gamma c * b^gamma are those of
+binom(x, alpha) binom(y, beta) in binom(F(x, y), gamma), written in the
+binomial (Mahler) basis of functions on Z_p^d x Z_p^d (K. Mahler, J.
+reine angew. Math. 199, 1958).  A product in that basis never lowers an
+index, so dropping every term with |alpha| > N or |beta| > N is a ring
+homomorphism and a table computed in the truncated ring is exact.  A
+non-abelian table is built whole on its first missing row, in ints: the
+law's coordinates go into the basis through the Stirling numbers, each
+binom(F_k, n) is a ladder of products, and binom(F, gamma) is the product
+of one rung per coordinate.  Abelian rows have a closed form, made per
+alpha on first use.  A table holds only its nonempty rows, alpha ->
+{beta: row}, each row (g, int) pairs, g the position of gamma in
+``iter_multi_indices(d, N)``, over one denominator shared by the whole
+table: the form ``DistAlgebra.mul`` walks per alpha.  Every table is
+exact, so a non-abelian table's denominator and rows, as built, serialize
+to a versioned cache file keyed by (group digest, N) alone; an abelian
+table is not cached, its closed form costing less than a load.  The file
+(format 4) is plain JSON, {"version", "digest", "N", "den", "rows"}, each
+row a flat int list [alpha, beta, gamma, n, gamma, n, ...] with every
+multi-index written as its position, rows in (alpha, beta) order and the
+gammas of a row in increasing order.  A file that is absent, is not
+JSON, holds another table or is anything ``save`` cannot have written (a
+number not an int, a position out of range, rows out of order or
+repeated, a gamma out of order or repeated within a row, an alpha without
+rows, a short or odd row, a zero entry, den < 1) is a miss.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate, chain, takewhile
-from math import factorial, gcd, lcm, prod
-from operator import lshift, lt, mul, sub
+from itertools import chain, product, takewhile
+from math import comb, factorial, gcd, lcm, prod
+from operator import lt
 from pathlib import Path
 
-from .errors import CounterexampleFound, DegreeOverflow, InvalidArgument, PadicError
+from .errors import CounterexampleFound, DegreeOverflow, PadicError
 from .groups import first_indivisible
 from .indices import add_index, iter_multi_indices
 from .radii import vp_int, vp_rational
 
 CACHE_FORMAT_VERSION = 4
-
-
-def mahler_coefficients(values, factors):
-    """Mahler table of a grid function, by separable finite differences.
-
-    ``factors`` lists downward-closed sets of multi-indices (the simplex
-    {|x| <= N}, twice for the structure constants); ``values`` is a flat
-    list over their product, row-major with the last factor fastest, of
-    ring elements supporting subtraction.  It is overwritten in place
-    with c_alpha = sum_{beta <= alpha} (-1)^{|alpha - beta|}
-    binom(alpha, beta) f(beta): forward differences along one axis at a
-    time, the passes of an axis turning each line of the grid into its
-    1-D binomial transform.  A step subtracts the grid line at x - e_k
-    from the line at x, a slice of ``values`` per block, so its cost is
-    one list operation, not one per grid point.  Returns ``values``.
-    """
-    sizes = [len(points) for points in factors]
-    if len(values) != prod(sizes):
-        raise InvalidArgument(
-            f"{len(values)} values for a grid of {' x '.join(map(str, sizes)) or 1} points"
-        )
-    outer, inner = 1, len(values)
-    for points, n in zip(factors, sizes):
-        inner //= n
-        span = n * inner
-
-        def line(i):
-            # the grid line at index i of this factor: `outer` blocks of
-            # `inner` consecutive values, or `inner` slices of stride span
-            if outer <= inner:
-                return [slice(s, s + inner) for s in range(i * inner, outer * span, span)]
-            return [slice(i * inner + s, None, span) for s in range(inner)]
-
-        index = {x: i for i, x in enumerate(points)}
-        for k in range(len(points[0]) if points else 0):
-            # (x_k, x, x - e_k), highest x_k first, so a difference at one
-            # level reads its lower neighbour before that is overwritten
-            steps = []
-            for i, x in enumerate(points):
-                if x[k]:
-                    j = index.get(x[:k] + (x[k] - 1,) + x[k + 1:])
-                    if j is None:
-                        raise InvalidArgument(f"factor points are not downward closed at {x}")
-                    steps.append((x[k], i, j))
-            steps.sort(reverse=True)
-            steps = [(t, line(i), line(j)) for t, i, j in steps]
-            for level in range(1, steps[0][0] + 1 if steps else 1):
-                for t, at, of in steps:
-                    if t < level:
-                        break
-                    for dst, src in zip(at, of):
-                        values[dst] = map(sub, values[dst], values[src])
-        outer *= n
-    return values
 
 
 def _ladder(top, step, N):
@@ -114,51 +57,19 @@ def _ladder(top, step, N):
     return ladder
 
 
-def _slot_width(bound, N):
-    """Bits per signed slot for the transform of grid values bounded by
-    ``bound`` on simplex x simplex of degree N (see ``_build``)."""
-    return (bound << 2 * N).bit_length() + 1
-
-
-def _unpack(values, widths, labels):
-    """(n, entries) for each nonzero int ``values[n]``, the ints packing
-    signed slots of ``widths`` bits, slot 0 lowest: ``entries`` lists
-    (``labels[i]``, value) for each nonzero slot i, in label order.
-
-    A zero int has only zero slots and is skipped.  Adding half its range
-    to every slot makes each one nonnegative without carries; XOR with the
-    same offset is then zero exactly on the zero slots, and each nonzero
-    slot is found by its top bit."""
-    starts = list(accumulate(widths, initial=0))
-    offset = sum(1 << s + w - 1 for s, w in zip(starts, widths))
-    slots = [(s, (1 << w) - 1, 1 << w - 1, (1 << s) - 1, label)
-             for s, w, label in zip(starts, widths, labels)]
-    for n, packed in enumerate(values):
-        if packed:
-            shifted = packed + offset
-            live = shifted ^ offset
-            out = []
-            while live:
-                start, mask, half, below, label = slots[bisect_right(starts, live.bit_length() - 1) - 1]
-                out.append((label, (shifted >> start & mask) - half))
-                live &= below
-            out.sort()
-            yield n, out
-
-
 class StructureConstants:
     """Table of the product-law coefficients c^gamma_{alpha beta}.
 
     Rows are exact: the value at every stored gamma (|gamma| <= N) is the
-    true coefficient, obtained from finite differences of the group law,
-    not from truncated series chaining.  A multi-index is also known by
-    its position in ``_gammas`` (``_position``), whose degree and gamma!
-    are ``_degree`` and ``_factorial``.  ``rows_from(alpha)`` gives the
-    nonempty rows of alpha as {beta: ((g, n), ...)}, g the position of
-    gamma, in increasing order, and the coefficient n / ``den``, one
-    denominator for the whole table, which reading ``den`` builds if it
-    was not loaded; ``int_row`` gives one row of it as (gamma, n) pairs
-    (empty if absent) and ``row`` the same as a dict of Fractions.
+    true coefficient, computed in the binomial basis, where truncation at
+    degree N is exact.  A multi-index is also known by its position in
+    ``_gammas`` (``_position``), whose degree and gamma! are ``_degree``
+    and ``_factorial``.  ``rows_from(alpha)`` gives the nonempty rows of
+    alpha as {beta: ((g, n), ...)}, g the position of gamma, in increasing
+    order, and the coefficient n / ``den``, one denominator for the whole
+    table, which reading ``den`` builds if it was not loaded; ``int_row``
+    gives one row of it as (gamma, n) pairs (empty if absent) and ``row``
+    the same as a dict of Fractions.
     ``_peak``, the largest |n|, is read where the rows are walked anyway
     (the build and the cache load); ``DistAlgebra.mul`` sizes its packed
     slots by it, and tests its operands against ``_position``.
@@ -263,104 +174,114 @@ class StructureConstants:
         return {g: Fraction(n, self.den) for g, n in entries}
 
     def _build(self):
-        """Every row at once: the Mahler transform of binom(F(x, y), gamma).
+        """Every row at once, in the binomial basis, in ints.
 
-        The integer law is evaluated on {|x| <= N} x {|y| <= N} by
-        ``SecondKindLaw.grid``, one row of numerators per x and coordinate;
-        the p-integrality test runs on those rows and refuses the first
-        point, in grid order, where F leaves Z_p, through ``group_law``.
-        With D = lcm(law.denoms) and tops t = D F, the grid value at gamma is
-        prod_k ladder(t_k)[gamma_k] = D^|gamma| gamma! binom(F, gamma).  A
-        point's values are packed into one int, gamma in lex order in signed
-        slots, in a flat list over the grid (x outer, y inner, each in
-        ``_gammas`` order), so a transform step is one slice subtraction of
-        packed ints along a grid line; after it slot gamma of row (x, y) is
-        v / (D^|gamma| gamma!).  The table is stored over the lcm of the
-        reduced denominators of those entries.  ``_unpack`` skips the
-        points whose int is zero, the empty rows, and gives each other
-        point's entries at their positions in ``_gammas``.
+        First the p-integrality test, on the integer law over
+        {|x| <= N} x {|y| <= N} from ``SecondKindLaw.grid``, one row of
+        numerators per x and coordinate: it refuses the first point, in
+        grid order, where F leaves Z_p, through ``group_law``.
 
-        The widths: |v| <= M0(gamma) = prod_k max_t |ladder(t_k)[gamma_k]|
-        at every point, and c_(alpha, beta) sums v(x, y) over x <= alpha,
-        y <= beta with weights +-binom(alpha, x) binom(beta, y), so
-        |c| <= 2^(|alpha| + |beta|) M0(gamma) <= 4^N M0(gamma).  Packing is
-        linear over Z, so slots may overflow into each other during the
-        transform; only the final values must fit their own slot, and
-        B = bit_length(4^N M0) + 1 bits hold every value of absolute value
-        below 2^(B-1).  Every slot of degree n gets the largest such B over
-        |gamma| = n.  A sub-pack, the simplex {|gamma| <= R} of the last k
-        coordinates in lex order, sits where the earlier coordinates sum to
-        N - R, so its slots have degree N - R plus their own: its layout
-        depends on (k, R) alone, and one packed int serves every point
-        whose last k tops agree.
+        An element of the truncated ring is {a: {b: n}}, the sum of
+        n binom(x, gammas[a]) binom(y, gammas[b]); a term with
+        |alpha| > N or |beta| > N is dropped where it arises, and as no
+        product lowers an index, every kept one is exact.  With
+        D = lcm(law.denoms), each D F_k goes into the basis through
+        z^e = sum_j S(e, j) j! binom(z, j), S the Stirling numbers of the
+        second kind; rung n of its ladder, D^n n! binom(F_k, n), is rung
+        n - 1 times D F_k - (n - 1) D; and the product over k of rung
+        gamma_k, the partial products memoized by their tail
+        (gamma_k, ..., gamma_d), is D^|gamma| gamma! binom(F, gamma).  Its
+        coefficient v at (a, b) is that scale times c^gamma_{alpha beta},
+        and the table is stored over the lcm of the reduced denominators of
+        those entries.
         """
         d, N, p = self.lattice.d, self.N, self.lattice.p
         law = self.lattice.second_kind_law
-        denom = lcm(*law.denoms)
-        lifts = [denom // q for q in law.denoms]
+        gammas, position = self._gammas, self._position
         # coordinate k is nums[k] / denoms[k]: p-integral iff the p-part
         # of denoms[k] divides nums[k]
         moduli = [p ** vp_int(q, p) for q in law.denoms]
-        gammas, degree = self._gammas, self._degree
-        cols = [[] for _ in law.denoms]  # the tops t_k over the grid
         for x, rows in zip(gammas, law.grid(gammas, gammas)):
             at = first_indivisible(rows, moduli)
             if at is not None:
                 self.group_law(x, gammas[at])  # raises, with the Fraction point as witness
-            for col, row, lift in zip(cols, rows, lifts):
-                if row is None:
-                    col.extend([0] * len(gammas))
-                else:
-                    col.extend(row if lift == 1 else map(lift.__mul__, row))
-        ladders = [{t: _ladder(t, denom, N) for t in set(col)} for col in cols]
-        peaks = [[max(abs(ladder[j]) for ladder in col.values()) for j in range(N + 1)]
-                 for col in ladders]
-        width = [0] * (N + 1)
-        for gamma, n in zip(gammas, degree):
-            width[n] = max(width[n], _slot_width(prod(map(list.__getitem__, peaks, gamma)), N))
-        # shifts[k, R][a]: where the sub-pack of the last k - 1 coordinates
-        # at R - a starts when coordinate d - k is a; size[k, R] is the
-        # bit length of a sub-pack
-        size = {(0, R): width[N - R] for R in range(N + 1)}
-        shifts = {}
-        for k in range(1, d + 1):
-            for R in range(N + 1):
-                *shifts[k, R], size[k, R] = accumulate(
-                    (size[k - 1, R - a] for a in range(R + 1)), initial=0)
-        memo = {(): [1] * (N + 1)}
+        # binom(z, i) binom(z, j) = sum of m binom(z, k) over line[i][j], k <= N
+        line = [[[(k, comb(k, i) * comb(i, k - j)) for k in range(max(i, j), min(i + j, N) + 1)]
+                 for j in range(N + 1)] for i in range(N + 1)]
+        pairs = {}
 
-        def packs(tail):
-            # the simplex {|gamma| <= R} of the last len(tail) coordinates,
-            # lex order, for each R = 0..N: the level above reads every R
-            out = memo.get(tail)
+        def basis_product(a, b):
+            # binom(z, gammas[a]) binom(z, gammas[b]) as (position, m) pairs,
+            # a coordinate at a time, each term above degree N dropped
+            out = pairs.get((a, b))
             if out is None:
-                ladder, subs = ladders[d - len(tail)][tail[0]], packs(tail[1:])
-                out = memo[tail] = [
-                    sum(map(lshift, map(mul, ladder, reversed(subs[:R + 1])), shifts[len(tail), R]))
-                    for R in range(N + 1)]
+                terms = [((), 1)]
+                for i, j in zip(gammas[a], gammas[b]):
+                    terms = [(k + (t,), c * m) for k, c in terms for t, m in line[i][j]
+                             if sum(k) + t <= N]
+                out = pairs[a, b] = [(position[k], c) for k, c in terms]
             return out
 
-        packed, values = {}, []  # the whole simplex, R = N, once per distinct tops
-        for t in zip(*cols):
-            if t not in packed:
-                packed[t] = sum(map(lshift, map(mul, ladders[0][t[0]], reversed(packs(t[1:]))),
-                                    shifts[d, N]))
-            values.append(packed[t])
-        del cols, memo, packed
-        mahler_coefficients(values, [gammas, gammas])
-        # slot i of the layout holds the gamma at position lex[i], at its degree's width
-        lex = sorted(range(len(gammas)), key=gammas.__getitem__)
-        found = list(_unpack(values, [width[degree[g]] for g in lex], lex))
-        del values
-        scales = [denom ** n * f for n, f in zip(degree, self._factorial)]
-        den = lcm(*(scales[g] // gcd(v, scales[g]) for _, entries in found for g, v in entries))
+        def times(u, v):
+            out = defaultdict(lambda: defaultdict(int))
+            for a, u_row in u.items():
+                for a2, v_row in v.items():
+                    w = defaultdict(int)  # the product of the two y-sides
+                    for b, n in u_row.items():
+                        for b2, n2 in v_row.items():
+                            for b3, m in basis_product(b, b2):
+                                w[b3] += n * n2 * m
+                    for a3, m in basis_product(a, a2):
+                        row = out[a3]
+                        for b3, n in w.items():
+                            row[b3] += m * n
+            return {a: row for a, row in ((a, {b: n for b, n in row.items() if n})
+                                          for a, row in out.items()) if row}
+
+        D = lcm(*law.denoms)
+        surjections = [[1]]  # S(e, j) j! for j = 0..e
+        for _ in range(law.degree):
+            last = surjections[-1]
+            surjections.append([j * (s + t) for j, (s, t) in enumerate(zip(last + [0], [0] + last))])
+        ladders = []
+        for terms, q in zip(law.terms, law.denoms):
+            top = defaultdict(lambda: defaultdict(int))  # D F_k
+            for c, mono in terms:
+                powers = [(v, e) for v, e in mono if v < law.nvars]  # the scale variable is 1
+                for js in product(*(range(1, e + 1) for _, e in powers)):
+                    index, n = [0] * 2 * d, c * (D // q)
+                    for (v, e), j in zip(powers, js):
+                        index[v] = j
+                        n *= surjections[e][j]
+                    alpha, beta = tuple(index[:d]), tuple(index[d:])
+                    if sum(alpha) <= N and sum(beta) <= N:
+                        top[position[alpha]][position[beta]] += n
+            ladder = [{0: {0: 1}}]
+            for n in range(N):
+                top[0][0] = -n * D  # F(0, 0) = 0, so the constant term is this alone
+                ladder.append(times(ladder[-1], top))
+            ladders.append(ladder)
+        memo = {(): {0: {0: 1}}}
+
+        def tail(g):
+            # the product of rung g[i] of ladder d - len(g) + i over i
+            out = memo.get(g)
+            if out is None:
+                out = memo[g] = times(ladders[d - len(g)][g[0]], tail(g[1:]))
+            return out
+
+        found = defaultdict(list)  # (a, b) -> [(g, v)], g rising
+        for g, gamma in enumerate(gammas):
+            for a, row in times(ladders[0][gamma[0]], tail(gamma[1:])).items():
+                for b, v in row.items():
+                    found[a, b].append((g, v))
+        del memo, pairs
+        scales = [D ** n * f for n, f in zip(self._degree, self._factorial)]
+        den = lcm(*(scales[g] // gcd(v, scales[g]) for entries in found.values() for g, v in entries))
         rows = {alpha: {} for alpha in gammas}
         peak = 1
-        for i, entries in found:
-            # point i is (x, y) = (alpha, beta), alpha-major
-            alpha, beta = divmod(i, len(gammas))
-            row = rows[gammas[alpha]][gammas[beta]] = tuple(
-                (g, v * den // scales[g]) for g, v in entries)
+        for a, b in sorted(found):
+            row = rows[gammas[a]][gammas[b]] = tuple((g, v * den // scales[g]) for g, v in found[a, b])
             peak = max(peak, *(abs(n) for _, n in row))
         self._rows, self._peak, self._den = rows, peak, den
         self._built = True

@@ -648,8 +648,8 @@ class FieldSpec:
 
         Slots are read from the lowest: slot s of x is x mod 2^width taken
         in [-2^(width-1), 2^(width-1)), and (x - s) >> width packs the rest.
-        There are at most (2f - 1)(2e - 1) of them, so reading each in turn
-        costs less than locating the nonzero ones (``mahler._unpack``)."""
+        There are at most (2f - 1)(2e - 1) of them, so each is read in
+        turn rather than locating the nonzero ones first."""
         products, n = self._slot_products, self.degree
         full = 1 << width
         half, mask = full >> 1, full - 1

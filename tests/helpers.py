@@ -4,8 +4,8 @@ The matrix oracle realizes the Heisenberg-type lattice inside 3x3
 unitriangular matrices, where exp and log are exact quadratic polynomials;
 it shares no code with the series evaluation it checks.  The box-sum
 oracle rebuilds structure-constant rows from their defining signed sum
-over the group law, independently of the table's finite-difference
-transform; the convolution oracle checks a table at one grid pair
+over the group law, independently of the table's build in the binomial
+basis; the convolution oracle checks a table at one grid pair
 through ``binom_rational``, and the Chu-Vandermonde oracle gives the
 closed form of an abelian row.  The lattice oracle computes ultrametric
 least distances to a finitely generated

@@ -268,6 +268,14 @@ def test_parse_refuses_malformed_literals(heis_alg, text, position):
     assert f"(at position {position})" in str(info.value)
 
 
+def test_parse_refuses_a_monomial_above_the_table(heis_alg):
+    """A monomial above N is refused as ``from_terms`` refuses it, with the
+    degree it needs."""
+    with pytest.raises(DegreeOverflow, match="outside the degree-6 table") as info:
+        heis_alg.parse("b1^7")
+    assert info.value.required_degree == 7
+
+
 def test_literal_powers_bind_to_their_int(ab1):
     """^ binds to the int it follows: 3^2/4 is 9/4 and 3/4^2 is 3/16."""
     for text, value in [("3^2/4", Fraction(9, 4)), ("3/4^2", Fraction(3, 16)),

@@ -5,75 +5,30 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 import pytest
 
 from helpers import (
     BoxSumRows,
-    binom_rational,
     chu_vandermonde_identity,
     filiform,
     heisenberg_bch_oracle,
     heisenberg_second_kind_oracle,
-    multi_binom,
     verify_convolution,
 )
 from padicdist import (
+    LGroupSpec,
     StructureConstants,
     abelian,
     heisenberg,
     heisenberg2,
-    mahler_coefficients,
     o_additive,
 )
-from padicdist.errors import CounterexampleFound, DegreeOverflow, InvalidArgument, PadicError
+from padicdist.errors import CounterexampleFound, DegreeOverflow, PadicError
 from padicdist.groups import SecondKindLaw, _LawPoly
 from padicdist.indices import iter_multi_indices, unit_index
 from padicdist.radii import vp_rational
-
-
-_LINE = [(x,) for x in range(7)]
-
-
-def test_mahler_constant_function(q3):
-    vals = [q3.one() for _ in _LINE]
-    t = mahler_coefficients(vals, [_LINE])
-    assert t[0] == q3.one()
-    assert all(t[k].is_zero for k in range(1, 7))
-
-
-def test_mahler_basis_function(q3):
-    vals = [q3.scalar(binom_rational(x, 2)) for (x,) in _LINE]
-    t = mahler_coefficients(vals, [_LINE])
-    assert t[2] == q3.one()
-    assert all(t[k].is_zero for k in range(7) if k != 2)
-
-
-def test_mahler_square():
-    # x^2 = binom(x,1) + 2 binom(x,2); plain Fractions work as values too
-    vals = [Fraction(x * x) for (x,) in _LINE]
-    t = mahler_coefficients(vals, [_LINE])
-    assert [t[k] for k in range(4)] == [0, 1, 2, 0]
-    assert sum(c * comb(5, k) for k, c in enumerate(t)) == 25
-
-
-def test_mahler_two_variables():
-    points = list(iter_multi_indices(2, 4))
-    vals = [Fraction(xy[0] * xy[1]) for xy in points]
-    t = dict(zip(points, mahler_coefficients(vals, [points])))
-    assert t[(1, 1)] == 1
-    assert t[(1, 0)] == 0 and t[(2, 1)] == 0
-    for x in iter_multi_indices(2, 4):
-        assert sum(c * multi_binom(x, a) for a, c in t.items()) == x[0] * x[1]
-
-
-def test_mahler_refuses_a_grid_of_another_size():
-    with pytest.raises(InvalidArgument, match="6 values for a grid of 7 x 3 points"):
-        mahler_coefficients([0] * 6, [_LINE, [(0,), (1,), (2,)]])
-    with pytest.raises(InvalidArgument, match="not downward closed"):
-        mahler_coefficients([0] * 3, [[(0,), (2,), (3,)]])
 
 
 def test_abelian_rows_are_vandermonde():
@@ -85,10 +40,12 @@ def test_abelian_rows_are_vandermonde():
 
 @pytest.mark.parametrize("group", [
     "abelian(2)", "heisenberg", "heisenberg2", "o-additive(1)", "o-additive(2)",
-    "filiform(3)", "filiform(2)",
+    "filiform(3)", "filiform(2)", "heisenberg(o_L)",
 ])
 def test_rows_match_box_sum_oracle(group, k3u2):
-    # the class-3 filiform lattices have two nonlinear coordinates
+    # the class-3 filiform lattices have two nonlinear coordinates; the
+    # Heisenberg group over o_L, L = Q_9, restricts to a non-abelian d = 6
+    # lattice over Z_3
     lattice, N = {
         "abelian(2)": lambda: (abelian(2, p=3), 4),
         "heisenberg": lambda: (heisenberg(3), 4),
@@ -97,6 +54,8 @@ def test_rows_match_box_sum_oracle(group, k3u2):
         "o-additive(2)": lambda: (o_additive(k3u2, 2).restrict(), 4),
         "filiform(3)": lambda: (filiform(3), 3),
         "filiform(2)": lambda: (filiform(2), 3),
+        "heisenberg(o_L)": lambda: (LGroupSpec(k3u2, [k3u2.one(), k3u2.unram_gen()], 3, {
+            (1, 2): ((0, 0), (0, 0), (3, 0))}).restrict(), 3),
     }[group]()
     table = StructureConstants(lattice, N)
     oracle = BoxSumRows(table)
