@@ -9,16 +9,18 @@ reine angew. Math. 199, 1958).  A product in that basis never lowers an
 index, so dropping every term with |alpha| > N or |beta| > N is a ring
 homomorphism and a table computed in the truncated ring is exact.  A
 non-abelian table is built whole on its first missing row, in ints: the
-law's coordinates go into the basis through the Stirling numbers, each
-binom(F_k, n) is a ladder of products, and binom(F, gamma) is the product
-of one rung per coordinate.  Abelian rows have a closed form, made per
-alpha on first use.  A table holds only its nonempty rows, alpha ->
-{beta: row}, each row (g, int) pairs, g the position of gamma in
-``iter_multi_indices(d, N)``, over one denominator shared by the whole
-table: the form ``DistAlgebra.mul`` walks per alpha.  Every table is
-exact, so a non-abelian table's denominator and rows, as built, serialize
-to a versioned cache file keyed by (group digest, N) alone; an abelian
-table is not cached, its closed form costing less than a load.  The file
+law's coordinates go into the basis through the Stirling numbers, and
+binom(F, gamma) is reached by a walk over the coordinates that climbs the
+ladder binom(F_k, n) one rung at a time, each rung one factor F_k - n
+whose x_k and y_k terms act on coordinate k alone.  Abelian rows have a
+closed form, made per alpha on first use.  A table holds only its
+nonempty rows, alpha -> {beta: row}, each row (g, int) pairs, g the
+position of gamma in ``iter_multi_indices(d, N)``, over one denominator
+shared by the whole table: the form ``DistAlgebra.mul`` walks per alpha.
+Every table is exact, so a non-abelian table's denominator and rows, as
+built, serialize to a versioned cache file keyed by (group digest, N)
+alone; an abelian table is not cached, its closed form costing less than
+a load.  The file
 (format 4) is plain JSON, {"version", "digest", "N", "den", "rows"}, each
 row a flat int list [alpha, beta, gamma, n, gamma, n, ...] with every
 multi-index written as its position, rows in (alpha, beta) order and the
@@ -35,9 +37,9 @@ import json
 import os
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, product, takewhile
+from itertools import chain, product, repeat, takewhile
 from math import comb, factorial, gcd, lcm, prod
-from operator import lt
+from operator import floordiv, lt, mul
 from pathlib import Path
 
 from .errors import CounterexampleFound, DegreeOverflow, PadicError
@@ -176,35 +178,47 @@ class StructureConstants:
     def _build(self):
         """Every row at once, in the binomial basis, in ints.
 
-        First the p-integrality test, on the integer law over
-        {|x| <= N} x {|y| <= N} from ``SecondKindLaw.grid``, one row of
-        numerators per x and coordinate: it refuses the first point, in
-        grid order, where F leaves Z_p, through ``group_law``.
+        First the p-integrality test, where p divides some coordinate
+        denominator ``law.denoms[k]`` (elsewhere no integer point can leave
+        Z_p): on the integer law over {|x| <= N} x {|y| <= N} from
+        ``SecondKindLaw.grid``, one row of numerators per x and coordinate,
+        it refuses the first point, in grid order, where F leaves Z_p,
+        through ``group_law``.
 
-        An element of the truncated ring is {a: {b: n}}, the sum of
-        n binom(x, gammas[a]) binom(y, gammas[b]); a term with
+        An element of the truncated ring is {a G + b: n}, G = len(gammas),
+        the sum of n binom(x, gammas[a]) binom(y, gammas[b]); a term with
         |alpha| > N or |beta| > N is dropped where it arises, and as no
         product lowers an index, every kept one is exact.  With
         D = lcm(law.denoms), each D F_k goes into the basis through
         z^e = sum_j S(e, j) j! binom(z, j), S the Stirling numbers of the
-        second kind; rung n of its ladder, D^n n! binom(F_k, n), is rung
-        n - 1 times D F_k - (n - 1) D; and the product over k of rung
-        gamma_k, the partial products memoized by their tail
-        (gamma_k, ..., gamma_d), is D^|gamma| gamma! binom(F, gamma).  Its
-        coefficient v at (a, b) is that scale times c^gamma_{alpha beta},
-        and the table is stored over the lcm of the reduced denominators of
-        those entries.
+        second kind, as D x_k + D y_k + D P_k.  Rung n of coordinate k,
+        D^n n! binom(F_k, n), is rung n - 1 times D F_k - (n - 1) D, so
+        D^|gamma| gamma! binom(F, gamma), the product over k of rung
+        gamma_k, is reached by a walk over the coordinates, depth first:
+        a prefix product is extended one such factor at a time and dropped
+        once its last extension has been read.  The x_k and y_k terms of a
+        factor act on coordinate k alone, through
+        z binom(z, i) = i binom(z, i) + (i + 1) binom(z, i + 1); only D P_k
+        needs whole basis products, and it is zero for an additive
+        coordinate, so the walk takes the other coordinates first and the
+        additive ones, whose factors are cheapest, where the products are
+        largest.  The coefficient v at (a, b) is D^|gamma| gamma!
+        c^gamma_{alpha beta}, and the table is stored over the lcm, over
+        gamma, of D^|gamma| gamma! over its gcd with every v at gamma: the
+        least common denominator of the entries.
         """
         d, N, p = self.lattice.d, self.N, self.lattice.p
         law = self.lattice.second_kind_law
         gammas, position = self._gammas, self._position
+        G = len(gammas)
         # coordinate k is nums[k] / denoms[k]: p-integral iff the p-part
         # of denoms[k] divides nums[k]
         moduli = [p ** vp_int(q, p) for q in law.denoms]
-        for x, rows in zip(gammas, law.grid(gammas, gammas)):
-            at = first_indivisible(rows, moduli)
-            if at is not None:
-                self.group_law(x, gammas[at])  # raises, with the Fraction point as witness
+        if any(q != 1 for q in moduli):
+            for x, rows in zip(gammas, law.grid(gammas, gammas)):
+                at = first_indivisible(rows, moduli)
+                if at is not None:
+                    self.group_law(x, gammas[at])  # raises, with the Fraction point as witness
         # binom(z, i) binom(z, j) = sum of m binom(z, k) over line[i][j], k <= N
         line = [[[(k, comb(k, i) * comb(i, k - j)) for k in range(max(i, j), min(i + j, N) + 1)]
                  for j in range(N + 1)] for i in range(N + 1)]
@@ -222,30 +236,14 @@ class StructureConstants:
                 out = pairs[a, b] = [(position[k], c) for k, c in terms]
             return out
 
-        def times(u, v):
-            out = defaultdict(lambda: defaultdict(int))
-            for a, u_row in u.items():
-                for a2, v_row in v.items():
-                    w = defaultdict(int)  # the product of the two y-sides
-                    for b, n in u_row.items():
-                        for b2, n2 in v_row.items():
-                            for b3, m in basis_product(b, b2):
-                                w[b3] += n * n2 * m
-                    for a3, m in basis_product(a, a2):
-                        row = out[a3]
-                        for b3, n in w.items():
-                            row[b3] += m * n
-            return {a: row for a, row in ((a, {b: n for b, n in row.items() if n})
-                                          for a, row in out.items()) if row}
-
         D = lcm(*law.denoms)
         surjections = [[1]]  # S(e, j) j! for j = 0..e
         for _ in range(law.degree):
             last = surjections[-1]
             surjections.append([j * (s + t) for j, (s, t) in enumerate(zip(last + [0], [0] + last))])
-        ladders = []
-        for terms, q in zip(law.terms, law.denoms):
-            top = defaultdict(lambda: defaultdict(int))  # D F_k
+        factors = []  # per k: the x_k and y_k coefficients of D F_k, and its other terms
+        for k, (terms, q) in enumerate(zip(law.terms, law.denoms)):
+            top = defaultdict(int)  # D F_k, keyed (a, b)
             for c, mono in terms:
                 powers = [(v, e) for v, e in mono if v < law.nvars]  # the scale variable is 1
                 for js in product(*(range(1, e + 1) for _, e in powers)):
@@ -255,34 +253,68 @@ class StructureConstants:
                         n *= surjections[e][j]
                     alpha, beta = tuple(index[:d]), tuple(index[d:])
                     if sum(alpha) <= N and sum(beta) <= N:
-                        top[position[alpha]][position[beta]] += n
-            ladder = [{0: {0: 1}}]
-            for n in range(N):
-                top[0][0] = -n * D  # F(0, 0) = 0, so the constant term is this alone
-                ladder.append(times(ladder[-1], top))
-            ladders.append(ladder)
-        memo = {(): {0: {0: 1}}}
+                        top[position[alpha], position[beta]] += n
+            unit = position[tuple(int(t == k) for t in range(d))]
+            cx, cy = top.pop((unit, 0), 0), top.pop((0, unit), 0)
+            factors.append((cx, cy, [(a, b, c) for (a, b), c in top.items() if c]))
+        column = [[gamma[k] for gamma in gammas] for k in range(d)]
+        # up[k][a]: the position of gammas[a] + e_k, None above degree N
+        up = [[position.get(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]) for gamma in gammas]
+              for k in range(d)]
 
-        def tail(g):
-            # the product of rung g[i] of ladder d - len(g) + i over i
-            out = memo.get(g)
-            if out is None:
-                out = memo[g] = times(ladders[d - len(g)][g[0]], tail(g[1:]))
-            return out
+        def extend(u, k, n):
+            # u times D F_k - n D
+            cx, cy, rest = factors[k]
+            col, upk = column[k], up[k]
+            out = defaultdict(int)
+            for key, v in u.items():
+                a, b = divmod(key, G)
+                i, j = col[a], col[b]
+                out[key] += (cx * i + cy * j - n * D) * v
+                if upk[a] is not None:
+                    out[key + (upk[a] - a) * G] += cx * (i + 1) * v
+                if upk[b] is not None:
+                    out[key + upk[b] - b] += cy * (j + 1) * v
+                for a2, b2, c in rest:
+                    ys = basis_product(b, b2)
+                    for a3, m in basis_product(a, a2):
+                        m *= c * v
+                        for b3, m2 in ys:
+                            out[a3 * G + b3] += m * m2
+            return {key: v for key, v in out.items() if v}
 
-        found = defaultdict(list)  # (a, b) -> [(g, v)], g rising
-        for g, gamma in enumerate(gammas):
-            for a, row in times(ladders[0][gamma[0]], tail(gamma[1:])).items():
-                for b, v in row.items():
-                    found[a, b].append((g, v))
-        del memo, pairs
+        order = sorted(range(d), key=lambda k: not factors[k][2])
+        found = [None] * G  # g -> the product at gammas[g]
+        gamma = [0] * d
+
+        def walk(u, depth, room):
+            k = order[depth]
+            for n in range(room + 1):
+                if n:
+                    u = extend(u, k, n - 1)
+                gamma[k] = n
+                if depth + 1 == d:
+                    found[position[tuple(gamma)]] = u
+                else:
+                    walk(u, depth + 1, room - n)
+            gamma[k] = 0
+
+        walk({0: 1}, 0, N)
+        del pairs
         scales = [D ** n * f for n, f in zip(self._degree, self._factorial)]
-        den = lcm(*(scales[g] // gcd(v, scales[g]) for entries in found.values() for g, v in entries))
-        rows = {alpha: {} for alpha in gammas}
+        den = lcm(*(s // gcd(s, *u.values()) for s, u in zip(scales, found)))
+        entries = defaultdict(list)  # a G + b -> [(g, n)], g rising
         peak = 1
-        for a, b in sorted(found):
-            row = rows[gammas[a]][gammas[b]] = tuple((g, v * den // scales[g]) for g, v in found[a, b])
-            peak = max(peak, *(abs(n) for _, n in row))
+        for g, s in enumerate(scales):
+            u, found[g] = found[g], None
+            ns = list(map(floordiv, map(mul, u.values(), repeat(den)), repeat(s)))
+            peak = max(peak, max(map(abs, ns), default=0))
+            for key, n in zip(u, ns):
+                entries[key].append((g, n))
+        rows = {alpha: {} for alpha in gammas}
+        for key in sorted(entries):
+            a, b = divmod(key, G)
+            rows[gammas[a]][gammas[b]] = tuple(entries[key])
         self._rows, self._peak, self._den = rows, peak, den
         self._built = True
 

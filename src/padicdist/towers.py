@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .distalg import DistAlgebra, ExponentScale, _peak
 from .errors import (
@@ -171,14 +172,18 @@ def orthogonal_system_check(system, r, trials, rng):
     The trials run in ints at the scale of ``ExponentScale``.  Each
     element's norm key is read once.  Its coefficients, over one common
     denominator, and pi^v for v <= 2, over another, are packed
-    (``FieldSpec._pack``), and each packed coefficient times each packed
-    pi^v is formed once, so a trial adds u P per support index of each
-    element and each sum is read back as a sum of packed products
-    (``FieldSpec._unpacked``).  A slot of such a sum is bounded by
+    (``FieldSpec._pack``), and the packed coefficients are laid out once
+    as one column per support index alpha: those of the elements with a
+    term at alpha, and the indices of those elements.  A trial forms
+    z = u P, P the packed pi^v, per element; the sum at alpha is then one
+    C-level sum of products over its column, read back as a sum of packed
+    products (``FieldSpec._unpacked``).  A slot of such a sum is bounded by
     len(system) (p - 1) [K:Q_p] max|x| max|y|, x and y the packed
     coordinates of the coefficients and of the powers of pi, which sets
-    the slot width as in ``DistAlgebra.mul``; the valuation of each
-    coefficient of the combination is read off its unpacked sum.
+    the slot width as in ``DistAlgebra.mul``.  Only the least key of each
+    degree |alpha| is read: the least valuation over a set of coefficients
+    is the valuation of their gcd, so the sums of one degree are reduced
+    to their entrywise gcd and valued once (``FieldSpec._valuation``).
     """
     if not system:
         return {"iota": {}, "basis": False}
@@ -205,23 +210,26 @@ def orthogonal_system_check(system, r, trials, rng):
     bound = len(system) * (p - 1) * field.degree * max(map(_peak, terms)) * _peak(pterms)
     width = bound.bit_length() + 1
     packed_powers = [P for _, P in field._pack(pterms, width)]
-    packed = [[[(alpha, x * P) for alpha, x in field._pack(t, width)] for P in packed_powers]
-              for t in terms]
+    degrees = {}  # |alpha| -> {alpha: (packed coefficients at alpha, their elements)}
+    for i, t in enumerate(terms):
+        for alpha, x in field._pack(t, width):
+            xs, idx = degrees.setdefault(sum(alpha), {}).setdefault(alpha, ([], []))
+            xs.append(x)
+            idx.append(i)
     b, w = scale.b, scale.w
     vden = den * pden * field._den  # the denominator of an unpacked sum
     for _ in range(trials):
-        acc = {}
-        get = acc.get
+        z = []
         expected = INF
-        for multiples, key in zip(packed, keys):
+        for key in keys:
             v = rng.randrange(0, 3)
-            u = rng.randrange(1, p)
-            for alpha, x in multiples[v]:
-                acc[alpha] = get(alpha, 0) + u * x
+            z.append(rng.randrange(1, p) * packed_powers[v])
             expected = min(expected, b * v + key)
-        got = min((b * field._valuation(vec, vden) + w * sum(alpha)
-                   for alpha, vec in zip(acc, field._unpacked(acc.values(), width))),
-                  default=INF)
+        got = INF
+        for n, columns in degrees.items():
+            sums = [sum(map(mul, xs, map(z.__getitem__, idx))) for xs, idx in columns.values()]
+            least = field._valuation(list(map(math.gcd, *field._unpacked(sums, width))), vden)
+            got = min(got, b * least + w * n)
         if got != expected:
             raise CounterexampleFound(
                 "orthogonal system max formula failed",

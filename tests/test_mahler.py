@@ -18,6 +18,7 @@ from helpers import (
     verify_convolution,
 )
 from padicdist import (
+    FieldSpec,
     LGroupSpec,
     StructureConstants,
     abelian,
@@ -370,17 +371,27 @@ def _table_text(table):
     return "\n".join(lines) + "\n"
 
 
+def _heisenberg_over_o_l():
+    """The d = 6 Heisenberg group over o_L, L = Q_9, as a lattice over Z_3."""
+    field = FieldSpec.unramified(3, 2)
+    return LGroupSpec(field, [field.one(), field.unram_gen()], 3, {
+        (1, 2): ((0, 0), (0, 0), (3, 0))}).restrict()
+
+
 @pytest.mark.parametrize("lattice, N, digest", [
     (heisenberg(3), 6, "b9814536afd76b7ecc1f12e9d80625f4e970724b6c3c16a81e70f159e38e52d5"),
     (heisenberg2(), 6, "e2854032992a212479b9a6bebaddf088902d7e7414e7bef5be4ab14138807524"),
     (filiform(3), 5, "e56803c07acaa4d9054b7c50b4fd1c14492c544915264e80013bba2e4c1f8247"),
     (heisenberg(3), 8, "eeb967e96d8832d3661795a9ec4e7bbe4f917012d3f826ae146ea454f5b4191a"),
-], ids=["heisenberg-N6", "heisenberg2-N6", "filiform3-N5", "heisenberg-N8"])
+    (_heisenberg_over_o_l(), 4, "45ece58227dd65224a089fe0fca97aee0d7054747124cb70c925070e12303589"),
+], ids=["heisenberg-N6", "heisenberg2-N6", "filiform3-N5", "heisenberg-N8", "heisenberg(o_L)-N4"])
 def test_table_contents_are_pinned(lattice, N, digest):
     """The whole table, den and every entry: the N <= 6 tables as recorded
     from the build of ``Fraction`` laws and per-gamma integer vectors, the
     heisenberg N = 8 one from the build with one slot width for every
-    gamma."""
+    gamma, and the d = 6 Heisenberg group over o_L (L = Q_9), whose last
+    two coordinates are not additive, from the build in the binomial basis
+    with one tail-memoized product of rungs per gamma."""
     table = StructureConstants(lattice, N)
     assert hashlib.sha256(_table_text(table).encode()).hexdigest() == digest
 
@@ -496,6 +507,23 @@ def test_version_1_file_is_neither_loaded_nor_an_error(tmp_path):
             assert not t2._rows
             assert {(a, b): t2.row(a, b) for a in gammas for b in gammas} == rows
             path.unlink()
+
+
+def test_build_skips_the_integrality_pass_where_p_divides_no_denominator(monkeypatch):
+    """No coordinate denominator of heisenberg(3) is divisible by p, so no
+    integer point can leave Z_p and the build never evaluates the law on
+    the grid."""
+    def refuse(*args):
+        raise RuntimeError("the integrality pass ran")
+
+    lattice = heisenberg(3)
+    law = lattice.second_kind_law
+    assert law.denoms == [1, 1, 1]
+    monkeypatch.setattr(SecondKindLaw, "grid", refuse)
+    with pytest.raises(RuntimeError):
+        law.grid([], [])
+    table = StructureConstants(lattice, 4)
+    assert table.den >= 1 and list(table._rows) == table._gammas
 
 
 def test_build_refuses_a_law_leaving_z_p():

@@ -148,6 +148,12 @@ def test_trials_match_the_distribution_oracle_on_heisenberg(field, request):
     _assert_trials_match_oracle(orthogonal_system(alg, 1), Radius(1, 4), 67)
 
 
+def test_trials_match_the_distribution_oracle_on_heisenberg2(q2):
+    # p = 2: every unit u is 1, so each coefficient is pi^v alone
+    alg = DistAlgebra(heisenberg2(), q2, 6)
+    _assert_trials_match_oracle(orthogonal_system(alg, 1), Radius(1, 4), 69)
+
+
 def test_trials_match_the_distribution_oracle_on_abelian_systems(q3, q2):
     for seed, (system, r) in enumerate(_abelian_systems(q3, q2)):
         _assert_trials_match_oracle(system, r, 68 + seed)
