@@ -69,33 +69,23 @@ class DistAlgebra:
     # -- constructors -----------------------------------------------------------
 
     def zero(self):
-        return Distribution(self, {})
+        return Distribution._of(self, {})
 
     def one(self):
-        return Distribution(self, {(0,) * self.d: self.field.one()})
+        return Distribution._of(self, {(0,) * self.d: self.field.one()})
 
     def generator(self, i):
         """The series generator b_{i+1} = h_{i+1} - 1."""
-        return Distribution(self, {unit_index(self.d, i): self.field.one()})
+        return Distribution._of(self, {unit_index(self.d, i): self.field.one()})
 
     def monomial(self, alpha, coeff=1):
-        """coeff * b^alpha; an alpha that is not a multi-index in N_0^d is
-        refused with PadicError, one of degree above N with DegreeOverflow
-        (``StructureConstants._check``)."""
-        alpha = tuple(alpha)
-        self.table._check(alpha)
-        c = self.field.scalar(coeff)
-        return Distribution(self, {} if c.is_zero else {alpha: c})
+        """coeff * b^alpha, checked as ``Distribution`` checks its terms."""
+        return Distribution(self, {tuple(alpha): coeff})
 
     def from_terms(self, terms):
-        out = {}
-        for alpha, c in terms.items():
-            alpha = tuple(alpha)
-            self.table._check(alpha)
-            c = self.field.scalar(c)
-            if not c.is_zero:
-                out[alpha] = c
-        return Distribution(self, out)
+        """The distribution sum terms[alpha] b^alpha, checked as
+        ``Distribution`` checks its terms."""
+        return Distribution(self, terms)
 
     def delta(self, g):
         """The image of a group element: coefficients binom(x, alpha) in the
@@ -116,7 +106,7 @@ class DistAlgebra:
         for alpha, v, n, f in zip(table._gammas, scaled, table._degree, table._factorial):
             if v:
                 terms[alpha] = Scalar(field, (v, *zeros), powers[n] * f)
-        return Distribution(self, terms)
+        return Distribution._of(self, terms)
 
     def log_series(self, i):
         """Degree-N truncation of log(1 + b_{i+1}).
@@ -128,7 +118,7 @@ class DistAlgebra:
         for k in range(1, self.N + 1):
             coeff = Fraction((-1) ** (k - 1), k)
             terms[unit_index(self.d, i, k)] = self.field.scalar(coeff)
-        return Distribution(self, terms)
+        return Distribution._of(self, terms)
 
     # -- multiplication ----------------------------------------------------------
 
@@ -145,9 +135,11 @@ class DistAlgebra:
         as the rows hold it; each output gamma is unpacked once, its slots
         reduced in K (``FieldSpec._unpacked``), and one Scalar built over
         the denominator a product of Scalars has, keyed by gamma itself.
-        Per alpha the sum walks alpha's nonempty rows
-        (``StructureConstants.rows_from``) when they are fewer than mu's
-        terms, and mu's terms otherwise.
+        Per alpha the sum walks alpha's nonempty rows when they are fewer
+        than mu's terms, and mu's terms otherwise.  The rows are read with
+        no per-alpha check (``StructureConstants._rows_of``): the keys of
+        both operands were checked when they were made, and are tested
+        against the table's ``_position`` once per product.
 
         The slot width: slot w^A pi^B of U V adds at most [K:Q_p] products
         x y of operand coordinates (at most f ways to split A and e to split
@@ -165,14 +157,18 @@ class DistAlgebra:
         bound = len(lterms) * len(mterms) * table._peak * field.degree * _peak(lterms) * _peak(mterms)
         width = bound.bit_length() + 1
         mvalue = dict(field._pack(mterms, width))
-        if not table._position.keys() >= mvalue.keys():
-            # the walk of an alpha's rows would skip a beta outside the table
-            for beta in mvalue:
-                table._check(beta)  # raises at the first beta outside the table
+        # keys are checked multi-indices, but one from a wider algebra may
+        # lie outside this table: the walk of an alpha's rows would skip
+        # such a beta, and no rows are held for such an alpha
+        for dist in (lam, mu):
+            if not table._position.keys() >= dist.coeffs.keys():
+                for alpha in dist.coeffs:
+                    table._check(alpha)  # raises at the first index outside the table
         acc = {}
         get = acc.get
+        rows_of = table._rows_of
         for alpha, U in field._pack(lterms, width):
-            rows = table.rows_from(alpha)  # raises DegreeOverflow outside the table
+            rows = rows_of(alpha)
             if len(rows) <= len(mvalue):
                 # alpha's nonempty rows, when fewer than mu's terms
                 pairs = zip(rows.values(), map(mvalue.get, rows))
@@ -188,7 +184,7 @@ class DistAlgebra:
         for g, vec in zip(acc, field._unpacked(acc.values(), width)):
             if any(vec):
                 out[gammas[g]] = Scalar(field, tuple(vec), den)
-        return Distribution(self, out)
+        return Distribution._of(self, out)
 
     # -- parsing / printing --------------------------------------------------------
 
@@ -236,8 +232,30 @@ class Distribution:
     __slots__ = ("algebra", "coeffs")
 
     def __init__(self, algebra, coeffs):
+        """sum coeffs[alpha] b^alpha.  An alpha that is not a multi-index in
+        N_0^d is refused with PadicError, one of degree above N with
+        DegreeOverflow (``StructureConstants._check``), and a coefficient
+        that is not an element of K with InvalidArgument
+        (``FieldSpec.scalar``); zero terms are dropped."""
+        check, scalar = algebra.table._check, algebra.field.scalar
+        out = {}
+        for alpha, c in coeffs.items():
+            alpha = tuple(alpha)
+            check(alpha)
+            c = scalar(c)
+            if not c.is_zero:
+                out[alpha] = c
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.coeffs = out
+
+    @classmethod
+    def _of(cls, algebra, coeffs):
+        """The distribution of ``coeffs`` as given, unchecked: for keys
+        that are checked multi-indices and nonzero Scalars of the field."""
+        out = object.__new__(cls)
+        out.algebra = algebra
+        out.coeffs = coeffs
+        return out
 
     @property
     def is_zero(self):
@@ -257,10 +275,10 @@ class Distribution:
                 out.pop(alpha, None)
             else:
                 out[alpha] = s
-        return Distribution(self.algebra, out)
+        return Distribution._of(self.algebra, out)
 
     def __neg__(self):
-        return Distribution(self.algebra, {a: -c for a, c in self.coeffs.items()})
+        return Distribution._of(self.algebra, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
         out = dict(self.coeffs)
@@ -271,7 +289,7 @@ class Distribution:
                 out.pop(alpha, None)
             else:
                 out[alpha] = s
-        return Distribution(self.algebra, out)
+        return Distribution._of(self.algebra, out)
 
     def __mul__(self, other):
         if isinstance(other, Distribution):
@@ -281,8 +299,8 @@ class Distribution:
     def scale(self, c):
         c = self.algebra.field.scalar(c)
         if c.is_zero:
-            return Distribution(self.algebra, {})
-        return Distribution(self.algebra, {a: v * c for a, v in self.coeffs.items()})
+            return Distribution._of(self.algebra, {})
+        return Distribution._of(self.algebra, {a: v * c for a, v in self.coeffs.items()})
 
     def norm(self, r):
         """sup_alpha |d_alpha| r^(kappa |alpha|), as a NormValue exponent."""

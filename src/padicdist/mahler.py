@@ -147,11 +147,17 @@ class StructureConstants:
         along the row, and c^gamma_{alpha beta} = n / ``den``.  A
         non-abelian table is built whole on the first read; an abelian
         alpha's rows are b^alpha b^beta = b^(alpha + beta), made here, the
-        beta with |beta| <= N - |alpha| being a prefix of ``_gammas``."""
+        beta with |beta| <= N - |alpha| being a prefix of ``_gammas``.
+        alpha is checked on every call, also where its rows are held."""
+        self._check(alpha)
+        return self._rows_of(alpha)
+
+    def _rows_of(self, alpha):
+        """``rows_from`` with no check, for an alpha of ``_gammas`` or a
+        key of a ``Distribution``, which its constructor checked."""
         rows = self._rows.get(alpha)
         if rows is not None:
             return rows
-        self._check(alpha)
         if not self.lattice.abelian:
             self._build()
             return self._rows[alpha]
@@ -168,7 +174,7 @@ class StructureConstants:
         self._check(alpha)
         self._check(beta)
         gammas = self._gammas
-        return tuple((gammas[g], n) for g, n in self.rows_from(alpha).get(beta, ()))
+        return tuple((gammas[g], n) for g, n in self._rows_of(alpha).get(beta, ()))
 
     def row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as a sparse dict of Fractions."""
@@ -340,7 +346,7 @@ class StructureConstants:
         checked = 0
         shift = vp_int(self.den, p)  # builds a non-abelian table not loaded
         for alpha in self._gammas:
-            for beta, entries in self.rows_from(alpha).items():
+            for beta, entries in self._rows_of(alpha).items():
                 top = kappa * (sum(alpha) + sum(beta))
                 for g, n in entries:
                     if vp_int(n, p) - shift < top - kappa * degree[g]:

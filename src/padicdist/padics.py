@@ -572,6 +572,11 @@ class FieldSpec:
             [[(k, c.numerator * (den // c.denominator)) for k, c in enumerate(vec) if c] for vec in row]
             for row in table
         ]
+        if n == 2:
+            # _products[j][i] as a dense 2x2x2 tensor, entry (j, i, k) at
+            # 4j + 2i + k: the closed form of ``_times`` reads it
+            self._quad = tuple(dict(self._products[j][i]).get(k, 0)
+                               for j in range(2) for i in range(2) for k in range(2))
         # a packed vector (``_pack``) holds w^a pi^b in slot a + (2f - 1) b,
         # so a product of two holds w^A pi^B, A < 2f - 1 and B < 2e - 1, in
         # slot A + (2f - 1) B: _slot_products[slot] is that monomial reduced,
@@ -606,27 +611,53 @@ class FieldSpec:
         return tuple(out)
 
     def _times(self, num, den):
-        """Multiplication by num/den as (cols, d), read once for many
-        products: coordinate k of its product with an int vector x is
-        sum(map(mul, x, cols[k])), over d."""
+        """Multiplication by y = num/den as (cols, d), read once for many
+        products by ``_sub_times``: coordinate k of y x, for an int vector
+        x, is sum(map(mul, x, cols[k])) over d.  For a quadratic K cols is
+        flat, (m00, m01, m10, m11), coordinate k being x0 mk0 + x1 mk1,
+        its 8 products written out from ``_quad``."""
+        if self.degree == 2:
+            y0, y1 = num
+            t000, t001, t010, t011, t100, t101, t110, t111 = self._quad
+            return (y0 * t000 + y1 * t100, y0 * t010 + y1 * t110,
+                    y0 * t001 + y1 * t101, y0 * t011 + y1 * t111), den * self._den
         return tuple(zip(*(self._mul_vec(num, unit) for unit in self._units))), den * self._den
 
     def _sub_times(self, pn, pd, x, xden, times):
         """pn/pd - (x/xden) y for ``times`` = ``_times`` of y: (num, den, v),
-        reduced by one gcd as ``Scalar`` keeps it, with v its valuation
-        (+inf for zero)."""
+        num a list reduced with den by one gcd as ``Scalar`` keeps it, with
+        v its valuation (+inf for zero).  It runs once per touched term of
+        a canonicalization step on small ints, so for a quadratic K both
+        coordinates are written out in locals."""
         cols, d = times
         d *= xden
-        num = [a * d - sum(map(mul, x, col)) * pd for a, col in zip(pn, cols)]
         den = pd * d
-        g = gcd(*num)
-        if not g:
-            return num, 1, INF
-        h = gcd(g, den)
-        if h != 1:
-            num = [a // h for a in num]
-            den //= h
-            g //= h
+        if self.degree == 2:
+            m00, m01, m10, m11 = cols
+            p0, p1 = pn
+            x0, x1 = x
+            n0 = p0 * d - (x0 * m00 + x1 * m01) * pd
+            n1 = p1 * d - (x0 * m10 + x1 * m11) * pd
+            g = gcd(n0, n1)
+            if not g:
+                return [0, 0], 1, INF
+            h = gcd(g, den)
+            if h != 1:
+                n0 //= h
+                n1 //= h
+                den //= h
+                g //= h
+            num = [n0, n1]
+        else:
+            num = [a * d - sum(map(mul, x, col)) * pd for a, col in zip(pn, cols)]
+            g = gcd(*num)
+            if not g:
+                return num, 1, INF
+            h = gcd(g, den)
+            if h != 1:
+                num = [a // h for a in num]
+                den //= h
+                g //= h
         if self.e == 1:
             # gcd(g, den) = 1, so p divides at most one of them
             p = self.p

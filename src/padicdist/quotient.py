@@ -107,8 +107,10 @@ class KernelFamily:
         return tuple(alpha)
 
     def lift(self, coeffs):
-        """A canonical coefficient map beta -> Scalar, as a distribution."""
-        return Distribution(
+        """A canonical coefficient map beta -> Scalar, as a distribution.
+        Its betas are canonical indices as a ``CanonicalForm`` holds them,
+        so their images are not checked again."""
+        return Distribution._of(
             self.algebra,
             {self.from_canonical_index(b): c for b, c in coeffs.items() if not c.is_zero},
         )
@@ -414,7 +416,7 @@ def binomial_series(fam, v, j):
         coeff = (coeff * (v - (k - 1))).scale(Fraction(1, k))
         if not coeff.is_zero:
             terms[unit_index(alg.d, index, k)] = coeff
-    return Distribution(alg, terms)
+    return Distribution._of(alg, terms)
 
 
 def _required_truncation(alg, r, mprime):

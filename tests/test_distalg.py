@@ -7,7 +7,8 @@ import pytest
 
 from helpers import mul_oracle, scan_min_exponent_oracle
 from padicdist import (
-    DistAlgebra, FieldSpec, abelian, dominant_log_index, heisenberg2, mul_tail_bound,
+    DistAlgebra, Distribution, FieldSpec, abelian, dominant_log_index, heisenberg2,
+    mul_tail_bound,
 )
 from padicdist.errors import (
     DegreeOverflow, InvalidArgument, PadicError, ParseError, ZeroDistribution,
@@ -168,6 +169,29 @@ def test_monomial_and_from_terms_refuse_a_degree_above_n(heis_alg):
                   lambda: heis_alg.from_terms({(0, 0, 0): 1, (3, 2, 2): 1})):
         with pytest.raises(DegreeOverflow, match="outside the degree-6 table"):
             build()
+
+
+@pytest.mark.parametrize("alpha", [(-1, 1, 0), (1, 0, 0, 0), (True, 0, 0), (7, 0, 0)],
+                         ids=["negative", "too-long", "bool", "degree-7"])
+def test_distribution_constructor_refuses_a_key_outside_the_table(heis_alg, alpha):
+    """The exported constructor checks its keys as ``from_terms`` does: a
+    key that is not in N_0^3 is refused with a PadicError naming it (not
+    stored to print b^(-1, 1, 0) as b1*b2) and one of degree above N = 6
+    with DegreeOverflow (not stored to print as b1^7)."""
+    with pytest.raises(PadicError, match=re.escape(str(alpha))) as info:
+        Distribution(heis_alg, {alpha: heis_alg.field.one()})
+    assert isinstance(info.value, DegreeOverflow) == (sum(alpha) > 6)
+
+
+def test_distribution_constructor_reads_its_terms_as_from_terms(heis_alg):
+    """Coefficients go through ``FieldSpec.scalar``, so a float is refused
+    and an int stored as a Scalar, and zero terms are dropped."""
+    terms = {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 3), (0, 0, 1): 0}
+    built = Distribution(heis_alg, terms)
+    assert built.coeffs == {(1, 0, 0): heis_alg.field.scalar(2),
+                            (0, 1, 0): heis_alg.field.scalar(Fraction(1, 3))}
+    with pytest.raises(InvalidArgument):
+        Distribution(heis_alg, {(1, 0, 0): 0.5})
 
 
 def test_dominant_log_index_examples():

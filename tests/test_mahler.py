@@ -136,6 +136,21 @@ def test_filtration_bound_names_a_planted_violation():
     assert info.value.witness == (alpha, beta, gamma, Fraction(1))
 
 
+@pytest.mark.parametrize("lattice", [heisenberg(3), abelian(3, p=3)], ids=["heisenberg", "abelian"])
+@pytest.mark.parametrize("alpha", [(True, 0, 0), (Fraction(1), 0, 0), (1.0, 0, 0)],
+                         ids=["bool", "fraction", "float"])
+def test_rows_from_checks_an_index_whose_rows_are_held(lattice, alpha):
+    """An index equal to (1, 0, 0) as a dict key but not a multi-index in
+    N_0^3 is refused with a PadicError naming it, also once the rows of
+    (1, 0, 0) are held (built whole for heisenberg, made on first use for
+    the abelian table)."""
+    table = StructureConstants(lattice, 6)
+    assert len(table.rows_from((1, 0, 0))) == 56
+    with pytest.raises(PadicError, match=re.escape(str(alpha))) as info:
+        table.rows_from(alpha)
+    assert not isinstance(info.value, DegreeOverflow)
+
+
 def test_row_degree_guard(heis_alg):
     with pytest.raises(DegreeOverflow):
         heis_alg.table.row((7, 0, 0), (0, 0, 0))

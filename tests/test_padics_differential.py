@@ -9,6 +9,7 @@ sha256.  Any change to an exact result changes it.
 """
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -76,7 +77,9 @@ def test_sub_times_matches_scalar_arithmetic():
     """The int step of canonicalization, prev - g c over one denominator
     with its valuation (``FieldSpec._times`` and ``_sub_times``), against
     the same difference in Scalars, on the seeded elements of every field
-    above."""
+    above, and on the exact cancellation prev = g c, which must give zero
+    over 1 at valuation +inf on every field (the degree-1 fields reach
+    zero otherwise too, the others only there)."""
     checked = 0
     for p, e, f, eisenstein in _fields():
         label = f"{p}:{e}:{f}:{eisenstein}"
@@ -85,9 +88,10 @@ def test_sub_times_matches_scalar_arithmetic():
         for c in xs[1:]:
             times = field._times(c.num, c.den)
             for g in xs[1:]:
-                for prev in xs:
+                for prev in [*xs, g * c]:
                     num, den, v = field._sub_times(prev.num, prev.den, g.num, g.den, times)
                     want = prev - g * c
                     assert (tuple(num), den, v) == (want.num, want.den, want.valuation), label
                     checked += 1
-    assert checked == 29 * 7 * 7 * 8
+                assert (tuple(num), den, v) == ((0,) * field.degree, 1, math.inf), label
+    assert checked == 29 * 7 * 7 * 9
