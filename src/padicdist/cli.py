@@ -14,6 +14,7 @@ import re
 import sys
 
 from .config import JobConfig
+from .distalg import _generator_index
 from .errors import PadicError
 from .quotient import canonicalize, quotient_norm
 from .radii import parse_radius
@@ -36,7 +37,7 @@ _LOG_RE = re.compile(r"^\s*log\(\s*1\s*\+\s*(b\w*)\s*\)\s*$")
 def _parse_expr(algebra, text):
     m = _LOG_RE.match(text)
     if m:
-        return algebra.log_series(algebra.labels.index(m.group(1)))
+        return algebra.log_series(_generator_index(algebra, m.group(1), m.start(1)))
     return algebra.parse(text)
 
 

@@ -21,22 +21,21 @@ series; any other basis is refused with InvalidBasis.
 
 The module also provides the lower p-series level, the induced
 p-valuation and its axiom check (which evaluates each map once over the
-whole sample), the pro-2 commutator check (which evaluates C on whole
-grids of integer window points of the lower p-series and tests
-divisibility of its numerators) and scalar restriction of groups
-defined over a finite extension L, computed in K.
+whole sample), the pro-2 commutator check (which reads the
+divisibility of C's numerators on a whole box of window points of the
+lower p-series off their coefficients in the binomial basis) and scalar
+restriction of groups defined over a finite extension L, computed in K.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from copy import copy
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
-from math import factorial, gcd, lcm
-from operator import add, floordiv, itemgetter, mul
+from math import factorial, gcd, lcm, prod
+from operator import add, floordiv, itemgetter, lt, mul
 
 from .errors import (
     CounterexampleFound,
@@ -429,22 +428,16 @@ class SecondKindLaw:
     Fraction built; it refuses a D divisible by p with NotPIntegral.  A
     single point is a list of one: a call is the Fraction view of
     ``reduced_all`` at one point of ints and Fractions, and so are the
-    operations of ``GroupElement``.
-    ``grid`` evaluates an arity-2 map (F or C) on a whole grid of integer
-    points xs x ys, where D = 1: each term's monomial is split once per
-    map into its x-part and y-part, the x-parts are evaluated once per x
-    and the y-parts once per y, and each coordinate comes back as one row
-    of numerators n_k over ys per x, coordinate k at (x, y) being
-    n_k / denoms[k]; ``swapped`` is the map with x and y exchanged, for a
-    grid with the y-points outside.
+    operations of ``GroupElement``.  ``binomial_numerators`` writes the
+    numerators at int points in the binomial basis, where divisibility
+    on a whole down-set of points is read off the coefficients.
     """
 
-    __slots__ = ("p", "degree", "terms", "denoms", "nvars", "_common", "_lifts", "_plan", "_swapped")
+    __slots__ = ("p", "degree", "terms", "denoms", "nvars", "_common", "_lifts")
 
     def __init__(self, p, polys, nvars):
         self.p = p
         self.nvars = nvars
-        self._plan = self._swapped = None
         polys = [_LawPoly._terms(poly) for poly in polys]
         self.degree = max(
             (sum(e for _, e in m) for terms in polys for m in terms), default=0
@@ -495,88 +488,38 @@ class SecondKindLaw:
     def __call__(self, point):
         return _fractions(*self.reduced_all([_cleared(point, self.nvars)])[0])
 
-    def swapped(self):
-        """The arity-2 map (x, y) -> this map at (y, x), built once."""
-        if self._swapped is None:
-            twin, n = copy(self), self.nvars
-            twin.terms = [tuple((c, tuple(((v + n // 2) % n if v < n else v, e) for v, e in mono))
-                                for c, mono in terms) for terms in self.terms]
-            twin._plan, twin._swapped, self._swapped = None, self, twin
-        return self._swapped
-
-    def _grid_plan(self):
-        """The terms split for ``grid``: the distinct x-monomials and
-        y-monomials, each over its own half of the variables (D = 1
-        dropped), and per coordinate, for each y-monomial m it holds, the
-        triple (m, coefficients, x-monomial indices) of the x-polynomial
-        that multiplies y^m; an identically zero coordinate has none."""
-        if self._plan is None:
-            half = self.nvars // 2
-            xmonos, ymonos, coords = {}, {}, []
-            for terms in self.terms:
-                groups = {}
-                for c, mono in terms:
-                    xm = tuple((v, e) for v, e in mono if v < half)
-                    ym = tuple((v - half, e) for v, e in mono if half <= v < self.nvars)
-                    poly = groups.setdefault(ymonos.setdefault(ym, len(ymonos)), ([], []))
-                    poly[0].append(c)
-                    poly[1].append(xmonos.setdefault(xm, len(xmonos)))
-                coords.append(tuple((m, tuple(cs), tuple(at)) for m, (cs, at) in groups.items()))
-            self._plan = list(xmonos), list(ymonos), coords
-        return self._plan
-
-    def grid(self, xs, ys):
-        """The numerators n_k of an arity-2 map at every integer point
-        (x, y) of ``xs`` x ``ys``, the scale D^degree being 1.
-
-        Yields, per x in ``xs`` in order, one entry per coordinate k: the
-        list of n_k(x, y) over ``ys``, or None when every x-polynomial of
-        coordinate k vanishes at x, so that the row is zero (always on a
-        coordinate that is identically zero).  The
-        y-monomials are evaluated once per y, as one column over ``ys``
-        each, and the x-polynomials once per x; a row is then the sum of
-        the columns scaled by those values, one C-level ``map`` per
-        nonzero term, not one Python step per point.
-        """
-        xmonos, ymonos, coords = self._grid_plan()
-        columns = list(zip(*[_monomials(ymonos, y) for y in ys])) or [()] * len(ymonos)
-        for x in xs:
-            xvals = _monomials(xmonos, x)
-            out = []
-            for plan in coords:
-                row = None
-                for m, cs, at in plan:
-                    c = sum(map(mul, cs, map(xvals.__getitem__, at)))
-                    if c:
-                        term = columns[m] if c == 1 else map(c.__mul__, columns[m])
-                        row = term if row is None else map(add, row, term)
-                out.append(None if row is None else list(row))
-            yield out
-
-
-def first_indivisible(rows, moduli):
-    """The least index, over the rows of one outer point of
-    ``SecondKindLaw.grid``, of a numerator that the modulus of its
-    coordinate does not divide, or None when every one is divisible (a
-    None row is all zeros)."""
-    misses = [
-        next(i for i, n in enumerate(row) if n % q)
-        for row, q in zip(rows, moduli)
-        if row is not None and q != 1 and any(map(q.__rmod__, row))
-    ]
-    return min(misses, default=None)
-
-
-def _monomials(monos, point):
-    """The value of each monomial, a tuple of (index, exponent) pairs, at
-    the int point ``point``."""
-    out = []
-    for mono in monos:
-        v = 1
-        for i, e in mono:
-            v *= point[i] ** e
-        out.append(v)
-    return out
+    def binomial_numerators(self, scales):
+        """The numerators n_k of the map at the int points (scales[v]
+        z_v)_v, D = 1, in the binomial (Mahler) basis: per coordinate k, the
+        map index -> c, over the nonzero c, with n_k the sum of c
+        binom(z, index), an index holding one exponent per variable.  Each
+        power goes in through z^e = sum_j S(e, j) j! binom(z, j), S the
+        Stirling numbers of the second kind.  On a down-set B of N_0^nvars,
+        closed under lowering a coordinate, the values of n_k on B and its
+        coefficients at the indices in B determine each other by a
+        unitriangular int matrix: a modulus divides every value on B iff it
+        divides every such coefficient, and in an order that extends the
+        componentwise one the first failing point is the first failing
+        index."""
+        surjections = [[1]]  # S(e, j) j! for j = 0..e
+        for _ in range(self.degree):
+            last = surjections[-1]
+            surjections.append([j * (a + b) for j, (a, b) in enumerate(zip(last + [0], [0] + last))])
+        out = []
+        for terms in self.terms:
+            coeffs = {}
+            for c, mono in terms:
+                powers = [(v, e) for v, e in mono if v < self.nvars]  # the scale variable is 1
+                c *= prod(scales[v] ** e for v, e in powers)
+                for js in product(*(range(1, e + 1) for _, e in powers)):
+                    index, n = [0] * self.nvars, c
+                    for (v, e), j in zip(powers, js):
+                        index[v] = j
+                        n *= surjections[e][j]
+                    index = tuple(index)
+                    coeffs[index] = coeffs.get(index, 0) + n
+            out.append({index: c for index, c in coeffs.items() if c})
+        return out
 
 
 def _chart_fixed_point(lattice, target):
@@ -804,21 +747,22 @@ def check_powerful_commutator(lattice, level, i, j):
 
     The lattice must have p = 2 and level must be at least i + j.
     Enumeration runs over representatives of P_i mod P_{i+j} and P_j mod
-    P_{i+j}, cut at P_{level+1}: integer second-kind points with
-    coordinates multiples of p^(i-1) below p^(i-1+w), w the window size.
-    Replacing a by az with z in P_{i+j} changes [a,b] by factors
-    from [P_{i+j}, G] <= P_{i+j+1}, so these windows cover every pair.
-    The compiled commutator C is evaluated on the whole window grid
-    (``SecondKindLaw.grid``), one row of numerators n_k per point of the
-    outer window and coordinate; ``grid`` pays a fixed cost per outer
-    point, so the shorter window is outside, the b-window through
-    ``C.swapped()``.  [a, b] lies in P_bound, bound = min(i + j + 1,
-    level + 1), iff every n_k is divisible by p^(bound - 1 +
-    v_p(denoms[k])), exactly so since bound - 1 <= level.  The first
-    escaping pair in (a, b) order is the witness, with the second-kind
-    coordinates of [a, b].  Returns the number of pairs checked.
+    P_{i+j}, cut at P_{level+1}: integer second-kind points a = p^(i-1) s
+    and b = p^(j-1) t with 0 <= s_k < p^(w_a) and 0 <= t_k < p^(w_b), the
+    w the window sizes.  Replacing a by az with z in P_{i+j} changes
+    [a,b] by factors from [P_{i+j}, G] <= P_{i+j+1}, so these windows
+    cover every pair.  [a, b] lies in P_bound, bound = min(i + j + 1,
+    level + 1), iff every numerator n_k of the compiled commutator C is
+    divisible by p^(bound - 1 + v_p(denoms[k])), exactly so since
+    bound - 1 <= level.  The windows form a box, a down-set in (s, t), so
+    that holds on the whole box iff it holds for every coefficient of
+    n_k(p^(i-1) s, p^(j-1) t) in the binomial basis at an index in the box
+    (``SecondKindLaw.binomial_numerators``), and the first escaping pair
+    in (a, b) order is the least such index that fails; it is the
+    witness, with the second-kind coordinates of [a, b].  Returns the
+    number of pairs checked.
     """
-    p = lattice.p
+    p, d = lattice.p, lattice.d
     if p != 2:
         raise InvalidArgument(f"the commutator check is specific to p = 2, not p = {p}")
     if i < 1 or j < 1:
@@ -827,25 +771,21 @@ def check_powerful_commutator(lattice, level, i, j):
         raise InvalidArgument(f"quotient level {level} is below i + j = {i + j} for the step pair")
     law = lattice.commutator_law
     bound = min(i + j + 1, level + 1)
+    window_a, window_b = _commutator_windows(level, i, j)
+    strides = (p ** (i - 1),) * d + (p ** (j - 1),) * d
+    box = (p ** window_a,) * d + (p ** window_b,) * d
     moduli = [p ** (bound - 1 + vp_int(q, p)) for q in law.denoms]
-    xs, ys = (
-        list(product(range(0, p ** (step - 1 + window), p ** (step - 1)), repeat=lattice.d))
-        for step, window in zip((i, j), _commutator_windows(level, i, j))
-    )
-    if len(xs) <= len(ys):
-        misses = enumerate(first_indivisible(rows, moduli) for rows in law.grid(xs, ys))
-        escape = next(((at, miss) for at, miss in misses if miss is not None), None)
-    else:
-        misses = enumerate(first_indivisible(rows, moduli) for rows in law.swapped().grid(ys, xs))
-        escape = min(((miss, at) for at, miss in misses if miss is not None), default=None)
-    if escape is not None:
-        a, b = xs[escape[0]], ys[escape[1]]
+    misses = [index for coeffs, q in zip(law.binomial_numerators(strides), moduli)
+              for index, c in coeffs.items() if c % q and all(map(lt, index, box))]
+    if misses:
+        point = tuple(map(mul, strides, min(misses)))
+        a, b = point[:d], point[d:]
         c = lattice.element_second(a).commutator(lattice.element_second(b))
         raise CounterexampleFound(
             f"[P_{i}, P_{j}] escapes P_{i + j + 1}",
             witness=(a, b, c.second()),
         )
-    return len(xs) * len(ys)
+    return p ** (d * (window_a + window_b))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ reine angew. Math. 199, 1958).  A product in that basis never lowers an
 index, so dropping every term with |alpha| > N or |beta| > N is a ring
 homomorphism and a table computed in the truncated ring is exact.  A
 non-abelian table is built whole on its first missing row, in ints: the
-law's coordinates go into the basis through the Stirling numbers, and
-binom(F, gamma) is reached by a walk over the coordinates that climbs the
-ladder binom(F_k, n) one rung at a time, each rung one factor F_k - n
-whose x_k and y_k terms act on coordinate k alone.  Abelian rows have a
+law's coordinates go into the basis through the Stirling numbers, their
+coefficients there decide that the law stays in Z_p on the truncated
+index set, and binom(F, gamma) is reached by a walk over the coordinates
+that climbs the ladder binom(F_k, n) one rung at a time, each rung one
+factor F_k - n whose x_k and y_k terms act on coordinate k alone.  Abelian rows have a
 closed form, made per alpha on first use.  A table holds only its
 nonempty rows, alpha -> {beta: row}, each row (g, int) pairs, g the
 position of gamma in ``iter_multi_indices(d, N)``, over one denominator
@@ -37,14 +38,13 @@ import json
 import os
 from collections import defaultdict
 from fractions import Fraction
-from itertools import chain, product, repeat, takewhile
+from itertools import chain, repeat, takewhile
 from math import comb, factorial, gcd, lcm, prod
 from operator import floordiv, lt, mul
 from pathlib import Path
 
 from .errors import CounterexampleFound, DegreeOverflow, PadicError
-from .groups import first_indivisible
-from .indices import add_index, iter_multi_indices
+from .indices import add_index, iter_multi_indices, unit_index
 from .radii import vp_int, vp_rational
 
 CACHE_FORMAT_VERSION = 4
@@ -184,20 +184,18 @@ class StructureConstants:
     def _build(self):
         """Every row at once, in the binomial basis, in ints.
 
-        First the p-integrality test, where p divides some coordinate
-        denominator ``law.denoms[k]`` (elsewhere no integer point can leave
-        Z_p): on the integer law over {|x| <= N} x {|y| <= N} from
-        ``SecondKindLaw.grid``, one row of numerators per x and coordinate,
-        it refuses the first point, in grid order, where F leaves Z_p,
-        through ``group_law``.
-
         An element of the truncated ring is {a G + b: n}, G = len(gammas),
         the sum of n binom(x, gammas[a]) binom(y, gammas[b]); a term with
         |alpha| > N or |beta| > N is dropped where it arises, and as no
         product lowers an index, every kept one is exact.  With
-        D = lcm(law.denoms), each D F_k goes into the basis through
-        z^e = sum_j S(e, j) j! binom(z, j), S the Stirling numbers of the
-        second kind, as D x_k + D y_k + D P_k.  Rung n of coordinate k,
+        D = lcm(law.denoms), each D F_k goes into the basis
+        (``SecondKindLaw.binomial_numerators``) as D x_k + D y_k + D P_k.
+        These coefficients first give the p-integrality test: F is
+        p-integral on the down-set {|x| <= N} x {|y| <= N} iff p^(v_p(D))
+        divides every kept one, and the first point, in the order of
+        (position of x, position of y), where F leaves Z_p is the least
+        (a, b) of one that it does not divide; the build is refused there,
+        through ``group_law``.  Rung n of coordinate k,
         D^n n! binom(F_k, n), is rung n - 1 times D F_k - (n - 1) D, so
         D^|gamma| gamma! binom(F, gamma), the product over k of rung
         gamma_k, is reached by a walk over the coordinates, depth first:
@@ -217,14 +215,20 @@ class StructureConstants:
         law = self.lattice.second_kind_law
         gammas, position = self._gammas, self._position
         G = len(gammas)
-        # coordinate k is nums[k] / denoms[k]: p-integral iff the p-part
-        # of denoms[k] divides nums[k]
-        moduli = [p ** vp_int(q, p) for q in law.denoms]
-        if any(q != 1 for q in moduli):
-            for x, rows in zip(gammas, law.grid(gammas, gammas)):
-                at = first_indivisible(rows, moduli)
-                if at is not None:
-                    self.group_law(x, gammas[at])  # raises, with the Fraction point as witness
+        D = lcm(*law.denoms)
+        tops = []  # per k: D F_k, keyed (a, b)
+        for coeffs, q in zip(law.binomial_numerators((1,) * law.nvars), law.denoms):
+            top = {}
+            for index, c in coeffs.items():
+                alpha, beta = index[:d], index[d:]
+                if sum(alpha) <= N and sum(beta) <= N:
+                    top[position[alpha], position[beta]] = c * (D // q)
+            tops.append(top)
+        modulus = p ** vp_int(D, p)
+        misses = [key for top in tops for key, c in top.items() if c % modulus]
+        if misses:
+            a, b = min(misses)
+            self.group_law(gammas[a], gammas[b])  # raises, with the Fraction point as witness
         # binom(z, i) binom(z, j) = sum of m binom(z, k) over line[i][j], k <= N
         line = [[[(k, comb(k, i) * comb(i, k - j)) for k in range(max(i, j), min(i + j, N) + 1)]
                  for j in range(N + 1)] for i in range(N + 1)]
@@ -242,27 +246,11 @@ class StructureConstants:
                 out = pairs[a, b] = [(position[k], c) for k, c in terms]
             return out
 
-        D = lcm(*law.denoms)
-        surjections = [[1]]  # S(e, j) j! for j = 0..e
-        for _ in range(law.degree):
-            last = surjections[-1]
-            surjections.append([j * (s + t) for j, (s, t) in enumerate(zip(last + [0], [0] + last))])
         factors = []  # per k: the x_k and y_k coefficients of D F_k, and its other terms
-        for k, (terms, q) in enumerate(zip(law.terms, law.denoms)):
-            top = defaultdict(int)  # D F_k, keyed (a, b)
-            for c, mono in terms:
-                powers = [(v, e) for v, e in mono if v < law.nvars]  # the scale variable is 1
-                for js in product(*(range(1, e + 1) for _, e in powers)):
-                    index, n = [0] * 2 * d, c * (D // q)
-                    for (v, e), j in zip(powers, js):
-                        index[v] = j
-                        n *= surjections[e][j]
-                    alpha, beta = tuple(index[:d]), tuple(index[d:])
-                    if sum(alpha) <= N and sum(beta) <= N:
-                        top[position[alpha], position[beta]] += n
-            unit = position[tuple(int(t == k) for t in range(d))]
+        for k, top in enumerate(tops):
+            unit = position[unit_index(d, k)]
             cx, cy = top.pop((unit, 0), 0), top.pop((0, unit), 0)
-            factors.append((cx, cy, [(a, b, c) for (a, b), c in top.items() if c]))
+            factors.append((cx, cy, [(a, b, c) for (a, b), c in top.items()]))
         column = [[gamma[k] for gamma in gammas] for k in range(d)]
         # up[k][a]: the position of gammas[a] + e_k, None above degree N
         up = [[position.get(gamma[:k] + (gamma[k] + 1,) + gamma[k + 1:]) for gamma in gammas]

@@ -30,6 +30,7 @@ from .errors import (
     CriticalRadius,
     DegreeOverflow,
     InvalidArgument,
+    PadicError,
     PrecisionExhausted,
 )
 from .grading import Symbol
@@ -108,8 +109,21 @@ class KernelFamily:
 
     def lift(self, coeffs):
         """A canonical coefficient map beta -> Scalar, as a distribution.
-        Its betas are canonical indices as a ``CanonicalForm`` holds them,
-        so their images are not checked again."""
+        A beta that is not a multi-index in N_0^d is refused with
+        PadicError, and one of degree above N with DegreeOverflow."""
+        d, N = self.lgspec.d, self.algebra.N
+        for beta in coeffs:
+            if not (isinstance(beta, tuple) and len(beta) == d
+                    and all(type(b) is int and b >= 0 for b in beta)):
+                raise PadicError(f"canonical index {beta!r} is not a multi-index in N_0^{d}")
+            if sum(beta) > N:
+                raise DegreeOverflow(f"canonical index {beta} outside the degree-{N} table",
+                                     required_degree=sum(beta))
+        return self._lift(coeffs)
+
+    def _lift(self, coeffs):
+        """``lift`` with no check, for the canonical indices that a
+        ``CanonicalForm`` holds."""
         return Distribution._of(
             self.algebra,
             {self.from_canonical_index(b): c for b, c in coeffs.items() if not c.is_zero},
@@ -246,7 +260,7 @@ class CanonicalForm:
         return self.norm().exponent < self.residual_exponent
 
     def as_distribution(self):
-        return self.family.lift(self.coeffs)
+        return self.family._lift(self.coeffs)
 
     def __repr__(self):
         body = self.family.algebra.format(self.as_distribution())

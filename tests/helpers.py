@@ -37,8 +37,8 @@ Fractions, independently of the compiled maps and of the int numerators
 over one denominator that group elements hold; the coset and
 p-valuation checks are replayed on it, with coset keys reduced one
 Fraction coordinate at a time.  The pro-2 sweep oracle checks the
-commutator windows one point at a time, independently of the grid
-evaluation and the divisibility test of the sweep.
+commutator windows one point at a time, independently of the
+binomial-basis coefficients that the sweep reads its verdict off.
 
 The samplers live in ``padicdist.samplers``.
 """
@@ -303,10 +303,10 @@ def p_valuation_oracle(pairs):
 
 def pro2_sweep_oracle(lattice, level, i, j):
     """``groups.check_powerful_commutator`` as a loop over single points,
-    without ``SecondKindLaw.grid``: per a-window representative one
-    ``reduced_all`` call over the pairs (a, b) for the whole b-window, and
-    the level in the quotient read off the p-valuations of each point's
-    coordinates.  Returns (pairs checked, None), or (pairs checked before
+    without ``SecondKindLaw.binomial_numerators``: per a-window
+    representative one ``reduced_all`` call over the pairs (a, b) for the
+    whole b-window, and the level in the quotient read off the
+    p-valuations of each point's coordinates.  Returns (pairs checked, None), or (pairs checked before
     it, (a, b, second-kind coordinates of [a, b])) at the first escaping
     pair in (a, b) order."""
     p, law = lattice.p, lattice.commutator_law

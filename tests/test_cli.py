@@ -408,7 +408,8 @@ def test_usage_errors_exit_two_without_traceback(argv, message):
     (["towers", "cosets", "-m", "-1"], "the step m = -1 must be >= 0"),
     (["towers", "transfer", "-r", "3^-2/3", "-m", "-1"], "the step m = -1 must be >= 0"),
     (["dist", "mul", "1/0", "b1", "--p", "3"], "zero denominator (at position 2)"),
-], ids=["restrict", "orth", "cosets", "transfer", "zero-denominator"])
+    (["dist", "norm", "log(1+b9)", "-r", "3^-1/4"], "unknown generator 'b9' (at position 6)"),
+], ids=["restrict", "orth", "cosets", "transfer", "zero-denominator", "log-unknown-label"])
 def test_bad_input_exits_two_without_traceback(argv, message):
     proc = _python_m_padicdist(*argv)
     assert proc.returncode == 2, proc.stderr

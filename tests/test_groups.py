@@ -372,6 +372,30 @@ def test_pro2_sweep_with_unequal_windows(i, j, witness):
     assert pro2_sweep_oracle(lat, 5, i, j) == (4096, None)
 
 
+def test_pro2_sweep_reads_a_cubic_law_with_a_half_coefficient():
+    """A planted C(x, y) = (0, 4 x_2 y_2, x_1 (x_1 - 1) (x_1 - 2) y_3 / 2)
+    has 2 in a coefficient denominator, and its third coordinate is
+    3 binom(x_1, 3) y_3 in the binomial basis.  That coefficient lies
+    outside the windows of [P_1, P_1] and of [P_2, P_1] at level 5, whose
+    a-windows hold x_1 in {0, 1} and {0, 2}, so both pass; in every other
+    window it escapes.  Each verdict, pair count and witness is that of
+    the per-point loop."""
+    lat = heisenberg2()
+    x1, x2, y2, y3 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 1, 4, 5))
+    lat.commutator_law = SecondKindLaw(2, [0, x2 * y2 * 4, x1 * (x1 - 1) * (x1 - 2) * y3 * Fraction(1, 2)], 6)
+    assert lat.commutator_law.denoms == [1, 1, 2]
+    for i, j in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
+        checked, witness = pro2_sweep_oracle(lat, 5, i, j)
+        if witness is None:
+            assert (i, j) in [(1, 1), (2, 1)]
+            assert check_powerful_commutator(lat, 5, i, j) == checked
+        else:
+            with pytest.raises(CounterexampleFound, match=rf"\[P_{i}, P_{j}\] escapes") as info:
+                check_powerful_commutator(lat, 5, i, j)
+            assert info.value.witness == witness
+    assert witness == ((4, 0, 0), (0, 0, 1), (0, 0, 12))
+
+
 def test_pro2_requires_p2(heis):
     with pytest.raises(ValueError):
         check_powerful_commutator(heis, 4, 1, 1)

@@ -10,7 +10,8 @@ them.  Inputs are p-integral Fractions; a denominator divisible by p is
 refused by every map, and C refuses a law F or I with p in a coefficient
 denominator.  The list evaluator ``reduced_all`` is checked point by
 point against the Fraction element oracle of ``helpers``, on an
-o-additive restriction and a step lattice too.  Group elements, which
+o-additive restriction and a step lattice too, and so are the
+binomial-basis numerators, at scaled int points.  Group elements, which
 hold int numerators over one denominator, are checked against the same
 oracle: products, inverses, commutators, p-th powers, levels,
 valuations and coset keys.
@@ -26,6 +27,7 @@ st = hypothesis.strategies
 
 from helpers import (  # noqa: E402
     FractionElement,
+    binom_rational,
     coset_key_oracle,
     filiform,
     heisenberg_bch_oracle,
@@ -82,41 +84,30 @@ def test_compiled_law_matches_numeric_path(lat, data):
 @pytest.mark.parametrize("lat", LATTICES, ids=repr)
 @FEW
 @hypothesis.given(data=st.data())
-def test_grid_matches_pointwise_ints(lat, name, data):
-    """``grid(xs, ys)`` gives, per x and coordinate k, the numerators n_k
-    over ys with n_k / denoms[k] the coordinate of h^x h^y or [h^x, h^y]
-    that the Fraction element oracle gives through the uncompiled
-    Hausdorff path (None where all of them are zero), on int point lists
-    that may be empty or hold one point."""
+def test_binomial_form_matches_pointwise_ints(lat, name, data):
+    """``binomial_numerators(scales)`` gives, per coordinate k, the
+    coefficients c with sum c binom(z, index) = n_k(scales z), n_k /
+    denoms[k] being the coordinate of h^x h^y or [h^x, h^y], (x, y) =
+    scales z, that the Fraction element oracle gives through the
+    uncompiled Hausdorff path; each scale is 1, p or p^2 and z is any
+    int point, negative coordinates included."""
     law = getattr(lat, name)
 
     def oracle(x, y):
         g, h = FractionElement(lat, "second", x), FractionElement(lat, "second", y)
         return (g * h if name == "second_kind_law" else g.commutator(h)).second()
 
-    point = st.lists(st.integers(-40, 40), min_size=lat.d, max_size=lat.d).map(tuple)
-    xs = data.draw(st.lists(point, max_size=4))
-    ys = data.draw(st.lists(point, max_size=4))
-    rows = list(law.grid(xs, ys))
-    assert len(rows) == len(xs)
-    for x, per_coord in zip(xs, rows):
-        assert len(per_coord) == lat.d
-        expected = [oracle(x, y) for y in ys]
-        for k, row in enumerate(per_coord):
-            column = [z[k] for z in expected]
-            if row is None:
-                assert not any(column)
-            else:
-                assert [Fraction(n, law.denoms[k]) for n in row] == column
-
-
-def test_grid_marks_zero_coordinates_and_takes_empty_lists():
-    """C_1 and C_2 of heisenberg2 vanish identically and come back as
-    None; a single point and empty point lists need no special case."""
-    law = heisenberg2().commutator_law
-    assert list(law.grid([(1, -2, 3)], [(-4, 5, 6)])) == [[None, None, [4 * (1 * 5 - (-2) * (-4))]]]
-    assert list(law.grid([], [(1, 0, 0)])) == []
-    assert list(law.grid([(1, 0, 0)], [])) in ([[None, None, []]], [[None, None, None]])
+    n = 2 * lat.d
+    scales = data.draw(st.lists(st.sampled_from([1, lat.p, lat.p**2]), min_size=n, max_size=n))
+    z = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    point = [s * t for s, t in zip(scales, z)]
+    expected = oracle(point[:lat.d], point[lat.d:])
+    coeffs = law.binomial_numerators(scales)
+    assert len(coeffs) == lat.d
+    for k, terms in enumerate(coeffs):
+        assert all(type(c) is int and c for c in terms.values())
+        value = sum(c * math.prod(map(binom_rational, z, index)) for index, c in terms.items())
+        assert value == expected[k] * law.denoms[k]
 
 
 @pytest.mark.parametrize("lat", CLASS_2, ids=repr)

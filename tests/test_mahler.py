@@ -39,9 +39,22 @@ def test_abelian_rows_are_vandermonde():
             assert chu_vandermonde_identity(table, (i,), (j,))
 
 
+def integral_valued_planted_law():
+    """heisenberg(3) with the planted law (x0, y1, x2 + y2 + x0 (x0 - 1)
+    (x0 - 2) y1 / 3): 3 divides a denominator of its monomial
+    coefficients, but the cross term is 2 binom(x0, 3) y1, an int at
+    every int point, so the build must accept it."""
+    x0, x2, y1, y2 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 2, 4, 5))
+    lattice = heisenberg(3)
+    cross = x0 * (x0 - 1) * (x0 - 2) * y1 * Fraction(1, 3)
+    lattice.second_kind_law = SecondKindLaw(3, [x0, y1, x2 + y2 + cross], 2 * lattice.d)
+    assert lattice.second_kind_law.denoms == [1, 1, 3]
+    return lattice
+
+
 @pytest.mark.parametrize("group", [
     "abelian(2)", "heisenberg", "heisenberg2", "o-additive(1)", "o-additive(2)",
-    "filiform(3)", "filiform(2)", "heisenberg(o_L)",
+    "filiform(3)", "filiform(2)", "heisenberg(o_L)", "integral-valued planted",
 ])
 def test_rows_match_box_sum_oracle(group, k3u2):
     # the class-3 filiform lattices have two nonlinear coordinates; the
@@ -57,6 +70,7 @@ def test_rows_match_box_sum_oracle(group, k3u2):
         "filiform(2)": lambda: (filiform(2), 3),
         "heisenberg(o_L)": lambda: (LGroupSpec(k3u2, [k3u2.one(), k3u2.unram_gen()], 3, {
             (1, 2): ((0, 0), (0, 0), (3, 0))}).restrict(), 3),
+        "integral-valued planted": lambda: (integral_valued_planted_law(), 4),
     }[group]()
     table = StructureConstants(lattice, N)
     oracle = BoxSumRows(table)
@@ -524,40 +538,30 @@ def test_version_1_file_is_neither_loaded_nor_an_error(tmp_path):
             path.unlink()
 
 
-def test_build_skips_the_integrality_pass_where_p_divides_no_denominator(monkeypatch):
-    """No coordinate denominator of heisenberg(3) is divisible by p, so no
-    integer point can leave Z_p and the build never evaluates the law on
-    the grid."""
-    def refuse(*args):
-        raise RuntimeError("the integrality pass ran")
-
-    lattice = heisenberg(3)
-    law = lattice.second_kind_law
-    assert law.denoms == [1, 1, 1]
-    monkeypatch.setattr(SecondKindLaw, "grid", refuse)
-    with pytest.raises(RuntimeError):
-        law.grid([], [])
-    table = StructureConstants(lattice, 4)
-    assert table.den >= 1 and list(table._rows) == table._gammas
-
-
 def test_build_refuses_a_law_leaving_z_p():
     """A law with p in a coordinate denominator is refused at the first
-    grid point, in grid order, where it leaves Z_p, with the witness of
-    ``group_law`` there.  The second planted law also leaves Z_p in its
-    second coordinate, first at a later point of the same grid row
-    (y = (0, 0, 1)), so the refusal still names the earliest point."""
-    lat = heisenberg(3)
+    point, in (x, y) order of positions, where it leaves Z_p, with the
+    witness of ``group_law`` there.  The second planted law also leaves
+    Z_p in its second coordinate, first at a later point with the same x
+    (y = (0, 0, 1)), so the refusal still names the earliest point.  The
+    third, (x0^2 - x0) y1 / 3 = 2 binom(x0, 2) y1 / 3, first leaves Z_p
+    at x = (2, 0, 0), where its only failing binomial coefficient sits."""
     x0, x2, y1, y2 = (_LawPoly({((v, 1),): Fraction(1)}) for v in (0, 2, 4, 5))
     third = Fraction(1, 3)
     gammas = list(iter_multi_indices(3, 3))
     x, y = next((x, y) for x in gammas for y in gammas if x[0] * y[1] % 3)
     assert (x, y) == ((1, 0, 0), (0, 1, 0))
     assert gammas.index((0, 1, 0)) < gammas.index((0, 0, 1))
-    for second in (y1, y1 + x0 * y2 * third):
-        planted = SecondKindLaw(3, [x0, second, x2 + y2 + x0 * y1 * third], 2 * lat.d)
-        setattr(lat, "second_kind_law", planted)  # the cached property's slot
+    planted = [
+        (y1, x0 * y1 * third, (x, y, (Fraction(1), Fraction(1), Fraction(1, 3)))),
+        (y1 + x0 * y2 * third, x0 * y1 * third, (x, y, (Fraction(1), Fraction(1), Fraction(1, 3)))),
+        (y1, (x0 * x0 - x0) * y1 * third,
+         ((2, 0, 0), (0, 1, 0), (Fraction(2), Fraction(1), Fraction(2, 3)))),
+    ]
+    for second, cross, witness in planted:
+        lat = heisenberg(3)
+        lat.second_kind_law = SecondKindLaw(3, [x0, second, x2 + y2 + cross], 2 * lat.d)
         table = StructureConstants(lat, 3)
         with pytest.raises(CounterexampleFound, match="group law left Z_p") as info:
             table.row((0, 0, 0), (0, 0, 0))
-        assert info.value.witness == (x, y, (Fraction(1), Fraction(1), Fraction(1, 3)))
+        assert info.value.witness == witness

@@ -19,7 +19,13 @@ from padicdist import (
     quotient_norm,
 )
 from padicdist.distalg import Distribution
-from padicdist.errors import CriticalRadius, DegreeOverflow, InvalidArgument, PrecisionExhausted
+from padicdist.errors import (
+    CriticalRadius,
+    DegreeOverflow,
+    InvalidArgument,
+    PadicError,
+    PrecisionExhausted,
+)
 from padicdist.indices import iter_multi_indices
 from padicdist.radii import Radius, log_tail_exponent
 from padicdist.samplers import random_scalar
@@ -54,6 +60,22 @@ def test_gen_refuses_labels_outside_the_generators(fam31):
             fam31.gen(i, j)
     with pytest.raises(InvalidArgument, match=r"kernel generator \(3, 1\)"):
         kernel_symbol(fam31, 3, 1, R23)
+
+
+def test_lift_refuses_indices_outside_the_canonical_table(fam31):
+    """o-additive(1) has d = 1 first-row generator and N = 8: a beta of
+    another length, or with an entry that is negative or not an int, is
+    no canonical index, and (99,) and (9,) lie above the table; the
+    degree-N index (8,) lifts to b11^8."""
+    one = fam31.lgspec.field.one()
+    for beta in [(1, 2), (), (-1,), (1.0,), 3]:
+        with pytest.raises(PadicError, match=r"is not a multi-index in N_0\^1"):
+            fam31.lift({beta: one})
+    for beta in [(99,), (9,)]:
+        with pytest.raises(DegreeOverflow, match="outside the degree-8 table") as info:
+            fam31.lift({beta: one})
+        assert info.value.required_degree == beta[0]
+    assert fam31.algebra.format(fam31.lift({(8,): one})) == "b11^8"
 
 
 def test_symbol_h0(fam31):
