@@ -21,7 +21,6 @@ from .groups import (
     check_powerful_commutator,
 )
 from .grading import (
-    LaurentScalar,
     Symbol,
     SymbolContext,
     check_regular_sequence,
@@ -44,7 +43,7 @@ from .quotient import (
     orthogonality_check,
     quotient_norm,
 )
-from .radii import NormValue, Radius, dominant_log_index, log_tail_exponent, radius_root
+from .radii import Radius, dominant_log_index, log_tail_exponent, radius_root
 from .towers import (
     CosetSystem,
     coset_conditions,

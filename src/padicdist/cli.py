@@ -71,7 +71,7 @@ def cmd_dist(args):
     _, r = parse_radius(args.radius, p=config.field.p)
     lam = _parse_expr(algebra, args.expr[0])
     if args.action == "norm":
-        print(f"exponent {lam.norm(r).exponent}")
+        print(f"exponent {lam.norm(r)}")
     else:  # symbol
         print(lam.principal_symbol(r))
     return 0
@@ -101,7 +101,7 @@ def cmd_quotient(args):
         print(f"residual <= p^-({form.residual_exponent}); passes {form.levels}, "
               f"steps {form.steps}")
     elif args.action == "norm":
-        print(f"exponent {quotient_norm(fam, lam, r, mprime).exponent}")
+        print(f"exponent {quotient_norm(fam, lam, r, mprime)}")
     else:  # check: canonicalize and verify idempotence
         form = canonicalize(fam, lam, r, mprime)
         again = canonicalize(fam, form.as_distribution(), r, mprime)

@@ -3,16 +3,17 @@
 Elements are finitely supported series sum_alpha d_alpha b^alpha with
 coefficients in K and support degree bounded by the truncation N; the
 norm at a radius r = p^(-a/b) is sup |d_alpha| r^(kappa |alpha|), held in
-exponent space.  Inside the library an exponent is kept scaled by e*b
-(``ExponentScale``): the term d b^alpha has exponent v(d)/e + kappa
-|alpha| a/b, that is the int b v(d) + e kappa a |alpha| over e*b, so
-every minimum over terms compares ints and a ``Fraction`` (or
-``NormValue``) is built only for the value returned.  Multiplication
-goes through the structure-constant table: stored coefficients of a
-product are always the true ones, and whatever lies beyond degree N is
-covered by a certified tail bound (``mul_tail_bound``), so norm and
-symbol claims under the degree precondition deg(lambda) + deg(mu) <= N
-are exact.  A product runs on packed coefficients: each element of K is
+exponent space and returned as the exponent q of p^(-q), a Fraction, or
++inf for zero.  The filtration at r is ``DistAlgebra.symbol_context(r)``
+(``grading.SymbolContext``): the term d b^alpha has exponent v(d)/e +
+kappa |alpha| a/b, kept as the int b v(d) + e kappa a |alpha| over e*b,
+so every minimum over terms compares ints and a ``Fraction`` is built
+only for the value returned; the same key is the degree of the term's
+principal symbol.  Multiplication goes through the structure-constant
+table: stored coefficients of a product are always the true ones, and
+whatever lies beyond degree N is covered by a certified tail bound
+(``mul_tail_bound``), so norm and symbol claims under the degree
+precondition deg(lambda) + deg(mu) <= N are exact.  A product runs on packed coefficients: each element of K is
 one int with a signed slot per basis element w^a pi^b (Kronecker
 substitution, ``FieldSpec._pack``), so a support pair costs one int
 product, and each output coefficient is unpacked and reduced in K once.
@@ -35,7 +36,6 @@ from .grading import Symbol, SymbolContext
 from .indices import grlex_key, unit_index
 from .mahler import StructureConstants
 from .padics import Scalar
-from .radii import NormValue
 
 INF = math.inf
 
@@ -281,15 +281,7 @@ class Distribution:
         return Distribution._of(self.algebra, {a: -c for a, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            prev = out.get(alpha)
-            s = -c if prev is None else prev - c
-            if s.is_zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return Distribution._of(self.algebra, out)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Distribution):
@@ -303,13 +295,14 @@ class Distribution:
         return Distribution._of(self.algebra, {a: v * c for a, v in self.coeffs.items()})
 
     def norm(self, r):
-        """sup_alpha |d_alpha| r^(kappa |alpha|), as a NormValue exponent."""
-        scale = ExponentScale(self.algebra, r)
-        return NormValue(scale.unscale(scale.leading(self)[0]))
+        """sup_alpha |d_alpha| r^(kappa |alpha|) as its exponent q: the
+        norm is p^(-q), q a Fraction, or +inf for the zero distribution."""
+        ctx = self.algebra.symbol_context(r)
+        return ctx.unscale(ctx.leading(self)[0])
 
     def leading_support(self, r):
         """Support indices attaining the norm."""
-        return ExponentScale(self.algebra, r).leading(self)[1]
+        return self.algebra.symbol_context(r).leading(self)[1]
 
     def principal_symbol(self, r):
         """The leading form in the graded ring k[e0^(+-1)][X..]."""
@@ -317,7 +310,7 @@ class Distribution:
             raise ZeroDistribution("the zero distribution has no principal symbol")
         ctx = self.algebra.symbol_context(r)
         terms = {}
-        for alpha in self.leading_support(r):
+        for alpha in ctx.leading(self)[1]:
             c = self.coeffs[alpha]
             terms[(c.valuation, alpha)] = c.leading_residue()
         return Symbol(ctx, terms)
@@ -333,66 +326,23 @@ class Distribution:
         return f"Dist({self.algebra.format(self)})"
 
 
-class ExponentScale:
-    """Filtration exponents at one radius r = p^(-a/b), scaled by e*b.
-
-    The term c b^alpha has exponent v(c)/e + kappa |alpha| a/b; times
-    ``den`` = e*b that is the int ``key(c, alpha)`` = b v(c) + e kappa a
-    |alpha|.  Keys compare as exponents do; ``unscale`` turns one back into
-    the exponent, a Fraction (+inf stays +inf).
-    """
-
-    __slots__ = ("algebra", "den", "b", "w")
-
-    def __init__(self, algebra, r):
-        e = algebra.field.e
-        self.algebra = algebra
-        self.den, self.b, self.w = e * r.b, r.b, e * algebra.kappa * r.a
-
-    def key(self, c, alpha):
-        """The scaled exponent of the term c b^alpha."""
-        return self.b * c.valuation + self.w * sum(alpha)
-
-    def to_key(self, x):
-        """The key of an exponent x, which must lie in (1/(e*b)) Z."""
-        y = Fraction(x) * self.den
-        if y.denominator != 1:
-            raise InvalidArgument(f"exponent {x} is not a multiple of 1/{self.den}")
-        return y.numerator
-
-    def unscale(self, key):
-        return key if key == INF else Fraction(key, self.den)
-
-    def leading(self, dist):
-        """One sweep over the terms: the least key (+inf when zero) and the
-        support indices attaining it."""
-        key = self.key
-        best, leads = INF, []
-        for alpha, c in dist.coeffs.items():
-            k = key(c, alpha)
-            if k < best:
-                best, leads = k, [alpha]
-            elif k == best:
-                leads.append(alpha)
-        return best, leads
-
-    def mul_tail(self, lam, mu):
-        """The key of ``mul_tail_bound(lam, mu, r)``."""
-        alg = self.algebra
-        N, has_tail = alg.N, alg.table.has_tail
-        b, w = self.b, self.w
-        shift = self.den * alg.kappa  # kappa, scaled
-        best = INF
-        for alpha, da in lam.coeffs.items():
-            for beta, eb in mu.coeffs.items():
-                if not has_tail(alpha, beta):
-                    continue
-                base = b * (da.valuation + eb.valuation)
-                tot = sum(alpha) + sum(beta)
-                cand1 = base + shift * max(0, tot - (N + 1)) + w * (N + 1)
-                cand2 = base + w * max(N + 1, tot)
-                best = min(best, cand1, cand2)
-        return best
+def mul_tail_key(ctx, lam, mu):
+    """The key at the filtration ``ctx`` of ``mul_tail_bound(lam, mu, r)``."""
+    alg = lam.algebra
+    N, has_tail = alg.N, alg.table.has_tail
+    b, w = ctx.b, ctx.w
+    shift = ctx.den * alg.kappa  # kappa, scaled
+    best = INF
+    for alpha, da in lam.coeffs.items():
+        for beta, eb in mu.coeffs.items():
+            if not has_tail(alpha, beta):
+                continue
+            base = b * (da.valuation + eb.valuation)
+            tot = sum(alpha) + sum(beta)
+            cand1 = base + shift * max(0, tot - (N + 1)) + w * (N + 1)
+            cand2 = base + w * max(N + 1, tot)
+            best = min(best, cand1, cand2)
+    return best
 
 
 def mul_tail_bound(lam, mu, r):
@@ -403,8 +353,8 @@ def mul_tail_bound(lam, mu, r):
     exponent is minimized at g = N+1 or g = |alpha|+|beta|; both endpoint
     bounds are taken.  Returns +inf when nothing can have been discarded.
     """
-    scale = ExponentScale(lam.algebra, r)
-    return scale.unscale(scale.mul_tail(lam, mu))
+    ctx = lam.algebra.symbol_context(r)
+    return ctx.unscale(mul_tail_key(ctx, lam, mu))
 
 
 # ---------------------------------------------------------------------------

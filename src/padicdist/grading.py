@@ -1,10 +1,14 @@
 """Arithmetic in the graded ring k[e0^(+-1)][X_1, ..., X_nd] and its checks.
 
-A Symbol is a homogeneous element: every term e0^w X^alpha satisfies
-w/e + kappa |alpha| (a/b) = degree.  Since e0 is an invertible graded
-variable, an ideal generated by X-polynomials is decided in k[X], and
-every ideal question here runs through one reduced Groebner basis over the
-residue field (GroebnerBasis): the Krull dimension of the quotient, its
+The filtration of D_r at a radius r = p^(-a/b) is one object,
+SymbolContext: a term c b^alpha of a distribution has the exponent
+v(c)/e + kappa |alpha| a/b, held as an int key scaled by e*b, which is
+both the norm exponent it contributes and the degree of its symbol.  A
+Symbol is a homogeneous element: every term e0^v X^alpha has the same
+key, and its degree is that key as a Fraction.  Since e0 is an
+invertible graded variable, an ideal generated by X-polynomials is
+decided in k[X], and every ideal question here runs through one reduced
+Groebner basis over the residue field (GroebnerBasis): the Krull dimension of the quotient, its
 Hilbert function and normal forms are read off the leading monomials.
 That makes the regular-sequence certificate, the quotient isomorphism and
 symbol classes exact in every degree.  The one echelon routine is
@@ -14,7 +18,8 @@ Subspace, which finds a zero-divisor witness when a certificate fails.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import count
 
@@ -28,31 +33,80 @@ from .errors import (
 from .indices import add_index, grlex_key, iter_exact_degree, unit_index
 from .padics import ResidueElem
 
+INF = math.inf
+
+
 @dataclass(frozen=True)
 class SymbolContext:
-    """Ambient data of a graded ring: residue field, kappa, radius exponent."""
+    """The filtration of D_r at one radius r = p^(-a/b), a/b = ``rexp``:
+    residue field, kappa, radius exponent and the X labels of gr D_r.
+
+    The term c b^alpha has exponent v(c)/e + kappa |alpha| a/b, the norm
+    exponent it contributes and the degree of its symbol; times ``den`` =
+    e*b that is the int ``key(c, alpha)`` = b v(c) + w |alpha|, w = e
+    kappa a.  Keys compare as exponents do; ``unscale`` turns one back into
+    the exponent, a Fraction (+inf stays +inf).  Equality and hashing read
+    the four constructor fields only.
+    """
 
     field: object          # FieldSpec, provides e and the residue field
     kappa: int
     rexp: Fraction
     xlabels: tuple
+    den: int = dc_field(init=False, repr=False, compare=False)
+    b: int = dc_field(init=False, repr=False, compare=False)
+    w: int = dc_field(init=False, repr=False, compare=False)
 
-    def term_degree(self, w, alpha):
-        return Fraction(w, self.field.e) + self.kappa * sum(alpha) * self.rexp
+    def __post_init__(self):
+        rexp, e = self.rexp, self.field.e
+        object.__setattr__(self, "den", e * rexp.denominator)
+        object.__setattr__(self, "b", rexp.denominator)
+        object.__setattr__(self, "w", e * self.kappa * rexp.numerator)
+
+    def key(self, c, alpha):
+        """The scaled exponent of the term c b^alpha."""
+        return self.b * c.valuation + self.w * sum(alpha)
+
+    def to_key(self, x):
+        """The key of an exponent x, which must lie in (1/(e*b)) Z."""
+        y = Fraction(x) * self.den
+        if y.denominator != 1:
+            raise InvalidArgument(f"exponent {x} is not a multiple of 1/{self.den}")
+        return y.numerator
+
+    def unscale(self, key):
+        return key if key == INF else Fraction(key, self.den)
+
+    def leading(self, dist):
+        """One sweep over the terms of a distribution: the least key (+inf
+        when zero) and the support indices attaining it."""
+        key = self.key
+        best, leads = INF, []
+        for alpha, c in dist.coeffs.items():
+            k = key(c, alpha)
+            if k < best:
+                best, leads = k, [alpha]
+            elif k == best:
+                leads.append(alpha)
+        return best, leads
 
 
 class Symbol:
-    """A homogeneous element of k[e0^(+-1)][X_1..X_n]."""
+    """A homogeneous element of k[e0^(+-1)][X_1..X_n]: every term
+    e0^v X^alpha has one key b v + w |alpha| of its context, and
+    ``degree`` is that key unscaled."""
 
     __slots__ = ("context", "terms", "degree")
 
     def __init__(self, context, terms):
         self.context = context
         self.terms = {k: v for k, v in terms.items() if not v.is_zero}
-        degrees = {context.term_degree(w, alpha) for (w, alpha) in self.terms}
-        if len(degrees) > 1:
-            raise DegreeMismatch(f"inhomogeneous symbol with degrees {sorted(degrees)}")
-        self.degree = degrees.pop() if degrees else None
+        b, w = context.b, context.w
+        keys = {b * v + w * sum(alpha) for (v, alpha) in self.terms}
+        if len(keys) > 1:
+            degrees = sorted(map(context.unscale, keys))
+            raise DegreeMismatch(f"inhomogeneous symbol with degrees {degrees}")
+        self.degree = context.unscale(keys.pop()) if keys else None
 
     @property
     def is_zero(self):
@@ -446,55 +500,28 @@ def eliminate_to_first_row(symbol, n, d, vbars, target_context):
 # ---------------------------------------------------------------------------
 # finite-rank quotients by univariate relations
 
-class LaurentScalar:
-    """An element of k[e0, e0^-1], as a sparse exponent -> k map: a
-    coefficient of the relations of ``finite_rank_quotient``."""
-
-    __slots__ = ("kfield", "terms")
-
-    def __init__(self, kfield, terms=None):
-        self.kfield = kfield
-        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero}
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    @property
-    def is_unit(self):
-        return len(self.terms) == 1
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentScalar) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{c!r}*e0^{w}" if w else repr(c) for w, c in sorted(self.terms.items())
-        )
-
-
 def finite_rank_quotient(polys):
     """Free rank of k[e0^(+-1)][X_1..X_d] / (P_1(X_1), ..., P_d(X_d)).
 
-    Each P_j is a list of LaurentScalar coefficients in its own variable,
-    nonconstant with unit leading coefficient.  Made monic, the P_j have
-    leads X_j^(deg P_j) in distinct variables, so every pair of leads is
-    coprime and, by Buchberger's first (product) criterion (Cox, Little and
-    O'Shea, *Ideals, Varieties, and Algorithms*, section 2.9), the P_j are
-    already a Groebner basis.  The monomials X^beta with beta_j < deg P_j
-    are then a basis of the quotient, whose rank is the product of the
-    degrees.
+    Each P_j is a list of coefficients in its own variable, each an
+    element of k[e0^(+-1)] given as a map {e0-exponent: ResidueElem}: one
+    whose values are all zero is zero, and one with exactly one nonzero
+    value is a unit.  Each P_j must be nonconstant with unit leading
+    coefficient.  Made monic, the P_j have leads X_j^(deg P_j) in distinct
+    variables, so every pair of leads is coprime and, by Buchberger's
+    first (product) criterion (Cox, Little and O'Shea, *Ideals, Varieties,
+    and Algorithms*, section 2.9), the P_j are already a Groebner basis.
+    The monomials X^beta with beta_j < deg P_j are then a basis of the
+    quotient, whose rank is the product of the degrees.
     """
     rank = 1
     for j, coeffs in enumerate(polys):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs.pop()
-        if len(coeffs) < 2:
+        nonzero = [sum(not c.is_zero for c in coeff.values()) for coeff in coeffs]
+        while nonzero and not nonzero[-1]:
+            nonzero.pop()
+        if len(nonzero) < 2:
             raise InvalidArgument(f"P_{j + 1} must be nonconstant")
-        if not coeffs[-1].is_unit:
+        if nonzero[-1] != 1:
             raise NonUnitLeading(f"leading coefficient of P_{j + 1} is not a unit")
-        rank *= len(coeffs) - 1
+        rank *= len(nonzero) - 1
     return rank

@@ -10,11 +10,14 @@ whose principal symbols at a non-critical radius have the closed form
 e0^(-he) (X_ij^(p^h) - vbar_i X_1j^(p^h)).  At radii with dominant index
 h = 0 every distribution reduces, modulo right multiples of the G_ij, to
 a canonical series in the first-row generators b_1j; the quotient norm is
-then the plain coefficient formula on that canonical form.  The reduction
-implemented here rewrites the leading form one symbol occurrence at a
-time, strictly decreasing a well-founded filtration measure, and carries
-a certified residual bound p^(-M') instead of claiming bare equalities.
-The working residue is one dict of terms with one heap of leads.
+then the plain coefficient formula on that canonical form, returned as
+the exponent q of p^(-q) that ``Distribution.norm`` returns.  The
+reduction implemented here rewrites the leading form one symbol
+occurrence at a time, strictly raising the filtration degree of the
+residue, read as the int keys of the radius's one filtration object
+(``DistAlgebra.symbol_context``), and carries a certified residual bound
+p^(-M') instead of claiming bare equalities.  The working residue is one
+dict of terms with one heap of leads.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .distalg import DistAlgebra, Distribution, ExponentScale
+from .distalg import DistAlgebra, Distribution, mul_tail_key
 from .errors import (
     CounterexampleFound,
     CriticalRadius,
@@ -210,8 +213,8 @@ def orthogonality_check(fam, r, trials, rng):
         for pair, c in coeffs.items():
             term = fam.gen(*pair).scale(c)
             combo = combo + term
-            expected = min(expected, term.norm(r).exponent)
-        got = combo.norm(r).exponent
+            expected = min(expected, term.norm(r))
+        got = combo.norm(r)
         if got != expected:
             raise CounterexampleFound(
                 "orthogonality max-formula failed", witness=(coeffs, got, expected)
@@ -244,6 +247,7 @@ class CanonicalForm:
         return not self.coeffs
 
     def norm(self):
+        """The exponent q of the canonical norm p^(-q), +inf when zero."""
         return self.as_distribution().norm(self.radius)
 
     @property
@@ -257,7 +261,7 @@ class CanonicalForm:
             return True
         if not self.coeffs:
             return False
-        return self.norm().exponent < self.residual_exponent
+        return self.norm() < self.residual_exponent
 
     def as_distribution(self):
         return self.family._lift(self.coeffs)
@@ -302,7 +306,7 @@ def canonicalize(fam, lam, r, mprime):
     ints, one gcd giving its reduced form and valuation
     (``FieldSpec._sub_times``); Scalars are built only for the canonical
     part.  The tail key is that of G_ij * b^alpha' plus b v(c), every
-    candidate of ``ExponentScale.mul_tail`` and of the log tail moving by
+    candidate of ``distalg.mul_tail_key`` and of the log tail moving by
     the same v(c); it and the product's terms are kept on the family per
     radius (``KernelFamily._shift_keys``).
     """
@@ -312,16 +316,16 @@ def canonicalize(fam, lam, r, mprime):
         raise InvalidArgument("the distribution is not in the kernel family's algebra")
     lg = fam.lgspec
     # filtration degrees are compared as scaled int keys
-    scale = ExponentScale(alg, r)
-    b, w = scale.b, scale.w
-    target_key = scale.to_key(mprime)
+    ctx = alg.symbol_context(r)
+    b, w = ctx.b, ctx.w
+    target_key = ctx.to_key(mprime)
     # min_k (kappa k a/b - v_p(k)) lies in (1/b) Z, so it has a key
-    log_tail = scale.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
+    log_tail = ctx.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
     field = alg.field
     sub_times = field._sub_times
     absent = ((0,) * field.degree, 1, None)
     # alpha -> (int vector, positive int, key), reduced as a Scalar is
-    work = {alpha: (c.num, c.den, scale.key(c, alpha)) for alpha, c in lam.coeffs.items()}
+    work = {alpha: (c.num, c.den, ctx.key(c, alpha)) for alpha, c in lam.coeffs.items()}
     # (key, grlex_key(alpha), alpha), one per key a term has taken
     heap = [(key, grlex_key(alpha), alpha) for alpha, (_, _, key) in work.items()]
     heapify(heap)
@@ -349,7 +353,7 @@ def canonicalize(fam, lam, r, mprime):
             if last_level is not None and s <= last_level:
                 raise CounterexampleFound(
                     "canonicalization level did not rise",
-                    witness=(scale.unscale(last_level), scale.unscale(s)),
+                    witness=(ctx.unscale(last_level), ctx.unscale(s)),
                 )
             levels += 1
             last_level = s
@@ -365,7 +369,7 @@ def canonicalize(fam, lam, r, mprime):
                 # the generator's own discarded log tail, times the monomial
                 gen, mono = fam.gen(i, j), alg.monomial(alpha_prime)
                 gen_tail = w * sum(alpha_prime) + log_tail
-                tail0 = min(scale.mul_tail(gen, mono), gen_tail)
+                tail0 = min(mul_tail_key(ctx, gen, mono), gen_tail)
                 terms = [(gamma, g.num, g.den, w * sum(gamma), grlex_key(gamma))
                          for gamma, g in alg.mul(gen, mono).coeffs.items()]
                 shift = shifts[(i, j, alpha_prime)] = (tail0, terms)
@@ -374,7 +378,7 @@ def canonicalize(fam, lam, r, mprime):
             if tail < target_key:
                 need = _required_truncation(alg, r, mprime)
                 raise DegreeOverflow(
-                    f"reduction tails reach p^-({scale.unscale(tail)}) above the "
+                    f"reduction tails reach p^-({ctx.unscale(tail)}) above the "
                     f"target p^-{mprime}; increase the truncation to about {need}",
                     required_degree=need,
                 )
@@ -403,7 +407,7 @@ def canonicalize(fam, lam, r, mprime):
             residual = min(residual, key)
 
     canon = {beta: c for beta, c in canon.items() if not c.is_zero}
-    residual = scale.unscale(residual)
+    residual = ctx.unscale(residual)
     return CanonicalForm(fam, r, canon, residual, mprime, steps, levels)
 
 
@@ -442,38 +446,43 @@ def _required_truncation(alg, r, mprime):
 
 
 def quotient_norm(fam, lam, r, mprime):
-    """Norm of the canonical form (exact coefficient formula).
+    """Norm of the canonical form (exact coefficient formula), as the
+    exponent q of p^(-q), +inf when the form is zero.
 
     Raises PrecisionExhausted when the canonical form's norm cannot be
     separated from the residual bound.
     """
     form = canonicalize(fam, lam, r, mprime)
+    q = form.norm()
     if not form.certified:
+        shown = "0" if q == INF else f"p^-({q})"
         raise PrecisionExhausted(
-            f"canonical norm {form.norm()} not certified against residual "
+            f"canonical norm {shown} not certified against residual "
             f"p^-({form.residual_exponent})"
         )
-    return form.norm()
+    return q
 
 
 def domain_smoke_test(fam, r, trials, rng, mprime):
     """Quotient-norm multiplicativity on random canonical pairs.
 
-    Each side is up to three first-row terms of degree <= 3 with
-    coefficients unit * pi^v, 0 <= v <= 2.  Multiplicativity of the
-    quotient norm rules out zero divisors among the samples; any
-    violation is raised as a counterexample.
+    Each side is up to three first-row terms of degree <= min(3, N // 2)
+    with coefficients unit * pi^v, 0 <= v <= 2, so the product of a pair
+    stays within the truncation.  Multiplicativity of the quotient norm
+    rules out zero divisors among the samples; any violation is raised as
+    a counterexample.
     """
     alg = fam.algebra
     lg = fam.lgspec
     field = alg.field
+    cap = min(3, alg.N // 2)
     for _ in range(trials):
         pair = []
         for _side in range(2):
             coeffs = {}
             for _t in range(rng.randrange(1, 4)):
                 beta = tuple(rng.randrange(0, 4) for _ in range(lg.d))
-                if sum(beta) > 3:
+                if sum(beta) > cap:
                     continue
                 v = rng.randrange(0, 3)
                 unit = field.scalar(rng.randrange(1, field.p))
@@ -485,7 +494,7 @@ def domain_smoke_test(fam, r, trials, rng, mprime):
         qa = quotient_norm(fam, lam, r, mprime)
         qb = quotient_norm(fam, mu, r, mprime)
         qab = quotient_norm(fam, alg.mul(lam, mu), r, mprime)
-        if qab.exponent != qa.exponent + qb.exponent:
+        if qab != qa + qb:
             raise CounterexampleFound(
                 "quotient norm failed to be multiplicative",
                 witness=(lam, mu, qa, qb, qab),

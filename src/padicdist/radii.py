@@ -70,27 +70,6 @@ def parse_radius(text, p=None):
     return base, Radius(a, b)
 
 
-@dataclass(frozen=True)
-class NormValue:
-    """A norm p^(-q), held as the exact exponent q (or +inf for zero)."""
-
-    exponent: object  # Fraction or INF
-
-    @property
-    def is_zero(self):
-        return self.exponent == INF
-
-    def __add__(self, other):
-        if self.is_zero or other.is_zero:
-            return NormValue(INF)
-        return NormValue(self.exponent + other.exponent)
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        return f"p^-({self.exponent})"
-
-
 def vp_int(n, p):
     if n == 0:
         return INF

@@ -10,7 +10,9 @@ of a locally analytic group to the intrinsic norm of a deep step; the
 transfer check certifies exact exponent equality on the step-generator
 monomial sublattice through a nonvanishing-symbol certificate in the
 graded quotient, and reports two-sided exponent data for general
-combinations.
+combinations.  Norms are compared as the exponents q of p^(-q) that
+``Distribution.norm`` returns, and the orthogonal-system trials run on
+the int keys of the radius's filtration (``DistAlgebra.symbol_context``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from .distalg import DistAlgebra, ExponentScale, _peak
+from .distalg import DistAlgebra, _peak
 from .errors import (
     ConditionFailed,
     CounterexampleFound,
@@ -83,7 +85,7 @@ def boundary_probe(algebra, r):
     Returns (actual exponent of ||b'_1||_r, expected exponent of |p| r^kappa).
     """
     gen = step_generator(algebra, 0, 1)
-    return gen.norm(r).exponent, 1 + algebra.kappa * r.exponent
+    return gen.norm(r), 1 + algebra.kappa * r.exponent
 
 
 def restriction_check(algebra, m, r, samples, rng):
@@ -129,7 +131,7 @@ def restriction_check(algebra, m, r, samples, rng):
             intrinsic = min(
                 intrinsic, c.abs_exponent() + kappa * sum(alpha) * sub_exponent
             )
-        ambient = big.norm(r).exponent
+        ambient = big.norm(r)
         if ambient != intrinsic:
             raise CounterexampleFound(
                 "restriction norm mismatch",
@@ -169,8 +171,8 @@ def orthogonal_system_check(system, r, trials, rng):
     where "basis" reports whether the attainment indices exhaust the
     degree-N simplex.
 
-    The trials run in ints at the scale of ``ExponentScale``.  Each
-    element's norm key is read once.  Its coefficients, over one common
+    The trials run in ints, on the keys of ``algebra.symbol_context(r)``.
+    Each element's norm key is read once.  Its coefficients, over one common
     denominator, and pi^v for v <= 2, over another, are packed
     (``FieldSpec._pack``), and the packed coefficients are laid out once
     as one column per support index alpha: those of the elements with a
@@ -188,10 +190,10 @@ def orthogonal_system_check(system, r, trials, rng):
     if not system:
         return {"iota": {}, "basis": False}
     algebra = system[0].algebra
-    scale = ExponentScale(algebra, r)
+    ctx = algebra.symbol_context(r)
     iota, keys = {}, []
     for idx, t in enumerate(system):
-        key, leads = scale.leading(t)
+        key, leads = ctx.leading(t)
         if len(leads) != 1:
             raise UniqueAttainmentFailed(
                 f"element {idx} attains its norm at {len(leads)} indices"
@@ -216,7 +218,7 @@ def orthogonal_system_check(system, r, trials, rng):
             xs, idx = degrees.setdefault(sum(alpha), {}).setdefault(alpha, ([], []))
             xs.append(x)
             idx.append(i)
-    b, w = scale.b, scale.w
+    b, w = ctx.b, ctx.w
     vden = den * pden * field._den  # the denominator of an unpacked sum
     for _ in range(trials):
         z = []
@@ -233,7 +235,7 @@ def orthogonal_system_check(system, r, trials, rng):
         if got != expected:
             raise CounterexampleFound(
                 "orthogonal system max formula failed",
-                witness=(iota, scale.unscale(got), scale.unscale(expected)),
+                witness=(iota, ctx.unscale(got), ctx.unscale(expected)),
             )
     full = set(iter_multi_indices(algebra.d, algebra.N))
     return {"iota": iota, "basis": set(iota.values()) == full}
@@ -423,7 +425,7 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
             )
         if big.is_zero:
             continue
-        ambient = big.norm(r).exponent
+        ambient = big.norm(r)
         certificate = symbol_class_nonzero(
             big.principal_symbol(r), h, vbars, lgspec.n, lgspec.d
         )

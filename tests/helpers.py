@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from padicdist import LieLattice
-from padicdist.distalg import Distribution, ExponentScale
+from padicdist.distalg import Distribution, mul_tail_key
 from padicdist.errors import (
     ConditionFailed,
     CounterexampleFound,
@@ -529,9 +529,9 @@ def orthogonal_trials_oracle(system, r, trials, rng):
             v = rng.randrange(0, 3)
             c = field.scalar(rng.randrange(1, field.p)) * field.uniformizer() ** v
             combo = combo + t.scale(c)
-            expected = min(expected, c.abs_exponent() + t.norm(r).exponent)
-        if combo.norm(r).exponent != expected:
-            return combo.norm(r).exponent, expected
+            expected = min(expected, c.abs_exponent() + t.norm(r))
+        if combo.norm(r) != expected:
+            return combo.norm(r), expected
     return None
 
 
@@ -540,14 +540,14 @@ def orthogonal_trials_oracle(system, r, trials, rng):
 
 def canonicalize_oracle(fam, lam, r, mprime):
     """``quotient.canonicalize`` as a loop over whole Distributions: each
-    step sweeps the residue for its leading form (``ExponentScale.leading``)
+    step sweeps the residue for its leading form (``SymbolContext.leading``)
     and subtracts the full product ``alg.mul(G_ij, c b^alpha')``, with the
-    tail key ``mul_tail`` of that product.  Same refusals, step budget and
+    tail key ``mul_tail_key`` of that product.  Same refusals, step budget and
     level-rise check; returns a ``CanonicalForm``."""
     _require_h0(fam, r)
     alg = fam.algebra
     lg = fam.lgspec
-    scale = ExponentScale(alg, r)
+    scale = alg.symbol_context(r)
     target_key = scale.to_key(mprime)
     log_tail = scale.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
     work = Distribution(alg, dict(lam.coeffs))
@@ -593,7 +593,7 @@ def canonicalize_oracle(fam, lam, r, mprime):
             mu = alg.monomial(alpha_prime, coeff)
             gen = fam.gen(i, j)
             gen_tail = scale.key(coeff, alpha_prime) + log_tail
-            tail = min(scale.mul_tail(gen, mu), gen_tail)
+            tail = min(mul_tail_key(scale, gen, mu), gen_tail)
             if tail < target_key:
                 need = _required_truncation(alg, r, mprime)
                 raise DegreeOverflow(

@@ -438,6 +438,24 @@ def test_bij_record_sizes_its_truncation(tmp_path, capsys):
         "computed=every b_ij within p^-2, idempotent at N = 7" in out
 
 
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_quotient_suite_passes_below_the_smoke_degree(N):
+    """Below N = 6 the smoke test draws lifts of degree <= N // 2, so each
+    product stays within the truncation, and the b_ij record reruns at
+    each truncation that canonicalize names until the reduction fits."""
+    for seed in range(3):
+        report = run_suite(JobConfig.from_dict({
+            "field": {"p": 3, "f": 2, "precision": 20},
+            "group": "o-additive(1)",
+            "truncation": N,
+            "residual_precision": 2,
+            "radii": ["3^-2/3"],
+            "suites": ["quotient"],
+            "seed": seed,
+        }))
+        assert report.passed, report.to_text()
+
+
 @pytest.mark.parametrize("f", [1, 2])
 def test_bij_record_passes_over_ramified_fields(f):
     """Over e = 2, v_2 = pi has residue 0: the record compares the whole

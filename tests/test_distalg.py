@@ -72,12 +72,12 @@ def test_delta_inverse(heis_alg):
 
 def test_norm_examples(ab1):
     r = Radius(1, 4)
-    assert ab1.one().norm(r).exponent == 0
+    assert ab1.one().norm(r) == 0
     lam = ab1.monomial((2,), 3)  # p * b^2
-    assert lam.norm(r).exponent == Fraction(3, 2)
+    assert lam.norm(r) == Fraction(3, 2)
     mu = ab1.from_terms({(1,): 1, (2,): 3})
-    assert mu.norm(r).exponent == Fraction(1, 4)
-    assert ab1.zero().norm(r).is_zero
+    assert mu.norm(r) == Fraction(1, 4)
+    assert ab1.zero().norm(r) == math.inf
 
 
 def test_norm_multiplicative(heis_alg):
@@ -88,7 +88,7 @@ def test_norm_multiplicative(heis_alg):
         mu = random_distribution(heis_alg, rng, 3, max_terms=3)
         prod = heis_alg.mul(lam, mu)
         for r in radii:
-            assert prod.norm(r).exponent == lam.norm(r).exponent + mu.norm(r).exponent
+            assert prod.norm(r) == lam.norm(r) + mu.norm(r)
 
 
 def test_principal_symbol_examples(ab1, q3):
@@ -134,7 +134,7 @@ def test_log_series(ab1):
     assert set(one_term.coeffs) == {(1,)}
     # norm r^kappa in the h = 0 range
     r = Radius(2, 3)
-    assert ls.norm(r).exponent == Fraction(2, 3)
+    assert ls.norm(r) == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("i", [3, -1])
@@ -335,9 +335,9 @@ def test_delta_unit_norms(heis_alg):
             tuple(rng.randrange(0, 27) for _ in range(3))
         )
         dg = heis_alg.delta(g)
-        assert dg.norm(r).exponent == 0
+        assert dg.norm(r) == 0
         aug = dg - heis_alg.one()
-        assert aug.is_zero or aug.norm(r).exponent >= kappa * r.exponent
+        assert aug.is_zero or aug.norm(r) >= kappa * r.exponent
 
 
 def test_truncation_tagging(ab1):

@@ -1,7 +1,7 @@
 """Property tests of ``distalg``.
 
 The filtration exponents (``norm``, ``leading_support``, the per-term
-keys of ``ExponentScale`` and ``mul_tail_bound``) are checked against the
+keys of ``SymbolContext`` and ``mul_tail_bound``) are checked against the
 Fraction formulas of ``tests/helpers.py``, over e in {1, 2, 3} and radii
 whose denominator does and does not share a factor with e.  ``delta`` is
 checked against products of ``binom_rational`` values at p-integral
@@ -28,8 +28,7 @@ from helpers import (  # noqa: E402
     norm_oracle,
 )
 from padicdist import DistAlgebra, FieldSpec, abelian, heisenberg, heisenberg2  # noqa: E402
-from padicdist import mul_tail_bound  # noqa: E402
-from padicdist.distalg import ExponentScale  # noqa: E402
+from padicdist import SymbolContext, mul_tail_bound  # noqa: E402
 from padicdist.indices import iter_multi_indices  # noqa: E402
 from padicdist.radii import Radius  # noqa: E402
 
@@ -85,11 +84,11 @@ def test_exponents_match_fraction_formula(name, r, nonabelian, data):
     lam = data.draw(distributions(alg, N))
     mu = data.draw(distributions(alg, N))
 
-    got = lam.norm(r).exponent
+    got = lam.norm(r)
     assert got == norm_oracle(lam, r)
     assert isinstance(got, Fraction) or (lam.is_zero and got == math.inf)
     assert sorted(lam.leading_support(r)) == sorted(leading_support_oracle(lam, r))
-    scale = ExponentScale(alg, r)
+    scale = alg.symbol_context(r)
     for alpha, c in lam.coeffs.items():
         assert scale.unscale(scale.key(c, alpha)) == exponent_oracle(c, alpha, alg.kappa, r)
     assert mul_tail_bound(lam, mu, r) == mul_tail_oracle(lam, mu, r)
@@ -222,6 +221,41 @@ def test_mul_slot_at_the_certified_bound():
 
 def test_mul_cases_cover_non_integral_basis_products():
     assert _mul_algebra("heisenberg2 over e=3 above Q_2").field._den == 3
+
+
+# unramified, ramified, and ramified with non-integral basis products
+KEY_FIELDS = {
+    "Q_3": (3, 1, 1, None),
+    "Q_9": (3, 1, 2, None),
+    "e=2 above F_9": MUL_CASES["heisenberg over e=2 above F_9"],
+    "e=3 above Q_2, basis denominator 3": MUL_CASES["heisenberg2 over e=3 above Q_2"],
+}
+
+
+@cache
+def _key_field(name):
+    p, e, f, eisenstein = KEY_FIELDS[name]
+    return FieldSpec(p, e=e, f=f, eisenstein=eisenstein)
+
+
+@pytest.mark.parametrize("name", list(KEY_FIELDS))
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(data=st.data())
+def test_context_key_unscales_to_the_exponent_formula(name, data):
+    """``ctx.unscale(ctx.key(c, alpha))`` is v(c)/e + kappa |alpha| a/b,
+    the Fraction formula of a symbol term's degree, for every kappa and
+    radius exponent a/b in (0, 1), b sharing a factor with e or not."""
+    field = _key_field(name)
+    b = data.draw(st.integers(2, 12))
+    rexp = Fraction(data.draw(st.integers(1, b - 1)), b)
+    kappa = data.draw(st.sampled_from((1, 2)))
+    ctx = SymbolContext(field, kappa, rexp, ("X1", "X2"))
+    coord = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 3, field.p, field.p**2)))
+    c = data.draw(st.lists(coord, min_size=field.degree, max_size=field.degree)
+                  .map(field.from_coords).filter(lambda c: not c.is_zero))
+    alpha = data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    want = Fraction(c.valuation, field.e) + kappa * sum(alpha) * rexp
+    assert ctx.unscale(ctx.key(c, alpha)) == want
 
 
 # fields whose coefficients ``format`` writes with several parts, in

@@ -6,7 +6,6 @@ import pytest
 
 from helpers import hilbert_oracle, in_ideal_oracle, regular_sequence_oracle
 from padicdist import (
-    LaurentScalar,
     Symbol,
     SymbolContext,
     build_kernel_family,
@@ -70,8 +69,13 @@ def test_degree_mismatch(ctx2, kfield):
     x2sq = Symbol(ctx2, {(0, (0, 2)): one})
     with pytest.raises(DegreeMismatch):
         x1 + x2sq
-    with pytest.raises(DegreeMismatch):
-        Symbol(ctx2, {(0, (1, 0)): one, (0, (0, 2)): one})
+    # homogeneity is checked on int keys; the refusal lists the degrees as
+    # Fractions, in increasing order
+    with pytest.raises(DegreeMismatch) as info:
+        Symbol(ctx2, {(0, (0, 2)): one, (1, (0, 0)): one, (0, (1, 0)): one})
+    assert str(info.value) == (
+        "inhomogeneous symbol with degrees [Fraction(1, 4), Fraction(1, 2), Fraction(1, 1)]"
+    )
 
 
 def test_homogeneity_across_e0(ctx2, kfield):
@@ -165,17 +169,12 @@ def test_symbol_class_nonzero(ctx2, kfield):
 
 def test_finite_rank_examples(kfield):
     one = kfield.one()
-
-    def L(d=None, **terms):
-        return LaurentScalar(kfield, {w: c for w, c in terms.items()})
-
     # d = 1, P = X -> rank 1
-    P = [LaurentScalar(kfield), LaurentScalar(kfield, {0: one})]
+    P = [{}, {0: one}]
     assert finite_rank_quotient([P]) == 1
     # d = 2, P1 = X^2 - e0, P2 = X^3 -> rank 6
-    P1 = [LaurentScalar(kfield, {1: -one}), LaurentScalar(kfield),
-          LaurentScalar(kfield, {0: one})]
-    P2 = [LaurentScalar(kfield)] * 3 + [LaurentScalar(kfield, {0: one})]
+    P1 = [{1: -one}, {}, {0: one}]
+    P2 = [{}] * 3 + [{0: one}]
     assert finite_rank_quotient([P1, P2]) == 6
 
 
@@ -188,14 +187,11 @@ def test_finite_rank_random(kfield):
             deg = rng.randrange(1, 5)
             expect *= deg
             coeffs = [
-                LaurentScalar(
-                    kfield,
-                    {rng.randrange(-2, 3): kfield.elem((rng.randrange(3), rng.randrange(3)))},
-                )
+                {rng.randrange(-2, 3): kfield.elem((rng.randrange(3), rng.randrange(3)))}
                 for _ in range(deg)
             ]
             coeffs.append(
-                LaurentScalar(kfield, {rng.randrange(-1, 2): kfield.elem((rng.randrange(1, 3), 0))})
+                {rng.randrange(-1, 2): kfield.elem((rng.randrange(1, 3), 0))}
             )
             polys.append(coeffs)
         assert finite_rank_quotient(polys) == expect
@@ -207,7 +203,7 @@ def test_argument_refusals_are_typed(ctx2, kfield):
     with pytest.raises(InvalidArgument, match="mixes e0-exponents"):
         mixed.x_part()
     with pytest.raises(InvalidArgument, match="nonconstant"):
-        finite_rank_quotient([[LaurentScalar(kfield, {0: one})]])
+        finite_rank_quotient([[{0: one}]])
 
 
 def test_zero_symbol_has_no_x_part(ctx2):
@@ -219,11 +215,21 @@ def test_zero_symbol_has_no_x_part(ctx2):
 
 def test_finite_rank_refuses_nonunit_leading(kfield):
     one = kfield.one()
-    bad = [LaurentScalar(kfield), LaurentScalar(kfield, {0: one, 1: one})]
+    bad = [{}, {0: one, 1: one}]
     with pytest.raises(NonUnitLeading):
         finite_rank_quotient([bad])
     with pytest.raises(ValueError):
-        finite_rank_quotient([[LaurentScalar(kfield, {0: one})]])
+        finite_rank_quotient([[{0: one}]])
+
+
+def test_finite_rank_reads_all_zero_coefficients_as_zero(kfield):
+    """A coefficient map whose values are all zero is the zero
+    coefficient, wherever it stands, and one nonzero value is a unit."""
+    one, zero = kfield.one(), kfield.zero()
+    assert finite_rank_quotient([[{0: zero, 2: zero}, {0: one}, {1: zero}]]) == 1
+    assert finite_rank_quotient([[{-1: one}, {0: zero}, {3: one, 4: zero}]]) == 2
+    with pytest.raises(InvalidArgument, match="P_1 must be nonconstant"):
+        finite_rank_quotient([[{0: one}, {1: zero}]])
 
 
 @pytest.mark.parametrize("gens, cand", [

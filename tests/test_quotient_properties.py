@@ -54,10 +54,10 @@ def test_canonical_form_is_the_binomial_series(name, c):
     series = binomial_series(fam, v, 1)
     form = canonicalize(fam, power_delta(fam, c), R23, MP)
     assert form.residual_exponent >= MP
-    assert (form.as_distribution() - series).norm(R23).exponent >= MP
-    norm = series.norm(R23).exponent
+    assert (form.as_distribution() - series).norm(R23) >= MP
+    norm = series.norm(R23)
     if norm < MP:
-        assert quotient_norm(fam, power_delta(fam, c), R23, MP).exponent == norm
+        assert quotient_norm(fam, power_delta(fam, c), R23, MP) == norm
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
@@ -77,4 +77,4 @@ def test_bij_canonical_form_is_the_series_at_v_i(name):
     b21 = fam.algebra.generator(lg.flat_index(2, 1))
     form = canonicalize(fam, b21, R23, MP)
     series = binomial_series(fam, lg.v_basis[1], 1)
-    assert (form.as_distribution() - series).norm(R23).exponent >= MP
+    assert (form.as_distribution() - series).norm(R23) >= MP
