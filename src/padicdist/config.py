@@ -26,10 +26,9 @@ suite's regular-sequence certificate is exact, with no degree bound.
 ``field.precision`` (default 24) is accepted, validated and echoed in the
 report's ``# config:`` line, but no computation reads it: arithmetic in
 K is exact, and ``FieldSpec`` takes no precision.
-Unknown suite names and option keys are rejected up front, and so (with
-SweepLimit) are a pro-2 sweep of more than MAX_PRO2_PAIRS pairs and a
+Unknown suite names and option keys are rejected up front, and so is a
 suite that computes in the residue field when q exceeds
-``padics.MAX_RESIDUE_ORDER``.
+``padics.MAX_RESIDUE_ORDER``; every refusal is a ConfigError.
 """
 
 from __future__ import annotations
@@ -38,20 +37,10 @@ import json
 from dataclasses import dataclass
 
 from .catalog import get_group
-from .errors import ConfigError, PadicError, SweepLimit
-from .groups import LGroupSpec, pro2_sweep_pairs
+from .errors import ConfigError, PadicError
 from .padics import MAX_RESIDUE_ORDER, FieldSpec
 from .radii import parse_radius
-
-KNOWN_SUITES = (
-    "pvaluation",
-    "pro2",
-    "norms",
-    "symbols",
-    "quotient",
-    "towers",
-    "grading",
-)
+from .suites import SUITES
 
 DEFAULT_OPTIONS = {
     "pairs": 60,
@@ -63,10 +52,6 @@ DEFAULT_OPTIONS = {
 
 # Suites that compute in the residue field k, through its log tables.
 RESIDUE_SUITES = ("symbols", "quotient", "towers", "grading")
-
-# On a d = 3 lattice the pro-2 sweep checks 144,448 pairs at level 6 (about
-# 1 s on a 2-vCPU Xeon with Python 3.11) and 1,455,168 at level 7.
-MAX_PRO2_PAIRS = 200_000
 
 
 @dataclass
@@ -128,7 +113,7 @@ class JobConfig:
         if not isinstance(suites, list):
             raise ConfigError("suites: must be a list of suite names")
         for s in suites:
-            if s not in KNOWN_SUITES:
+            if not isinstance(s, str) or s not in SUITES:
                 raise ConfigError(f"suites: unknown suite {s!r}")
 
         seed = data.get("seed", 0)
@@ -154,7 +139,14 @@ class JobConfig:
             "suites": suites,
             "seed": seed,
         }
-        config = cls(
+        q = fld.residue_field.order
+        k_suites = [s for s in suites if s in RESIDUE_SUITES]
+        if k_suites and q > MAX_RESIDUE_ORDER:
+            raise ConfigError(
+                f"field: the {k_suites[0]} suite computes in the residue field F_{q}, "
+                f"above the {MAX_RESIDUE_ORDER:,} elements its log tables are built for"
+            )
+        return cls(
             field=fld,
             group=group,
             truncation=N,
@@ -166,31 +158,6 @@ class JobConfig:
             sc_cache=sc_cache,
             echo=echo,
         )
-        config.check_sweep_limits()
-        return config
-
-    def check_sweep_limits(self):
-        """Refuse, with SweepLimit, a pro-2 sweep above MAX_PRO2_PAIRS and a
-        residue field above MAX_RESIDUE_ORDER under a suite that computes in
-        it."""
-        q = self.field.residue_field.order
-        k_suites = [s for s in self.suites if s in RESIDUE_SUITES]
-        if k_suites and q > MAX_RESIDUE_ORDER:
-            raise SweepLimit(
-                f"field: the {k_suites[0]} suite computes in the residue field F_{q}, "
-                f"above the {MAX_RESIDUE_ORDER:,} elements its log tables are built for"
-            )
-        group = self.group
-        if "pro2" not in self.suites or self.field.p != 2:
-            return
-        d = group.n * group.d if isinstance(group, LGroupSpec) else group.d
-        level = self.options["pro2_level"]
-        pairs = pro2_sweep_pairs(d, level)
-        if pairs > MAX_PRO2_PAIRS:
-            raise SweepLimit(
-                f"options.pro2_level: the pro-2 sweep at level {level} checks "
-                f"{pairs:,} pairs, above the limit of {MAX_PRO2_PAIRS:,}"
-            )
 
     @classmethod
     def from_file(cls, path, sc_cache=None, **overrides):

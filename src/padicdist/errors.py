@@ -3,8 +3,8 @@
 Errors fall into three groups: arithmetic contract violations
 (PrecisionExhausted, DivisionByZero, NonUnit, DegreeOverflow), input
 validation (NotPowerful, NotNilpotent, NotPIntegral, LawNotPIntegral,
-InvalidBracket, InvalidBasis, InvalidArgument, InvalidDelta, SweepLimit,
-ConfigError, ParseError) and check failures that carry a witness
+InvalidBracket, InvalidBasis, InvalidArgument, InvalidDelta, ConfigError,
+ParseError) and check failures that carry a witness
 (CounterexampleFound, ConditionFailed, HypothesisFailed).  A
 CounterexampleFound from one of the verification routines means an
 implementation bug, never a tolerated outcome.
@@ -66,10 +66,6 @@ class NotPIntegral(PadicError, ValueError):
 class LawNotPIntegral(PadicError, ValueError):
     """A compiled group law has a coefficient whose denominator p divides,
     so its values at p-integral points need not be p-integral."""
-
-
-class SweepLimit(PadicError, ValueError):
-    """An exhaustive sweep was asked for more cases than it is bounded to."""
 
 
 class DegreeOverflow(PadicError):

@@ -725,23 +725,6 @@ def check_p_valuation(pairs):
 # ---------------------------------------------------------------------------
 # the pro-2 commutator check
 
-def _commutator_windows(level, i, j):
-    """Window sizes of P_i and P_j in the commutator check at ``level``."""
-    return min(j, level - i + 1), min(i, level - j + 1)
-
-
-def pro2_sweep_pairs(d, level):
-    """Pairs the pro-2 sweep checks at ``level`` on a d-dimensional
-    lattice: ``check_powerful_commutator`` over every step pair (i, j)
-    with i + j + 1 <= level, 2^(d (w_a + w_b)) pairs each."""
-    total = 0
-    for i in range(1, level):
-        for j in range(1, level - i):
-            window_a, window_b = _commutator_windows(level, i, j)
-            total += 2 ** (d * (window_a + window_b))
-    return total
-
-
 def check_powerful_commutator(lattice, level, i, j):
     """Exhaustively verify [P_i, P_j] <= P_{i+j+1} modulo P_{level+1}.
 
@@ -771,7 +754,7 @@ def check_powerful_commutator(lattice, level, i, j):
         raise InvalidArgument(f"quotient level {level} is below i + j = {i + j} for the step pair")
     law = lattice.commutator_law
     bound = min(i + j + 1, level + 1)
-    window_a, window_b = _commutator_windows(level, i, j)
+    window_a, window_b = min(j, level - i + 1), min(i, level - j + 1)
     strides = (p ** (i - 1),) * d + (p ** (j - 1),) * d
     box = (p ** window_a,) * d + (p ** window_b,) * d
     moduli = [p ** (bound - 1 + vp_int(q, p)) for q in law.denoms]

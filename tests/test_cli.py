@@ -12,7 +12,6 @@ import padicdist
 from padicdist.cli import main
 from padicdist.config import JobConfig
 from padicdist.errors import ConfigError
-from padicdist.groups import pro2_sweep_pairs
 from padicdist.mahler import StructureConstants
 from padicdist.suites import run_suite
 
@@ -76,21 +75,33 @@ def _pro2_job(level):
             "suites": ["pro2"], "options": {"pro2_level": level}}
 
 
-def test_oversized_pro2_sweep_refused_at_load(tmp_path, capsys):
+def test_level_7_pro2_sweep_runs_at_load(tmp_path, capsys):
+    """Level 7 on heisenberg2 covers 1,455,168 pairs in 15 step-pair
+    records; no pair count is refused."""
     path = tmp_path / "pro2.json"
     path.write_text(json.dumps(_pro2_job(7)))
-    assert main(["run", "--config", str(path)]) == 2
-    assert "1,455,168 pairs" in capsys.readouterr().err
-    cfg = JobConfig.from_dict(_pro2_job(6))
-    assert cfg.options["pro2_level"] == 6
+    assert main(["run", "--config", str(path)]) == 0
+    assert "# summary: 15 passed, 0 failed" in capsys.readouterr().out
 
 
-def test_oversized_pro2_sweep_refused_on_suite_override(tmp_path, capsys):
+def test_level_7_pro2_sweep_runs_on_suite_override(tmp_path, capsys):
     data = {**_pro2_job(7), "suites": []}
     path = tmp_path / "pro2.json"
     path.write_text(json.dumps(data))
-    assert main(["run", "--config", str(path), "--suite", "pro2"]) == 2
-    assert "1,455,168 pairs" in capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--suite", "pro2"]) == 0
+    assert "# summary: 15 passed, 0 failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("job", [
+    {"field": {"p": 2}, "group": "abelian(4)", "suites": ["pro2"]},
+    {"field": {"p": 2, "f": 2}, "group": "o-additive(2)", "suites": ["pro2"]},
+], ids=["abelian(4)", "o-additive(2)-Q4"])
+def test_pro2_sweep_on_dimension_four_at_the_default_level(tmp_path, capsys, job):
+    """d = 4 at the default level 5 sweeps 205,056 pairs in 6 records."""
+    path = tmp_path / "pro2.json"
+    path.write_text(json.dumps(job))
+    assert main(["run", "--config", str(path)]) == 0
+    assert "# summary: 6 passed, 0 failed" in capsys.readouterr().out
 
 
 def _regseq_job(group, suites):
@@ -136,6 +147,11 @@ def test_oversized_residue_field_refused_at_load(tmp_path, capsys):
     JobConfig.from_dict(_big_residue_job(["pvaluation", "norms"]))
 
 
+def test_oversized_residue_field_is_a_config_error():
+    with pytest.raises(ConfigError, match="residue field F_524288, above the 262,144"):
+        JobConfig.from_dict(_big_residue_job(["towers"]))
+
+
 @pytest.mark.parametrize("suite", ["symbols", "quotient", "towers", "grading"])
 def test_oversized_residue_field_refused_on_suite_override(tmp_path, capsys, suite):
     path = tmp_path / "f2_19.json"
@@ -161,6 +177,7 @@ def test_bad_pro2_level_rejected(level):
     ({"truncation": True}, "truncation: must be an integer >= 1"),
     ({"residual_precision": 2.0}, "residual_precision: must be an integer >= 1"),
     ({"suites": "norms"}, "suites: must be a list of suite names"),
+    ({"suites": [["norms"]]}, "suites: unknown suite ['norms']"),
     ({"group": 3}, "group: must be a built-in group name"),
     ({"radii": 3}, "radii: must be a list of radius literals"),
     ({"radii": None}, "radii: must be a list of radius literals"),
@@ -173,7 +190,7 @@ def test_bad_pro2_level_rejected(level):
     ({"field": {"p": 3, "e": True}}, "field.e: must be an integer >= 1"),
 ], ids=["top-level-list", "options-list", "option-string", "option-zero", "option-bool",
         "transfer-negative", "option-unknown", "truncation-bool", "precision-float",
-        "suites-string", "group-int", "radii-int", "radii-null", "radius-int",
+        "suites-string", "suite-list", "group-int", "radii-int", "radii-null", "radius-int",
         "radius-out-of-range", "seed-bool", "field-int", "field-p-string",
         "field-precision-bool", "field-e-bool"])
 def test_bad_config_exits_two_naming_the_key(tmp_path, capsys, data, message):
@@ -552,7 +569,7 @@ def test_pro2_report_pinned():
     assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_sha
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == structured_sha
     sweep = [int(rec.computed) for rec in report.records if rec.suite == "pro2"]
-    assert sum(sweep) == pro2_sweep_pairs(3, 5) == 13_376
+    assert sum(sweep) == 13_376
 
 
 def test_nonabelian_report_pinned_cold_and_warm(tmp_path, monkeypatch):
