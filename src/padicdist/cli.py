@@ -198,8 +198,9 @@ def main(argv=None):
     action = getattr(args, "action", None)
     if action in _NEEDS_RADIUS.get(args.command, ()) and not args.radius:
         parser.error(f"{args.command} {action} needs -r RADIUS")
-    if (args.command, action) == ("dist", "mul") and len(args.expr) != 2:
-        parser.error("dist mul needs two expressions")
+    if args.command == "dist" and len(args.expr) != (2 if action == "mul" else 1):
+        parser.error(f"dist {action} needs "
+                     + ("two expressions" if action == "mul" else "one expression"))
     if getattr(args, "samples", 1) < 1:
         parser.error(f"--samples must be at least 1, not {args.samples}")
     try:

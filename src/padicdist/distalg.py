@@ -130,10 +130,11 @@ class DistAlgebra:
         Each operand is cleared to int vectors over one denominator and
         each vector packed into one int (``FieldSpec._pack``), so one int
         product U V is the product of two coefficients in Z[w, pi],
-        unreduced.  Per gamma the sum of c U V over the table's int rows is
-        one int, gathered under gamma's position in the table's ``_gammas``
-        as the rows hold it; each output gamma is unpacked once, its slots
-        reduced in K (``FieldSpec._unpacked``), and one Scalar built over
+        unreduced.  Per gamma the sum of c U V over the table's int rows,
+        each walked as its flat [g, c, g, c, ...] list, is one int,
+        gathered under gamma's position g in the table's ``_gammas``; each
+        output gamma is unpacked once, its slots reduced in K
+        (``FieldSpec._unpacked``), and one Scalar built over
         the denominator a product of Scalars has, keyed by gamma itself.
         Per alpha the sum walks alpha's nonempty rows when they are fewer
         than mu's terms, and mu's terms otherwise.  The rows are read with
@@ -176,9 +177,9 @@ class DistAlgebra:
                 pairs = zip(map(rows.get, mvalue), mvalue.values())
             for row, V in pairs:
                 if row and V is not None:
-                    UV = U * V
-                    for g, c in row:
-                        acc[g] = get(g, 0) + c * UV
+                    UV, it = U * V, iter(row)
+                    for g in it:
+                        acc[g] = get(g, 0) + next(it) * UV
         out = {}
         gammas = table._gammas
         for g, vec in zip(acc, field._unpacked(acc.values(), width)):

@@ -13,23 +13,23 @@ law's coordinates go into the basis through the Stirling numbers, their
 coefficients there decide that the law stays in Z_p on the truncated
 index set, and binom(F, gamma) is reached by a walk over the coordinates
 that climbs the ladder binom(F_k, n) one rung at a time, each rung one
-factor F_k - n whose x_k and y_k terms act on coordinate k alone.  Abelian rows have a
-closed form, made per alpha on first use.  A table holds only its
-nonempty rows, alpha -> {beta: row}, each row (g, int) pairs, g the
-position of gamma in ``iter_multi_indices(d, N)``, over one denominator
-shared by the whole table: the form ``DistAlgebra.mul`` walks per alpha.
-Every table is exact, so a non-abelian table's denominator and rows, as
-built, serialize to a versioned cache file keyed by (group digest, N)
-alone; an abelian table is not cached, its closed form costing less than
-a load.  The file
-(format 4) is plain JSON, {"version", "digest", "N", "den", "rows"}, each
-row a flat int list [alpha, beta, gamma, n, gamma, n, ...] with every
-multi-index written as its position, rows in (alpha, beta) order and the
-gammas of a row in increasing order.  A file that is absent, is not
-JSON, holds another table or is anything ``save`` cannot have written (a
-number not an int, a position out of range, rows out of order or
-repeated, a gamma out of order or repeated within a row, an alpha without
-rows, a short or odd row, a zero entry, den < 1) is a miss.
+factor F_k - n whose x_k and y_k terms act on coordinate k alone.
+Abelian rows have a closed form, made per alpha on first use.  A table
+holds only its nonempty rows, alpha -> {beta: [g, n, g, n, ...]}, each a
+flat int list, g the position of gamma in ``iter_multi_indices(d, N)``,
+over one denominator shared by the whole table: ``DistAlgebra.mul`` walks
+them, and the cache file holds each one after its alpha and beta.  Every
+table is exact, so a non-abelian table's denominator and rows, as built,
+serialize to a versioned cache file keyed by (group digest, N) alone; an
+abelian table is not cached, its closed form costing less than a load.
+The file (format 4) is plain JSON, {"version", "digest", "N", "den",
+"rows"}, each row a flat int list [alpha, beta, gamma, n, gamma, n, ...]
+with every multi-index written as its position, rows in (alpha, beta)
+order and the gammas of a row in increasing order.  A file that is
+absent, is not JSON, holds another table or is anything ``save`` cannot
+have written (a number not an int, a position out of range, rows out of
+order or repeated, a gamma out of order or repeated within a row, an
+alpha without rows, a short or odd row, a zero entry, den < 1) is a miss.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class StructureConstants:
     degree N is exact.  A multi-index is also known by its position in
     ``_gammas`` (``_position``), whose degree and gamma! are ``_degree``
     and ``_factorial``.  ``rows_from(alpha)`` gives the nonempty rows of
-    alpha as {beta: ((g, n), ...)}, g the position of gamma, in increasing
-    order, and the coefficient n / ``den``, one denominator for the whole
+    alpha as {beta: [g, n, g, n, ...]}, g the position of gamma, rising,
+    and the coefficient n / ``den``, one denominator for the whole
     table, which reading ``den`` builds if it was not loaded; ``int_row``
     gives one row of it as (gamma, n) pairs (empty if absent) and ``row``
     the same as a dict of Fractions.
@@ -82,7 +82,7 @@ class StructureConstants:
     def __init__(self, lattice, N, cache_dir=None):
         self.lattice = lattice
         self.N = N
-        self._rows = {}         # alpha -> {beta: ((g, n), ...)}, nonempty rows, c = n / den
+        self._rows = {}         # alpha -> {beta: [g, n, g, n, ...]}, nonempty rows, c = n / den
         self._den = 1 if lattice.abelian else None  # None until built or loaded
         self._peak = 1          # max |n| over the rows; an abelian row is n = den = 1
         self._gammas = list(iter_multi_indices(lattice.d, N))
@@ -142,9 +142,9 @@ class StructureConstants:
                                  required_degree=sum(index))
 
     def rows_from(self, alpha):
-        """The nonempty rows of alpha, {beta: ((g, n), ...)} with beta in
-        ``_gammas`` order, g the position of gamma in ``_gammas``, rising
-        along the row, and c^gamma_{alpha beta} = n / ``den``.  A
+        """The nonempty rows of alpha as held, {beta: [g, n, g, n, ...]}
+        with beta in ``_gammas`` order, g the position of gamma in ``_gammas``,
+        rising along the row, and c^gamma_{alpha beta} = n / ``den``.  A
         non-abelian table is built whole on the first read; an abelian
         alpha's rows are b^alpha b^beta = b^(alpha + beta), made here, the
         beta with |beta| <= N - |alpha| being a prefix of ``_gammas``.
@@ -163,7 +163,7 @@ class StructureConstants:
             return self._rows[alpha]
         room, position = self.N - sum(alpha), self._position
         betas = takewhile(lambda beta: sum(beta) <= room, self._gammas)
-        rows = self._rows[alpha] = {beta: ((position[add_index(alpha, beta)], 1),)
+        rows = self._rows[alpha] = {beta: [position[add_index(alpha, beta)], 1]
                                     for beta in betas}
         return rows
 
@@ -173,8 +173,8 @@ class StructureConstants:
         where its rows are already held."""
         self._check(alpha)
         self._check(beta)
-        gammas = self._gammas
-        return tuple((gammas[g], n) for g, n in self._rows_of(alpha).get(beta, ()))
+        gammas, it = self._gammas, iter(self._rows_of(alpha).get(beta, ()))
+        return tuple((gammas[g], n) for g, n in zip(it, it))
 
     def row(self, alpha, beta):
         """c^gamma_{alpha beta} for |gamma| <= N, as a sparse dict of Fractions."""
@@ -297,18 +297,20 @@ class StructureConstants:
         del pairs
         scales = [D ** n * f for n, f in zip(self._degree, self._factorial)]
         den = lcm(*(s // gcd(s, *u.values()) for s, u in zip(scales, found)))
-        entries = defaultdict(list)  # a G + b -> [(g, n)], g rising
+        entries = defaultdict(list)  # a G + b -> [g, n, g, n, ...], g rising
         peak = 1
         for g, s in enumerate(scales):
             u, found[g] = found[g], None
             ns = list(map(floordiv, map(mul, u.values(), repeat(den)), repeat(s)))
             peak = max(peak, max(map(abs, ns), default=0))
             for key, n in zip(u, ns):
-                entries[key].append((g, n))
+                row = entries[key]
+                row.append(g)
+                row.append(n)
         rows = {alpha: {} for alpha in gammas}
         for key in sorted(entries):
             a, b = divmod(key, G)
-            rows[gammas[a]][gammas[b]] = tuple(entries[key])
+            rows[gammas[a]][gammas[b]] = entries[key]
         self._rows, self._peak, self._den = rows, peak, den
         self._built = True
 
@@ -334,9 +336,9 @@ class StructureConstants:
         checked = 0
         shift = vp_int(self.den, p)  # builds a non-abelian table not loaded
         for alpha in self._gammas:
-            for beta, entries in self._rows_of(alpha).items():
-                top = kappa * (sum(alpha) + sum(beta))
-                for g, n in entries:
+            for beta, row in self._rows_of(alpha).items():
+                top, it = kappa * (sum(alpha) + sum(beta)), iter(row)
+                for g, n in zip(it, it):
                     if vp_int(n, p) - shift < top - kappa * degree[g]:
                         raise CounterexampleFound(
                             "structure-constant valuation bound fails",
@@ -356,7 +358,7 @@ class StructureConstants:
         path.parent.mkdir(parents=True, exist_ok=True)
         den = self.den  # builds a non-abelian table that was neither built nor loaded
         position = self._position
-        rows = [[position[alpha], position[beta], *chain.from_iterable(row)]
+        rows = [[position[alpha], position[beta], *row]
                 for alpha, inner in self._rows.items() for beta, row in inner.items()]
         doc = {"version": CACHE_FORMAT_VERSION, "digest": self.lattice.structure_digest(),
                "N": self.N, "den": den, "rows": rows}
@@ -401,6 +403,6 @@ class StructureConstants:
             return
         table = {alpha: {} for alpha in gammas}
         for r in rows:
-            table[gammas[r[0]]][gammas[r[1]]] = tuple(zip(r[2::2], r[3::2]))
+            table[gammas[r[0]]][gammas[r[1]]] = r[2:]
         if all(table.values()):  # every alpha has at least its beta = 0 row
             self._rows, self._den, self._peak = table, doc["den"], max(map(abs, entries))

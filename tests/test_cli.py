@@ -408,10 +408,13 @@ def test_python_m_padicdist(base_config):
     (["dist", "norm", "b1", "--p", "3"], "dist norm needs -r RADIUS"),
     (["dist", "mul", "b1", "--p", "3"], "dist mul needs two expressions"),
     (["dist", "mul", "b1", "b1", "b1", "--p", "3"], "dist mul needs two expressions"),
+    (["dist", "norm", "b1", "b2", "-r", "3^-1/2", "--p", "3"], "dist norm needs one expression"),
+    (["dist", "symbol", "-r", "3^-1/2", "b1", "garbage", "--p", "3"],
+     "dist symbol needs one expression"),
     (["towers", "restrict", "-r", "3^-1/8", "--samples", "0"], "--samples must be at least 1"),
     (["towers", "orth", "-r", "3^-1/4", "--samples", "-3"], "--samples must be at least 1"),
-], ids=["restrict", "orth", "transfer", "norm", "mul-one", "mul-three", "samples-zero",
-        "samples-negative"])
+], ids=["restrict", "orth", "transfer", "norm", "mul-one", "mul-three", "norm-two",
+        "symbol-two", "samples-zero", "samples-negative"])
 def test_usage_errors_exit_two_without_traceback(argv, message):
     proc = _python_m_padicdist(*argv)
     assert proc.returncode == 2, proc.stderr

@@ -142,9 +142,10 @@ def test_filtration_bound_names_a_planted_violation():
     itself, not its position in the table."""
     table = StructureConstants(heisenberg(3), 3)
     alpha, beta, gamma = (0, 1, 0), (1, 0, 0), (0, 0, 1)
-    g, row = table._position[gamma], table.rows_from(alpha)[beta]  # builds the table
-    assert dict(row)[g] == -3  # the commutator term, of valuation kappa = 1
-    table._rows[alpha][beta] = tuple((h, table.den if h == g else n) for h, n in row)
+    row = table.rows_from(alpha)[beta]  # builds the table; the held row itself
+    at = 2 * row[::2].index(table._position[gamma]) + 1
+    assert row[at] == -3  # the commutator term, of valuation kappa = 1
+    row[at] = table.den
     with pytest.raises(CounterexampleFound, match="valuation bound fails") as info:
         table.check_filtration_bound()
     assert info.value.witness == (alpha, beta, gamma, Fraction(1))
@@ -474,9 +475,25 @@ def test_loaded_table_equals_the_built_one(tmp_path):
         assert [order[b] for b in rows] == sorted(order[b] for b in rows)
         for b, row in rows.items():
             assert id(b) in grid
-            at = [g for g, _ in row]
+            at = row[::2]
             assert all(type(g) is int and g in positions for g in at)
             assert at == sorted(set(at))
+
+
+def test_held_rows_are_the_cache_file_rows(tmp_path):
+    """A table holds each row as the cache file does: for the built table
+    and for its reloaded copy, every held row prefixed by its (alpha, beta)
+    positions is the matching row of the saved file."""
+    t1 = StructureConstants(filiform(3), 4, cache_dir=tmp_path)
+    t1.save()
+    saved = json.loads(t1._cache_path.read_bytes())["rows"]
+    t2 = StructureConstants(filiform(3), 4, cache_dir=tmp_path)
+    assert not t2._built
+    for table in (t1, t2):
+        at = table._position
+        held = [[at[alpha], at[beta]] + row
+                for alpha, rows in table._rows.items() for beta, row in rows.items()]
+        assert held == saved
 
 
 def test_save_before_any_row_writes_the_whole_table(tmp_path, monkeypatch):

@@ -40,7 +40,7 @@ from padicdist.config import JobConfig
 from padicdist.radii import Radius
 from padicdist.samplers import random_element
 from padicdist.suites import SuiteEnv, suite_pvaluation
-from padicdist.towers import orthogonal_system
+from padicdist.towers import boundary_probe, orthogonal_system
 
 INF = math.inf
 
@@ -97,12 +97,13 @@ def test_restriction_explicit_value(ab1_big, q3):
 
 
 def test_boundary_probe(ab1_big):
+    """Outside the m = 1 hypothesis the restriction check is refused, and
+    the generator norm there is |p| r^kappa."""
     rng = random.Random(63)
-    with pytest.raises(HypothesisFailed) as info:
+    with pytest.raises(HypothesisFailed, match="radius violates"):
         restriction_check(ab1_big, 1, Radius(2, 3), 2, rng)
-    probe = info.value.probe
-    assert probe["matches"]
-    assert probe["actual"] == 1 + Fraction(2, 3)  # |p| r^kappa
+    actual, expected = boundary_probe(ab1_big, Radius(2, 3))
+    assert actual == expected == 1 + Fraction(2, 3)  # |p| r^kappa
 
 
 def test_orthogonal_basis_families(q3, q2):
