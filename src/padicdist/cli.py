@@ -68,7 +68,7 @@ def cmd_dist(args):
         mu = _parse_expr(algebra, args.expr[1])
         print(algebra.format(algebra.mul(lam, mu)))
         return 0
-    _, r = parse_radius(args.radius, p=config.field.p)
+    r = parse_radius(args.radius, config.field.p)
     lam = _parse_expr(algebra, args.expr[0])
     if args.action == "norm":
         print(f"exponent {lam.norm(r)}")
@@ -92,7 +92,7 @@ def cmd_quotient(args):
     if not env.is_lgroup:
         raise PadicError("quotient commands need a locally analytic group config")
     fam = env.family
-    _, r = parse_radius(args.radius, p=config.field.p)
+    r = parse_radius(args.radius, config.field.p)
     mprime = config.residual_precision
     lam = _parse_expr(fam.algebra, args.expr)
     if args.action == "canonicalize":
@@ -118,11 +118,11 @@ def cmd_towers(args):
     rng = random.Random(config.seed)
     env = SuiteEnv(config)
     if args.action == "restrict":
-        _, r = parse_radius(args.radius, p=config.field.p)
+        r = parse_radius(args.radius, config.field.p)
         recs = towers.restriction_check(env.algebra, args.m, r, args.samples, rng)
         print(f"{len(recs)} samples, exact agreement")
     elif args.action == "orth":
-        _, r = parse_radius(args.radius, p=config.field.p)
+        r = parse_radius(args.radius, config.field.p)
         system = towers.orthogonal_system(env.algebra, args.m)
         out = towers.orthogonal_system_check(system, r, args.samples, rng)
         print(f"orthogonal system of {len(system)} elements; basis = {out['basis']}")
@@ -132,7 +132,7 @@ def cmd_towers(args):
     else:  # transfer
         if not env.is_lgroup:
             raise PadicError("transfer needs a locally analytic group config")
-        _, delta = parse_radius(args.radius, p=config.field.p)
+        delta = parse_radius(args.radius, config.field.p)
         recs = towers.norm_transfer_check(config.group, delta, args.m,
                                           args.samples, rng)
         for rec in recs:

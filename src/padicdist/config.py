@@ -104,7 +104,7 @@ class JobConfig:
             if not isinstance(lit, str):
                 raise ConfigError(f"radii[{idx}]: must be a radius literal like {fld.p}^-1/2")
             try:
-                _, r = parse_radius(lit, p=fld.p)
+                r = parse_radius(lit, fld.p)
             except PadicError as exc:
                 raise ConfigError(f"radii[{idx}]: {exc}") from exc
             radii.append(r)

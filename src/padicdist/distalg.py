@@ -120,13 +120,31 @@ class DistAlgebra:
             terms[unit_index(self.d, i, k)] = self.field.scalar(coeff)
         return Distribution._of(self, terms)
 
+    def binomial_series(self, i, v):
+        """Degree-N truncation of (1 + b_{i+1})^v - 1, binom(v, k) b_{i+1}^k
+        summed over 1 <= k <= N, v an int, a Fraction or an element of K
+        (``FieldSpec.scalar``).  The sum stops at the first zero binom(v, k),
+        a factor of every later one."""
+        v = self.field.scalar(v)
+        unit_index(self.d, i)  # refuses i also where the sum is empty
+        coeff = self.field.one()
+        terms = {}
+        for k in range(1, self.N + 1):
+            coeff = (coeff * (v - (k - 1))).scale(Fraction(1, k))
+            if coeff.is_zero:
+                break
+            terms[unit_index(self.d, i, k)] = coeff
+        return Distribution._of(self, terms)
+
     # -- multiplication ----------------------------------------------------------
 
     def mul(self, lam, mu):
         """Product through the structure-constant table.
 
-        Stored coefficients (degree <= N) are exact; what the product has
-        beyond degree N is dropped, and ``mul_tail_bound`` bounds its norm.
+        Both operands must be distributions of this algebra; any other is
+        refused with InvalidArgument.  Stored coefficients (degree <= N)
+        are exact; what the product has beyond degree N is dropped, and
+        ``mul_tail_bound`` bounds its norm.
         Each operand is cleared to int vectors over one denominator and
         each vector packed into one int (``FieldSpec._pack``), so one int
         product U V is the product of two coefficients in Z[w, pi],
@@ -139,8 +157,8 @@ class DistAlgebra:
         Per alpha the sum walks alpha's nonempty rows when they are fewer
         than mu's terms, and mu's terms otherwise.  The rows are read with
         no per-alpha check (``StructureConstants._rows_of``): the keys of
-        both operands were checked when they were made, and are tested
-        against the table's ``_position`` once per product.
+        an element of this algebra were checked against its table when it
+        was made.
 
         The slot width: slot w^A pi^B of U V adds at most [K:Q_p] products
         x y of operand coordinates (at most f ways to split A and e to split
@@ -150,6 +168,7 @@ class DistAlgebra:
         linear over Z, so only those sums must fit, and W = bit_length(bound)
         + 1 bits hold every value of absolute value below 2^(W-1).
         """
+        _require_algebra(self, "a product", lam, mu)
         field, table = self.field, self.table
         lden, lterms = _cleared(lam)
         mden, mterms = _cleared(mu)
@@ -158,13 +177,6 @@ class DistAlgebra:
         bound = len(lterms) * len(mterms) * table._peak * field.degree * _peak(lterms) * _peak(mterms)
         width = bound.bit_length() + 1
         mvalue = dict(field._pack(mterms, width))
-        # keys are checked multi-indices, but one from a wider algebra may
-        # lie outside this table: the walk of an alpha's rows would skip
-        # such a beta, and no rows are held for such an alpha
-        for dist in (lam, mu):
-            if not table._position.keys() >= dist.coeffs.keys():
-                for alpha in dist.coeffs:
-                    table._check(alpha)  # raises at the first index outside the table
         acc = {}
         get = acc.get
         rows_of = table._rows_of
@@ -213,6 +225,13 @@ class DistAlgebra:
         return " + ".join(parts)
 
 
+def _require_algebra(algebra, what, *dists):
+    """Refuse with InvalidArgument any of ``dists`` not of ``algebra``."""
+    for dist in dists:
+        if not (isinstance(dist, Distribution) and dist.algebra is algebra):
+            raise InvalidArgument(f"{what} needs distributions of one algebra")
+
+
 def _cleared(dist):
     """(D, [(alpha, num, k), ...]): the coefficients of ``dist`` over one
     common denominator D, coefficient alpha being the int vector num * k."""
@@ -228,7 +247,8 @@ def _peak(terms):
 
 
 class Distribution:
-    """A finitely supported series over the generator monomials."""
+    """A finitely supported series over the generator monomials; a sum or
+    product with an element of another algebra is refused."""
 
     __slots__ = ("algebra", "coeffs")
 
@@ -268,6 +288,7 @@ class Distribution:
         return max((sum(a) for a in self.coeffs), default=-INF)
 
     def __add__(self, other):
+        _require_algebra(self.algebra, "a sum", other)
         out = dict(self.coeffs)
         for alpha, c in other.coeffs.items():
             prev = out.get(alpha)
@@ -353,7 +374,9 @@ def mul_tail_bound(lam, mu, r):
     v_p(c) >= max(0, kappa (|alpha|+|beta| - g)), so the dropped term
     exponent is minimized at g = N+1 or g = |alpha|+|beta|; both endpoint
     bounds are taken.  Returns +inf when nothing can have been discarded.
+    A ``mu`` of another algebra than ``lam`` is refused with InvalidArgument.
     """
+    _require_algebra(lam.algebra, "a tail bound", mu)
     ctx = lam.algebra.symbol_context(r)
     return ctx.unscale(mul_tail_key(ctx, lam, mu))
 

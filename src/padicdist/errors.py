@@ -4,10 +4,10 @@ Errors fall into three groups: arithmetic contract violations
 (PrecisionExhausted, DivisionByZero, NonUnit, DegreeOverflow), input
 validation (NotPowerful, NotNilpotent, NotPIntegral, LawNotPIntegral,
 InvalidBracket, InvalidBasis, InvalidArgument, InvalidDelta, ConfigError,
-ParseError) and check failures that carry a witness
-(CounterexampleFound, ConditionFailed, HypothesisFailed).  A
-CounterexampleFound from one of the verification routines means an
-implementation bug, never a tolerated outcome.
+ParseError) and check failures (CounterexampleFound, which carries a
+witness, ConditionFailed, HypothesisFailed).  A CounterexampleFound from
+one of the verification routines means an implementation bug, never a
+tolerated outcome.
 """
 
 
@@ -109,11 +109,7 @@ class ConditionFailed(PadicError):
 
 
 class HypothesisFailed(PadicError):
-    """A check was invoked outside its hypothesis; carries probe data."""
-
-    def __init__(self, message, probe=None):
-        super().__init__(message)
-        self.probe = probe
+    """A check was invoked outside its hypothesis; the message names it."""
 
 
 class CounterexampleFound(PadicError):

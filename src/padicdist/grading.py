@@ -94,7 +94,8 @@ class SymbolContext:
 class Symbol:
     """A homogeneous element of k[e0^(+-1)][X_1..X_n]: every term
     e0^v X^alpha has one key b v + w |alpha| of its context, and
-    ``degree`` is that key unscaled."""
+    ``degree`` is that key unscaled.  A sum or product of symbols of two
+    contexts is refused with InvalidArgument."""
 
     __slots__ = ("context", "terms", "degree")
 
@@ -112,7 +113,13 @@ class Symbol:
     def is_zero(self):
         return not self.terms
 
+    def _require_context(self, other, what):
+        """Refuse, with InvalidArgument, a symbol of another filtration."""
+        if other.context is not self.context and other.context != self.context:
+            raise InvalidArgument(f"{what} needs symbols of one filtration")
+
     def __add__(self, other):
+        self._require_context(other, "a sum")
         if self.is_zero:
             return other
         if other.is_zero:
@@ -138,6 +145,7 @@ class Symbol:
         return self + (-other)
 
     def __mul__(self, other):
+        self._require_context(other, "a product")
         out = {}
         for (w1, a1), c1 in self.terms.items():
             for (w2, a2), c2 in other.terms.items():

@@ -1,6 +1,6 @@
 """Multi-index helpers shared by the series, table and symbol modules."""
 
-from .errors import InvalidArgument
+from .errors import DegreeOverflow, InvalidArgument, PadicError
 
 
 def iter_multi_indices(d, max_total):
@@ -32,3 +32,16 @@ def unit_index(d, i, k=1):
     if i not in range(d):
         raise InvalidArgument(f"index {i!r} is outside 0..{d - 1}")
     return tuple(k if t == i else 0 for t in range(d))
+
+
+def check_multi_index(index, d, N, name="index"):
+    """Refuse an index that is not a multi-index in N_0^d (not a tuple, of
+    another length, or with an entry that is negative or not an int) with
+    PadicError, and a multi-index of degree above N with DegreeOverflow;
+    ``name`` names it in the message."""
+    if not (isinstance(index, tuple) and len(index) == d
+            and all(type(a) is int and a >= 0 for a in index)):
+        raise PadicError(f"{name} {index!r} is not a multi-index in N_0^{d}")
+    if sum(index) > N:
+        raise DegreeOverflow(f"{name} {index} outside the degree-{N} table",
+                             required_degree=sum(index))

@@ -43,8 +43,8 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import floordiv, lt, mul
 from pathlib import Path
 
-from .errors import CounterexampleFound, DegreeOverflow, PadicError
-from .indices import add_index, iter_multi_indices, unit_index
+from .errors import CounterexampleFound
+from .indices import add_index, check_multi_index, iter_multi_indices, unit_index
 from .radii import vp_int, vp_rational
 
 CACHE_FORMAT_VERSION = 4
@@ -74,7 +74,7 @@ class StructureConstants:
     the same as a dict of Fractions.
     ``_peak``, the largest |n|, is read where the rows are walked anyway
     (the build and the cache load); ``DistAlgebra.mul`` sizes its packed
-    slots by it, and tests its operands against ``_position``.
+    slots by it.
     ``has_tail(alpha, beta)`` reports whether degrees beyond N were
     discarded for that row.
     """
@@ -131,15 +131,8 @@ class StructureConstants:
         return self._den
 
     def _check(self, index):
-        """Refuse an index that is not a multi-index in N_0^d (of another
-        length, or with an entry that is negative or not an int) with
-        PadicError, and a multi-index above N with DegreeOverflow."""
-        d = self.lattice.d
-        if len(index) != d or not all(type(a) is int and a >= 0 for a in index):
-            raise PadicError(f"index {index} is not a multi-index in N_0^{d}")
-        if sum(index) > self.N:
-            raise DegreeOverflow(f"index {index} outside the degree-{self.N} table",
-                                 required_degree=sum(index))
+        """``indices.check_multi_index`` against this table's d and N."""
+        check_multi_index(index, self.lattice.d, self.N)
 
     def rows_from(self, alpha):
         """The nonempty rows of alpha as held, {beta: [g, n, g, n, ...]}

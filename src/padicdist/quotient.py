@@ -33,11 +33,10 @@ from .errors import (
     CriticalRadius,
     DegreeOverflow,
     InvalidArgument,
-    PadicError,
     PrecisionExhausted,
 )
 from .grading import Symbol
-from .indices import grlex_key, unit_index
+from .indices import check_multi_index, grlex_key, unit_index
 from .padics import Scalar
 from .radii import dominant_log_index, is_h0_radius, log_tail_exponent
 
@@ -113,15 +112,11 @@ class KernelFamily:
     def lift(self, coeffs):
         """A canonical coefficient map beta -> Scalar, as a distribution.
         A beta that is not a multi-index in N_0^d is refused with
-        PadicError, and one of degree above N with DegreeOverflow."""
+        PadicError, and one of degree above N with DegreeOverflow
+        (``indices.check_multi_index``)."""
         d, N = self.lgspec.d, self.algebra.N
         for beta in coeffs:
-            if not (isinstance(beta, tuple) and len(beta) == d
-                    and all(type(b) is int and b >= 0 for b in beta)):
-                raise PadicError(f"canonical index {beta!r} is not a multi-index in N_0^{d}")
-            if sum(beta) > N:
-                raise DegreeOverflow(f"canonical index {beta} outside the degree-{N} table",
-                                     required_degree=sum(beta))
+            check_multi_index(beta, d, N, name="canonical index")
         return self._lift(coeffs)
 
     def _lift(self, coeffs):
@@ -238,7 +233,6 @@ class CanonicalForm:
     radius: object
     coeffs: dict
     residual_exponent: object
-    mprime: int
     steps: int
     levels: int
 
@@ -408,7 +402,7 @@ def canonicalize(fam, lam, r, mprime):
 
     canon = {beta: c for beta, c in canon.items() if not c.is_zero}
     residual = ctx.unscale(residual)
-    return CanonicalForm(fam, r, canon, residual, mprime, steps, levels)
+    return CanonicalForm(fam, r, canon, residual, steps, levels)
 
 
 def _add_canonical(fam, canon, alpha, num, den):
@@ -416,25 +410,6 @@ def _add_canonical(fam, canon, alpha, num, den):
     beta = fam.to_canonical_index(alpha)
     c = Scalar(fam.algebra.field, tuple(num), den)
     canon[beta] = canon[beta] + c if beta in canon else c
-
-
-def binomial_series(fam, v, j):
-    """(1 + b_1j)^v - 1 = sum_(1 <= k <= N) binom(v, k) b_1j^k for v in o_L,
-    given as a scalar of K.
-
-    Since G_ij lies in the kernel, 1 + b_ij = (1 + b_1j)^(v_i) in the
-    quotient, so at v = v_i this is the canonical form of b_ij up to the
-    residual and the truncation.
-    """
-    alg = fam.algebra
-    index = fam.lgspec.flat_index(1, j)
-    coeff = alg.field.one()
-    terms = {}
-    for k in range(1, alg.N + 1):
-        coeff = (coeff * (v - (k - 1))).scale(Fraction(1, k))
-        if not coeff.is_zero:
-            terms[unit_index(alg.d, index, k)] = coeff
-    return Distribution._of(alg, terms)
 
 
 def _required_truncation(alg, r, mprime):

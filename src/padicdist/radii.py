@@ -55,19 +55,15 @@ class Radius:
 _RADIUS_RE = re.compile(r"^\s*(\d+)\s*\^\s*-\s*(\d+)\s*(?:/\s*(\d+))?\s*$")
 
 
-def parse_radius(text, p=None):
-    """Parse a literal like ``3^-1/4``; returns (base, Radius).
-
-    When ``p`` is given the base must match it.
-    """
+def parse_radius(text, p):
+    """The Radius of a literal like ``3^-1/4``, whose base must be p."""
     m = _RADIUS_RE.match(text)
     if not m:
         raise ParseError(f"bad radius literal {text!r}; expected like 3^-1/4")
     base = int(m.group(1))
-    a, b = int(m.group(2)), int(m.group(3) or 1)
-    if p is not None and base != p:
+    if base != p:
         raise ParseError(f"radius base {base} does not match field prime {p}")
-    return base, Radius(a, b)
+    return Radius(int(m.group(2)), int(m.group(3) or 1))
 
 
 def vp_int(n, p):

@@ -25,7 +25,6 @@ from .grading import (
 from .groups import LGroupSpec, check_p_valuation, check_powerful_commutator
 from .indices import unit_index
 from .quotient import (
-    binomial_series,
     build_kernel_family,
     canonicalize,
     domain_smoke_test,
@@ -285,9 +284,10 @@ def suite_quotient(env):
         for (i, j) in fam.pairs:
             b_ij = fam.algebra.generator(lg.flat_index(i, j))
             form = canonicalize(fam, b_ij, r, mprime)
-            # the whole form is compared, not its leading term vbar_i b_1j,
-            # since a v_i of positive valuation has vbar_i = 0
-            series = binomial_series(fam, lg.v_basis[i - 1], j)
+            # G_ij lies in the kernel, so 1 + b_ij = (1 + b_1j)^(v_i) in the
+            # quotient; the whole form is compared, not its leading term
+            # vbar_i b_1j, since a v_i of positive valuation has vbar_i = 0
+            series = fam.algebra.binomial_series(lg.flat_index(1, j), lg.v_basis[i - 1])
             gap = (form.as_distribution() - series).norm(r)
             if gap < mprime:
                 raise PadicError(

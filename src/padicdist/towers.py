@@ -42,18 +42,15 @@ INF = math.inf
 
 
 def step_generator(algebra, i, m):
-    """b'_i = (1 + b_i)^(p^m) - 1, expanded exactly."""
+    """b'_i = (1 + b_i)^(p^m) - 1, expanded exactly
+    (``DistAlgebra.binomial_series``)."""
     require_step(m)
-    p = algebra.lattice.p
-    q = p**m
+    q = algebra.lattice.p**m
     if q > algebra.N:
         raise DegreeOverflow(
             f"step generator needs degree {q} > N = {algebra.N}", required_degree=q
         )
-    terms = {}
-    for k in range(1, q + 1):
-        terms[unit_index(algebra.d, i, k)] = math.comb(q, k)
-    return algebra.from_terms(terms)
+    return algebra.binomial_series(i, q)
 
 
 def step_monomial(algebra, alpha, m):
@@ -379,10 +376,7 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
     if (p**level) * r.exponent != delta.exponent:
         raise CounterexampleFound("root-family radius misses delta", witness=(r, delta))
     if not restriction_hypothesis(r, m, kappa, p):
-        raise HypothesisFailed(
-            "the root-family radius violates the restriction hypothesis",
-            probe={"m": m, "exponent": r.exponent},
-        )
+        raise HypothesisFailed("the root-family radius violates the restriction hypothesis")
 
     q = p**level
     N = q * lgspec.d
@@ -392,7 +386,7 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
 
     h = dominant_log_index(r, kappa, p)
     if h is None:
-        raise HypothesisFailed("root-family radius is critical", probe={"m": m})
+        raise HypothesisFailed("root-family radius is critical")
 
     records = []
     first_row = [lgspec.flat_index(1, j) for j in range(1, lgspec.d + 1)]

@@ -616,7 +616,7 @@ def canonicalize_oracle(fam, lam, r, mprime):
             residual = min(residual, scale.key(c, alpha))
 
     canon = {beta: c for beta, c in canon.items() if not c.is_zero}
-    return CanonicalForm(fam, r, canon, scale.unscale(residual), mprime, steps, levels)
+    return CanonicalForm(fam, r, canon, scale.unscale(residual), steps, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -365,12 +365,53 @@ def test_mul_walks_nonzero_rows_of_a_dense_operand(heis, q3):
 
 def test_mul_refuses_an_index_outside_the_table(heis, q3):
     """A term of degree above N, from a wider algebra, is refused with
-    DegreeOverflow on either side, as the row lookup of that pair is, also
-    where the other side walks only its nonempty rows."""
+    InvalidArgument on either side, as every operand of another algebra
+    is, also where the other side walks only its nonempty rows."""
     alg, wide = DistAlgebra(heis, q3, 3), DistAlgebra(heis, q3, 5)
     dense = alg.from_terms({g: 1 for g in iter_multi_indices(3, 3)})
     # dense terms first, so each alpha of the other side walks its rows
     high = wide.from_terms({**{g: 1 for g in iter_multi_indices(3, 3)}, (4, 0, 0): 1})
     for lam, mu in ((dense, high), (high, dense)):
-        with pytest.raises(DegreeOverflow, match="outside the degree-3 table"):
+        with pytest.raises(InvalidArgument, match="a product needs distributions of one algebra"):
             alg.mul(lam, mu)
+
+
+def test_mul_refuses_an_operand_of_another_field(heis, k3u2, k3r2):
+    """w b1 over Q_9 times pi b2 over the ramified Q_3(pi) is refused; read
+    as coefficients of Q_9, the product came out as -1 * b1*b2."""
+    alg, other = DistAlgebra(heis, k3u2, 6), DistAlgebra(heis, k3r2, 6)
+    a, b = alg.parse("w * b1"), other.parse("pi * b2")
+    for lam, mu in ((a, b), (b, a)):
+        with pytest.raises(InvalidArgument, match="a product needs distributions of one algebra"):
+            alg.mul(lam, mu)
+    with pytest.raises(InvalidArgument):
+        a * b
+
+
+def test_sum_refuses_an_operand_of_another_truncation(heis, k3u2):
+    """A degree-4 element plus a degree-6 b3^5 is refused, on + and on -;
+    the sum was a degree-4 distribution holding b3^5."""
+    low, high = DistAlgebra(heis, k3u2, 4), DistAlgebra(heis, k3u2, 6)
+    lam, mu = low.parse("b1"), high.parse("b3^5")
+    for op in (lambda: lam + mu, lambda: lam - mu, lambda: mu + lam):
+        with pytest.raises(InvalidArgument, match="a sum needs distributions of one algebra"):
+            op()
+
+
+def test_mul_tail_bound_refuses_an_operand_of_another_field(heis, k3u2, k3r2):
+    """The tail bound of a product across two fields is refused, not
+    returned as the bound of a product that ``mul`` refuses."""
+    a = DistAlgebra(heis, k3u2, 6).parse("w * b1")
+    b = DistAlgebra(heis, k3r2, 6).parse("pi * b2")
+    with pytest.raises(InvalidArgument, match="a tail bound needs distributions of one algebra"):
+        mul_tail_bound(a, b, Radius(1, 4))
+
+
+def test_binomial_series_refuses_a_bad_exponent_or_index(heis_alg):
+    """v goes through ``FieldSpec.scalar``, and i is checked also at v = 0,
+    where the series is empty."""
+    assert heis_alg.binomial_series(0, 0).is_zero
+    with pytest.raises(InvalidArgument):
+        heis_alg.binomial_series(0, 0.5)
+    with pytest.raises(InvalidArgument, match="index 3 is outside 0..2"):
+        heis_alg.binomial_series(3, 0)

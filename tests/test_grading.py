@@ -6,12 +6,14 @@ import pytest
 
 from helpers import hilbert_oracle, in_ideal_oracle, regular_sequence_oracle
 from padicdist import (
+    DistAlgebra,
     Symbol,
     SymbolContext,
     build_kernel_family,
     check_regular_sequence,
     finite_rank_quotient,
     get_group,
+    heisenberg,
     kernel_symbol_family,
     quotient_iso_check,
     symbol_class_nonzero,
@@ -25,6 +27,7 @@ from padicdist.errors import (
 )
 from padicdist.grading import GroebnerBasis
 from padicdist.indices import iter_exact_degree
+from padicdist.radii import Radius
 from padicdist.suites import _radius_with_dominant_index
 
 
@@ -328,3 +331,21 @@ def test_random_families_match_the_oracle(ctx3, kfield):
         seen.add(regular)
         _agrees_with_oracle(family, regular)
     assert seen == {True, False}
+
+
+def test_symbols_of_two_radii_are_refused(k3u2):
+    """X1 at 3^-1/4 times X2 at 3^-2/3 is refused; it came out as X1 * X2
+    of degree 1/2.  Their sum is refused the same way, also with a zero
+    symbol of the other radius."""
+    alg = DistAlgebra(heisenberg(3), k3u2, 6)
+    x1 = alg.generator(0).principal_symbol(Radius(1, 4))
+    x2 = alg.generator(1).principal_symbol(Radius(2, 3))
+    with pytest.raises(InvalidArgument, match="a product needs symbols of one filtration"):
+        x1 * x2
+    zero = Symbol(x2.context, {})
+    for op in (lambda: x1 + x2, lambda: x1 + zero, lambda: zero + x1, lambda: x1 - x2):
+        with pytest.raises(InvalidArgument, match="a sum needs symbols of one filtration"):
+            op()
+    # an equal context built apart is the same filtration
+    again = alg.generator(1).principal_symbol(Radius(1, 4))
+    assert (x1 * again).degree == Fraction(1, 2)

@@ -582,3 +582,13 @@ def test_build_refuses_a_law_leaving_z_p():
         with pytest.raises(CounterexampleFound, match="group law left Z_p") as info:
             table.row((0, 0, 0), (0, 0, 0))
         assert info.value.witness == witness
+
+
+def test_a_list_index_is_refused_with_a_padic_error():
+    """An index given as a list is not a multi-index: ``rows_from`` and
+    ``row`` refuse it with a PadicError naming it, where a bare
+    TypeError (unhashable type: 'list') came out."""
+    table = StructureConstants(heisenberg(3), 4)
+    for lookup in (lambda: table.rows_from([1, 0, 0]), lambda: table.row((0, 0, 0), [1, 0, 0])):
+        with pytest.raises(PadicError, match=re.escape("index [1, 0, 0] is not a multi-index")):
+            lookup()

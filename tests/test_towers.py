@@ -395,3 +395,14 @@ def test_norm_transfer_mixed_monomial_o_additive2(k3u2):
     assert [r["monomial"] for r in recs] == [True, True]
     for rec in recs:
         assert rec["offset"] == 0 and rec["certified_equal"]
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_step_generator_is_the_binomial_series_and_delta(heis_alg, i, m):
+    """b'_i = (1 + b_i)^(3^m) - 1 three ways: the step generator, the
+    binomial series at v = 3^m, and delta(h_i^(3^m)) - 1, read off the
+    table's binomial ladder."""
+    q = 3**m
+    power = heis_alg.delta(heis_alg.lattice.generator(i) ** q) - heis_alg.one()
+    assert step_generator(heis_alg, i, m) == heis_alg.binomial_series(i, q) == power
