@@ -29,11 +29,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .errors import InvalidArgument, ParseError, ZeroDistribution
 from .grading import Symbol, SymbolContext
-from .indices import grlex_key, unit_index
+from .indices import grlex_key, sparse_sum, unit_index
 from .mahler import StructureConstants
 from .padics import Scalar
 
@@ -289,15 +290,9 @@ class Distribution:
 
     def __add__(self, other):
         _require_algebra(self.algebra, "a sum", other)
-        out = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            prev = out.get(alpha)
-            s = c if prev is None else prev + c
-            if s.is_zero:
-                out.pop(alpha, None)
-            else:
-                out[alpha] = s
-        return Distribution._of(self.algebra, out)
+        return Distribution._of(
+            self.algebra, sparse_sum(chain(self.coeffs.items(), other.coeffs.items()))
+        )
 
     def __neg__(self):
         return Distribution._of(self.algebra, {a: -c for a, c in self.coeffs.items()})
@@ -433,9 +428,10 @@ def _parse_distribution(algebra, text):
 
     def terms(group_at):
         """{alpha: coefficient} of the terms up to the end of the literal,
-        or, inside the parenthesis at ``group_at``, up to its close."""
+        or, inside the parenthesis at ``group_at``, up to its close; an
+        alpha whose coefficients sum to zero is absent (``sparse_sum``)."""
         nonlocal idx
-        out = {}
+        out = []
         while True:
             sign = 1
             while peek() in ("+", "-"):
@@ -451,7 +447,7 @@ def _parse_distribution(algebra, text):
                     raise ParseError(f"expected a factor, found {found}", position=base_pos)
                 idx += 1
                 if tok == "(":
-                    coeff = coeff * terms(base_pos)[(0,) * algebra.d]
+                    coeff = coeff * terms(base_pos).get((0,) * algebra.d, field.zero())
                 elif tok.isdigit():
                     value = Fraction(int(tok) ** power(base_pos))
                     if peek() == "/":
@@ -477,9 +473,7 @@ def _parse_distribution(algebra, text):
                     break
                 else:
                     raise ParseError(f"expected *, + or - before {tok!r}", position=at)
-            key = tuple(alpha)
-            prev = out.get(key)
-            out[key] = coeff if prev is None else prev + coeff
+            out.append((tuple(alpha), coeff))
             if tok in ("+", "-"):
                 continue
             if tok is None and group_at is not None:
@@ -487,7 +481,7 @@ def _parse_distribution(algebra, text):
             if tok == ")" and group_at is None:
                 raise ParseError("unmatched )", position=at)
             idx += tok == ")"
-            return out
+            return sparse_sum(out)
 
     return algebra.from_terms(terms(None))
 

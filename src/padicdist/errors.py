@@ -89,7 +89,7 @@ class NonUnitLeading(PadicError):
 
 
 class CriticalRadius(PadicError):
-    """The radius is critical for log(1+X); no dominant monomial exists."""
+    """The radius ties two monomials of log(1+X) for dominance, so none dominates."""
 
 
 class InvalidDelta(PadicError):

@@ -21,7 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 
 from .errors import (
     CounterexampleFound,
@@ -30,7 +30,7 @@ from .errors import (
     InvalidArgument,
     NonUnitLeading,
 )
-from .indices import add_index, grlex_key, iter_exact_degree, unit_index
+from .indices import add_index, grlex_key, iter_exact_degree, sparse_sum, unit_index
 from .padics import ResidueElem
 
 INF = math.inf
@@ -128,15 +128,7 @@ class Symbol:
             raise DegreeMismatch(
                 f"adding symbols of degrees {self.degree} and {other.degree}"
             )
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Symbol(self.context, out)
+        return Symbol(self.context, sparse_sum(chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self):
         return Symbol(self.context, {k: -v for k, v in self.terms.items()})
@@ -146,18 +138,11 @@ class Symbol:
 
     def __mul__(self, other):
         self._require_context(other, "a product")
-        out = {}
-        for (w1, a1), c1 in self.terms.items():
-            for (w2, a2), c2 in other.terms.items():
-                key = (w1 + w2, add_index(a1, a2))
-                c = c1 * c2
-                prev = out.get(key)
-                s = c if prev is None else prev + c
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Symbol(self.context, out)
+        return Symbol(self.context, sparse_sum(
+            ((w1 + w2, add_index(a1, a2)), c1 * c2)
+            for (w1, a1), c1 in self.terms.items()
+            for (w2, a2), c2 in other.terms.items()
+        ))
 
     def scale(self, c):
         return Symbol(self.context, {k: v * c for k, v in self.terms.items()})
@@ -250,7 +235,9 @@ def _divides(a, b):
 
 
 def _sub_multiple(work, c, shift, poly):
-    """work -= c X^shift poly in place, dropping the terms that cancel."""
+    """work -= c X^shift poly in place, dropping the terms that cancel: the
+    one sum not through ``indices.sparse_sum``, as the Groebner inner loop
+    changes its working polynomial in place."""
     for beta, b in poly.items():
         key = add_index(beta, shift)
         if key in work:
@@ -484,9 +471,8 @@ def symbol_class_nonzero(sym, h, vbars, n, d):
 
 def eliminate_to_first_row(symbol, n, d, vbars, target_context):
     """Apply X_ij -> vbar_i X_1j; the image lives in d variables."""
-    out = {}
-    for (w, alpha), c in symbol.terms.items():
-        coeff = c
+    terms = []
+    for (w, alpha), coeff in symbol.terms.items():
         beta = [0] * d
         for j in range(d):
             for i in range(n):
@@ -495,14 +481,8 @@ def eliminate_to_first_row(symbol, n, d, vbars, target_context):
                     beta[j] += a
                     if i > 0:
                         coeff = coeff * vbars[i] ** a
-        key = (w, tuple(beta))
-        prev = out.get(key)
-        s = coeff if prev is None else prev + coeff
-        if s.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return Symbol(target_context, out)
+        terms.append(((w, tuple(beta)), coeff))
+    return Symbol(target_context, sparse_sum(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -800,6 +800,9 @@ class LGroupSpec:
             raise InvalidBracket("an o-element needs p-integral coordinates over the v-basis")
         for a, b in product(range(self.n), repeat=2):
             self._v_coords(self.v_basis[a] * self.v_basis[b])
+        # the residue classes vbar_1 = 1, ..., vbar_n: zero where v(v_i) > 0
+        zero = field.residue_field.zero()
+        self.vbars = tuple(v.residue() if v.valuation == 0 else zero for v in self.v_basis)
 
     def _v_coords(self, x):
         """The coordinates over the v-basis of the scalar x of K, which
@@ -815,6 +818,23 @@ class LGroupSpec:
     def flat_index(self, i, j):
         """Position of the generator h_ij in the order (1,1),(2,1),...,(n,d)."""
         return (j - 1) * self.n + (i - 1)
+
+    # The first row h_11, ..., h_1d sits at every n-th position of that
+    # order, so an nd-index alpha has its first-row exponents at alpha[::n].
+
+    def is_first_row(self, alpha):
+        """Whether the nd-index alpha has no exponent off the first row."""
+        return sum(alpha) == sum(alpha[::self.n])
+
+    def to_canonical_index(self, alpha):
+        """The first-row exponents (alpha_11, ..., alpha_1d) of alpha."""
+        return alpha[::self.n]
+
+    def from_canonical_index(self, beta):
+        """The nd-index with first-row exponents beta and zeros elsewhere."""
+        alpha = [0] * (self.n * self.d)
+        alpha[::self.n] = beta
+        return tuple(alpha)
 
     def restrict(self):
         """The nd-dimensional Q_p-lattice of the scalar restriction.
@@ -854,11 +874,6 @@ class LGroupSpec:
             self.field, self.v_basis, self.d, br,
             name=f"{self.name}^({m})" if self.name else "",
         )
-
-    def residue_of_v(self, i):
-        """The residue class of v_i (i is 1-based): zero when v(v_i) > 0."""
-        v = self.v_basis[i - 1]
-        return v.residue() if v.valuation == 0 else self.field.residue_field.zero()
 
     def __repr__(self):
         return f"LGroup({self.name or 'anon'}, n={self.n}, d={self.d})"

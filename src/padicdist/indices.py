@@ -1,4 +1,5 @@
-"""Multi-index helpers shared by the series, table and symbol modules."""
+"""Multi-index helpers shared by the series, table and symbol modules, and
+the one sparse sum of their term maps."""
 
 from .errors import DegreeOverflow, InvalidArgument, PadicError
 
@@ -32,6 +33,18 @@ def unit_index(d, i, k=1):
     if i not in range(d):
         raise InvalidArgument(f"index {i!r} is outside 0..{d - 1}")
     return tuple(k if t == i else 0 for t in range(d))
+
+
+def sparse_sum(terms):
+    """The map key -> sum of its values over the (key, value) pairs
+    ``terms``, keys in order of first occurrence, with every key whose sum
+    is zero (``is_zero``) dropped."""
+    out = {}
+    get = out.get
+    for key, c in terms:
+        prev = get(key)
+        out[key] = c if prev is None else prev + c
+    return {key: c for key, c in out.items() if not c.is_zero}
 
 
 def check_multi_index(index, d, N, name="index"):

@@ -36,9 +36,10 @@ from .errors import (
     PrecisionExhausted,
 )
 from .grading import Symbol
-from .indices import check_multi_index, grlex_key, unit_index
+from .indices import check_multi_index, grlex_key, sparse_sum, unit_index
 from .padics import Scalar
 from .radii import dominant_log_index, is_h0_radius, log_tail_exponent
+from .samplers import random_terms
 
 INF = math.inf
 
@@ -69,15 +70,8 @@ class KernelFamily:
             for i in range(2, lgspec.n + 1):
                 log_ij = algebra.log_series(lgspec.flat_index(i, j))
                 self._gens[(i, j)] = log_ij - log_1j.scale(lgspec.v_basis[i - 1])
-
-    @property
-    def pairs(self):
-        """Generator labels (i, j) with i >= 2, in generator order."""
-        return [
-            (i, j)
-            for j in range(1, self.lgspec.d + 1)
-            for i in range(2, self.lgspec.n + 1)
-        ]
+        # generator labels (i, j) with i >= 2, in generator order
+        self.pairs = tuple(self._gens)
 
     def gen(self, i, j):
         """The (i, j) kernel generator; identically zero for i = 1."""
@@ -87,27 +81,6 @@ class KernelFamily:
         if i == 1:
             return self.algebra.zero()
         return self._gens[(i, j)]
-
-    # -- projections --------------------------------------------------------------
-
-    def is_first_row(self, alpha):
-        lg = self.lgspec
-        return all(
-            alpha[lg.flat_index(i, j)] == 0
-            for j in range(1, lg.d + 1)
-            for i in range(2, lg.n + 1)
-        )
-
-    def to_canonical_index(self, alpha):
-        lg = self.lgspec
-        return tuple(alpha[lg.flat_index(1, j)] for j in range(1, lg.d + 1))
-
-    def from_canonical_index(self, beta):
-        lg = self.lgspec
-        alpha = [0] * (lg.n * lg.d)
-        for j, bj in enumerate(beta, start=1):
-            alpha[lg.flat_index(1, j)] = bj
-        return tuple(alpha)
 
     def lift(self, coeffs):
         """A canonical coefficient map beta -> Scalar, as a distribution.
@@ -122,9 +95,9 @@ class KernelFamily:
     def _lift(self, coeffs):
         """``lift`` with no check, for the canonical indices that a
         ``CanonicalForm`` holds."""
+        embed = self.lgspec.from_canonical_index
         return Distribution._of(
-            self.algebra,
-            {self.from_canonical_index(b): c for b, c in coeffs.items() if not c.is_zero},
+            self.algebra, {embed(b): c for b, c in coeffs.items() if not c.is_zero}
         )
 
 
@@ -136,13 +109,20 @@ def build_kernel_family(lgspec, N, cache_dir=None):
 # ---------------------------------------------------------------------------
 # symbols of the kernel generators
 
+def _dominant_index(alg, r):
+    """The dominant log index h at r; a critical r is refused with
+    CriticalRadius."""
+    h = dominant_log_index(r, alg.kappa, alg.lattice.p)
+    if h is None:
+        raise CriticalRadius(f"radius {r} is critical for log(1+X)")
+    return h
+
+
 def kernel_symbol_closed_form(fam, i, j, r):
     """e0^(-he) (X_ij^(p^h) - vbar_i X_1j^(p^h)) with the coefficient's unit class."""
     alg = fam.algebra
     p = alg.lattice.p
-    h = dominant_log_index(r, alg.kappa, p)
-    if h is None:
-        raise CriticalRadius(f"radius {r} is critical for log(1+X)")
+    h = _dominant_index(alg, r)
     ctx = alg.symbol_context(r)
     coeff = alg.field.scalar(Fraction((-1) ** (p**h - 1), p**h))
     res = coeff.leading_residue()
@@ -152,7 +132,7 @@ def kernel_symbol_closed_form(fam, i, j, r):
     nd = lg.n * lg.d
     e_ij = unit_index(nd, lg.flat_index(i, j), k)
     e_1j = unit_index(nd, lg.flat_index(1, j), k)
-    vbar = lg.residue_of_v(i)
+    vbar = lg.vbars[i - 1]
     return Symbol(ctx, {(w, e_ij): res, (w, e_1j): -(vbar * res)})
 
 
@@ -160,9 +140,7 @@ def kernel_symbol(fam, i, j, r):
     """Principal symbol of the truncated generator, verified against the
     closed form; raises CriticalRadius at critical radii."""
     alg = fam.algebra
-    h = dominant_log_index(r, alg.kappa, alg.lattice.p)
-    if h is None:
-        raise CriticalRadius(f"radius {r} is critical for log(1+X)")
+    h = _dominant_index(alg, r)
     if alg.lattice.p**h > alg.N:
         raise DegreeOverflow(
             f"dominant index p^{h} exceeds the truncation {alg.N}",
@@ -266,16 +244,12 @@ class CanonicalForm:
 
 
 def _require_h0(fam, r):
-    p = fam.algebra.lattice.p
-    kappa = fam.algebra.kappa
-    if is_h0_radius(r, kappa, p):
-        return
-    h = dominant_log_index(r, kappa, p)
-    if h is None:
-        raise CriticalRadius(f"radius {r} is critical for log(1+X)")
-    raise InvalidArgument(
-        f"canonicalization needs r^kappa < p^(-1/(p-1)); got dominant index h = {h}"
-    )
+    alg = fam.algebra
+    if not is_h0_radius(r, alg.kappa, alg.lattice.p):
+        raise InvalidArgument(
+            "canonicalization needs r^kappa < p^(-1/(p-1)); "
+            f"got dominant index h = {_dominant_index(alg, r)}"
+        )
 
 
 def canonicalize(fam, lam, r, mprime):
@@ -327,7 +301,7 @@ def canonicalize(fam, lam, r, mprime):
     shifts = fam._shift_keys.setdefault(r, {})
     # the first X_ij, i >= 2, that a lead contains is the one cleared
     pairs = [(i, j, lg.flat_index(i, j)) for i, j in fam.pairs]
-    canon = {}
+    canon = []  # the first-row terms (alpha, num, den) taken off the residue
     residual = INF
     steps = levels = 0
     last_level = None
@@ -354,7 +328,7 @@ def canonicalize(fam, lam, r, mprime):
         target = next((pair for pair in pairs if lead[pair[2]]), None)
         if target is None:
             del work[lead]
-            _add_canonical(fam, canon, lead, pn, pd)
+            canon.append((lead, pn, pd))
         else:
             i, j, ij = target
             alpha_prime = tuple(a - (t == ij) for t, a in enumerate(lead))
@@ -395,21 +369,15 @@ def canonicalize(fam, lam, r, mprime):
     # leftovers sit at or above the target: pure terms still belong to the
     # canonical part (exactly), everything else is bounded into the residual
     for alpha, (num, den, key) in work.items():
-        if fam.is_first_row(alpha):
-            _add_canonical(fam, canon, alpha, num, den)
+        if lg.is_first_row(alpha):
+            canon.append((alpha, num, den))
         else:
             residual = min(residual, key)
 
-    canon = {beta: c for beta, c in canon.items() if not c.is_zero}
+    canon = sparse_sum((lg.to_canonical_index(alpha), Scalar(field, tuple(num), den))
+                       for alpha, num, den in canon)
     residual = ctx.unscale(residual)
     return CanonicalForm(fam, r, canon, residual, steps, levels)
-
-
-def _add_canonical(fam, canon, alpha, num, den):
-    """Add the first-row term (num / den) b^alpha to ``canon``."""
-    beta = fam.to_canonical_index(alpha)
-    c = Scalar(fam.algebra.field, tuple(num), den)
-    canon[beta] = canon[beta] + c if beta in canon else c
 
 
 def _required_truncation(alg, r, mprime):
@@ -442,30 +410,16 @@ def domain_smoke_test(fam, r, trials, rng, mprime):
     """Quotient-norm multiplicativity on random canonical pairs.
 
     Each side is up to three first-row terms of degree <= min(3, N // 2)
-    with coefficients unit * pi^v, 0 <= v <= 2, so the product of a pair
-    stays within the truncation.  Multiplicativity of the quotient norm
-    rules out zero divisors among the samples; any violation is raised as
-    a counterexample.
+    with coefficients unit * pi^v, 0 <= v <= 2 (``samplers.random_terms``),
+    so the product of a pair stays within the truncation.  Multiplicativity
+    of the quotient norm rules out zero divisors among the samples; any
+    violation is raised as a counterexample.
     """
     alg = fam.algebra
-    lg = fam.lgspec
-    field = alg.field
+    field, d = alg.field, fam.lgspec.d
     cap = min(3, alg.N // 2)
     for _ in range(trials):
-        pair = []
-        for _side in range(2):
-            coeffs = {}
-            for _t in range(rng.randrange(1, 4)):
-                beta = tuple(rng.randrange(0, 4) for _ in range(lg.d))
-                if sum(beta) > cap:
-                    continue
-                v = rng.randrange(0, 3)
-                unit = field.scalar(rng.randrange(1, field.p))
-                coeffs[beta] = unit * field.uniformizer() ** v
-            if not coeffs:
-                coeffs[(0,) * lg.d] = field.one()
-            pair.append(fam.lift(coeffs))
-        lam, mu = pair
+        lam, mu = (fam.lift(random_terms(field, d, cap, rng, 3)) for _side in range(2))
         qa = quotient_norm(fam, lam, r, mprime)
         qb = quotient_norm(fam, mu, r, mprime)
         qab = quotient_norm(fam, alg.mul(lam, mu), r, mprime)

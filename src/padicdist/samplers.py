@@ -27,17 +27,23 @@ def random_scalar(field, rng):
     return unit * field.uniformizer() ** rng.randrange(0, 3)
 
 
-def random_distribution(algebra, rng, max_degree=None, max_terms=4):
-    """Up to ``max_terms`` terms of support degree <= max_degree (default N),
-    each coefficient a ``random_scalar``; the constant 1 when every drawn
-    index overshoots."""
-    cap = algebra.N if max_degree is None else max_degree
+def random_terms(field, d, cap, rng, max_terms):
+    """Up to ``max_terms`` terms {alpha: random_scalar}, each alpha in
+    N_0^d drawn coordinate by coordinate from 0..cap and dropped when
+    |alpha| > cap; the constant term 1 when every drawn index overshoots."""
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
-        alpha = tuple(rng.randrange(0, cap + 1) for _ in range(algebra.d))
+        alpha = tuple(rng.randrange(0, cap + 1) for _ in range(d))
         if sum(alpha) > cap:
             continue
-        terms[alpha] = random_scalar(algebra.field, rng)
+        terms[alpha] = random_scalar(field, rng)
     if not terms:
-        terms[(0,) * algebra.d] = algebra.field.one()
-    return algebra.from_terms(terms)
+        terms[(0,) * d] = field.one()
+    return terms
+
+
+def random_distribution(algebra, rng, max_degree=None, max_terms=4):
+    """The distribution of ``random_terms`` of support degree <= max_degree
+    (default N)."""
+    cap = algebra.N if max_degree is None else max_degree
+    return algebra.from_terms(random_terms(algebra.field, algebra.d, cap, rng, max_terms))

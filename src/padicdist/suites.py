@@ -324,8 +324,7 @@ def suite_quotient(env):
 
     def iso_dims():
         lg = fam.lgspec
-        vbars = [lg.residue_of_v(i) for i in range(1, lg.n + 1)]
-        return quotient_iso_check(lg.n, lg.d, vbars, env.field.residue_field)
+        return quotient_iso_check(lg.n, lg.d, lg.vbars, env.field.residue_field)
     records.append(_record(env, suite, "graded quotient dimension counts",
                            iso_dims, expected="polynomial ring in d variables"))
     return records
@@ -412,15 +411,14 @@ def suite_grading(env):
         def image_check():
             lg = fam.lgspec
             r = _radius_with_dominant_index(0, env.field.kappa, env.field.p)
-            vbars = [lg.residue_of_v(i) for i in range(1, lg.n + 1)]
             ctx = SymbolContext(env.field, env.field.kappa, r.exponent,
                                 tuple(f"X1{j}" for j in range(1, lg.d + 1)))
             for (i, j) in fam.pairs:
                 b_ij = fam.algebra.generator(lg.flat_index(i, j))
                 img = eliminate_to_first_row(
-                    b_ij.principal_symbol(r), lg.n, lg.d, vbars, ctx
+                    b_ij.principal_symbol(r), lg.n, lg.d, lg.vbars, ctx
                 )
-                vbar = vbars[i - 1]
+                vbar = lg.vbars[i - 1]
                 want = {} if vbar.is_zero else {(0, unit_index(lg.d, j - 1)): vbar}
                 if img.terms != want:
                     raise PadicError(f"image of sigma(b_{i}{j}) is not vbar_{i} X_1{j}")

@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import mul
 
-from .distalg import DistAlgebra, _peak
+from .distalg import DistAlgebra, Distribution, _peak
 from .errors import (
     ConditionFailed,
     CounterexampleFound,
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .grading import symbol_class_nonzero
 from .groups import GroupElement, _joined, require_step
-from .indices import iter_multi_indices, unit_index
+from .indices import iter_multi_indices, sparse_sum, unit_index
 from .radii import dominant_log_index, radius_root
 
 INF = math.inf
@@ -68,6 +68,18 @@ def step_monomial(algebra, alpha, m):
         for _ in range(a):
             out = algebra.mul(out, gen)
     return out
+
+
+def _step_combination(algebra, support, m, s):
+    """The combination sum c b'^alpha of step-m monomials over the {alpha: c}
+    ``support``, and its intrinsic exponent min v(c)/e + kappa |alpha| s,
+    for the intrinsic norm of the step at the radius exponent s."""
+    big = sparse_sum(chain.from_iterable(
+        step_monomial(algebra, alpha, m).scale(c).coeffs.items() for alpha, c in support.items()
+    ))
+    kappa = algebra.kappa
+    intrinsic = min(c.abs_exponent() + kappa * sum(alpha) * s for alpha, c in support.items())
+    return Distribution._of(algebra, big), intrinsic
 
 
 def restriction_hypothesis(r, m, kappa, p):
@@ -117,13 +129,7 @@ def restriction_check(algebra, m, r, samples, rng):
             support[alpha] = coeff
         if not support:
             support[(0,) * lat.d] = field.one()
-        big = algebra.zero()
-        intrinsic = INF
-        for alpha, c in support.items():
-            big = big + step_monomial(algebra, alpha, m).scale(c)
-            intrinsic = min(
-                intrinsic, c.abs_exponent() + kappa * sum(alpha) * sub_exponent
-            )
+        big, intrinsic = _step_combination(algebra, support, m, sub_exponent)
         ambient = big.norm(r)
         if ambient != intrinsic:
             raise CounterexampleFound(
@@ -382,14 +388,12 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
     N = q * lgspec.d
     lattice = lgspec.restrict()
     algebra = DistAlgebra(lattice, field, N)
-    vbars = [lgspec.residue_of_v(i) for i in range(1, lgspec.n + 1)]
 
     h = dominant_log_index(r, kappa, p)
     if h is None:
         raise HypothesisFailed("root-family radius is critical")
 
     records = []
-    first_row = [lgspec.flat_index(1, j) for j in range(1, lgspec.d + 1)]
     for trial in range(samples):
         if trial == 0:
             support = {unit_index(lgspec.d, 0): field.one()}
@@ -401,23 +405,13 @@ def norm_transfer_check(lgspec, delta, m, samples, rng):
                     rng.randrange(1, p)
                 )
                 support[alpha] = coeff
-            if not support:
-                continue
-        big = algebra.zero()
-        intrinsic = INF
-        for alpha, c in support.items():
-            nd_alpha = [0] * algebra.d
-            for j, a in zip(first_row, alpha):
-                nd_alpha[j] = a
-            big = big + step_monomial(algebra, tuple(nd_alpha), level).scale(c)
-            intrinsic = min(
-                intrinsic, c.abs_exponent() + kappa * sum(alpha) * delta.exponent
-            )
-        if big.is_zero:
-            continue
+        embed = lgspec.from_canonical_index
+        big, intrinsic = _step_combination(
+            algebra, {embed(alpha): c for alpha, c in support.items()}, level, delta.exponent
+        )
         ambient = big.norm(r)
         certificate = symbol_class_nonzero(
-            big.principal_symbol(r), h, vbars, lgspec.n, lgspec.d
+            big.principal_symbol(r), h, lgspec.vbars, lgspec.n, lgspec.d
         )
         monomial_case = len(support) == 1
         if monomial_case and (not certificate or ambient != intrinsic):

@@ -581,7 +581,7 @@ def canonicalize_oracle(fam, lam, r, mprime):
                 break
         coeff = work.coeffs[lead]
         if target is None:
-            beta = fam.to_canonical_index(lead)
+            beta = lg.to_canonical_index(lead)
             prev = canon.get(beta)
             canon[beta] = coeff if prev is None else prev + coeff
             work = work - alg.monomial(lead, coeff)
@@ -608,8 +608,8 @@ def canonicalize_oracle(fam, lam, r, mprime):
             raise PrecisionExhausted("canonicalization exceeded its step budget")
 
     for alpha, c in work.coeffs.items():
-        if fam.is_first_row(alpha):
-            beta = fam.to_canonical_index(alpha)
+        if lg.is_first_row(alpha):
+            beta = lg.to_canonical_index(alpha)
             prev = canon.get(beta)
             canon[beta] = c if prev is None else prev + c
         else:

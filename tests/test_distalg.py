@@ -13,7 +13,7 @@ from padicdist import (
 from padicdist.errors import (
     DegreeOverflow, InvalidArgument, PadicError, ParseError, ZeroDistribution,
 )
-from padicdist.indices import iter_multi_indices
+from padicdist.indices import iter_multi_indices, sparse_sum
 from padicdist.radii import Radius, _scan_min_exponent, log_tail_exponent
 from padicdist.samplers import random_distribution
 
@@ -298,6 +298,34 @@ def test_parse_refuses_a_monomial_above_the_table(heis_alg):
     with pytest.raises(DegreeOverflow, match="outside the degree-6 table") as info:
         heis_alg.parse("b1^7")
     assert info.value.required_degree == 7
+
+
+def test_parse_drops_cancelled_terms(ab1):
+    """Terms of one monomial are summed once; a sum that cancels is absent,
+    also inside parentheses."""
+    one = ab1.field.one()
+    assert ab1.parse("b1 - b1 + 2").coeffs == {(0,): ab1.field.scalar(2)}
+    assert ab1.parse("(1 - 1) * b1 + 3").coeffs == {(0,): ab1.field.scalar(3)}
+    assert ab1.parse("b1 + 2*b1 - b1^2 + b1^2").coeffs == {(1,): one * 3}
+
+
+def test_sparse_sum_drops_cancelled_keys(q3):
+    """One call sums every term; a key whose terms sum to zero is dropped,
+    and one that passes through zero and back keeps its first place."""
+    x, y = q3.scalar(2), q3.scalar(Fraction(1, 3))
+    got = sparse_sum([("a", x), ("b", y), ("a", -x), ("c", x), ("a", x), ("b", -y)])
+    assert list(got.items()) == [("a", x), ("c", x)]
+    assert sparse_sum([]) == {}
+
+
+# the draw order of ``random_distribution`` at the parent of the
+# ``samplers.random_terms`` split; the norms and symbols suites read it
+@pytest.mark.parametrize("seed, text", [(0, "1"), (1, "6 * b2^2"), (2, "9 * b3^2"),
+                                        (5, "2 * b1*b3^2")])
+def test_random_distribution_draws_pinned(heis_alg, seed, text):
+    lam = random_distribution(heis_alg, random.Random(seed), 3, 3)
+    assert heis_alg.format(lam) == text
+    assert lam.coeffs == heis_alg.parse(text).coeffs
 
 
 def test_literal_powers_bind_to_their_int(ab1):

@@ -83,7 +83,7 @@ def test_symbol_h0(fam31):
     k = fam31.lgspec.field.residue_field
     assert sym.terms == {
         (0, (0, 1)): k.one(),
-        (0, (1, 0)): -fam31.lgspec.residue_of_v(2),
+        (0, (1, 0)): -fam31.lgspec.vbars[1],
     }
     assert sym.degree == fam31.gen(2, 1).norm(R23)
 
@@ -93,7 +93,7 @@ def test_symbol_h0_ramified_nonunit_v(k3r2):
     X_21 alone, with no -vbar_2 X_11 term."""
     fam = build_kernel_family(o_additive(k3r2, 1), 4)
     lg = fam.lgspec
-    assert lg.residue_of_v(2).is_zero
+    assert lg.vbars[1].is_zero
     sym = kernel_symbol(fam, 2, 1, R23)
     assert sym.terms == {(0, (0, 1)): lg.field.residue_field.one()}
 
@@ -113,6 +113,43 @@ def test_symbol_h2_at_p2(fam21):
 def test_symbol_critical_radius(fam31):
     with pytest.raises(CriticalRadius):
         kernel_symbol(fam31, 2, 1, Radius(1, 2))
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda fam, r: kernel_symbol_closed_form(fam, 2, 1, r),
+    lambda fam, r: canonicalize(fam, fam.algebra.one(), r, MP),
+], ids=["closed_form", "canonicalize"])
+def test_critical_radius_refusal_names_the_radius(fam31, refuse):
+    """3^(-1/2) is the critical radius at p = 3, kappa = 1: the closed-form
+    symbol and canonicalization refuse it as ``kernel_symbol`` does,
+    naming it."""
+    with pytest.raises(CriticalRadius, match=r"^radius p\^-1/2 is critical for log\(1\+X\)$"):
+        refuse(fam31, Radius(1, 2))
+
+
+def test_kernel_family_pairs_pinned(fam32):
+    """The generator labels (i, j), i >= 2, j outer and i inner."""
+    assert fam32.pairs == ((2, 1), (2, 2))
+    fam = build_kernel_family(o_additive(FieldSpec.unramified(2, 3), 2), 2)
+    assert fam.pairs == ((2, 1), (3, 1), (2, 2), (3, 2))
+    assert fam.pairs == tuple(fam._gens)
+
+
+def test_first_row_layout_matches_flat_index():
+    """``LGroupSpec``'s first-row helpers read the positions flat_index(1, j)."""
+    lg = o_additive(FieldSpec.unramified(2, 3), 2)
+    n, d = lg.n, lg.d
+    first = [lg.flat_index(1, j) for j in range(1, d + 1)]
+    for alpha in iter_multi_indices(n * d, 3):
+        beta = tuple(alpha[t] for t in first)
+        on_row = all(alpha[lg.flat_index(i, j)] == 0
+                     for j in range(1, d + 1) for i in range(2, n + 1))
+        assert lg.to_canonical_index(alpha) == beta
+        assert lg.is_first_row(alpha) == on_row
+        assert (lg.from_canonical_index(beta) == alpha) == on_row
+    k = lg.field.residue_field
+    assert lg.vbars == tuple(v.residue() for v in lg.v_basis)
+    assert lg.vbars[0] == k.one()
 
 
 def test_orthogonality(fam31, fam32):
@@ -136,11 +173,11 @@ def test_canonicalize_bij(fam31):
     lg = fam31.lgspec
     b21 = fam31.algebra.generator(lg.flat_index(2, 1))
     form = canonicalize(fam31, b21, R23, MP)
-    assert form.coeffs[(1,)].leading_residue() == lg.residue_of_v(2)
+    assert form.coeffs[(1,)].leading_residue() == lg.vbars[1]
     assert quotient_norm(fam31, b21, R23, MP) == Fraction(2, 3)
     # canonical symbol is vbar_2 X_11
     sym = form.as_distribution().principal_symbol(R23)
-    assert sym.terms == {(0, (1, 0)): lg.residue_of_v(2)}
+    assert sym.terms == {(0, (1, 0)): lg.vbars[1]}
 
 
 def test_reduction_tail_is_the_generators_log_tail(fam31):

@@ -89,6 +89,23 @@ def test_restriction_nonabelian(heis_alg):
     assert len(recs) == 8
 
 
+# records of the parent of the shared step-combination refactor, seed by
+# seed: the draws, sums and exponents must not move
+_RESTRICTION_RECORDS = {
+    0: [(1, '11/4'), (1, '3/8'), (1, '0'), (1, '0'), (1, '3/4'), (1, '0'), (2, '3/4'), (1, '0')],
+    7: [(1, '3/4'), (2, '3/4'), (2, '2'), (1, '0'), (1, '11/4'), (1, '0'), (1, '3/4'), (1, '0')],
+    13: [(1, '11/4'), (1, '0'), (1, '11/4'), (1, '0'), (2, '3/8'), (1, '0'), (1, '0'), (1, '0')],
+    21: [(1, '0'), (2, '7/4'), (1, '2'), (1, '11/4'), (2, '3/4'), (1, '3/8'), (2, '7/4'), (1, '0')],
+}
+
+
+@pytest.mark.parametrize("seed", list(_RESTRICTION_RECORDS))
+def test_restriction_records_pinned(heis_alg, seed):
+    recs = restriction_check(heis_alg, 1, Radius(1, 8), 8, random.Random(seed))
+    got = [(rec["support_size"], str(rec["exponent"])) for rec in recs]
+    assert got == _RESTRICTION_RECORDS[seed]
+
+
 def test_restriction_explicit_value(ab1_big, q3):
     # lambda = p * b'^2 at m = 1, r = 3^(-1/8): both routes 1 + 2 * 3/8
     r = Radius(1, 8)
@@ -378,6 +395,33 @@ def test_norm_transfer_p2(k2u2):
         for rec in recs:
             if rec["monomial"]:
                 assert rec["offset"] == 0 and rec["certified_equal"]
+
+
+# (monomial, ambient, intrinsic, certified, offset) per record, as the
+# parent of the shared step-combination refactor gave them
+_TRANSFER_RECORDS = {
+    0: [(True, '2/3', '2/3', True, '0'), (False, '5/3', '5/3', True, '0'),
+        (True, '2/3', '2/3', True, '0'), (False, '2/3', '2/3', True, '0'),
+        (True, '2/3', '2/3', True, '0'), (False, '2/3', '2/3', True, '0')],
+    7: [(True, '2/3', '2/3', True, '0'), (True, '2/3', '2/3', True, '0'),
+        (True, '5/3', '5/3', True, '0'), (True, '2/3', '2/3', True, '0'),
+        (True, '2/3', '2/3', True, '0'), (True, '5/3', '5/3', True, '0')],
+    13: [(True, '2/3', '2/3', True, '0'), (False, '0', '0', True, '0'),
+         (True, '5/3', '5/3', True, '0'), (True, '2/3', '2/3', True, '0'),
+         (False, '5/3', '5/3', True, '0'), (True, '5/3', '5/3', True, '0')],
+    21: [(True, '2/3', '2/3', True, '0'), (True, '7/3', '7/3', True, '0'),
+         (True, '2/3', '2/3', True, '0'), (True, '4/3', '4/3', True, '0'),
+         (True, '1', '1', True, '0'), (False, '2/3', '2/3', True, '0')],
+}
+
+
+@pytest.mark.parametrize("seed", list(_TRANSFER_RECORDS))
+def test_norm_transfer_records_pinned(seed):
+    lg = o_additive(FieldSpec(3, f=2), 2)
+    recs = norm_transfer_check(lg, Radius(2, 3), 1, 6, random.Random(seed))
+    got = [(rec["monomial"], str(rec["ambient_exponent"]), str(rec["intrinsic_exponent"]),
+            rec["certified_equal"], str(rec["offset"])) for rec in recs]
+    assert got == _TRANSFER_RECORDS[seed]
 
 
 class _TopRng:
