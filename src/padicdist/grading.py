@@ -11,13 +11,13 @@ decided in k[X], and every ideal question here runs through one reduced
 Groebner basis over the residue field (GroebnerBasis): the Krull dimension of the quotient, its
 Hilbert function and normal forms are read off the leading monomials.
 That makes the regular-sequence certificate, the quotient isomorphism and
-symbol classes exact in every degree.  The one echelon routine is
-Subspace, which finds a zero-divisor witness when a certificate fails.
+symbol classes exact in every degree.  When a certificate fails, the
+zero-divisor witness is found by ``padics.Subspace``, the one echelon
+routine, on residue-field vectors.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -31,7 +31,7 @@ from .errors import (
     NonUnitLeading,
 )
 from .indices import add_index, grlex_key, iter_exact_degree, sparse_sum, unit_index
-from .padics import ResidueElem
+from .padics import Subspace
 
 INF = math.inf
 
@@ -186,45 +186,6 @@ class Symbol:
                     factors.append(f"{labels[k]}^{a}" if a > 1 else labels[k])
             parts.append(" * ".join(factors))
         return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# linear algebra over the residue field
-
-class Subspace:
-    """Row-reduced span of vectors over k.
-
-    Vectors are lists of ``ResidueElem`` codes.  A pivot row is stored
-    normalized, in the sparse form of ``ResidueField.scaled_row``, so a
-    row operation is one ``ResidueField.sub_scaled_row``.
-    """
-
-    def __init__(self, kfield, dim):
-        self.kfield = kfield
-        self.dim = dim
-        self.pivots = {}  # leading column -> normalized sparse row
-        self._leads = []  # pivot columns, ascending
-
-    def reduce(self, vec):
-        vec = list(vec)
-        sub = self.kfield.sub_scaled_row
-        for lead in self._leads:
-            sub(vec, vec[lead], self.pivots[lead])
-        return vec
-
-    def add(self, vec):
-        """Insert; returns False when the vector was already in the span."""
-        vec = self.reduce(vec)
-        lead = next((r for r in range(self.dim) if vec[r]), None)
-        if lead is None:
-            return False
-        self.pivots[lead] = self.kfield.scaled_row(vec, lead)
-        bisect.insort(self._leads, lead)
-        return True
-
-    def row(self, lead):
-        """The normalized pivot row with leading column ``lead``, as codes."""
-        return self.kfield.row_codes(self.pivots[lead], self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +377,21 @@ def _annihilated(gb, f, kfield):
     a pivot in the unit block is a combination of the mu that f maps to I.
     """
     fdeg = sum(next(iter(f)))
+    zero = kfield.zero()
     for m in count():
         source = gb.standard_monomials(m)
         target = {a: t for t, a in enumerate(gb.standard_monomials(m + fdeg))}
-        rows = Subspace(kfield, len(target) + len(source))
+        rows = Subspace(zero, len(target) + len(source))
         for j, mu in enumerate(source):
-            vec = [0] * rows.dim
+            vec = [zero] * rows.dim
             for a, c in gb.reduce({add_index(a, mu): c for a, c in f.items()}).items():
-                vec[target[a]] = c.code
-            vec[len(target) + j] = 1
+                vec[target[a]] = c
+            vec[len(target) + j] = kfield.one()
             rows.add(vec)
         for lead in sorted(rows.pivots):
             if lead >= len(target):
                 combo = rows.row(lead)[len(target):]
-                return {mu: ResidueElem(kfield, c) for mu, c in zip(source, combo) if c}
+                return {mu: c for mu, c in zip(source, combo) if c}
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from .errors import (
     NotPowerful,
 )
 from .indices import unit_index
-from .padics import FieldSpec, solve_columns
+from .padics import FieldSpec, Subspace, solve_columns
 from .radii import kappa, vp_int, vp_rational
 
 INF = math.inf
@@ -178,11 +178,11 @@ class LieLattice:
         """
         term = [unit_index(self.d, i) for i in range(self.d)]
         for depth in range(1, self.d + 1):
-            nxt = []
+            nxt, span = [], Subspace(Fraction(0), self.d)
             for i in range(self.d):
                 for v in term:
                     b = self.bracket(unit_index(self.d, i), v)
-                    if solve_columns(nxt, b) is None:  # b is not in the span
+                    if span.add(b):  # b is not in the span
                         nxt.append(b)
             if not nxt:
                 return depth
@@ -792,6 +792,9 @@ class LGroupSpec:
         self.name = name
         if not self.v_basis or self.v_basis[0] != field.one():
             raise InvalidBasis("v_1 must be 1")
+        span = Subspace(Fraction(0), field.degree)
+        if not all(span.add(v.coords) for v in self.v_basis):
+            raise InvalidBasis("v-basis is linearly dependent")
         self.n = len(self.v_basis)
         self.brackets = _bracket_table(
             brackets, 1, (d, self.n), "bracket entries must be d o-elements over the v-basis"

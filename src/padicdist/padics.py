@@ -24,12 +24,15 @@ The residue field k = F_q, q = p^f, holds each element as one int code in
 Each ``ResidueField`` builds, on its first product or sum, the discrete
 logs and antilogs of one primitive element and its Zech logarithms
 log(1 + g^d), tables of size q; every product, inverse, power,
-sum and difference of codes is then a few table lookups, and the
-row operations of ``grading.Subspace`` run on the same tables, through
-``ResidueField.sub_scaled_row``.  Fields with q above ``MAX_RESIDUE_ORDER``
-are refused when the tables are first needed.  The ``_fp_*`` polynomial
-helpers serve the irreducibility test, the one-time table build and the
-reduction of coordinate tuples longer than f.
+sum and difference of codes is then a few table lookups.  Fields with q
+above ``MAX_RESIDUE_ORDER`` are refused when the tables are first needed.
+The ``_fp_*`` polynomial helpers serve the irreducibility test, the
+one-time table build and the reduction of coordinate tuples longer than f.
+
+``Subspace`` is the one exact echelon routine, over Q on Fractions and
+over k on ResidueElems: it inverts in K (``solve_columns``), reads
+coordinates over a v-basis, finds the nilpotency class and the
+zero-divisor witness of a failed regular-sequence certificate.
 """
 
 from __future__ import annotations
@@ -57,35 +60,59 @@ def _is_prime(n):
     return True
 
 
+class Subspace:
+    """Row-reduced span of vectors over a field: the one exact echelon
+    routine, over Q on ``Fraction``s and over k on ``ResidueElem``s.
+
+    Entries need +, -, * and inversion by ``** -1``; a zero entry is
+    falsy.  A pivot row is stored sparse and normalized, as (column,
+    value) pairs from its leading entry 1 on, and is zero at every earlier
+    pivot's lead, so a vector reduces in one pass in insertion order.
+    """
+
+    def __init__(self, zero, dim):
+        self.zero = zero
+        self.dim = dim
+        self.pivots = {}  # leading column -> normalized sparse row
+
+    def reduce(self, vec):
+        vec = list(vec)
+        for lead, row in self.pivots.items():
+            if c := vec[lead]:
+                for col, b in row:
+                    vec[col] -= c * b
+        return vec
+
+    def add(self, vec):
+        """Insert; returns False when the vector was already in the span."""
+        vec = self.reduce(vec)
+        lead = next((col for col, a in enumerate(vec) if a), None)
+        if lead is None:
+            return False
+        inv = vec[lead] ** -1
+        self.pivots[lead] = [(col, a * inv) for col, a in enumerate(vec[lead:], lead) if a]
+        return True
+
+    def row(self, lead):
+        """The normalized pivot row with leading column ``lead``, dense."""
+        out = [self.zero] * self.dim
+        for col, b in self.pivots[lead]:
+            out[col] = b
+        return out
+
+
 def solve_columns(cols, target):
-    """Solve sum_k c_k * cols[k] = target over Q; None when inconsistent."""
-    rows = len(target)
-    n = len(cols)
-    aug = [[Fraction(cols[k][r]) for k in range(n)] + [Fraction(target[r])] for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    sol = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivots):
-        sol[c] = aug[row_idx][n]
-    for i in range(rows):
-        if sum(cols[k][i] * sol[k] for k in range(n)) != target[i]:
-            return None
-    return sol
+    """Solve sum_k c_k * cols[k] = target over Q; None when inconsistent.
+
+    The span of the (cols[k] | e_k) reduces (target | 0) to (0 | -c) for
+    a solution c, and to a nonzero first block when there is none.
+    """
+    rows, n = len(target), len(cols)
+    span = Subspace(Fraction(0), rows + n)
+    for k, col in enumerate(cols):
+        span.add([*map(Fraction, col), *(Fraction(int(j == k)) for j in range(n))])
+    rest = span.reduce([*map(Fraction, target), *(Fraction(0),) * n])
+    return None if any(rest[:rows]) else [-c for c in rest[rows:]]
 
 
 # ---------------------------------------------------------------------------
@@ -313,35 +340,6 @@ class ResidueField:
         log, antilog, _zech, _minus = self.tables
         return antilog[log[a] * k % (self.order - 1)]
 
-    # -- sparse rows of code vectors (grading.Subspace) -----------------------
-
-    def scaled_row(self, vec, lead):
-        """vec / vec[lead] from column ``lead`` on, for a code vector with
-        vec[lead] nonzero, as sparse (column, log) pairs: the row form that
-        ``sub_scaled_row`` and ``row_codes`` take."""
-        log = self.tables[0]
-        n = self.order - 1
-        shift = n - log[vec[lead]]
-        return [(col, (log[a] + shift) % n) for col in range(lead, len(vec)) if (a := vec[col])]
-
-    def sub_scaled_row(self, vec, c, row):
-        """vec -= c * row in place, for a code vector, a code c and a
-        sparse row."""
-        if not c:
-            return
-        log, antilog, _zech, minus = self.tables
-        neg_c = (log[c] + minus) % (self.order - 1)
-        for col, lb in row:
-            vec[col] = self._add(vec[col], antilog[neg_c + lb])
-
-    def row_codes(self, row, dim):
-        """The sparse row as a code vector of length ``dim``."""
-        antilog = self.tables[1]
-        out = [0] * dim
-        for col, lb in row:
-            out[col] = antilog[lb]
-        return out
-
     def __eq__(self, other):
         return isinstance(other, ResidueField) and (self.p, self.modulus) == (other.p, other.modulus)
 
@@ -369,6 +367,9 @@ class ResidueElem:
     @property
     def is_zero(self):
         return not self.code
+
+    def __bool__(self):
+        return bool(self.code)
 
     def __add__(self, other):
         return ResidueElem(self.field, self.field._add(self.code, other.code))

@@ -58,9 +58,8 @@ from padicdist.errors import (
     PrecisionExhausted,
 )
 from padicdist.groups import _chart_fixed_point, _eval_second_kind
-from padicdist.grading import Subspace
 from padicdist.indices import add_index, grlex_key, iter_exact_degree
-from padicdist.padics import _fp_mod, _fp_mul
+from padicdist.padics import Subspace, _fp_mod, _fp_mul
 from padicdist.quotient import CanonicalForm, _require_h0, _required_truncation
 from padicdist.radii import kappa, log_tail_exponent, vp_rational
 
@@ -762,10 +761,10 @@ def component_basis(nvars, degree):
 
 
 def poly_vector(poly, basis, shift=None):
-    """Codes of the coordinates of poly * X^shift in a component basis."""
-    vec = [0] * len(basis)
+    """The coordinates of the nonzero poly * X^shift in a component basis."""
+    vec = [next(iter(poly.values())).field.zero()] * len(basis)
     for alpha, c in poly.items():
-        vec[basis[alpha if shift is None else add_index(alpha, shift)]] = c.code
+        vec[basis[alpha if shift is None else add_index(alpha, shift)]] = c
     return vec
 
 
@@ -774,7 +773,7 @@ def ideal_component(gens, degree, basis, kfield):
     spanned by every generator times every monomial of the complementary
     degree, written in ``basis`` (a ``component_basis``)."""
     nvars = len(next(iter(basis)))
-    span = Subspace(kfield, len(basis))
+    span = Subspace(kfield.zero(), len(basis))
     for g in gens:
         gdeg = sum(next(iter(g)))
         if degree >= gdeg:

@@ -506,6 +506,14 @@ _PINNED_JOBS = {
         "fa34063c6fc0f6be151f8d7e7415d84600733e8bb5c23d02a89786e996d1007c",
         "ccb1a10819243b57695836b8ccac0fbdc9f1b0549f8f5aef7581bd5993acc22d",
     ),
+    # the first pinned L-group over a degree-4 K: restriction reads every
+    # product over the v-basis, and K inverts, by the exact Q solver
+    "o-additive(1) over e = f = 2 above Q_3": (
+        {"field": {"p": 3, "e": 2, "f": 2, "precision": 24}, "group": "o-additive(1)",
+         "truncation": 6, "residual_precision": 2, "radii": ["3^-2/3", "3^-1/4"]},
+        "323ba3dd10884b510c9c54983634204317dc835ca4d5e4b41814cebbf6b9f0da",
+        "e15b93d20e6fe25403eaadad23395c7ae2e98d449598cf64d0df03da07ab85db",
+    ),
 }
 
 

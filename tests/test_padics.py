@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
 from padicdist import DistAlgebra, FieldSpec, abelian
 from padicdist.errors import DivisionByZero, InvalidArgument, NonUnit, PadicError
+from padicdist.padics import ResidueElem, Subspace, solve_columns
 
 INF = math.inf
 
@@ -138,3 +140,82 @@ def test_tower_with_both_layers():
     assert x == w * w - pi * pi
     y = field.one() + pi * w
     assert (y * y.inv()) == field.one()
+
+
+# ---------------------------------------------------------------------------
+# Subspace, the one echelon routine, against brute force
+
+
+def test_residue_elem_is_falsy_only_at_zero(k3u2):
+    k = k3u2.residue_field
+    assert [bool(ResidueElem(k, code)) for code in range(k.order)] == [False] + [True] * 8
+    assert not k.gen() - k.gen()
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_subspace_matches_the_enumerated_span(f):
+    """Over F_3 and F_9, the span of at most 4 vectors of length at most 4
+    has q^rank elements, and ``reduce`` zeroes exactly those vectors."""
+    k = FieldSpec(3, f=f).residue_field
+    elems = [ResidueElem(k, code) for code in range(k.order)]
+    draws = [k.zero()] * k.order + elems  # zero half the time, for dependent vectors
+    rng = random.Random(f)
+    for _ in range(25):
+        dim = rng.randint(1, 4)
+        vectors = [[rng.choice(draws) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
+        span = Subspace(k.zero(), dim)
+        for v in vectors:
+            span.add(v)
+        spanned = set()
+        for cs in product(elems, repeat=len(vectors)):
+            combo = [k.zero()] * dim
+            for c, v in zip(cs, vectors):
+                combo = [a + c * b for a, b in zip(combo, v)]
+            spanned.add(tuple(a.code for a in combo))
+        assert len(spanned) == k.order ** len(span.pivots)
+        for v in product(elems, repeat=dim):
+            assert (not any(span.reduce(v))) == (tuple(a.code for a in v) in spanned)
+        for lead in span.pivots:
+            row = span.row(lead)
+            assert not any(row[:lead]) and row[lead] == k.one()
+            assert tuple(a.code for a in row) in spanned
+
+
+def _det(m):
+    """The determinant of a square int matrix by the Leibniz formula."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = sign
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def _rank(cols, rows):
+    """The largest r with a nonzero r x r minor of the matrix of ``cols``."""
+    return max((r for r in range(1, min(len(cols), rows) + 1)
+                for picked_rows in combinations(range(rows), r)
+                for picked in combinations(cols, r)
+                if _det([[col[i] for col in picked] for i in picked_rows])), default=0)
+
+
+def test_solve_columns_matches_a_determinant_rank_oracle():
+    """On int matrices of at most 3 x 3, ``solve_columns`` returns an exact
+    solution, and None exactly when the target raises the rank."""
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(400):
+        rows, n = rng.randint(1, 3), rng.randint(0, 3)
+        cols = [[rng.randint(-2, 2) for _ in range(rows)] for _ in range(n)]
+        target = [rng.randint(-2, 2) for _ in range(rows)]
+        sol = solve_columns(cols, target)
+        inconsistent = _rank(cols + [target], rows) > _rank(cols, rows)
+        assert (sol is None) == inconsistent
+        if sol is not None:
+            assert all(isinstance(c, Fraction) for c in sol)
+            assert [sum(c * col[i] for c, col in zip(sol, cols)) for i in range(rows)] == target
+        seen.add(inconsistent)
+    assert seen == {False, True}
