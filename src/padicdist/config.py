@@ -26,9 +26,8 @@ suite's regular-sequence certificate is exact, with no degree bound.
 ``field.precision`` (default 24) is accepted, validated and echoed in the
 report's ``# config:`` line, but no computation reads it: arithmetic in
 K is exact, and ``FieldSpec`` takes no precision.
-Unknown suite names and option keys are rejected up front, and so is a
-suite that computes in the residue field when q exceeds
-``padics.MAX_RESIDUE_ORDER``; every refusal is a ConfigError.
+Unknown suite names and option keys are rejected up front; every refusal
+is a ConfigError.  No suite bounds the size q of the residue field.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 
 from .catalog import get_group
 from .errors import ConfigError, PadicError
-from .padics import MAX_RESIDUE_ORDER, FieldSpec
+from .padics import FieldSpec
 from .radii import parse_radius
 from .suites import SUITES
 
@@ -49,9 +48,6 @@ DEFAULT_OPTIONS = {
     "regseq_cap": 6,
     "transfer_m": 2,
 }
-
-# Suites that compute in the residue field k, through its log tables.
-RESIDUE_SUITES = ("symbols", "quotient", "towers", "grading")
 
 
 @dataclass
@@ -139,13 +135,6 @@ class JobConfig:
             "suites": suites,
             "seed": seed,
         }
-        q = fld.residue_field.order
-        k_suites = [s for s in suites if s in RESIDUE_SUITES]
-        if k_suites and q > MAX_RESIDUE_ORDER:
-            raise ConfigError(
-                f"field: the {k_suites[0]} suite computes in the residue field F_{q}, "
-                f"above the {MAX_RESIDUE_ORDER:,} elements its log tables are built for"
-            )
         return cls(
             field=fld,
             group=group,

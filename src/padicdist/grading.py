@@ -377,17 +377,14 @@ def _annihilated(gb, f, kfield):
     a pivot in the unit block is a combination of the mu that f maps to I.
     """
     fdeg = sum(next(iter(f)))
-    zero = kfield.zero()
+    zero, one = kfield.zero(), kfield.one()
     for m in count():
         source = gb.standard_monomials(m)
         target = {a: t for t, a in enumerate(gb.standard_monomials(m + fdeg))}
         rows = Subspace(zero, len(target) + len(source))
         for j, mu in enumerate(source):
-            vec = [zero] * rows.dim
-            for a, c in gb.reduce({add_index(a, mu): c for a, c in f.items()}).items():
-                vec[target[a]] = c
-            vec[len(target) + j] = kfield.one()
-            rows.add(vec)
+            normal = gb.reduce({add_index(a, mu): c for a, c in f.items()})
+            rows.add([*((target[a], c) for a, c in normal.items()), (len(target) + j, one)])
         for lead in sorted(rows.pivots):
             if lead >= len(target):
                 combo = rows.row(lead)[len(target):]

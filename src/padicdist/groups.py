@@ -48,7 +48,7 @@ from .errors import (
     NotPowerful,
 )
 from .indices import unit_index
-from .padics import FieldSpec, Subspace, solve_columns
+from .padics import FieldSpec, ResidueField, Subspace, solve_columns
 from .radii import kappa, vp_int, vp_rational
 
 INF = math.inf
@@ -182,7 +182,7 @@ class LieLattice:
             for i in range(self.d):
                 for v in term:
                     b = self.bracket(unit_index(self.d, i), v)
-                    if span.add(b):  # b is not in the span
+                    if span.add(enumerate(b)):  # b is not in the span
                         nxt.append(b)
             if not nxt:
                 return depth
@@ -793,7 +793,7 @@ class LGroupSpec:
         if not self.v_basis or self.v_basis[0] != field.one():
             raise InvalidBasis("v_1 must be 1")
         span = Subspace(Fraction(0), field.degree)
-        if not all(span.add(v.coords) for v in self.v_basis):
+        if not all(span.add(enumerate(v.coords)) for v in self.v_basis):
             raise InvalidBasis("v-basis is linearly dependent")
         self.n = len(self.v_basis)
         self.brackets = _bracket_table(
@@ -803,6 +803,15 @@ class LGroupSpec:
             raise InvalidBracket("an o-element needs p-integral coordinates over the v-basis")
         for a, b in product(range(self.n), repeat=2):
             self._v_coords(self.v_basis[a] * self.v_basis[b])
+        # the span is o_L = L meet o_K iff the coordinates over the Z_p-basis
+        # w^a pi^b of o_K are p-integral, of rank n mod p
+        p, fp = field.p, ResidueField(field.p, (0, 1))
+        span = Subspace(fp.zero(), field.degree)
+        for coords in (v.coords for v in self.v_basis):
+            if any(c.denominator % p == 0 for c in coords) or not span.add(
+                (k, fp.elem(c.numerator * pow(c.denominator, -1, p))) for k, c in enumerate(coords)
+            ):
+                raise InvalidBasis("v-basis is not a Z_p-basis of the valuation ring of L")
         # the residue classes vbar_1 = 1, ..., vbar_n: zero where v(v_i) > 0
         zero = field.residue_field.zero()
         self.vbars = tuple(v.residue() if v.valuation == 0 else zero for v in self.v_basis)

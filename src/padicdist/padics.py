@@ -20,14 +20,10 @@ scalar is ``Scalar.short_str``, its exact coordinate polynomial in w and
 pi.
 
 The residue field k = F_q, q = p^f, holds each element as one int code in
-[0, q), whose base-p digits are its coordinates over 1, w, ..., w^(f-1).
-Each ``ResidueField`` builds, on its first product or sum, the discrete
-logs and antilogs of one primitive element and its Zech logarithms
-log(1 + g^d), tables of size q; every product, inverse, power,
-sum and difference of codes is then a few table lookups.  Fields with q
-above ``MAX_RESIDUE_ORDER`` are refused when the tables are first needed.
-The ``_fp_*`` polynomial helpers serve the irreducibility test, the
-one-time table build and the reduction of coordinate tuples longer than f.
+[0, q), whose base-p digits are its coordinates over 1, w, ..., w^(f-1),
+and computes on those digits with the ``_fp_*`` polynomial helpers over
+F_p, which also serve the irreducibility test: no table is built, and no
+bound is put on q.
 
 ``Subspace`` is the one exact echelon routine, over Q on Fractions and
 over k on ResidueElems: it inverts in K (``solve_columns``), reads
@@ -39,7 +35,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import lshift, mul
 
@@ -65,9 +60,11 @@ class Subspace:
     routine, over Q on ``Fraction``s and over k on ``ResidueElem``s.
 
     Entries need +, -, * and inversion by ``** -1``; a zero entry is
-    falsy.  A pivot row is stored sparse and normalized, as (column,
-    value) pairs from its leading entry 1 on, and is zero at every earlier
-    pivot's lead, so a vector reduces in one pass in insertion order.
+    falsy.  ``add`` takes a vector as its (column, value) pairs, zeros
+    skipped, and ``reduce`` a dense one.  A pivot row is stored sparse and
+    normalized, as (column, value) pairs from its leading entry 1 on, and
+    is zero at every earlier pivot's lead, so a vector reduces in one pass
+    in insertion order.
     """
 
     def __init__(self, zero, dim):
@@ -75,22 +72,33 @@ class Subspace:
         self.dim = dim
         self.pivots = {}  # leading column -> normalized sparse row
 
-    def reduce(self, vec):
-        vec = list(vec)
+    def _reduced(self, pairs):
+        """The vector of (column, value) pairs less its combination of the
+        pivot rows, as {column: value}; cancelled entries stay as zeros."""
+        vec = {col: a for col, a in pairs if a}
+        zero = self.zero
         for lead, row in self.pivots.items():
-            if c := vec[lead]:
+            if c := vec.get(lead):
                 for col, b in row:
-                    vec[col] -= c * b
+                    vec[col] = vec.get(col, zero) - c * b
         return vec
 
-    def add(self, vec):
-        """Insert; returns False when the vector was already in the span."""
-        vec = self.reduce(vec)
-        lead = next((col for col, a in enumerate(vec) if a), None)
-        if lead is None:
+    def reduce(self, vec):
+        """The dense vector ``vec`` less its combination of the pivot rows."""
+        out = [self.zero] * self.dim
+        for col, a in self._reduced(enumerate(vec)).items():
+            out[col] = a
+        return out
+
+    def add(self, pairs):
+        """Insert the vector of (column, value) pairs; returns False when it
+        was already in the span."""
+        vec = {col: a for col, a in self._reduced(pairs).items() if a}
+        if not vec:
             return False
+        lead = min(vec)
         inv = vec[lead] ** -1
-        self.pivots[lead] = [(col, a * inv) for col, a in enumerate(vec[lead:], lead) if a]
+        self.pivots[lead] = [(col, a * inv) for col, a in vec.items()]
         return True
 
     def row(self, lead):
@@ -110,13 +118,14 @@ def solve_columns(cols, target):
     rows, n = len(target), len(cols)
     span = Subspace(Fraction(0), rows + n)
     for k, col in enumerate(cols):
-        span.add([*map(Fraction, col), *(Fraction(int(j == k)) for j in range(n))])
+        span.add([*enumerate(map(Fraction, col)), (rows + k, Fraction(1))])
     rest = span.reduce([*map(Fraction, target), *(Fraction(0),) * n])
     return None if any(rest[:rows]) else [-c for c in rest[rows:]]
 
 
 # ---------------------------------------------------------------------------
-# polynomial utilities over F_p, used for validating the unramified layer
+# polynomial utilities over F_p: the irreducibility test of the unramified
+# layer and the arithmetic of the residue field
 
 def _fp_trim(a):
     while a and a[-1] == 0:
@@ -125,23 +134,24 @@ def _fp_trim(a):
 
 
 def _fp_mod(a, m, p):
+    """a mod the monic m; the coefficients of a may be any ints."""
     a = list(a)
     dm = len(m) - 1
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i] % p
         if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-        a[i] = 0
+            for j in range(dm):
+                a[i - dm + j] -= c * m[j]
     return _fp_trim([c % p for c in a[:dm]])
 
 
 def _fp_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_trim(out)
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return _fp_trim([c % p for c in out])
 
 
 def _fp_powmod(base, exp, m, p):
@@ -220,21 +230,14 @@ def _default_unram_poly(p, f):
 # ---------------------------------------------------------------------------
 # residue field k = F_{p^f}
 
-# The log tables of F_q take time and memory linear in q (times f for the
-# time).  On a 2-vCPU Xeon a build took 0.9 s and held 6 MiB at q = 2^16,
-# 2.2 s and 16 MiB at q = 3^11, and 6.5 s and 23 MiB at q = 2^18, the
-# bound; a larger residue field is refused on its first sum or product,
-# and a job configuration whose suites need one is refused at load.
-MAX_RESIDUE_ORDER = 1 << 18
-
-
 class ResidueField:
     """F_{p^f} presented as F_p[w]/(gbar).
 
     An element is one int code in [0, q): its base-p digits, lowest first,
-    are the coordinates over 1, w, ..., w^(f-1).  Sums and differences of
-    codes go through Zech logarithms, products, inverses and powers through
-    log/antilog tables; all three are built once, on first arithmetic.
+    are the coordinates over 1, w, ..., w^(f-1).  Sums and differences add
+    digits mod p; products multiply the digit polynomials over F_p and
+    reduce by gbar; powers and inverses raise them to the exponent mod
+    q - 1.  Nothing is built per field, so every q is accepted.
     """
 
     def __init__(self, p, modulus):
@@ -242,6 +245,7 @@ class ResidueField:
         self.modulus = tuple(c % p for c in modulus)
         self.f = len(modulus) - 1
         self.order = p**self.f
+        self._powers = tuple(p**a for a in range(self.f))  # digit a of a code is code // p^a % p
 
     def elem(self, coeffs):
         """The class of sum_a coeffs[a] w^a; an int is a constant."""
@@ -253,18 +257,11 @@ class ResidueField:
 
     def _encode(self, coeffs):
         """The code of at most f coordinates, lowest first."""
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + c % self.p
-        return code
+        return sum([c % self.p * q for c, q in zip(coeffs, self._powers)])
 
     def _digits(self, code):
         """The f coordinates of a code: its base-p digits, lowest first."""
-        out = []
-        for _ in range(self.f):
-            code, c = divmod(code, self.p)
-            out.append(c)
-        return tuple(out)
+        return tuple([code // q % self.p for q in self._powers])
 
     def zero(self):
         return ResidueElem(self, 0)
@@ -276,69 +273,20 @@ class ResidueField:
         """The class of w: the code p, or the root -g_0 of gbar when f = 1."""
         return ResidueElem(self, self.p if self.f > 1 else -self.modulus[0] % self.p)
 
-    @cached_property
-    def tables(self):
-        """(log, antilog, zech, log(-1)) for one primitive element g.
-
-        ``log[x]`` is the discrete log of the code x (-1 for 0),
-        ``antilog[i]`` the code of g^i for i < 2(q-1), so a sum of two logs
-        needs no reduction, and ``zech[d]`` is log(1 + g^d), so -1 where
-        1 + g^d = 0.
-        """
-        if self.order > MAX_RESIDUE_ORDER:
-            raise InvalidArgument(
-                f"residue field F_{self.order} is larger than {MAX_RESIDUE_ORDER:,} "
-                "elements, the bound of its log tables"
-            )
+    def _add(self, a, b, sign=1):
+        """The code of a + sign * b: digit by digit, mod p."""
         p = self.p
-        antilog = self._primitive_powers()
-        log = [-1] * self.order
-        for i, code in enumerate(antilog):
-            log[code] = i
-        # 1 + x adds 1 to the constant digit of the code x
-        zech = [log[x - x % p + (x + 1) % p] for x in antilog]
-        return log, antilog + antilog, zech, log[p - 1]
-
-    def _primitive_powers(self):
-        """Codes of g^0, ..., g^(q-2) for the first primitive g by code."""
-        p, n, m = self.p, self.order - 1, list(self.modulus)
-        cofactors = [n // ell for ell in _prime_factors(n)]
-        for code in range(1, self.order):
-            g = _fp_trim(list(self._digits(code)))
-            if all(_fp_powmod(g, k, m, p) != [1] for k in cofactors):
-                break
-        powers, v = [], [1]
-        for _ in range(n):
-            powers.append(self._encode(v))
-            v = _fp_mod(_fp_mul(v, g, p), m, p)
-        return powers
-
-    def _add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        log, antilog, zech, _minus = self.tables
-        la = log[a]
-        z = zech[(log[b] - la) % (self.order - 1)]
-        return 0 if z < 0 else antilog[la + z]
-
-    def _neg(self, a):
-        if not a:
-            return 0
-        log, antilog, _zech, minus = self.tables
-        return antilog[log[a] + minus]
+        return sum([(a // q + sign * (b // q)) % p * q for q in self._powers])
 
     def _mul(self, a, b):
         if not a or not b:
             return 0
-        log, antilog, _zech, _minus = self.tables
-        return antilog[log[a] + log[b]]
+        p = self.p
+        return self._encode(_fp_mod(_fp_mul(self._digits(a), self._digits(b), p), self.modulus, p))
 
     def _pow(self, a, k):
         """a^k for a nonzero code a and any int k."""
-        log, antilog, _zech, _minus = self.tables
-        return antilog[log[a] * k % (self.order - 1)]
+        return self._encode(_fp_powmod(self._digits(a), k % (self.order - 1), self.modulus, self.p))
 
     def __eq__(self, other):
         return isinstance(other, ResidueField) and (self.p, self.modulus) == (other.p, other.modulus)
@@ -371,18 +319,23 @@ class ResidueElem:
     def __bool__(self):
         return bool(self.code)
 
+    def _code(self, other):
+        """The code of ``other``, which must lie in this residue field."""
+        if other.field is not self.field and other.field != self.field:
+            raise InvalidArgument(f"residues of two fields, {self.field!r} and {other.field!r}")
+        return other.code
+
     def __add__(self, other):
-        return ResidueElem(self.field, self.field._add(self.code, other.code))
+        return ResidueElem(self.field, self.field._add(self.code, self._code(other)))
 
     def __sub__(self, other):
-        F = self.field
-        return ResidueElem(F, F._add(self.code, F._neg(other.code)))
+        return ResidueElem(self.field, self.field._add(self.code, self._code(other), -1))
 
     def __neg__(self):
-        return ResidueElem(self.field, self.field._neg(self.code))
+        return ResidueElem(self.field, self.field._add(0, self.code, -1))
 
     def __mul__(self, other):
-        return ResidueElem(self.field, self.field._mul(self.code, other.code))
+        return ResidueElem(self.field, self.field._mul(self.code, self._code(other)))
 
     def inv(self):
         if not self.code:

@@ -24,11 +24,12 @@ k s - v_p(k) in Fraction arithmetic, independently of the int scan of
 the reduction loop of ``quotient.canonicalize`` on whole Distributions,
 one leading-form sweep and one full product per step, independently of
 its in-place residue and its memo of shifted kernel generators.  The
-residue-product oracle multiplies in F_q as polynomials over F_p reduced
-by gbar, independently of the log tables.  The graded-component oracles
-decide ideal membership, Hilbert functions and regular sequences (every
-ordering, up to a degree bound) by rank counts on the components of
-k[X], independently of ``grading.GroebnerBasis``.
+residue-product oracle multiplies in F_q as int polynomials reduced by
+gbar, independently of the ``padics._fp_*`` helpers that k computes
+with.  The graded-component oracles decide ideal membership, Hilbert
+functions and regular sequences (every ordering, up to a degree bound) by
+rank counts on the components of k[X], independently of
+``grading.GroebnerBasis``.
 
 The Fraction element oracle holds a group element as Fractions in one
 chart and runs the group law, the inverse, the commutator and the chart
@@ -59,7 +60,7 @@ from padicdist.errors import (
 )
 from padicdist.groups import _chart_fixed_point, _eval_second_kind
 from padicdist.indices import add_index, grlex_key, iter_exact_degree
-from padicdist.padics import Subspace, _fp_mod, _fp_mul
+from padicdist.padics import Subspace
 from padicdist.quotient import CanonicalForm, _require_h0, _required_truncation
 from padicdist.radii import kappa, log_tail_exponent, vp_rational
 
@@ -622,10 +623,19 @@ def canonicalize_oracle(fam, lam, r, mprime):
 # residue-field products as polynomials over F_p
 
 def residue_product_oracle(kfield, x, y):
-    """Coordinates of x * y: multiply over F_p, reduce by gbar."""
-    prod = _fp_mul(list(x.coeffs), list(y.coeffs), kfield.p)
-    red = _fp_mod(prod, list(kfield.modulus), kfield.p) if len(prod) > kfield.f else prod
-    return tuple(red) + (0,) * (kfield.f - len(red))
+    """Coordinates of x * y: multiply the coordinate polynomials in ints,
+    rewrite w^t, from the top t >= f down, as -w^(t - f) (gbar - w^f), then
+    reduce mod p."""
+    f, gbar = kfield.f, kfield.modulus
+    prod = [0] * (2 * f - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            prod[i + j] += a * b
+    for top in range(2 * f - 2, f - 1, -1):
+        c = prod.pop()
+        for a in range(f):
+            prod[top - f + a] -= c * gbar[a]
+    return tuple(c % kfield.p for c in prod)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +788,7 @@ def ideal_component(gens, degree, basis, kfield):
         gdeg = sum(next(iter(g)))
         if degree >= gdeg:
             for mu in iter_exact_degree(nvars, degree - gdeg):
-                span.add(poly_vector(g, basis, mu))
+                span.add(enumerate(poly_vector(g, basis, mu)))
     return span
 
 
@@ -820,7 +830,7 @@ def regular_sequence_oracle(polys, D, nvars, kfield):
                 ideal_t = ideal_component(gens, m + fdeg, basis_t, kfield)
                 rank_t = len(ideal_t.pivots)
                 for mu in basis_m:
-                    ideal_t.add(poly_vector(f, basis_t, mu))
+                    ideal_t.add(enumerate(poly_vector(f, basis_t, mu)))
                 rank_m = len(ideal_component(gens, m, basis_m, kfield).pivots)
                 if len(ideal_t.pivots) - rank_t + rank_m != len(basis_m):
                     return False

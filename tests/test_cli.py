@@ -132,32 +132,18 @@ def test_nine_symbol_family_passes_grading_on_suite_override(tmp_path, capsys):
 
 
 def _big_residue_job(suites):
-    """Q_2 extended by degree 19: its residue field F_524288 has more than
-    MAX_RESIDUE_ORDER = 2^18 elements."""
+    """Q_2 extended by degree 19: its residue field F_524288 has 2^19
+    elements."""
     return {"field": {"p": 2, "f": 19, "precision": 4}, "group": "abelian(1)",
             "truncation": 2, "radii": ["2^-1/2"], "suites": suites}
 
 
-def test_oversized_residue_field_refused_at_load(tmp_path, capsys):
+def test_big_residue_field_runs_every_residue_suite(tmp_path, capsys):
+    """No suite bounds q: norms, symbols, towers and grading all run over F_(2^19)."""
     path = tmp_path / "f2_19.json"
-    path.write_text(json.dumps(_big_residue_job(["norms", "symbols"])))
-    assert main(["run", "--config", str(path)]) == 2
-    assert "the symbols suite computes in the residue field F_524288" in \
-        capsys.readouterr().err
-    JobConfig.from_dict(_big_residue_job(["pvaluation", "norms"]))
-
-
-def test_oversized_residue_field_is_a_config_error():
-    with pytest.raises(ConfigError, match="residue field F_524288, above the 262,144"):
-        JobConfig.from_dict(_big_residue_job(["towers"]))
-
-
-@pytest.mark.parametrize("suite", ["symbols", "quotient", "towers", "grading"])
-def test_oversized_residue_field_refused_on_suite_override(tmp_path, capsys, suite):
-    path = tmp_path / "f2_19.json"
-    path.write_text(json.dumps(_big_residue_job(["pvaluation"])))
-    assert main(["run", "--config", str(path), "--suite", suite]) == 2
-    assert "above the 262,144 elements" in capsys.readouterr().err
+    path.write_text(json.dumps(_big_residue_job(["norms", "symbols", "towers", "grading"])))
+    assert main(["run", "--config", str(path)]) == 0
+    assert "# summary: 10 passed, 0 failed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("level", [0, 2.5, "5"])

@@ -513,6 +513,7 @@ def _k3u3():
     (lambda K: LGroupSpec(K, [1, 2], 1), InvalidBasis, "v-basis is linearly dependent"),
     (lambda K: LGroupSpec(K, [K.one(), K.unram_gen(), K.one() + K.unram_gen()], 1),
      InvalidBasis, "v-basis is linearly dependent"),
+    (lambda K: LGroupSpec(K, [K.one(), 3 * K.unram_gen()], 1), InvalidBasis, "valuation ring of L"),
     (lambda K: LieLattice(3, 3, {(0, 1): (0, 3, 0), (1, 2): (-3, 0, 0)}),
      InvalidBracket, "Jacobi"),
     (lambda K: LieLattice(3, 3, {(0, 5): (0, 0, 3)}), InvalidBracket, "generator indices in 0..2"),
@@ -533,7 +534,7 @@ def _k3u3():
                                  (1, 3): (0, 0, 0, 0, 3 + 3**41)}),
      InvalidBracket, "Jacobi"),
 ], ids=["v1", "bracket-shape", "self-bracket", "span", "integrality", "dependent",
-        "dependent-three", "jacobi",
+        "dependent-three", "non-maximal", "jacobi",
         "key-out-of-range", "key-negative", "float-constant", "string-constant",
         "lgroup-key-zero", "lgroup-key-out-of-range", "lgroup-float-constant",
         "lgroup-non-integral-constant", "jacobi-deep"])

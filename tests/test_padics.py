@@ -165,7 +165,7 @@ def test_subspace_matches_the_enumerated_span(f):
         vectors = [[rng.choice(draws) for _ in range(dim)] for _ in range(rng.randint(0, 4))]
         span = Subspace(k.zero(), dim)
         for v in vectors:
-            span.add(v)
+            span.add(enumerate(v))
         spanned = set()
         for cs in product(elems, repeat=len(vectors)):
             combo = [k.zero()] * dim

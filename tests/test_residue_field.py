@@ -1,5 +1,6 @@
-"""The table-driven residue fields F_q, exhaustively against polynomial
-arithmetic over F_p, for q in {4, 8, 9, 25, 27, 125}."""
+"""The residue fields F_q, exhaustively against polynomial arithmetic over
+F_p for q in {4, 8, 9, 25, 27, 125}, and by sampling in F_(2^17) and
+F_(2^19)."""
 
 import hashlib
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from helpers import residue_product_oracle
 from padicdist.errors import DivisionByZero, InvalidArgument
-from padicdist.padics import MAX_RESIDUE_ORDER, ResidueField, _default_unram_poly
+from padicdist.padics import ResidueField, _default_unram_poly
 
 # (p, f) -> sha256 of the lines "coeffs repr" over all elements, in the
 # order of ``_elements``; recorded from the polynomial-coordinate encoding
@@ -101,23 +102,42 @@ def test_prime_field_generator_is_the_root_of_gbar():
     assert k.gen() == k.elem(3) == k.elem((0, 1))
 
 
-def test_tables_refuse_fields_beyond_their_bound():
-    k = ResidueField(2, _default_unram_poly(2, 19))
-    assert k.order > MAX_RESIDUE_ORDER
-    x = k.elem((1, 1))
-    assert repr(x) == "(1 + w)" and x.coeffs[:3] == (1, 1, 0)
-    for op in (x.__add__, x.__mul__):  # sums go through Zech logarithms
-        with pytest.raises(InvalidArgument, match="log tables"):
-            op(x)
-
-
-def test_tables_build_above_two_to_the_sixteen():
-    k = ResidueField(2, _default_unram_poly(2, 17))  # q = 131,072
-    assert 1 << 16 < k.order <= MAX_RESIDUE_ORDER
-    rng = random.Random(17)
+def _check_sampled(k, seed):
+    """Sums, differences, products and inverses of 50 seeded pairs of k."""
+    rng = random.Random(seed)
+    p = k.p
     for _ in range(50):
-        x = k.elem(tuple(rng.randrange(2) for _ in range(k.f)))
-        y = k.elem(tuple(rng.randrange(2) for _ in range(k.f)))
+        x = k.elem(tuple(rng.randrange(p) for _ in range(k.f)))
+        y = k.elem(tuple(rng.randrange(p) for _ in range(k.f)))
+        assert (x + y).coeffs == tuple((a + b) % p for a, b in zip(x.coeffs, y.coeffs))
+        assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(x.coeffs, y.coeffs))
         assert (x * y).coeffs == residue_product_oracle(k, x, y)
         if not x.is_zero:
             assert residue_product_oracle(k, x, x.inv()) == _one(k)
+
+
+def test_fields_above_two_to_the_sixteen():
+    k = ResidueField(2, _default_unram_poly(2, 17))  # q = 131,072
+    assert k.order > 1 << 16
+    _check_sampled(k, 17)
+
+
+def test_fields_above_two_to_the_eighteen():
+    """F_(2^19): no bound on q, so sums, products and inverses all run."""
+    k = ResidueField(2, _default_unram_poly(2, 19))  # q = 524,288
+    x = k.elem((1, 1))
+    assert repr(x) == "(1 + w)" and x.coeffs[:3] == (1, 1, 0)
+    assert x * x == k.elem((1, 0, 1)) and x + x == k.zero()
+    _check_sampled(k, 19)
+
+
+def test_arithmetic_across_fields_is_refused():
+    k9, k3, k5 = _field(3, 2), ResidueField(3, (0, 1)), ResidueField(5, (0, 1))
+    for op in (k9.gen().__add__, k9.gen().__sub__, k9.gen().__mul__):
+        with pytest.raises(InvalidArgument, match="residues of two fields"):
+            op(k3.elem(2))
+    with pytest.raises(InvalidArgument, match="F_9 and F_5"):
+        k9.gen() * k5.elem(4)
+    with pytest.raises(InvalidArgument, match="F_3 and F_9"):
+        k3.elem(2) * k9.gen()
+    assert k9.gen() + _field(3, 2).one() == k9.elem((1, 1))  # an equal field is one field
