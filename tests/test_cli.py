@@ -138,12 +138,35 @@ def _big_residue_job(suites):
             "truncation": 2, "radii": ["2^-1/2"], "suites": suites}
 
 
-def test_big_residue_field_runs_every_residue_suite(tmp_path, capsys):
-    """No suite bounds q: norms, symbols, towers and grading all run over F_(2^19)."""
+def test_oversized_residue_field_refused_at_load(tmp_path, capsys):
+    """Not refused any more: no suite bounds q, so norms, symbols, towers and
+    grading all run over F_(2^19), above the 2^18 that residue tables once
+    allowed."""
     path = tmp_path / "f2_19.json"
     path.write_text(json.dumps(_big_residue_job(["norms", "symbols", "towers", "grading"])))
     assert main(["run", "--config", str(path)]) == 0
     assert "# summary: 10 passed, 0 failed" in capsys.readouterr().out
+
+
+def test_oversized_residue_field_is_a_config_error():
+    """Not any more: F_(2^19) loads with every residue suite, and a config
+    error over it names a faulty key, not the size of k."""
+    config = JobConfig.from_dict(_big_residue_job(["symbols", "quotient", "towers", "grading"]))
+    assert config.field.residue_field.order == 2**19
+    with pytest.raises(ConfigError, match=re.escape("suites: unknown suite 'tower'")):
+        JobConfig.from_dict(_big_residue_job(["tower"]))
+
+
+@pytest.mark.parametrize("suite", ["symbols", "quotient", "towers", "grading"])
+def test_oversized_residue_field_refused_on_suite_override(tmp_path, capsys, suite):
+    """Not refused any more: ``run --suite`` puts a residue suite on an
+    F_(2^19) config, and it runs with no record failed."""
+    path = tmp_path / "f2_19.json"
+    path.write_text(json.dumps(_big_residue_job(["pvaluation"])))
+    assert main(["run", "--config", str(path), "--suite", suite]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert re.search(r"^# summary: [1-9]\d* passed, 0 failed$", out, re.MULTILINE)
 
 
 @pytest.mark.parametrize("level", [0, 2.5, "5"])
