@@ -316,10 +316,12 @@ class StructureConstants:
     # -- verification ----------------------------------------------------------
 
     def check_filtration_bound(self):
-        """v_p(c) >= kappa (|alpha| + |beta| - |gamma|) over the whole table.
+        """v_p(c) >= max(0, kappa (|alpha| + |beta| - |gamma|)) over the
+        whole table: the bound at r = 1/p, and p-integrality, the bound as
+        r -> 1.
 
-        Reads every row; raises CounterexampleFound on violation and
-        returns the number of entries checked.  A table that passes is
+        Reads every row; raises CounterexampleFound on violation of either
+        and returns the number of entries checked.  A table that passes is
         saved to the cache if any of its rows were computed rather than
         loaded.
         """
@@ -332,7 +334,8 @@ class StructureConstants:
             for beta, row in self._rows_of(alpha).items():
                 top, it = kappa * (sum(alpha) + sum(beta)), iter(row)
                 for g, n in zip(it, it):
-                    if vp_int(n, p) - shift < top - kappa * degree[g]:
+                    v = vp_int(n, p) - shift
+                    if v < 0 or v < top - kappa * degree[g]:
                         raise CounterexampleFound(
                             "structure-constant valuation bound fails",
                             witness=(alpha, beta, self._gammas[g], Fraction(n, self.den)),

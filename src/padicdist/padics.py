@@ -165,13 +165,24 @@ def _fp_powmod(base, exp, m, p):
     return out
 
 
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim([c % p for c in a]), _fp_trim([c % p for c in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        bm = [c * inv % p for c in b]
-        a, b = b, _fp_mod(a, bm, p)
-    return a
+def _fp_gcdex(a, b, p):
+    """(g, s): g a gcd of a and b over F_p, not made monic, and s with
+    g = s a mod b.  The extended Euclidean algorithm, carrying only the
+    cofactor s_k of a in r_k = s_k a + t_k b."""
+    r0, r1 = _fp_trim([c % p for c in b]), _fp_trim([c % p for c in a])
+    s0, s1 = [], [1]
+    while r1:
+        n = len(r1) - 1
+        inv = pow(r1[-1], -1, p)
+        q = [0] * max(len(r0) - n, 0)
+        for i in reversed(range(len(q))):
+            c = q[i] = r0[i + n] * inv % p
+            if c:
+                for j, y in enumerate(r1):
+                    r0[i + j] -= c * y
+        r0, r1 = r1, _fp_trim([c % p for c in r0[:n]])
+        s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+    return r0, s0
 
 
 def _fp_sub(a, b, p):
@@ -205,7 +216,7 @@ def _fp_irreducible(g, p):
         return False
     for q in _prime_factors(f):
         delta = _fp_sub(_fp_powmod(x, p ** (f // q), g, p), x, p)
-        if len(_fp_gcd(delta, g, p)) > 1:
+        if len(_fp_gcdex(delta, g, p)[0]) > 1:
             return False
     return True
 
@@ -236,8 +247,9 @@ class ResidueField:
     An element is one int code in [0, q): its base-p digits, lowest first,
     are the coordinates over 1, w, ..., w^(f-1).  Sums and differences add
     digits mod p; products multiply the digit polynomials over F_p and
-    reduce by gbar; powers and inverses raise them to the exponent mod
-    q - 1.  Nothing is built per field, so every q is accepted.
+    reduce by gbar; powers raise them to the exponent mod q - 1, and
+    inverses run the extended Euclidean algorithm against gbar.  Nothing
+    is built per field, so every q is accepted.
     """
 
     def __init__(self, p, modulus):
@@ -283,6 +295,13 @@ class ResidueField:
             return 0
         p = self.p
         return self._encode(_fp_mod(_fp_mul(self._digits(a), self._digits(b), p), self.modulus, p))
+
+    def _inv(self, a):
+        """1/a for a nonzero code a, by ``_fp_gcdex`` against gbar."""
+        p = self.p
+        (g,), s = _fp_gcdex(self._digits(a), self.modulus, p)
+        c = pow(g, -1, p)
+        return self._encode([x * c for x in s])
 
     def _pow(self, a, k):
         """a^k for a nonzero code a and any int k."""
@@ -340,7 +359,7 @@ class ResidueElem:
     def inv(self):
         if not self.code:
             raise DivisionByZero("inverse of zero residue")
-        return ResidueElem(self.field, self.field._pow(self.code, -1))
+        return ResidueElem(self.field, self.field._inv(self.code))
 
     def __pow__(self, n):
         if not self.code:

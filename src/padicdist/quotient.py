@@ -171,26 +171,37 @@ def orthogonality_check(fam, r, trials, rng):
     Checks ||sum c_ij G_ij||_r == max_ij ||c_ij G_ij||_r for ``trials``
     random coefficient vectors over K; coefficients are sampled as
     pi^v * unit with |v| <= 3.  Raises CounterexampleFound on any failure
-    (this would contradict orthogonality).
+    (this would contradict orthogonality), its witness the coefficients,
+    the norm of the full combination and the expected norm.
+
+    A trial is decided on the keys of ``alg.symbol_context(r)`` at the
+    attaining indices (``SymbolContext.leading``) of the generators whose
+    term c_ij G_ij has the least key: every other term has a larger key,
+    so the combination reaches that key exactly when the terms there do
+    not cancel at one of those indices.  The combination is summed only
+    for a witness.
     """
     alg = fam.algebra
     field = alg.field
+    ctx = alg.symbol_context(r)
+    gens = {pair: fam.gen(*pair) for pair in fam.pairs}
+    leading = {pair: ctx.leading(g) for pair, g in gens.items()}
     for _ in range(trials):
         coeffs = {}
         for pair in fam.pairs:
             v = rng.randrange(-3, 4)
             unit = field.scalar(rng.randrange(1, field.p)) + field.uniformizer() * rng.randrange(0, field.p)
             coeffs[pair] = unit * field.uniformizer() ** v
-        combo = alg.zero()
-        expected = INF
-        for pair, c in coeffs.items():
-            term = fam.gen(*pair).scale(c)
-            combo = combo + term
-            expected = min(expected, term.norm(r))
-        got = combo.norm(r)
-        if got != expected:
+        keys = {pair: ctx.b * c.valuation + leading[pair][0] for pair, c in coeffs.items()}
+        expected = min(keys.values(), default=INF)
+        at_leads = sparse_sum((alpha, gens[pair].coeffs[alpha] * coeffs[pair])
+                              for pair, key in keys.items() if key == expected
+                              for alpha in leading[pair][1])
+        if expected < INF and not any(ctx.key(c, alpha) == expected for alpha, c in at_leads.items()):
+            combo = sum((gens[pair].scale(c) for pair, c in coeffs.items()), alg.zero())
             raise CounterexampleFound(
-                "orthogonality max-formula failed", witness=(coeffs, got, expected)
+                "orthogonality max-formula failed",
+                witness=(coeffs, combo.norm(r), ctx.unscale(expected)),
             )
     return True
 

@@ -38,8 +38,6 @@ from .groups import GroupElement, _joined, require_step
 from .indices import iter_multi_indices, sparse_sum, unit_index
 from .radii import dominant_log_index, radius_root
 
-INF = math.inf
-
 
 def step_generator(algebra, i, m):
     """b'_i = (1 + b_i)^(p^m) - 1, expanded exactly
@@ -175,16 +173,22 @@ def orthogonal_system_check(system, r, trials, rng):
     denominator, and pi^v for v <= 2, over another, are packed
     (``FieldSpec._pack``), and the packed coefficients are laid out once
     as one column per support index alpha: those of the elements with a
-    term at alpha, and the indices of those elements.  A trial forms
-    z = u P, P the packed pi^v, per element; the sum at alpha is then one
-    C-level sum of products over its column, read back as a sum of packed
-    products (``FieldSpec._unpacked``).  A slot of such a sum is bounded by
-    len(system) (p - 1) [K:Q_p] max|x| max|y|, x and y the packed
-    coordinates of the coefficients and of the powers of pi, which sets
-    the slot width as in ``DistAlgebra.mul``.  Only the least key of each
-    degree |alpha| is read: the least valuation over a set of coefficients
-    is the valuation of their gcd, so the sums of one degree are reduced
-    to their entrywise gcd and valued once (``FieldSpec._valuation``).
+    term at alpha, and the indices of those elements.  A trial draws
+    z_j = u pi^v per element j, z = u P with P the packed pi^v, and forms
+    expected = min_j (b v_j + key_j) and the attaining set I of the j
+    that reach it.  Only the columns iota(i), i in I, are summed: one
+    C-level sum of products over the column, read back as a sum of packed
+    products (``FieldSpec._unpacked``) and valued (``FieldSpec._valuation``).
+    That decides the max formula exactly.  A term z_j c of column alpha
+    has key >= b v_j + key_j >= expected, with equality only when j is in
+    I and alpha = iota(j), the unique attaining index of j; so no column
+    reads below expected, and at iota(i) exactly one term has the
+    expected key, so that column reads expected.  An attaining column
+    that reads otherwise can only come from broken arithmetic and is
+    refused with CounterexampleFound, its least key the witness.  A slot
+    of a column sum is bounded by len(system) (p - 1) [K:Q_p] max|x|
+    max|y|, x and y the packed coordinates of the coefficients and of
+    the powers of pi, which sets the slot width as in ``DistAlgebra.mul``.
     """
     if not system:
         return {"iota": {}, "basis": False}
@@ -211,26 +215,26 @@ def orthogonal_system_check(system, r, trials, rng):
     bound = len(system) * (p - 1) * field.degree * max(map(_peak, terms)) * _peak(pterms)
     width = bound.bit_length() + 1
     packed_powers = [P for _, P in field._pack(pterms, width)]
-    degrees = {}  # |alpha| -> {alpha: (packed coefficients at alpha, their elements)}
+    columns = {}  # alpha -> (packed coefficients at alpha, their elements)
     for i, t in enumerate(terms):
         for alpha, x in field._pack(t, width):
-            xs, idx = degrees.setdefault(sum(alpha), {}).setdefault(alpha, ([], []))
+            xs, idx = columns.setdefault(alpha, ([], []))
             xs.append(x)
             idx.append(i)
     b, w = ctx.b, ctx.w
     vden = den * pden * field._den  # the denominator of an unpacked sum
+    lead_columns = [(*columns[alpha], w * sum(alpha)) for alpha in iota.values()]
     for _ in range(trials):
-        z = []
-        expected = INF
+        z, trial_keys = [], []
         for key in keys:
             v = rng.randrange(0, 3)
             z.append(rng.randrange(1, p) * packed_powers[v])
-            expected = min(expected, b * v + key)
-        got = INF
-        for n, columns in degrees.items():
-            sums = [sum(map(mul, xs, map(z.__getitem__, idx))) for xs, idx in columns.values()]
-            least = field._valuation(list(map(math.gcd, *field._unpacked(sums, width))), vden)
-            got = min(got, b * least + w * n)
+            trial_keys.append(b * v + key)
+        expected = min(trial_keys)
+        attaining = [lead_columns[i] for i, k in enumerate(trial_keys) if k == expected]
+        sums = [sum(map(mul, xs, map(z.__getitem__, idx))) for xs, idx, _ in attaining]
+        got = min(b * field._valuation(vec, vden) + wn
+                  for vec, (_, _, wn) in zip(field._unpacked(sums, width), attaining))
         if got != expected:
             raise CounterexampleFound(
                 "orthogonal system max formula failed",

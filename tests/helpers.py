@@ -18,7 +18,9 @@ of the int sums of ``DistAlgebra.mul``.  The exponent oracles evaluate
 v(c)/e + kappa |alpha| a/b over Fractions, independently of the scaled
 int keys of ``distalg``, and the orthogonal-system trial oracle runs the
 trials of ``towers.orthogonal_system_check`` on Distributions and Scalars,
-independently of its packed int sums.  The scan oracle minimizes
+independently of its packed int sums, and the kernel-orthogonality oracle
+sums every trial combination of ``quotient.orthogonality_check`` whole,
+independently of its decision at the attaining indices.  The scan oracle minimizes
 k s - v_p(k) in Fraction arithmetic, independently of the int scan of
 ``radii``.  The canonicalization oracle runs
 the reduction loop of ``quotient.canonicalize`` on whole Distributions,
@@ -533,6 +535,33 @@ def orthogonal_trials_oracle(system, r, trials, rng):
         if combo.norm(r) != expected:
             return combo.norm(r), expected
     return None
+
+
+def orthogonality_oracle(fam, r, trials, rng):
+    """``quotient.orthogonality_check`` with every trial combination
+    summed whole with ``Distribution.__add__`` and measured with ``norm``,
+    drawing from ``rng`` in the same order; the same CounterexampleFound
+    and witness on the first failing trial."""
+    alg = fam.algebra
+    field = alg.field
+    for _ in range(trials):
+        coeffs = {}
+        for pair in fam.pairs:
+            v = rng.randrange(-3, 4)
+            unit = field.scalar(rng.randrange(1, field.p)) + field.uniformizer() * rng.randrange(0, field.p)
+            coeffs[pair] = unit * field.uniformizer() ** v
+        combo = alg.zero()
+        expected = INF
+        for pair, c in coeffs.items():
+            term = fam.gen(*pair).scale(c)
+            combo = combo + term
+            expected = min(expected, term.norm(r))
+        got = combo.norm(r)
+        if got != expected:
+            raise CounterexampleFound(
+                "orthogonality max-formula failed", witness=(coeffs, got, expected)
+            )
+    return True
 
 
 # ---------------------------------------------------------------------------

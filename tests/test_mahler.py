@@ -151,6 +151,26 @@ def test_filtration_bound_names_a_planted_violation():
     assert info.value.witness == (alpha, beta, gamma, Fraction(1))
 
 
+def test_filtration_bound_refuses_an_entry_off_the_p_integers():
+    """c = 1/3 at gamma = (1, 1, 2) in the b_1 b_2 row of heisenberg N = 4
+    meets v_p(c) >= kappa (|alpha| + |beta| - |gamma|) = -2, the bound at
+    r = 1/p, but not p-integrality, the bound as r -> 1, and is refused
+    with its witness.  The table is put over den = 3 first, every
+    numerator tripled, and passes so."""
+    table = StructureConstants(heisenberg(3), 4)
+    alpha, beta, gamma = (1, 0, 0), (0, 1, 0), (1, 1, 2)
+    table.rows_from(alpha)  # builds the table
+    for rows in table._rows.values():
+        for row in rows.values():
+            row[1::2] = [3 * n for n in row[1::2]]
+    table._den = 3
+    assert table.check_filtration_bound() == 583
+    table._rows[alpha][beta] += [table._position[gamma], 1]
+    with pytest.raises(CounterexampleFound, match="valuation bound fails") as info:
+        table.check_filtration_bound()
+    assert info.value.witness == (alpha, beta, gamma, Fraction(1, 3))
+
+
 @pytest.mark.parametrize("lattice", [heisenberg(3), abelian(3, p=3)], ids=["heisenberg", "abelian"])
 @pytest.mark.parametrize("alpha", [(True, 0, 0), (Fraction(1), 0, 0), (1.0, 0, 0)],
                          ids=["bool", "fraction", "float"])

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import LatticeOracle, canonicalize_oracle
+from helpers import LatticeOracle, canonicalize_oracle, orthogonality_oracle
 from padicdist import (
     FieldSpec,
     build_kernel_family,
@@ -20,6 +21,7 @@ from padicdist import (
 )
 from padicdist.distalg import Distribution
 from padicdist.errors import (
+    CounterexampleFound,
     CriticalRadius,
     DegreeOverflow,
     InvalidArgument,
@@ -161,6 +163,45 @@ def test_orthogonality(fam31, fam32):
     f = fam31.gen(2, 1)
     c = alg.field.uniformizer() ** 2
     assert f.scale(c).norm(R23) == 2 + f.norm(R23)
+
+
+def _orthogonality_outcome(check, fam, trials, rng):
+    """True, or the message and witness of the CounterexampleFound."""
+    try:
+        return check(fam, R23, trials, rng)
+    except CounterexampleFound as exc:
+        return str(exc), exc.witness
+
+
+def _assert_orthogonality_matches_oracle(fam, seed, trials):
+    """The check at the attaining indices gives the verdict and witness of
+    the oracle that sums each combination whole, and leaves the generator
+    in the same state; returns that outcome."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    out = _orthogonality_outcome(orthogonality_check, fam, trials, rng)
+    assert out == _orthogonality_outcome(orthogonality_oracle, fam, trials, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+    return out
+
+
+def test_orthogonality_matches_the_whole_sum_oracle(fam31, fam32):
+    assert _assert_orthogonality_matches_oracle(fam31, 52, 30) is True
+    assert _assert_orthogonality_matches_oracle(fam32, 53, 30) is True
+
+
+def test_orthogonality_fails_on_members_sharing_their_attaining_index(fam32):
+    """Two members attaining their norms only at b_11 cancel there when
+    their coefficients have one valuation and opposite unit residues, and
+    the check fails with the norm of the whole combination."""
+    alg, lg = fam32.algebra, fam32.lgspec
+    b = [alg.generator(lg.flat_index(i, j)) for i, j in ((1, 1), (2, 1), (1, 2))]
+    planted = copy.copy(fam32)
+    planted._gens = {(2, 1): b[0] + alg.mul(b[1], b[1]),
+                     (2, 2): b[0].scale(alg.field.scalar(2)) + alg.mul(b[2], b[2])}
+    assert [g.leading_support(R23) for g in planted._gens.values()] == [[(1, 0, 0, 0)]] * 2
+    message, (coeffs, got, expected) = _assert_orthogonality_matches_oracle(planted, 54, 100)
+    assert message == "orthogonality max-formula failed"
+    assert got > expected
 
 
 def test_canonicalize_ideal_member(fam31):

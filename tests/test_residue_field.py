@@ -141,3 +141,19 @@ def test_arithmetic_across_fields_is_refused():
     with pytest.raises(InvalidArgument, match="F_3 and F_9"):
         k3.elem(2) * k9.gen()
     assert k9.gen() + _field(3, 2).one() == k9.elem((1, 1))  # an equal field is one field
+
+
+@pytest.mark.parametrize("p,f,samples", [(3, 4, None), (2, 19, 200)], ids=["F_81", "F_2^19"])
+def test_euclid_inverse_is_the_power_q_minus_2(p, f, samples):
+    """The extended-Euclid inverse gives the code of a^(q - 2), which
+    ``_pow`` computes by squaring: every nonzero element of F_81 and 200
+    seeded ones of F_(2^19)."""
+    k = _field(p, f)
+    if samples is None:
+        codes = range(1, k.order)
+    else:
+        rng = random.Random(20)
+        codes = [rng.randrange(1, k.order) for _ in range(samples)]
+    for code in codes:
+        x = k.elem(k._digits(code))
+        assert x.inv().code == k._pow(code, k.order - 2)

@@ -196,6 +196,32 @@ def test_trials_at_the_certified_slot_bound(q3):
     assert out["iota"] == {0: (0, 0), 1: (1, 0), 2: (0, 1)}
 
 
+class _LoggedTopDraws(_TopDraws):
+    """``_TopDraws`` that records every draw it answers."""
+
+    def __init__(self):
+        self.draws = []
+
+    def randrange(self, start, stop):
+        self.draws.append((start, stop))
+        return super().randrange(start, stop)
+
+
+def test_trials_decide_a_tie_of_many_attaining_elements(q3):
+    """With every draw v = 2, u = p - 1, every element of least norm
+    attains the expected key at once: b_1, b_2 and b_3 once the unit
+    element, the one element of norm 1, is left out.  The check passes,
+    as the oracle does, after the same draws."""
+    alg = DistAlgebra(heisenberg(3), q3, 4)
+    system, r = orthogonal_system(alg, 1)[1:], Radius(1, 4)
+    norms = [t.norm(r) for t in system]
+    assert norms.count(min(norms)) == 3
+    draws, oracle_draws = _LoggedTopDraws(), _LoggedTopDraws()
+    orthogonal_system_check(system, r, 3, draws)
+    assert orthogonal_trials_oracle(system, r, 3, oracle_draws) is None
+    assert draws.draws == oracle_draws.draws
+
+
 def test_orthogonality_diagnoses(ab1_big):
     rng = random.Random(65)
     r = Radius(1, 8)
