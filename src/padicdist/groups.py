@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 from math import factorial, gcd, lcm, prod
-from operator import add, floordiv, itemgetter, lt, mul
+from operator import add, floordiv, ge, itemgetter, lt, mul
 
 from .errors import (
     CounterexampleFound,
@@ -642,8 +642,8 @@ class GroupElement:
         return omega - self.lattice.kappa + 1
 
     def p_valuation(self):
-        """The p-valuation omega induced by the lower p-series (see ``_omega``)."""
-        return _omega(self.lattice.p, self.nums, self.den)
+        """The p-valuation omega induced by the lower p-series (see ``_omegas``)."""
+        return _omegas(self.lattice.p, [(self.nums, self.den)])[0]
 
     def __eq__(self, other):
         return (
@@ -670,11 +670,18 @@ def _joined(x, y):
     return (*[n * (D // dx) for n in xs], *[n * (D // dy) for n in ys]), D
 
 
-def _omega(p, nums, den):
-    """The p-valuation at the coordinates nums / den, in either chart:
-    kappa + v_p(gcd(nums) / den); INF at the identity."""
-    g = gcd(*nums)
-    return kappa(p) + vp_int(g, p) - vp_int(den, p) if g else INF
+def _omegas(p, points):
+    """The p-valuation at each point (nums, den) of the list ``points``,
+    in either chart: kappa + v_p(gcd(nums) / den); INF at the identity."""
+    out, k = [], kappa(p)
+    for nums, den in points:
+        g, w = gcd(*nums), k
+        while g and not g % p:
+            g, w = g // p, w + 1
+        while not den % p:
+            den, w = den // p, w - 1
+        out.append(w if g else INF)
+    return out
 
 
 def check_p_valuation(pairs):
@@ -684,10 +691,12 @@ def check_p_valuation(pairs):
     names the axiom and carries the offending pair.  Besides the
     ultrametric, commutator and p-power axioms, the "coordinate-formula"
     one asks that omega agree with the first-kind chart: omega(g) =
-    ``_omega`` at E(x), as omega(exp z) = kappa + v_p(z).  The elements
+    ``_omegas`` at E(x), as omega(exp z) = kappa + v_p(z).  The elements
     share one lattice, whose maps each run once over the sample
     (``reduced_all``): I at every h, F at every (g, h^-1), C at every
     (g, h), E at every element and L at every p E, as g^p = L(p E(g)).
+    omega is read once per column, and the pair loop runs only when a
+    column-wise comparison, which asks all that the loop asks, fails.
     """
     pairs = list(pairs)
     if not pairs:
@@ -696,28 +705,32 @@ def check_p_valuation(pairs):
     if any(not isinstance(x, GroupElement) or x.lattice is not lat for pair in pairs for x in pair):
         raise InvalidArgument("the p-valuation check needs elements of one lattice")
     p = lat.p
-    gs = [(g.nums, g.den) for g, _ in pairs]
-    hs = [(h.nums, h.den) for _, h in pairs]
+    points = [(x.nums, x.den) for pair in pairs for x in pair]  # g_1, h_1, g_2, ...
+    gs, hs = points[::2], points[1::2]
     inverses = lat.second_kind_inverse.reduced_all(hs)
     quotients = lat.second_kind_law.reduced_all(list(map(_joined, gs, inverses)))
     commutators = lat.commutator_law.reduced_all(list(map(_joined, gs, hs)))
-    firsts = lat.to_first_kind.reduced_all([x for pair in zip(gs, hs) for x in pair])
+    firsts = lat.to_first_kind.reduced_all(points)
     powers = lat.to_second_kind.reduced_all([([p * n for n in nums], den) for nums, den in firsts])
+    om, oq, oc, op, oe = (_omegas(p, col) for col in (points, quotients, commutators, powers, firsts))
+    og, oh = om[::2], om[1::2]
+    if (all(map(ge, oq, map(min, og, oh))) and all(map(ge, oc, map(add, og, oh)))
+            and op == [w + 1 for w in om] and oe == om):
+        return []
     violations = []
-    for (g, h), q, c, pg, ph, eg, eh in zip(
-        pairs, quotients, commutators, powers[::2], powers[1::2], firsts[::2], firsts[1::2]
+    for (g, h), wg, wh, q, c, pg, ph, eg, eh in zip(
+        pairs, og, oh, oq, oc, op[::2], op[1::2], oe[::2], oe[1::2]
     ):
-        og, oh = g.p_valuation(), h.p_valuation()
-        if _omega(p, *q) < min(og, oh):
+        if q < min(wg, wh):
             violations.append(("ultrametric", g, h))
-        if _omega(p, *c) < og + oh:
+        if c < wg + wh:
             violations.append(("commutator", g, h))
-        for elt, om, power, first in ((g, og, pg, eg), (h, oh, ph, eh)):
-            if om is INF:
+        for elt, w, power, first in ((g, wg, pg, eg), (h, wh, ph, eh)):
+            if w is INF:
                 continue
-            if _omega(p, *power) != om + 1:
+            if power != w + 1:
                 violations.append(("p-power", elt, None))
-            if _omega(p, *first) != om:
+            if first != w:
                 violations.append(("coordinate-formula", elt, None))
     return violations
 
@@ -792,8 +805,14 @@ class LGroupSpec:
         self.name = name
         if not self.v_basis or self.v_basis[0] != field.one():
             raise InvalidBasis("v_1 must be 1")
-        span = Subspace(Fraction(0), field.degree)
-        if not all(span.add(enumerate(v.coords)) for v in self.v_basis):
+        # the span is o_L = L meet o_K iff its coordinates over w^a pi^b are p-integral,
+        # of rank n mod p; a Q rank names a dependent basis, _v_coords's checks go next
+        p, fp = field.p, ResidueField(field.p, (0, 1))
+        span, rational = Subspace(fp.zero(), field.degree), Subspace(Fraction(0), field.degree)
+        maximal = all(all(c.denominator % p for c in v.coords) and span.add(
+            (k, fp.elem(c.numerator * pow(c.denominator, -1, p))) for k, c in enumerate(v.coords)
+        ) for v in self.v_basis)
+        if not maximal and not all(rational.add(enumerate(v.coords)) for v in self.v_basis):
             raise InvalidBasis("v-basis is linearly dependent")
         self.n = len(self.v_basis)
         self.brackets = _bracket_table(
@@ -803,15 +822,8 @@ class LGroupSpec:
             raise InvalidBracket("an o-element needs p-integral coordinates over the v-basis")
         for a, b in product(range(self.n), repeat=2):
             self._v_coords(self.v_basis[a] * self.v_basis[b])
-        # the span is o_L = L meet o_K iff the coordinates over the Z_p-basis
-        # w^a pi^b of o_K are p-integral, of rank n mod p
-        p, fp = field.p, ResidueField(field.p, (0, 1))
-        span = Subspace(fp.zero(), field.degree)
-        for coords in (v.coords for v in self.v_basis):
-            if any(c.denominator % p == 0 for c in coords) or not span.add(
-                (k, fp.elem(c.numerator * pow(c.denominator, -1, p))) for k, c in enumerate(coords)
-            ):
-                raise InvalidBasis("v-basis is not a Z_p-basis of the valuation ring of L")
+        if not maximal:
+            raise InvalidBasis("v-basis is not a Z_p-basis of the valuation ring of L")
         # the residue classes vbar_1 = 1, ..., vbar_n: zero where v(v_i) > 0
         zero = field.residue_field.zero()
         self.vbars = tuple(v.residue() if v.valuation == 0 else zero for v in self.v_basis)

@@ -8,16 +8,19 @@ byte-identical for a given seed only while that order holds.
 
 from __future__ import annotations
 
+from .groups import GroupElement
+
 
 def random_element(lattice, rng):
     """A second-kind element with coordinates below p^9, scaled by p^s with
-    s drawn from (0, 0, 0, 1, 2); some coordinate is a unit before scaling."""
-    p = lattice.p
-    coords = [rng.randrange(0, p**9) for _ in range(lattice.d)]
-    if not any(c % p for c in coords):
+    s drawn from (0, 0, 0, 1, 2); some coordinate is a unit before scaling.
+    The drawn ints are its numerators over den = 1, reduced as they are."""
+    p, top = lattice.p, lattice.p**9
+    coords = [rng.randrange(top) for _ in range(lattice.d)]
+    if not any(map(p.__rmod__, coords)):
         coords[rng.randrange(lattice.d)] += 1  # keep at level 1 occasionally
     scale = p ** rng.choice((0, 0, 0, 1, 2))
-    return lattice.element_second(tuple(scale * c for c in coords))
+    return GroupElement(lattice, tuple(map(scale.__mul__, coords)), 1)
 
 
 def random_scalar(field, rng):

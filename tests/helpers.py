@@ -43,7 +43,10 @@ Fraction coordinate at a time.  The pro-2 sweep oracle checks the
 commutator windows one point at a time, independently of the
 binomial-basis coefficients that the sweep reads its verdict off.
 
-The samplers live in ``padicdist.samplers``.
+The samplers live in ``padicdist.samplers``.  The element-sampler oracle
+makes the draws of ``samplers.random_element`` and builds the element
+through ``LieLattice.element_second``, independently of the sampler
+handing its drawn ints to ``GroupElement`` as they are.
 """
 
 import math
@@ -301,6 +304,17 @@ def p_valuation_oracle(pairs):
             if om != valuation_formula_oracle(elt.lattice, elt.first()):
                 violations.append(("coordinate-formula", elt.second(), None))
     return violations
+
+
+def random_element_oracle(lattice, rng):
+    """``samplers.random_element``: the same draws in the same order, the
+    element built through ``element_second``."""
+    p = lattice.p
+    coords = [rng.randrange(0, p**9) for _ in range(lattice.d)]
+    if not any(c % p for c in coords):
+        coords[rng.randrange(lattice.d)] += 1
+    scale = p ** rng.choice((0, 0, 0, 1, 2))
+    return lattice.element_second(tuple(scale * c for c in coords))
 
 
 def pro2_sweep_oracle(lattice, level, i, j):

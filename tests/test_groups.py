@@ -12,6 +12,7 @@ from helpers import (
     heisenberg_second_kind_oracle,
     p_valuation_oracle,
     pro2_sweep_oracle,
+    random_element_oracle,
     valuation_formula_oracle,
 )
 from padicdist import (
@@ -274,6 +275,94 @@ def test_p_valuation_check_reports_planted_violations_in_order():
         and valuation_formula_oracle(lat, wrong(elt.second())) != FractionElement.of(elt).p_valuation()
     ]
     assert formula == [(shallow.second(), None)] * 7
+
+
+def _planted_pairs(*names):
+    """The pairs of the planted-violations test on heisenberg2 with the
+    named maps planted: as there F halved (outputs over den = 2), C
+    without its factor 4 and E with x_3 doubled; L halved, which breaks
+    the p-power axiom alone; or E with x_3 doubled together with its
+    inverse L, which keeps g^p = L(p E(x)) and breaks the coordinate
+    formula alone."""
+    lat = heisenberg2()
+    x = [_LawPoly({((v, 1),): Fraction(1)}) for v in range(6)]
+    wrong_e = SecondKindLaw(2, [x[0], x[1], (x[2] + x[0] * x[1] * 2) * 2], 3)
+    planted = {
+        "F": {"second_kind_law": SecondKindLaw(
+            2, [(x[k] + x[k + 3]) * Fraction(1, 2) for k in range(3)], 6)},
+        "C": {"commutator_law": SecondKindLaw(2, [0, 0, x[0] * x[4]], 6)},
+        "E": {"to_first_kind": wrong_e},
+        "L": {"to_second_kind": SecondKindLaw(2, [x[k] * Fraction(1, 2) for k in range(3)], 3)},
+        "E and its L": {"to_first_kind": wrong_e, "to_second_kind": SecondKindLaw(
+            2, [x[0], x[1], x[2] * Fraction(1, 2) - x[0] * x[1] * 2], 3)},
+    }
+    lat.commutator_law  # compiled from the sound F: a halved one is refused there
+    for name in names:
+        for attr, law in planted[name].items():
+            setattr(lat, attr, law)
+    shallow = lat.element_second((4, 8, 2))
+    pairs = _levelled_pairs(lat, 25)
+    return pairs + [(shallow, g) for g, _ in pairs[::8]]
+
+
+def _pro2_law_pairs():
+    """The 300 pairs of the pro2-law pvaluation record at seed 0: the
+    suite draws them from ``SuiteEnv.rng("pvaluation")``."""
+    lat, rng = heisenberg2(), random.Random("0:pvaluation")
+    return [(random_element(lat, rng), random_element(lat, rng)) for _ in range(300)]
+
+
+def _identity_pair(shift_l=False):
+    """The identity on both sides of heisenberg2; with ``shift_l`` its L
+    has a constant term, so that L(p E(1)) is not the identity: the
+    p-power column fails there, at the identity, which the pair loop
+    skips."""
+    lat = heisenberg2()
+    if shift_l:
+        x = [_LawPoly({((v, 1),): Fraction(1)}) for v in range(3)]
+        lat.to_second_kind = SecondKindLaw(2, [x[0] + 1, x[1], x[2]], 3)
+        assert lat.identity() ** 2 != lat.identity()
+    return [(lat.identity(), lat.identity())]
+
+
+@pytest.mark.parametrize("make_pairs, kinds", [
+    (_pro2_law_pairs, set()),
+    (lambda: _levelled_pairs(filiform(2), 24), set()),
+    (lambda: _planted_pairs("F", "C", "E"), {"ultrametric", "commutator", "p-power", "coordinate-formula"}),
+    (lambda: _planted_pairs("F"), {"ultrametric"}),
+    (lambda: _planted_pairs("C"), {"commutator"}),
+    (lambda: _planted_pairs("E"), {"p-power", "coordinate-formula"}),
+    (lambda: _planted_pairs("L"), {"p-power"}),
+    (lambda: _planted_pairs("E and its L"), {"coordinate-formula"}),
+    (_identity_pair, set()),
+    (lambda: _identity_pair(shift_l=True), set()),
+], ids=["pro2-law-seed-0", "filiform2-levelled", "planted", "planted-F", "planted-C",
+        "planted-E", "planted-L", "planted-E-and-its-L", "identity", "identity-shifted-L"])
+def test_column_check_matches_the_pair_loop(make_pairs, kinds):
+    """The column-wise check reports what ``_p_valuation_loop`` reports,
+    entry by entry and in order: nothing on sound maps, and on each
+    planted map the violations of its axioms, so that each column is
+    the only failing one somewhere."""
+    pairs = make_pairs()
+    found = check_p_valuation(pairs)
+    assert found == _p_valuation_loop(pairs)
+    assert {kind for kind, _, _ in found} == kinds
+
+
+@pytest.mark.parametrize("seed", [0, 7, 13])
+@pytest.mark.parametrize("lat", [
+    heisenberg(3), heisenberg2(), abelian(2, p=3), o_additive(FieldSpec.unramified(3, 2), 1).restrict(),
+], ids=repr)
+def test_random_element_matches_the_element_second_oracle(lat, seed):
+    """The sampler hands its drawn ints to ``GroupElement`` over den = 1:
+    the same elements as building through ``element_second``, after the
+    same draws."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(60):
+        g = random_element(lat, rng)
+        assert g == random_element_oracle(lat, oracle_rng)
+        assert g.den == 1 and type(g.nums) is tuple and all(type(n) is int for n in g.nums)
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_p_valuation_check_refuses_elements_of_two_lattices(heis):

@@ -196,6 +196,25 @@ def test_trials_at_the_certified_slot_bound(q3):
     assert out["iota"] == {0: (0, 0), 1: (1, 0), 2: (0, 1)}
 
 
+def test_trials_at_the_slot_bound_in_an_attaining_column(q3):
+    """The unit element 244 is the one element of norm 1, so it alone
+    attains, at (0, 0), and the other two carry 243 = 3^5 there below
+    their leads.  Every draw is v = 2, u = p - 1, so the attaining column
+    sums to 2 * 9 * (244 + 2 * 243) = 13,140, 36 short of the certified
+    bound len(system) (p - 1) [K:Q_p] max|x| max|y| = 3 * 2 * 9 * 244 =
+    13,176 and above 2^13, which a signed slot one bit short (14 bits)
+    cannot hold.  An attaining column cannot carry the bound itself: that
+    needs max|x| from every element there, one coefficient, and then each
+    other element's norm would be at least the attaining one's."""
+    alg = DistAlgebra(abelian(2, p=3), q3, 2)
+    system = [alg.from_terms({(0, 0): 244})] + [
+        alg.from_terms({(1, 0): 1, (0, 0): 3**5}), alg.from_terms({(0, 1): 1, (0, 0): 3**5})]
+    bound, column = 3 * 2 * 9 * 244, 2 * 9 * (244 + 2 * 3**5)
+    assert 2 ** (bound.bit_length() - 1) < column <= bound
+    out = orthogonal_system_check(system, Radius(1, 2), 1, _TopDraws())
+    assert out["iota"] == {0: (0, 0), 1: (1, 0), 2: (0, 1)}
+
+
 class _LoggedTopDraws(_TopDraws):
     """``_TopDraws`` that records every draw it answers."""
 
