@@ -17,7 +17,9 @@ occurrence at a time, strictly raising the filtration degree of the
 residue, read as the int keys of the radius's one filtration object
 (``DistAlgebra.symbol_context``), and carries a certified residual bound
 p^(-M') instead of claiming bare equalities.  The working residue is one
-dict of terms with one heap of leads.
+dict of terms with one heap of leads; a term that only ever receives
+contributions at or above the target keeps them unsummed, since it can
+never lead, until it is needed.
 """
 
 from __future__ import annotations
@@ -50,10 +52,12 @@ class KernelFamily:
     ``_shift_keys`` is the one memo of canonicalization: per radius, keyed
     by (i, j, alpha), what ``canonicalize`` reads of the product G_ij *
     b^alpha with coefficient 1, that is its tail key and a (gamma, g.num,
-    g.den, w |gamma|, grlex_key(gamma)) per term g b^gamma.  Every step
-    subtracts such a product times one scalar c, and the memo is exact: the
-    table product is K-bilinear, so mul(G_ij, c b^alpha) is c times it term
-    by term, with the same support in the same order (c != 0 in a field),
+    g.den, w |gamma|, grlex_key(gamma), key, first row) per term g b^gamma,
+    key being the term's own key b v(g) + w |gamma|: the key at v(c) = 0 of
+    its contribution to a step, which adds b v(c).  Every step subtracts
+    such a product times one scalar c, and the memo is exact: the table
+    product is K-bilinear, so mul(G_ij, c b^alpha) is c times it term by
+    term, with the same support in the same order (c != 0 in a field),
     and a Scalar's reduced form is canonical, so g * c in ints equals the
     coefficient ``mul`` builds bit for bit.  At a fixed radius the entry
     depends on nothing else, and canonicalization asks only for |alpha| <
@@ -276,19 +280,34 @@ def canonicalize(fam, lam, r, mprime):
     The working residue is one dict changed in place, alpha -> (num, den,
     key): an int vector over one positive int reduced as a Scalar is, and
     the term's scaled key.  One heap holds (key, grlex_key(alpha), alpha)
-    entries, one pushed whenever a term takes a new key, so the least live
-    entry is the lead (least key, then least in grlex order); an entry whose
-    term has left or changed key is dropped when it surfaces, and the lead's
-    entry is only peeked at, so a lead whose key does not change stays live.
-    A step thus costs time in the terms it touches.  The subtracted product
-    is c times G_ij * b^alpha': each touched term becomes prev - g c in
-    ints, one gcd giving its reduced form and valuation
-    (``FieldSpec._sub_times``); Scalars are built only for the canonical
-    part.  The tail key is that of G_ij * b^alpha' plus b v(c), every
-    candidate of ``distalg.mul_tail_key`` and of the log tail moving by
-    the same v(c); it and the product's terms are kept on the family per
-    radius (``KernelFamily._shift_keys``).
+    entries, one pushed whenever a term's value takes a new key, so the
+    least live entry is the lead (least key, then least in grlex
+    order); an entry whose term has left or changed key is dropped when it
+    surfaces, and the lead's entry is only peeked at, so a lead whose key
+    does not change stays live.  The subtracted product is c times G_ij *
+    b^alpha'; its term g b^gamma contributes -g c, whose key, the memo's
+    b v(g) + w |gamma| plus b v(c) read off the lead's key, costs no
+    arithmetic.  A term holding a value becomes prev - g c in ints, one
+    gcd giving its reduced form and valuation (``FieldSpec._sub_times``).
+    A term holding none whose contributions all have keys at or above the
+    target is stored, in its first-touch slot, as (None, contributions,
+    least key): by the ultrametric inequality it could never lead.  It is
+    summed (``_summed``, in arrival order, so to the ints the eager update
+    would hold) when a contribution below the target reaches it, or, on
+    the first row, a second one at its least key: the two could cancel,
+    and the eager update then gives the term a later slot.  At the end
+    stored first-row terms are summed into the canonical part, and the
+    others, which only bound the residual, in increasing order of least
+    key while it lies below the residual found so far.  Scalars are built
+    only for the canonical part.
+    The tail key is that of G_ij * b^alpha' plus b v(c), every candidate
+    of ``distalg.mul_tail_key`` and of the log tail moving by the same
+    v(c); it and the product's terms are kept on the family per radius
+    (``KernelFamily._shift_keys``).  An M' that is not an int or a
+    Fraction is refused with InvalidArgument.
     """
+    if type(mprime) is not int and not isinstance(mprime, Fraction):
+        raise InvalidArgument(f"M' must be an int or a Fraction, got {mprime!r}")
     _require_h0(fam, r)
     alg = fam.algebra
     if lam.algebra is not alg:
@@ -302,13 +321,16 @@ def canonicalize(fam, lam, r, mprime):
     log_tail = ctx.to_key(log_tail_exponent(alg.N, r, alg.kappa, alg.lattice.p))
     field = alg.field
     sub_times = field._sub_times
-    absent = ((0,) * field.degree, 1, None)
-    # alpha -> (int vector, positive int, key), reduced as a Scalar is
+    zero = (0,) * field.degree
+    absent = (zero, 1, None)
+    # alpha -> (int vector, positive int, key), reduced as a Scalar is, or
+    # (None, [(g.num, g.den, times)], least key) for a stored term
     work = {alpha: (c.num, c.den, ctx.key(c, alpha)) for alpha, c in lam.coeffs.items()}
     # (key, grlex_key(alpha), alpha), one per key a term has taken
     heap = [(key, grlex_key(alpha), alpha) for alpha, (_, _, key) in work.items()]
     heapify(heap)
-    # (i, j, alpha') -> (tail key at v(c) = 0, [(gamma, num, den, w |gamma|, grlex)])
+    # (i, j, alpha') -> (tail key at v(c) = 0, [(gamma, num, den, w |gamma|,
+    #                    grlex, key at v(c) = 0, first row)])
     shifts = fam._shift_keys.setdefault(r, {})
     # the first X_ij, i >= 2, that a lead contains is the one cleared
     pairs = [(i, j, lg.flat_index(i, j)) for i, j in fam.pairs]
@@ -349,11 +371,13 @@ def canonicalize(fam, lam, r, mprime):
                 gen, mono = fam.gen(i, j), alg.monomial(alpha_prime)
                 gen_tail = w * sum(alpha_prime) + log_tail
                 tail0 = min(mul_tail_key(ctx, gen, mono), gen_tail)
-                terms = [(gamma, g.num, g.den, w * sum(gamma), grlex_key(gamma))
+                terms = [(gamma, g.num, g.den, w * sum(gamma), grlex_key(gamma),
+                          ctx.key(g, gamma), lg.is_first_row(gamma))
                          for gamma, g in alg.mul(gen, mono).coeffs.items()]
                 shift = shifts[(i, j, alpha_prime)] = (tail0, terms)
             tail0, terms = shift
-            tail = tail0 + s - w * sum(lead)  # the lead's key is b v(c) + w |lead|
+            bvc = s - w * sum(lead)  # the lead's key is b v(c) + w |lead|
+            tail = tail0 + bvc
             if tail < target_key:
                 need = _required_truncation(alg, r, mprime)
                 raise DegreeOverflow(
@@ -363,8 +387,20 @@ def canonicalize(fam, lam, r, mprime):
                 )
             residual = min(residual, tail)
             times = field._times(pn, pd)
-            for gamma, gnum, gden, wdeg, grlex in terms:
+            for gamma, gnum, gden, wdeg, grlex, gkey, first in terms:
                 pn, pd, old = work.get(gamma, absent)
+                key = gkey + bvc  # that of the contribution -g c b^gamma
+                if pn is None:  # a stored term, old its least key
+                    if key >= target_key and (key != old or not first):
+                        pd.append((gnum, gden, times))
+                        if key < old:
+                            work[gamma] = (None, pd, key)
+                        continue
+                    pn, pd, _ = _summed(sub_times, zero, pd)
+                    old = None  # a stored term has no heap entry
+                elif old is None and key >= target_key:
+                    work[gamma] = (None, [(gnum, gden, times)], key)
+                    continue
                 num, den, v = sub_times(pn, pd, gnum, gden, times)
                 if v == INF:
                     work.pop(gamma, None)
@@ -379,16 +415,39 @@ def canonicalize(fam, lam, r, mprime):
 
     # leftovers sit at or above the target: pure terms still belong to the
     # canonical part (exactly), everything else is bounded into the residual
+    stored = []  # (least key, alpha, contributions) of the other stored terms
     for alpha, (num, den, key) in work.items():
         if lg.is_first_row(alpha):
+            if num is None:  # sparse_sum drops a zero sum
+                num, den, _ = _summed(sub_times, zero, den)
             canon.append((alpha, num, den))
+        elif num is None:
+            stored.append((key, alpha, den))
         else:
             residual = min(residual, key)
+    # a stored term's key is at least its least key (ultrametric), so it is
+    # summed only while that key lies below the residual; alpha breaks ties
+    stored.sort()
+    for least, alpha, contributions in stored:
+        if least >= residual:
+            break
+        v = _summed(sub_times, zero, contributions)[2]
+        residual = min(residual, b * v + w * sum(alpha))
 
     canon = sparse_sum((lg.to_canonical_index(alpha), Scalar(field, tuple(num), den))
                        for alpha, num, den in canon)
     residual = ctx.unscale(residual)
     return CanonicalForm(fam, r, canon, residual, steps, levels)
+
+
+def _summed(sub_times, zero, contributions):
+    """The exact (num, den, v) of a stored term: its contributions
+    (g.num, g.den, times) subtracted from zero in arrival order, each by
+    ``FieldSpec._sub_times``, as the eager update would have held it."""
+    num, den, v = zero, 1, INF
+    for gnum, gden, times in contributions:
+        num, den, v = sub_times(num, den, gnum, gden, times)
+    return num, den, v
 
 
 def _required_truncation(alg, r, mprime):

@@ -231,6 +231,17 @@ def test_reduction_tail_is_the_generators_log_tail(fam31):
         canonicalize(fam31, b21, R23, 5)
 
 
+@pytest.mark.parametrize("mprime", [2.0, 3.0, True, "3", None], ids=repr)
+@pytest.mark.parametrize("fn", [canonicalize, quotient_norm], ids=lambda fn: fn.__name__)
+def test_mprime_must_be_an_int_or_a_fraction(fam31, fn, mprime):
+    """A float, a bool, a string or None as M' is refused by name, not run
+    as the number it converts to (2.0 ran, 3.0 overflowed as "p^-3.0",
+    True ran as 1) or failed with a TypeError."""
+    b21 = fam31.algebra.generator(fam31.lgspec.flat_index(2, 1))
+    with pytest.raises(InvalidArgument, match="M' must be an int or a Fraction"):
+        fn(fam31, b21, R23, mprime)
+
+
 def test_canonicalize_idempotent(fam31):
     rng = random.Random(52)
     alg = fam31.algebra
@@ -394,11 +405,13 @@ def _assert_same_as_oracle(fam, lam, r, mprime):
     return got
 
 
-@pytest.mark.parametrize("seed", [0, 13])
+@pytest.mark.parametrize("seed", [0, 13, 54])
 def test_canonicalize_matches_oracle_on_stream_shapes(seed):
     """o-additive(1) over Q_9 at N = 14, M' = 3: the requests of the
     lgroup-stream benchmark workload (three terms each, leading levels 4/3
-    to 8/3), coefficient dict order included."""
+    to 8/3), coefficient dict order included.  At seed 54 a first-row term
+    above the target cancels to zero and is touched again, so the order
+    holds only if it takes a later slot, as the subtraction does."""
     field = FieldSpec.unramified(3, 2)
     fam = build_kernel_family(o_additive(field, 1), STREAM_TRUNCATION)
     alg = fam.algebra
@@ -468,7 +481,7 @@ def test_one_family_at_two_radii_matches_fresh_families(k3u2):
     """The shifted-generator memo is kept per radius: one family reducing at
     3^-2/3 and 3^-3/4 in turn gives what a fresh family gives at each, and
     the terms of every memo entry are those of the product G_ij * b^alpha
-    it is keyed by."""
+    it is keyed by, each with its key at that radius and its row."""
     lgspec = o_additive(k3u2, 1)
     shared = build_kernel_family(lgspec, 8)
     alg = shared.algebra
@@ -481,8 +494,11 @@ def test_one_family_at_two_radii_matches_fresh_families(k3u2):
             assert (_outcome(canonicalize, shared, lam, r, MP)
                     == _outcome(canonicalize, fresh, lam_fresh, r, MP))
     assert set(shared._shift_keys) == {R23, Radius(3, 4)}
-    for memo in shared._shift_keys.values():
+    for r, memo in shared._shift_keys.items():
         assert memo
+        ctx = alg.symbol_context(r)
         for (i, j, alpha), (_, terms) in memo.items():
             prod = alg.mul(shared.gen(i, j), alg.monomial(alpha))
             assert [t[:3] for t in terms] == [(g, c.num, c.den) for g, c in prod.coeffs.items()]
+            assert [t[5:] for t in terms] == [(ctx.key(c, g), lgspec.is_first_row(g))
+                                              for g, c in prod.coeffs.items()]
